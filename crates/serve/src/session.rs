@@ -85,8 +85,9 @@ impl EcoExecutor {
         self.snapshot.corner_count()
     }
 
-    /// `(base, corner-lane)` byte sizes of the design's SoA net arena
-    /// (zeros until an arena-building analysis ran).
+    /// `(base, corner-lane)` byte sizes of the design's cached SoA net
+    /// arena: zeros when none is cached (every committed ECO drops it).
+    /// A size probe — it never builds the arena under the writer lock.
     pub fn arena_bytes(&self) -> (usize, usize) {
         self.design.arena_bytes()
     }

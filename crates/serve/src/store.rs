@@ -39,13 +39,18 @@ impl SnapshotStore {
         }
     }
 
-    /// Atomically publishes a successor snapshot.
+    /// Atomically publishes a successor snapshot.  The superseded pair is
+    /// dropped after the write lock is released, so readers never wait
+    /// while its chunks are freed.
     pub fn publish(&self, snapshot: Arc<DesignSnapshot>, revision: u64) {
-        let mut guard = match self.inner.write() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
+        let superseded = {
+            let mut guard = match self.inner.write() {
+                Ok(guard) => guard,
+                Err(poisoned) => poisoned.into_inner(),
+            };
+            std::mem::replace(&mut *guard, (snapshot, revision))
         };
-        *guard = (snapshot, revision);
+        drop(superseded);
     }
 }
 

@@ -38,6 +38,18 @@ fn config(jobs: usize) -> ServeConfig {
     ServeConfig::new(THRESHOLD, Seconds::new(BUDGET_S), jobs)
 }
 
+/// A one-directive `ECO` line re-capping the first primary-output node of
+/// deck net 0, and that net's primary-output count.
+fn one_edit_eco(trees: &[(String, RcTree)]) -> (String, usize) {
+    let (net, tree) = &trees[0];
+    let node = tree.outputs().next().expect("deck nets have outputs");
+    let name = tree.name(node).expect("output node is named");
+    (
+        format!("ECO setcap {net} {name} 3e-15"),
+        tree.outputs().count(),
+    )
+}
+
 /// One client session: sends every request line, reads every response
 /// block to its final line.
 fn run_client(addr: SocketAddr, script: &[String]) -> Vec<Vec<String>> {
@@ -280,6 +292,7 @@ fn trace_returns_span_lines_and_excludes_itself() {
 fn stable_metrics_are_byte_identical_across_job_counts() {
     let trees = deck_trees();
     let net = &trees[0].0;
+    let (eco, net_outputs) = one_edit_eco(&trees);
     let mut expositions = Vec::new();
     for jobs in [1usize, 2, 7] {
         let server = Server::start(design_of(&trees), &config(jobs), ("127.0.0.1", 0))
@@ -292,11 +305,18 @@ fn stable_metrics_are_byte_identical_across_job_counts() {
                 "REPORT".to_string(),
                 "REPORT".to_string(),
                 "frobnicate".to_string(),
+                eco.clone(),
                 "CERTIFY 2e-7".to_string(),
                 "STATS".to_string(),
             ],
         );
-        assert_eq!(responses.len(), 6);
+        assert_eq!(responses.len(), 7);
+        assert_eq!(
+            responses[4].last().unwrap(),
+            "OK rev 1",
+            "{:?}",
+            responses[4]
+        );
         let stable = fetch_metrics(addr, true).expect("scrape");
         // The full exposition must still parse; only its volatile families
         // are jobs-dependent.
@@ -321,4 +341,65 @@ fn stable_metrics_are_byte_identical_across_job_counts() {
             "stable exposition diverged between jobs=1 and jobs={jobs}"
         );
     }
+
+    // What the two publishes touched: the start-up publish files every
+    // endpoint once; the one-edit ECO removes and re-inserts only the
+    // edited net's endpoints, copying one endpoint chunk and one net-view
+    // chunk (this 16-net, 30-endpoint deck fits in one of each).
+    let exposition = rctree_obs::parse_exposition(baseline).expect("well-formed exposition");
+    let series = |key: &str| -> f64 {
+        exposition
+            .series
+            .get(key)
+            .unwrap_or_else(|| panic!("missing series `{key}`"))
+            .1
+    };
+    let endpoints = EcoExecutor::new(design_of(&trees), THRESHOLD, Seconds::new(BUDGET_S), 1)
+        .expect("oracle")
+        .snapshot()
+        .report()
+        .endpoints
+        .len();
+    assert_eq!((endpoints, net_outputs), (30, 4));
+    let attr = |name: &str, stat: &str| {
+        series(&format!(
+            "rctree_phase_attr_{stat}{{attr=\"{name}\",phase=\"sta.publish\"}}"
+        ))
+    };
+    assert_eq!(attr("endpoints_moved", "count"), 2.0);
+    assert_eq!(
+        attr("endpoints_moved", "sum"),
+        (endpoints + 2 * net_outputs) as f64
+    );
+    assert_eq!(attr("chunks_copied", "sum"), 2.0);
+}
+
+/// The `STATS`/`METRICS` arena-size probe reports the cached arena and
+/// never builds one: an `ECO` drops the cache, and scrapes after it keep
+/// reading zero bytes instead of rebuilding the arena under the writer
+/// lock.
+#[test]
+fn metrics_after_an_eco_leaves_the_arena_unbuilt() {
+    let trees = deck_trees();
+    let design = design_of(&trees);
+    // Build the arena up front, so the served design starts with one.
+    design
+        .analyze_with_jobs(THRESHOLD, Seconds::new(BUDGET_S), 1)
+        .expect("analyze");
+    assert_ne!(design.arena_bytes(), (0, 0));
+    let server = Server::start(design, &config(1), ("127.0.0.1", 0)).expect("server starts");
+    let addr = server.local_addr();
+    let (eco, _) = one_edit_eco(&trees);
+    let arena = |addr| {
+        let text = fetch_metrics(addr, true).expect("scrape");
+        let exposition = rctree_obs::parse_exposition(&text).expect("well-formed");
+        exposition.series["rctree_arena_base_bytes"].1
+    };
+    assert!(arena(addr) > 0.0, "the cached arena is reported");
+    let responses = run_client(addr, &[eco]);
+    assert_eq!(responses[0].last().unwrap(), "OK rev 1");
+    assert_eq!(arena(addr), 0.0, "the ECO dropped the arena");
+    assert_eq!(arena(addr), 0.0, "a scrape rebuilt the arena");
+    server.shutdown();
+    server.join();
 }

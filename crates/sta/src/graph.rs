@@ -12,7 +12,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -31,6 +30,7 @@ use rctree_core::units::{Farads, Ohms, Seconds};
 use crate::arena::NetArena;
 use crate::cell::{Cell, CellLibrary};
 use crate::error::{Result, StaError};
+use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
 use crate::stage::{
     stage_delay_bounds, stage_delay_bounds_scaled, stage_symbolic_bounds, stage_symbolic_sweep,
     StageScales,
@@ -86,188 +86,6 @@ pub struct Net {
     pub interconnect: RcTree,
     /// Fan-out of the net.
     pub sinks: Vec<Sink>,
-}
-
-/// An arrival-time interval propagated through the graph.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalWindow {
-    /// Earliest possible arrival (sum of lower bounds).
-    pub min: Seconds,
-    /// Latest possible arrival (sum of upper bounds) — the certified value.
-    pub max: Seconds,
-}
-
-impl ArrivalWindow {
-    /// The zero window (primary inputs).
-    pub const ZERO: ArrivalWindow = ArrivalWindow {
-        min: Seconds::ZERO,
-        max: Seconds::ZERO,
-    };
-}
-
-/// One endpoint (primary output) in the timing report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EndpointTiming {
-    /// Primary-output name.
-    pub name: String,
-    /// Arrival window at the endpoint.
-    pub arrival: ArrivalWindow,
-    /// The chain of instance names on the latest path to this endpoint,
-    /// starting from the primary input side.
-    ///
-    /// The spine is shared (`Arc`) with the propagation state and with
-    /// every endpoint reached through the same driver, so cloning an
-    /// endpoint — and therefore assembling or cloning a whole report — no
-    /// longer copies `O(depth)` strings per endpoint.
-    pub critical_path: Arc<Vec<String>>,
-}
-
-/// Whole-design timing report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingReport {
-    /// Switching threshold used for all stage delays.
-    pub threshold: f64,
-    /// Required arrival time used for slack and certification.
-    pub required_time: Seconds,
-    /// Per-endpoint results, sorted by descending worst arrival.
-    pub endpoints: Vec<EndpointTiming>,
-}
-
-impl TimingReport {
-    /// The endpoint with the largest guaranteed-worst-case arrival, or
-    /// `None` for a report with no endpoints (a design whose nets feed only
-    /// instance inputs produces such a report — it is not an error).
-    pub fn critical_endpoint(&self) -> Option<&EndpointTiming> {
-        self.endpoints.first()
-    }
-
-    /// Worst slack in the design: `required_time − worst arrival upper
-    /// bound`.  Negative slack means the design may miss timing.
-    ///
-    /// An empty report (no endpoints) has nothing that can miss timing, so
-    /// its worst slack is the full `required_time` — the vacuous analogue
-    /// of "every endpoint meets the budget with the entire budget to
-    /// spare".
-    pub fn worst_slack(&self) -> Seconds {
-        self.slack_against(self.required_time)
-    }
-
-    /// [`TimingReport::worst_slack`] against an arbitrary required time:
-    /// the arrivals are budget-independent, so one report answers slack
-    /// queries for any budget (the server's `CERTIFY` verb).
-    pub fn slack_against(&self, required_time: Seconds) -> Seconds {
-        match self.critical_endpoint() {
-            Some(e) => required_time - e.arrival.max,
-            None => required_time,
-        }
-    }
-
-    /// The slack as an **interval** induced by the arrival windows:
-    /// `[required − maxₑ(arrival.max), required − maxₑ(arrival.min)]`.
-    ///
-    /// The lower end is the guaranteed ([`TimingReport::worst_slack`])
-    /// slack; the upper end is the most optimistic slack consistent with
-    /// the bounds.  A negative lower end with a positive upper end is
-    /// exactly the [`Certification::Indeterminate`] region.  An empty
-    /// report collapses to `(required, required)`.
-    pub fn slack_interval(&self) -> (Seconds, Seconds) {
-        let mut worst_max = None::<Seconds>;
-        let mut worst_min = None::<Seconds>;
-        for e in &self.endpoints {
-            worst_max = Some(match worst_max {
-                Some(m) if m >= e.arrival.max => m,
-                _ => e.arrival.max,
-            });
-            worst_min = Some(match worst_min {
-                Some(m) if m >= e.arrival.min => m,
-                _ => e.arrival.min,
-            });
-        }
-        match (worst_max, worst_min) {
-            (Some(hi), Some(lo)) => (self.required_time - hi, self.required_time - lo),
-            _ => (self.required_time, self.required_time),
-        }
-    }
-
-    /// Three-valued certification of the whole design against the required
-    /// time (the multi-stage generalisation of the paper's `OK` function).
-    ///
-    /// An empty report certifies as [`Certification::Pass`]: the verdict is
-    /// the conjunction over all endpoints, and a conjunction over none is
-    /// vacuously true.
-    pub fn certification(&self) -> Certification {
-        self.certification_against(self.required_time)
-    }
-
-    /// [`TimingReport::certification`] against an arbitrary required time.
-    pub fn certification_against(&self, required_time: Seconds) -> Certification {
-        let mut verdict = Certification::Pass;
-        for e in &self.endpoints {
-            let v = if e.arrival.max <= required_time {
-                Certification::Pass
-            } else if e.arrival.min > required_time {
-                Certification::Fail
-            } else {
-                Certification::Indeterminate
-            };
-            verdict = verdict.and(v);
-        }
-        verdict
-    }
-
-    /// Composes the reports of disjoint design partitions (see
-    /// [`Design::partition`]) into one whole-design report: endpoints are
-    /// concatenated in part order and re-sorted with the same **stable**
-    /// descending-worst-arrival comparator a monolithic analysis uses, so
-    /// for a partition of a design whose parts are timing-independent the
-    /// composed report renders byte-identically to the monolithic one
-    /// (ties keep part order, exactly as the monolithic sort keeps net
-    /// order).  Endpoint `Arc` spines are shared, not copied.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `parts` is empty — a composition over no partitions has
-    /// no threshold or budget to report.
-    pub fn compose<'a, I>(parts: I) -> TimingReport
-    where
-        I: IntoIterator<Item = &'a TimingReport>,
-    {
-        let mut iter = parts.into_iter();
-        let first = iter.next().expect("compose needs at least one report");
-        let mut endpoints = first.endpoints.clone();
-        for part in iter {
-            debug_assert_eq!(part.threshold, first.threshold, "mixed-threshold compose");
-            endpoints.extend(part.endpoints.iter().cloned());
-        }
-        endpoints.sort_by(|a, b| b.arrival.max.value().total_cmp(&a.arrival.max.value()));
-        TimingReport {
-            threshold: first.threshold,
-            required_time: first.required_time,
-            endpoints,
-        }
-    }
-}
-
-impl fmt::Display for TimingReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "timing report (threshold {:.2}, required {})",
-            self.threshold, self.required_time
-        )?;
-        for e in &self.endpoints {
-            writeln!(
-                f,
-                "  {}: arrival [{}, {}] via {}",
-                e.name,
-                e.arrival.min,
-                e.arrival.max,
-                e.critical_path.join(" -> ")
-            )?;
-        }
-        writeln!(f, "  worst slack: {}", self.worst_slack())?;
-        writeln!(f, "  certification: {}", self.certification())
-    }
 }
 
 /// Per-corner timing results of one [`Design::analyze_corners`] call: one
@@ -530,49 +348,138 @@ struct PropagationCache {
 }
 
 /// Cached analysis state backing the incremental [`Design::apply_eco`]
-/// path: per-net persistent engines and stage windows, the propagation
-/// topology, and the per-instance arrival windows / per-net endpoint
-/// contributions of the last report.
+/// path: per-net persistent engines, the propagation topology, and the
+/// timing state of every corner lane.
 ///
 /// All of it is kept bit-consistent with what a full
 /// [`Design::analyze_with_jobs`] of the current design would produce; the
 /// warm path recomputes only dirty nets' windows and the affected cone of
-/// the arrival propagation.
+/// the arrival propagation, and re-files only the endpoints the cone walk
+/// rewrote.
 #[derive(Debug, Clone)]
 struct EcoState {
     threshold: f64,
-    delays: Vec<Vec<Window>>,
     engines: Vec<NetEngine>,
     prop: Arc<PropagationCache>,
-    arrivals: Vec<InstArrival>,
-    endpoints: Vec<Vec<EndpointTiming>>,
+    /// The nominal lane (corner 0).
+    nominal: LaneTiming,
     /// Per-corner companion state when the design has a multi-corner set
     /// installed; `None` for nominal-only designs.  Maintained through the
-    /// same dirty-net commits and cone walks as the nominal fields, so a
+    /// same dirty-net commits and cone walks as the nominal lane, so a
     /// publish always has every corner's windows current.
     corners: Option<CornerState>,
 }
 
 /// Incrementally maintained multi-corner analysis state: the corner set
 /// plus one [`CornerLane`] per **extra** corner (arena lane `k` ↔
-/// `lanes[k − 1]`; the nominal lane 0 *is* the base [`EcoState`]).
+/// `lanes[k − 1]`; the nominal lane 0 is [`EcoState::nominal`]).
 #[derive(Debug, Clone)]
 struct CornerState {
     set: Arc<CornerSet>,
     lanes: Vec<CornerLane>,
 }
 
-/// One extra corner's worth of [`EcoState`]: the corner's scaled intrinsic
-/// delays plus its own windows, arrivals and endpoint contributions — all
-/// re-derived in lock-step with the nominal lane (same dirty nets, same
-/// cone ranks).
+/// One extra corner: its scaled intrinsic delays plus its own
+/// [`LaneTiming`], re-derived in lock-step with the nominal lane (same
+/// dirty nets, same cone ranks).
 #[derive(Debug, Clone)]
 struct CornerLane {
     /// Per-instance intrinsic delay scaled by the corner's `delay_scale`.
     intrinsic: Vec<Seconds>,
+    timing: LaneTiming,
+}
+
+/// One corner lane's incremental timing: per-net sink windows, per-instance
+/// arrivals, and every endpoint in report order.
+#[derive(Debug, Clone)]
+struct LaneTiming {
     delays: Vec<Vec<Window>>,
     arrivals: Vec<InstArrival>,
-    endpoints: Vec<Vec<EndpointTiming>>,
+    /// Per net, per endpoint in sink order: the worst arrival its entry in
+    /// `order` is filed under (with tie key [`endpoint_tie`]).
+    endpoint_keys: Vec<Vec<Seconds>>,
+    order: Endpoints,
+}
+
+/// What one publish touched in the persistent orders and view vectors: the
+/// `sta.publish` span's `endpoints_moved` and `chunks_copied` attributes.
+#[derive(Debug, Clone, Copy, Default)]
+struct Touched {
+    /// Endpoint entries removed plus entries inserted, over all lanes.
+    endpoints_moved: u64,
+    /// `Arc`-shared chunks copied before a write.
+    chunks_copied: u64,
+}
+
+impl std::ops::AddAssign for Touched {
+    fn add_assign(&mut self, other: Touched) {
+        self.endpoints_moved += other.endpoints_moved;
+        self.chunks_copied += other.chunks_copied;
+    }
+}
+
+/// Tie key of a net's `sink`-th endpoint: orders equal worst arrivals by
+/// `(net_rank, sink)`, the order the full pass emits endpoints in.
+fn endpoint_tie(net_rank: usize, sink: usize) -> u64 {
+    ((net_rank as u64) << 32) | sink as u64
+}
+
+impl LaneTiming {
+    /// A lane from one full propagation over `delays`.  Returns it with the
+    /// number of endpoints filed.
+    fn full(
+        prop: &PropagationCache,
+        intrinsic: &[Seconds],
+        delays: Vec<Vec<Window>>,
+    ) -> (LaneTiming, u64) {
+        let (arrivals, per_net) = run_full(prop, intrinsic, &delays);
+        let endpoint_keys = per_net
+            .iter()
+            .map(|eps| eps.iter().map(|e| e.arrival.max).collect())
+            .collect();
+        let order = endpoint_order(prop, per_net);
+        let filed = order.len() as u64;
+        let lane = LaneTiming {
+            delays,
+            arrivals,
+            endpoint_keys,
+            order,
+        };
+        (lane, filed)
+    }
+
+    /// Re-propagates the cone of `dirty_ranks` and re-files the endpoints
+    /// of every net the walk rewrote: each old entry is removed under the
+    /// key recorded in `endpoint_keys`, each new one inserted.
+    fn cone(
+        &mut self,
+        prop: &PropagationCache,
+        intrinsic: &[Seconds],
+        dirty_ranks: &[usize],
+    ) -> Touched {
+        let rewritten = run_cone(
+            prop,
+            intrinsic,
+            &self.delays,
+            &mut self.arrivals,
+            dirty_ranks.iter().copied(),
+        );
+        let mut touched = Touched::default();
+        for (net, eps) in rewritten {
+            let rank = prop.net_rank[net];
+            let keys = &mut self.endpoint_keys[net];
+            touched.endpoints_moved += (keys.len() + eps.len()) as u64;
+            for (sink, &max) in keys.iter().enumerate() {
+                touched.chunks_copied += self.order.remove(endpoint_tie(rank, sink), max) as u64;
+            }
+            keys.clear();
+            for (sink, e) in eps.into_iter().enumerate() {
+                keys.push(e.arrival.max);
+                touched.chunks_copied += self.order.insert(endpoint_tie(rank, sink), e) as u64;
+            }
+        }
+        touched
+    }
 }
 
 /// The [`StageScales`] of one net at corner `k`: wire scales honour the
@@ -868,17 +775,19 @@ fn refold_instance(
 /// arrival is final before the net is processed, because every in-edge of
 /// an instance sits at a strictly smaller rank than every out-edge).
 /// Instances whose recomputed arrival is unchanged prune their fan-out
-/// from the cone.  Infallible, like [`run_full`].
+/// from the cone.  Returns every net the walk rewrote that has endpoints,
+/// with its new endpoint contributions in sink order (the full pass's
+/// push order).  Infallible, like [`run_full`].
 fn run_cone(
     cache: &PropagationCache,
     intrinsic: &[Seconds],
     delays: &[Vec<Window>],
     arrivals: &mut [InstArrival],
-    endpoints: &mut [Vec<EndpointTiming>],
     dirty_ranks: impl IntoIterator<Item = usize>,
-) {
+) -> Vec<(usize, Vec<EndpointTiming>)> {
     let mut obs_span = rctree_obs::span("sta.propagate_cone");
     let mut cone_ranks = 0u64;
+    let mut rewritten = Vec::new();
     let mut pending: BTreeSet<usize> = dirty_ranks.into_iter().collect();
     while let Some(rank) = pending.pop_first() {
         cone_ranks += 1;
@@ -886,8 +795,8 @@ fn run_cone(
         let driver = cache.net_driver[net];
         let d_arr = driver_window(intrinsic, arrivals, driver);
 
-        // Refresh this net's endpoint contributions (kept in sink order,
-        // matching the full pass) and collect its target instances.
+        // Re-derive this net's endpoint contributions and collect its
+        // target instances.
         let mut eps: Vec<EndpointTiming> = Vec::new();
         let mut targets: Vec<usize> = Vec::new();
         for ((delay, &target), po) in delays[net]
@@ -917,8 +826,8 @@ fn run_cone(
             for e in &mut eps {
                 e.critical_path = d_path.clone();
             }
+            rewritten.push((net, eps));
         }
-        endpoints[net] = eps;
 
         for u in targets {
             let refolded = refold_instance(cache, intrinsic, delays, arrivals, u);
@@ -931,27 +840,24 @@ fn run_cone(
         }
     }
     obs_span.attr_u64("cone_ranks", cone_ranks);
+    rewritten
 }
 
-/// Assembles the final report from per-net endpoint contributions:
-/// concatenation in `net_order` (the order the full pass pushes endpoints)
-/// followed by the stable sort on worst arrival.
-fn assemble_report(
-    threshold: f64,
-    required_time: Seconds,
-    cache: &PropagationCache,
-    endpoints: &[Vec<EndpointTiming>],
-) -> TimingReport {
-    let mut all: Vec<EndpointTiming> = Vec::new();
-    for &net in &cache.net_order {
-        all.extend(endpoints[net].iter().cloned());
+/// Files per-net endpoint contributions (as [`run_full`] produces them)
+/// into report order: descending worst arrival, ties by
+/// `(net_rank, sink)` — the stable sort of their `net_order`
+/// concatenation.
+fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -> Endpoints {
+    let mut keyed = Vec::with_capacity(per_net.iter().map(Vec::len).sum());
+    for (net, eps) in per_net.into_iter().enumerate() {
+        let rank = cache.net_rank[net];
+        keyed.extend(
+            eps.into_iter()
+                .enumerate()
+                .map(|(sink, e)| (endpoint_tie(rank, sink), e)),
+        );
     }
-    all.sort_by(|a, b| b.arrival.max.value().total_cmp(&a.arrival.max.value()));
-    TimingReport {
-        threshold,
-        required_time,
-        endpoints: all,
-    }
+    Endpoints::from_keyed(keyed)
 }
 
 /// One symbolic arrival candidate: the `[min, max]` arrival-window
@@ -1132,16 +1038,14 @@ impl SymbolicAnalysis {
     /// the scalar pass's strict-`>` rule, then the endpoints are sorted
     /// with the same stable descending-worst-arrival comparator.
     pub fn report_at(&self, r_scale: f64, c_scale: f64) -> TimingReport {
-        let mut endpoints: Vec<EndpointTiming> = self
-            .endpoints
-            .iter()
-            .map(|e| e.timing_at(r_scale, c_scale))
-            .collect();
-        endpoints.sort_by(|a, b| b.arrival.max.value().total_cmp(&a.arrival.max.value()));
         TimingReport {
             threshold: self.threshold,
             required_time: self.required_time,
-            endpoints,
+            endpoints: self
+                .endpoints
+                .iter()
+                .map(|e| e.timing_at(r_scale, c_scale))
+                .collect(),
         }
     }
 
@@ -1462,10 +1366,12 @@ impl Design {
     /// Size in bytes of the cached SoA arena as `(base, corner_lanes)`:
     /// the single-corner columns plus shared metadata, and the extra value
     /// lanes appended for corners 1.. (zero without a multi-corner set).
-    /// Builds the arena if no analysis has run yet — the observability
-    /// hook behind the serve `STATS` verb.
+    /// Zeros when no arena is cached: none was built since the last net
+    /// edit.  A size probe behind the serve `STATS` and `METRICS` verbs,
+    /// so it never builds the arena itself.
     pub fn arena_bytes(&self) -> (usize, usize) {
-        self.shared.arena().bytes()
+        let slot = self.shared.arena.lock().expect("arena cache poisoned");
+        slot.as_ref().map_or((0, 0), |arena| arena.bytes())
     }
 
     /// Runs the full arrival-time propagation and produces a report,
@@ -1590,12 +1496,11 @@ impl Design {
                 let intrinsic = scale_intrinsic(&cache.intrinsic, ds);
                 run_full(&cache, &intrinsic, &delays)
             };
-            reports.push(assemble_report(
+            reports.push(TimingReport {
                 threshold,
                 required_time,
-                &cache,
-                &endpoints,
-            ));
+                endpoints: endpoint_order(&cache, endpoints),
+            });
         }
         Ok(CornerAnalysis {
             names: set.corners().iter().map(|c| c.name.clone()).collect(),
@@ -1756,12 +1661,11 @@ impl Design {
             .collect::<Result<_>>()?;
         let cache = self.shared.propagation_cache()?;
         let (_arrivals, endpoints) = run_full(&cache, &cache.intrinsic, &delays);
-        Ok(assemble_report(
+        Ok(TimingReport {
             threshold,
             required_time,
-            &cache,
-            &endpoints,
-        ))
+            endpoints: endpoint_order(&cache, endpoints),
+        })
     }
 
     /// Applies a batch of net-level ECO edits and returns the refreshed
@@ -1798,7 +1702,13 @@ impl Design {
     /// | edit application (structural) | `O(n_net)` integer re-index |
     /// | dirty-net re-timing | one flat `O(n_net)` stage sweep ([`stage_delay_bounds`]) |
     /// | arrival re-propagation | `O(affected fan-out cone)` |
-    /// | report assembly | `O(endpoints)` |
+    /// | endpoint re-filing | `O(log E + B)` per cone endpoint, per lane |
+    /// | report assembly | `O(E/B)` chunk refcount bumps |
+    ///
+    /// for `E` endpoints held in chunks of at most `B` = 128 (see
+    /// [`Endpoints`]): the persistent endpoint order is updated in place
+    /// for the endpoints the cone walk rewrote, and the returned report
+    /// shares every chunk with it.
     ///
     /// The cone walk re-derives an instance's arrival by folding its
     /// in-edges in the exact order the full pass uses and prunes fan-out
@@ -1837,6 +1747,20 @@ impl Design {
         required_time: Seconds,
         jobs: usize,
     ) -> Result<TimingReport> {
+        self.apply_eco_touching(edits, threshold, required_time, jobs)
+            .map(|(report, _)| report)
+    }
+
+    /// [`Design::apply_eco_with_jobs`], also returning what re-filing the
+    /// endpoint orders touched (every endpoint of every lane counts as
+    /// moved on a cold call).
+    fn apply_eco_touching(
+        &mut self,
+        edits: &[EcoEdit],
+        threshold: f64,
+        required_time: Seconds,
+        jobs: usize,
+    ) -> Result<(TimingReport, Touched)> {
         if self.shared.nets.is_empty() {
             return Err(StaError::EmptyDesign);
         }
@@ -1872,196 +1796,62 @@ impl Design {
             threshold,
         )?;
 
-        if warm {
+        let dirty: Vec<usize> = work.iter().map(|(idx, _, _)| *idx).collect();
+        let (state, touched) = if warm {
             let mut state = self.eco.take().expect("warm state present");
             // Everything fallible has succeeded — commit, then re-propagate
             // only the affected cone.
-            let mut dirty_ranks = Vec::with_capacity(work.len());
-            let mut dirty_idx = Vec::with_capacity(work.len());
-            let touched = !work.is_empty();
-            let core = Arc::make_mut(&mut self.shared);
+            let dirty_ranks: Vec<usize> =
+                dirty.iter().map(|&idx| state.prop.net_rank[idx]).collect();
             for (idx, engine, delays) in work {
-                dirty_ranks.push(state.prop.net_rank[idx]);
-                dirty_idx.push(idx);
-                core.nets[idx].interconnect = engine.tree.tree().clone();
-                // Structural edits renumber node ids; keep the resolved
-                // augmentation exact.
-                core.aug[idx].loads = engine.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
-                state.delays[idx] = delays;
+                state.nominal.delays[idx] = delays;
                 state.engines[idx] = engine;
             }
-            if touched {
-                core.arena = Mutex::new(None);
-            }
-            run_cone(
-                &state.prop,
-                &state.prop.intrinsic,
-                &state.delays,
-                &mut state.arrivals,
-                &mut state.endpoints,
-                dirty_ranks.iter().copied(),
-            );
+            let mut touched = state
+                .nominal
+                .cone(&state.prop, &state.prop.intrinsic, &dirty_ranks);
             // Every extra corner walks the **same** dirty cone ranks: the
             // dirty-net set and the topology are corner-independent, only
             // the windows and intrinsics differ per lane.
             if let Some(cs) = state.corners.as_mut() {
                 for (lane, rows) in cs.lanes.iter_mut().zip(corner_work) {
-                    for (&idx, delays) in dirty_idx.iter().zip(rows) {
-                        lane.delays[idx] = delays;
+                    for (&idx, delays) in dirty.iter().zip(rows) {
+                        lane.timing.delays[idx] = delays;
                     }
-                    run_cone(
-                        &state.prop,
-                        &lane.intrinsic,
-                        &lane.delays,
-                        &mut lane.arrivals,
-                        &mut lane.endpoints,
-                        dirty_ranks.iter().copied(),
-                    );
+                    touched += lane.timing.cone(&state.prop, &lane.intrinsic, &dirty_ranks);
                 }
             }
-            let report = assemble_report(threshold, required_time, &state.prop, &state.endpoints);
-            self.eco = Some(state);
-            // The design state moved past whatever snapshot was last
-            // published; `publish`/`publish_after_eco` re-stamp after
-            // their internal apply.
-            self.published = 0;
-            Ok(report)
+            (state, touched)
         } else {
             // Cold cache (first call, threshold change, or structural
             // design mutation): one full warm-up that evaluates every net
             // once, honouring the already-edited engines for the dirty
             // nets, then a full propagation.  On error the previous state
             // (still valid for *its* threshold) is left in place.
-            let dirty: Vec<usize> = work.iter().map(|(idx, _, _)| *idx).collect();
-            let state = self.warm_state(threshold, jobs, work)?;
-            let report = assemble_report(threshold, required_time, &state.prop, &state.endpoints);
-            let touched = !dirty.is_empty();
-            let core = Arc::make_mut(&mut self.shared);
-            for idx in dirty {
-                core.nets[idx].interconnect = state.engines[idx].tree.tree().clone();
-                core.aug[idx].loads = state.engines[idx]
-                    .sinks
-                    .iter()
-                    .map(|s| (s.node, s.load_cap))
-                    .collect();
-            }
-            if touched {
-                core.arena = Mutex::new(None);
-            }
-            self.eco = Some(state);
-            // The design state moved past whatever snapshot was last
-            // published; `publish`/`publish_after_eco` re-stamp after
-            // their internal apply.
-            self.published = 0;
-            Ok(report)
+            self.warm_state(threshold, jobs, work)?
+        };
+        let core = Arc::make_mut(&mut self.shared);
+        for &idx in &dirty {
+            let engine = &state.engines[idx];
+            core.nets[idx].interconnect = engine.tree.tree().clone();
+            // Structural edits renumber node ids; keep the resolved
+            // augmentation exact.
+            core.aug[idx].loads = engine.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
         }
-    }
-
-    /// The PR-3 incremental path, kept verbatim in cost profile as the
-    /// baseline for `benches/eco_propagation.rs`: every call seeds a
-    /// throwaway per-net engine for the dirty nets and re-runs the **full**
-    /// serial arrival propagation (topology rebuilt included).  Results are
-    /// identical to [`Design::apply_eco_with_jobs`]; only the work differs.
-    /// The cached state is left fully coherent, so interleaving with the
-    /// incremental path is safe.
-    #[doc(hidden)]
-    pub fn apply_eco_rebuild_with_jobs(
-        &mut self,
-        edits: &[EcoEdit],
-        threshold: f64,
-        required_time: Seconds,
-        jobs: usize,
-    ) -> Result<TimingReport> {
-        if self.shared.nets.is_empty() {
-            return Err(StaError::EmptyDesign);
+        if !dirty.is_empty() {
+            core.arena = Mutex::new(None);
         }
-        let warm = self
-            .eco
-            .as_ref()
-            .is_some_and(|state| state.threshold == threshold);
-        // PR-3 rebuilt the name→index map per call.
-        let net_index = net_index_of(&self.shared.nets);
-        let by_net = group_edits(&net_index, edits)?;
-        // Throwaway engines per call — the PR-3 cost model (`None` forces a
-        // fresh `EditableTree` seed per dirty net).
-        let work = self.process_dirty(None, &by_net, threshold, jobs)?;
-        // Pre-commit corner re-timing, exactly like the incremental path.
-        let corner_work = self.corner_dirty_windows(
-            if warm { self.eco.as_ref() } else { None },
-            &work,
+        let report = TimingReport {
             threshold,
-        )?;
-
-        if warm {
-            let mut state = self.eco.take().expect("warm state present");
-            // Full propagation every call, topology rebuilt (pre-commit so
-            // an unexpected failure leaves the design untouched).
-            let prop = match self.shared.propagation_cache() {
-                Ok(prop) => Arc::new(prop),
-                Err(e) => {
-                    self.eco = Some(state);
-                    return Err(e);
-                }
-            };
-            let touched = !work.is_empty();
-            let mut dirty_idx = Vec::with_capacity(work.len());
-            let core = Arc::make_mut(&mut self.shared);
-            for (idx, engine, delays) in work {
-                dirty_idx.push(idx);
-                core.nets[idx].interconnect = engine.tree.tree().clone();
-                core.aug[idx].loads = engine.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
-                state.delays[idx] = delays;
-                state.engines[idx] = engine;
-            }
-            if touched {
-                core.arena = Mutex::new(None);
-            }
-            let (arrivals, endpoints) = run_full(&prop, &prop.intrinsic, &state.delays);
-            state.prop = prop;
-            state.arrivals = arrivals;
-            state.endpoints = endpoints;
-            if let Some(cs) = state.corners.as_mut() {
-                for (lane, rows) in cs.lanes.iter_mut().zip(corner_work) {
-                    for (&idx, delays) in dirty_idx.iter().zip(rows) {
-                        lane.delays[idx] = delays;
-                    }
-                    let (arrivals, endpoints) =
-                        run_full(&state.prop, &lane.intrinsic, &lane.delays);
-                    lane.arrivals = arrivals;
-                    lane.endpoints = endpoints;
-                }
-            }
-            let report = assemble_report(threshold, required_time, &state.prop, &state.endpoints);
-            self.eco = Some(state);
-            // The design state moved past whatever snapshot was last
-            // published; `publish`/`publish_after_eco` re-stamp after
-            // their internal apply.
-            self.published = 0;
-            Ok(report)
-        } else {
-            let dirty: Vec<usize> = work.iter().map(|(idx, _, _)| *idx).collect();
-            let state = self.warm_state(threshold, jobs, work)?;
-            let report = assemble_report(threshold, required_time, &state.prop, &state.endpoints);
-            let touched = !dirty.is_empty();
-            let core = Arc::make_mut(&mut self.shared);
-            for idx in dirty {
-                core.nets[idx].interconnect = state.engines[idx].tree.tree().clone();
-                core.aug[idx].loads = state.engines[idx]
-                    .sinks
-                    .iter()
-                    .map(|s| (s.node, s.load_cap))
-                    .collect();
-            }
-            if touched {
-                core.arena = Mutex::new(None);
-            }
-            self.eco = Some(state);
-            // The design state moved past whatever snapshot was last
-            // published; `publish`/`publish_after_eco` re-stamp after
-            // their internal apply.
-            self.published = 0;
-            Ok(report)
-        }
+            required_time,
+            endpoints: state.nominal.order.clone(),
+        };
+        self.eco = Some(state);
+        // The design state moved past whatever snapshot was last
+        // published; `publish`/`publish_after_eco` re-stamp after
+        // their internal apply.
+        self.published = 0;
+        Ok((report, touched))
     }
 
     /// Applies grouped edits onto clones of the per-net engines (or onto
@@ -2160,13 +1950,14 @@ impl Design {
     /// `threshold`: engines and stage windows for every net (`overrides`
     /// supplies the pre-edited engines of dirty nets, so no net is
     /// evaluated twice), the propagation topology, and one full arrival
-    /// propagation.  Pure with respect to `self`.
+    /// propagation per lane.  Returns the state with the endpoints filed
+    /// into its lanes' orders.  Pure with respect to `self`.
     fn warm_state(
         &self,
         threshold: f64,
         jobs: usize,
         overrides: Vec<(usize, NetEngine, Vec<Window>)>,
-    ) -> Result<EcoState> {
+    ) -> Result<(EcoState, Touched)> {
         let n = self.shared.nets.len();
         let mut skip = vec![false; n];
         for (idx, _, _) in &overrides {
@@ -2217,7 +2008,11 @@ impl Design {
             .expect("every net has an engine");
 
         let prop = self.shared.topology()?;
-        let (arrivals, endpoints) = run_full(&prop, &prop.intrinsic, &delays);
+        let (nominal, filed) = LaneTiming::full(&prop, &prop.intrinsic, delays);
+        let mut touched = Touched {
+            endpoints_moved: filed,
+            chunks_copied: 0,
+        };
 
         // One lane of incremental state per extra corner: windows via the
         // per-element-scaled engine sweep (bit-identical to the arena's
@@ -2234,13 +2029,9 @@ impl Design {
                         delays_k.push(engine.windows_scaled(threshold, scales)?);
                     }
                     let intrinsic = scale_intrinsic(&prop.intrinsic, corner.delay_scale);
-                    let (arrivals_k, endpoints_k) = run_full(&prop, &intrinsic, &delays_k);
-                    lanes.push(CornerLane {
-                        intrinsic,
-                        delays: delays_k,
-                        arrivals: arrivals_k,
-                        endpoints: endpoints_k,
-                    });
+                    let (timing, filed) = LaneTiming::full(&prop, &intrinsic, delays_k);
+                    touched.endpoints_moved += filed;
+                    lanes.push(CornerLane { intrinsic, timing });
                 }
                 Some(CornerState {
                     set: Arc::clone(set),
@@ -2250,15 +2041,14 @@ impl Design {
             None => None,
         };
 
-        Ok(EcoState {
+        let state = EcoState {
             threshold,
-            delays,
             engines,
             prop,
-            arrivals,
-            endpoints,
+            nominal,
             corners,
-        })
+        };
+        Ok((state, touched))
     }
 
     /// Serial arrival-time propagation over precomputed per-net sink
@@ -2274,12 +2064,11 @@ impl Design {
     ) -> Result<TimingReport> {
         let cache = self.shared.topology()?;
         let (_arrivals, endpoints) = run_full(&cache, &cache.intrinsic, net_sink_delays);
-        Ok(assemble_report(
+        Ok(TimingReport {
             threshold,
             required_time,
-            &cache,
-            &endpoints,
-        ))
+            endpoints: endpoint_order(&cache, endpoints),
+        })
     }
 
     /// Builds a single-stage-per-net design from extracted parasitics: the
@@ -2716,10 +2505,14 @@ impl NetTiming {
 /// This is the publication unit of the concurrent query server
 /// (`rctree-serve`): readers answer every query against one consistent
 /// snapshot while the single writer applies ECO edits and publishes
-/// successors — [`Design::publish_after_eco`] rebuilds only the dirty
-/// nets' views and reuses every other `Arc` verbatim, so publishing after
-/// a `k`-net edit costs `O(Σ n_dirty + nets)` pointer copies, not a deep
-/// copy of the design.
+/// successors.  [`Design::publish_after_eco`] rebuilds only the dirty
+/// nets' views; the net views (64 per chunk) and every report's endpoints
+/// (at most 128 per chunk) live in `Arc`-shared chunks, and a publish
+/// copies only the chunks its edits touch.  Publishing after a `k`-net
+/// edit therefore costs `O(Σ n_dirty + N/64 + E/128)` for `N` nets and
+/// `E` endpoints per corner — the last two terms are one refcount bump
+/// per chunk — and dropping a superseded snapshot frees only what its
+/// successor replaced.
 #[derive(Debug, Clone)]
 pub struct DesignSnapshot {
     /// Process-unique id; `publish_after_eco` reuses `prev`'s views only
@@ -2728,7 +2521,7 @@ pub struct DesignSnapshot {
     threshold: f64,
     required_time: Seconds,
     report: Arc<TimingReport>,
-    nets: Vec<Arc<NetTiming>>,
+    nets: NetViews,
     names: Arc<Interner>,
     net_index: Arc<HashMap<NameId, usize>>,
     instances: usize,
@@ -2743,6 +2536,58 @@ pub struct DesignSnapshot {
     /// `Arc`-wrapped around the cell so clones of the snapshot share one
     /// build; races rebuild the identical value and drop the loser.
     symbolic: Arc<OnceLock<Arc<SymbolicAnalysis>>>,
+}
+
+/// Net views per chunk of a [`DesignSnapshot`]'s view vector.
+const VIEW_CHUNK: usize = 64;
+
+/// A snapshot's per-net views in net order, in `Arc`-shared chunks of
+/// [`VIEW_CHUNK`]: cloning bumps one refcount per chunk, and replacing a
+/// view copies only its chunk.
+#[derive(Debug, Clone, Default)]
+struct NetViews {
+    chunks: Vec<Arc<Vec<Arc<NetTiming>>>>,
+    len: usize,
+}
+
+impl NetViews {
+    fn new(views: impl IntoIterator<Item = Arc<NetTiming>>) -> NetViews {
+        let mut out = NetViews::default();
+        let mut run = Vec::with_capacity(VIEW_CHUNK);
+        for view in views {
+            run.push(view);
+            out.len += 1;
+            if run.len() == VIEW_CHUNK {
+                let full = std::mem::replace(&mut run, Vec::with_capacity(VIEW_CHUNK));
+                out.chunks.push(Arc::new(full));
+            }
+        }
+        if !run.is_empty() {
+            out.chunks.push(Arc::new(run));
+        }
+        out
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, index: usize) -> &Arc<NetTiming> {
+        &self.chunks[index / VIEW_CHUNK][index % VIEW_CHUNK]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Arc<NetTiming>> {
+        self.chunks.iter().flat_map(|chunk| chunk.iter())
+    }
+
+    /// Replaces view `index`; returns whether its chunk had to be copied
+    /// (it was shared with another snapshot).
+    fn set(&mut self, index: usize, view: Arc<NetTiming>) -> bool {
+        let chunk = &mut self.chunks[index / VIEW_CHUNK];
+        let copied = Arc::get_mut(chunk).is_none();
+        Arc::make_mut(chunk)[index % VIEW_CHUNK] = view;
+        copied
+    }
 }
 
 /// Per-corner views of a [`DesignSnapshot`] over a multi-corner design:
@@ -2831,7 +2676,7 @@ impl DesignSnapshot {
     /// Looks up one net's timing view by name.
     pub fn net(&self, name: &str) -> Option<&NetTiming> {
         let id = self.names.get(name)?;
-        self.net_index.get(&id).map(|&i| &*self.nets[i])
+        self.net_index.get(&id).map(|&i| &**self.nets.get(i))
     }
 
     /// Number of nets in the snapshot.
@@ -2879,7 +2724,7 @@ impl DesignSnapshot {
         let mut obs_span = rctree_obs::span("sta.symbolic_build");
         obs_span.attr_u64("nets", self.nets.len() as u64);
         let mut bounds = Vec::with_capacity(self.nets.len());
-        for net in &self.nets {
+        for net in self.nets.iter() {
             bounds.push(stage_symbolic_bounds(
                 net.driver_r,
                 &net.tree,
@@ -2913,9 +2758,12 @@ impl Design {
         required_time: Seconds,
         jobs: usize,
     ) -> Result<DesignSnapshot> {
-        let _obs_span = rctree_obs::span("sta.publish");
-        let report = self.apply_eco_with_jobs(&[], threshold, required_time, jobs)?;
-        let snapshot = self.snapshot_from_state(threshold, required_time, report, None, &[]);
+        let mut obs_span = rctree_obs::span("sta.publish");
+        let (report, touched) = self.apply_eco_touching(&[], threshold, required_time, jobs)?;
+        let (snapshot, copied) =
+            self.snapshot_from_state(threshold, required_time, report, None, &[]);
+        obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
+        obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
         Ok(snapshot)
     }
@@ -2923,7 +2771,8 @@ impl Design {
     /// Applies an ECO edit batch through the incremental engine and
     /// publishes the successor snapshot, rebuilding only the **dirty**
     /// nets' [`NetTiming`] views; every untouched net's view (and the
-    /// name index) is reused from `prev` by `Arc`.
+    /// name index) is reused from `prev` by `Arc`, and only the view and
+    /// endpoint chunks the edits touch are copied.
     ///
     /// Reuse happens only when `prev` is this design's **latest published
     /// snapshot** at the same threshold (checked via a process-unique
@@ -2963,20 +2812,23 @@ impl Design {
         } else {
             Vec::new()
         };
-        let report = self.apply_eco_with_jobs(edits, threshold, required_time, jobs)?;
-        let snapshot = self.snapshot_from_state(
+        let (report, touched) = self.apply_eco_touching(edits, threshold, required_time, jobs)?;
+        let (snapshot, copied) = self.snapshot_from_state(
             threshold,
             required_time,
             report,
             if reuse { Some(prev) } else { None },
             &dirty,
         );
+        obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
+        obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
         Ok(snapshot)
     }
 
     /// Builds a snapshot from the warm ECO state, reusing `prev`'s views
-    /// for every net not listed in `dirty` when `prev` is given.
+    /// for every net not listed in `dirty` when `prev` is given.  Returns it
+    /// with the number of view chunks copied.
     fn snapshot_from_state(
         &self,
         threshold: f64,
@@ -2984,7 +2836,7 @@ impl Design {
         report: TimingReport,
         prev: Option<&DesignSnapshot>,
         dirty: &[usize],
-    ) -> DesignSnapshot {
+    ) -> (DesignSnapshot, u64) {
         let state = self.eco.as_ref().expect("publish warms the eco cache");
         let net_timing = |idx: usize| -> Arc<NetTiming> {
             let engine = &state.engines[idx];
@@ -3001,12 +2853,12 @@ impl Design {
                     })
                     .collect()
             };
-            let sinks = window_views(&state.delays[idx]);
+            let sinks = window_views(&state.nominal.delays[idx]);
             let (corner_sinks, corner_scales) = match state.corners.as_ref() {
                 Some(cs) => (
                     cs.lanes
                         .iter()
-                        .map(|lane| window_views(&lane.delays[idx]))
+                        .map(|lane| window_views(&lane.timing.delays[idx]))
                         .collect(),
                     (1..cs.set.len())
                         .map(|k| net_stage_scales(&cs.set, &self.shared.nets[idx].name, k))
@@ -3028,16 +2880,17 @@ impl Design {
                 symbolic: OnceLock::new(),
             })
         };
+        let mut copied = 0u64;
         let (nets, names, net_index) = match prev {
             Some(prev) => {
                 let mut nets = prev.nets.clone();
                 for &idx in dirty {
-                    nets[idx] = net_timing(idx);
+                    copied += u64::from(nets.set(idx, net_timing(idx)));
                 }
                 (nets, Arc::clone(&prev.names), Arc::clone(&prev.net_index))
             }
             None => (
-                (0..self.shared.nets.len()).map(net_timing).collect(),
+                NetViews::new((0..self.shared.nets.len()).map(net_timing)),
                 Arc::new(self.shared.names.clone()),
                 Arc::new(self.shared.net_index.clone()),
             ),
@@ -3047,19 +2900,18 @@ impl Design {
             let mut reports = Vec::with_capacity(cs.lanes.len() + 1);
             reports.push(Arc::clone(&report));
             for lane in &cs.lanes {
-                reports.push(Arc::new(assemble_report(
+                reports.push(Arc::new(TimingReport {
                     threshold,
                     required_time,
-                    &state.prop,
-                    &lane.endpoints,
-                )));
+                    endpoints: lane.timing.order.clone(),
+                }));
             }
             Arc::new(SnapshotCorners {
                 names: cs.set.corners().iter().map(|c| c.name.clone()).collect(),
                 reports,
             })
         });
-        DesignSnapshot {
+        let snapshot = DesignSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
             threshold,
             required_time,
@@ -3071,7 +2923,8 @@ impl Design {
             corners,
             prop: Arc::clone(&state.prop),
             symbolic: Arc::new(OnceLock::new()),
-        }
+        };
+        (snapshot, copied)
     }
 }
 
@@ -3330,35 +3183,6 @@ impl DesignCore {
             sink_po,
         })
     }
-}
-
-/// Net name → index map rebuilt from scratch, preserved verbatim for the
-/// PR-3 baseline's per-call cost profile (`add_net` now maintains the same
-/// map incrementally on the design core, and rejects duplicates).
-fn net_index_of(nets: &[Net]) -> HashMap<String, usize> {
-    nets.iter()
-        .enumerate()
-        .map(|(i, n)| (n.name.clone(), i))
-        .collect()
-}
-
-/// Groups an edit batch by the string-keyed net index — the PR-3 baseline
-/// companion of [`net_index_of`], kept for
-/// [`Design::apply_eco_rebuild_with_jobs`]'s per-call cost profile.
-fn group_edits<'a>(
-    net_index: &HashMap<String, usize>,
-    edits: &'a [EcoEdit],
-) -> Result<BTreeMap<usize, Vec<&'a EcoEdit>>> {
-    let mut by_net: BTreeMap<usize, Vec<&EcoEdit>> = BTreeMap::new();
-    for edit in edits {
-        let idx = *net_index
-            .get(edit.net.as_str())
-            .ok_or_else(|| StaError::UnknownNet {
-                name: edit.net.clone(),
-            })?;
-        by_net.entry(idx).or_default().push(edit);
-    }
-    Ok(by_net)
 }
 
 /// Groups an edit batch by net index, preserving intra-net order.  Edit
@@ -3693,11 +3517,11 @@ mod tests {
         // Untouched nets' views are the same allocations; the dirty net's
         // is fresh and reflects the edit.
         assert!(Arc::ptr_eq(
-            &snap0.nets[0], // n_in
-            &snap1.nets[0]
+            snap0.nets.get(0), // n_in
+            snap1.nets.get(0)
         ));
-        assert!(Arc::ptr_eq(&snap0.nets[1], &snap1.nets[1]));
-        assert!(!Arc::ptr_eq(&snap0.nets[2], &snap1.nets[2]));
+        assert!(Arc::ptr_eq(snap0.nets.get(1), snap1.nets.get(1)));
+        assert!(!Arc::ptr_eq(snap0.nets.get(2), snap1.nets.get(2)));
         let before = snap0.net("n_out").unwrap().sinks()[0].upper;
         let after = snap1.net("n_out").unwrap().sinks()[0].upper;
         assert!(after > before);
@@ -3777,7 +3601,7 @@ mod tests {
         let empty = TimingReport {
             threshold: 0.5,
             required_time: Seconds::from_nano(10.0),
-            endpoints: Vec::new(),
+            endpoints: Endpoints::default(),
         };
         assert!(empty.critical_endpoint().is_none());
         assert_eq!(empty.worst_slack(), Seconds::from_nano(10.0));
@@ -4087,7 +3911,7 @@ mod tests {
         let state = d.eco.as_ref().expect("state survives a failing call");
         assert_eq!(state.threshold, 0.5);
         assert!(
-            state.delays.iter().all(|w| !w.is_empty()),
+            state.nominal.delays.iter().all(|w| !w.is_empty()),
             "every net's cached windows were retained"
         );
         assert_eq!(d.apply_eco(&[], 0.5, budget).unwrap(), before);
@@ -4140,33 +3964,6 @@ mod tests {
         // The ECO path surfaces the same structured error.
         let err = d.apply_eco(&[], 0.5, Seconds::from_nano(50.0)).unwrap_err();
         assert!(matches!(err, StaError::DanglingInstance { .. }), "{err:?}");
-    }
-
-    #[test]
-    fn rebuild_baseline_matches_the_incremental_path() {
-        // The preserved PR-3 baseline must stay result-identical to the
-        // cone-limited path (it is the benchmark's correctness anchor).
-        let budget = Seconds::from_nano(50.0);
-        let mut fast = buffer_chain();
-        let mut slow = buffer_chain();
-        for step in 0..6 {
-            let edit = vec![EcoEdit {
-                net: if step % 2 == 0 { "n_mid" } else { "n_out" }.into(),
-                kind: EcoEditKind::SetCap {
-                    node: "load".into(),
-                    cap: Farads::from_femto(20.0 + 15.0 * step as f64),
-                },
-            }];
-            let a = fast.apply_eco_with_jobs(&edit, 0.5, budget, 1).unwrap();
-            let b = slow
-                .apply_eco_rebuild_with_jobs(&edit, 0.5, budget, 1)
-                .unwrap();
-            assert_eq!(a, b, "step {step}");
-        }
-        assert_eq!(
-            fast.analyze(0.5, budget).unwrap(),
-            slow.analyze(0.5, budget).unwrap()
-        );
     }
 
     #[test]
@@ -4308,7 +4105,7 @@ mod tests {
         let report = |endpoints: Vec<EndpointTiming>| TimingReport {
             threshold: 0.5,
             required_time: required,
-            endpoints,
+            endpoints: endpoints.into_iter().collect(),
         };
 
         // An empty shard (a partition whose nets feed only instance inputs)

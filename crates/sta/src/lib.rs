@@ -9,7 +9,9 @@
 //! * [`stage`] — one driver + extracted RC tree + loads, with Elmore delay
 //!   and guaranteed delay bounds per sink;
 //! * [`graph`] — multi-stage designs, interval arrival-time propagation,
-//!   critical paths, slack and three-valued certification.
+//!   critical paths, slack and three-valued certification;
+//! * [`report`] — timing reports over a persistent, chunk-shared endpoint
+//!   order that ECO publishes update in `O(dirty)`.
 //!
 //! Design-wide analysis shards its per-net stage evaluation across the
 //! persistent global worker pool (`rctree-par`); results are merged in net
@@ -87,16 +89,17 @@ mod arena;
 pub mod cell;
 pub mod error;
 pub mod graph;
+pub mod report;
 pub mod script;
 pub mod stage;
 
 pub use crate::cell::{Cell, CellLibrary};
 pub use crate::error::{Result, StaError};
 pub use crate::graph::{
-    ArrivalWindow, BoxCertification, CornerAnalysis, Design, DesignSnapshot, Driver, EcoEdit,
-    EcoEditKind, EndpointTiming, Load, Net, NetTiming, Sink, SinkWindow, SnapshotCorners,
-    SymbolicAnalysis, SymbolicEndpointTiming, TimingReport,
+    BoxCertification, CornerAnalysis, Design, DesignSnapshot, Driver, EcoEdit, EcoEditKind, Load,
+    Net, NetTiming, Sink, SinkWindow, SnapshotCorners, SymbolicAnalysis, SymbolicEndpointTiming,
 };
+pub use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
 pub use crate::script::{
     parse_eco_script, parse_eco_script_line, ScriptEdit, ScriptError, ScriptLine,
 };

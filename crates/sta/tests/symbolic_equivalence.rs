@@ -485,7 +485,7 @@ fn slack_interval_brackets_certification() {
     let empty = TimingReport {
         threshold: THRESHOLD,
         required_time: Seconds::from_nano(3.0),
-        endpoints: Vec::new(),
+        endpoints: Default::default(),
     };
     assert_eq!(
         empty.slack_interval(),
