@@ -374,6 +374,71 @@ fn stable_metrics_are_byte_identical_across_job_counts() {
     assert_eq!(attr("chunks_copied", "sum"), 2.0);
 }
 
+/// The `sta.symbolic_build` span says what each `CERTIFY --over` build did:
+/// the first sweeps every net, the one after a one-net `ECO` sweeps only
+/// that net (a cone rebuild of the previous revision's lane), and the
+/// attributes sit in the stable subset, byte-identical across worker
+/// counts.
+#[test]
+fn certify_over_after_an_eco_sweeps_only_the_edited_net() {
+    let trees = deck_trees();
+    let (eco, _) = one_edit_eco(&trees);
+    let over = "CERTIFY 2e-7 --over r 0.8..1.4 c 0.9..1.2".to_string();
+    let nets = 2.0 * trees.len() as f64;
+    let swept = |text: &str| {
+        let exposition = rctree_obs::parse_exposition(text).expect("well-formed exposition");
+        let attr = |stat: &str| {
+            exposition.series[&format!(
+                "rctree_phase_attr_{stat}{{attr=\"nets_swept\",phase=\"sta.symbolic_build\"}}"
+            )]
+                .1
+        };
+        (attr("count"), attr("sum"))
+    };
+    let mut expositions = Vec::new();
+    for jobs in [1usize, 2, 7] {
+        let server = Server::start(design_of(&trees), &config(jobs), ("127.0.0.1", 0))
+            .expect("server starts");
+        // Scrape on the requests' own connection: a connection finishes
+        // recording one request before it reads the next.
+        let scrape = "METRICS stable".to_string();
+        let responses = run_client(
+            server.local_addr(),
+            &[
+                over.clone(),
+                scrape.clone(),
+                eco.clone(),
+                over.clone(),
+                scrape,
+            ],
+        );
+        assert!(responses[0].last().unwrap().starts_with("OK rev 0"));
+        assert!(responses[3].last().unwrap().starts_with("OK rev 1"));
+        let payload = |block: &[String]| block[..block.len() - 1].join("\n");
+        assert_eq!(swept(&payload(&responses[1])), (1.0, nets), "jobs {jobs}");
+        let stable = payload(&responses[4]);
+        assert_eq!(swept(&stable), (2.0, nets + 1.0), "jobs {jobs}");
+        for attr in ["cone_ranks", "candidates"] {
+            assert!(
+                stable.contains(&format!(
+                    "rctree_phase_attr_count{{attr=\"{attr}\",phase=\"sta.symbolic_build\"}} 2"
+                )),
+                "missing `{attr}`"
+            );
+        }
+        expositions.push((jobs, stable));
+        server.shutdown();
+        server.join();
+    }
+    let (_, baseline) = &expositions[0];
+    for (jobs, text) in &expositions[1..] {
+        assert_eq!(
+            text, baseline,
+            "stable exposition diverged between jobs=1 and jobs={jobs}"
+        );
+    }
+}
+
 /// The `STATS`/`METRICS` arena-size probe reports the cached arena and
 /// never builds one: an `ECO` drops the cache, and scrapes after it keep
 /// reading zero bytes instead of rebuilding the arena under the writer

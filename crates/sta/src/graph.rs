@@ -10,8 +10,9 @@
 //! worst-case arrival at every endpoint is a *guaranteed* bound rather than
 //! an estimate — exactly the certification use-case of the paper's abstract.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -297,17 +298,90 @@ struct NetEngine {
     sinks: Vec<SinkBinding>,
 }
 
-/// One instance's propagated arrival state: the worst input window and the
-/// instance chain of the path that set it.  The chain is an `Arc`-shared
-/// spine: propagating it to a fan-out instance or an endpoint is one
-/// refcount bump, and only `driver_path` (once per net, when the net's
-/// driver changes) materialises a new `Vec`.
-type InstArrival = (ArrivalWindow, Arc<Vec<String>>);
+/// The instance chain of a path, shared by `Arc`: one link (instance index
+/// plus predecessor) per driver extension, newest instance first.  Every
+/// arrival, candidate and endpoint reached through an extension shares its
+/// link, so a chain of depth `D` costs `D` links however many paths run
+/// through it; instance names are materialized only where a report needs
+/// them ([`Spine::names`]).  Equality compares instance sequences and a
+/// dropped chain unlinks iteratively, so neither recurses with the depth.
+#[derive(Clone, Default)]
+struct Spine(Option<Arc<SpineLink>>);
 
-/// The shared empty path spine (primary-input arrivals).
-fn empty_path() -> Arc<Vec<String>> {
-    static EMPTY: std::sync::OnceLock<Arc<Vec<String>>> = std::sync::OnceLock::new();
-    Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new())))
+struct SpineLink {
+    inst: usize,
+    prev: Spine,
+}
+
+impl Spine {
+    /// This chain extended by instance `inst`.
+    fn extend(&self, inst: usize) -> Spine {
+        Spine(Some(Arc::new(SpineLink {
+            inst,
+            prev: self.clone(),
+        })))
+    }
+
+    /// Instance indices, newest first.
+    fn insts(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.0.as_deref(), |link| link.prev.0.as_deref())
+            .map(|link| link.inst)
+    }
+
+    /// The chain's instance names, oldest first.
+    fn names(&self, inst_names: &[String]) -> Vec<String> {
+        let mut names = Vec::with_capacity(self.insts().count());
+        names.extend(self.insts().map(|i| inst_names[i].clone()));
+        names.reverse();
+        names
+    }
+}
+
+impl PartialEq for Spine {
+    fn eq(&self, other: &Spine) -> bool {
+        let (mut a, mut b) = (&self.0, &other.0);
+        loop {
+            match (a, b) {
+                (Some(x), Some(y)) => {
+                    // A shared link means a shared remainder.
+                    if Arc::ptr_eq(x, y) {
+                        return true;
+                    }
+                    if x.inst != y.inst {
+                        return false;
+                    }
+                    (a, b) = (&x.prev.0, &y.prev.0);
+                }
+                (None, None) => return true,
+                _ => return false,
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Spine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.insts()).finish()
+    }
+}
+
+impl Drop for SpineLink {
+    fn drop(&mut self) {
+        // Unlink the predecessors this link solely owns one by one instead
+        // of letting each link's drop recurse into the next.
+        let mut next = self.prev.0.take();
+        while let Some(link) = next {
+            next = Arc::into_inner(link).and_then(|mut link| link.prev.0.take());
+        }
+    }
+}
+
+/// One instance's propagated arrival state: the worst input window and the
+/// spine of the path that set it.
+#[derive(Debug, Clone, PartialEq)]
+struct InstArrival {
+    window: ArrivalWindow,
+    spine: Spine,
 }
 
 /// The cached arrival-propagation topology of a design: everything the
@@ -345,6 +419,23 @@ struct PropagationCache {
     /// (`None` for instance loads).  Lets the propagation passes run on
     /// plain [`Window`]s without carrying a cloned [`Load`] per window.
     sink_po: Vec<Vec<Option<String>>>,
+}
+
+impl PropagationCache {
+    /// The first `count` sinks of `net` (all of them when the table is
+    /// shorter): sink index, target instance and primary-output name.
+    fn sinks(
+        &self,
+        net: usize,
+        count: usize,
+    ) -> impl Iterator<Item = (usize, Option<usize>, Option<&str>)> {
+        self.sink_inst[net]
+            .iter()
+            .zip(&self.sink_po[net])
+            .take(count)
+            .enumerate()
+            .map(|(k, (&target, po))| (k, target, po.as_deref()))
+    }
 }
 
 /// Cached analysis state backing the incremental [`Design::apply_eco`]
@@ -432,7 +523,7 @@ impl LaneTiming {
         intrinsic: &[Seconds],
         delays: Vec<Vec<Window>>,
     ) -> (LaneTiming, u64) {
-        let (arrivals, per_net) = run_full(prop, intrinsic, &delays);
+        let (arrivals, per_net) = ScalarLane::new(prop, intrinsic, &delays).full();
         let endpoint_keys = per_net
             .iter()
             .map(|eps| eps.iter().map(|e| e.arrival.max).collect())
@@ -457,13 +548,8 @@ impl LaneTiming {
         intrinsic: &[Seconds],
         dirty_ranks: &[usize],
     ) -> Touched {
-        let rewritten = run_cone(
-            prop,
-            intrinsic,
-            &self.delays,
-            &mut self.arrivals,
-            dirty_ranks.iter().copied(),
-        );
+        let rewritten = ScalarLane::new(prop, intrinsic, &self.delays)
+            .cone(&mut self.arrivals, dirty_ranks.iter().copied());
         let mut touched = Touched::default();
         for (net, eps) in rewritten {
             let rank = prop.net_rank[net];
@@ -644,89 +730,53 @@ impl NetEngine {
     }
 }
 
-/// Arrival window at a net's driver output: zero for primary inputs, the
-/// driver's worst input window plus its intrinsic delay otherwise.
-///
-/// `intrinsic` is passed explicitly (instead of read off the cache) so the
-/// per-corner propagation passes can supply the corner's `delay_scale`d
-/// intrinsic vector; the nominal passes hand in `&cache.intrinsic`
-/// unchanged.
-fn driver_window(
-    intrinsic: &[Seconds],
-    arrivals: &[InstArrival],
-    driver: Option<usize>,
-) -> ArrivalWindow {
-    match driver {
-        None => ArrivalWindow::ZERO,
-        Some(d) => {
-            let input = arrivals[d].0;
-            let intrinsic = intrinsic[d];
-            ArrivalWindow {
-                min: input.min + intrinsic,
-                max: input.max + intrinsic,
-            }
-        }
-    }
-}
+/// What arrival propagation carries, written once for every lane: per
+/// instance a folded input arrival, per net a driver-output value pushed
+/// through each sink's stage delay.  [`run_full`], [`run_cone`] and
+/// [`refold_instance`] are generic over it; [`ScalarLane`] (an `[min, max]`
+/// window plus its spine) and [`SymbolicLane`] (a `Poly2` candidate set)
+/// are its instances.
+trait Lattice {
+    /// An instance's folded input arrival; `==` decides cone pruning.
+    type Arrival: Clone + PartialEq;
+    /// A net's driver-output value.
+    type Out;
+    /// One endpoint's result.
+    type Endpoint;
 
-/// The instance chain of the latest path through a net's driver: the
-/// driver's own spine extended by its name.  This is the only place a new
-/// spine `Vec` is materialised — `O(depth)` once per net, after which every
-/// endpoint and fan-out instance shares it by `Arc`.
-fn driver_path(
-    cache: &PropagationCache,
-    arrivals: &[InstArrival],
-    driver: Option<usize>,
-) -> Arc<Vec<String>> {
-    match driver {
-        None => empty_path(),
-        Some(d) => {
-            let mut path = Vec::with_capacity(arrivals[d].1.len() + 1);
-            path.extend(arrivals[d].1.iter().cloned());
-            path.push(cache.inst_names[d].clone());
-            Arc::new(path)
-        }
-    }
+    /// The fold's initial element at every instance: the primary-input
+    /// arrival.
+    fn zero(&self) -> Self::Arrival;
+    /// Number of leading sinks of `net` that carry a stage delay.  Sinks
+    /// past it are skipped: no construction path lets the delay and sink
+    /// tables drift apart, but a walk must not panic if they do.
+    fn sinks(&self, net: usize) -> usize;
+    /// The driver-output value of a net driven by `driver` (`None`: a
+    /// primary input).
+    fn drive(&self, arrivals: &[Self::Arrival], driver: Option<usize>) -> Self::Out;
+    /// Folds `out`, through sink `sink` of `net`, into an instance arrival.
+    fn fold(&self, acc: &mut Self::Arrival, out: &Self::Out, net: usize, sink: usize);
+    /// The endpoint `name` that `out` reaches through sink `sink` of `net`.
+    fn endpoint(&self, out: &Self::Out, net: usize, sink: usize, name: &str) -> Self::Endpoint;
 }
 
 /// Full arrival propagation over every net, in driver-topological order:
-/// produces the per-instance arrival windows and the per-net endpoint
-/// contributions.  Infallible — every lookup was resolved when the
-/// [`PropagationCache`] was built.
-fn run_full(
+/// the per-instance arrivals and, per net, its endpoints in sink order.
+/// Infallible — every lookup was resolved when the [`PropagationCache`]
+/// was built.
+fn run_full<L: Lattice>(
+    lane: &L,
     cache: &PropagationCache,
-    intrinsic: &[Seconds],
-    delays: &[Vec<Window>],
-) -> (Vec<InstArrival>, Vec<Vec<EndpointTiming>>) {
-    let mut obs_span = rctree_obs::span("sta.propagate_full");
-    obs_span.attr_u64("nets", cache.net_order.len() as u64);
-    let mut arrivals: Vec<InstArrival> =
-        vec![(ArrivalWindow::ZERO, empty_path()); cache.inst_names.len()];
-    let mut endpoints: Vec<Vec<EndpointTiming>> = vec![Vec::new(); delays.len()];
+) -> (Vec<L::Arrival>, Vec<Vec<L::Endpoint>>) {
+    let mut arrivals: Vec<L::Arrival> = (0..cache.inst_names.len()).map(|_| lane.zero()).collect();
+    let mut endpoints: Vec<Vec<L::Endpoint>> =
+        (0..cache.sink_inst.len()).map(|_| Vec::new()).collect();
     for &net in &cache.net_order {
-        let driver = cache.net_driver[net];
-        let d_arr = driver_window(intrinsic, &arrivals, driver);
-        let d_path = driver_path(cache, &arrivals, driver);
-        for ((delay, &target), po) in delays[net]
-            .iter()
-            .zip(&cache.sink_inst[net])
-            .zip(&cache.sink_po[net])
-        {
-            let window = ArrivalWindow {
-                min: d_arr.min + delay.0,
-                max: d_arr.max + delay.1,
-            };
+        let out = lane.drive(&arrivals, cache.net_driver[net]);
+        for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
             match (target, po) {
-                (Some(u), _) => {
-                    if window.max > arrivals[u].0.max {
-                        arrivals[u] = (window, d_path.clone());
-                    }
-                }
-                (None, Some(name)) => endpoints[net].push(EndpointTiming {
-                    name: name.clone(),
-                    arrival: window,
-                    critical_path: d_path.clone(),
-                }),
+                (Some(u), _) => lane.fold(&mut arrivals[u], &out, net, k),
+                (None, Some(name)) => endpoints[net].push(lane.endpoint(&out, net, k, name)),
                 // Defensive: a `None` target without a primary-output name
                 // means the sink tables drifted apart, which no
                 // construction path produces; skip rather than panic.
@@ -737,110 +787,226 @@ fn run_full(
     (arrivals, endpoints)
 }
 
-/// Recomputes one instance's arrival by folding every in-edge candidate in
-/// `(net_rank, sink)` order — the exact fold the full pass performs
-/// incrementally, so the result is bit-identical to a full propagation.
-fn refold_instance(
+/// Recomputes one instance's arrival by folding every in-edge in
+/// `(net_rank, sink)` order from the zero arrival — the exact fold the full
+/// pass performs incrementally, so the result is identical to a full
+/// propagation.
+fn refold_instance<L: Lattice>(
+    lane: &L,
     cache: &PropagationCache,
-    intrinsic: &[Seconds],
-    delays: &[Vec<Window>],
-    arrivals: &[InstArrival],
+    arrivals: &[L::Arrival],
     inst: usize,
-) -> InstArrival {
-    let mut best = ArrivalWindow::ZERO;
-    let mut winner: Option<usize> = None;
+) -> L::Arrival {
+    let mut acc = lane.zero();
     for &(net, k) in &cache.in_edges[inst] {
-        let Some(delay) = delays[net].get(k) else {
-            continue; // defensive: window list shorter than the sink table
-        };
-        let d_arr = driver_window(intrinsic, arrivals, cache.net_driver[net]);
-        let window = ArrivalWindow {
-            min: d_arr.min + delay.0,
-            max: d_arr.max + delay.1,
-        };
-        if window.max > best.max {
-            best = window;
-            winner = Some(net);
+        if k < lane.sinks(net) {
+            let out = lane.drive(arrivals, cache.net_driver[net]);
+            lane.fold(&mut acc, &out, net, k);
         }
     }
-    match winner {
-        None => (ArrivalWindow::ZERO, empty_path()),
-        Some(net) => (best, driver_path(cache, arrivals, cache.net_driver[net])),
-    }
+    acc
 }
 
-/// Cone-limited re-propagation: starting from the dirty nets, re-derives
-/// endpoint contributions and instance arrivals only where they can have
-/// changed, walking `net_order` ranks monotonically (a net's driver
-/// arrival is final before the net is processed, because every in-edge of
-/// an instance sits at a strictly smaller rank than every out-edge).
-/// Instances whose recomputed arrival is unchanged prune their fan-out
-/// from the cone.  Returns every net the walk rewrote that has endpoints,
-/// with its new endpoint contributions in sink order (the full pass's
-/// push order).  Infallible, like [`run_full`].
-fn run_cone(
+/// The nets a cone walk rewrote that have endpoints: each net with its
+/// endpoints in sink order.
+type Rewritten<E> = Vec<(usize, Vec<E>)>;
+
+/// Cone-limited re-propagation from the nets at `dirty_ranks`: re-derives
+/// endpoints and instance arrivals only where they can have changed.  The
+/// walk visits `(rank, slot)` events in order.  Slot 0 re-derives the
+/// endpoints of the net at `rank` and schedules its target instances; slot
+/// `1 + u` refolds instance `u` once, at the rank of its last in-edge —
+/// every in-edge is final by then, because all in-edges of an instance sit
+/// at strictly smaller ranks than its out-edges.  An instance whose
+/// refolded arrival is unchanged prunes its fan-out from the cone.  Returns
+/// every rewritten net that has endpoints (in sink order, the full pass's
+/// push order) and the number of net ranks visited.  Infallible, like
+/// [`run_full`].
+fn run_cone<L: Lattice>(
+    lane: &L,
     cache: &PropagationCache,
-    intrinsic: &[Seconds],
-    delays: &[Vec<Window>],
-    arrivals: &mut [InstArrival],
+    arrivals: &mut [L::Arrival],
     dirty_ranks: impl IntoIterator<Item = usize>,
-) -> Vec<(usize, Vec<EndpointTiming>)> {
-    let mut obs_span = rctree_obs::span("sta.propagate_cone");
+) -> (Rewritten<L::Endpoint>, u64) {
     let mut cone_ranks = 0u64;
     let mut rewritten = Vec::new();
-    let mut pending: BTreeSet<usize> = dirty_ranks.into_iter().collect();
-    while let Some(rank) = pending.pop_first() {
+    let mut pending: BTreeSet<(usize, usize)> =
+        dirty_ranks.into_iter().map(|rank| (rank, 0)).collect();
+    while let Some((rank, slot)) = pending.pop_first() {
+        if let Some(u) = slot.checked_sub(1) {
+            let refolded = refold_instance(lane, cache, arrivals, u);
+            if refolded != arrivals[u] {
+                arrivals[u] = refolded;
+                pending.extend(cache.out_ranks[u].iter().map(|&out| (out, 0)));
+            }
+            continue;
+        }
         cone_ranks += 1;
         let net = cache.net_order[rank];
-        let driver = cache.net_driver[net];
-        let d_arr = driver_window(intrinsic, arrivals, driver);
-
-        // Re-derive this net's endpoint contributions and collect its
-        // target instances.
-        let mut eps: Vec<EndpointTiming> = Vec::new();
-        let mut targets: Vec<usize> = Vec::new();
-        for ((delay, &target), po) in delays[net]
-            .iter()
-            .zip(&cache.sink_inst[net])
-            .zip(&cache.sink_po[net])
-        {
+        let mut out = None;
+        let mut eps = Vec::new();
+        for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
             match (target, po) {
                 (Some(u), _) => {
-                    if !targets.contains(&u) {
-                        targets.push(u);
-                    }
+                    let last = cache.in_edges[u]
+                        .last()
+                        .map_or(rank, |&(edge, _)| cache.net_rank[edge]);
+                    pending.insert((last, 1 + u));
                 }
-                (None, Some(name)) => eps.push(EndpointTiming {
-                    name: name.clone(),
-                    arrival: ArrivalWindow {
-                        min: d_arr.min + delay.0,
-                        max: d_arr.max + delay.1,
-                    },
-                    critical_path: empty_path(),
-                }),
+                (None, Some(name)) => {
+                    let out =
+                        out.get_or_insert_with(|| lane.drive(arrivals, cache.net_driver[net]));
+                    eps.push(lane.endpoint(out, net, k, name));
+                }
                 (None, None) => {}
             }
         }
         if !eps.is_empty() {
-            let d_path = driver_path(cache, arrivals, driver);
-            for e in &mut eps {
-                e.critical_path = d_path.clone();
-            }
             rewritten.push((net, eps));
         }
+    }
+    (rewritten, cone_ranks)
+}
 
-        for u in targets {
-            let refolded = refold_instance(cache, intrinsic, delays, arrivals, u);
-            if refolded != arrivals[u] {
-                arrivals[u] = refolded;
-                for &out in &cache.out_ranks[u] {
-                    pending.insert(out);
-                }
-            }
+/// The scalar lattice: `[min, max]` arrival windows folded with strict `>`
+/// on the worst arrival (the first maximal in-edge wins), each carrying the
+/// spine of its path.
+struct ScalarLane<'a> {
+    cache: &'a PropagationCache,
+    /// Per-instance intrinsic delay (a corner lane's is `delay_scale`d).
+    intrinsic: &'a [Seconds],
+    /// Per net, per sink: the stage delay window.
+    delays: &'a [Vec<Window>],
+}
+
+/// A net's driver-output arrival in the scalar lane.  The spine through the
+/// driver and the endpoints' critical path are built on first use, so a
+/// net allocates each at most once, and only when it wins at a fan-out
+/// instance or reaches an endpoint.
+struct ScalarOut {
+    window: ArrivalWindow,
+    /// The driver and the spine of its input arrival (`None` for a primary
+    /// input).
+    driver: Option<(usize, Spine)>,
+    spine: OnceCell<Spine>,
+    path: OnceCell<Arc<Vec<String>>>,
+}
+
+impl ScalarOut {
+    fn spine(&self) -> &Spine {
+        self.spine.get_or_init(|| match &self.driver {
+            Some((d, input)) => input.extend(*d),
+            None => Spine::default(),
+        })
+    }
+
+    /// The critical path of the net's endpoints, as names.
+    fn path(&self, inst_names: &[String]) -> Arc<Vec<String>> {
+        let path = self
+            .path
+            .get_or_init(|| Arc::new(self.spine().names(inst_names)));
+        Arc::clone(path)
+    }
+}
+
+impl<'a> ScalarLane<'a> {
+    fn new(
+        cache: &'a PropagationCache,
+        intrinsic: &'a [Seconds],
+        delays: &'a [Vec<Window>],
+    ) -> ScalarLane<'a> {
+        ScalarLane {
+            cache,
+            intrinsic,
+            delays,
         }
     }
-    obs_span.attr_u64("cone_ranks", cone_ranks);
-    rewritten
+
+    /// [`run_full`] over this lane, in a `sta.propagate_full` span.
+    fn full(&self) -> (Vec<InstArrival>, Vec<Vec<EndpointTiming>>) {
+        let mut obs_span = rctree_obs::span("sta.propagate_full");
+        obs_span.attr_u64("nets", self.cache.net_order.len() as u64);
+        run_full(self, self.cache)
+    }
+
+    /// [`run_cone`] over this lane, in a `sta.propagate_cone` span.
+    fn cone(
+        &self,
+        arrivals: &mut [InstArrival],
+        dirty_ranks: impl IntoIterator<Item = usize>,
+    ) -> Rewritten<EndpointTiming> {
+        let mut obs_span = rctree_obs::span("sta.propagate_cone");
+        let (rewritten, cone_ranks) = run_cone(self, self.cache, arrivals, dirty_ranks);
+        obs_span.attr_u64("cone_ranks", cone_ranks);
+        rewritten
+    }
+
+    /// The arrival `out` delivers through sink `sink` of `net`.
+    fn through(&self, out: &ScalarOut, net: usize, sink: usize) -> ArrivalWindow {
+        let delay = self.delays[net][sink];
+        ArrivalWindow {
+            min: out.window.min + delay.0,
+            max: out.window.max + delay.1,
+        }
+    }
+}
+
+impl Lattice for ScalarLane<'_> {
+    type Arrival = InstArrival;
+    type Out = ScalarOut;
+    type Endpoint = EndpointTiming;
+
+    fn zero(&self) -> InstArrival {
+        InstArrival {
+            window: ArrivalWindow::ZERO,
+            spine: Spine::default(),
+        }
+    }
+
+    fn sinks(&self, net: usize) -> usize {
+        self.delays[net].len()
+    }
+
+    /// Zero for primary inputs, the driver's worst input window plus its
+    /// intrinsic delay otherwise.
+    fn drive(&self, arrivals: &[InstArrival], driver: Option<usize>) -> ScalarOut {
+        let (window, driver) = match driver {
+            None => (ArrivalWindow::ZERO, None),
+            Some(d) => {
+                let input = &arrivals[d];
+                let intrinsic = self.intrinsic[d];
+                let window = ArrivalWindow {
+                    min: input.window.min + intrinsic,
+                    max: input.window.max + intrinsic,
+                };
+                (window, Some((d, input.spine.clone())))
+            }
+        };
+        ScalarOut {
+            window,
+            driver,
+            spine: OnceCell::new(),
+            path: OnceCell::new(),
+        }
+    }
+
+    fn fold(&self, acc: &mut InstArrival, out: &ScalarOut, net: usize, sink: usize) {
+        let window = self.through(out, net, sink);
+        if window.max > acc.window.max {
+            *acc = InstArrival {
+                window,
+                spine: out.spine().clone(),
+            };
+        }
+    }
+
+    fn endpoint(&self, out: &ScalarOut, net: usize, sink: usize, name: &str) -> EndpointTiming {
+        EndpointTiming {
+            name: name.to_string(),
+            arrival: self.through(out, net, sink),
+            critical_path: out.path(&self.cache.inst_names),
+        }
+    }
 }
 
 /// Files per-net endpoint contributions (as [`run_full`] produces them)
@@ -861,7 +1027,7 @@ fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -
 }
 
 /// One symbolic arrival candidate: the `[min, max]` arrival-window
-/// polynomials of a single structural path family plus its instance chain.
+/// polynomials of a single structural path family plus its spine.
 ///
 /// The scalar propagation realizes, at every instance, the **maximum** over
 /// its in-edge windows; under a continuum of `(r_scale, c_scale)` points
@@ -871,16 +1037,15 @@ fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -
 /// folds them (`(net_rank, sink)` order with the zero window first), and
 /// every fold uses strict `>` — so at any evaluation point the selected
 /// candidate is the one the scalar pass would have realized, ties included.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct SymbolicCandidate {
     /// Earliest-arrival polynomial (sum of intrinsics and lower bounds).
     min: Poly2,
     /// Latest-arrival polynomial (sum of intrinsics and upper bounds) —
     /// the certified value; the fold key.
     max: Poly2,
-    /// Instance chain of the candidate's path (shared spine, like the
-    /// scalar [`InstArrival`]).
-    path: Arc<Vec<String>>,
+    /// Instance chain of the candidate's path.
+    spine: Spine,
 }
 
 impl SymbolicCandidate {
@@ -891,28 +1056,133 @@ impl SymbolicCandidate {
         SymbolicCandidate {
             min: Poly2::ZERO,
             max: Poly2::ZERO,
-            path: empty_path(),
+            spine: Spine::default(),
+        }
+    }
+
+    /// The arrival window this candidate evaluates to at `(r, c)`.
+    fn window_at(&self, r: f64, c: f64) -> ArrivalWindow {
+        ArrivalWindow {
+            min: Seconds::new(self.min.eval(r, c)),
+            max: Seconds::new(self.max.eval(r, c)),
+        }
+    }
+
+    /// This candidate through one sink's stage-delay bounds.
+    fn through(&self, bound: &SymbolicDelayBounds) -> SymbolicCandidate {
+        SymbolicCandidate {
+            min: self.min.add(&bound.lower),
+            max: self.max.add(&bound.upper),
+            spine: self.spine.clone(),
         }
     }
 }
 
 /// Appends `cand` unless an **earlier** candidate dominates it
-/// coefficientwise.  A dominated candidate's `max` never *strictly*
-/// exceeds its dominator's at any `(r, c)` with nonnegative scales, and
-/// every fold breaks ties toward the earlier candidate — so pruning it
-/// changes no evaluation, no box maximum and no realized path, it only
-/// bounds the candidate-set growth.  Only incoming candidates are ever
-/// pruned; earlier list entries are never revisited.
+/// coefficientwise, and drops every earlier candidate `cand` then strictly
+/// dominates.  On the scale domain (`r, c > 0`) every monomial `r^i c^j`
+/// is positive, so a dominated candidate never strictly exceeds its
+/// dominator and a strictly dominated one is below it everywhere: the
+/// first maximal candidate at any point — what every strict-`>` fold
+/// selects — is never a pruned one.  Pruning changes no evaluation, no box
+/// maximum and no realized path; it only bounds the set.  Dropping the
+/// strictly dominated entries is what keeps a chain of `D` stages at one
+/// candidate per instance instead of `D`: each stage's arrival strictly
+/// dominates the zero arrival the fold starts from.
 fn push_candidate(list: &mut Vec<SymbolicCandidate>, cand: SymbolicCandidate) {
     if list.iter().any(|e| e.max.dominates(&cand.max)) {
         return;
     }
+    // No entry equals `cand` now, so every entry it dominates, it
+    // dominates strictly.
+    list.retain(|e| !cand.max.dominates(&e.max));
     list.push(cand);
+}
+
+/// The symbolic lattice: instead of realizing the per-instance max fold at
+/// `(1, 1)`, every instance accumulates the candidate set of arrival
+/// polynomials reaching it ([`push_candidate`]), and endpoints collect
+/// theirs in the same push order.  Folding any produced set at a point
+/// with strict `>` yields exactly the window and path the scalar pass
+/// realizes at that uniform scale: push order equals the scalar fold
+/// order, each candidate's evaluated `max` equals the corresponding scalar
+/// window's `max`, and pruned candidates are never selected.
+struct SymbolicLane<'a> {
+    intrinsic: &'a [Seconds],
+    /// Per net, per sink: the symbolic stage-delay bounds.
+    bounds: &'a [Arc<Vec<SymbolicDelayBounds>>],
+}
+
+impl Lattice for SymbolicLane<'_> {
+    type Arrival = Arc<Vec<SymbolicCandidate>>;
+    type Out = Vec<SymbolicCandidate>;
+    type Endpoint = SymbolicEndpointTiming;
+
+    fn zero(&self) -> Arc<Vec<SymbolicCandidate>> {
+        Arc::new(vec![SymbolicCandidate::zero()])
+    }
+
+    fn sinks(&self, net: usize) -> usize {
+        self.bounds[net].len()
+    }
+
+    /// Each of the driver's arrival candidates shifted by its (constant)
+    /// intrinsic delay, its spine extended by the driver.
+    fn drive(
+        &self,
+        arrivals: &[Arc<Vec<SymbolicCandidate>>],
+        driver: Option<usize>,
+    ) -> Vec<SymbolicCandidate> {
+        let Some(d) = driver else {
+            return vec![SymbolicCandidate::zero()];
+        };
+        let intrinsic = Poly2::monomial(0, 0, self.intrinsic[d].value());
+        arrivals[d]
+            .iter()
+            .map(|cand| SymbolicCandidate {
+                min: cand.min.add(&intrinsic),
+                max: cand.max.add(&intrinsic),
+                spine: cand.spine.extend(d),
+            })
+            .collect()
+    }
+
+    fn fold(
+        &self,
+        acc: &mut Arc<Vec<SymbolicCandidate>>,
+        out: &Vec<SymbolicCandidate>,
+        net: usize,
+        sink: usize,
+    ) {
+        let bound = &self.bounds[net][sink];
+        let list = Arc::make_mut(acc);
+        for cand in out {
+            push_candidate(list, cand.through(bound));
+        }
+    }
+
+    fn endpoint(
+        &self,
+        out: &Vec<SymbolicCandidate>,
+        net: usize,
+        sink: usize,
+        name: &str,
+    ) -> SymbolicEndpointTiming {
+        let bound = &self.bounds[net][sink];
+        let mut candidates = Vec::with_capacity(out.len());
+        for cand in out {
+            push_candidate(&mut candidates, cand.through(bound));
+        }
+        SymbolicEndpointTiming {
+            name: name.to_string(),
+            candidates,
+        }
+    }
 }
 
 /// One endpoint of the symbolic analysis: its primary-output name and the
 /// full candidate set of arrival-window polynomials reaching it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicEndpointTiming {
     name: String,
     candidates: Vec<SymbolicCandidate>,
@@ -933,7 +1203,7 @@ impl SymbolicEndpointTiming {
     /// the strict-`>` fold over the candidate maxima, exactly the scalar
     /// propagation's selection.
     pub fn arrival_at(&self, r_scale: f64, c_scale: f64) -> ArrivalWindow {
-        self.timing_at(r_scale, c_scale).arrival
+        self.winner_at(r_scale, c_scale).window_at(r_scale, c_scale)
     }
 
     /// Sensitivities `(dT/dr, dT/dc)` of the endpoint's **upper** arrival
@@ -961,16 +1231,14 @@ impl SymbolicEndpointTiming {
         best
     }
 
-    /// The full [`EndpointTiming`] (window + critical path) at `(r, c)`.
-    fn timing_at(&self, r: f64, c: f64) -> EndpointTiming {
+    /// The full [`EndpointTiming`] (window + critical path) at `(r, c)`;
+    /// the winner's spine is materialized against `inst_names`.
+    fn timing_at(&self, r: f64, c: f64, inst_names: &[String]) -> EndpointTiming {
         let best = self.winner_at(r, c);
         EndpointTiming {
             name: self.name.clone(),
-            arrival: ArrivalWindow {
-                min: Seconds::new(best.min.eval(r, c)),
-                max: Seconds::new(best.max.eval(r, c)),
-            },
-            critical_path: Arc::clone(&best.path),
+            arrival: best.window_at(r, c),
+            critical_path: Arc::new(best.spine.names(inst_names)),
         }
     }
 }
@@ -1000,19 +1268,205 @@ pub struct BoxCertification {
 /// `(r_scale, c_scale)`, computed in the same one-post-order +
 /// one-pre-order traversal per net as the scalar analysis.
 ///
-/// Evaluating at any point ([`SymbolicAnalysis::report_at`]) reproduces
-/// the materialized-corner analysis at that uniform scale (to float
-/// round-off in the coefficient accumulation order); certifying over a box
-/// ([`SymbolicAnalysis::certify_over`]) finds the **exact** continuum
-/// worst case via the quadratics' critical points — no sampling grid.
-#[derive(Debug, Clone)]
+/// Evaluating at any point with `r, c > 0`
+/// ([`SymbolicAnalysis::report_at`]) reproduces the materialized-corner
+/// analysis at that uniform scale (to float round-off in the coefficient
+/// accumulation order); certifying over a box
+/// ([`SymbolicAnalysis::certify_over`]) finds the **exact** continuum worst
+/// case via the quadratics' critical points — no sampling grid.
+///
+/// An analysis is also a lane a successor can be rebuilt from: it keeps,
+/// all `Arc`-shared, the per-net symbolic sink bounds, the per-instance
+/// candidate sets and the per-net endpoint candidates, plus the
+/// propagation topology and — for a snapshot's lane — the net views it was
+/// swept from.  A seeded rebuild ([`DesignSnapshot::symbolic`]) re-sweeps
+/// only the nets whose views changed and re-propagates their fan-out cone:
+/// `O(Σ n_changed + cone)` plus one refcount bump per net and instance.
+/// `==` compares the threshold, the required time, the instance table and
+/// every candidate set — names, coefficients and spine instance sequences —
+/// whichever way the lane was built.
+#[derive(Clone)]
 pub struct SymbolicAnalysis {
     threshold: f64,
     required_time: Seconds,
-    endpoints: Vec<SymbolicEndpointTiming>,
+    /// The topology the lane was propagated over; spines index its
+    /// instance names.
+    prop: Arc<PropagationCache>,
+    /// Per net: the symbolic stage bounds of every sink.
+    bounds: Vec<Arc<Vec<SymbolicDelayBounds>>>,
+    /// Per instance: the candidate set reaching its input.
+    arrivals: Vec<Arc<Vec<SymbolicCandidate>>>,
+    /// Per net, by `net_order` rank: its endpoints in sink order.
+    endpoints: Vec<Arc<Vec<SymbolicEndpointTiming>>>,
+    /// The snapshot net views the bounds were swept from; `None` for
+    /// [`Design::analyze_symbolic`], whose lane seeds nothing.
+    views: Option<NetViews>,
+}
+
+/// The endpoints of a [`SymbolicAnalysis`] in propagation (net-order)
+/// order, read in place from the lane's per-net lists.
+#[derive(Clone, Copy)]
+pub struct SymbolicEndpoints<'a> {
+    per_rank: &'a [Arc<Vec<SymbolicEndpointTiming>>],
+}
+
+impl<'a> SymbolicEndpoints<'a> {
+    /// The endpoints in propagation order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a SymbolicEndpointTiming> + 'a {
+        self.per_rank.iter().flat_map(|eps| eps.iter())
+    }
+
+    /// Number of endpoints.
+    pub fn len(&self) -> usize {
+        self.per_rank.iter().map(|eps| eps.len()).sum()
+    }
+
+    /// Whether there are no endpoints.
+    pub fn is_empty(&self) -> bool {
+        self.per_rank.iter().all(|eps| eps.is_empty())
+    }
+}
+
+/// Records what a symbolic lane build did on its `sta.symbolic_build` span:
+/// nets re-swept, net ranks the propagation visited, and the candidates
+/// the lane holds (every instance's set plus every endpoint's).
+fn record_symbolic_build(
+    obs_span: &mut rctree_obs::Span,
+    nets_swept: usize,
+    cone_ranks: u64,
+    lane: &SymbolicAnalysis,
+) {
+    if !obs_span.is_live() {
+        return;
+    }
+    let held = lane.arrivals.iter().map(|set| set.len()).sum::<usize>()
+        + lane
+            .endpoints()
+            .iter()
+            .map(|e| e.candidates.len())
+            .sum::<usize>();
+    obs_span.attr_u64("nets_swept", nets_swept as u64);
+    obs_span.attr_u64("cone_ranks", cone_ranks);
+    obs_span.attr_u64("candidates", held as u64);
+}
+
+impl fmt::Debug for SymbolicEndpoints<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl fmt::Debug for SymbolicAnalysis {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SymbolicAnalysis")
+            .field("threshold", &self.threshold)
+            .field("required_time", &self.required_time)
+            .field("endpoints", &self.endpoints())
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for SymbolicAnalysis {
+    fn eq(&self, other: &SymbolicAnalysis) -> bool {
+        self.threshold == other.threshold
+            && self.required_time == other.required_time
+            && self.prop.inst_names == other.prop.inst_names
+            && self.arrivals == other.arrivals
+            && self.endpoints().iter().eq(other.endpoints().iter())
+    }
 }
 
 impl SymbolicAnalysis {
+    /// A full build: one [`run_full`] of the candidate-set lane over
+    /// `bounds`.
+    fn full(
+        threshold: f64,
+        required_time: Seconds,
+        prop: Arc<PropagationCache>,
+        bounds: Vec<Arc<Vec<SymbolicDelayBounds>>>,
+        views: Option<NetViews>,
+    ) -> SymbolicAnalysis {
+        let lane = SymbolicLane {
+            intrinsic: &prop.intrinsic,
+            bounds: &bounds,
+        };
+        let (arrivals, mut per_net) = run_full(&lane, &prop);
+        let none = Arc::new(Vec::new());
+        let endpoints = prop
+            .net_order
+            .iter()
+            .map(|&net| match std::mem::take(&mut per_net[net]) {
+                eps if eps.is_empty() => Arc::clone(&none),
+                eps => Arc::new(eps),
+            })
+            .collect();
+        SymbolicAnalysis {
+            threshold,
+            required_time,
+            prop,
+            bounds,
+            arrivals,
+            endpoints,
+            views,
+        }
+    }
+
+    /// The views this lane was swept from, when a snapshot over `prop` at
+    /// `threshold` with `nets` net views can be rebuilt from it: the lane
+    /// was swept from snapshot views over the same topology `Arc` at the
+    /// same threshold.
+    fn seed_views(
+        &self,
+        prop: &Arc<PropagationCache>,
+        threshold: f64,
+        nets: usize,
+    ) -> Option<&NetViews> {
+        let views = self.views.as_ref()?;
+        (Arc::ptr_eq(&self.prop, prop) && self.threshold == threshold && views.len() == nets)
+            .then_some(views)
+    }
+
+    /// The successor lane over `views`: `swept` holds the fresh bounds of
+    /// every net whose view changed, and one [`run_cone`] from the nets
+    /// whose bounds moved re-derives their fan-out cone; everything else
+    /// is shared with this lane.  Returns it with the number of net ranks
+    /// the walk visited.
+    fn rebuilt(
+        &self,
+        swept: Vec<(usize, Arc<Vec<SymbolicDelayBounds>>)>,
+        required_time: Seconds,
+        views: NetViews,
+    ) -> (SymbolicAnalysis, u64) {
+        let mut bounds = self.bounds.clone();
+        let mut dirty = Vec::new();
+        for (net, fresh) in swept {
+            if fresh != bounds[net] {
+                bounds[net] = fresh;
+                dirty.push(self.prop.net_rank[net]);
+            }
+        }
+        let mut arrivals = self.arrivals.clone();
+        let lane = SymbolicLane {
+            intrinsic: &self.prop.intrinsic,
+            bounds: &bounds,
+        };
+        let (rewritten, cone_ranks) = run_cone(&lane, &self.prop, &mut arrivals, dirty);
+        let mut endpoints = self.endpoints.clone();
+        for (net, eps) in rewritten {
+            endpoints[self.prop.net_rank[net]] = Arc::new(eps);
+        }
+        let lane = SymbolicAnalysis {
+            threshold: self.threshold,
+            required_time,
+            prop: Arc::clone(&self.prop),
+            bounds,
+            arrivals,
+            endpoints,
+            views: Some(views),
+        };
+        (lane, cone_ranks)
+    }
+
     /// The switching threshold the stage bounds were computed at.
     pub fn threshold(&self) -> f64 {
         self.threshold
@@ -1024,13 +1478,15 @@ impl SymbolicAnalysis {
     }
 
     /// Per-endpoint symbolic timings, in propagation (net-order) order.
-    pub fn endpoints(&self) -> &[SymbolicEndpointTiming] {
-        &self.endpoints
+    pub fn endpoints(&self) -> SymbolicEndpoints<'_> {
+        SymbolicEndpoints {
+            per_rank: &self.endpoints,
+        }
     }
 
     /// Looks up one endpoint's symbolic timing by primary-output name.
     pub fn endpoint(&self, name: &str) -> Option<&SymbolicEndpointTiming> {
-        self.endpoints.iter().find(|e| e.name == name)
+        self.endpoints().iter().find(|e| e.name == name)
     }
 
     /// Evaluates the analysis at one `(r_scale, c_scale)` point into an
@@ -1042,9 +1498,9 @@ impl SymbolicAnalysis {
             threshold: self.threshold,
             required_time: self.required_time,
             endpoints: self
-                .endpoints
+                .endpoints()
                 .iter()
-                .map(|e| e.timing_at(r_scale, c_scale))
+                .map(|e| e.timing_at(r_scale, c_scale, &self.prop.inst_names))
                 .collect(),
         }
     }
@@ -1055,6 +1511,9 @@ impl SymbolicAnalysis {
     /// box ([`Poly2::max_over_box`] — corners, edge stationary points and
     /// interior critical points of the quadratics), folded with strict `>`
     /// in candidate order so the reported witness point is deterministic.
+    /// The verdict is [`TimingReport::certification_against`] of the report
+    /// at that point, folded from each endpoint's window there without
+    /// building the report.
     ///
     /// # Panics
     ///
@@ -1066,7 +1525,7 @@ impl SymbolicAnalysis {
         c: (f64, f64),
     ) -> BoxCertification {
         let mut worst: Option<(f64, (f64, f64))> = None;
-        for endpoint in &self.endpoints {
+        for endpoint in self.endpoints().iter() {
             for cand in &endpoint.candidates {
                 let (v, at) = cand.max.max_over_box(r, c);
                 match worst {
@@ -1078,9 +1537,21 @@ impl SymbolicAnalysis {
         // An endpoint-less design has nothing that can miss timing; report
         // the box's lower corner as the (vacuous) witness.
         let (worst_arrival, at) = worst.unwrap_or((0.0, (r.0, c.0)));
-        let verdict = self
-            .report_at(at.0, at.1)
-            .certification_against(required_time);
+        // The report's rule: `Fail` if some endpoint's earliest arrival
+        // misses the budget, else `Indeterminate` if some latest arrival
+        // does, else `Pass`.
+        let mut verdict = Certification::Pass;
+        for endpoint in self.endpoints().iter() {
+            let arrival = endpoint.arrival_at(at.0, at.1);
+            if arrival.max <= required_time {
+                continue;
+            }
+            if arrival.min > required_time {
+                verdict = Certification::Fail;
+                break;
+            }
+            verdict = Certification::Indeterminate;
+        }
         BoxCertification {
             worst_arrival: Seconds::new(worst_arrival),
             at,
@@ -1088,94 +1559,6 @@ impl SymbolicAnalysis {
             verdict,
         }
     }
-}
-
-/// Full **symbolic** arrival propagation over every net, in the same
-/// driver-topological net order as [`run_full`]: instead of realizing the
-/// per-instance max fold at `(1, 1)`, every instance accumulates the
-/// candidate set of arrival polynomials reaching it, and endpoints collect
-/// their candidates in the scalar pass's push order.
-///
-/// Folding any produced candidate set at a point with strict `>` (first
-/// maximal candidate wins) yields exactly the window and path the scalar
-/// pass realizes at that uniform scale: insertion order equals the scalar
-/// fold order, each candidate's evaluated `max` equals the corresponding
-/// scalar window's `max`, and dominated candidates ([`push_candidate`])
-/// can never be selected.  Infallible, like [`run_full`].
-fn run_symbolic(
-    cache: &PropagationCache,
-    intrinsic: &[Seconds],
-    bounds: &[Vec<SymbolicDelayBounds>],
-) -> Vec<SymbolicEndpointTiming> {
-    let mut arrivals: Vec<Vec<SymbolicCandidate>> =
-        vec![vec![SymbolicCandidate::zero()]; cache.inst_names.len()];
-    let mut endpoints: Vec<SymbolicEndpointTiming> = Vec::new();
-    for &net in &cache.net_order {
-        let driver = cache.net_driver[net];
-        // The net's driver-output candidates: each of the driver's arrival
-        // candidates shifted by the (constant) intrinsic delay, its path
-        // extended by the driver's name — the candidate-set analogue of
-        // `driver_window` + `driver_path`.
-        let d_cands: Vec<SymbolicCandidate> = match driver {
-            None => vec![SymbolicCandidate::zero()],
-            Some(d) => {
-                let intr = Poly2::monomial(0, 0, intrinsic[d].value());
-                arrivals[d]
-                    .iter()
-                    .map(|cand| {
-                        let mut path = Vec::with_capacity(cand.path.len() + 1);
-                        path.extend(cand.path.iter().cloned());
-                        path.push(cache.inst_names[d].clone());
-                        SymbolicCandidate {
-                            min: cand.min.add(&intr),
-                            max: cand.max.add(&intr),
-                            path: Arc::new(path),
-                        }
-                    })
-                    .collect()
-            }
-        };
-        for ((bound, &target), po) in bounds[net]
-            .iter()
-            .zip(&cache.sink_inst[net])
-            .zip(&cache.sink_po[net])
-        {
-            match (target, po) {
-                (Some(u), _) => {
-                    for cand in &d_cands {
-                        push_candidate(
-                            &mut arrivals[u],
-                            SymbolicCandidate {
-                                min: cand.min.add(&bound.lower),
-                                max: cand.max.add(&bound.upper),
-                                path: Arc::clone(&cand.path),
-                            },
-                        );
-                    }
-                }
-                (None, Some(name)) => {
-                    let mut candidates = Vec::with_capacity(d_cands.len());
-                    for cand in &d_cands {
-                        push_candidate(
-                            &mut candidates,
-                            SymbolicCandidate {
-                                min: cand.min.add(&bound.lower),
-                                max: cand.max.add(&bound.upper),
-                                path: Arc::clone(&cand.path),
-                            },
-                        );
-                    }
-                    endpoints.push(SymbolicEndpointTiming {
-                        name: name.clone(),
-                        candidates,
-                    });
-                }
-                // Defensive, mirroring `run_full`: drifted sink tables.
-                (None, None) => {}
-            }
-        }
-    }
-    endpoints
 }
 
 /// One net-level engineering change order: a named net plus a name-based
@@ -1490,11 +1873,11 @@ impl Design {
             let (_arrivals, endpoints) = if k == 0 {
                 // The nominal lane propagates with the cached intrinsics
                 // untouched — not even an identity multiplication.
-                run_full(&cache, &cache.intrinsic, &delays)
+                ScalarLane::new(&cache, &cache.intrinsic, &delays).full()
             } else {
                 let ds = set.corner(k).delay_scale;
                 let intrinsic = scale_intrinsic(&cache.intrinsic, ds);
-                run_full(&cache, &intrinsic, &delays)
+                ScalarLane::new(&cache, &intrinsic, &delays).full()
             };
             reports.push(TimingReport {
                 threshold,
@@ -1610,7 +1993,7 @@ impl Design {
         // count past this call.
         let core = Arc::new(Arc::downgrade(&self.shared));
         let n = self.shared.nets.len();
-        let bounds: Vec<Vec<SymbolicDelayBounds>> =
+        let bounds: Vec<Arc<Vec<SymbolicDelayBounds>>> =
             rctree_par::par_map_global(jobs, core, n, move |i, weak: &Weak<DesignCore>| {
                 let core = weak.upgrade().expect("design outlives its analysis");
                 stage_symbolic_bounds(
@@ -1619,16 +2002,14 @@ impl Design {
                     &core.aug[i].loads,
                     threshold,
                 )
+                .map(Arc::new)
             })
             .into_iter()
             .collect::<Result<_>>()?;
         let cache = self.shared.topology()?;
-        let endpoints = run_symbolic(&cache, &cache.intrinsic, &bounds);
-        Ok(SymbolicAnalysis {
-            threshold,
-            required_time,
-            endpoints,
-        })
+        let lane = SymbolicAnalysis::full(threshold, required_time, cache, bounds, None);
+        record_symbolic_build(&mut obs_span, n, n as u64, &lane);
+        Ok(lane)
     }
 
     /// The pre-arena one-shot path, kept verbatim in cost profile as the
@@ -1660,7 +2041,7 @@ impl Design {
             .into_iter()
             .collect::<Result<_>>()?;
         let cache = self.shared.propagation_cache()?;
-        let (_arrivals, endpoints) = run_full(&cache, &cache.intrinsic, &delays);
+        let (_arrivals, endpoints) = ScalarLane::new(&cache, &cache.intrinsic, &delays).full();
         Ok(TimingReport {
             threshold,
             required_time,
@@ -2063,7 +2444,8 @@ impl Design {
         net_sink_delays: &[Vec<Window>],
     ) -> Result<TimingReport> {
         let cache = self.shared.topology()?;
-        let (_arrivals, endpoints) = run_full(&cache, &cache.intrinsic, net_sink_delays);
+        let (_arrivals, endpoints) =
+            ScalarLane::new(&cache, &cache.intrinsic, net_sink_delays).full();
         Ok(TimingReport {
             threshold,
             required_time,
@@ -2532,10 +2914,14 @@ pub struct DesignSnapshot {
     /// the lazy symbolic analysis can re-run the candidate propagation
     /// without touching the (mutable) design.
     prop: Arc<PropagationCache>,
-    /// Lazily built whole-design [`SymbolicAnalysis`] (`CERTIFY … --over`).
-    /// `Arc`-wrapped around the cell so clones of the snapshot share one
-    /// build; races rebuild the identical value and drop the loser.
-    symbolic: Arc<OnceLock<Arc<SymbolicAnalysis>>>,
+    /// Lazily built whole-design [`SymbolicAnalysis`] (`CERTIFY … --over`),
+    /// built at most once: concurrent first callers wait for the one build
+    /// and share its result, and clones of the snapshot share the cell.
+    symbolic: Arc<OnceLock<Result<Arc<SymbolicAnalysis>>>>,
+    /// The lane a build starts from: the predecessor's built lane, or the
+    /// predecessor's own seed when that lane was never built; `None` after
+    /// a cold publish.
+    seed: Option<Arc<SymbolicAnalysis>>,
 }
 
 /// Net views per chunk of a [`DesignSnapshot`]'s view vector.
@@ -2574,6 +2960,23 @@ impl NetViews {
 
     fn get(&self, index: usize) -> &Arc<NetTiming> {
         &self.chunks[index / VIEW_CHUNK][index % VIEW_CHUNK]
+    }
+
+    /// Indices whose view is not the same allocation as in `old` (a vector
+    /// of the same length); a chunk the two share is skipped whole.
+    fn changed_since(&self, old: &NetViews) -> Vec<usize> {
+        let mut changed = Vec::new();
+        for (c, (new, old)) in self.chunks.iter().zip(&old.chunks).enumerate() {
+            if Arc::ptr_eq(new, old) {
+                continue;
+            }
+            for (k, (a, b)) in new.iter().zip(old.iter()).enumerate() {
+                if !Arc::ptr_eq(a, b) {
+                    changed.push(c * VIEW_CHUNK + k);
+                }
+            }
+        }
+        changed
     }
 
     fn iter(&self) -> impl Iterator<Item = &Arc<NetTiming>> {
@@ -2712,34 +3115,79 @@ impl DesignSnapshot {
     /// resistances and loads the scalar report came from — propagated over
     /// the snapshot's cached topology.  This is what the serve loop's
     /// `CERTIFY … --over` answers from; repeated box certifications
-    /// against one snapshot revision rebuild nothing.
+    /// against one snapshot revision rebuild nothing, and concurrent first
+    /// calls wait for one build instead of racing their own.
+    ///
+    /// A snapshot published by [`Design::publish_after_eco`] builds from a
+    /// seed: its predecessor's lane (or, when that was never built, the
+    /// predecessor's own seed).  The seeded build re-sweeps only the nets
+    /// whose views are not the seed's, then re-propagates their fan-out
+    /// cone, refolding each cone instance in the full pass's exact push
+    /// order — the lane is identical to a full build, at a cost of
+    /// `O(Σ n_changed + cone)` plus one refcount bump per net and instance.
+    /// Without a usable seed — after a cold [`Design::publish`], a
+    /// threshold change, or a topology change — the lane is a full build,
+    /// `O(Σ n)` sweeps plus one pass over every net.
     ///
     /// # Errors
     ///
-    /// As for [`Design::analyze_symbolic`].
+    /// As for [`Design::analyze_symbolic`]; a failed build is cached too.
     pub fn symbolic(&self) -> Result<Arc<SymbolicAnalysis>> {
-        if let Some(sym) = self.symbolic.get() {
-            return Ok(Arc::clone(sym));
+        self.symbolic
+            .get_or_init(|| self.build_symbolic().map(Arc::new))
+            .clone()
+    }
+
+    /// The lane a successor snapshot seeds its build from: this snapshot's
+    /// built lane, or its own seed when none is built (yet).
+    fn lane_seed(&self) -> Option<Arc<SymbolicAnalysis>> {
+        match self.symbolic.get() {
+            Some(Ok(lane)) => Some(Arc::clone(lane)),
+            _ => self.seed.clone(),
         }
+    }
+
+    /// Builds the symbolic lane: a cone rebuild of the seed when it was
+    /// swept from views over the same topology at the same threshold, a
+    /// full build otherwise.
+    fn build_symbolic(&self) -> Result<SymbolicAnalysis> {
         let mut obs_span = rctree_obs::span("sta.symbolic_build");
         obs_span.attr_u64("nets", self.nets.len() as u64);
-        let mut bounds = Vec::with_capacity(self.nets.len());
-        for net in self.nets.iter() {
-            bounds.push(stage_symbolic_bounds(
-                net.driver_r,
-                &net.tree,
-                &net.loads,
-                self.threshold,
-            )?);
-        }
-        let endpoints = run_symbolic(&self.prop, &self.prop.intrinsic, &bounds);
-        let built = Arc::new(SymbolicAnalysis {
-            threshold: self.threshold,
-            required_time: self.required_time,
-            endpoints,
+        let sweep = |net: &NetTiming| {
+            stage_symbolic_bounds(net.driver_r, &net.tree, &net.loads, self.threshold).map(Arc::new)
+        };
+        let seed = self.seed.as_deref().and_then(|seed| {
+            let views = seed.seed_views(&self.prop, self.threshold, self.nets.len())?;
+            Some((seed, views))
         });
-        let _ = self.symbolic.set(Arc::clone(&built));
-        Ok(built)
+        let (lane, nets_swept, cone_ranks) = match seed {
+            Some((seed, views)) => {
+                let mut swept = Vec::new();
+                for net in self.nets.changed_since(views) {
+                    swept.push((net, sweep(self.nets.get(net))?));
+                }
+                let nets_swept = swept.len();
+                let (lane, cone_ranks) = seed.rebuilt(swept, self.required_time, self.nets.clone());
+                (lane, nets_swept, cone_ranks)
+            }
+            None => {
+                let bounds = self
+                    .nets
+                    .iter()
+                    .map(|net| sweep(net))
+                    .collect::<Result<Vec<_>>>()?;
+                let lane = SymbolicAnalysis::full(
+                    self.threshold,
+                    self.required_time,
+                    Arc::clone(&self.prop),
+                    bounds,
+                    Some(self.nets.clone()),
+                );
+                (lane, self.nets.len(), self.prop.net_order.len() as u64)
+            }
+        };
+        record_symbolic_build(&mut obs_span, nets_swept, cone_ranks, &lane);
+        Ok(lane)
     }
 }
 
@@ -2779,6 +3227,9 @@ impl Design {
     /// snapshot id — any mutation outside the publish path, including a
     /// direct [`Design::apply_eco`], invalidates it); otherwise the
     /// snapshot is rebuilt in full instead — never incorrectly reused.
+    ///
+    /// On reuse the successor also inherits `prev`'s symbolic lane as the
+    /// seed its own lane is rebuilt from ([`DesignSnapshot::symbolic`]).
     ///
     /// Transactional exactly like [`Design::apply_eco_with_jobs`]: on any
     /// error, the design, the ECO cache, and `prev` are all untouched.
@@ -2827,8 +3278,9 @@ impl Design {
     }
 
     /// Builds a snapshot from the warm ECO state, reusing `prev`'s views
-    /// for every net not listed in `dirty` when `prev` is given.  Returns it
-    /// with the number of view chunks copied.
+    /// for every net not listed in `dirty` when `prev` is given, and
+    /// seeding its symbolic lane from `prev`'s.  Returns it with the number
+    /// of view chunks copied.
     fn snapshot_from_state(
         &self,
         threshold: f64,
@@ -2923,6 +3375,7 @@ impl Design {
             corners,
             prop: Arc::clone(&state.prop),
             symbolic: Arc::new(OnceLock::new()),
+            seed: prev.and_then(DesignSnapshot::lane_seed),
         };
         (snapshot, copied)
     }
@@ -3292,6 +3745,52 @@ mod tests {
         })
         .unwrap();
         d
+    }
+
+    #[test]
+    fn spines_compare_instance_sequences_and_unlink_without_recursion() {
+        let names: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let ab = Spine::default().extend(0).extend(1);
+        assert_eq!(ab, Spine::default().extend(0).extend(1));
+        assert_ne!(ab, Spine::default().extend(1).extend(0));
+        assert_ne!(ab, ab.extend(2));
+        // A proper suffix is not equal, from either side.
+        assert_ne!(ab, Spine::default().extend(1));
+        assert_ne!(Spine::default().extend(1), ab);
+        assert_eq!(ab.names(&names), ["a", "b"]);
+        assert_eq!(format!("{:?}", ab.extend(2)), "[2, 1, 0]");
+
+        // Two deep chains sharing no link: equality walks them side by
+        // side, and dropping them unlinks iteratively.
+        let deep = |n: usize| (0..n).fold(Spine::default(), |s, i| s.extend(i % 7));
+        let (x, y) = (deep(200_000), deep(200_000));
+        assert_eq!(x, y);
+        assert_ne!(x, y.extend(0));
+        drop((x, y));
+    }
+
+    #[test]
+    fn push_candidate_prunes_dominated_candidates_on_both_sides() {
+        let cand = |k: f64, rc: f64| SymbolicCandidate {
+            min: Poly2::ZERO,
+            max: Poly2::monomial(0, 0, k).add(&Poly2::monomial(1, 1, rc)),
+            spine: Spine::default(),
+        };
+        let mut list = vec![SymbolicCandidate::zero()];
+        // A candidate strictly dominating an earlier one replaces it.
+        push_candidate(&mut list, cand(1.0, 2.0));
+        assert_eq!(list, [cand(1.0, 2.0)]);
+        // An incoming candidate an earlier one dominates, or equals, is
+        // dropped.
+        push_candidate(&mut list, cand(1.0, 2.0));
+        push_candidate(&mut list, cand(0.5, 2.0));
+        assert_eq!(list, [cand(1.0, 2.0)]);
+        // Incomparable candidates both stay, in push order, until one
+        // candidate dominates both.
+        push_candidate(&mut list, cand(2.0, 1.0));
+        assert_eq!(list, [cand(1.0, 2.0), cand(2.0, 1.0)]);
+        push_candidate(&mut list, cand(2.0, 2.0));
+        assert_eq!(list, [cand(2.0, 2.0)]);
     }
 
     #[test]

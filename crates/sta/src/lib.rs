@@ -98,6 +98,7 @@ pub use crate::error::{Result, StaError};
 pub use crate::graph::{
     BoxCertification, CornerAnalysis, Design, DesignSnapshot, Driver, EcoEdit, EcoEditKind, Load,
     Net, NetTiming, Sink, SinkWindow, SnapshotCorners, SymbolicAnalysis, SymbolicEndpointTiming,
+    SymbolicEndpoints,
 };
 pub use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
 pub use crate::script::{

@@ -1,7 +1,7 @@
 //! Equivalence gates for the delay-algebra refactor and the symbolic
 //! polynomial lane.
 //!
-//! Two contracts are pinned here, across every workloads generator:
+//! Three contracts are pinned here:
 //!
 //! 1. **`f64` bit-identity** — the generic-kernel scalar path produces the
 //!    exact bits of the independent per-net resolution path
@@ -11,14 +11,26 @@
 //!    `(r_scale, c_scale)` agrees with the materialized-corner analysis at
 //!    that scale (delay scale 1, no per-net overrides) to 1e-9 relative,
 //!    and `certify_over` finds the same continuum worst case a dense
-//!    1e3-point sampling oracle finds.
+//!    1e3-point sampling oracle finds, on every workloads generator.
+//! 3. **Lane reuse** — a snapshot's lane, rebuilt over its predecessor's
+//!    edit cone, `==` a full build of the edited design; it is built once
+//!    per snapshot however many threads ask, and paths of any depth neither
+//!    copy per stage nor recurse per stage.
 
 use std::fmt::Write as _;
+use std::sync::{Arc, Barrier};
 
+use rctree_core::builder::RcTreeBuilder;
+use rctree_core::cert::Certification;
 use rctree_core::corner::CornerSet;
+use rctree_core::element::Branch;
 use rctree_core::units::{Farads, Ohms, Seconds};
-use rctree_sta::{CellLibrary, Design, EcoEdit, EcoEditKind, SymbolicAnalysis, TimingReport};
-use rctree_workloads::dag::{eco_dag, EcoDagParams};
+use rctree_obs::{Obs, ObsConfig};
+use rctree_sta::{
+    CellLibrary, Design, DesignSnapshot, EcoEdit, EcoEditKind, SymbolicAnalysis, TimingReport,
+};
+use rctree_workloads::corners::{corner_set, CornerSpecParams};
+use rctree_workloads::dag::{eco_dag, EcoDag, EcoDagParams};
 use rctree_workloads::deck::SpefDeckParams;
 use rctree_workloads::fig3::{figure3_tree, Figure3Values};
 use rctree_workloads::fig7::figure7_tree;
@@ -491,4 +503,270 @@ fn slack_interval_brackets_certification() {
         empty.slack_interval(),
         (Seconds::from_nano(3.0), Seconds::from_nano(3.0))
     );
+}
+
+/// A seeded ECO edit on a random `eco_dag` net, cycling through every edit
+/// shape the engines support: set a node's cap, replace its branch with a
+/// line, graft a stub under it, and prune the stub grafted one round
+/// earlier.
+fn dag_edit(dag: &EcoDag, rng: &mut Rng, round: usize, grafted: &mut Option<String>) -> EcoEdit {
+    let net = &dag.nets[rng.index(dag.nets.len())];
+    let node = net.nodes[rng.index(net.nodes.len())].clone();
+    let (net, kind) = match (round % 4, grafted.take()) {
+        (3, Some(stub_net)) => (
+            stub_net,
+            EcoEditKind::Prune {
+                node: format!("eco_stub_{}", round - 1),
+            },
+        ),
+        (0 | 3, _) => (
+            net.name.clone(),
+            EcoEditKind::SetCap {
+                node,
+                cap: Farads::from_femto(rng.range_f64(1.0, 40.0)),
+            },
+        ),
+        (1, _) => (
+            net.name.clone(),
+            EcoEditKind::SetBranch {
+                node,
+                branch: Branch::line(
+                    Ohms::new(rng.range_f64(20.0, 200.0)),
+                    Farads::from_femto(rng.range_f64(1.0, 20.0)),
+                ),
+            },
+        ),
+        _ => {
+            let mut b = RcTreeBuilder::with_input_name(format!("eco_stub_{round}"));
+            b.add_capacitance(b.input(), Farads::from_femto(15.0))
+                .expect("valid stub");
+            *grafted = Some(net.name.clone());
+            (
+                net.name.clone(),
+                EcoEditKind::Graft {
+                    parent: node,
+                    via: Branch::resistor(Ohms::new(60.0)),
+                    subtree: Box::new(b.build().expect("valid stub")),
+                },
+            )
+        }
+    };
+    EcoEdit { net, kind }
+}
+
+/// The `(count, sum)` of the `nets_swept` attribute over the
+/// `sta.symbolic_build` spans recorded so far.
+fn nets_swept(obs: &Obs) -> (f64, f64) {
+    let text = obs.registry().expose(true);
+    let exposition = rctree_obs::parse_exposition(&text).expect("well-formed exposition");
+    let series = |stat: &str| {
+        exposition
+            .series
+            .get(&format!(
+                "rctree_phase_attr_{stat}{{attr=\"nets_swept\",phase=\"sta.symbolic_build\"}}"
+            ))
+            .map_or(0.0, |s| s.1)
+    };
+    (series("count"), series("sum"))
+}
+
+/// `certify_over`'s verdict is the report's at the witness point, for
+/// budgets that fail, straddle and pass the worst endpoint's window there.
+fn assert_verdicts_follow_the_report(lane: &SymbolicAnalysis) {
+    let box_r = (0.8, 1.4);
+    let box_c = (0.9, 1.2);
+    let at = lane.certify_over(lane.required_time(), box_r, box_c).at;
+    let report = lane.report_at(at.0, at.1);
+    let worst = report.critical_endpoint().expect("endpoints").arrival;
+    let (min, max) = (worst.min.value(), worst.max.value());
+    for (required, want) in [
+        (0.99 * min, Some(Certification::Fail)),
+        (0.5 * (min + max), None),
+        (1.01 * max, Some(Certification::Pass)),
+    ] {
+        let required = Seconds::new(required);
+        let verdict = lane.certify_over(required, box_r, box_c).verdict;
+        assert_eq!(verdict, report.certification_against(required));
+        if let Some(want) = want {
+            assert_eq!(verdict, want);
+        }
+    }
+}
+
+/// Gate 7: a seeded lane is the full build.  Seeded ECO streams (setcap,
+/// setline, graft, prune) run on a 4-corner `eco_dag`; every publish's lane
+/// — a cone rebuild of its predecessor's, or of an older lane when the
+/// predecessors were never built — must `==` a fresh
+/// `Design::analyze_symbolic` of the design as published.  Covered: every
+/// revision built; only every third built; an old snapshot built after its
+/// successor was published; and a threshold change and a cold `publish`,
+/// both without a seed, so their lanes are full builds.
+#[test]
+fn seeded_symbolic_lanes_equal_full_builds_through_eco_streams() {
+    let params = EcoDagParams {
+        chains: 4,
+        depth: 8,
+        cross_probability: 0.5,
+        wire_nodes: 3,
+        po_stride: 1,
+    };
+    let obs = Obs::new(ObsConfig::default());
+    let _entered = obs.enter();
+    for jobs in [1usize, 2] {
+        for build_every in [1usize, 3] {
+            let label = format!("jobs {jobs}, every {build_every}");
+            let dag = eco_dag(&params, 0x5EED);
+            let budget = dag.budget();
+            let mut design = eco_dag(&params, 0x5EED).design;
+            let names: Vec<String> = dag.nets.iter().map(|n| n.name.clone()).collect();
+            let spec = CornerSpecParams {
+                corners: 4,
+                overrides: 0,
+            };
+            design.set_corners(corner_set(&spec, &names, 0xC0));
+            let nets = design.net_count() as f64;
+            let mut rng = Rng::from_seed(0xEC0 ^ jobs as u64);
+            let mut grafted = None;
+
+            let mut snapshot = design.publish(THRESHOLD, budget, jobs).unwrap();
+            let mut expected = design.analyze_symbolic(THRESHOLD, budget, jobs).unwrap();
+            // An unbuilt predecessor and the design-level lane it had.
+            let mut unbuilt: Option<(DesignSnapshot, SymbolicAnalysis)> = None;
+            for round in 0..18 {
+                if round % build_every == 0 {
+                    let before = nets_swept(&obs);
+                    assert_eq!(
+                        *snapshot.symbolic().unwrap(),
+                        expected,
+                        "{label}: round {round}"
+                    );
+                    let after = nets_swept(&obs);
+                    assert_eq!(after.0, before.0 + 1.0, "{label}: one build per snapshot");
+                    if round == 0 {
+                        assert_eq!(
+                            after.1 - before.1,
+                            nets,
+                            "{label}: the cold lane sweeps all"
+                        );
+                    } else {
+                        assert!(
+                            after.1 - before.1 < nets,
+                            "{label}: round {round} re-swept all"
+                        );
+                    }
+                    assert_verdicts_follow_the_report(&snapshot.symbolic().unwrap());
+                } else {
+                    unbuilt = Some((snapshot.clone(), expected.clone()));
+                }
+                let edit = dag_edit(&dag, &mut rng, round, &mut grafted);
+                snapshot = design
+                    .publish_after_eco(&[edit], THRESHOLD, budget, jobs, &snapshot)
+                    .unwrap();
+                expected = design.analyze_symbolic(THRESHOLD, budget, jobs).unwrap();
+                // A predecessor built after its successor was published
+                // still answers for its own revision.
+                if let Some((old, old_expected)) = unbuilt.take().filter(|_| round == 7) {
+                    assert_eq!(
+                        *old.symbolic().unwrap(),
+                        old_expected,
+                        "{label}: old snapshot"
+                    );
+                }
+            }
+            assert_eq!(*snapshot.symbolic().unwrap(), expected, "{label}: last");
+
+            // A threshold change and a cold publish carry no seed: full
+            // builds that sweep every net.
+            for (what, next) in [
+                (
+                    "threshold change",
+                    design.publish_after_eco(&[], 0.7, budget, jobs, &snapshot),
+                ),
+                ("cold publish", design.publish(THRESHOLD, budget, jobs)),
+            ] {
+                let next = next.unwrap();
+                let fresh = design
+                    .analyze_symbolic(next.threshold(), budget, jobs)
+                    .unwrap();
+                let before = nets_swept(&obs);
+                assert_eq!(*next.symbolic().unwrap(), fresh, "{label}: {what}");
+                assert_eq!(nets_swept(&obs).1 - before.1, nets, "{label}: {what}");
+            }
+        }
+    }
+}
+
+/// Gate 8: the lane is built once per snapshot.  Eight threads asking a
+/// fresh snapshot for its lane at once record one `sta.symbolic_build`
+/// span and all receive the same `Arc`.
+#[test]
+fn concurrent_first_calls_build_the_lane_once() {
+    let dag = eco_dag(&EcoDagParams::default(), 0x0CE);
+    let budget = dag.budget();
+    let mut design = dag.design;
+    let snapshot = design.publish(THRESHOLD, budget, 2).unwrap();
+    let obs = Obs::new(ObsConfig::default());
+    let barrier = Barrier::new(8);
+    let lanes: Vec<Arc<SymbolicAnalysis>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                s.spawn(|| {
+                    let _entered = obs.enter();
+                    barrier.wait();
+                    snapshot.symbolic().unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(lanes.iter().all(|lane| Arc::ptr_eq(lane, &lanes[0])));
+    assert_eq!(nets_swept(&obs).0, 1.0, "exactly one build");
+}
+
+/// Gate 9: paths of any depth.  One 50,000-stage chain goes through the
+/// scalar analysis, a publish, the snapshot's lane, an ECO at the chain
+/// head, the successor's seeded lane and a box certification, then is
+/// dropped — without recursing once per stage anywhere, and without
+/// copying the path per stage (that would be ≈1.25·10⁹ names).
+#[test]
+fn a_fifty_thousand_stage_chain_times_and_drops_without_deep_recursion() {
+    const DEPTH: usize = 50_000;
+    let params = EcoDagParams {
+        chains: 1,
+        depth: DEPTH,
+        cross_probability: 0.0,
+        wire_nodes: 1,
+        po_stride: 1,
+    };
+    let dag = eco_dag(&params, 0xDEE9);
+    let budget = Seconds::new(1.0);
+    let mut design = dag.design;
+    let report = design.analyze_with_jobs(THRESHOLD, budget, 2).unwrap();
+    assert_eq!(
+        report.critical_endpoint().unwrap().critical_path.len(),
+        DEPTH
+    );
+    let first = design.publish(THRESHOLD, budget, 2).unwrap();
+    let lane = first.symbolic().unwrap();
+    assert_eq!(lane.endpoints().len(), 1);
+    let head = EcoEdit {
+        net: dag.nets[0].name.clone(),
+        kind: EcoEditKind::SetCap {
+            node: dag.nets[0].nodes[0].clone(),
+            cap: Farads::from_femto(90.0),
+        },
+    };
+    let second = design
+        .publish_after_eco(&[head], THRESHOLD, budget, 2, &first)
+        .unwrap();
+    let seeded = second.symbolic().unwrap();
+    let cert = seeded.certify_over(budget, (0.8, 1.4), (0.9, 1.2));
+    let at_witness = seeded.report_at(cert.at.0, cert.at.1);
+    let worst = at_witness.critical_endpoint().unwrap();
+    assert_eq!(worst.critical_path.len(), DEPTH);
+    assert_eq!(
+        second.report().critical_endpoint().unwrap().critical_path,
+        seeded.report_at(1.0, 1.0).endpoints[0].critical_path
+    );
+    drop((report, first, lane, second, seeded, at_witness, design));
 }
