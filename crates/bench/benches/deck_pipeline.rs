@@ -1,7 +1,8 @@
 //! End-to-end deck pipeline at ingestion scale: stream-generate a SPEF
 //! deck to disk, stream-parse it back (chunked reader, the document text
 //! never fully in memory), build the design, and analyze — reporting
-//! per-stage times, nets/s, and the process peak RSS at every deck size.
+//! per-stage times, nets/s, ingest MB/s (`parse_mb_per_s`, 10^6 deck bytes
+//! per second of parse) and the process peak RSS at every deck size.
 //!
 //! Two analysis paths run on every deck:
 //!
@@ -202,11 +203,13 @@ fn main() {
             r.nodes,
             r.bytes as f64 / (1024.0 * 1024.0)
         );
+        let parse_mb_per_s = r.bytes as f64 / 1e6 / r.parse_s;
         println!(
-            "    gen {:>9.3} s   parse {:>9.3} s ({:>10.0} nets/s)   build {:>9.3} s",
+            "    gen {:>9.3} s   parse {:>9.3} s ({:>10.0} nets/s, {:>7.1} MB/s)   build {:>9.3} s",
             r.gen_s,
             r.parse_s,
             r.nets as f64 / r.parse_s,
+            parse_mb_per_s,
             r.build_s
         );
         println!(
@@ -234,7 +237,7 @@ fn main() {
         }
         entries.push(format!(
             "    {{ \"nets\": {}, \"nodes\": {}, \"spef_bytes\": {}, \"gen_s\": {}, \
-             \"parse_s\": {}, \"parse_nets_per_s\": {}, \"build_s\": {}, \
+             \"parse_s\": {}, \"parse_nets_per_s\": {}, \"parse_mb_per_s\": {}, \"build_s\": {}, \
              \"analyze_arena_s\": {}, \"arena_nets_per_s\": {}, \
              \"analyze_baseline_s\": {}, \"baseline_nets_per_s\": {}, \
              \"speedup\": {}, \"peak_rss_mib\": {} }}",
@@ -244,6 +247,7 @@ fn main() {
             r.gen_s,
             r.parse_s,
             r.nets as f64 / r.parse_s,
+            parse_mb_per_s,
             r.build_s,
             r.arena_s,
             r.nets as f64 / r.arena_s,

@@ -31,9 +31,18 @@
 //! caps (three node fields) are rejected with a clear error, since an RC
 //! *tree* cannot represent them.  Resistance and capacitance unit scales
 //! default to ohms and picofarads as in the SPEF standard.
+//!
+//! Decks are read by one scanner, [`crate::stream::SpefReader`];
+//! [`parse_spef_deck`] is that reader over the text's bytes, and the
+//! serial [`parse_spef`] walks `str::lines`.  Both hand each `*D_NET` body
+//! to [`parse_d_net`], which keeps `&str` slices of the body for pin and
+//! node names, tokenizes each line into a fixed array, and matches
+//! directives with case-insensitive byte compares: a line costs one float
+//! parse and no allocation of its own.
 
 use crate::error::{NetlistError, Result};
 use crate::spice::{build_tree, BranchCard};
+use crate::stream::SpefReader;
 use crate::value::parse_value;
 use rctree_core::tree::RcTree;
 
@@ -74,9 +83,13 @@ pub fn parse_spef(text: &str) -> Result<Vec<SpefNet>> {
         if line.is_empty() {
             continue;
         }
-        if let Some((name, total)) = units.scan_top_level(line, line_no)? {
-            let net = parse_d_net(&mut lines, name, line_no, total, units.r, units.c)?;
-            nets.push(net);
+        if let Some((name, declared_total_cap)) = units.scan_top_level(line, line_no)? {
+            let tree = parse_d_net(&mut lines, &name, line_no, units)?;
+            nets.push(SpefNet {
+                name,
+                declared_total_cap,
+                tree,
+            });
         }
     }
 
@@ -88,9 +101,7 @@ pub fn parse_spef(text: &str) -> Result<Vec<SpefNet>> {
 
 /// The `*R_UNIT`/`*C_UNIT` scales in effect at a point of the document,
 /// plus the recognition of top-level directives.  Shared verbatim between
-/// the serial parser and the deck splitter so the two scanners cannot
-/// drift apart (their bit-identity is a documented guarantee of
-/// [`parse_spef_deck`]).
+/// the serial parser and the deck scanner so the two cannot drift apart.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Units {
     pub(crate) r: f64,
@@ -116,23 +127,22 @@ impl Units {
         line: &str,
         line_no: usize,
     ) -> Result<Option<(String, f64)>> {
-        let upper = line.to_ascii_uppercase();
-        if upper.starts_with("*R_UNIT") {
+        let line_bytes = line.as_bytes();
+        if has_prefix(line_bytes, b"*R_UNIT") {
             self.r = unit_scale(line, line_no, &["OHM", "KOHM"])?;
-        } else if upper.starts_with("*C_UNIT") {
+        } else if has_prefix(line_bytes, b"*C_UNIT") {
             self.c = unit_scale(line, line_no, &["FF", "PF", "NF", "UF", "F"])?;
-        } else if upper.starts_with("*D_NET") {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            if tokens.len() < 3 {
+        } else if has_prefix(line_bytes, b"*D_NET") {
+            let tokens = Tokens::of(line);
+            if tokens.len < 3 {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    tokens.items[0],
                     "*D_NET requires a name and a total capacitance",
                 ));
             }
-            let name = tokens[1].to_string();
-            let total = parse_value(tokens[2], line_no)? * self.c;
-            return Ok(Some((name, total)));
+            let total = parse_value(tokens.items[2], line_no)? * self.c;
+            return Ok(Some((tokens.items[1].to_string(), total)));
         }
         Ok(None)
     }
@@ -153,149 +163,82 @@ pub fn parse_spef_net(text: &str, net_name: &str) -> Result<SpefNet> {
         })
 }
 
-/// One `*D_NET` section located by the deck splitter: the parsed header
-/// plus the absolute **byte** range of the section body (and the header's
-/// line number), so the section can be parsed independently of the rest of
-/// the document — straight off a subslice of the original text — with
-/// correct line numbers in every error.
-#[derive(Debug, Clone)]
-struct DeckSection {
-    name: String,
-    declared_total_cap: f64,
-    /// Unit scales in effect where the section starts (unit directives are
-    /// processed in document order, exactly as in the serial parser).
-    r_unit: f64,
-    c_unit: f64,
-    /// 1-based line number of the `*D_NET` header.
-    header_line: usize,
-    /// Byte range of the body, from the byte after the header line through
-    /// the end of the `*END` line (or end of input when `*END` is
-    /// missing).
-    body: (usize, usize),
-}
-
-/// Locates every `*D_NET` section and the unit scales in effect at each,
-/// without parsing section bodies.
-///
-/// One sequential pass over the raw bytes (`split_inclusive('\n')` with a
-/// running offset — no intermediate `Vec` of line slices, so a
-/// multi-hundred-MB deck costs the scan and nothing else).  Line contents
-/// are interpreted exactly as `str::lines` would hand them to the serial
-/// parser: the trailing `\n` and any `\r` before it are stripped.
-fn split_deck(text: &str) -> Result<Vec<DeckSection>> {
-    let mut sections = Vec::new();
-    let mut units = Units::default();
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    // The section currently awaiting its `*END` line, if any.  While one
-    // is open every line — stray `*D_NET` headers and unit directives
-    // included — belongs to its body, exactly as the serial parser
-    // consumes them.
-    let mut open: Option<DeckSection> = None;
-    for seg in text.split_inclusive('\n') {
-        line_no += 1;
-        offset += seg.len();
-        let raw = seg
-            .strip_suffix('\n')
-            .map(|s| s.strip_suffix('\r').unwrap_or(s))
-            .unwrap_or(seg);
-        let line = strip_comment(raw);
-        if let Some(section) = open.as_mut() {
-            if line.to_ascii_uppercase().starts_with("*END") {
-                section.body.1 = offset;
-                sections.push(open.take().expect("section is open"));
-            }
-            continue;
-        }
-        if line.is_empty() {
-            continue;
-        }
-        if let Some((name, declared_total_cap)) = units.scan_top_level(line, line_no)? {
-            open = Some(DeckSection {
-                name,
-                declared_total_cap,
-                r_unit: units.r,
-                c_unit: units.c,
-                header_line: line_no,
-                // The body starts right after the header line; a missing
-                // `*END` leaves it running to the end of input, where
-                // `parse_d_net` reports the error at the header.
-                body: (offset, text.len()),
-            });
-        }
-    }
-    sections.extend(open);
-    Ok(sections)
-}
-
 /// Parses every `*D_NET` section of a SPEF-lite document, fanning the
 /// sections out over `jobs` worker threads.
 ///
-/// This is the deck-scale entry point: the document is first split on
-/// `*D_NET` section boundaries in one cheap sequential **byte-offset**
-/// scan (which also resolves the `*R_UNIT`/`*C_UNIT` scales in effect at
-/// each section, and never materialises a line table), and the sections —
-/// where all the real parsing work is — are then parsed independently in
-/// parallel, each straight off its subslice of the input.  The result is
-/// **bit-identical** to [`parse_spef`] for every `jobs` value: nets are
-/// returned in document order and each section sees exactly the lines and
-/// unit scales the serial parser would give it, with absolute line numbers
-/// in every error.
+/// This is the deck scanner, [`SpefReader`], over the text's bytes: the
+/// same scan, the same parallel section batches and the same errors as
+/// streaming the document from a file.  The result is **bit-identical**
+/// to [`parse_spef`] for every `jobs` value: nets are returned in
+/// document order and each section sees exactly the lines and unit scales
+/// the serial parser would give it, with absolute line numbers in every
+/// error.
 ///
 /// On an invalid document the error returned is the first failing section
-/// in document order (a malformed unit directive or `*D_NET` header found
-/// during the scan is reported before any section error).
+/// in document order, except that a malformed unit directive or `*D_NET`
+/// header anywhere in the document is reported before any section error.
 ///
 /// # Errors
 ///
 /// The same errors as [`parse_spef`], including [`NetlistError::Empty`]
 /// when the document holds no `*D_NET` at all.
 pub fn parse_spef_deck(text: &str, jobs: usize) -> Result<Vec<SpefNet>> {
-    let sections = split_deck(text)?;
-    if sections.is_empty() {
-        return Err(NetlistError::Empty);
-    }
-    rctree_par::par_map_indexed(jobs, &sections, |_, sec| {
-        // The header is line `header_line` (1-based), so the body's first
-        // line has 0-based index `header_line` — `parse_d_net` reports
-        // `idx + 1`, giving absolute document line numbers.
-        let mut body = text[sec.body.0..sec.body.1]
-            .lines()
-            .enumerate()
-            .map(|(k, raw)| (sec.header_line + k, raw));
-        parse_d_net(
-            &mut body,
-            sec.name.clone(),
-            sec.header_line,
-            sec.declared_total_cap,
-            sec.r_unit,
-            sec.c_unit,
-        )
-    })
-    .into_iter()
-    .collect()
+    SpefReader::new(text.as_bytes()).parse_all(jobs)
 }
 
+/// The text of a line before any `//` comment, trimmed.
 pub(crate) fn strip_comment(raw: &str) -> &str {
-    raw.split("//").next().unwrap_or("").trim()
+    let bytes = raw.as_bytes();
+    let end = bytes.windows(2).position(|w| w == b"//");
+    raw[..end.unwrap_or(bytes.len())].trim()
+}
+
+/// Whether `line` starts with `prefix`, ignoring ASCII case.
+pub(crate) fn has_prefix(line: &[u8], prefix: &[u8]) -> bool {
+    line.get(..prefix.len())
+        .is_some_and(|head| head.eq_ignore_ascii_case(prefix))
+}
+
+/// Most tokens any SPEF-lite line is read for.
+const MAX_TOKENS: usize = 4;
+
+/// The first [`MAX_TOKENS`] whitespace-separated tokens of a line, and how
+/// many the line has, counted up to one past the array.
+struct Tokens<'a> {
+    items: [&'a str; MAX_TOKENS],
+    len: usize,
+}
+
+impl<'a> Tokens<'a> {
+    fn of(line: &'a str) -> Self {
+        let mut items = [""; MAX_TOKENS];
+        let mut len = 0;
+        for token in line.split_whitespace().take(MAX_TOKENS + 1) {
+            if let Some(slot) = items.get_mut(len) {
+                *slot = token;
+            }
+            len += 1;
+        }
+        Tokens { items, len }
+    }
 }
 
 fn unit_scale(line: &str, line_no: usize, accepted: &[&str]) -> Result<f64> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    if tokens.len() < 3 {
+    let tokens = Tokens::of(line);
+    if tokens.len < 3 {
         return Err(NetlistError::parse_at(
             line_no,
-            tokens[0],
+            tokens.items[0],
             format!("unit directive `{line}` requires a scale and a unit"),
         ));
     }
-    let scale = parse_value(tokens[1], line_no)?;
-    let unit = tokens[2].to_ascii_uppercase();
+    let scale = parse_value(tokens.items[1], line_no)?;
+    let unit = tokens.items[2].to_ascii_uppercase();
     if !accepted.contains(&unit.as_str()) {
         return Err(NetlistError::parse_at(
             line_no,
-            tokens[2],
-            format!("unsupported unit `{}`", tokens[2]),
+            tokens.items[2],
+            format!("unsupported unit `{}`", tokens.items[2]),
         ));
     }
     let unit_factor = match unit.as_str() {
@@ -311,22 +254,24 @@ fn unit_scale(line: &str, line_no: usize, accepted: &[&str]) -> Result<f64> {
     Ok(scale * unit_factor)
 }
 
+/// Parses the body of the `*D_NET` named `name` from `lines` (0-based
+/// document line index and text) through its `*END` line into the net's
+/// tree, under the unit scales in effect at its header; pin and node names
+/// borrow the lines until the tree is built.
 pub(crate) fn parse_d_net<'a, I>(
     lines: &mut I,
-    name: String,
+    name: &str,
     header_line: usize,
-    declared_total_cap: f64,
-    r_unit: f64,
-    c_unit: f64,
-) -> Result<SpefNet>
+    units: Units,
+) -> Result<RcTree>
 where
     I: Iterator<Item = (usize, &'a str)>,
 {
     let mut section = Section::Preamble;
-    let mut driver: Option<String> = None;
-    let mut outputs: Vec<(usize, String)> = Vec::new();
-    let mut caps: Vec<(usize, String, f64)> = Vec::new();
-    let mut branches: Vec<BranchCard> = Vec::new();
+    let mut driver: Option<&'a str> = None;
+    let mut outputs: Vec<(usize, &'a str)> = Vec::new();
+    let mut caps: Vec<(usize, &'a str, f64)> = Vec::new();
+    let mut branches: Vec<BranchCard<'a>> = Vec::new();
 
     for (idx, raw) in lines.by_ref() {
         let line_no = idx + 1;
@@ -334,114 +279,101 @@ where
         if line.is_empty() {
             continue;
         }
-        let upper = line.to_ascii_uppercase();
-        if upper.starts_with("*END") {
-            let input = driver.ok_or_else(|| {
-                NetlistError::parse_at(
-                    line_no,
-                    name.as_str(),
-                    format!("net `{name}` has no *I driver pin"),
-                )
-            })?;
-            let tree = build_tree(&input, &branches, &caps, &outputs)?;
-            return Ok(SpefNet {
-                name,
-                declared_total_cap,
-                tree,
-            });
+        let bytes = line.as_bytes();
+        if bytes[0] == b'*' {
+            if has_prefix(bytes, b"*END") {
+                let input = driver.ok_or_else(|| {
+                    NetlistError::parse_at(
+                        line_no,
+                        name,
+                        format!("net `{name}` has no *I driver pin"),
+                    )
+                })?;
+                return build_tree(input, &branches, &caps, &outputs);
+            }
+            let directive = if has_prefix(bytes, b"*CONN") {
+                Some(Section::Conn)
+            } else if has_prefix(bytes, b"*CAP") {
+                Some(Section::Cap)
+            } else if has_prefix(bytes, b"*RES") {
+                Some(Section::Res)
+            } else {
+                None
+            };
+            if let Some(next) = directive {
+                section = next;
+                continue;
+            }
         }
-        if upper.starts_with("*CONN") {
-            section = Section::Conn;
-            continue;
-        }
-        if upper.starts_with("*CAP") {
-            section = Section::Cap;
-            continue;
-        }
-        if upper.starts_with("*RES") {
-            section = Section::Res;
-            continue;
-        }
-        if upper.starts_with("*I ") || upper.starts_with("*P ") {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
+        let tokens = Tokens::of(line);
+        let [head, a, b, c] = tokens.items;
+        if head.eq_ignore_ascii_case("*I") || head.eq_ignore_ascii_case("*P") {
             if section != Section::Conn {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    head,
                     "pin declarations must appear inside *CONN",
                 ));
             }
-            if tokens.len() < 3 {
+            if tokens.len < 3 {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    head,
                     "pin declaration requires a name and a direction",
                 ));
             }
-            let pin = tokens[1].to_string();
-            match tokens[2].to_ascii_uppercase().as_str() {
-                "I" => {
-                    if driver.replace(pin).is_some() {
-                        return Err(NetlistError::NotATree {
-                            message: format!("net `{name}` declares more than one driver"),
-                        });
-                    }
+            if b.eq_ignore_ascii_case("I") {
+                if driver.replace(a).is_some() {
+                    return Err(NetlistError::NotATree {
+                        message: format!("net `{name}` declares more than one driver"),
+                    });
                 }
-                "O" => outputs.push((line_no, pin)),
-                other => {
-                    return Err(NetlistError::parse_at(
-                        line_no,
-                        other,
-                        format!("unknown pin direction `{other}`"),
-                    ));
-                }
+            } else if b.eq_ignore_ascii_case("O") {
+                outputs.push((line_no, a));
+            } else {
+                let other = b.to_ascii_uppercase();
+                return Err(NetlistError::parse_at(
+                    line_no,
+                    other.as_str(),
+                    format!("unknown pin direction `{other}`"),
+                ));
             }
             continue;
         }
 
         match section {
-            Section::Cap => {
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                match tokens.len() {
-                    3 => {
-                        let value = parse_value(tokens[2], line_no)? * c_unit;
-                        caps.push((line_no, tokens[1].to_string(), value));
-                    }
-                    4 => {
-                        return Err(NetlistError::FloatingCapacitor { line: line_no });
-                    }
-                    _ => {
-                        return Err(NetlistError::parse_at(
-                            line_no,
-                            tokens.first().copied().unwrap_or(""),
-                            "*CAP entry requires: index node value",
-                        ));
-                    }
-                }
-            }
-            Section::Res => {
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                if tokens.len() < 4 {
+            Section::Cap => match tokens.len {
+                3 => caps.push((line_no, a, parse_value(b, line_no)? * units.c)),
+                4 => return Err(NetlistError::FloatingCapacitor { line: line_no }),
+                _ => {
                     return Err(NetlistError::parse_at(
                         line_no,
-                        tokens[0],
+                        head,
+                        "*CAP entry requires: index node value",
+                    ));
+                }
+            },
+            Section::Res => {
+                if tokens.len < 4 {
+                    return Err(NetlistError::parse_at(
+                        line_no,
+                        head,
                         "*RES entry requires: index node node value",
                     ));
                 }
-                let value = parse_value(tokens[3], line_no)? * r_unit;
-                branches.push(BranchCard::new(
-                    line_no,
-                    tokens[1].to_string(),
-                    tokens[2].to_string(),
-                    value,
-                    0.0,
-                    false,
-                ));
+                branches.push(BranchCard {
+                    line: line_no,
+                    node_a: a,
+                    node_b: b,
+                    resistance: parse_value(c, line_no)? * units.r,
+                    capacitance: 0.0,
+                    distributed: false,
+                });
             }
             Section::Conn | Section::Preamble => {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    line.split_whitespace().next().unwrap_or(""),
+                    head,
                     format!("unexpected line `{line}` in D_NET section"),
                 ));
             }
@@ -452,7 +384,7 @@ where
     // "line 0" once the rest of the document had been consumed).
     Err(NetlistError::parse_at(
         header_line,
-        name.as_str(),
+        name,
         format!("net `{name}` is missing its *END line"),
     ))
 }
@@ -647,7 +579,7 @@ mod tests {
     #[test]
     fn deck_parse_applies_units_in_document_order() {
         // The second net is parsed under KOHM/FF scales declared between
-        // the sections; the splitter must hand each section the scales in
+        // the sections; the scanner must hand each section the scales in
         // effect where it starts.
         let text = "\
 *D_NET a 1\n*CONN\n*I drv I\n*P x O\n*CAP\n1 x 1\n*RES\n1 drv x 5\n*END\n\
@@ -691,6 +623,30 @@ mod tests {
                 }
                 other => panic!("unexpected: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn tab_separated_pin_lines_parse() {
+        // Pins are matched on their first token, any case, whatever
+        // whitespace follows it.
+        let spaced = parse_spef(SAMPLE).unwrap();
+        for text in [
+            SAMPLE.replace("*I ", "*I\t").replace("*P ", "*P\t"),
+            SAMPLE.replace("*I buf:Z I", "*i\tbuf:Z\ti"),
+            SAMPLE.replace(' ', "\t"),
+        ] {
+            assert_eq!(parse_spef(&text).unwrap(), spaced, "{text}");
+            assert_eq!(parse_spef_deck(&text, 2).unwrap(), spaced, "{text}");
+        }
+        // A pin line is still checked like one.
+        let bare = SAMPLE.replace("*P ff2:CK O", "*P\tff2:CK");
+        match parse_spef(&bare) {
+            Err(NetlistError::Parse { line, token, .. }) => {
+                assert_eq!(line, 11);
+                assert_eq!(token.as_deref(), Some("*P"));
+            }
+            other => panic!("unexpected: {other:?}"),
         }
     }
 

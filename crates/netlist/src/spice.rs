@@ -29,11 +29,11 @@
 //! input (single drive point, no loops, everything connected), mirroring the
 //! paper's definition of an RC tree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use rctree_core::builder::RcTreeBuilder;
 use rctree_core::element::Branch;
-use rctree_core::tree::RcTree;
+use rctree_core::tree::{NodeId, RcTree};
 use rctree_core::units::{Farads, Ohms};
 
 use crate::error::{NetlistError, Result};
@@ -43,15 +43,15 @@ use crate::value::{format_value, parse_value};
 pub const DEFAULT_INPUT: &str = "in";
 
 /// A parsed resistive branch card (resistor or uniform line) shared between
-/// the SPICE and SPEF parsers.
+/// the SPICE and SPEF parsers.  Node names borrow the parsed text.
 #[derive(Debug, Clone)]
-pub(crate) struct BranchCard {
-    line: usize,
-    node_a: String,
-    node_b: String,
-    resistance: f64,
-    capacitance: f64,
-    distributed: bool,
+pub(crate) struct BranchCard<'a> {
+    pub(crate) line: usize,
+    pub(crate) node_a: &'a str,
+    pub(crate) node_b: &'a str,
+    pub(crate) resistance: f64,
+    pub(crate) capacitance: f64,
+    pub(crate) distributed: bool,
 }
 
 /// Parses a SPICE-subset deck into an [`RcTree`].
@@ -65,9 +65,9 @@ pub(crate) struct BranchCard {
 /// elements.
 pub fn parse_spice(deck: &str) -> Result<RcTree> {
     let mut branches: Vec<BranchCard> = Vec::new();
-    let mut caps: Vec<(usize, String, f64)> = Vec::new();
-    let mut input: Option<String> = None;
-    let mut outputs: Vec<(usize, String)> = Vec::new();
+    let mut caps: Vec<(usize, &str, f64)> = Vec::new();
+    let mut input: Option<&str> = None;
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
 
     for (idx, raw_line) in deck.lines().enumerate() {
         let line_no = idx + 1;
@@ -85,7 +85,7 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
             let name = tokens.get(1).ok_or_else(|| {
                 NetlistError::parse_at(line_no, tokens[0], ".input requires a node name")
             })?;
-            input = Some((*name).to_string());
+            input = Some(*name);
             continue;
         }
         if head == ".output" {
@@ -96,7 +96,7 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
                     ".output requires at least one node name",
                 ));
             }
-            outputs.extend(tokens[1..].iter().map(|s| (line_no, s.to_string())));
+            outputs.extend(tokens[1..].iter().map(|s| (line_no, *s)));
             continue;
         }
         if head.starts_with('.') {
@@ -117,11 +117,10 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
                 });
             }
             Some('c') => {
-                let (a, b, v) = three_fields(&tokens, line_no)?;
-                let (node, other) = (a.clone(), b.clone());
-                if is_ground(&other) {
+                let (node, other, v) = three_fields(&tokens, line_no)?;
+                if is_ground(other) {
                     caps.push((line_no, node, v));
-                } else if is_ground(&node) {
+                } else if is_ground(node) {
                     caps.push((line_no, other, v));
                 } else {
                     return Err(NetlistError::FloatingCapacitor { line: line_no });
@@ -139,8 +138,8 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
                 let c = parse_value(tokens[4], line_no)?;
                 branches.push(BranchCard {
                     line: line_no,
-                    node_a: tokens[1].to_string(),
-                    node_b: tokens[2].to_string(),
+                    node_a: tokens[1],
+                    node_b: tokens[2],
                     resistance: r,
                     capacitance: c,
                     distributed: true,
@@ -160,11 +159,10 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
         return Err(NetlistError::Empty);
     }
 
-    let input_name = input.unwrap_or_else(|| DEFAULT_INPUT.to_string());
-    build_tree(&input_name, &branches, &caps, &outputs)
+    build_tree(input.unwrap_or(DEFAULT_INPUT), &branches, &caps, &outputs)
 }
 
-fn three_fields(tokens: &[&str], line: usize) -> Result<(String, String, f64)> {
+fn three_fields<'a>(tokens: &[&'a str], line: usize) -> Result<(&'a str, &'a str, f64)> {
     if tokens.len() < 4 {
         return Err(NetlistError::parse_at(
             line,
@@ -173,46 +171,39 @@ fn three_fields(tokens: &[&str], line: usize) -> Result<(String, String, f64)> {
         ));
     }
     let v = parse_value(tokens[3], line)?;
-    Ok((tokens[1].to_string(), tokens[2].to_string(), v))
+    Ok((tokens[1], tokens[2], v))
 }
 
 fn is_ground(name: &str) -> bool {
     name == "0" || name.eq_ignore_ascii_case("gnd") || name.eq_ignore_ascii_case("vss")
 }
 
-impl BranchCard {
-    pub(crate) fn new(
-        line: usize,
-        node_a: String,
-        node_b: String,
-        resistance: f64,
-        capacitance: f64,
-        distributed: bool,
-    ) -> Self {
-        BranchCard {
-            line,
-            node_a,
-            node_b,
-            resistance,
-            capacitance,
-            distributed,
-        }
-    }
-}
-
 /// Assembles branch and capacitor cards into a validated [`RcTree`].
 ///
-/// Shared between the SPICE and SPEF parsers.
+/// Shared between the SPICE and SPEF parsers.  Node names are numbered in
+/// a local table (the input is 0), resistive branches become a CSR
+/// adjacency (every node's branch indices, in card order, in one flat
+/// array), and the depth-first elaboration from the input tracks visited
+/// nodes by index; only the names of the built tree's nodes are
+/// allocated.
 pub(crate) fn build_tree(
     input_name: &str,
-    branches: &[BranchCard],
-    caps: &[(usize, String, f64)],
-    outputs: &[(usize, String)],
+    branches: &[BranchCard<'_>],
+    caps: &[(usize, &str, f64)],
+    outputs: &[(usize, &str)],
 ) -> Result<RcTree> {
-    // Adjacency of resistive branches.
-    let mut adjacency: HashMap<&str, Vec<usize>> = HashMap::new();
-    for (i, b) in branches.iter().enumerate() {
-        if is_ground(&b.node_a) || is_ground(&b.node_b) {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut names = vec![input_name];
+    index.insert(input_name, 0);
+    let mut intern = |name| {
+        *index.entry(name).or_insert_with(|| {
+            names.push(name);
+            names.len() - 1
+        })
+    };
+    let mut ends = Vec::with_capacity(branches.len());
+    for b in branches {
+        if is_ground(b.node_a) || is_ground(b.node_b) {
             return Err(NetlistError::NotATree {
                 message: format!(
                     "line {}: resistive element connects to ground, which an RC tree forbids",
@@ -220,42 +211,53 @@ pub(crate) fn build_tree(
                 ),
             });
         }
-        adjacency.entry(&b.node_a).or_default().push(i);
-        adjacency.entry(&b.node_b).or_default().push(i);
+        ends.push((intern(b.node_a), intern(b.node_b)));
     }
 
-    if !branches.is_empty() && !adjacency.contains_key(input_name) {
+    // CSR adjacency: node `v`'s branches are `edges[start[v]..start[v + 1]]`.
+    let mut start = vec![0usize; names.len() + 1];
+    for &(a, b) in &ends {
+        start[a + 1] += 1;
+        start[b + 1] += 1;
+    }
+    for v in 0..names.len() {
+        start[v + 1] += start[v];
+    }
+    let mut fill = start[..names.len()].to_vec();
+    let mut edges = vec![0usize; 2 * ends.len()];
+    for (i, &(a, b)) in ends.iter().enumerate() {
+        for v in [a, b] {
+            edges[fill[v]] = i;
+            fill[v] += 1;
+        }
+    }
+    let degree = |v: usize| start[v + 1] - start[v];
+
+    if !branches.is_empty() && degree(0) == 0 {
         return Err(NetlistError::UnknownInput {
             name: input_name.to_string(),
         });
     }
 
     let mut builder = RcTreeBuilder::with_input_name(input_name);
-    let mut visited: HashSet<String> = HashSet::new();
+    // The built node of each name, once the elaboration reaches it.
+    let mut node: Vec<Option<NodeId>> = vec![None; names.len()];
+    node[0] = Some(builder.input());
     let mut used = vec![false; branches.len()];
-    visited.insert(input_name.to_string());
 
-    // Breadth-first elaboration from the input.
-    let mut frontier = vec![input_name.to_string()];
-    while let Some(node) = frontier.pop() {
-        let parent_id = builder
-            .node_by_name(&node)
-            .expect("visited nodes are in the builder");
-        let Some(edges) = adjacency.get(node.as_str()) else {
-            continue;
-        };
-        for &edge in edges {
+    // Depth-first elaboration from the input.
+    let mut frontier = vec![0usize];
+    while let Some(v) = frontier.pop() {
+        let parent_id = node[v].expect("frontier nodes are built");
+        for &edge in &edges[start[v]..start[v + 1]] {
             if used[edge] {
                 continue;
             }
             let b = &branches[edge];
-            let other = if b.node_a == node {
-                &b.node_b
-            } else {
-                &b.node_a
-            };
+            let (a, z) = ends[edge];
+            let other = if a == v { z } else { a };
             used[edge] = true;
-            if visited.contains(other) {
+            if node[other].is_some() {
                 return Err(NetlistError::NotATree {
                     message: format!(
                         "line {}: element between `{}` and `{}` closes a loop",
@@ -266,16 +268,15 @@ pub(crate) fn build_tree(
             let child = if b.distributed {
                 builder.add_line(
                     parent_id,
-                    other.clone(),
+                    names[other],
                     Ohms::new(b.resistance),
                     Farads::new(b.capacitance),
                 )?
             } else {
-                builder.add_resistor(parent_id, other.clone(), Ohms::new(b.resistance))?
+                builder.add_resistor(parent_id, names[other], Ohms::new(b.resistance))?
             };
-            let _ = child;
-            visited.insert(other.clone());
-            frontier.push(other.clone());
+            node[other] = Some(child);
+            frontier.push(other);
         }
     }
 
@@ -288,45 +289,34 @@ pub(crate) fn build_tree(
             ),
         });
     }
+    let built = |name: &str| index.get(name).and_then(|&v| node[v]);
 
     // Grounded capacitors.
-    for (line, node, value) in caps {
-        let id = builder.node_by_name(node).map_err(|_| {
+    for &(line, name, value) in caps {
+        let id = built(name).ok_or_else(|| {
             NetlistError::parse_at(
-                *line,
-                node.as_str(),
-                format!("capacitor references unknown node `{node}`"),
+                line,
+                name,
+                format!("capacitor references unknown node `{name}`"),
             )
         })?;
-        builder.add_capacitance(id, Farads::new(*value))?;
+        builder.add_capacitance(id, Farads::new(value))?;
     }
 
-    // Outputs (default: every leaf if none specified).
+    // Outputs (default: every leaf — a node on exactly one branch that is
+    // not the input — if none are specified).
     if outputs.is_empty() {
-        let leaf_names: Vec<String> = {
-            // A leaf is a node that appears in exactly one branch and is not
-            // the input.
-            let mut degree: HashMap<&str, usize> = HashMap::new();
-            for b in branches {
-                *degree.entry(b.node_a.as_str()).or_default() += 1;
-                *degree.entry(b.node_b.as_str()).or_default() += 1;
+        for (v, id) in node.iter().enumerate().skip(1) {
+            if degree(v) == 1 {
+                builder.mark_output(id.expect("leaves were visited"))?;
             }
-            degree
-                .iter()
-                .filter(|(name, &d)| d == 1 && **name != input_name)
-                .map(|(name, _)| name.to_string())
-                .collect()
-        };
-        for name in leaf_names {
-            let id = builder.node_by_name(&name).expect("leaves were visited");
-            builder.mark_output(id)?;
         }
     } else {
-        for (line, name) in outputs {
-            let id = builder.node_by_name(name).map_err(|_| {
+        for &(line, name) in outputs {
+            let id = built(name).ok_or_else(|| {
                 NetlistError::parse_at(
-                    *line,
-                    name.as_str(),
+                    line,
+                    name,
                     format!("output references unknown node `{name}`"),
                 )
             })?;
@@ -596,6 +586,19 @@ C2 c 0 1
         assert!((t1.t_p.value() - t2.t_p.value()).abs() < 1e-9);
         assert!((t1.t_d.value() - t2.t_d.value()).abs() < 1e-9);
         assert!((t1.t_r.value() - t2.t_r.value()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nodes_are_numbered_in_depth_first_card_order() {
+        // The elaboration expands the most recently reached node first and
+        // walks each node's cards in deck order; node ids follow.
+        let deck = "R1 in a 1\nR2 in b 1\nR3 a c 1\nR4 b d 1\nR5 a e 1\nC1 c 0 1\n";
+        let tree = parse_spice(deck).unwrap();
+        let names: Vec<&str> = tree.node_ids().map(|id| tree.name(id).unwrap()).collect();
+        assert_eq!(names, ["in", "a", "b", "d", "c", "e"]);
+        // Without `.output` cards every leaf is an output.
+        let outs: Vec<&str> = tree.outputs().map(|id| tree.name(id).unwrap()).collect();
+        assert_eq!(outs, ["d", "c", "e"]);
     }
 
     #[test]

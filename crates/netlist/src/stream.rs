@@ -1,47 +1,46 @@
-//! Streaming SPEF-lite ingestion in bounded memory.
+//! Streaming SPEF-lite ingestion in bounded memory — the one deck scanner.
 //!
-//! [`crate::parse_spef_deck`] wants the whole document resident as one
-//! `&str` before the byte-offset splitter can hand out section subslices.
-//! At `10^6` nets that is hundreds of megabytes of text held alive for the
-//! duration of the parse — pure overhead, since each `*D_NET` section is
-//! parsed independently and discarded.  [`SpefReader`] removes it: the
-//! document is consumed from any [`Read`] source in fixed-size chunks, a
-//! carry-over buffer stitches the partial line at each chunk boundary, and
-//! completed `*D_NET` sections are parsed (in parallel batches via
-//! `rctree-par`) as soon as their `*END` arrives.  Peak memory is
-//! `O(chunk + largest section + one parsed batch)` regardless of deck
-//! size.
+//! [`SpefReader`] consumes a document from any [`Read`] source in
+//! fixed-size chunks and hands completed `*D_NET` sections to the section
+//! parser in parallel batches as soon as their `*END` arrives, so peak
+//! memory is `O(chunk + largest section + one parsed batch)` whatever the
+//! deck size.  [`crate::parse_spef_deck`] is this reader over the bytes of
+//! an in-memory text.
 //!
-//! # Equivalence with the whole-text parsers
+//! # Per-line cost
 //!
-//! [`parse_spef_read`] is pinned **byte-identical** to
-//! [`crate::parse_spef_deck`] on the same bytes (the `streaming_seams`
-//! integration suite sweeps chunk sizes of 1–64 bytes so every seam —
-//! mid-line, mid-section, mid-CRLF — is exercised):
+//! Each read's complete lines are checked as UTF-8 together and split on
+//! `\n` eight bytes at a time; none is copied into a `String`.  A line
+//! inside a section body then costs a look at its first non-blank byte:
+//! only a `*` followed by `END` (any case) closes the section.  When that
+//! byte is not ASCII the line falls back to the `str` path, because
+//! `str::trim` also strips Unicode whitespace such as U+00A0.  A closed
+//! body is copied out of the buffer once, as a whole.  Top-level lines
+//! (headers and unit directives) take the `str` path; there are a few per
+//! section.
 //!
-//! * the line splitter reproduces `str::lines` exactly (trailing `\n`
-//!   stripped, a `\r` before it stripped, final unterminated line kept);
-//! * absolute 1-based line numbers appear in every error;
-//! * unit directives apply in document order, each section capturing the
-//!   scales in effect at its header;
-//! * a section left open at end of input is parsed anyway and reports its
-//!   missing `*END` at the `*D_NET` header;
-//! * error *ordering* matches: a malformed top-level line (unit directive
-//!   or `*D_NET` header) anywhere in the document is reported in
-//!   preference to any section-body error, because the whole-text path
-//!   scans the full document before parsing any section.  The streaming
-//!   path replicates this by continuing to scan (without parsing) to end
-//!   of input once a section has failed.
+//! # Equivalence with the serial parser
 //!
-//! The only inputs the streaming path rejects that the `&str` entry points
-//! cannot even express are non-UTF-8 bytes ([`NetlistError::Parse`] at the
-//! offending line) and I/O failures ([`NetlistError::Io`]).
+//! Nets are identical to [`crate::parse_spef`] on the same bytes, with the
+//! same absolute line numbers in every error: lines split exactly as
+//! `str::lines` splits them, unit directives apply in document order, and
+//! a section left open at end of input reports its missing `*END` at its
+//! header.  The `streaming_seams` suite checks this at every chunk size
+//! from 1 byte.  Errors differ in one way: a malformed top-level line
+//! anywhere in the document wins over any section-body error, so after a
+//! section fails the reader keeps scanning (without parsing) to end of
+//! input.  Input a `&str` cannot hold is rejected as well: non-UTF-8 bytes
+//! ([`NetlistError::Parse`] at the offending line) and I/O failures
+//! ([`NetlistError::Io`]).
 
 use std::collections::VecDeque;
 use std::io::Read;
+use std::sync::Arc;
+
+use rctree_core::tree::RcTree;
 
 use crate::error::{NetlistError, Result};
-use crate::spef::{parse_d_net, strip_comment, SpefNet, Units};
+use crate::spef::{has_prefix, parse_d_net, strip_comment, SpefNet, Units};
 
 /// Default chunk size: large enough to amortise syscalls, small enough
 /// that a reader never holds a meaningful fraction of a big deck.
@@ -51,39 +50,118 @@ const DEFAULT_CHUNK: usize = 1 << 20;
 /// Small enough to bound memory, large enough to keep the worker pool fed.
 const PARSE_BATCH: usize = 512;
 
-/// A completed `*D_NET` section awaiting parsing: the scanned header plus
-/// the body text (every line after the header through `*END`, when
-/// present), with the line numbering anchor needed for absolute error
-/// positions.
+/// A `*D_NET` section: the scanned header, the unit scales in effect
+/// there and, once the section is closed, its body.
 #[derive(Debug, Clone)]
 struct RawSection {
     name: String,
     declared_total_cap: f64,
-    r_unit: f64,
-    c_unit: f64,
+    units: Units,
     /// 1-based line number of the `*D_NET` header.
     header_line: usize,
-    /// Body lines, newline-separated, `\r` already stripped.
-    body: String,
+    /// Every line after the header through `*END` (or end of input), line
+    /// endings included.
+    body: Vec<u8>,
 }
 
 impl RawSection {
-    fn parse(&self) -> Result<SpefNet> {
+    /// Parses the body into the net's tree.
+    fn tree(&self) -> Result<RcTree> {
+        // Every body line passed the scanner's UTF-8 check.
+        let body = std::str::from_utf8(&self.body).expect("the scanner validated every line");
         // The body's first line is document line `header_line + 1`;
         // `parse_d_net` reports `idx + 1`, so enumerate from the header.
-        let mut lines = self
-            .body
+        let mut lines = body
             .lines()
             .enumerate()
             .map(|(k, raw)| (self.header_line + k, raw));
-        parse_d_net(
-            &mut lines,
-            self.name.clone(),
-            self.header_line,
-            self.declared_total_cap,
-            self.r_unit,
-            self.c_unit,
-        )
+        parse_d_net(&mut lines, &self.name, self.header_line, self.units)
+    }
+}
+
+/// Whether a body line closes its section: it reads `*END` (any case)
+/// after leading whitespace, exactly when `strip_comment` would leave a
+/// line starting with `*END`.
+fn closes_section(line: &str) -> bool {
+    // ASCII whitespace as `char::is_whitespace` sees it.
+    let blank = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let bytes = line.as_bytes();
+    match bytes.iter().position(|b| !blank(b)) {
+        None => false,
+        Some(first) if bytes[first].is_ascii() => has_prefix(&bytes[first..], b"*END"),
+        // Leading Unicode whitespace: let `str::trim` decide.
+        Some(_) => has_prefix(strip_comment(line).as_bytes(), b"*END"),
+    }
+}
+
+/// Offset of the first `\n` in `bytes`, looked for eight bytes at a time.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    let mut words = bytes.chunks_exact(8);
+    let mut offset = 0;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+        let diff = word ^ (ONES * u64::from(b'\n'));
+        // The lowest high bit set marks the first zero byte of `diff`.
+        let zeros = diff.wrapping_sub(ONES) & !diff & (ONES << 7);
+        if zeros != 0 {
+            return Some(offset + zeros.trailing_zeros() as usize / 8);
+        }
+        offset += 8;
+    }
+    let tail = words.remainder().iter().position(|&b| b == b'\n');
+    tail.map(|i| offset + i)
+}
+
+/// The scanner's state between lines.
+#[derive(Debug, Default)]
+struct Scan {
+    /// 1-based number of the last line scanned.
+    line_no: usize,
+    units: Units,
+    /// The section whose body is being scanned, if any, and the
+    /// read-buffer offset where its body starts.
+    open: Option<(RawSection, usize)>,
+    /// Completed sections not yet returned.
+    ready: VecDeque<RawSection>,
+}
+
+impl Scan {
+    /// Scans one line of `buf`; `next` is the offset just past it (past
+    /// its `\n`, when it has one).
+    fn line(&mut self, line: &str, next: usize, buf: &[u8]) -> Result<()> {
+        self.line_no += 1;
+        if self.open.is_some() {
+            // Every line of an open section — stray headers and unit
+            // directives included — belongs to its body.
+            if closes_section(line) {
+                self.close(buf, next);
+            }
+            return Ok(());
+        }
+        let line = strip_comment(line);
+        if line.is_empty() {
+            return Ok(());
+        }
+        if let Some((name, declared_total_cap)) = self.units.scan_top_level(line, self.line_no)? {
+            let section = RawSection {
+                name,
+                declared_total_cap,
+                units: self.units,
+                header_line: self.line_no,
+                body: Vec::new(),
+            };
+            self.open = Some((section, next));
+        }
+        Ok(())
+    }
+
+    /// Queues the open section, if any, with the body `buf[start..end]`.
+    fn close(&mut self, buf: &[u8], end: usize) {
+        if let Some((mut section, start)) = self.open.take() {
+            section.body = buf[start..end].to_vec();
+            self.ready.push_back(section);
+        }
     }
 }
 
@@ -96,17 +174,12 @@ impl RawSection {
 pub struct SpefReader<R> {
     source: R,
     chunk_size: usize,
-    /// Bytes of the line(s) not yet terminated by `\n` — the carry-over
-    /// across chunk boundaries.  Never holds more than one line plus one
-    /// chunk.
-    carry: Vec<u8>,
-    /// 1-based number of the last line handed to the scanner.
-    line_no: usize,
-    units: Units,
-    /// The section currently accumulating body lines, if any.
-    open: Option<RawSection>,
-    /// Completed sections not yet returned.
-    ready: VecDeque<RawSection>,
+    /// Read buffer.  `buf[pos..]` is input not yet split into lines; while
+    /// a section is open, its body so far sits just before.  Never holds
+    /// more than one section plus one chunk.
+    buf: Vec<u8>,
+    pos: usize,
+    scan: Scan,
     /// End of input reached and fully processed.
     done: bool,
 }
@@ -123,76 +196,74 @@ impl<R: Read> SpefReader<R> {
         SpefReader {
             source,
             chunk_size: chunk_size.max(1),
-            carry: Vec::new(),
-            line_no: 0,
-            units: Units::default(),
-            open: None,
-            ready: VecDeque::new(),
+            buf: Vec::new(),
+            pos: 0,
+            scan: Scan::default(),
             done: false,
         }
     }
 
     /// Number of input lines consumed so far.
     pub fn lines_read(&self) -> usize {
-        self.line_no
+        self.scan.line_no
     }
 
-    /// Scans one complete line, exactly as `split_deck` interprets it.
-    fn scan_line(&mut self, raw: &str) -> Result<()> {
-        self.line_no += 1;
-        let line = strip_comment(raw);
-        if let Some(section) = self.open.as_mut() {
-            // Every line of an open section — stray headers and unit
-            // directives included — belongs to its body.
-            section.body.push_str(raw);
-            section.body.push('\n');
-            if line.to_ascii_uppercase().starts_with("*END") {
-                self.ready
-                    .push_back(self.open.take().expect("section is open"));
-            }
-            return Ok(());
+    /// Reads one chunk into the buffer, first dropping what no longer
+    /// needs keeping.  Returns the number of bytes read (0 at end of
+    /// input).
+    fn fill(&mut self) -> Result<usize> {
+        let keep = self.scan.open.as_ref().map_or(self.pos, |open| open.1);
+        self.buf.drain(..keep);
+        self.pos -= keep;
+        if let Some(open) = self.scan.open.as_mut() {
+            open.1 -= keep;
         }
-        if line.is_empty() {
-            return Ok(());
-        }
-        if let Some((name, declared_total_cap)) = self.units.scan_top_level(line, self.line_no)? {
-            self.open = Some(RawSection {
-                name,
-                declared_total_cap,
-                r_unit: self.units.r,
-                c_unit: self.units.c,
-                header_line: self.line_no,
-                body: String::new(),
-            });
-        }
-        Ok(())
+        let len = self.buf.len();
+        self.buf.resize(len + self.chunk_size, 0);
+        let read = self.source.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+        Ok(read?)
     }
 
-    /// Drains every complete line out of the carry buffer.
-    fn drain_carry_lines(&mut self) -> Result<()> {
-        let mut start = 0usize;
-        while let Some(nl) = self.carry[start..].iter().position(|&b| b == b'\n') {
-            let end = start + nl;
-            let mut line = &self.carry[start..end];
-            if line.last() == Some(&b'\r') {
-                line = &line[..line.len() - 1];
+    /// Scans every complete line in `buf[pos..]` and, at end of input, the
+    /// final unterminated line (exactly the line `str::lines` would still
+    /// yield: a trailing `\r` stays).  The lines are checked as UTF-8
+    /// together.
+    fn scan_lines(&mut self, at_end: bool) -> Result<()> {
+        let base = self.pos;
+        let end = match self.buf[base..].iter().rposition(|&b| b == b'\n') {
+            _ if at_end => self.buf.len(),
+            Some(last) => base + last + 1,
+            None => return Ok(()),
+        };
+        let (text, valid) = match std::str::from_utf8(&self.buf[base..end]) {
+            Ok(text) => (text, true),
+            Err(e) => {
+                let prefix = std::str::from_utf8(&self.buf[base..base + e.valid_up_to()]);
+                (prefix.expect("the bytes before the error are valid"), false)
             }
-            let text = std::str::from_utf8(line)
-                .map_err(|_| NetlistError::parse(self.line_no + 1, "input is not valid UTF-8"))?;
-            // Borrow dance: the line borrows `carry`, so copy out the
-            // (short) text before scanning mutates `self`.
-            let owned;
-            let text = if self.open.is_some() || !strip_comment(text).is_empty() {
-                owned = text.to_string();
-                owned.as_str()
-            } else {
-                ""
+        };
+        let mut start = 0;
+        while start < text.len() {
+            let (line, next) = match find_newline(&text.as_bytes()[start..]) {
+                Some(len) => {
+                    let line = &text[start..start + len];
+                    (line.strip_suffix('\r').unwrap_or(line), start + len + 1)
+                }
+                None if valid => (&text[start..], text.len()),
+                // The rest is the start of the line with the bad byte.
+                None => break,
             };
-            self.scan_line(text)?;
-            start = end + 1;
+            start = next;
+            self.scan.line(line, base + next, &self.buf)?;
         }
-        self.carry.drain(..start);
-        Ok(())
+        self.pos = base + start;
+        if valid {
+            Ok(())
+        } else {
+            let line_no = self.scan.line_no + 1;
+            Err(NetlistError::parse(line_no, "input is not valid UTF-8"))
+        }
     }
 
     /// Pulls the next completed raw section, reading more chunks as
@@ -200,59 +271,38 @@ impl<R: Read> SpefReader<R> {
     /// errors and I/O errors are terminal.
     fn next_raw_section(&mut self) -> Result<Option<RawSection>> {
         loop {
-            if let Some(section) = self.ready.pop_front() {
+            if let Some(section) = self.scan.ready.pop_front() {
                 return Ok(Some(section));
             }
             if self.done {
                 return Ok(None);
             }
             let mut chunk_span = rctree_obs::span("spef.chunk");
-            let mut buf = vec![0u8; self.chunk_size];
-            let n = self.source.read(&mut buf).map_err(|e| {
-                self.done = true;
-                NetlistError::from(e)
-            })?;
-            chunk_span.attr_u64("bytes", n as u64);
-            if n == 0 {
-                // End of input: the carry holds the final unterminated
-                // line, if any (exactly the line `str::lines` would still
-                // yield), and an open section is parsed as-is so its
-                // missing `*END` is reported at the header.
-                if !self.carry.is_empty() {
-                    // A trailing `\r` stays: `str::lines` strips `\r` only
-                    // immediately before a `\n`.
-                    let line = std::mem::take(&mut self.carry);
-                    let text = String::from_utf8(line).map_err(|_| {
-                        self.done = true;
-                        NetlistError::parse(self.line_no + 1, "input is not valid UTF-8")
-                    })?;
-                    if let Err(e) = self.scan_line(&text) {
-                        self.done = true;
-                        return Err(e);
-                    }
-                }
-                if let Some(section) = self.open.take() {
-                    self.ready.push_back(section);
-                }
-                self.done = true;
-                continue;
-            }
-            self.carry.extend_from_slice(&buf[..n]);
-            if let Err(e) = self.drain_carry_lines() {
+            let scanned = self.fill().and_then(|n| {
+                chunk_span.attr_u64("bytes", n as u64);
+                self.done = n == 0;
+                self.scan_lines(self.done)
+            });
+            if let Err(e) = scanned {
                 self.done = true;
                 return Err(e);
+            }
+            if self.done {
+                // An open section is parsed as-is, so its missing `*END`
+                // is reported at the header.
+                self.scan.close(&self.buf, self.buf.len());
             }
         }
     }
 
     /// Parses and returns the next batch of nets, in document order;
-    /// `Ok(None)` at end of input.  Batches are parsed in parallel over
-    /// `jobs` workers (0 = default pool size).
+    /// `Ok(None)` at end of input.  Each batch is parsed in parallel by
+    /// the calling thread and `jobs - 1` threads of the persistent
+    /// [`rctree_par::global_pool`] (0 is taken as 1).
     ///
-    /// Errors follow the [`crate::parse_spef_deck`] ordering: when a
-    /// section body fails to parse, the rest of the input is still scanned
-    /// and a top-level scan error found there wins over the section error.
-    /// Any error is terminal for the reader.
+    /// When a section body fails to parse, the rest of the input is still
+    /// scanned and a top-level scan error found there wins over the
+    /// section error.  Any error is terminal for the reader.
     pub fn next_nets(&mut self, jobs: usize) -> Result<Option<Vec<SpefNet>>> {
         let mut raws = Vec::new();
         while raws.len() < PARSE_BATCH {
@@ -266,30 +316,30 @@ impl<R: Read> SpefReader<R> {
         }
         let mut batch_span = rctree_obs::span("spef.parse_batch");
         batch_span.attr_u64("nets", raws.len() as u64);
-        let parsed: Result<Vec<SpefNet>> =
-            rctree_par::par_map_indexed(jobs, &raws, |_, raw| raw.parse())
-                .into_iter()
-                .collect();
+        // Workers own their data on the persistent pool: the batch is
+        // shared, and each net's name is copied out once its tree is in.
+        let raws = Arc::new(raws);
+        let trees = rctree_par::par_map_global(jobs, Arc::clone(&raws), raws.len(), |i, raws| {
+            raws[i].tree()
+        });
         drop(batch_span);
-        match parsed {
-            Ok(nets) => Ok(Some(nets)),
-            Err(section_error) => {
-                // Keep scanning (not parsing) to end of input: the
-                // whole-text path scans the full document before parsing
-                // any section, so a later top-level error outranks this
-                // section error.
-                loop {
-                    match self.next_raw_section() {
-                        Ok(Some(_)) => continue,
-                        Ok(None) => {
-                            self.done = true;
-                            return Err(section_error);
-                        }
-                        Err(scan_error) => return Err(scan_error),
-                    }
+        let mut nets = Vec::with_capacity(raws.len());
+        for (raw, tree) in raws.iter().zip(trees) {
+            match tree {
+                Ok(tree) => nets.push(SpefNet {
+                    name: raw.name.clone(),
+                    declared_total_cap: raw.declared_total_cap,
+                    tree,
+                }),
+                Err(section_error) => {
+                    // Keep scanning (not parsing) to end of input: a
+                    // top-level error anywhere outranks this one.
+                    while self.next_raw_section()?.is_some() {}
+                    return Err(section_error);
                 }
             }
         }
+        Ok(Some(nets))
     }
 
     /// Parses the whole source, collecting every net in document order.

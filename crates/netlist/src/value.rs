@@ -16,6 +16,22 @@ use crate::error::{NetlistError, Result};
 ///
 /// Returns [`NetlistError::Parse`] if the literal has no leading number.
 pub fn parse_value(token: &str, line: usize) -> Result<f64> {
+    // Suffix-free decimal literals (every extracted value in a SPEF deck)
+    // skip the lowercase copy: the general path would parse the same
+    // digits and multiply by 1.0, which leaves every bit unchanged.
+    if token
+        .bytes()
+        .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E'))
+    {
+        if let Ok(value) = token.parse::<f64>() {
+            return Ok(value);
+        }
+    }
+    parse_value_general(token, line)
+}
+
+/// [`parse_value`] without the literal fast path.
+fn parse_value_general(token: &str, line: usize) -> Result<f64> {
     let lower = token.trim().to_ascii_lowercase();
     // Split the leading numeric part from the suffix.
     let split = lower
@@ -136,6 +152,84 @@ mod tests {
                 assert_eq!(token.as_deref(), Some("xyz"));
             }
             other => panic!("unexpected: {other:?}"),
+        }
+    }
+
+    /// The suffix-free fast path of [`parse_value`] returns exactly what
+    /// the general path does — the same bits, or the same error — over a
+    /// table of edge cases and seeded literals built from digits, signs,
+    /// `.`, `e`/`E`, exponents and engineering suffixes.
+    #[test]
+    fn literal_fast_path_matches_the_general_path_bit_for_bit() {
+        let agree = |token: &str| match (parse_value(token, 7), parse_value_general(token, 7)) {
+            (Ok(fast), Ok(general)) => {
+                assert_eq!(fast.to_bits(), general.to_bits(), "`{token}`");
+            }
+            (fast, general) => assert_eq!(fast, general, "`{token}`"),
+        };
+        let long = [
+            "2.2250738585072014e-308",
+            "0.30000000000000004",
+            "123456789012345678901234567890",
+        ];
+        for token in [
+            "0", "-0", "+0", "-0.0", "15", "0.04", ".5", "5.", "-3.5", "+2", "1e-3", "2.5E6",
+            "1E+3", "1e", "1E", "1e+", "e5", "E", ".", "-", "+", "+-1", "--1", "1.2.3", "",
+            "1e308", "1e309", "-1e-400", "4.9e-324", "0.1", "0.3", "1k", "1.5kOhm", "3meg", "3MEG",
+            "2E-3p", "0.01pF", "180ohm", "1e-3f", "7F", "1ee3", "x", "inf", "NaN", "infinity",
+            "1_000", " 1", "1 ",
+        ]
+        .into_iter()
+        .chain(long)
+        {
+            agree(token);
+        }
+
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let pick = |alphabet: &[u8], k: usize| alphabet[k] as char;
+        for _ in 0..20_000 {
+            let mut token = String::new();
+            if next(4) == 0 {
+                // Anything over the literal alphabet plus suffix letters.
+                let alphabet = b"0123456789.-+eEkKfpnumMgGtTxo";
+                for _ in 0..1 + next(10) {
+                    token.push(pick(alphabet, next(alphabet.len())));
+                }
+            } else {
+                // A well-formed decimal, maybe exponent, maybe suffix.
+                if next(3) == 0 {
+                    token.push(pick(b"+-", next(2)));
+                }
+                for _ in 0..next(8) {
+                    token.push(pick(b"0123456789", next(10)));
+                }
+                if next(2) == 0 {
+                    token.push('.');
+                    for _ in 0..next(18) {
+                        token.push(pick(b"0123456789", next(10)));
+                    }
+                }
+                if next(3) == 0 {
+                    token.push(pick(b"eE", next(2)));
+                    if next(2) == 0 {
+                        token.push(pick(b"+-", next(2)));
+                    }
+                    for _ in 0..next(4) {
+                        token.push(pick(b"0123456789", next(10)));
+                    }
+                }
+                if next(4) == 0 {
+                    let suffixes = ["f", "p", "n", "u", "m", "k", "meg", "g", "t", "pF", "Ohm"];
+                    token.push_str(suffixes[next(suffixes.len())]);
+                }
+            }
+            agree(&token);
         }
     }
 

@@ -14,9 +14,9 @@
 //! an already-running thread (only `std::thread::scope`'s join-before-return
 //! proof makes borrowing sound).  Global-pool jobs therefore own their data
 //! — in practice an `Arc` of the shared state, which is exactly how
-//! `rctree-sta` now stores its design core.  Borrow-based callers
-//! (`parse_spef_deck` slicing one big input string) stay on the scoped
-//! pool.
+//! `rctree-sta` stores its design core and how `rctree-netlist`'s SPEF
+//! reader shares each batch of scanned sections.  Borrow-based callers
+//! stay on the scoped pool.
 //!
 //! Determinism matches [`par_map_indexed`](crate::par_map_indexed): results
 //! are written into slots addressed by input index and concatenated in

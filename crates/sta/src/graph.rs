@@ -1664,14 +1664,7 @@ impl Design {
     /// * [`StaError::UnknownSinkNode`] if a sink references a node that is
     ///   not part of the net's interconnect tree.
     pub fn add_net(&mut self, net: Net) -> Result<()> {
-        if self
-            .shared
-            .names
-            .get(&net.name)
-            .is_some_and(|id| self.shared.net_index.contains_key(&id))
-        {
-            return Err(StaError::DuplicateNet { name: net.name });
-        }
+        self.shared.check_new_net(&net.name)?;
         if let Driver::Instance(inst) = &net.driver {
             if !self.shared.instances.contains_key(inst) {
                 return Err(StaError::UnknownInstance { name: inst.clone() });
@@ -1694,10 +1687,7 @@ impl Design {
         // were just validated); the hot analysis path reads it verbatim.
         let aug = self.shared.resolve_aug(&net)?;
         let core = Arc::make_mut(&mut self.shared);
-        let id = core.names.intern(&net.name);
-        core.net_index.insert(id, core.nets.len());
-        core.aug.push(aug);
-        core.nets.push(net);
+        core.push_net(net, aug);
         core.arena = Mutex::new(None);
         core.topo = Mutex::new(None);
         self.eco = None;
@@ -2479,52 +2469,78 @@ impl Design {
     {
         let mut obs_span = rctree_obs::span("sta.net_build");
         let mut design = Design::new(library);
-        // Validate the driver cell up front so an empty deck still reports
+        let core = Arc::get_mut(&mut design.shared).expect("a fresh design is unshared");
+        // One driver-cell lookup, up front, so an empty deck still reports
         // a bad cell name.
-        design.shared.library.cell(driver_cell)?;
+        let cell = core.library.cell(driver_cell)?;
+        let (driver_r, pin_cap) = (cell.drive_resistance, cell.input_capacitance);
+
+        // Feeder: a primary input reaching the driver through a token
+        // 10 Ω / 1 fF wire, so every stage has a real arrival window.  One
+        // tree, cloned per net.
+        let mut builder = rctree_core::builder::RcTreeBuilder::new();
+        let pin = builder
+            .add_line(
+                builder.input(),
+                "pin",
+                rctree_core::units::Ohms::new(10.0),
+                Farads::from_femto(1.0),
+            )
+            .expect("static feeder wire is valid");
+        let feeder = builder.build().expect("static feeder wire is valid");
+
+        let nets = nets.into_iter();
+        core.nets.reserve(2 * nets.size_hint().0);
+        core.aug.reserve(2 * nets.size_hint().0);
+        // The same nets, checks and error order as one `add_instance` and
+        // two `add_net` calls per deck net, with the augmentation taken
+        // from the ids in hand instead of resolved by name.
         for (name, tree) in nets {
             let inst = format!("{name}_drv");
-            design.add_instance(&inst, driver_cell)?;
+            if core.instances.contains_key(&inst) {
+                return Err(StaError::DuplicateInstance { name: inst });
+            }
+            core.instances.insert(inst.clone(), driver_cell.to_string());
+            let feeder_name = format!("{name}_pi");
+            core.check_new_net(&feeder_name)?;
+            core.push_net(
+                Net {
+                    name: feeder_name,
+                    driver: Driver::PrimaryInput,
+                    interconnect: feeder.clone(),
+                    sinks: vec![Sink {
+                        node: "pin".into(),
+                        load: Load::Instance(inst.clone()),
+                    }],
+                },
+                NetAug {
+                    driver_r: Ohms::ZERO,
+                    loads: vec![(pin, pin_cap)],
+                },
+            );
 
-            // Feeder: a primary input reaching the driver through a token
-            // 10 Ω / 1 fF wire, so every stage has a real arrival window.
-            let mut feeder = rctree_core::builder::RcTreeBuilder::new();
-            feeder
-                .add_line(
-                    feeder.input(),
-                    "pin",
-                    rctree_core::units::Ohms::new(10.0),
-                    Farads::from_femto(1.0),
-                )
-                .expect("static feeder wire is valid");
-            design.add_net(Net {
-                name: format!("{name}_pi"),
-                driver: Driver::PrimaryInput,
-                interconnect: feeder.build().expect("static feeder wire is valid"),
-                sinks: vec![Sink {
-                    node: "pin".into(),
-                    load: Load::Instance(inst.clone()),
-                }],
-            })?;
-
-            let sinks = tree
-                .outputs()
-                .map(|id| {
-                    let node = tree.name(id).expect("output node exists").to_string();
-                    Sink {
-                        load: Load::PrimaryOutput(format!("{name}/{node}")),
-                        node,
-                    }
-                })
-                .collect();
-            design.add_net(Net {
-                name,
-                driver: Driver::Instance(inst),
-                interconnect: tree,
-                sinks,
-            })?;
+            let mut sinks = Vec::new();
+            let mut loads = Vec::new();
+            for id in tree.outputs() {
+                let node = tree.name(id).expect("output node exists").to_string();
+                sinks.push(Sink {
+                    load: Load::PrimaryOutput(format!("{name}/{node}")),
+                    node,
+                });
+                loads.push((id, Farads::ZERO));
+            }
+            core.check_new_net(&name)?;
+            core.push_net(
+                Net {
+                    name,
+                    driver: Driver::Instance(inst),
+                    interconnect: tree,
+                    sinks,
+                },
+                NetAug { driver_r, loads },
+            );
         }
-        obs_span.attr_u64("nets", design.shared.nets.len() as u64);
+        obs_span.attr_u64("nets", core.nets.len() as u64);
         Ok(design)
     }
 
@@ -3431,6 +3447,31 @@ impl DesignCore {
         let bounds =
             stage_delay_bounds(driver_resistance, &net.interconnect, &sink_loads, threshold)?;
         Ok(bounds.into_iter().map(|b| (b.lower, b.upper)).collect())
+    }
+
+    /// # Errors
+    ///
+    /// [`StaError::DuplicateNet`] if a net named `name` exists.
+    fn check_new_net(&self, name: &str) -> Result<()> {
+        if self
+            .names
+            .get(name)
+            .is_some_and(|id| self.net_index.contains_key(&id))
+        {
+            return Err(StaError::DuplicateNet {
+                name: name.to_string(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Appends a net, whose name [`DesignCore::check_new_net`] accepted,
+    /// with its resolved augmentation.
+    fn push_net(&mut self, net: Net, aug: NetAug) {
+        let id = self.names.intern(&net.name);
+        self.net_index.insert(id, self.nets.len());
+        self.aug.push(aug);
+        self.nets.push(net);
     }
 
     /// Pre-resolves a net's stage augmentation — driver resistance and

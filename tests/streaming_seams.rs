@@ -6,8 +6,12 @@
 //! byte offset of each fixture, so every seam is exercised: mid-line,
 //! mid-token, mid-`*D_NET` section, between the `\r` and `\n` of a CRLF
 //! pair, and at end of input with and without a trailing newline.
+//!
+//! `parse_spef_deck` is the same reader over the text's bytes, so every
+//! valid fixture is also checked against the serial `parse_spef`, which
+//! walks `str::lines` and shares none of the byte scanner.
 
-use penfield_rubinstein::netlist::{parse_spef_deck, NetlistError, SpefNet};
+use penfield_rubinstein::netlist::{parse_spef, parse_spef_deck, NetlistError, SpefNet};
 use penfield_rubinstein::workloads::deck::{spef_deck, SpefDeckParams};
 use rctree_netlist::stream::SpefReader;
 
@@ -20,9 +24,16 @@ fn chunk_sweep() -> Vec<usize> {
 }
 
 /// Streams `text` at every chunk size and checks exact agreement —
-/// parsed nets and errors alike — with the whole-text deck parser.
+/// parsed nets and errors alike — with the whole-text deck parser, and
+/// with the serial parser whenever either accepts the document (on an
+/// invalid one the serial parser may report a section error that the deck
+/// scanner outranks with a later top-level error).
 fn assert_stream_matches(text: &str) {
     let want: Result<Vec<SpefNet>, NetlistError> = parse_spef_deck(text, 2);
+    let serial = parse_spef(text);
+    if want.is_ok() || serial.is_ok() {
+        assert_eq!(want, serial, "deck and serial parsers disagree on:\n{text}");
+    }
     for chunk in chunk_sweep() {
         let got = SpefReader::with_chunk_size(text.as_bytes(), chunk).parse_all(2);
         assert_eq!(got, want, "chunk size {chunk} diverged on:\n{text}");
@@ -141,4 +152,83 @@ fn incremental_pull_api_yields_document_order() {
     }
     assert_eq!(got, want);
     assert_eq!(reader.next_nets(1).unwrap(), None, "reader stays done");
+}
+
+/// Two nets under a femtofarad unit, in the plain form the fixtures below
+/// vary.
+const TWO_NETS: &str = "\
+*SPEF \"IEEE 1481-1998\"\n\
+*C_UNIT 1 FF\n\
+*D_NET a 3\n*CONN\n*I drv I\n*P x O\n*CAP\n1 x 1\n2 m 2\n*RES\n1 drv m 5\n2 m x 6\n*END\n\
+*D_NET b 2\n*CONN\n*I drv I\n*P y O\n*CAP\n1 y 2\n*RES\n1 drv y 7\n*END\n";
+
+/// Checks `text` at every seam and that it parses to the same two nets as
+/// [`TWO_NETS`].
+fn assert_two_nets(text: &str) {
+    assert_stream_matches(text);
+    assert_eq!(
+        parse_spef_deck(text, 1),
+        parse_spef(TWO_NETS),
+        "fixture must parse like the plain deck:\n{text}"
+    );
+}
+
+#[test]
+fn unicode_whitespace_before_directives_streams_identically() {
+    // `str::trim` strips U+00A0 and U+3000, so these lines still open and
+    // close sections: the byte scanner must fall back to the `str` path
+    // when a line's first non-blank byte is not ASCII.
+    for space in ["\u{a0}", "\u{3000}", " \u{a0}\t", "\u{3000}\u{a0}"] {
+        assert_two_nets(&TWO_NETS.replace("*END", &format!("{space}*END")));
+        assert_two_nets(&TWO_NETS.replace("*D_NET", &format!("{space}*D_NET")));
+        assert_two_nets(
+            &TWO_NETS
+                .replace("*END", &format!("{space}*END"))
+                .replace("*D_NET", &format!("{space}*D_NET")),
+        );
+    }
+    // Unicode whitespace between tokens splits them too.
+    assert_two_nets(&TWO_NETS.replace("1 x 1", "1\u{a0}x\u{3000}1"));
+}
+
+#[test]
+fn lower_case_end_streams_identically() {
+    assert_two_nets(&TWO_NETS.replace("*END", "*end"));
+    assert_two_nets(&TWO_NETS.replacen("*END", "*End", 1));
+}
+
+#[test]
+fn comments_after_end_and_mid_token_stream_identically() {
+    assert_two_nets(&TWO_NETS.replace("*END", "*END// closed"));
+    assert_two_nets(&TWO_NETS.replace("*END", "*END//"));
+    // A comment that starts mid-token cuts the token there.
+    assert_two_nets(&TWO_NETS.replace("1 drv y 7", "1 drv y 7//5 ohm"));
+    assert_two_nets(&TWO_NETS.replace("*P x O", "*P x O//utput"));
+    // A comment inside the `*END` keyword leaves the section open.
+    let split_end = TWO_NETS.replacen("*END", "*EN//D", 1);
+    assert_stream_matches(&split_end);
+    assert!(parse_spef_deck(&split_end, 1).is_err());
+}
+
+#[test]
+fn blank_lines_inside_bodies_stream_identically() {
+    assert_two_nets(&TWO_NETS.replace("*CONN\n", "*CONN\n\n   \n"));
+    assert_two_nets(&TWO_NETS.replace("*RES\n", "*RES\n\t\n// note\n\n"));
+    assert_two_nets(&TWO_NETS.replace('\n', "\n\n"));
+}
+
+#[test]
+fn tabs_with_crlf_stream_identically() {
+    let tabbed = TWO_NETS.replace(' ', "\t");
+    assert_two_nets(&tabbed);
+    assert_two_nets(&tabbed.replace('\n', "\r\n"));
+    assert_two_nets(&TWO_NETS.replace(' ', " \t ").replace('\n', "\r\n"));
+}
+
+#[test]
+fn tab_separated_pin_lines_stream_identically() {
+    // Pins are matched on their first token, so a tab after `*I`/`*P`
+    // is as good as a space.
+    assert_two_nets(&TWO_NETS.replace("*I ", "*I\t").replace("*P ", "*P\t"));
+    assert_two_nets(&TWO_NETS.replace("*I drv I", "*i\tdrv\ti"));
 }
