@@ -1,4 +1,4 @@
-//! Multi-corner sweep amortization: K lanes in one traversal versus K
+//! Multi-corner sweep amortization: K corner lanes of one design versus K
 //! independent single-corner analyses.
 //!
 //! The tentpole measurement of the corner subsystem, framed as the
@@ -7,10 +7,11 @@
 //! race on an identical seeded deck and corner set:
 //!
 //! * **lanes** — one design with the corner set installed; each revision
-//!   rebuilds the lane-vectorized SoA arena (one tree walk for the base
-//!   columns, each extra corner a multiply-only lane appended to them) and
-//!   `Design::analyze_corners` sweeps **all** K corners in one post-order
-//!   + pre-order traversal per net;
+//!   rebuilds the SoA arena (every net spliced once per corner, each lane's
+//!   values scaled as they are spliced, over shared topology columns) and
+//!   `Design::analyze_corners` sweeps the K lanes of every net with one
+//!   kernel and scratch, then propagates each lane over one cached
+//!   topology;
 //! * **serial** — the pre-corner workflow: each revision, every corner's
 //!   scaled design is reconstructed from the edited nominal design
 //!   ([`Design::materialize_corner`] — a scaled deck is a *derived*
@@ -81,8 +82,8 @@ fn best_of<F: FnMut() -> f64>(iters: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One revision on the lane engine: invalidate the arena, sweep all K
-/// corners in one traversal.  Returns the worst slack over all lanes.
+/// One revision on the lane engine: invalidate the arena, sweep the K
+/// corner lanes.  Returns the worst slack over all lanes.
 fn revision_lanes(design: &mut Design, set: &CornerSet, jobs: usize) -> f64 {
     design.set_corners(set.clone());
     let analysis = design
@@ -121,8 +122,8 @@ fn main() {
         set.names_csv()
     );
 
-    // Correctness gate: every lane of the one-traversal sweep is
-    // bit-identical to its fully materialized single-corner oracle.
+    // Correctness gate: every lane of the corner sweep is bit-identical
+    // to its fully materialized single-corner oracle.
     design.set_corners(set.clone());
     let analysis = design
         .analyze_corners(THRESHOLD, BUDGET, jobs)
@@ -152,8 +153,8 @@ fn main() {
         speedup
     );
 
-    // The acceptance bar: a K=4 one-traversal sweep must amortize to at
-    // least `floor` (default 2x) over 4 independent analyses.
+    // The acceptance bar: a K=4 lane sweep must amortize to at least
+    // `floor` (default 2x) over 4 independent analyses.
     assert!(
         speedup >= floor,
         "K={k} amortization {speedup:.2}x fell below the {floor}x acceptance bar"

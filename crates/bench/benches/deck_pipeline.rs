@@ -4,18 +4,13 @@
 //! per-stage times, nets/s, ingest MB/s (`parse_mb_per_s`, 10^6 deck bytes
 //! per second of parse) and the process peak RSS at every deck size.
 //!
-//! Two analysis paths run on every deck:
-//!
-//! * **arena** — [`Design::analyze_with_jobs`]: augmentation pre-resolved
-//!   at `add_net` through the name interner, per-net arrays packed into
-//!   one contiguous SoA arena, cached propagation topology;
-//! * **baseline** — [`Design::analyze_rebuild_with_jobs`]: the preserved
-//!   pre-PR path that re-resolves every name and rebuilds every per-net
-//!   array and the topology on each call.
-//!
-//! The two reports are asserted **bit-identical** before timing means
-//! anything, and at `>= 100_000` nets the arena path must be at least
-//! 1.5x the baseline's nets/s — the acceptance bar for this optimisation.
+//! The analysis is [`Design::analyze_with_jobs`]: augmentation
+//! pre-resolved at `add_net` through the name interner, per-net arrays
+//! packed into one contiguous SoA arena, cached propagation topology.  Its
+//! report is asserted **bit-identical** to an independent path before
+//! timing means anything: the cold ECO warm-up of a clone
+//! ([`Design::apply_eco_with_jobs`] with no edits), which resolves every
+//! name per net and splices each net on its own.
 //!
 //! Environment knobs:
 //!
@@ -97,7 +92,6 @@ struct SizeResult {
     parse_s: f64,
     build_s: f64,
     arena_s: f64,
-    baseline_s: f64,
     peak_rss_mib: f64,
 }
 
@@ -145,29 +139,26 @@ fn run_size(
     .expect("generated deck builds a design");
     let build_s = start.elapsed().as_secs_f64();
 
-    // Correctness gate: the arena path must be bit-identical to the
-    // preserved string-keyed baseline before its timing means anything.
+    // Correctness gate: the arena path must be bit-identical to the cold
+    // ECO warm-up, which resolves names and splices per net, before its
+    // timing means anything.
     let arena_report: TimingReport = design
         .analyze_with_jobs(THRESHOLD, budget, jobs)
         .expect("arena analysis");
-    let baseline_report = design
-        .analyze_rebuild_with_jobs(THRESHOLD, budget, jobs)
-        .expect("baseline analysis");
+    let warm_up_report = design
+        .clone()
+        .apply_eco_with_jobs(&[], THRESHOLD, budget, jobs)
+        .expect("ECO warm-up");
     assert!(
-        arena_report == baseline_report,
-        "arena analysis differs from the string-keyed baseline at {nets} nets"
+        arena_report == warm_up_report,
+        "arena analysis differs from the ECO warm-up at {nets} nets"
     );
 
-    // Stage 4: steady-state analysis throughput, both paths.
+    // Stage 4: steady-state analysis throughput.
     let arena_s = best_of(iters, || {
         design
             .analyze_with_jobs(THRESHOLD, budget, jobs)
             .expect("arena analysis")
-    });
-    let baseline_s = best_of(iters, || {
-        design
-            .analyze_rebuild_with_jobs(THRESHOLD, budget, jobs)
-            .expect("baseline analysis")
     });
 
     let _ = std::fs::remove_file(&path);
@@ -179,7 +170,6 @@ fn run_size(
         parse_s,
         build_s,
         arena_s,
-        baseline_s,
         peak_rss_mib: peak_rss_mib(),
     }
 }
@@ -196,7 +186,6 @@ fn main() {
     println!("deck_pipeline: {jobs} workers (hardware {avail}), best of {iters}");
     for nets in sizes() {
         let r = run_size(nets, jobs, iters, budget, dir);
-        let speedup = r.baseline_s / r.arena_s;
         println!(
             "  {:>9} nets / {:>9} nodes  ({:.1} MiB SPEF)",
             r.nets,
@@ -217,30 +206,11 @@ fn main() {
             r.arena_s,
             r.nets as f64 / r.arena_s
         );
-        println!(
-            "    analyze/baseline {:>9.4} s  {:>12.1} nets/s",
-            r.baseline_s,
-            r.nets as f64 / r.baseline_s
-        );
-        println!(
-            "    speedup {speedup:>10.2}x   peak RSS {:>8.1} MiB",
-            r.peak_rss_mib
-        );
-        // The acceptance bar: at 1e5+ nets the interned/arena path must
-        // beat the string-keyed baseline by 1.5x.
-        if r.nets >= 100_000 {
-            assert!(
-                speedup >= 1.5,
-                "arena path is only {speedup:.2}x the baseline at {} nets (need >= 1.5x)",
-                r.nets
-            );
-        }
+        println!("    peak RSS {:>8.1} MiB", r.peak_rss_mib);
         entries.push(format!(
             "    {{ \"nets\": {}, \"nodes\": {}, \"spef_bytes\": {}, \"gen_s\": {}, \
              \"parse_s\": {}, \"parse_nets_per_s\": {}, \"parse_mb_per_s\": {}, \"build_s\": {}, \
-             \"analyze_arena_s\": {}, \"arena_nets_per_s\": {}, \
-             \"analyze_baseline_s\": {}, \"baseline_nets_per_s\": {}, \
-             \"speedup\": {}, \"peak_rss_mib\": {} }}",
+             \"analyze_arena_s\": {}, \"arena_nets_per_s\": {}, \"peak_rss_mib\": {} }}",
             r.nets,
             r.nodes,
             r.bytes,
@@ -251,9 +221,6 @@ fn main() {
             r.build_s,
             r.arena_s,
             r.nets as f64 / r.arena_s,
-            r.baseline_s,
-            r.nets as f64 / r.baseline_s,
-            speedup,
             r.peak_rss_mib
         ));
     }

@@ -303,8 +303,9 @@ options:
                                spec when the value contains `=` (lines
                                `<name>=<r>,<c>[,<d>]` and
                                `override <net> <corner> <r> <c>`,
-                               `;`-separated inline); all corners are
-                               timed in one traversal per net
+                               `;`-separated inline); each corner is
+                               one more lane of element values, timed
+                               by the same sweep as nominal
   --corner <k|name|worst>      report mode: print this corner's report
                                instead of nominal (`worst` picks the
                                smallest-slack corner against --budget);

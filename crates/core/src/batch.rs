@@ -621,248 +621,6 @@ impl SymbolicView<'_> {
     }
 }
 
-/// One corner lane's element arrays for [`LaneScratch::sweep_lanes`]:
-/// `(branch_r, branch_c, node_cap)` over the shared parent vector.
-pub type LaneArrays<'a> = (&'a [f64], &'a [f64], &'a [f64]);
-
-/// Reusable buffers for **multi-corner** pre-order sweeps: all `K` corner
-/// lanes of one net in a single post-order + pre-order traversal.
-///
-/// The lanes share one topology (`parent` is validated once, the node loop
-/// runs once) while every float operation stays **per lane**: lane `k`'s
-/// accumulations run in exactly the order [`BatchScratch::sweep`] would run
-/// them on lane `k`'s arrays alone, and lanes never mix — so each lane's
-/// results are bit-identical to a serial single-corner sweep of that lane,
-/// and lane 0 (the nominal corner) reproduces the single-corner path
-/// exactly.  Buffers are lane-major (`buf[k*n + i]`).
-#[derive(Debug, Clone, Default)]
-pub struct LaneScratch {
-    path_r: Vec<f64>,
-    down_cap: Vec<f64>,
-    t_d: Vec<f64>,
-    t_r: Vec<f64>,
-    t_p: Vec<f64>,
-    total_cap: Vec<f64>,
-}
-
-/// The result of one [`LaneScratch::sweep_lanes`], borrowing the scratch
-/// buffers: `K` lanes × `n` nodes of characteristic times.
-#[derive(Debug)]
-pub struct LanesView<'a> {
-    nodes: usize,
-    t_p: &'a [f64],
-    total_cap: &'a [f64],
-    r_ee: &'a [f64],
-    t_d: &'a [f64],
-    t_r: &'a [f64],
-}
-
-impl LaneScratch {
-    /// Fresh scratch with empty buffers.
-    pub fn new() -> Self {
-        LaneScratch::default()
-    }
-
-    /// Sweeps all lanes over the shared `parent` vector in one traversal.
-    ///
-    /// Structural validation (lengths, root, parent pre-order) is shared;
-    /// value validation (zero root branches, total capacitance, path
-    /// resistance) runs per lane **in lane order**, so when several lanes
-    /// would fail the lowest lane's error surfaces — matching a serial
-    /// lane-by-lane evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors [`BatchScratch::sweep`] raises on the first
-    /// failing lane's arrays (structural errors are raised once, since the
-    /// topology is shared).
-    pub fn sweep_lanes<'a>(
-        &'a mut self,
-        parent: &[u32],
-        lanes: &[LaneArrays],
-    ) -> Result<LanesView<'a>> {
-        let n = parent.len();
-        let k_count = lanes.len();
-        if n == 0
-            || k_count == 0
-            || lanes
-                .iter()
-                .any(|(r, c, cap)| r.len() != n || c.len() != n || cap.len() != n)
-        {
-            return Err(CoreError::InvalidValue {
-                what: "pre-order array length",
-                value: n as f64,
-            });
-        }
-        if parent[0] != 0 {
-            return Err(CoreError::InvalidValue {
-                what: "pre-order root parent",
-                value: parent[0] as f64,
-            });
-        }
-        for &(branch_r, branch_c, _) in lanes {
-            if branch_r[0] != 0.0 {
-                return Err(CoreError::InvalidValue {
-                    what: "pre-order root branch resistance",
-                    value: branch_r[0],
-                });
-            }
-            if branch_c[0] != 0.0 {
-                return Err(CoreError::InvalidValue {
-                    what: "pre-order root branch capacitance",
-                    value: branch_c[0],
-                });
-            }
-        }
-        for (i, &p) in parent.iter().enumerate().skip(1) {
-            if p as usize >= i {
-                return Err(CoreError::InvalidValue {
-                    what: "pre-order parent index",
-                    value: p as f64,
-                });
-            }
-        }
-
-        // Per-lane total capacitance, each lane summed in index order like
-        // the single-lane path.
-        let total_cap = &mut self.total_cap;
-        total_cap.clear();
-        for &(_, branch_c, node_cap) in lanes {
-            let lumped: f64 = node_cap.iter().sum();
-            let distributed: f64 = branch_c[1..].iter().sum();
-            let total = lumped + distributed;
-            if total == 0.0 {
-                return Err(CoreError::NoCapacitance);
-            }
-            total_cap.push(total);
-        }
-
-        // One downward pass carries every lane's path resistance.
-        let path_r = &mut self.path_r;
-        path_r.clear();
-        path_r.resize(k_count * n, 0.0);
-        for i in 1..n {
-            let p = parent[i] as usize;
-            for (k, &(branch_r, _, _)) in lanes.iter().enumerate() {
-                let base = k * n;
-                path_r[base + i] = path_r[base + p] + branch_r[i];
-            }
-        }
-        // One upward (post-order) pass accumulates subtree capacitance.
-        let down_cap = &mut self.down_cap;
-        down_cap.clear();
-        for &(_, _, node_cap) in lanes {
-            down_cap.extend_from_slice(node_cap);
-        }
-        for i in (1..n).rev() {
-            let p = parent[i] as usize;
-            for (k, &(_, branch_c, _)) in lanes.iter().enumerate() {
-                let base = k * n;
-                down_cap[base + p] += down_cap[base + i] + branch_c[i];
-            }
-        }
-
-        // T_P per lane, accumulated in node order within each lane.
-        let t_p = &mut self.t_p;
-        t_p.clear();
-        t_p.resize(k_count, 0.0);
-        for i in 0..n {
-            let p = parent[i] as usize;
-            for (k, &(branch_r, branch_c, node_cap)) in lanes.iter().enumerate() {
-                let base = k * n;
-                t_p[k] += node_cap[i] * path_r[base + i]
-                    + branch_c[i] * (path_r[base + p] + branch_r[i] / 2.0);
-            }
-        }
-
-        // One pre-order pass carries every lane's Elmore delay and T_Re
-        // numerator.
-        let t_d = &mut self.t_d;
-        t_d.clear();
-        t_d.resize(k_count * n, 0.0);
-        let t_r = &mut self.t_r;
-        t_r.clear();
-        t_r.resize(k_count * n, 0.0);
-        for i in 1..n {
-            let p = parent[i] as usize;
-            for (k, &(branch_r, branch_c, _)) in lanes.iter().enumerate() {
-                let base = k * n;
-                let r = branch_r[i];
-                let c_line = branch_c[i];
-                let c_sub = down_cap[base + i];
-                let (r_pp, r_cc) = (path_r[base + p], path_r[base + i]);
-                t_d[base + i] = t_d[base + p] + r * (c_sub + c_line / 2.0);
-                t_r[base + i] =
-                    t_r[base + p] + (r_cc + r_pp) * r * c_sub + c_line * (r_pp * r + r * r / 3.0);
-            }
-        }
-        // Normalise each lane's T_Re numerator in lane order.
-        for k in 0..k_count {
-            let base = k * n;
-            for i in 0..n {
-                let num = &mut t_r[base + i];
-                if *num == 0.0 {
-                    // No capacitor shares any resistance with this node.
-                } else if path_r[base + i] == 0.0 {
-                    return Err(CoreError::NoPathResistance { output: NodeId(i) });
-                } else {
-                    *num /= path_r[base + i];
-                }
-            }
-        }
-
-        Ok(LanesView {
-            nodes: n,
-            t_p,
-            total_cap,
-            r_ee: path_r,
-            t_d,
-            t_r,
-        })
-    }
-}
-
-impl LanesView<'_> {
-    /// The complete signature of one node at one corner lane (`O(1)`) —
-    /// bit-identical to [`BatchScratch::sweep`] run on that lane alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NodeNotFound`] if `index` is out of range and
-    /// [`CoreError::InvalidValue`] if `lane` is.
-    pub fn times_at(&self, lane: usize, index: usize) -> Result<CharacteristicTimes> {
-        if lane >= self.lane_count() {
-            return Err(CoreError::InvalidValue {
-                what: "corner lane index",
-                value: lane as f64,
-            });
-        }
-        if index >= self.nodes {
-            return Err(CoreError::NodeNotFound {
-                node: NodeId(index),
-            });
-        }
-        let base = lane * self.nodes;
-        CharacteristicTimes::new(
-            Seconds::new(self.t_p[lane]),
-            Seconds::new(self.t_d[base + index]),
-            Seconds::new(self.t_r[base + index]),
-            Ohms::new(self.r_ee[base + index]),
-            Farads::new(self.total_cap[lane]),
-        )
-    }
-
-    /// Number of corner lanes.
-    pub fn lane_count(&self) -> usize {
-        self.t_p.len()
-    }
-
-    /// Number of analysed nodes per lane.
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,121 +835,6 @@ mod tests {
             let got = scratch.sweep(parent, r, c, cap).map(|_| ()).unwrap_err();
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn lane_sweep_single_lane_matches_scratch_sweep_bit_for_bit() {
-        let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
-        let mut scratch = BatchScratch::new();
-        let view = scratch
-            .sweep(
-                &cache.parent,
-                &cache.branch_r,
-                &cache.branch_c,
-                &cache.node_cap,
-            )
-            .unwrap();
-        let mut lanes = LaneScratch::new();
-        let lane_view = lanes
-            .sweep_lanes(
-                &cache.parent,
-                &[(&cache.branch_r, &cache.branch_c, &cache.node_cap)],
-            )
-            .unwrap();
-        assert_eq!(lane_view.lane_count(), 1);
-        assert_eq!(lane_view.node_count(), view.node_count());
-        for i in 0..view.node_count() {
-            assert_eq!(lane_view.times_at(0, i).unwrap(), view.times_at(i).unwrap());
-        }
-    }
-
-    #[test]
-    fn lane_sweep_matches_serial_per_lane_sweeps_bit_for_bit() {
-        let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
-        let n = cache.parent.len();
-        // Three corners scaling each element individually (one rounding per
-        // element — the corner-model contract).
-        let scales = [(1.0, 1.0), (1.3, 1.2), (0.8, 0.9)];
-        let lanes_data: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = scales
-            .iter()
-            .map(|&(rs, cs)| {
-                (
-                    cache.branch_r.iter().map(|&r| r * rs).collect(),
-                    cache.branch_c.iter().map(|&c| c * cs).collect(),
-                    cache.node_cap.iter().map(|&c| c * cs).collect(),
-                )
-            })
-            .collect();
-        let lane_refs: Vec<LaneArrays> = lanes_data
-            .iter()
-            .map(|(r, c, cap)| (r.as_slice(), c.as_slice(), cap.as_slice()))
-            .collect();
-        let mut lanes = LaneScratch::new();
-        // Pollute the scratch first: reuse must not leak state.
-        lanes
-            .sweep_lanes(&[0, 0], &[(&[0.0, 7.0], &[0.0, 0.0], &[3.0, 4.0])])
-            .unwrap();
-        let view = lanes.sweep_lanes(&cache.parent, &lane_refs).unwrap();
-        let mut serial = BatchScratch::new();
-        for (k, (r, c, cap)) in lanes_data.iter().enumerate() {
-            let want = serial.sweep(&cache.parent, r, c, cap).unwrap();
-            for i in 0..n {
-                assert_eq!(
-                    view.times_at(k, i).unwrap(),
-                    want.times_at(i).unwrap(),
-                    "lane {k} node {i}"
-                );
-            }
-        }
-        assert!(matches!(
-            view.times_at(3, 0),
-            Err(CoreError::InvalidValue { .. })
-        ));
-        assert!(matches!(
-            view.times_at(0, 999),
-            Err(CoreError::NodeNotFound { .. })
-        ));
-    }
-
-    #[test]
-    fn lane_sweep_rejects_malformed_inputs_like_scratch_sweep() {
-        let mut lanes = LaneScratch::new();
-        // No lanes at all is a length error.
-        assert!(matches!(
-            lanes.sweep_lanes(&[0, 0], &[]),
-            Err(CoreError::InvalidValue { .. })
-        ));
-        type Case<'a> = (&'a [u32], &'a [f64], &'a [f64], &'a [f64]);
-        let mut scratch = BatchScratch::new();
-        let cases: [Case; 6] = [
-            (&[], &[], &[], &[]),
-            (&[0, 0], &[0.0], &[0.0, 0.0], &[1.0, 1.0]),
-            (&[1, 0, 1], &[0.0; 3], &[0.0; 3], &[1.0; 3]),
-            (&[0, 0], &[3.0, 5.0], &[0.0, 0.0], &[1.0, 1.0]),
-            (&[0, 0], &[0.0, 5.0], &[2.0, 0.0], &[1.0, 1.0]),
-            (&[0, 0], &[0.0, 5.0], &[0.0, 0.0], &[0.0, 0.0]),
-        ];
-        for (parent, r, c, cap) in cases {
-            let want = scratch.sweep(parent, r, c, cap).map(|_| ()).unwrap_err();
-            let got = lanes
-                .sweep_lanes(parent, &[(r, c, cap)])
-                .map(|_| ())
-                .unwrap_err();
-            assert_eq!(got, want);
-        }
-        // A failing second lane surfaces its own error after lane 0 passes.
-        assert!(matches!(
-            lanes.sweep_lanes(
-                &[0, 0],
-                &[
-                    (&[0.0, 5.0], &[0.0, 0.0], &[1.0, 1.0]),
-                    (&[0.0, 5.0], &[0.0, 0.0], &[0.0, 0.0]),
-                ]
-            ),
-            Err(CoreError::NoCapacitance)
-        ));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! resistance by `r_scale` and every capacitance by `c_scale` can reuse the
 //! *topology* of the nominal analysis unchanged — only the element values
 //! differ.  [`CornerSet`] names those corners and carries their scale
-//! factors; the `rctree-sta` arena appends one value lane per corner and
-//! sweeps all lanes in a single traversal per net.
+//! factors; the `rctree-sta` arena keeps one lane of element values per
+//! corner over one shared topology and sweeps each lane with one kernel.
 //!
 //! ## Scaling semantics
 //!

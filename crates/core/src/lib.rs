@@ -102,10 +102,7 @@ pub mod units;
 pub mod prelude {
     pub use crate::algebra::{DelayValue, Poly2, SymbolicTimes};
     pub use crate::analysis::{OutputTiming, TreeAnalysis};
-    pub use crate::batch::{
-        BatchScratch, BatchTimes, BatchView, LaneArrays, LaneScratch, LanesView, SymbolicScratch,
-        SymbolicView,
-    };
+    pub use crate::batch::{BatchScratch, BatchTimes, BatchView, SymbolicScratch, SymbolicView};
     pub use crate::bounds::{
         symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds, VoltageBounds,
     };
@@ -131,10 +128,7 @@ pub mod prelude {
 
 pub use crate::algebra::{DelayValue, Poly2, SymbolicTimes};
 pub use crate::analysis::TreeAnalysis;
-pub use crate::batch::{
-    BatchScratch, BatchTimes, BatchView, LaneArrays, LaneScratch, LanesView, SymbolicScratch,
-    SymbolicView,
-};
+pub use crate::batch::{BatchScratch, BatchTimes, BatchView, SymbolicScratch, SymbolicView};
 pub use crate::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds, VoltageBounds};
 pub use crate::builder::RcTreeBuilder;
 pub use crate::cert::Certification;

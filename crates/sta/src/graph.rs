@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rctree_core::algebra::{DelayValue, Poly2, SymbolicTimes};
-use rctree_core::batch::{BatchScratch, BatchTimes, LaneScratch};
+use rctree_core::batch::{BatchScratch, BatchTimes};
 use rctree_core::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds};
 use rctree_core::cert::Certification;
 use rctree_core::corner::CornerSet;
@@ -32,10 +32,7 @@ use crate::arena::NetArena;
 use crate::cell::{Cell, CellLibrary};
 use crate::error::{Result, StaError};
 use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
-use crate::stage::{
-    stage_delay_bounds, stage_delay_bounds_scaled, stage_symbolic_bounds, stage_symbolic_sweep,
-    StageScales,
-};
+use crate::stage::{augmented_batch, stage_symbolic_bounds, stage_symbolic_sweep, StageScales};
 
 thread_local! {
     /// Per-thread reusable sweep buffers for the arena-backed stage
@@ -43,10 +40,6 @@ thread_local! {
     /// worker's scratch survives across nets *and* across analysis calls —
     /// the steady state allocates nothing per net.
     static SWEEP_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
-
-    /// Per-thread reusable buffers for the multi-lane (all-corners) sweep,
-    /// the corner analogue of [`SWEEP_SCRATCH`].
-    static LANE_SCRATCH: RefCell<LaneScratch> = RefCell::new(LaneScratch::new());
 }
 
 /// What drives a net.
@@ -260,6 +253,10 @@ pub(crate) struct NetAug {
 /// plain numbers, so re-timing a net allocates no strings.
 type Window = (Seconds, Seconds);
 
+/// A dirty net re-timed before commit: its index, its edited engine, and
+/// every lane's sink windows.
+type Retimed = (usize, NetEngine, Vec<Vec<Window>>);
+
 /// One sink of a net as the persistent ECO engine sees it: the interconnect
 /// node it hangs on (re-resolved by name after structural edits) plus the
 /// load it adds to the augmented stage tree.
@@ -277,15 +274,15 @@ struct SinkBinding {
 }
 
 /// The persistent per-net ECO engine: a live [`EditableTree`] over the
-/// net's interconnect plus the cached augmentation data (driver resistance
-/// and per-sink load capacitances) of its stage tree.
+/// net's interconnect plus the cached augmentation data (driver resistance,
+/// per-sink load capacitances and per-corner scales) of its stage tree.
 ///
 /// [`EcoEdit`]s are mapped straight onto the live engine —
 /// `O(depth · log n)` for value edits — instead of seeding a throwaway
 /// `EditableTree` per call; dirty-net re-timing then runs one flat
-/// pre-order sweep over the engine's (always exact) node table via
-/// [`stage_delay_bounds`], which is **bit-identical** to the one-shot
-/// [`Design::analyze_with_jobs`] evaluation of the same net.
+/// pre-order sweep per corner lane over the engine's (always exact) node
+/// table via [`augmented_batch`], which is **bit-identical** to the
+/// one-shot evaluation of the same net and lane.
 #[derive(Debug, Clone)]
 struct NetEngine {
     /// Live engine over the net's interconnect; its node table and
@@ -296,6 +293,8 @@ struct NetEngine {
     driver_r: Ohms,
     /// Sink bindings in `net.sinks` order.
     sinks: Vec<SinkBinding>,
+    /// The net's scales at every corner lane, nominal first.
+    scales: Vec<StageScales>,
 }
 
 /// The instance chain of a path, shared by `Arc`: one link (instance index
@@ -439,8 +438,8 @@ impl PropagationCache {
 }
 
 /// Cached analysis state backing the incremental [`Design::apply_eco`]
-/// path: per-net persistent engines, the propagation topology, and the
-/// timing state of every corner lane.
+/// path: per-net persistent engines, the propagation topology, and one
+/// timing lane per corner of the design's corner set.
 ///
 /// All of it is kept bit-consistent with what a full
 /// [`Design::analyze_with_jobs`] of the current design would produce; the
@@ -452,38 +451,32 @@ struct EcoState {
     threshold: f64,
     engines: Vec<NetEngine>,
     prop: Arc<PropagationCache>,
-    /// The nominal lane (corner 0).
-    nominal: LaneTiming,
-    /// Per-corner companion state when the design has a multi-corner set
-    /// installed; `None` for nominal-only designs.  Maintained through the
-    /// same dirty-net commits and cone walks as the nominal lane, so a
-    /// publish always has every corner's windows current.
-    corners: Option<CornerState>,
+    /// One lane per corner of the core's corner set, nominal first (the
+    /// set cannot change under the state: [`Design::set_corners`] drops
+    /// it).  Every lane goes through the same dirty-net commits and cone
+    /// walks, so a publish always has every corner's windows current.
+    lanes: Vec<LaneTiming>,
 }
 
-/// Incrementally maintained multi-corner analysis state: the corner set
-/// plus one [`CornerLane`] per **extra** corner (arena lane `k` ↔
-/// `lanes[k − 1]`; the nominal lane 0 is [`EcoState::nominal`]).
-#[derive(Debug, Clone)]
-struct CornerState {
-    set: Arc<CornerSet>,
-    lanes: Vec<CornerLane>,
+impl EcoState {
+    /// Lane `k`'s report against `required_time`, sharing every endpoint
+    /// chunk with the lane's persistent order.
+    fn report(&self, k: usize, required_time: Seconds) -> TimingReport {
+        TimingReport {
+            threshold: self.threshold,
+            required_time,
+            endpoints: self.lanes[k].order.clone(),
+        }
+    }
 }
 
-/// One extra corner: its scaled intrinsic delays plus its own
-/// [`LaneTiming`], re-derived in lock-step with the nominal lane (same
-/// dirty nets, same cone ranks).
-#[derive(Debug, Clone)]
-struct CornerLane {
-    /// Per-instance intrinsic delay scaled by the corner's `delay_scale`.
-    intrinsic: Vec<Seconds>,
-    timing: LaneTiming,
-}
-
-/// One corner lane's incremental timing: per-net sink windows, per-instance
-/// arrivals, and every endpoint in report order.
+/// One corner lane's incremental timing: the corner's intrinsic delays,
+/// per-net sink windows, per-instance arrivals, and every endpoint in
+/// report order.
 #[derive(Debug, Clone)]
 struct LaneTiming {
+    /// Per-instance intrinsic delay scaled by the corner's `delay_scale`.
+    intrinsic: Vec<Seconds>,
     delays: Vec<Vec<Window>>,
     arrivals: Vec<InstArrival>,
     /// Per net, per endpoint in sink order: the worst arrival its entry in
@@ -520,10 +513,10 @@ impl LaneTiming {
     /// number of endpoints filed.
     fn full(
         prop: &PropagationCache,
-        intrinsic: &[Seconds],
+        intrinsic: Vec<Seconds>,
         delays: Vec<Vec<Window>>,
     ) -> (LaneTiming, u64) {
-        let (arrivals, per_net) = ScalarLane::new(prop, intrinsic, &delays).full();
+        let (arrivals, per_net) = ScalarLane::new(prop, &intrinsic, &delays).full();
         let endpoint_keys = per_net
             .iter()
             .map(|eps| eps.iter().map(|e| e.arrival.max).collect())
@@ -531,6 +524,7 @@ impl LaneTiming {
         let order = endpoint_order(prop, per_net);
         let filed = order.len() as u64;
         let lane = LaneTiming {
+            intrinsic,
             delays,
             arrivals,
             endpoint_keys,
@@ -542,13 +536,8 @@ impl LaneTiming {
     /// Re-propagates the cone of `dirty_ranks` and re-files the endpoints
     /// of every net the walk rewrote: each old entry is removed under the
     /// key recorded in `endpoint_keys`, each new one inserted.
-    fn cone(
-        &mut self,
-        prop: &PropagationCache,
-        intrinsic: &[Seconds],
-        dirty_ranks: &[usize],
-    ) -> Touched {
-        let rewritten = ScalarLane::new(prop, intrinsic, &self.delays)
+    fn cone(&mut self, prop: &PropagationCache, dirty_ranks: &[usize]) -> Touched {
+        let rewritten = ScalarLane::new(prop, &self.intrinsic, &self.delays)
             .cone(&mut self.arrivals, dirty_ranks.iter().copied());
         let mut touched = Touched::default();
         for (net, eps) in rewritten {
@@ -568,37 +557,13 @@ impl LaneTiming {
     }
 }
 
-/// The [`StageScales`] of one net at corner `k`: wire scales honour the
-/// set's per-net override, cell-side scales are always the corner's global
-/// `r_scale`/`c_scale` (cell parameters carry no per-net override).
-fn net_stage_scales(set: &CornerSet, net_name: &str, k: usize) -> StageScales {
-    let corner = set.corner(k);
-    let (wire_r, wire_c) = set.wire_scales(net_name, k);
-    StageScales {
-        wire_r,
-        wire_c,
-        driver_r: corner.r_scale,
-        load_c: corner.c_scale,
-    }
-}
-
-/// A corner's per-instance intrinsic delays: each nominal value scaled by
-/// the corner's `delay_scale` with **one** multiplication — the same bits a
-/// materialized corner design's scaled cell library produces.
-fn scale_intrinsic(nominal: &[Seconds], delay_scale: f64) -> Vec<Seconds> {
-    nominal
-        .iter()
-        .map(|d| Seconds::new(d.value() * delay_scale))
-        .collect()
-}
-
 /// A copy of `tree` with every branch resistance scaled by `r_scale` and
 /// every branch/node capacitance scaled by `c_scale` — one multiplication
 /// per element, nodes inserted in pre-order with their original names, so
 /// a sweep over the copy sees exactly the values the arena's corner lane
 /// stores, in the same order ([`Design::materialize_corner`]'s oracle
 /// contract).
-fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<RcTree> {
+pub(crate) fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<RcTree> {
     let input = tree.input();
     let mut b = rctree_core::builder::RcTreeBuilder::with_input_name(tree.name(input)?);
     let mut map = vec![NodeId::INPUT; tree.node_count()];
@@ -670,10 +635,14 @@ impl NetEngine {
                 load: sink.load.clone(),
             });
         }
+        let set = core.corner_set();
         Ok(NetEngine {
             tree: EditableTree::new(net.interconnect.clone()),
             driver_r,
             sinks,
+            scales: (0..set.len())
+                .map(|k| StageScales::at(set, &net.name, k))
+                .collect(),
         })
     }
 
@@ -707,26 +676,37 @@ impl NetEngine {
         Ok(())
     }
 
-    /// Stage windows of every sink, via the flat pre-order sweep (see
-    /// [`stage_delay_bounds`]) — bit-identical to the one-shot evaluation
-    /// of the same (committed) net.
-    fn windows(&self, threshold: f64) -> Result<Vec<Window>> {
-        let loads: Vec<(NodeId, Farads)> =
-            self.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
-        let bounds = stage_delay_bounds(self.driver_r, self.tree.tree(), &loads, threshold)?;
-        Ok(bounds.into_iter().map(|b| (b.lower, b.upper)).collect())
+    /// The `(node, load)` pairs of the net's sinks, in sink order.
+    fn loads(&self) -> Vec<(NodeId, Farads)> {
+        self.sinks.iter().map(|s| (s.node, s.load_cap)).collect()
     }
 
-    /// [`NetEngine::windows`] at a PVT corner: the same flat sweep with
-    /// the corner's scale factors applied per element
-    /// ([`stage_delay_bounds_scaled`]) — bit-identical to sweeping the
-    /// corresponding corner lane of the arena built from the committed net.
-    fn windows_scaled(&self, threshold: f64, scales: StageScales) -> Result<Vec<Window>> {
-        let loads: Vec<(NodeId, Farads)> =
-            self.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
-        let bounds =
-            stage_delay_bounds_scaled(self.driver_r, self.tree.tree(), &loads, threshold, scales)?;
-        Ok(bounds.into_iter().map(|b| (b.lower, b.upper)).collect())
+    /// Stage windows of every sink at every corner lane, lane by lane, via
+    /// one flat pre-order sweep per lane ([`augmented_batch`]) —
+    /// bit-identical to sweeping the arena built from the committed net,
+    /// lane for lane.  The first failing lane's error wins.
+    fn windows(&self, threshold: f64) -> Result<Vec<Vec<Window>>> {
+        let loads = self.loads();
+        self.scales
+            .iter()
+            .map(|&scales| {
+                // A sink-less net has nothing to time (see
+                // `stage_delay_bounds`).
+                if loads.is_empty() {
+                    return Ok(Vec::new());
+                }
+                let (batch, pos) =
+                    augmented_batch(self.driver_r, self.tree.tree(), &loads, scales)?;
+                loads
+                    .iter()
+                    .map(|&(node, _)| {
+                        let times = batch.times_at(pos[node.index()] as usize)?;
+                        let bounds = times.delay_bounds(threshold)?;
+                        Ok((bounds.lower, bounds.upper))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -1710,8 +1690,8 @@ impl Design {
     /// Corner 0 of any set is the implicit nominal corner, so a
     /// nominal-only set is stored as "no corners" and the design behaves
     /// exactly as an uncornered one (no extra lanes, no corner tails).
-    /// Installing corners invalidates the cached arena (its value columns
-    /// grow one lane per extra corner) and the incremental ECO state; the
+    /// Installing corners invalidates the cached arena (it holds one lane of
+    /// value columns per corner) and the incremental ECO state; the
     /// nominal analysis results themselves are unchanged — lane 0 runs the
     /// exact float sequence of the single-corner path.
     pub fn set_corners(&mut self, corners: CornerSet) {
@@ -1733,12 +1713,12 @@ impl Design {
 
     /// Number of timing corners (1 when no corner set is installed).
     pub fn corner_count(&self) -> usize {
-        self.shared.corners.as_ref().map_or(1, |set| set.len())
+        self.shared.corner_set().len()
     }
 
     /// Size in bytes of the cached SoA arena as `(base, corner_lanes)`:
-    /// the single-corner columns plus shared metadata, and the extra value
-    /// lanes appended for corners 1.. (zero without a multi-corner set).
+    /// the nominal lane's columns plus shared metadata, and the value lanes
+    /// of corners 1.. (zero without a multi-corner set).
     /// Zeros when no arena is cached: none was built since the last net
     /// edit.  A size probe behind the serve `STATS` and `METRICS` verbs,
     /// so it never builds the arena itself.
@@ -1787,44 +1767,15 @@ impl Design {
         required_time: Seconds,
         jobs: usize,
     ) -> Result<TimingReport> {
-        if self.shared.nets.is_empty() {
-            return Err(StaError::EmptyDesign);
-        }
-        let net_sink_delays = self.stage_delays(threshold, jobs)?;
-        self.propagate(threshold, required_time, &net_sink_delays)
+        let mut reports = self.analyze_lanes(threshold, required_time, jobs, 1)?;
+        Ok(reports.remove(0))
     }
 
-    /// Stage timing per net: the delay window of every sink, computed by
-    /// sweeping each net's range of the cached SoA [`NetArena`] (built once
-    /// per design revision) through a per-worker reusable scratch.  One
-    /// `O(n)` sweep covers all of a net's fan-outs, so the full design
-    /// evaluation is linear in total augmented-node count plus total sink
-    /// count, divided across the global pool's workers — and in the steady
-    /// state it allocates only the output windows.
-    fn stage_delays(&self, threshold: f64, jobs: usize) -> Result<Vec<Vec<Window>>> {
-        let mut obs_span = rctree_obs::span("sta.stage_sweep");
-        obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-        // The pool jobs share only the arena (not the design core), so a
-        // queued straggler runner can never pin the core's strong count
-        // past this call and turn a later `Arc::make_mut` commit into a
-        // deep clone of the whole design.
-        let state = Arc::new((self.shared.arena(), threshold));
-        let n = self.shared.nets.len();
-        rctree_par::par_map_global(jobs, state, n, move |i, st: &(Arc<NetArena>, f64)| {
-            SWEEP_SCRATCH.with(|s| st.0.sweep_net(i, st.1, &mut s.borrow_mut()))
-        })
-        .into_iter()
-        .collect::<Result<_>>()
-    }
-
-    /// Analyses **every corner** of the installed [`CornerSet`] in one
-    /// traversal per net: the per-net sweep walks all of the arena's corner
-    /// lanes node-by-node ([`NetArena::sweep_net_lanes`]), so the parent
-    /// array and every shared-metadata cache line are read once for all
-    /// `K` corners instead of once per corner — the amortization
-    /// `benches/corner_sweep.rs` measures.  Arrival windows are then
-    /// propagated once per corner over the cached topology, each corner
-    /// using its `delay_scale`d intrinsic delays.
+    /// Analyses **every corner** of the installed [`CornerSet`]: each net's
+    /// arena lanes are swept one after the other through the same `f64`
+    /// kernel and per-worker scratch (`NetArena::sweep_net`), then
+    /// arrival windows are propagated once per corner over the cached
+    /// topology, each corner using its `delay_scale`d intrinsic delays.
     ///
     /// Corner 0 (nominal) runs the exact float sequence of
     /// [`Design::analyze_with_jobs`], so `report(0)` is bit-identical to a
@@ -1838,62 +1789,92 @@ impl Design {
     ///
     /// # Errors
     ///
-    /// As for [`Design::analyze_with_jobs`].
+    /// As for [`Design::analyze_with_jobs`]; the error surfaced is the
+    /// first failing net in net order, and within it the lowest failing
+    /// corner.
     pub fn analyze_corners(
         &self,
         threshold: f64,
         required_time: Seconds,
         jobs: usize,
     ) -> Result<CornerAnalysis> {
-        if self.shared.nets.is_empty() {
-            return Err(StaError::EmptyDesign);
-        }
-        let Some(set) = self.shared.corners.clone() else {
-            let report = self.analyze_with_jobs(threshold, required_time, jobs)?;
-            return Ok(CornerAnalysis {
-                names: vec![CornerSet::default().corner(0).name.clone()],
-                reports: vec![report],
-            });
-        };
-        let per_net = self.stage_delays_corners(threshold, jobs)?;
-        let cache = self.shared.topology()?;
-        let mut reports = Vec::with_capacity(set.len());
-        for k in 0..set.len() {
-            let delays: Vec<Vec<Window>> = per_net.iter().map(|lanes| lanes[k].clone()).collect();
-            let (_arrivals, endpoints) = if k == 0 {
-                // The nominal lane propagates with the cached intrinsics
-                // untouched — not even an identity multiplication.
-                ScalarLane::new(&cache, &cache.intrinsic, &delays).full()
-            } else {
-                let ds = set.corner(k).delay_scale;
-                let intrinsic = scale_intrinsic(&cache.intrinsic, ds);
-                ScalarLane::new(&cache, &intrinsic, &delays).full()
-            };
-            reports.push(TimingReport {
-                threshold,
-                required_time,
-                endpoints: endpoint_order(&cache, endpoints),
-            });
-        }
+        let set = self.shared.corner_set();
         Ok(CornerAnalysis {
             names: set.corners().iter().map(|c| c.name.clone()).collect(),
-            reports,
+            reports: self.analyze_lanes(threshold, required_time, jobs, set.len())?,
         })
     }
 
-    /// Per-net, per-corner stage windows: like [`Design::stage_delays`]
-    /// but sweeping **all corner lanes** of each net in one traversal.
-    /// Outer index: net; middle: corner lane; inner: sink.
-    fn stage_delays_corners(&self, threshold: f64, jobs: usize) -> Result<Vec<Vec<Vec<Window>>>> {
+    /// The reports of corner lanes `0..lanes`: every lane's stage windows
+    /// from the arena, each propagated with its corner's intrinsic delays.
+    fn analyze_lanes(
+        &self,
+        threshold: f64,
+        required_time: Seconds,
+        jobs: usize,
+        lanes: usize,
+    ) -> Result<Vec<TimingReport>> {
+        if self.shared.nets.is_empty() {
+            return Err(StaError::EmptyDesign);
+        }
+        let delays = self.stage_delays(threshold, jobs, lanes)?;
+        let cache = self.shared.topology()?;
+        Ok(delays
+            .iter()
+            .enumerate()
+            .map(|(k, delays)| {
+                let intrinsic = self.shared.lane_intrinsic(&cache, k);
+                let (_arrivals, endpoints) = ScalarLane::new(&cache, &intrinsic, delays).full();
+                TimingReport {
+                    threshold,
+                    required_time,
+                    endpoints: endpoint_order(&cache, endpoints),
+                }
+            })
+            .collect())
+    }
+
+    /// Stage timing of corner lanes `0..lanes` of every net, indexed
+    /// `[lane][net][sink]`: the delay window of every sink, computed by
+    /// sweeping each lane of each net's range of the cached SoA
+    /// [`NetArena`] (built once per design revision) through a per-worker
+    /// reusable scratch.  One `O(n)` sweep covers all of a net's fan-outs
+    /// at one corner, so the full design evaluation is linear in total
+    /// augmented-node count plus total sink count, per lane, divided across
+    /// the global pool's workers — and in the steady state it allocates
+    /// only the output windows.  Errors surface in `(net, lane)` order.
+    fn stage_delays(
+        &self,
+        threshold: f64,
+        jobs: usize,
+        lanes: usize,
+    ) -> Result<Vec<Vec<Vec<Window>>>> {
         let mut obs_span = rctree_obs::span("sta.stage_sweep");
         obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-        let state = Arc::new((self.shared.arena(), threshold));
+        // The pool jobs share only the arena (not the design core), so a
+        // queued straggler runner can never pin the core's strong count
+        // past this call and turn a later `Arc::make_mut` commit into a
+        // deep clone of the whole design.
+        let state = Arc::new((self.shared.arena(), threshold, lanes));
         let n = self.shared.nets.len();
-        rctree_par::par_map_global(jobs, state, n, move |i, st: &(Arc<NetArena>, f64)| {
-            LANE_SCRATCH.with(|s| st.0.sweep_net_lanes(i, st.1, &mut s.borrow_mut()))
-        })
+        let windows = rctree_par::par_map_global(
+            jobs,
+            state,
+            n * lanes,
+            move |j, st: &(Arc<NetArena>, f64, usize)| {
+                SWEEP_SCRATCH.with(|s| {
+                    st.0.sweep_net(j / st.2, j % st.2, st.1, &mut s.borrow_mut())
+                })
+            },
+        )
         .into_iter()
-        .collect::<Result<_>>()
+        .collect::<Result<Vec<_>>>()?;
+        let mut by_lane: Vec<Vec<Vec<Window>>> =
+            (0..lanes).map(|_| Vec::with_capacity(n)).collect();
+        for (j, net_windows) in windows.into_iter().enumerate() {
+            by_lane[j % lanes].push(net_windows);
+        }
+        Ok(by_lane)
     }
 
     /// Builds a standalone single-corner [`Design`]: every cell parameter
@@ -1913,8 +1894,7 @@ impl Design {
     ///   only through pathological scale factors, e.g. an overflow to
     ///   infinity).
     pub fn materialize_corner(&self, k: usize) -> Result<Design> {
-        let nominal = CornerSet::default();
-        let set: &CornerSet = self.shared.corners.as_deref().unwrap_or(&nominal);
+        let set = self.shared.corner_set();
         if k >= set.len() {
             return Err(StaError::Core(
                 rctree_core::error::CoreError::InvalidValue {
@@ -1978,9 +1958,8 @@ impl Design {
         }
         let mut obs_span = rctree_obs::span("sta.symbolic_build");
         obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-        // Shard like `analyze_rebuild_with_jobs`: pool jobs hold the core
-        // through a Weak so a queued straggler can never pin the strong
-        // count past this call.
+        // Pool jobs hold the core through a Weak so a queued straggler can
+        // never pin the strong count past this call.
         let core = Arc::new(Arc::downgrade(&self.shared));
         let n = self.shared.nets.len();
         let bounds: Vec<Arc<Vec<SymbolicDelayBounds>>> =
@@ -2000,43 +1979,6 @@ impl Design {
         let lane = SymbolicAnalysis::full(threshold, required_time, cache, bounds, None);
         record_symbolic_build(&mut obs_span, n, n as u64, &lane);
         Ok(lane)
-    }
-
-    /// The pre-arena one-shot path, kept verbatim in cost profile as the
-    /// baseline for `benches/deck_pipeline.rs`: every net re-resolves its
-    /// driver cell and sink loads through the string-keyed tables and
-    /// rebuilds its augmented arrays per call, and the propagation topology
-    /// is rebuilt per call too.  Results are identical to
-    /// [`Design::analyze_with_jobs`]; only the work differs.
-    #[doc(hidden)]
-    pub fn analyze_rebuild_with_jobs(
-        &self,
-        threshold: f64,
-        required_time: Seconds,
-        jobs: usize,
-    ) -> Result<TimingReport> {
-        if self.shared.nets.is_empty() {
-            return Err(StaError::EmptyDesign);
-        }
-        // The historical sharding: pool jobs hold the core through a Weak
-        // (see `par_map_global`'s ownership note) and resolve names per net
-        // per call.
-        let core = Arc::new(Arc::downgrade(&self.shared));
-        let n = self.shared.nets.len();
-        let delays: Vec<Vec<Window>> =
-            rctree_par::par_map_global(jobs, core, n, move |i, weak: &Weak<DesignCore>| {
-                let core = weak.upgrade().expect("design outlives its analysis");
-                core.net_sink_delays(&core.nets[i], threshold)
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-        let cache = self.shared.propagation_cache()?;
-        let (_arrivals, endpoints) = ScalarLane::new(&cache, &cache.intrinsic, &delays).full();
-        Ok(TimingReport {
-            threshold,
-            required_time,
-            endpoints: endpoint_order(&cache, endpoints),
-        })
     }
 
     /// Applies a batch of net-level ECO edits and returns the refreshed
@@ -2071,7 +2013,7 @@ impl Design {
     /// |------|------|
     /// | edit application (value) | `O(depth · log n_net)` on the live engine |
     /// | edit application (structural) | `O(n_net)` integer re-index |
-    /// | dirty-net re-timing | one flat `O(n_net)` stage sweep ([`stage_delay_bounds`]) |
+    /// | dirty-net re-timing | one flat `O(n_net)` stage sweep per corner ([`crate::stage::stage_delay_bounds`]'s kernel) |
     /// | arrival re-propagation | `O(affected fan-out cone)` |
     /// | endpoint re-filing | `O(log E + B)` per cone endpoint, per lane |
     /// | report assembly | `O(E/B)` chunk refcount bumps |
@@ -2118,20 +2060,23 @@ impl Design {
         required_time: Seconds,
         jobs: usize,
     ) -> Result<TimingReport> {
-        self.apply_eco_touching(edits, threshold, required_time, jobs)
-            .map(|(report, _)| report)
+        self.apply_eco_touching(edits, threshold, jobs)?;
+        let state = self
+            .eco
+            .as_ref()
+            .expect("a successful apply leaves a warm state");
+        Ok(state.report(0, required_time))
     }
 
-    /// [`Design::apply_eco_with_jobs`], also returning what re-filing the
+    /// [`Design::apply_eco_with_jobs`], returning what re-filing the
     /// endpoint orders touched (every endpoint of every lane counts as
-    /// moved on a cold call).
+    /// moved on a cold call) and leaving the report in the warm state.
     fn apply_eco_touching(
         &mut self,
         edits: &[EcoEdit],
         threshold: f64,
-        required_time: Seconds,
         jobs: usize,
-    ) -> Result<(TimingReport, Touched)> {
+    ) -> Result<Touched> {
         if self.shared.nets.is_empty() {
             return Err(StaError::EmptyDesign);
         }
@@ -2148,8 +2093,9 @@ impl Design {
         let by_net = group_edits_interned(&self.shared, edits)?;
 
         // Apply the edits to *clones* of the persistent per-net engines and
-        // re-time them (the transactional snapshot: on any error below,
-        // neither the design nor the cached state has been touched).
+        // re-time every corner lane of them (the transactional snapshot: on
+        // any error below, neither the design nor the cached state has
+        // been touched).
         let work = self.process_dirty(
             if warm { self.eco.as_ref() } else { None },
             &by_net,
@@ -2157,40 +2103,25 @@ impl Design {
             jobs,
         )?;
 
-        // Corner lanes of the dirty nets, re-timed pre-commit so a failing
-        // corner sweep stays transactional (lane errors beyond lane 0 are
-        // pathological — scale factors are validated positive and finite —
-        // but the guarantee costs nothing to keep).
-        let corner_work = self.corner_dirty_windows(
-            if warm { self.eco.as_ref() } else { None },
-            &work,
-            threshold,
-        )?;
-
         let dirty: Vec<usize> = work.iter().map(|(idx, _, _)| *idx).collect();
         let (state, touched) = if warm {
             let mut state = self.eco.take().expect("warm state present");
             // Everything fallible has succeeded — commit, then re-propagate
-            // only the affected cone.
+            // only the affected cone.  Every lane walks the **same** dirty
+            // cone ranks: the dirty-net set and the topology are
+            // corner-independent, only the windows and intrinsics differ
+            // per lane.
             let dirty_ranks: Vec<usize> =
                 dirty.iter().map(|&idx| state.prop.net_rank[idx]).collect();
             for (idx, engine, delays) in work {
-                state.nominal.delays[idx] = delays;
+                for (lane, windows) in state.lanes.iter_mut().zip(delays) {
+                    lane.delays[idx] = windows;
+                }
                 state.engines[idx] = engine;
             }
-            let mut touched = state
-                .nominal
-                .cone(&state.prop, &state.prop.intrinsic, &dirty_ranks);
-            // Every extra corner walks the **same** dirty cone ranks: the
-            // dirty-net set and the topology are corner-independent, only
-            // the windows and intrinsics differ per lane.
-            if let Some(cs) = state.corners.as_mut() {
-                for (lane, rows) in cs.lanes.iter_mut().zip(corner_work) {
-                    for (&idx, delays) in dirty.iter().zip(rows) {
-                        lane.timing.delays[idx] = delays;
-                    }
-                    touched += lane.timing.cone(&state.prop, &lane.intrinsic, &dirty_ranks);
-                }
+            let mut touched = Touched::default();
+            for lane in &mut state.lanes {
+                touched += lane.cone(&state.prop, &dirty_ranks);
             }
             (state, touched)
         } else {
@@ -2207,27 +2138,23 @@ impl Design {
             core.nets[idx].interconnect = engine.tree.tree().clone();
             // Structural edits renumber node ids; keep the resolved
             // augmentation exact.
-            core.aug[idx].loads = engine.sinks.iter().map(|s| (s.node, s.load_cap)).collect();
+            core.aug[idx].loads = engine.loads();
         }
         if !dirty.is_empty() {
             core.arena = Mutex::new(None);
         }
-        let report = TimingReport {
-            threshold,
-            required_time,
-            endpoints: state.nominal.order.clone(),
-        };
         self.eco = Some(state);
         // The design state moved past whatever snapshot was last
         // published; `publish`/`publish_after_eco` re-stamp after
         // their internal apply.
         self.published = 0;
-        Ok((report, touched))
+        Ok(touched)
     }
 
     /// Applies grouped edits onto clones of the per-net engines (or onto
-    /// freshly seeded ones when no warm state exists) and re-times each
-    /// dirty net.  Pure with respect to `self`: the caller commits.
+    /// freshly seeded ones when no warm state exists) and re-times every
+    /// corner lane of each dirty net.  Pure with respect to `self`: the
+    /// caller commits.
     ///
     /// The re-time is sharded over the persistent pool only when the dirty
     /// set is large enough to amortise the handoff; either way the windows
@@ -2239,7 +2166,7 @@ impl Design {
         by_net: &BTreeMap<usize, Vec<&EcoEdit>>,
         threshold: f64,
         jobs: usize,
-    ) -> Result<Vec<(usize, NetEngine, Vec<Window>)>> {
+    ) -> Result<Vec<Retimed>> {
         const PAR_DIRTY_MIN: usize = 8;
         let mut prep: Vec<(usize, NetEngine)> = Vec::with_capacity(by_net.len());
         for (&idx, net_edits) in by_net {
@@ -2275,7 +2202,7 @@ impl Design {
                 move |k, st: &(Vec<(usize, NetEngine)>, f64)| st.0[k].1.windows(st.1),
             )
             .into_iter()
-            .collect::<Result<Vec<Vec<Window>>>>()?;
+            .collect::<Result<Vec<_>>>()?;
             // Recover the engines; a straggler pool runner may briefly pin
             // the Arc, in which case they are cloned out.
             let (prep, _) = match Arc::try_unwrap(shared) {
@@ -2290,44 +2217,17 @@ impl Design {
         }
     }
 
-    /// Re-times the already-edited engines in `work` at every extra corner
-    /// of the warm state's corner set — the corner half of the pre-commit
-    /// transactional snapshot.  Outer index: extra corner (lane `k` ↔
-    /// entry `k − 1`); inner: `work` order.  Empty when there is no warm
-    /// multi-corner state (the cold path builds its lanes in
-    /// [`Design::warm_state`] instead).
-    fn corner_dirty_windows(
-        &self,
-        existing: Option<&EcoState>,
-        work: &[(usize, NetEngine, Vec<Window>)],
-        threshold: f64,
-    ) -> Result<Vec<Vec<Vec<Window>>>> {
-        let Some(cs) = existing.and_then(|state| state.corners.as_ref()) else {
-            return Ok(Vec::new());
-        };
-        let mut per_corner = Vec::with_capacity(cs.set.len() - 1);
-        for k in 1..cs.set.len() {
-            let mut rows = Vec::with_capacity(work.len());
-            for (idx, engine, _) in work {
-                let scales = net_stage_scales(&cs.set, &self.shared.nets[*idx].name, k);
-                rows.push(engine.windows_scaled(threshold, scales)?);
-            }
-            per_corner.push(rows);
-        }
-        Ok(per_corner)
-    }
-
     /// Builds a complete [`EcoState`] for the current design at
-    /// `threshold`: engines and stage windows for every net (`overrides`
-    /// supplies the pre-edited engines of dirty nets, so no net is
-    /// evaluated twice), the propagation topology, and one full arrival
-    /// propagation per lane.  Returns the state with the endpoints filed
-    /// into its lanes' orders.  Pure with respect to `self`.
+    /// `threshold`: engines and every lane's stage windows for every net
+    /// (`overrides` supplies the pre-edited engines of dirty nets, so no
+    /// net is evaluated twice), the propagation topology, and one full
+    /// arrival propagation per lane.  Returns the state with the endpoints
+    /// filed into its lanes' orders.  Pure with respect to `self`.
     fn warm_state(
         &self,
         threshold: f64,
         jobs: usize,
-        overrides: Vec<(usize, NetEngine, Vec<Window>)>,
+        overrides: Vec<Retimed>,
     ) -> Result<(EcoState, Touched)> {
         let n = self.shared.nets.len();
         let mut skip = vec![false; n];
@@ -2338,7 +2238,7 @@ impl Design {
         // Weak keeps a straggler runner from pinning the design core (see
         // `stage_delays`).
         let shared = Arc::new((Arc::downgrade(&self.shared), skip, threshold));
-        let built: Vec<Option<(NetEngine, Vec<Window>)>> = rctree_par::par_map_global(
+        let mut built: Vec<Option<(NetEngine, Vec<Vec<Window>>)>> = rctree_par::par_map_global(
             jobs,
             shared,
             n,
@@ -2354,93 +2254,43 @@ impl Design {
         )
         .into_iter()
         .collect::<Result<_>>()?;
+        for (idx, engine, delays) in overrides {
+            built[idx] = Some((engine, delays));
+        }
 
-        let mut engines: Vec<Option<NetEngine>> = Vec::with_capacity(n);
-        let mut delays: Vec<Vec<Window>> = Vec::with_capacity(n);
+        let mut engines = Vec::with_capacity(n);
+        let mut delays: Vec<Vec<Vec<Window>>> = (0..self.shared.corner_set().len())
+            .map(|_| Vec::with_capacity(n))
+            .collect();
         for slot in built {
-            match slot {
-                Some((engine, d)) => {
-                    engines.push(Some(engine));
-                    delays.push(d);
-                }
-                None => {
-                    engines.push(None);
-                    delays.push(Vec::new());
-                }
+            let (engine, windows) = slot.expect("every net has an engine");
+            engines.push(engine);
+            for (lane, w) in delays.iter_mut().zip(windows) {
+                lane.push(w);
             }
         }
-        for (idx, engine, d) in overrides {
-            engines[idx] = Some(engine);
-            delays[idx] = d;
-        }
-        let engines: Vec<NetEngine> = engines
-            .into_iter()
-            .collect::<Option<_>>()
-            .expect("every net has an engine");
 
+        // One full propagation per lane, with the lane's scaled
+        // intrinsics.
         let prop = self.shared.topology()?;
-        let (nominal, filed) = LaneTiming::full(&prop, &prop.intrinsic, delays);
-        let mut touched = Touched {
-            endpoints_moved: filed,
-            chunks_copied: 0,
-        };
-
-        // One lane of incremental state per extra corner: windows via the
-        // per-element-scaled engine sweep (bit-identical to the arena's
-        // corner lanes), then a full propagation with the corner's scaled
-        // intrinsics.  Paid once per warm-up, like the nominal lane.
-        let corners = match self.shared.corners.as_ref() {
-            Some(set) => {
-                let mut lanes = Vec::with_capacity(set.len() - 1);
-                for k in 1..set.len() {
-                    let corner = set.corner(k);
-                    let mut delays_k = Vec::with_capacity(n);
-                    for (idx, engine) in engines.iter().enumerate() {
-                        let scales = net_stage_scales(set, &self.shared.nets[idx].name, k);
-                        delays_k.push(engine.windows_scaled(threshold, scales)?);
-                    }
-                    let intrinsic = scale_intrinsic(&prop.intrinsic, corner.delay_scale);
-                    let (timing, filed) = LaneTiming::full(&prop, &intrinsic, delays_k);
-                    touched.endpoints_moved += filed;
-                    lanes.push(CornerLane { intrinsic, timing });
-                }
-                Some(CornerState {
-                    set: Arc::clone(set),
-                    lanes,
-                })
-            }
-            None => None,
-        };
-
+        let mut touched = Touched::default();
+        let lanes = delays
+            .into_iter()
+            .enumerate()
+            .map(|(k, delays)| {
+                let intrinsic = self.shared.lane_intrinsic(&prop, k);
+                let (lane, filed) = LaneTiming::full(&prop, intrinsic, delays);
+                touched.endpoints_moved += filed;
+                lane
+            })
+            .collect();
         let state = EcoState {
             threshold,
             engines,
             prop,
-            nominal,
-            corners,
+            lanes,
         };
         Ok((state, touched))
-    }
-
-    /// Serial arrival-time propagation over precomputed per-net sink
-    /// windows: topological ordering, interval accumulation, critical-path
-    /// extraction.  The one-shot path builds the [`PropagationCache`]
-    /// per call and runs the full pass; the ECO path keeps both cached in
-    /// [`EcoState`] and re-propagates only the affected cone.
-    fn propagate(
-        &self,
-        threshold: f64,
-        required_time: Seconds,
-        net_sink_delays: &[Vec<Window>],
-    ) -> Result<TimingReport> {
-        let cache = self.shared.topology()?;
-        let (_arrivals, endpoints) =
-            ScalarLane::new(&cache, &cache.intrinsic, net_sink_delays).full();
-        Ok(TimingReport {
-            threshold,
-            required_time,
-            endpoints: endpoint_order(&cache, endpoints),
-        })
     }
 
     /// Builds a single-stage-per-net design from extracted parasitics: the
@@ -2679,39 +2529,40 @@ type SweepCache = Arc<(BatchTimes, Vec<u32>)>;
 
 /// Read-only timing view of one net inside a [`DesignSnapshot`]: the
 /// committed interconnect tree, the stage augmentation data (driver
-/// resistance and sink loads), and the cached per-sink delay windows.
+/// resistance and sink loads), and the cached per-sink delay windows of
+/// every corner lane.
 ///
 /// Everything is behind `Arc`s, so cloning a `NetTiming` — or the snapshot
 /// holding it — is a handful of refcount bumps.  Node-level queries
-/// ([`NetTiming::node_times`]) are computed on demand from the shared tree
-/// in one `O(n_net)` sweep.
+/// ([`NetTiming::node_times_at`]) are computed on demand from the shared
+/// tree in one `O(n_net)` sweep per lane.
 #[derive(Debug, Clone)]
 pub struct NetTiming {
     name: String,
     tree: Arc<RcTree>,
     driver_r: Ohms,
     loads: Arc<Vec<(NodeId, Farads)>>,
-    sinks: Arc<Vec<SinkWindow>>,
-    /// Lazily built augmented-stage sweep of the whole net — the
-    /// `BatchTimes` plus the raw-node → augmented-position map — so
-    /// repeated node queries against one snapshot revision cost `O(1)`
-    /// after the first.  Built at most once per view (races rebuild the
-    /// identical value and drop the loser).
-    batch: OnceLock<SweepCache>,
-    /// Per **extra** corner (lane `k` ↔ entry `k − 1`): this net's cached
-    /// sink windows at that corner.  Empty for nominal-only snapshots.
-    corner_sinks: Arc<Vec<Vec<SinkWindow>>>,
-    /// Per extra corner: the net's stage scale factors, so node queries at
-    /// a corner can re-run the scaled sweep on demand.
-    corner_scales: Arc<Vec<StageScales>>,
-    /// Per extra corner: the lazily built scaled-sweep cache, the corner
-    /// analogue of `batch` (shared across clones of the view).
-    corner_batch: Arc<Vec<OnceLock<SweepCache>>>,
+    /// One entry per corner lane, nominal first.
+    lanes: Arc<Vec<NetLane>>,
     /// Lazily built **symbolic** sweep of the whole net: the per-node
     /// [`SymbolicTimes`] coefficient table plus the raw-node → augmented
     /// position map, behind `QUERY … --sens`.  Same build-once contract as
-    /// `batch`.
+    /// [`NetLane::sweep`].
     symbolic: OnceLock<Arc<(Vec<SymbolicTimes>, Vec<u32>)>>,
+}
+
+/// One corner lane of a [`NetTiming`].
+#[derive(Debug)]
+struct NetLane {
+    /// The net's stage scales at this corner.
+    scales: StageScales,
+    /// The cached per-sink windows at this corner, in net sink order.
+    sinks: Vec<SinkWindow>,
+    /// Lazily built augmented-stage sweep of the whole net at this corner,
+    /// so repeated node queries against one snapshot revision cost `O(1)`
+    /// after the first.  Built at most once per view (races rebuild the
+    /// identical value and drop the loser).
+    sweep: OnceLock<SweepCache>,
 }
 
 impl NetTiming {
@@ -2722,94 +2573,62 @@ impl NetTiming {
 
     /// The cached per-sink stage delay windows, in net sink order.
     pub fn sinks(&self) -> &[SinkWindow] {
-        &self.sinks
+        &self.lanes[0].sinks
     }
 
     /// Number of corners this view carries windows for (1 when the
     /// snapshot is nominal-only).
     pub fn corner_count(&self) -> usize {
-        1 + self.corner_sinks.len()
+        self.lanes.len()
     }
 
     /// The cached per-sink windows at corner `k` (`0` is the nominal
     /// corner and returns [`NetTiming::sinks`]); `None` when `k` is out of
     /// range.
     pub fn sinks_at(&self, k: usize) -> Option<&[SinkWindow]> {
-        if k == 0 {
-            Some(&self.sinks)
-        } else {
-            self.corner_sinks.get(k - 1).map(Vec::as_slice)
-        }
+        self.lanes.get(k).map(|lane| lane.sinks.as_slice())
     }
 
     /// Characteristic times and delay bounds at an arbitrary node of the
     /// net's interconnect, evaluated against the same augmented stage tree
-    /// (driver resistance + sink loads) the cached windows came from.
-    ///
-    /// The full-net sweep behind the query is computed once per view and
-    /// cached, so repeated queries against one snapshot revision — the
-    /// serve loop's `QUERY <net> <node>` hot path — are `O(1)` lookups
-    /// after the first.
+    /// (driver resistance + sink loads) the cached windows came from:
+    /// [`NetTiming::node_times_at`] at the nominal corner.
     ///
     /// # Errors
     ///
-    /// * [`StaError::UnknownEcoNode`] if the node name is not part of the
-    ///   net's interconnect;
-    /// * core errors from the stage sweep or the threshold validation.
+    /// As for [`NetTiming::node_times_at`].
     pub fn node_times(
         &self,
         node: &str,
         threshold: f64,
     ) -> Result<(CharacteristicTimes, DelayBounds)> {
-        let id = self
-            .tree
-            .node_by_name(node)
-            .map_err(|_| StaError::UnknownEcoNode {
-                net: self.name.clone(),
-                node: node.to_string(),
-            })?;
-        let batch = match self.batch.get() {
-            Some(batch) => Arc::clone(batch),
-            None => {
-                let built = Arc::new(crate::stage::augmented_batch(
-                    self.driver_r,
-                    &self.tree,
-                    &self.loads,
-                )?);
-                // A racing builder computed the identical value; either
-                // copy serves every future query.
-                let _ = self.batch.set(Arc::clone(&built));
-                built
-            }
-        };
-        let times = batch.0.times_at(batch.1[id.index()] as usize)?;
-        let bounds = times.delay_bounds(threshold)?;
-        Ok((times, bounds))
+        self.node_times_at(node, threshold, 0)
     }
 
-    /// [`NetTiming::node_times`] evaluated at corner `k` (`0` is the
-    /// nominal corner).  The corner's sweep runs the scaled augmented
-    /// arrays ([`crate::stage`]'s per-element scaling) and is cached per
-    /// corner, so repeated `QUERY … --corner k` hits are `O(1)` lookups
-    /// after the first.
+    /// Characteristic times and delay bounds at an arbitrary node of the
+    /// net's interconnect at corner `k` (`0` is the nominal corner): the
+    /// lane's scaled augmented stage ([`crate::stage`]'s per-element
+    /// scaling), the one the cached windows of that lane came from.
+    ///
+    /// The full-net sweep behind the query is computed once per view and
+    /// lane and cached, so repeated queries against one snapshot revision —
+    /// the serve loop's `QUERY <net> <node> [--corner k]` hot path — are
+    /// `O(1)` lookups after the first.
     ///
     /// # Errors
     ///
-    /// As for [`NetTiming::node_times`], plus [`StaError::Core`] with an
-    /// `InvalidValue` on a corner index out of range.
+    /// * [`StaError::Core`] with an `InvalidValue` on a corner index out of
+    ///   range;
+    /// * [`StaError::UnknownEcoNode`] if the node name is not part of the
+    ///   net's interconnect;
+    /// * core errors from the stage sweep or the threshold validation.
     pub fn node_times_at(
         &self,
         node: &str,
         threshold: f64,
         k: usize,
     ) -> Result<(CharacteristicTimes, DelayBounds)> {
-        if k == 0 {
-            return self.node_times(node, threshold);
-        }
-        let (Some(cell), Some(scales)) = (
-            self.corner_batch.get(k - 1),
-            self.corner_scales.get(k - 1).copied(),
-        ) else {
+        let Some(lane) = self.lanes.get(k) else {
             return Err(StaError::Core(
                 rctree_core::error::CoreError::InvalidValue {
                     what: "corner lane index",
@@ -2824,20 +2643,22 @@ impl NetTiming {
                 net: self.name.clone(),
                 node: node.to_string(),
             })?;
-        let batch = match cell.get() {
-            Some(batch) => Arc::clone(batch),
+        let sweep = match lane.sweep.get() {
+            Some(sweep) => Arc::clone(sweep),
             None => {
-                let built = Arc::new(crate::stage::augmented_batch_scaled(
+                let built = Arc::new(augmented_batch(
                     self.driver_r,
                     &self.tree,
                     &self.loads,
-                    scales,
+                    lane.scales,
                 )?);
-                let _ = cell.set(Arc::clone(&built));
+                // A racing builder computed the identical value; either
+                // copy serves every future query.
+                let _ = lane.sweep.set(Arc::clone(&built));
                 built
             }
         };
-        let times = batch.0.times_at(batch.1[id.index()] as usize)?;
+        let times = sweep.0.times_at(sweep.1[id.index()] as usize)?;
         let bounds = times.delay_bounds(threshold)?;
         Ok((times, bounds))
     }
@@ -3223,9 +3044,8 @@ impl Design {
         jobs: usize,
     ) -> Result<DesignSnapshot> {
         let mut obs_span = rctree_obs::span("sta.publish");
-        let (report, touched) = self.apply_eco_touching(&[], threshold, required_time, jobs)?;
-        let (snapshot, copied) =
-            self.snapshot_from_state(threshold, required_time, report, None, &[]);
+        let touched = self.apply_eco_touching(&[], threshold, jobs)?;
+        let (snapshot, copied) = self.snapshot_from_state(required_time, None, &[]);
         obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
         obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
@@ -3279,14 +3099,9 @@ impl Design {
         } else {
             Vec::new()
         };
-        let (report, touched) = self.apply_eco_touching(edits, threshold, required_time, jobs)?;
-        let (snapshot, copied) = self.snapshot_from_state(
-            threshold,
-            required_time,
-            report,
-            if reuse { Some(prev) } else { None },
-            &dirty,
-        );
+        let touched = self.apply_eco_touching(edits, threshold, jobs)?;
+        let (snapshot, copied) =
+            self.snapshot_from_state(required_time, if reuse { Some(prev) } else { None }, &dirty);
         obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
         obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
@@ -3299,52 +3114,39 @@ impl Design {
     /// of view chunks copied.
     fn snapshot_from_state(
         &self,
-        threshold: f64,
         required_time: Seconds,
-        report: TimingReport,
         prev: Option<&DesignSnapshot>,
         dirty: &[usize],
     ) -> (DesignSnapshot, u64) {
         let state = self.eco.as_ref().expect("publish warms the eco cache");
         let net_timing = |idx: usize| -> Arc<NetTiming> {
             let engine = &state.engines[idx];
-            let window_views = |delays: &[Window]| -> Vec<SinkWindow> {
-                engine
-                    .sinks
-                    .iter()
-                    .zip(delays)
-                    .map(|(binding, delay)| SinkWindow {
-                        node: binding.name.clone(),
-                        load: binding.load.clone(),
-                        lower: delay.0,
-                        upper: delay.1,
-                    })
-                    .collect()
-            };
-            let sinks = window_views(&state.nominal.delays[idx]);
-            let (corner_sinks, corner_scales) = match state.corners.as_ref() {
-                Some(cs) => (
-                    cs.lanes
+            let lanes = engine
+                .scales
+                .iter()
+                .zip(&state.lanes)
+                .map(|(&scales, lane)| NetLane {
+                    scales,
+                    sinks: engine
+                        .sinks
                         .iter()
-                        .map(|lane| window_views(&lane.timing.delays[idx]))
+                        .zip(&lane.delays[idx])
+                        .map(|(binding, delay)| SinkWindow {
+                            node: binding.name.clone(),
+                            load: binding.load.clone(),
+                            lower: delay.0,
+                            upper: delay.1,
+                        })
                         .collect(),
-                    (1..cs.set.len())
-                        .map(|k| net_stage_scales(&cs.set, &self.shared.nets[idx].name, k))
-                        .collect(),
-                ),
-                None => (Vec::new(), Vec::new()),
-            };
-            let extra = corner_sinks.len();
+                    sweep: OnceLock::new(),
+                })
+                .collect();
             Arc::new(NetTiming {
                 name: self.shared.nets[idx].name.clone(),
                 tree: Arc::new(engine.tree.tree().clone()),
                 driver_r: engine.driver_r,
-                loads: Arc::new(engine.sinks.iter().map(|s| (s.node, s.load_cap)).collect()),
-                sinks: Arc::new(sinks),
-                batch: OnceLock::new(),
-                corner_sinks: Arc::new(corner_sinks),
-                corner_scales: Arc::new(corner_scales),
-                corner_batch: Arc::new((0..extra).map(|_| OnceLock::new()).collect()),
+                loads: Arc::new(engine.loads()),
+                lanes: Arc::new(lanes),
                 symbolic: OnceLock::new(),
             })
         };
@@ -3363,25 +3165,20 @@ impl Design {
                 Arc::new(self.shared.net_index.clone()),
             ),
         };
-        let report = Arc::new(report);
-        let corners = state.corners.as_ref().map(|cs| {
-            let mut reports = Vec::with_capacity(cs.lanes.len() + 1);
-            reports.push(Arc::clone(&report));
-            for lane in &cs.lanes {
-                reports.push(Arc::new(TimingReport {
-                    threshold,
-                    required_time,
-                    endpoints: lane.timing.order.clone(),
-                }));
-            }
+        let reports: Vec<Arc<TimingReport>> = (0..state.lanes.len())
+            .map(|k| Arc::new(state.report(k, required_time)))
+            .collect();
+        let report = Arc::clone(&reports[0]);
+        let corners = (reports.len() > 1).then(|| {
+            let set = self.shared.corner_set();
             Arc::new(SnapshotCorners {
-                names: cs.set.corners().iter().map(|c| c.name.clone()).collect(),
+                names: set.corners().iter().map(|c| c.name.clone()).collect(),
                 reports,
             })
         });
         let snapshot = DesignSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
-            threshold,
+            threshold: state.threshold,
             required_time,
             report,
             nets,
@@ -3416,37 +3213,26 @@ impl DesignCore {
             })
     }
 
-    /// Delay windows of every sink of one net: the unit of work that
-    /// [`Design::analyze_with_jobs`] shards across the global pool's
-    /// workers (it lives on the `Arc`-shared core so the jobs can own
-    /// their state).  Runs the flat pre-order stage sweep
-    /// ([`stage_delay_bounds`]) — bit-identical to the historical
-    /// builder-based `analyze_stage` path, without the builder.
-    fn net_sink_delays(&self, net: &Net, threshold: f64) -> Result<Vec<Window>> {
-        let driver_resistance = match &net.driver {
-            Driver::PrimaryInput => Ohms::ZERO,
-            Driver::Instance(inst) => {
-                self.library
-                    .cell(self.cell_of(&net.name, inst)?)?
-                    .drive_resistance
-            }
-        };
-        let mut sink_loads = Vec::with_capacity(net.sinks.len());
-        for sink in &net.sinks {
-            let node = net.interconnect.node_by_name(&sink.node)?;
-            let load_cap = match &sink.load {
-                Load::Instance(inst) => {
-                    self.library
-                        .cell(self.cell_of(&net.name, inst)?)?
-                        .input_capacitance
-                }
-                Load::PrimaryOutput(_) => Farads::ZERO,
-            };
-            sink_loads.push((node, load_cap));
-        }
-        let bounds =
-            stage_delay_bounds(driver_resistance, &net.interconnect, &sink_loads, threshold)?;
-        Ok(bounds.into_iter().map(|b| (b.lower, b.upper)).collect())
+    /// The installed corner set, or the nominal-only set when none is:
+    /// lane `k` of the arena, the ECO state and the snapshot views is
+    /// corner `k` of it.
+    fn corner_set(&self) -> &CornerSet {
+        static NOMINAL: OnceLock<CornerSet> = OnceLock::new();
+        self.corners
+            .as_deref()
+            .unwrap_or_else(|| NOMINAL.get_or_init(CornerSet::nominal))
+    }
+
+    /// Lane `k`'s per-instance intrinsic delays over `prop`: each nominal
+    /// value scaled by the corner's `delay_scale` with **one**
+    /// multiplication — the same bits a materialized corner design's scaled
+    /// cell library produces.
+    fn lane_intrinsic(&self, prop: &PropagationCache, k: usize) -> Vec<Seconds> {
+        let delay_scale = self.corner_set().corner(k).delay_scale;
+        prop.intrinsic
+            .iter()
+            .map(|d| Seconds::new(d.value() * delay_scale))
+            .collect()
     }
 
     /// # Errors
@@ -3517,11 +3303,7 @@ impl DesignCore {
         if let Some(arena) = slot.as_ref() {
             return Arc::clone(arena);
         }
-        let arena = Arc::new(NetArena::build(
-            &self.nets,
-            &self.aug,
-            self.corners.as_deref(),
-        ));
+        let arena = Arc::new(NetArena::build(&self.nets, &self.aug, self.corner_set()));
         *slot = Some(Arc::clone(&arena));
         arena
     }
@@ -4451,7 +4233,7 @@ mod tests {
         let state = d.eco.as_ref().expect("state survives a failing call");
         assert_eq!(state.threshold, 0.5);
         assert!(
-            state.nominal.delays.iter().all(|w| !w.is_empty()),
+            state.lanes[0].delays.iter().all(|w| !w.is_empty()),
             "every net's cached windows were retained"
         );
         assert_eq!(d.apply_eco(&[], 0.5, budget).unwrap(), before);
@@ -4508,15 +4290,17 @@ mod tests {
 
     #[test]
     fn arena_analysis_matches_the_string_keyed_baseline() {
-        // The packed-arena sweep and the preserved pre-arena baseline
-        // (per-call name resolution + per-net array rebuilds) must agree
-        // bit-for-bit — the baseline is `benches/deck_pipeline.rs`'s
-        // correctness anchor.
+        // The packed-arena sweep and the cold ECO warm-up of a clone (names
+        // resolved per net by `NetEngine::build`, each net spliced on its
+        // own) must agree bit-for-bit.
         let d = buffer_chain();
         let budget = Seconds::from_nano(50.0);
         for jobs in [1, 2, 7] {
             let fast = d.analyze_with_jobs(0.5, budget, jobs).unwrap();
-            let slow = d.analyze_rebuild_with_jobs(0.5, budget, jobs).unwrap();
+            let slow = d
+                .clone()
+                .apply_eco_with_jobs(&[], 0.5, budget, jobs)
+                .unwrap();
             assert_eq!(fast, slow, "jobs {jobs}");
         }
         // The cached arena covers every net and is rebuilt only after a

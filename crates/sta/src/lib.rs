@@ -36,32 +36,38 @@
 //! `r_scale`/`c_scale`/`delay_scale` factors, with optional per-net wire
 //! overrides.  Corner 0 is always the implicit **nominal** corner.
 //!
-//! *Lane layout.*  The SoA net arena appends one contiguous value lane per
-//! extra corner to its `branch_r`/`branch_c`/`node_cap` columns (lane `k`
-//! of net `i` lives at column offset `k · lane_len`); topology columns
-//! (parents, ranges, sink positions) are shared by all lanes, and per-net
-//! ranges are padded to 64-byte boundaries so adjacent shards never
-//! false-share a cache line.  [`Design::analyze_corners`] sweeps **all
-//! lanes of a net in one post-order + pre-order traversal** — the shared
-//! metadata is read once for all `K` corners — then propagates arrivals
-//! once per corner with `delay_scale`d intrinsic delays.
+//! *Lanes as data.*  A corner keeps a net's topology and changes only its
+//! element values, so it is one more lane of values, and every lane —
+//! nominal included — runs through the same code: one splice (which scales
+//! each element as it splices it), one `f64` sweep, and one lane list from
+//! the arena to the snapshot.  The SoA net arena holds one lane of
+//! `branch_r`/`branch_c`/`node_cap` columns per corner over shared
+//! topology columns (parents, ranges, sink positions); per-net ranges are
+//! padded to 64-byte boundaries so adjacent shards never false-share a
+//! cache line.  [`Design::analyze_corners`] sweeps each lane of each net
+//! with the same kernel and per-worker scratch, then propagates arrivals
+//! once per corner with `delay_scale`d intrinsic delays.  The incremental
+//! ECO state and every snapshot view keep one entry per lane too, so an
+//! ECO re-times each dirty net once per corner and walks the same cone in
+//! every lane.
 //!
 //! *Scaling semantics.*  Every element is scaled **individually, before
 //! any accumulation**: a corner value is always the single rounding
 //! `x * s`.  Wire elements (branch R/C, node caps) use the corner's wire
 //! scales (per-net override when present); the driving cell's resistance,
 //! sink input capacitances and intrinsic delays always use the corner's
-//! global factors.  Because `x * s` is the same bits wherever it is
-//! computed, the arena lane sweep, the engine-side ECO re-timing and a
-//! fully materialized scaled design ([`Design::materialize_corner`]) agree
-//! bit-for-bit.
+//! global factors.  The arena and the ECO re-timing share the splice, so
+//! they agree by construction, errors included; a fully materialized
+//! scaled design ([`Design::materialize_corner`]) makes the same single
+//! multiplications, so it agrees bit-for-bit too.
 //!
-//! *Lane-0 invariant.*  Lane 0 stores the unscaled values and runs the
-//! exact float sequence of the single-corner path — installing corners
-//! never changes nominal results, and `analyze_corners(..).report(0)` is
-//! bit-identical to [`Design::analyze_with_jobs`].  The nominal corner
-//! cannot carry overrides (the core's `CornerSet` rejects them), so no
-//! configuration can break this.
+//! *Lane-0 invariant.*  Lane 0's unit scales leave every value's bits
+//! unchanged, so it runs the exact float sequence of the single-corner
+//! path — installing corners never changes nominal results, and
+//! `analyze_corners(..).report(0)` is bit-identical to
+//! [`Design::analyze_with_jobs`].  The nominal corner cannot carry
+//! overrides (the core's `CornerSet` rejects them), so no configuration
+//! can break this.
 //!
 //! ```
 //! use rctree_core::builder::RcTreeBuilder;

@@ -11,6 +11,7 @@ use rctree_core::algebra::SymbolicTimes;
 use rctree_core::batch::{BatchTimes, SymbolicScratch};
 use rctree_core::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds};
 use rctree_core::builder::RcTreeBuilder;
+use rctree_core::corner::CornerSet;
 use rctree_core::element::Branch;
 use rctree_core::moments::CharacteristicTimes;
 use rctree_core::tree::{NodeId, RcTree};
@@ -116,11 +117,12 @@ pub const STAGE_INPUT_NODE: &str = "__stage_input";
 /// **flat pre-order sweep** over the augmented tree's arrays instead of
 /// constructing the augmented tree through the builder.
 ///
-/// This is the hot kernel behind [`crate::Design`]'s per-net evaluation and
-/// the incremental ECO path: the driver resistor and the sink load
-/// capacitances are spliced around the interconnect as plain array entries
-/// (`O(n)` with no hashing and no per-node allocation), and the sweep runs
-/// through [`BatchTimes::of_preorder`].  The result is **bit-identical** to
+/// This is the nominal reading of `augmented_batch`, the kernel behind
+/// [`crate::Design`]'s per-net evaluation and the incremental ECO path: the
+/// driver resistor and the sink load capacitances are spliced around the
+/// interconnect as plain array entries (`O(n)` with no hashing and no
+/// per-node allocation), and the sweep runs through
+/// [`BatchTimes::of_preorder`].  The result is **bit-identical** to
 /// [`analyze_stage`] — `prepend_driver` inserts the augmented nodes in
 /// pre-order, so both paths accumulate the same floats in the same order —
 /// which `flat_stage_is_bit_identical_to_the_builder_stage` pins.
@@ -142,36 +144,12 @@ pub fn stage_delay_bounds(
     if sink_loads.is_empty() {
         return Ok(Vec::new());
     }
-    let (batch, pos) = augmented_batch(driver_resistance, interconnect, sink_loads)?;
-    let mut bounds = Vec::with_capacity(sink_loads.len());
-    for &(node, _) in sink_loads {
-        let times = batch.times_at(pos[node.index()] as usize)?;
-        bounds.push(times.delay_bounds(threshold)?);
-    }
-    Ok(bounds)
-}
-
-/// [`stage_delay_bounds`] evaluated at a PVT corner: the stage's elements
-/// are multiplied by the corner's [`StageScales`] factors before the sweep
-/// (one rounding per element, see [`augmented_batch_scaled`]).  This is
-/// the engine-side kernel behind corner-aware ECO re-timing and per-corner
-/// snapshot windows; its results are bit-identical to the arena's corner
-/// lane sweep and to a fully materialized scaled design.
-///
-/// # Errors
-///
-/// As for [`stage_delay_bounds`].
-pub(crate) fn stage_delay_bounds_scaled(
-    driver_resistance: Ohms,
-    interconnect: &RcTree,
-    sink_loads: &[(NodeId, Farads)],
-    threshold: f64,
-    scales: StageScales,
-) -> Result<Vec<DelayBounds>> {
-    if sink_loads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let (batch, pos) = augmented_batch_scaled(driver_resistance, interconnect, sink_loads, scales)?;
+    let (batch, pos) = augmented_batch(
+        driver_resistance,
+        interconnect,
+        sink_loads,
+        StageScales::NOMINAL,
+    )?;
     let mut bounds = Vec::with_capacity(sink_loads.len());
     for &(node, _) in sink_loads {
         let times = batch.times_at(pos[node.index()] as usize)?;
@@ -189,8 +167,8 @@ pub(crate) fn stage_delay_bounds_scaled(
 /// injectors attach the symbolic scale to each element, so the driver
 /// resistance rides the `r` axis and the sink loads ride the `c` axis —
 /// exactly the quantities a corner's `r_scale`/`c_scale` multiply.  For any
-/// `r, c > 0`, `result[k].eval(r, c)` agrees with
-/// [`stage_delay_bounds_scaled`] at uniform [`StageScales`]
+/// `r, c > 0`, `result[k].eval(r, c)` agrees with the scalar sweep of
+/// `augmented_batch` at uniform `StageScales`
 /// `{wire_r: r, wire_c: c, driver_r: r, load_c: c}` (to rounding), and
 /// `eval(1, 1)` reproduces [`stage_delay_bounds`] **bit-for-bit** (the
 /// shared generic kernel applies the identical scalar operations cellwise).
@@ -209,7 +187,7 @@ pub fn stage_symbolic_bounds(
     if sink_loads.is_empty() {
         return Ok(Vec::new());
     }
-    let (arrays, pos) = augmented_arrays(
+    let stage = Spliced::new(
         driver_resistance,
         interconnect,
         sink_loads,
@@ -217,14 +195,14 @@ pub fn stage_symbolic_bounds(
     )?;
     let mut scratch = SymbolicScratch::new();
     let view = scratch.sweep(
-        &arrays.parent,
-        &arrays.branch_r,
-        &arrays.branch_c,
-        &arrays.node_cap,
+        &stage.parent,
+        &stage.values.branch_r,
+        &stage.values.branch_c,
+        &stage.values.node_cap,
     )?;
     let mut bounds = Vec::with_capacity(sink_loads.len());
     for &(node, _) in sink_loads {
-        let times = view.times_at(pos[node.index()] as usize)?;
+        let times = view.times_at(stage.pos[node.index()] as usize)?;
         bounds.push(symbolic_delay_bounds(&times, threshold)?);
     }
     Ok(bounds)
@@ -249,7 +227,7 @@ pub fn stage_node_symbolic_times(
 ) -> Result<SymbolicTimes> {
     // Validate the queried node against the tree before indexing `pos`.
     let _ = interconnect.name(node)?;
-    let (arrays, pos) = augmented_arrays(
+    let stage = Spliced::new(
         driver_resistance,
         interconnect,
         sink_loads,
@@ -257,12 +235,12 @@ pub fn stage_node_symbolic_times(
     )?;
     let mut scratch = SymbolicScratch::new();
     let view = scratch.sweep(
-        &arrays.parent,
-        &arrays.branch_r,
-        &arrays.branch_c,
-        &arrays.node_cap,
+        &stage.parent,
+        &stage.values.branch_r,
+        &stage.values.branch_c,
+        &stage.values.node_cap,
     )?;
-    Ok(view.times_at(pos[node.index()] as usize)?)
+    Ok(view.times_at(stage.pos[node.index()] as usize)?)
 }
 
 /// The materialized symbolic sweep of a whole stage: the per-augmented-node
@@ -279,7 +257,7 @@ pub(crate) fn stage_symbolic_sweep(
     interconnect: &RcTree,
     sink_loads: &[(NodeId, Farads)],
 ) -> Result<(Vec<SymbolicTimes>, Vec<u32>)> {
-    let (arrays, pos) = augmented_arrays(
+    let stage = Spliced::new(
         driver_resistance,
         interconnect,
         sink_loads,
@@ -287,16 +265,16 @@ pub(crate) fn stage_symbolic_sweep(
     )?;
     let mut scratch = SymbolicScratch::new();
     let view = scratch.sweep(
-        &arrays.parent,
-        &arrays.branch_r,
-        &arrays.branch_c,
-        &arrays.node_cap,
+        &stage.parent,
+        &stage.values.branch_r,
+        &stage.values.branch_c,
+        &stage.values.node_cap,
     )?;
     let mut times = Vec::with_capacity(view.node_count());
     for i in 0..view.node_count() {
         times.push(view.times_at(i)?);
     }
-    Ok((times, pos))
+    Ok((times, stage.pos))
 }
 
 /// Characteristic times at an arbitrary node of a stage's interconnect,
@@ -319,18 +297,24 @@ pub fn stage_node_times(
 ) -> Result<CharacteristicTimes> {
     // Validate the queried node against the tree before indexing `pos`.
     let _ = interconnect.name(node)?;
-    let (batch, pos) = augmented_batch(driver_resistance, interconnect, sink_loads)?;
+    let (batch, pos) = augmented_batch(
+        driver_resistance,
+        interconnect,
+        sink_loads,
+        StageScales::NOMINAL,
+    )?;
     Ok(batch.times_at(pos[node.index()] as usize)?)
 }
 
 /// Per-corner multiplicative scale factors applied when a stage is
-/// evaluated at a non-nominal PVT corner.
+/// evaluated at a PVT corner — one [`StageScales`] per corner lane, the
+/// nominal lane's being [`StageScales::NOMINAL`].
 ///
 /// Every element is scaled **individually before** any accumulation — the
-/// corner value of each array entry is a single rounding `x * s`, which is
-/// exactly the value the corner lanes of `NetArena` store.  Scaling after
-/// summation (`(a + b) * s`) would round differently and break the
-/// lane-equivalence bit-identity gates.
+/// corner value of each array entry is a single rounding `x * s`, taken at
+/// splice time by [`augmented_arrays`].  Scaling after summation
+/// (`(a + b) * s`) would round differently from a materialized scaled
+/// design and break the lane-equivalence bit-identity gates.
 ///
 /// `wire_r`/`wire_c` apply to the interconnect's branch resistances and
 /// (branch + node) capacitances and may carry a per-net override;
@@ -351,80 +335,145 @@ pub(crate) struct StageScales {
 
 impl StageScales {
     /// The identity scaling: multiplying any finite `x` by `1.0` returns
-    /// `x` bit-for-bit, so the nominal path through
-    /// [`augmented_batch_scaled`] runs the exact float sequence of the
-    /// historical unscaled kernel.
+    /// `x` bit-for-bit, so the nominal lane runs the exact float sequence
+    /// of an unscaled splice.
     pub const NOMINAL: StageScales = StageScales {
         wire_r: 1.0,
         wire_c: 1.0,
         driver_r: 1.0,
         load_c: 1.0,
     };
+
+    /// The scales of the net named `net` at corner `k` of `set`: wire
+    /// scales honour the set's per-net override, cell-side scales are
+    /// always the corner's global `r_scale`/`c_scale`.  Corner 0 yields
+    /// [`StageScales::NOMINAL`] (the nominal corner has unit scales and
+    /// cannot be overridden).
+    pub fn at(set: &CornerSet, net: &str, k: usize) -> StageScales {
+        let corner = set.corner(k);
+        let (wire_r, wire_c) = set.wire_scales(net, k);
+        StageScales {
+            wire_r,
+            wire_c,
+            driver_r: corner.r_scale,
+            load_c: corner.c_scale,
+        }
+    }
 }
 
-/// Builds the augmented stage arrays (driver resistor spliced above the
-/// interconnect, sink loads added) and runs the batched sweep, returning
-/// the [`BatchTimes`] plus the raw-node → augmented-pre-order-position
-/// map.  Shared verbatim by [`stage_delay_bounds`] and
-/// [`stage_node_times`] so both accumulate the same floats in the same
-/// order.
+/// The one scaled stage sweep: splices the stage at `scales` (driver
+/// resistor above the interconnect, sink loads added) and runs the batched
+/// pre-order sweep, returning the [`BatchTimes`] plus the raw-node →
+/// augmented-pre-order-position map.  [`stage_delay_bounds`] and
+/// [`stage_node_times`] read it at [`StageScales::NOMINAL`]; ECO re-timing
+/// and snapshot node queries read it once per corner lane.  Because the
+/// splice is the arena's, the result is bit-identical to the arena's sweep
+/// of the same lane.
 pub(crate) fn augmented_batch(
-    driver_resistance: Ohms,
-    interconnect: &RcTree,
-    sink_loads: &[(NodeId, Farads)],
-) -> Result<(BatchTimes, Vec<u32>)> {
-    augmented_batch_scaled(
-        driver_resistance,
-        interconnect,
-        sink_loads,
-        StageScales::NOMINAL,
-    )
-}
-
-/// [`augmented_batch`] evaluated at a PVT corner: identical array layout
-/// and accumulation order, with every spliced value multiplied by its
-/// [`StageScales`] factor **at splice time** (one rounding per element).
-/// The resulting arrays are bit-identical to the corresponding corner lane
-/// of the `NetArena`, which scales the same base values by the same
-/// factors, so the engine-based ECO re-timing path and the arena lane
-/// sweep agree bit-for-bit.
-pub(crate) fn augmented_batch_scaled(
     driver_resistance: Ohms,
     interconnect: &RcTree,
     sink_loads: &[(NodeId, Farads)],
     scales: StageScales,
 ) -> Result<(BatchTimes, Vec<u32>)> {
-    let (arrays, pos) = augmented_arrays(driver_resistance, interconnect, sink_loads, scales)?;
+    let stage = Spliced::new(driver_resistance, interconnect, sink_loads, scales)?;
     let batch = BatchTimes::of_preorder(
-        &arrays.parent,
-        &arrays.branch_r,
-        &arrays.branch_c,
-        &arrays.node_cap,
+        &stage.parent,
+        &stage.values.branch_r,
+        &stage.values.branch_c,
+        &stage.values.node_cap,
     )?;
-    Ok((batch, pos))
+    Ok((batch, stage.pos))
 }
 
-/// The augmented stage's flat pre-order arrays: one spliced element per
-/// entry, ready for any delay-algebra sweep.
-#[derive(Debug, Clone)]
-pub(crate) struct AugmentedArrays {
-    pub parent: Vec<u32>,
+/// One lane of spliced element values, in augmented pre-order: the branch
+/// resistance and distributed capacitance feeding each node and its
+/// lumped capacitance (interconnect plus spliced sink loads).
+#[derive(Debug)]
+pub(crate) struct LaneValues {
     pub branch_r: Vec<f64>,
     pub branch_c: Vec<f64>,
     pub node_cap: Vec<f64>,
 }
 
-/// Builds the augmented stage arrays shared by the scalar and symbolic
-/// sweeps: the splice order, validation order and per-element scaling
-/// (one rounding per element, at splice time) are exactly the historical
-/// [`augmented_batch_scaled`] sequence — this helper is pure code motion,
-/// so the `f64` path stays bit-identical.
-fn augmented_arrays(
+impl LaneValues {
+    /// Empty columns with room for `n` entries each.
+    pub fn with_capacity(n: usize) -> LaneValues {
+        LaneValues {
+            branch_r: Vec::with_capacity(n),
+            branch_c: Vec::with_capacity(n),
+            node_cap: Vec::with_capacity(n),
+        }
+    }
+
+    /// Number of entries per column.
+    pub fn len(&self) -> usize {
+        self.node_cap.len()
+    }
+
+    /// Truncates (or zero-pads) every column to `len` entries.
+    pub fn resize(&mut self, len: usize) {
+        self.branch_r.resize(len, 0.0);
+        self.branch_c.resize(len, 0.0);
+        self.node_cap.resize(len, 0.0);
+    }
+}
+
+/// One whole stage spliced into fresh arrays, for one-shot sweeps.
+struct Spliced {
+    parent: Vec<u32>,
+    values: LaneValues,
+    pos: Vec<u32>,
+}
+
+impl Spliced {
+    fn new(
+        driver_resistance: Ohms,
+        interconnect: &RcTree,
+        sink_loads: &[(NodeId, Farads)],
+        scales: StageScales,
+    ) -> Result<Spliced> {
+        let n_aug = interconnect.node_count() + 1;
+        let mut stage = Spliced {
+            parent: Vec::with_capacity(n_aug),
+            values: LaneValues::with_capacity(n_aug),
+            pos: Vec::new(),
+        };
+        augmented_arrays(
+            driver_resistance,
+            interconnect,
+            sink_loads,
+            scales,
+            &mut stage.parent,
+            &mut stage.values,
+            &mut stage.pos,
+        )?;
+        Ok(stage)
+    }
+}
+
+/// The one splice: appends one corner lane of one stage to caller-owned
+/// columns.  Pushes the augmented pre-order parent of every node to
+/// `parent` and its element values to `values`, each multiplied by its
+/// [`StageScales`] factor as it is spliced (one rounding per element), and
+/// leaves each raw node's augmented position — local to the appended
+/// range, as are the parents — in `pos`.  Reusing the caller's buffers lets
+/// the arena build splice every lane of every net without allocating per
+/// net.
+///
+/// The splice and validation order is the builder path's
+/// ([`prepend_driver`]): driver check, pre-order walk with reserved-name
+/// checks, then per-sink node and load checks, each on the **scaled**
+/// value.  On error the columns hold a partial append, which the caller
+/// discards.
+pub(crate) fn augmented_arrays(
     driver_resistance: Ohms,
     interconnect: &RcTree,
     sink_loads: &[(NodeId, Farads)],
     scales: StageScales,
-) -> Result<(AugmentedArrays, Vec<u32>)> {
+    parent: &mut Vec<u32>,
+    values: &mut LaneValues,
+    pos: &mut Vec<u32>,
+) -> Result<()> {
     // The builder path validates the spliced-in values through
     // `RcTreeBuilder`'s finite/non-negative checks; reject the same inputs
     // with the same error (the interconnect's own values were validated at
@@ -438,27 +487,24 @@ fn augmented_arrays(
     };
     let driver_r = driver_resistance.value() * scales.driver_r;
     check("resistance", driver_r)?;
-    let n_raw = interconnect.node_count();
-    let n_aug = n_raw + 1;
-
-    let mut parent = Vec::with_capacity(n_aug);
-    let mut branch_r = Vec::with_capacity(n_aug);
-    let mut branch_c = Vec::with_capacity(n_aug);
-    let mut node_cap = Vec::with_capacity(n_aug);
-    // Raw node id -> augmented pre-order position.
-    let mut pos = vec![0u32; n_raw];
+    let base = values.len();
+    // Raw node id -> augmented pre-order position, local to this stage.
+    pos.clear();
+    pos.resize(interconnect.node_count(), 0);
 
     // Augmented node 0: the stage input (no element, no capacitance), and
     // node 1: the driver's output, carrying the driver resistance and the
     // interconnect input's lumped capacitance.
     parent.push(0);
-    branch_r.push(0.0);
-    branch_c.push(0.0);
-    node_cap.push(0.0);
+    values.branch_r.push(0.0);
+    values.branch_c.push(0.0);
+    values.node_cap.push(0.0);
     parent.push(0);
-    branch_r.push(driver_r);
-    branch_c.push(0.0);
-    node_cap.push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
+    values.branch_r.push(driver_r);
+    values.branch_c.push(0.0);
+    values
+        .node_cap
+        .push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
     pos[interconnect.input().index()] = 1;
 
     for id in interconnect.preorder() {
@@ -478,11 +524,17 @@ fn augmented_arrays(
         }
         let p = interconnect.parent(id)?.expect("non-input node");
         let branch = interconnect.branch(id)?.expect("non-input node");
-        pos[id.index()] = parent.len() as u32;
+        pos[id.index()] = (values.len() - base) as u32;
         parent.push(pos[p.index()]);
-        branch_r.push(branch.resistance().value() * scales.wire_r);
-        branch_c.push(branch.capacitance().value() * scales.wire_c);
-        node_cap.push(interconnect.capacitance(id)?.value() * scales.wire_c);
+        values
+            .branch_r
+            .push(branch.resistance().value() * scales.wire_r);
+        values
+            .branch_c
+            .push(branch.capacitance().value() * scales.wire_c);
+        values
+            .node_cap
+            .push(interconnect.capacitance(id)?.value() * scales.wire_c);
     }
 
     for &(node, load) in sink_loads {
@@ -491,18 +543,9 @@ fn augmented_arrays(
         let _ = interconnect.name(node)?;
         let load_c = load.value() * scales.load_c;
         check("capacitance", load_c)?;
-        node_cap[pos[node.index()] as usize] += load_c;
+        values.node_cap[base + pos[node.index()] as usize] += load_c;
     }
-
-    Ok((
-        AugmentedArrays {
-            parent,
-            branch_r,
-            branch_c,
-            node_cap,
-        },
-        pos,
-    ))
+    Ok(())
 }
 
 /// Builds the augmented stage tree: a new input, a lumped resistor equal to
@@ -822,8 +865,14 @@ mod tests {
                 driver_r: r,
                 load_c: c,
             };
-            let scaled =
-                stage_delay_bounds_scaled(Ohms::new(1000.0), &net, &loads, 0.5, scales).unwrap();
+            let (batch, pos) = augmented_batch(Ohms::new(1000.0), &net, &loads, scales).unwrap();
+            let scaled: Vec<DelayBounds> = loads
+                .iter()
+                .map(|&(node, _)| {
+                    let times = batch.times_at(pos[node.index()] as usize).unwrap();
+                    times.delay_bounds(0.5).unwrap()
+                })
+                .collect();
             let symbolic = stage_symbolic_bounds(Ohms::new(1000.0), &net, &loads, 0.5).unwrap();
             for (s, p) in scaled.iter().zip(&symbolic) {
                 let at = p.eval(r, c);

@@ -4,9 +4,9 @@
 //! Three contracts are pinned here:
 //!
 //! 1. **`f64` bit-identity** — the generic-kernel scalar path produces the
-//!    exact bits of the independent per-net resolution path
-//!    (`analyze_rebuild_with_jobs`), for every worker count and under
-//!    seeded ECO streams.  `assert_eq!`, not tolerances.
+//!    exact bits of the independent per-net resolution path (the cold ECO
+//!    warm-up of a clone, `apply_eco_with_jobs(&[], ..)`), for every worker
+//!    count and under seeded ECO streams.  `assert_eq!`, not tolerances.
 //! 2. **Symbolic exactness** — evaluating the `Poly2` lane at any uniform
 //!    `(r_scale, c_scale)` agrees with the materialized-corner analysis at
 //!    that scale (delay scale 1, no per-net overrides) to 1e-9 relative,
@@ -178,7 +178,8 @@ fn scalar_reports_are_bit_identical_across_jobs_and_paths() {
             let report = design.analyze_with_jobs(THRESHOLD, budget, jobs).unwrap();
             assert_eq!(report, reference, "{name}: jobs {jobs}");
             let rebuilt = design
-                .analyze_rebuild_with_jobs(THRESHOLD, budget, jobs)
+                .clone()
+                .apply_eco_with_jobs(&[], THRESHOLD, budget, jobs)
                 .unwrap();
             assert_eq!(rebuilt, reference, "{name}: rebuild, jobs {jobs}");
         }

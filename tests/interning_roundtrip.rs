@@ -26,9 +26,12 @@ fn deck_design(nets: usize) -> Design {
 fn report_text_is_byte_identical_to_the_string_keyed_baseline() {
     let d = deck_design(40);
     let interned = d.analyze_with_jobs(THRESHOLD, BUDGET, 2).unwrap();
-    // The preserved pre-arena baseline resolves every name per call
-    // through the string-keyed tables — the pre-interning surface.
-    let baseline = d.analyze_rebuild_with_jobs(THRESHOLD, BUDGET, 2).unwrap();
+    // The cold ECO warm-up of a clone resolves every name per net through
+    // the string-keyed tables — the pre-interning surface.
+    let baseline = d
+        .clone()
+        .apply_eco_with_jobs(&[], THRESHOLD, BUDGET, 2)
+        .unwrap();
     assert_eq!(interned, baseline);
     assert_eq!(interned.to_string(), baseline.to_string());
     // Endpoint names round-trip: every rendered name is an original
