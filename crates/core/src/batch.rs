@@ -7,13 +7,13 @@
 //! multi-sink clock-tree and PLA workloads the paper targets (Figs. 10–13).
 //!
 //! [`BatchTimes`] removes the extra factor: **two traversals** over the
-//! flattened arrays cached on [`RcTree`] produce the characteristic times of
-//! all `n` nodes at once, after which any output's signature is an `O(1)`
+//! column table of an [`RcTree`] produce the characteristic times of all
+//! `n` nodes at once, after which any output's signature is an `O(1)`
 //! lookup.
 //!
 //! # Algorithm
 //!
-//! One post-order pass (already cached on the tree) accumulates the subtree
+//! One post-order pass (already derived on the tree) accumulates the subtree
 //! capacitance `C_sub(v)` under every node.  A pre-order pass then carries
 //! the Elmore delay and the `T_Re` numerator `N(e) = Σ_k R_ke²·C_k`
 //! incrementally across each edge `p → c` with branch resistance `r` and
@@ -155,8 +155,8 @@ fn sweep_algebra<V: DelayValue>(
         return Err(CoreError::NoCapacitance);
     }
 
-    // Derived prefix state, in the same order as `TraversalCache::build`
-    // (pre-order equals id order here by construction).
+    // Derived prefix state, in the same order as the tree's derivation
+    // pass (pre-order equals id order here by construction).
     path_r.clear();
     path_r.resize(n, V::zero());
     for i in 1..n {
@@ -307,7 +307,7 @@ impl BatchTimes {
     /// spliced around an interconnect tree as plain array entries, skipping
     /// the name-validating builder entirely.  Because
     /// [`RcTreeBuilder`](crate::builder::RcTreeBuilder) assigns ids in
-    /// insertion order and the traversal cache derives every prefix sum in
+    /// insertion order and the tree's derivation pass builds every prefix sum in
     /// pre-order, the result is **bit-identical** to
     /// [`BatchTimes::of`] on a builder-constructed tree whose insertion
     /// order was a pre-order walk of the same shape — the shared generic
@@ -427,41 +427,77 @@ impl BatchTimes {
     }
 }
 
-/// Reusable buffers for repeated [`BatchTimes::of_preorder`]-shaped sweeps.
+/// Reusable buffers for repeated [`BatchTimes::of_preorder`]-shaped sweeps
+/// over one [delay algebra](crate::algebra).
 ///
 /// Sweeping a million small nets through [`BatchTimes::of_preorder`] pays
-/// four `Vec` allocations per net.  A `BatchScratch` owns those buffers
-/// once per worker; [`BatchScratch::sweep`] runs the *identical* float
-/// sequence (same validation, same accumulation order — pinned
-/// bit-identical by a unit test) and returns a borrowed [`BatchView`] for
+/// four `Vec` allocations per net.  A `Scratch` owns those buffers once per
+/// worker; [`Scratch::sweep`] runs the *identical* float sequence (the one
+/// generic kernel: same validation, same accumulation order — pinned
+/// bit-identical by a unit test) and returns a borrowed [`View`] for
 /// `O(1)` per-node lookups, so the steady-state sweep allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct BatchScratch {
-    path_r: Vec<f64>,
-    down_cap: Vec<f64>,
-    t_d: Vec<f64>,
-    t_r: Vec<f64>,
+///
+/// At `f64` ([`BatchScratch`]) a view yields [`CharacteristicTimes`].  At
+/// [`Poly2`] ([`SymbolicScratch`]) the input arrays carry the *nominal*
+/// element values and the algebra's injectors attach the symbolic scale to
+/// each element (`x` ohms becomes `x·r`, `y` farads becomes `y·c`), so one
+/// traversal yields every node's characteristic times as polynomials in the
+/// uniform resistance/capacitance scale factors `(r, c)`.  Because the
+/// kernel is shared and `Poly2` coefficient arithmetic applies the
+/// identical scalar operations cellwise, evaluating any result at `(1, 1)`
+/// reproduces the scalar sweep's nominal value **bit-for-bit** (pinned by a
+/// test below), and evaluating at any `(r, c)` agrees with a scalar sweep
+/// of pre-scaled arrays to rounding.
+#[derive(Debug, Clone)]
+pub struct Scratch<V> {
+    path_r: Vec<V>,
+    down_cap: Vec<V>,
+    t_d: Vec<V>,
+    t_r: Vec<V>,
 }
 
-/// The result of one [`BatchScratch::sweep`], borrowing the scratch
-/// buffers.  Equivalent to the [`BatchTimes`] of the same arrays.
+/// The result of one [`Scratch::sweep`], borrowing the scratch buffers:
+/// per-node characteristic times in the scratch's algebra.  At `f64` it is
+/// equivalent to the [`BatchTimes`] of the same arrays.
 #[derive(Debug)]
-pub struct BatchView<'a> {
-    t_p: f64,
-    total_cap: f64,
-    r_ee: &'a [f64],
-    t_d: &'a [f64],
-    t_r: &'a [f64],
+pub struct View<'a, V> {
+    t_p: V,
+    total_cap: V,
+    r_ee: &'a [V],
+    t_d: &'a [V],
+    t_r: &'a [V],
 }
 
-impl BatchScratch {
+/// The scalar sweep scratch.
+pub type BatchScratch = Scratch<f64>;
+/// The result of one [`BatchScratch::sweep`].
+pub type BatchView<'a> = View<'a, f64>;
+/// The symbolic (`Poly2`) sweep scratch.
+pub type SymbolicScratch = Scratch<Poly2>;
+/// The result of one [`SymbolicScratch::sweep`]: per-node
+/// characteristic-time polynomials in `(r, c)`.
+pub type SymbolicView<'a> = View<'a, Poly2>;
+
+impl<V> Default for Scratch<V> {
+    fn default() -> Self {
+        Scratch {
+            path_r: Vec::new(),
+            down_cap: Vec::new(),
+            t_d: Vec::new(),
+            t_r: Vec::new(),
+        }
+    }
+}
+
+impl<V: DelayValue> Scratch<V> {
     /// Fresh scratch with empty buffers.
     pub fn new() -> Self {
-        BatchScratch::default()
+        Scratch::default()
     }
 
-    /// Runs the [`BatchTimes::of_preorder`] sweep over pre-order arrays,
-    /// reusing this scratch's buffers instead of allocating.
+    /// Runs the [`BatchTimes::of_preorder`] sweep over pre-order arrays
+    /// (nominal element values), reusing this scratch's buffers instead of
+    /// allocating.
     ///
     /// # Errors
     ///
@@ -473,17 +509,17 @@ impl BatchScratch {
         branch_r: &[f64],
         branch_c: &[f64],
         node_cap: &[f64],
-    ) -> Result<BatchView<'a>> {
-        let BatchScratch {
+    ) -> Result<View<'a, V>> {
+        let Scratch {
             path_r,
             down_cap,
             t_d,
             t_r,
         } = self;
-        let (t_p, total_cap) = sweep_algebra::<f64>(
+        let (t_p, total_cap) = sweep_algebra::<V>(
             parent, branch_r, branch_c, node_cap, path_r, down_cap, t_d, t_r,
         )?;
-        Ok(BatchView {
+        Ok(View {
             t_p,
             total_cap,
             r_ee: path_r,
@@ -493,7 +529,24 @@ impl BatchScratch {
     }
 }
 
-impl BatchView<'_> {
+impl<V> View<'_, V> {
+    /// Number of analysed nodes.
+    pub fn node_count(&self) -> usize {
+        self.r_ee.len()
+    }
+
+    fn check(&self, index: usize) -> Result<()> {
+        if index < self.r_ee.len() {
+            Ok(())
+        } else {
+            Err(CoreError::NodeNotFound {
+                node: NodeId(index),
+            })
+        }
+    }
+}
+
+impl View<'_, f64> {
     /// The complete signature of the node at a pre-order index (`O(1)`) —
     /// the same [`CharacteristicTimes`] that [`BatchTimes::times_at`]
     /// yields for these arrays.
@@ -502,11 +555,7 @@ impl BatchView<'_> {
     ///
     /// Returns [`CoreError::NodeNotFound`] if `index` is out of range.
     pub fn times_at(&self, index: usize) -> Result<CharacteristicTimes> {
-        if index >= self.r_ee.len() {
-            return Err(CoreError::NodeNotFound {
-                node: NodeId(index),
-            });
-        }
+        self.check(index)?;
         CharacteristicTimes::new(
             Seconds::new(self.t_p),
             Seconds::new(self.t_d[index]),
@@ -515,85 +564,9 @@ impl BatchView<'_> {
             Farads::new(self.total_cap),
         )
     }
-
-    /// Number of analysed nodes.
-    pub fn node_count(&self) -> usize {
-        self.r_ee.len()
-    }
 }
 
-/// Reusable buffers for **symbolic** pre-order sweeps: the same generic
-/// kernel as [`BatchScratch::sweep`], instantiated at [`Poly2`], so one
-/// traversal yields every node's characteristic times as polynomials in the
-/// uniform resistance/capacitance scale factors `(r, c)`.
-///
-/// The input arrays carry the *nominal* element values; the algebra's
-/// injectors attach the symbolic scale to each element (`x` ohms becomes
-/// `x·r`, `y` farads becomes `y·c`).  Because the kernel is shared and
-/// `Poly2` coefficient arithmetic applies the identical scalar operations
-/// cellwise, evaluating any result at `(1, 1)` reproduces the scalar
-/// sweep's nominal value **bit-for-bit** (pinned by a test below), and
-/// evaluating at any `(r, c)` agrees with a scalar sweep of pre-scaled
-/// arrays to rounding.
-#[derive(Debug, Clone, Default)]
-pub struct SymbolicScratch {
-    path_r: Vec<Poly2>,
-    down_cap: Vec<Poly2>,
-    t_d: Vec<Poly2>,
-    t_r: Vec<Poly2>,
-}
-
-/// The result of one [`SymbolicScratch::sweep`], borrowing the scratch
-/// buffers: per-node characteristic-time polynomials in `(r, c)`.
-#[derive(Debug)]
-pub struct SymbolicView<'a> {
-    t_p: Poly2,
-    total_cap: Poly2,
-    r_ee: &'a [Poly2],
-    t_d: &'a [Poly2],
-    t_r: &'a [Poly2],
-}
-
-impl SymbolicScratch {
-    /// Fresh scratch with empty buffers.
-    pub fn new() -> Self {
-        SymbolicScratch::default()
-    }
-
-    /// Runs the [`BatchTimes::of_preorder`] sweep symbolically over nominal
-    /// pre-order arrays, reusing this scratch's buffers.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`BatchTimes::of_preorder`] on the same
-    /// inputs, in the same detection order.
-    pub fn sweep<'a>(
-        &'a mut self,
-        parent: &[u32],
-        branch_r: &[f64],
-        branch_c: &[f64],
-        node_cap: &[f64],
-    ) -> Result<SymbolicView<'a>> {
-        let SymbolicScratch {
-            path_r,
-            down_cap,
-            t_d,
-            t_r,
-        } = self;
-        let (t_p, total_cap) = sweep_algebra::<Poly2>(
-            parent, branch_r, branch_c, node_cap, path_r, down_cap, t_d, t_r,
-        )?;
-        Ok(SymbolicView {
-            t_p,
-            total_cap,
-            r_ee: path_r,
-            t_d,
-            t_r,
-        })
-    }
-}
-
-impl SymbolicView<'_> {
+impl View<'_, Poly2> {
     /// The complete symbolic signature of the node at a pre-order index
     /// (`O(1)` — copies five small coefficient grids).
     ///
@@ -601,11 +574,7 @@ impl SymbolicView<'_> {
     ///
     /// Returns [`CoreError::NodeNotFound`] if `index` is out of range.
     pub fn times_at(&self, index: usize) -> Result<SymbolicTimes> {
-        if index >= self.r_ee.len() {
-            return Err(CoreError::NodeNotFound {
-                node: NodeId(index),
-            });
-        }
+        self.check(index)?;
         Ok(SymbolicTimes {
             t_p: self.t_p,
             t_d: self.t_d[index],
@@ -613,11 +582,6 @@ impl SymbolicView<'_> {
             r_ee: self.r_ee[index],
             total_cap: self.total_cap,
         })
-    }
-
-    /// Number of analysed nodes.
-    pub fn node_count(&self) -> usize {
-        self.r_ee.len()
     }
 }
 

@@ -26,7 +26,8 @@
 
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
-use crate::tree::{NodeData, NodeId, RcTree};
+use crate::intern::NameId;
+use crate::tree::{line_bit, NodeId, NodeTable, RcTree, OUTPUT};
 use crate::units::{Farads, Ohms};
 
 /// Default name given to the input node.
@@ -34,10 +35,12 @@ pub const INPUT_NAME: &str = "input";
 
 /// Builder for [`RcTree`] networks.
 ///
-/// See the [module documentation](self) for a complete example.
+/// It writes the tree's base columns directly, one row per added node;
+/// names are interned as they arrive, so the duplicate check is one hash
+/// probe.  See the [module documentation](self) for a complete example.
 #[derive(Debug, Clone)]
 pub struct RcTreeBuilder {
-    nodes: Vec<NodeData>,
+    table: NodeTable,
 }
 
 impl Default for RcTreeBuilder {
@@ -56,14 +59,7 @@ impl RcTreeBuilder {
     /// Creates a builder whose input node carries the given name.
     pub fn with_input_name(name: impl Into<String>) -> Self {
         RcTreeBuilder {
-            nodes: vec![NodeData {
-                name: name.into(),
-                parent: None,
-                branch: None,
-                cap: Farads::ZERO,
-                children: Vec::new(),
-                output: false,
-            }],
+            table: NodeTable::with_input(&name.into()),
         }
     }
 
@@ -74,7 +70,7 @@ impl RcTreeBuilder {
 
     /// Number of nodes added so far, including the input.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.table.len()
     }
 
     /// Looks up a previously added node by name.
@@ -83,10 +79,10 @@ impl RcTreeBuilder {
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(NodeId)
+        self.table
+            .names
+            .get(name)
+            .map(|id| NodeId(id.index()))
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),
             })
@@ -144,11 +140,12 @@ impl RcTreeBuilder {
     /// finite.
     pub fn add_capacitance(&mut self, node: NodeId, capacitance: Farads) -> Result<()> {
         check_value("capacitance", capacitance.value())?;
-        let data = self
-            .nodes
+        let cap = self
+            .table
+            .node_cap
             .get_mut(node.0)
             .ok_or(CoreError::NodeNotFound { node })?;
-        data.cap += capacitance;
+        *cap += capacitance.value();
         Ok(())
     }
 
@@ -158,61 +155,54 @@ impl RcTreeBuilder {
     ///
     /// Returns [`CoreError::NodeNotFound`] if `node` is unknown.
     pub fn mark_output(&mut self, node: NodeId) -> Result<()> {
-        let data = self
-            .nodes
+        let flags = self
+            .table
+            .flags
             .get_mut(node.0)
             .ok_or(CoreError::NodeNotFound { node })?;
-        data.output = true;
+        *flags |= OUTPUT;
         Ok(())
     }
 
     /// Finalizes the builder into an immutable [`RcTree`].
     ///
-    /// This is where the tree's flattened traversal cache (pre-order index
-    /// array, per-node parent/branch/capacitance arrays, prefix path
-    /// resistances and downstream capacitances) is derived, so that every
-    /// subsequent whole-tree analysis is an allocation-free array walk.
+    /// The base columns are complete at this point; this is where the
+    /// derived columns (pre-order, prefix path resistances, downstream
+    /// capacitances and subtree intervals) are built, in one backward and
+    /// one forward pass over ids, so that every subsequent whole-tree
+    /// analysis is an allocation-free array walk.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::EmptyTree`] if no branches or capacitance were
     /// added at all.
     pub fn build(self) -> Result<RcTree> {
-        let has_branch = self.nodes.len() > 1;
-        let has_cap = self.nodes.iter().any(|n| !n.cap.is_zero())
-            || self
-                .nodes
-                .iter()
-                .filter_map(|n| n.branch.as_ref())
-                .any(|b| !b.capacitance().is_zero());
+        let t = &self.table;
+        let has_branch = t.len() > 1;
+        let has_cap = t.node_cap.iter().chain(&t.branch_c).any(|&c| c != 0.0);
         if !has_branch && !has_cap {
             return Err(CoreError::EmptyTree);
         }
-        Ok(RcTree::from_nodes(self.nodes))
+        Ok(RcTree::from_table(self.table))
     }
 
     fn add_branch(&mut self, parent: NodeId, name: String, branch: Branch) -> Result<NodeId> {
-        if parent.0 >= self.nodes.len() {
+        let id = self.table.len();
+        if parent.0 >= id {
             return Err(CoreError::NodeNotFound { node: parent });
         }
-        if self.nodes.iter().any(|n| n.name == name) {
+        // Interning an existing name returns its (smaller) id unchanged.
+        if self.table.names.intern(&name) != NameId(id as u32) {
             return Err(CoreError::DuplicateName { name });
         }
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(NodeData {
-            name,
-            parent: Some(parent),
-            branch: Some(branch),
-            cap: Farads::ZERO,
-            children: Vec::new(),
-            output: false,
-        });
-        self.nodes[parent.0].children.push(id);
-        Ok(id)
+        let (r, c) = (branch.resistance().value(), branch.capacitance().value());
+        self.table.push_row(parent.0, r, c, 0.0, line_bit(&branch));
+        Ok(NodeId(id))
     }
 }
 
-fn check_value(what: &'static str, value: f64) -> Result<()> {
+/// Rejects a negative or non-finite element value.
+pub(crate) fn check_value(what: &'static str, value: f64) -> Result<()> {
     if !value.is_finite() || value < 0.0 {
         Err(CoreError::InvalidValue { what, value })
     } else {

@@ -6,14 +6,16 @@
 //! change order (ECO) loop — resize a driver, tweak a load, re-query the
 //! slack, repeat — pays the full `O(n)` rebuild on every edit.  This module
 //! removes that cost: an [`EditableTree`] accepts [`TreeEdit`] deltas,
-//! revalidates them locally, patches the tree's flattened
-//! `TraversalCache` in place, and keeps an [`IncrementalTimes`] engine
-//! whose characteristic-time state is repaired instead of recomputed.
+//! revalidates them locally, writes them into the tree's column table, and
+//! keeps an [`IncrementalTimes`] engine whose characteristic-time state is
+//! repaired instead of recomputed.  The table is shared with every clone
+//! of the tree until the first accepted edit copies it
+//! (`Arc::make_mut`); a rejected edit copies and changes nothing.
 //!
 //! # How the delta propagates
 //!
 //! Both per-node quantities are sums of per-edge weights along the unique
-//! root→node path (children of the cache's pre-order recurrence):
+//! root→node path (the pre-order recurrence of [`crate::batch`]):
 //!
 //! ```text
 //! T_De(k)      = Σ_{edges c on path(k)} w₁(c),  w₁(c) = r·(C_sub(c) + c_ℓ/2)
@@ -24,9 +26,9 @@
 //! A value edit at node `v` only perturbs the weights of edges on the
 //! root→`v` path (plus, for a branch-resistance change, the `w₂` weights
 //! inside `v`'s subtree).  An edge's weight change affects exactly the
-//! nodes *below* that edge — which, thanks to the pre-order subtree
-//! intervals cached on the tree, is one contiguous slice of pre-order
-//! positions.  The engine therefore stores each node's time as
+//! nodes *below* that edge — which, thanks to the tree's pre-order subtree
+//! intervals, is one contiguous slice of pre-order positions.  The engine
+//! therefore stores each node's time as
 //!
 //! ```text
 //! value(k) = base[k] + lazy(pre_index[k])
@@ -34,8 +36,9 @@
 //!
 //! where `lazy` is a Fenwick tree over pre-order positions supporting
 //! `O(log n)` subtree-range add and `O(log n)` point query.  `T_P` and
-//! `C_T` are maintained as running sums, and the cache's `C_sub` prefix
-//! array is patched along the root path.
+//! `C_T` are maintained as running sums.  A value edit patches the tree's
+//! `C_sub` column along the root path (and, for a resistance change, the
+//! path-resistance column over the subtree).
 //!
 //! # Complexity
 //!
@@ -43,23 +46,27 @@
 //! |------|--------------|------------|
 //! | [`TreeEdit::SetCap`] | `O(depth · log n)` | `O(depth)` |
 //! | [`TreeEdit::SetBranch`] | `O(depth · log n + |subtree| · log n)` | `O(|subtree|)` |
-//! | [`TreeEdit::GraftSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` splice + re-index |
-//! | [`TreeEdit::PruneSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` compact + re-index |
+//! | [`TreeEdit::GraftSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` append + re-derive |
+//! | [`TreeEdit::PruneSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` compact + re-derive |
 //! | query ([`EditableTree::characteristic_times`]) | `O(log n)` | — |
 //!
-//! Structural edits pay an `O(n)` *integer* pass to splice or compact the
-//! pre-order array and renumber ids — a few machine ops per node — while
-//! their floating-point work stays proportional to the dirty region.  The
-//! one-shot [`BatchTimes`](crate::batch::BatchTimes) is now a facade over
-//! [`raw_times`], the same recurrence this engine uses to seed its state.
+//! Structural edits append to or compact the base columns and re-run the
+//! tree's derivation pass ([`RcTree::rebuild`]'s two passes over ids) — a
+//! few machine ops per node — while the engine's floating-point work stays
+//! proportional to the dirty region.  The first edit on a shared tree also
+//! pays one `O(n)` copy of its table.  The one-shot
+//! [`BatchTimes`](crate::batch::BatchTimes) is a facade over [`raw_times`],
+//! the same recurrence this engine uses to seed its state.
 //!
 //! # Invariants
 //!
-//! * The node table is always exact: edits write the new element values
+//! * The base columns are always exact: edits write the new element values
 //!   directly, so a [`RcTree::rebuild`] produces a bit-exact from-scratch
 //!   oracle at any point.
-//! * The patched cache (`path_r`, `down_cap`) and the engine state equal a
-//!   from-scratch rebuild up to floating-point accumulation order; the
+//! * Graft and prune re-derive the derived columns exactly.  After value
+//!   edits the patched columns (`path_r`, `down_cap`) and, always, the
+//!   engine state equal a from-scratch rebuild up to floating-point
+//!   accumulation order; the
 //!   `incremental_equivalence` suite pins the agreement to 1e-9 relative
 //!   after every edit of seeded streams over every workload generator
 //!   (with an absolute floor of `1e-12 × T_P`: the difference-array lazy
@@ -92,13 +99,12 @@
 //! # }
 //! ```
 
-use std::collections::HashSet;
-
 use crate::batch::BatchTimes;
+use crate::builder::check_value;
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
 use crate::moments::CharacteristicTimes;
-use crate::tree::{NodeId, RcTree};
+use crate::tree::{line_bit, NodeId, NodeTable, RcTree, LINE, OUTPUT};
 use crate::units::{Farads, Seconds};
 
 /// Raw (un-normalised) characteristic-time state of every node: the shared
@@ -114,8 +120,8 @@ pub(crate) struct RawTimes {
 }
 
 /// Computes the raw characteristic times of every node in one pass over the
-/// flattened traversal cache (the former body of `BatchTimes::of`, shared so
-/// the incremental engine seeds from the identical float sequence).
+/// tree's columns (the former body of `BatchTimes::of`, shared so the
+/// incremental engine seeds from the identical float sequence).
 pub(crate) fn raw_times(tree: &RcTree) -> RawTimes {
     let cache = tree.traversal();
     let n = cache.preorder.len();
@@ -313,8 +319,8 @@ impl IncrementalTimes {
 /// A mutable RC tree with live incremental analysis.
 ///
 /// Wraps a validated [`RcTree`]; [`EditableTree::apply`] validates each
-/// [`TreeEdit`] locally, patches the node table and the flattened traversal
-/// cache in place, and repairs the attached [`IncrementalTimes`] in
+/// [`TreeEdit`] locally, then writes it into the tree's columns (copying a
+/// shared table first) and repairs the attached [`IncrementalTimes`] in
 /// `O(depth + |affected subtree|)` numeric work instead of `O(n)`.
 ///
 /// Unlike [`BatchTimes::of`](crate::batch::BatchTimes::of), construction
@@ -346,8 +352,8 @@ impl EditableTree {
         }
     }
 
-    /// The current state of the tree (node table always exact; derived
-    /// cache patched in place).
+    /// The current state of the tree (base columns always exact; derived
+    /// columns patched or re-derived).
     pub fn tree(&self) -> &RcTree {
         &self.tree
     }
@@ -475,62 +481,51 @@ impl EditableTree {
     /// them; required before any edit that re-shapes the pre-order
     /// position space.
     fn flatten(&mut self) {
-        let cache = self.tree.traversal();
+        let t = self.tree.traversal();
         let td_pts = self.times.td_lazy.drain_points();
         let trn_pts = self.times.trn_lazy.drain_points();
-        for i in 0..cache.preorder.len() {
-            let pos = cache.pre_index[i] as usize;
-            self.times.td_base[i] += td_pts[pos];
-            self.times.trn_base[i] += trn_pts[pos];
+        for (i, &pos) in t.pre_index.iter().enumerate() {
+            self.times.td_base[i] += td_pts[pos as usize];
+            self.times.trn_base[i] += trn_pts[pos as usize];
+        }
+    }
+
+    /// Adds the lazy `T_De` / `T_Re`-numerator offsets of `delta` more
+    /// capacitance under every edge from node `a` up to the root.
+    fn root_path_add(&mut self, mut a: usize, delta: f64) {
+        let t = self.tree.traversal();
+        while a != 0 {
+            let p = t.parent[a] as usize;
+            let r = t.branch_r[a];
+            if r != 0.0 {
+                let (l, e) = t.interval(a);
+                self.times.td_lazy.range_add(l, e, r * delta);
+                self.times
+                    .trn_lazy
+                    .range_add(l, e, (t.path_r[a] + t.path_r[p]) * r * delta);
+            }
+            a = p;
         }
     }
 
     fn set_cap(&mut self, node: NodeId, cap: Farads) -> Result<()> {
         self.tree.check(node)?;
         let value = cap.value();
-        if !value.is_finite() || value < 0.0 {
-            return Err(CoreError::InvalidValue {
-                what: "capacitance",
-                value,
-            });
-        }
+        check_value("capacitance", value)?;
         let i = node.index();
-        let delta = value - self.tree.cache.node_cap[i];
-        self.tree.nodes[i].cap = cap;
+        let t = self.tree.table_mut();
+        let delta = value - t.node_cap[i];
+        t.node_cap[i] = value;
         if delta == 0.0 {
             return Ok(());
         }
-        let cache = &mut self.tree.cache;
-        cache.node_cap[i] = value;
-        // Subtree capacitances along the root path.
-        let mut a = i;
-        loop {
-            cache.down_cap[a] += delta;
-            if a == 0 {
-                break;
-            }
-            a = cache.parent[a] as usize;
-        }
+        add_down_cap(t, i, delta);
         self.times.total_cap += delta;
-        self.times.t_p += cache.path_r[i] * delta;
+        self.times.t_p += t.path_r[i] * delta;
         // Every edge on the root path carries the extra capacitance: its
         // weight change reaches exactly the nodes below it (one pre-order
         // interval each).
-        let mut c = i;
-        while c != 0 {
-            let p = cache.parent[c] as usize;
-            let r = cache.branch_r[c];
-            if r != 0.0 {
-                let (l, e) = cache.interval(c);
-                self.times.td_lazy.range_add(l, e, r * delta);
-                self.times.trn_lazy.range_add(
-                    l,
-                    e,
-                    (cache.path_r[c] + cache.path_r[p]) * r * delta,
-                );
-            }
-            c = p;
-        }
+        self.root_path_add(i, delta);
         Ok(())
     }
 
@@ -541,29 +536,26 @@ impl EditableTree {
         }
         let new_r = branch.resistance().value();
         let new_c = branch.capacitance().value();
-        for (what, v) in [("resistance", new_r), ("line capacitance", new_c)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(CoreError::InvalidValue { what, value: v });
-            }
-        }
+        check_value("resistance", new_r)?;
+        check_value("line capacitance", new_c)?;
         let i = node.index();
-        let (old_r, old_c) = (self.tree.cache.branch_r[i], self.tree.cache.branch_c[i]);
+        let t = self.tree.table_mut();
+        let (old_r, old_c) = (t.branch_r[i], t.branch_c[i]);
         let (dr, dc) = (new_r - old_r, new_c - old_c);
-        self.tree.nodes[i].branch = Some(branch);
+        t.branch_r[i] = new_r;
+        t.branch_c[i] = new_c;
+        t.flags[i] = (t.flags[i] & !LINE) | line_bit(&branch);
         if dr == 0.0 && dc == 0.0 {
             return Ok(());
         }
         let times = &mut self.times;
-        let cache = &mut self.tree.cache;
-        let p = cache.parent[i] as usize;
-        let r_pp = cache.path_r[p];
-        let d = cache.down_cap[i];
+        let p = t.parent[i] as usize;
+        let r_pp = t.path_r[p];
+        let d = t.down_cap[i];
         times.t_p += dr * d + (new_c * (r_pp + new_r / 2.0) - old_c * (r_pp + old_r / 2.0));
         times.total_cap += dc;
-        cache.branch_r[i] = new_r;
-        cache.branch_c[i] = new_c;
         // The edited edge itself: both weights change for everything below.
-        let (l, e) = cache.interval(i);
+        let (l, e) = t.interval(i);
         let w1 = |r: f64, cl: f64| r * (d + cl / 2.0);
         let w2 = |r: f64, cl: f64| (2.0 * r_pp + r) * r * d + cl * (r_pp * r + r * r / 3.0);
         times
@@ -578,18 +570,18 @@ impl EditableTree {
             // inner edge.  (T_De weights are unaffected: they depend only
             // on the edge's own r and its downstream capacitance.)
             for pos in l..e {
-                let k = cache.preorder[pos] as usize;
-                cache.path_r[k] += dr;
+                let k = t.preorder[pos] as usize;
+                t.path_r[k] += dr;
             }
             for pos in l + 1..e {
-                let k = cache.preorder[pos] as usize;
-                let rk = cache.branch_r[k];
+                let k = t.preorder[pos] as usize;
+                let rk = t.branch_r[k];
                 if rk != 0.0 {
-                    let (kl, ke) = cache.interval(k);
+                    let (kl, ke) = t.interval(k);
                     times.trn_lazy.range_add(
                         kl,
                         ke,
-                        dr * rk * (2.0 * cache.down_cap[k] + cache.branch_c[k]),
+                        dr * rk * (2.0 * t.down_cap[k] + t.branch_c[k]),
                     );
                 }
             }
@@ -597,25 +589,8 @@ impl EditableTree {
         if dc != 0.0 {
             // The line's own distributed capacitance sits in every
             // ancestor's subtree capacitance.
-            let mut a = p;
-            loop {
-                cache.down_cap[a] += dc;
-                if a == 0 {
-                    break;
-                }
-                let ra = cache.branch_r[a];
-                if ra != 0.0 {
-                    let (al, ae) = cache.interval(a);
-                    let pa = cache.parent[a] as usize;
-                    times.td_lazy.range_add(al, ae, ra * dc);
-                    times.trn_lazy.range_add(
-                        al,
-                        ae,
-                        (cache.path_r[a] + cache.path_r[pa]) * ra * dc,
-                    );
-                }
-                a = cache.parent[a] as usize;
-            }
+            add_down_cap(t, p, dc);
+            self.root_path_add(p, dc);
         }
         Ok(())
     }
@@ -624,21 +599,14 @@ impl EditableTree {
         self.tree.check(parent)?;
         let via_r = via.resistance().value();
         let via_c = via.capacitance().value();
-        for (what, v) in [("resistance", via_r), ("line capacitance", via_c)] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(CoreError::InvalidValue { what, value: v });
-            }
-        }
-        {
-            let host_names: HashSet<&str> =
-                self.tree.nodes.iter().map(|n| n.name.as_str()).collect();
-            for data in &subtree.nodes {
-                if host_names.contains(data.name.as_str()) {
-                    return Err(CoreError::DuplicateName {
-                        name: data.name.clone(),
-                    });
-                }
-            }
+        check_value("resistance", via_r)?;
+        check_value("line capacitance", via_c)?;
+        let sub = subtree.traversal();
+        let host = &self.tree.traversal().names;
+        if let Some((_, name)) = sub.names.iter().find(|(_, name)| host.get(name).is_some()) {
+            return Err(CoreError::DuplicateName {
+                name: name.to_string(),
+            });
         }
 
         let gp = parent.index();
@@ -649,103 +617,53 @@ impl EditableTree {
         // into the base arrays first.
         self.flatten();
 
-        // Node table: subtree node `j` becomes host node `n_old + j`; its
-        // input is rewired onto `parent` through `via`.
-        for (j, data) in subtree.nodes.iter().enumerate() {
-            let mut d = data.clone();
-            d.parent = Some(match data.parent {
-                Some(p) => NodeId(n_old + p.index()),
-                None => parent,
-            });
+        // Subtree node `j` becomes host node `n_old + j`; its input hangs
+        // on `parent` through `via`, so it is the parent's last child.
+        let t = self.tree.table_mut();
+        for (j, name) in sub.names.iter() {
+            let j = j.index();
+            t.names.intern(name);
             if j == 0 {
-                d.branch = Some(via);
-            }
-            for c in &mut d.children {
-                *c = NodeId(n_old + c.index());
-            }
-            self.tree.nodes.push(d);
-        }
-        self.tree.nodes[gp].children.push(NodeId(n_old));
-
-        // Cache: extend the flat arrays, splice the mapped pre-order run at
-        // the end of the graft parent's interval (the grafted root is the
-        // parent's new last child, matching a from-scratch DFS), re-index.
-        let sub_cache = subtree.traversal();
-        let insert_pos = self.tree.cache.subtree_end[gp] as usize;
-        {
-            let cache = &mut self.tree.cache;
-            for j in 0..m {
-                cache.parent.push(if j == 0 {
-                    gp as u32
-                } else {
-                    (n_old + sub_cache.parent[j] as usize) as u32
-                });
-                cache
-                    .branch_r
-                    .push(if j == 0 { via_r } else { sub_cache.branch_r[j] });
-                cache
-                    .branch_c
-                    .push(if j == 0 { via_c } else { sub_cache.branch_c[j] });
-                cache.node_cap.push(sub_cache.node_cap[j]);
-                cache.down_cap.push(sub_cache.down_cap[j]);
-                cache.path_r.push(0.0);
-            }
-            let mapped: Vec<u32> = sub_cache
-                .preorder
-                .iter()
-                .map(|&j| (n_old + j as usize) as u32)
-                .collect();
-            cache.preorder.splice(insert_pos..insert_pos, mapped);
-            cache.rebuild_intervals();
-            for pos in insert_pos..insert_pos + m {
-                let k = cache.preorder[pos] as usize;
-                let pk = cache.parent[k] as usize;
-                cache.path_r[k] = cache.path_r[pk] + cache.branch_r[k];
+                let flags = (sub.flags[0] & OUTPUT) | line_bit(&via);
+                t.push_row(gp, via_r, via_c, sub.node_cap[0], flags);
+            } else {
+                let p = n_old + sub.parent[j] as usize;
+                t.push_row(
+                    p,
+                    sub.branch_r[j],
+                    sub.branch_c[j],
+                    sub.node_cap[j],
+                    sub.flags[j],
+                );
             }
         }
+        t.derive();
 
         // Numeric state: new contributions to C_T and T_P, base times for
-        // the new nodes seeded from the graft parent's pre-edit value, then
-        // one root-path correction shared by old and new nodes alike.
-        let c_add = sub_cache.down_cap[0] + via_c;
+        // the new nodes seeded from the graft parent's pre-edit value (ids
+        // put parents first), then one root-path correction shared by old
+        // and new nodes alike.
+        let c_add = sub.down_cap[0] + via_c;
         let times = &mut self.times;
-        let cache = &mut self.tree.cache;
         times.total_cap += c_add;
         times.td_base.resize(n_old + m, 0.0);
         times.trn_base.resize(n_old + m, 0.0);
-        for pos in insert_pos..insert_pos + m {
-            let k = cache.preorder[pos] as usize;
-            let pk = cache.parent[k] as usize;
-            let r = cache.branch_r[k];
-            let cl = cache.branch_c[k];
-            let (r_pp, r_cc) = (cache.path_r[pk], cache.path_r[k]);
-            times.t_p += cache.node_cap[k] * cache.path_r[k] + cl * (r_pp + r / 2.0);
-            times.td_base[k] = times.td_base[pk] + r * (cache.down_cap[k] + cl / 2.0);
+        for k in n_old..n_old + m {
+            let pk = t.parent[k] as usize;
+            let r = t.branch_r[k];
+            let cl = t.branch_c[k];
+            let (r_pp, r_cc) = (t.path_r[pk], t.path_r[k]);
+            times.t_p += t.node_cap[k] * r_cc + cl * (r_pp + r / 2.0);
+            times.td_base[k] = times.td_base[pk] + r * (t.down_cap[k] + cl / 2.0);
             times.trn_base[k] = times.trn_base[pk]
-                + (r_cc + r_pp) * r * cache.down_cap[k]
+                + (r_cc + r_pp) * r * t.down_cap[k]
                 + cl * (r_pp * r + r * r / 3.0);
         }
         times.td_lazy = Fenwick::new(n_old + m);
         times.trn_lazy = Fenwick::new(n_old + m);
-        // Root-path correction: every subtree capacitance from the graft
-        // parent up grows by `c_add`.
-        let mut a = gp;
-        loop {
-            cache.down_cap[a] += c_add;
-            if a == 0 {
-                break;
-            }
-            let ra = cache.branch_r[a];
-            if ra != 0.0 {
-                let (al, ae) = cache.interval(a);
-                let pa = cache.parent[a] as usize;
-                times.td_lazy.range_add(al, ae, ra * c_add);
-                times
-                    .trn_lazy
-                    .range_add(al, ae, (cache.path_r[a] + cache.path_r[pa]) * ra * c_add);
-            }
-            a = cache.parent[a] as usize;
-        }
+        // Every subtree capacitance from the graft parent up grew by
+        // `c_add`.
+        self.root_path_add(gp, c_add);
         Ok(())
     }
 
@@ -758,114 +676,73 @@ impl EditableTree {
 
         self.flatten();
 
-        let (l, e) = self.tree.cache.interval(i);
-        let c_rem = self.tree.cache.down_cap[i] + self.tree.cache.branch_c[i];
-        let n_old = self.tree.node_count();
+        let t = self.tree.table_mut();
+        let (l, e) = t.interval(i);
+        let c_rem = t.down_cap[i] + t.branch_c[i];
 
-        // Numeric removals, against the pre-edit cache.
-        {
-            let cache = &self.tree.cache;
-            for pos in l..e {
-                let k = cache.preorder[pos] as usize;
-                let pk = cache.parent[k] as usize;
-                self.times.t_p -= cache.node_cap[k] * cache.path_r[k]
-                    + cache.branch_c[k] * (cache.path_r[pk] + cache.branch_r[k] / 2.0);
-            }
+        // Numeric removals, against the pre-edit columns.
+        for &k in &t.preorder[l..e] {
+            let k = k as usize;
+            let pk = t.parent[k] as usize;
+            self.times.t_p -=
+                t.node_cap[k] * t.path_r[k] + t.branch_c[k] * (t.path_r[pk] + t.branch_r[k] / 2.0);
         }
         self.times.total_cap -= c_rem;
 
         // Old→new id map (surviving ids shift down past the holes).
-        let mut doomed = vec![false; n_old];
-        for pos in l..e {
-            doomed[self.tree.cache.preorder[pos] as usize] = true;
+        let doomed: Vec<bool> = (t.pre_index.iter())
+            .map(|&p| (l..e).contains(&(p as usize)))
+            .collect();
+        let new_id: Vec<u32> = doomed
+            .iter()
+            .scan(0, |next, &d| {
+                let id = *next;
+                *next += u32::from(!d);
+                Some(id)
+            })
+            .collect();
+        let parent_new = new_id[t.parent[i] as usize] as usize;
+
+        // Compact the base columns in order, re-interning the surviving
+        // names, and re-derive.
+        fn retain<T>(v: &mut Vec<T>, doomed: &[bool]) {
+            let mut doomed = doomed.iter();
+            v.retain(|_| !doomed.next().expect("one flag per element"));
         }
-        let mut new_id = vec![0u32; n_old];
-        let mut next = 0u32;
-        for (k, id) in new_id.iter_mut().enumerate() {
-            *id = next;
+        let names = std::mem::take(&mut t.names);
+        for (k, name) in names.iter() {
+            let k = k.index();
             if !doomed[k] {
-                next += 1;
+                t.parent[k] = new_id[t.parent[k] as usize];
+                t.names.intern(name);
             }
         }
-        let parent_old = self.tree.cache.parent[i] as usize;
-
-        // Compact the node table.
-        let nodes = std::mem::take(&mut self.tree.nodes);
-        let mut kept = Vec::with_capacity(n_old - (e - l));
-        for (k, mut data) in nodes.into_iter().enumerate() {
-            if doomed[k] {
-                continue;
-            }
-            data.parent = data.parent.map(|p| NodeId(new_id[p.index()] as usize));
-            data.children.retain(|c| !doomed[c.index()]);
-            for c in &mut data.children {
-                *c = NodeId(new_id[c.index()] as usize);
-            }
-            kept.push(data);
-        }
-        self.tree.nodes = kept;
-
-        // Compact the cache and base arrays in lockstep.
-        fn retain<T: Copy>(v: &mut Vec<T>, doomed: &[bool]) {
-            let mut w = 0;
-            for k in 0..v.len() {
-                if !doomed[k] {
-                    v[w] = v[k];
-                    w += 1;
-                }
-            }
-            v.truncate(w);
-        }
-        {
-            let cache = &mut self.tree.cache;
-            for k in 0..n_old {
-                if !doomed[k] {
-                    cache.parent[k] = new_id[cache.parent[k] as usize];
-                }
-            }
-            retain(&mut cache.parent, &doomed);
-            retain(&mut cache.branch_r, &doomed);
-            retain(&mut cache.branch_c, &doomed);
-            retain(&mut cache.node_cap, &doomed);
-            retain(&mut cache.path_r, &doomed);
-            retain(&mut cache.down_cap, &doomed);
-            cache.preorder.drain(l..e);
-            for p in &mut cache.preorder {
-                *p = new_id[*p as usize];
-            }
-            cache.pre_index.truncate(cache.preorder.len());
-            cache.subtree_end.truncate(cache.preorder.len());
-            cache.rebuild_intervals();
-        }
+        retain(&mut t.parent, &doomed);
+        retain(&mut t.branch_r, &doomed);
+        retain(&mut t.branch_c, &doomed);
+        retain(&mut t.node_cap, &doomed);
+        retain(&mut t.flags, &doomed);
+        t.derive();
         retain(&mut self.times.td_base, &doomed);
         retain(&mut self.times.trn_base, &doomed);
-        let n_new = self.tree.nodes.len();
+        let n_new = t.len();
         self.times.td_lazy = Fenwick::new(n_new);
         self.times.trn_lazy = Fenwick::new(n_new);
 
         // Root-path correction with the surviving ids.
-        let times = &mut self.times;
-        let cache = &mut self.tree.cache;
-        let mut a = new_id[parent_old] as usize;
-        loop {
-            cache.down_cap[a] -= c_rem;
-            if a == 0 {
-                break;
-            }
-            let ra = cache.branch_r[a];
-            if ra != 0.0 {
-                let (al, ae) = cache.interval(a);
-                let pa = cache.parent[a] as usize;
-                times.td_lazy.range_add(al, ae, -(ra * c_rem));
-                times.trn_lazy.range_add(
-                    al,
-                    ae,
-                    -((cache.path_r[a] + cache.path_r[pa]) * ra * c_rem),
-                );
-            }
-            a = cache.parent[a] as usize;
-        }
+        self.root_path_add(parent_new, -c_rem);
         Ok(())
+    }
+}
+
+/// Adds `delta` to the subtree capacitance of node `a` and its ancestors.
+fn add_down_cap(t: &mut NodeTable, mut a: usize, delta: f64) {
+    loop {
+        t.down_cap[a] += delta;
+        if a == 0 {
+            return;
+        }
+        a = t.parent[a] as usize;
     }
 }
 
@@ -1092,6 +969,69 @@ mod tests {
             Err(CoreError::DuplicateName { .. })
         ));
         assert_eq!(eco.batch().unwrap(), snapshot);
+    }
+
+    #[test]
+    fn an_edit_copies_a_shared_table_and_leaves_the_other_handle_unchanged() {
+        let tree = branching_tree();
+        let node = |name: &str| tree.node_by_name(name).unwrap();
+        let mut gb = RcTreeBuilder::with_input_name("g0");
+        let g1 = gb.add_resistor(gb.input(), "g1", Ohms::new(4.0)).unwrap();
+        gb.add_capacitance(g1, Farads::new(1.25)).unwrap();
+        gb.mark_output(g1).unwrap();
+        let edits = [
+            TreeEdit::SetCap {
+                node: node("s1"),
+                cap: Farads::new(3.0),
+            },
+            TreeEdit::SetBranch {
+                node: node("o"),
+                branch: Branch::resistor(Ohms::new(6.0)),
+            },
+            TreeEdit::GraftSubtree {
+                parent: node("s1"),
+                via: Branch::line(Ohms::new(2.0), Farads::new(0.75)),
+                subtree: Box::new(gb.build().unwrap()),
+            },
+            TreeEdit::PruneSubtree { node: node("s1") },
+        ];
+        let names: Vec<String> = tree
+            .node_ids()
+            .map(|id| tree.name(id).unwrap().to_string())
+            .collect();
+        let before = format!("{:?}", tree.traversal());
+        for edit in &edits {
+            let mut eco = EditableTree::new(tree.clone());
+            assert!(eco.tree().shares_table(&tree), "a clone shares its table");
+            eco.apply(edit).unwrap();
+            assert!(!eco.tree().shares_table(&tree), "{edit:?} copies the table");
+            assert_eq!(format!("{:?}", tree.traversal()), before, "{edit:?}");
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(tree.node_by_name(name).unwrap(), NodeId(i), "{edit:?}");
+            }
+            let rebuilt = eco.tree().rebuild();
+            assert_eq!(*eco.tree(), rebuilt, "{edit:?}");
+            if matches!(
+                edit,
+                TreeEdit::GraftSubtree { .. } | TreeEdit::PruneSubtree { .. }
+            ) {
+                // Structural edits re-derive: every column is exact.
+                assert_eq!(
+                    format!("{:?}", eco.tree().traversal()),
+                    format!("{:?}", rebuilt.traversal()),
+                    "{edit:?}"
+                );
+            }
+            assert_matches_rebuild(&eco);
+        }
+        // A rejected edit copies nothing.
+        let mut eco = EditableTree::new(tree.clone());
+        let bad = TreeEdit::SetCap {
+            node: node("o"),
+            cap: Farads::new(-1.0),
+        };
+        assert!(eco.apply(&bad).is_err());
+        assert!(eco.tree().shares_table(&tree));
     }
 
     #[test]

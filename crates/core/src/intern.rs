@@ -9,9 +9,14 @@
 //! hot maps key on the id, and the string itself materialises only at the
 //! protocol/report boundary via [`Interner::resolve`].
 //!
-//! The table is a plain open hash over FNV-1a with per-bucket collision
-//! chains that compare the actual bytes, so two distinct names that land
-//! in one bucket always receive distinct ids (pinned by a forced-collision
+//! The same table names the nodes of every [`RcTree`](crate::tree::RcTree):
+//! a tree's name ids are its node ids, so a node lookup by name is one
+//! probe here, and a 13-node net's names cost a handful of allocations.
+//!
+//! The table is a plain open hash over FNV-1a with flat collision chains —
+//! one head id per bucket plus one next link per id, no per-bucket vector —
+//! that compare the actual bytes, so two distinct names that land in one
+//! bucket always receive distinct ids (pinned by a forced-collision
 //! regression test).  Ids are assigned in first-intern order and are never
 //! invalidated; the structure is append-only.
 
@@ -20,7 +25,7 @@
 /// Ids are assigned contiguously from zero in first-intern order, so they
 /// double as indices into id-ordered side tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct NameId(u32);
+pub struct NameId(pub(crate) u32);
 
 impl NameId {
     /// The id as a dense index (`0..interner.len()`).
@@ -47,10 +52,15 @@ pub struct Interner {
     buf: String,
     /// Byte range of each id's name within `buf`.
     spans: Vec<(u32, u32)>,
-    /// Hash table: bucket -> chain of ids whose names hash there.
-    /// `buckets.len()` is always a power of two.
-    buckets: Vec<Vec<u32>>,
+    /// Hash table: bucket -> newest id whose name hashes there, or
+    /// `NIL`.  `heads.len()` is zero or a power of two.
+    heads: Vec<u32>,
+    /// Per id, the next (older) id in its bucket's chain, or `NIL`.
+    next: Vec<u32>,
 }
+
+/// The end of a bucket chain.
+const NIL: u32 = u32::MAX;
 
 /// FNV-1a over the name bytes — stable, dependency-free, and good enough
 /// for short identifier-like keys.
@@ -86,8 +96,19 @@ impl Interner {
     }
 
     fn bucket_of(&self, name: &str) -> usize {
-        debug_assert!(self.buckets.len().is_power_of_two());
-        (fnv1a(name) as usize) & (self.buckets.len() - 1)
+        debug_assert!(self.heads.len().is_power_of_two());
+        (fnv1a(name) as usize) & (self.heads.len() - 1)
+    }
+
+    /// The ids chained in `name`'s bucket, newest first.
+    fn chain(&self, name: &str) -> impl Iterator<Item = u32> + '_ {
+        let head = if self.heads.is_empty() {
+            NIL
+        } else {
+            self.heads[self.bucket_of(name)]
+        };
+        let link = |id: u32| (id != NIL).then_some(id);
+        std::iter::successors(link(head), move |&id| link(self.next[id as usize]))
     }
 
     fn span_str(&self, id: u32) -> &str {
@@ -97,13 +118,7 @@ impl Interner {
 
     /// The id of `name`, if it has been interned.
     pub fn get(&self, name: &str) -> Option<NameId> {
-        if self.buckets.is_empty() {
-            return None;
-        }
-        let bucket = self.bucket_of(name);
-        self.buckets[bucket]
-            .iter()
-            .copied()
+        self.chain(name)
             .find(|&id| self.span_str(id) == name)
             .map(NameId)
     }
@@ -115,7 +130,7 @@ impl Interner {
             return id;
         }
         // Grow at load factor 1 so chains stay short.
-        if self.spans.len() >= self.buckets.len() {
+        if self.spans.len() >= self.heads.len() {
             self.grow();
         }
         let start = self.buf.len() as u32;
@@ -124,7 +139,8 @@ impl Interner {
         let id = u32::try_from(self.spans.len()).expect("more than u32::MAX interned names");
         self.spans.push((start, end));
         let bucket = self.bucket_of(name);
-        self.buckets[bucket].push(id);
+        self.next.push(self.heads[bucket]);
+        self.heads[bucket] = id;
         NameId(id)
     }
 
@@ -142,25 +158,26 @@ impl Interner {
         (0..self.spans.len() as u32).map(|id| (NameId(id), self.span_str(id)))
     }
 
+    /// Whether both tables hold the same names under the same ids.
+    pub(crate) fn same_names(&self, other: &Interner) -> bool {
+        self.buf == other.buf && self.spans == other.spans
+    }
+
     fn grow(&mut self) {
-        let new_len = (self.buckets.len() * 2).max(16);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); new_len];
-        let mask = new_len - 1;
+        let new_len = (self.heads.len() * 2).max(16);
+        self.heads = vec![NIL; new_len];
         for id in 0..self.spans.len() as u32 {
-            let bucket = (fnv1a(self.span_str(id)) as usize) & mask;
-            buckets[bucket].push(id);
+            let bucket = self.bucket_of(self.span_str(id));
+            self.next[id as usize] = self.heads[bucket];
+            self.heads[bucket] = id;
         }
-        self.buckets = buckets;
     }
 
     /// The bucket chain length holding `name` — test hook for the
     /// collision regression.
     #[cfg(test)]
     fn chain_len(&self, name: &str) -> usize {
-        if self.buckets.is_empty() {
-            return 0;
-        }
-        self.buckets[self.bucket_of(name)].len()
+        self.chain(name).count()
     }
 }
 

@@ -39,7 +39,7 @@
 //! so analysing all `m` outputs of a net by looping over them costs
 //! `O(n·m)`.  The [`batch`] engine computes the characteristic times of
 //! every node — hence every output — in `O(n + m)` total via one post-order
-//! and one pre-order traversal over a flattened array cache built at
+//! and one pre-order traversal over the tree's column table, derived at
 //! [`RcTreeBuilder::build`] time; [`analysis::TreeAnalysis`],
 //! [`moments::characteristic_times_all`] and the `rctree-sta` stage
 //! evaluation all run on it.

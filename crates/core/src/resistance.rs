@@ -82,20 +82,17 @@ pub fn shared_resistances_to(tree: &RcTree, e: NodeId) -> Result<Vec<Ohms>> {
         on_path[id.index()] = true;
     }
 
+    // One pre-order pass: nodes on the path to `e` share their entire own
+    // path, every other node shares its parent's attachment resistance.
+    let t = tree.traversal();
     let mut shared = vec![Ohms::ZERO; n];
-    // Depth-first walk carrying (node, attachment resistance so far).
-    let mut stack: Vec<(NodeId, Ohms)> = vec![(tree.input(), Ohms::ZERO)];
-    while let Some((id, att)) = stack.pop() {
-        let att_here = if on_path[id.index()] {
-            // Nodes on the path to `e` share their entire own path.
-            tree.resistance_from_input(id)?
+    for &k in &t.preorder {
+        let k = k as usize;
+        shared[k] = if on_path[k] {
+            Ohms::new(t.path_r[k])
         } else {
-            att
+            shared[t.parent[k] as usize]
         };
-        shared[id.index()] = att_here;
-        for &child in tree.children(id)? {
-            stack.push((child, att_here));
-        }
     }
     Ok(shared)
 }

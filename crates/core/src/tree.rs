@@ -9,12 +9,32 @@
 //! point of the tree to the input.
 //!
 //! [`RcTree`] is an immutable, validated structure produced by
-//! [`RcTreeBuilder`](crate::builder::RcTreeBuilder).
+//! [`RcTreeBuilder`](crate::builder::RcTreeBuilder).  It is one table of
+//! columns indexed by [`NodeId::index`], shared behind an `Arc`:
+//!
+//! * the base columns — parent, branch resistance and capacitance with a
+//!   line bit, lumped node capacitance and an output bit — hold the
+//!   network itself.  Every construction path keeps `parent[i] < i`: the
+//!   builder only hangs a node on an existing one, a graft appends ids and
+//!   a prune compacts them in order;
+//! * the node names live in the crate's [`Interner`], whose ids are the
+//!   node ids, so a name lookup is one hash probe;
+//! * the derived columns — pre-order, path resistance (`R_kk` of
+//!   Section III), subtree capacitance and pre-order subtree intervals —
+//!   come from one backward and one forward pass over ids.  Children are
+//!   taken in id order, which is insertion order, so no child lists or
+//!   traversal stack exist.
+//!
+//! Cloning a tree bumps a refcount; the only mutator,
+//! [`EditableTree`](crate::incremental::EditableTree), copies the table on
+//! its first write.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
+use crate::intern::{Interner, NameId};
 use crate::units::{Farads, Ohms};
 
 /// Identifier of a node within one [`RcTree`].
@@ -41,21 +61,27 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Flattened traversal arrays derived from the node table, built once by
-/// [`RcTree::from_nodes`] and shared by every whole-tree algorithm.
+/// `flags` bit: the branch feeding the node is a uniform RC line.
+pub(crate) const LINE: u8 = 1;
+/// `flags` bit: the node is marked as an output.
+pub(crate) const OUTPUT: u8 = 2;
+
+/// The [`LINE`] bit of a branch element.
+pub(crate) fn line_bit(branch: &Branch) -> u8 {
+    match branch {
+        Branch::Resistor { .. } => 0,
+        Branch::Line { .. } => LINE,
+    }
+}
+
+/// The columns of one tree, indexed by [`NodeId::index`].
 ///
-/// Everything here is redundant with `nodes` — it is a cache, indexed by
-/// [`NodeId::index`], that turns the hot traversal loops of
-/// [`crate::batch`], [`crate::elmore`] and [`crate::moments`] into
-/// allocation-free array walks instead of `Result`-returning accessor calls
-/// that rebuild `preorder()` / `path_from_input()` vectors per query.
+/// The derived columns are what the hot loops of [`crate::batch`],
+/// [`crate::elmore`] and [`crate::incremental`] walk: allocation-free
+/// array passes instead of `Result`-returning accessor calls.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct TraversalCache {
-    /// Node indices in depth-first pre-order (children in insertion order);
-    /// entry 0 is always the input.  Iterating it in reverse gives a valid
-    /// post-order (children before parents).
-    pub(crate) preorder: Vec<u32>,
-    /// Parent index per node; the input maps to itself.
+pub(crate) struct NodeTable {
+    /// Parent index per node (`parent[i] < i`); the input maps to itself.
     pub(crate) parent: Vec<u32>,
     /// Series resistance of the branch `parent → node` (0 for the input).
     pub(crate) branch_r: Vec<f64>,
@@ -64,6 +90,14 @@ pub(crate) struct TraversalCache {
     pub(crate) branch_c: Vec<f64>,
     /// Lumped grounded capacitance at the node.
     pub(crate) node_cap: Vec<f64>,
+    /// [`LINE`] and [`OUTPUT`] bits per node.
+    pub(crate) flags: Vec<u8>,
+    /// Node names; name id `i` is node `i`.
+    pub(crate) names: Interner,
+    /// Node indices in depth-first pre-order (children in id order); entry
+    /// 0 is always the input.  Iterating it in reverse gives a valid
+    /// post-order (children before parents).
+    pub(crate) preorder: Vec<u32>,
     /// Prefix path resistance input → node (`R_kk` of Section III).
     pub(crate) path_r: Vec<f64>,
     /// Capacitance in the subtree rooted at the node: its lumped capacitor,
@@ -81,78 +115,77 @@ pub(crate) struct TraversalCache {
     pub(crate) subtree_end: Vec<u32>,
 }
 
-impl TraversalCache {
-    fn build(nodes: &[NodeData]) -> Self {
-        let n = nodes.len();
-        let mut preorder = Vec::with_capacity(n);
-        let mut stack = vec![0u32];
-        while let Some(i) = stack.pop() {
-            preorder.push(i);
-            for &child in nodes[i as usize].children.iter().rev() {
-                stack.push(child.0 as u32);
-            }
-        }
-
-        let mut parent = vec![0u32; n];
-        let mut branch_r = vec![0.0; n];
-        let mut branch_c = vec![0.0; n];
-        let mut node_cap = vec![0.0; n];
-        let mut path_r = vec![0.0; n];
-        for (i, data) in nodes.iter().enumerate() {
-            node_cap[i] = data.cap.value();
-            if let Some(p) = data.parent {
-                parent[i] = p.0 as u32;
-            }
-            if let Some(branch) = &data.branch {
-                branch_r[i] = branch.resistance().value();
-                branch_c[i] = branch.capacitance().value();
-            }
-        }
-        for &i in &preorder[1..] {
-            let i = i as usize;
-            path_r[i] = path_r[parent[i] as usize] + branch_r[i];
-        }
-
-        let mut down_cap = node_cap.clone();
-        for &i in preorder[1..].iter().rev() {
-            let i = i as usize;
-            down_cap[parent[i] as usize] += down_cap[i] + branch_c[i];
-        }
-
-        let mut cache = TraversalCache {
-            preorder,
-            parent,
-            branch_r,
-            branch_c,
-            node_cap,
-            path_r,
-            down_cap,
-            pre_index: Vec::new(),
-            subtree_end: Vec::new(),
-        };
-        cache.rebuild_intervals();
-        cache
+impl NodeTable {
+    /// A table holding only the input node (derived columns not yet built).
+    pub(crate) fn with_input(name: &str) -> Self {
+        let mut table = NodeTable::default();
+        table.names.intern(name);
+        table.push_row(0, 0.0, 0.0, 0.0, 0);
+        table
     }
 
-    /// Recomputes `pre_index` and `subtree_end` from `preorder` and
-    /// `parent` in `O(n)`.  Called at build time and after every structural
-    /// patch (graft/prune) of the incremental engine.
-    pub(crate) fn rebuild_intervals(&mut self) {
-        let n = self.preorder.len();
-        self.pre_index.resize(n, 0);
-        self.subtree_end.resize(n, 0);
-        for (pos, &i) in self.preorder.iter().enumerate() {
-            self.pre_index[i as usize] = pos as u32;
-        }
-        for (i, end) in self.subtree_end.iter_mut().enumerate() {
-            *end = self.pre_index[i] + 1;
-        }
-        for &i in self.preorder[1..].iter().rev() {
-            let i = i as usize;
+    /// Number of nodes.
+    pub(crate) fn len(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// Appends one node's base row; its name must already be interned
+    /// under the new id.
+    pub(crate) fn push_row(&mut self, parent: usize, r: f64, c: f64, cap: f64, flags: u8) {
+        debug_assert_eq!(self.names.len(), self.parent.len() + 1);
+        self.parent.push(parent as u32);
+        self.branch_r.push(r);
+        self.branch_c.push(c);
+        self.node_cap.push(cap);
+        self.flags.push(flags);
+    }
+
+    /// The branch feeding node `i`, or `None` for the input.
+    pub(crate) fn branch(&self, i: usize) -> Option<Branch> {
+        let r = Ohms::new(self.branch_r[i]);
+        let c = Farads::new(self.branch_c[i]);
+        (i != 0).then(|| match self.flags[i] & LINE {
+            0 => Branch::resistor(r),
+            _ => Branch::line(r, c),
+        })
+    }
+
+    /// Re-derives the pre-order columns from the base columns.
+    ///
+    /// Because `parent[i] < i`, a backward pass over ids sees every node
+    /// after all its descendants (subtree capacitance and sizes), and a
+    /// forward pass sees it after its parent (path resistance and pre-order
+    /// positions, each child taking the next free slot of its parent, in id
+    /// order).  Children are added to their parent in descending id order,
+    /// the reverse of the pre-order, so the sums match a depth-first walk
+    /// bit for bit.
+    pub(crate) fn derive(&mut self) {
+        let n = self.len();
+        self.down_cap.clone_from(&self.node_cap);
+        // `subtree_end` holds subtree sizes until a node is placed, then
+        // its next free child slot, which ends as its interval end.
+        self.subtree_end.clear();
+        self.subtree_end.resize(n, 1);
+        for i in (1..n).rev() {
             let p = self.parent[i] as usize;
-            if self.subtree_end[i] > self.subtree_end[p] {
-                self.subtree_end[p] = self.subtree_end[i];
-            }
+            self.down_cap[p] += self.down_cap[i] + self.branch_c[i];
+            self.subtree_end[p] += self.subtree_end[i];
+        }
+        for column in [&mut self.preorder, &mut self.pre_index] {
+            column.clear();
+            column.resize(n, 0);
+        }
+        self.path_r.clear();
+        self.path_r.resize(n, 0.0);
+        self.subtree_end[0] = 1;
+        for i in 1..n {
+            let p = self.parent[i] as usize;
+            self.path_r[i] = self.path_r[p] + self.branch_r[i];
+            let pos = self.subtree_end[p];
+            self.subtree_end[p] += self.subtree_end[i];
+            self.pre_index[i] = pos;
+            self.preorder[pos as usize] = i as u32;
+            self.subtree_end[i] = pos + 1;
         }
     }
 
@@ -161,25 +194,6 @@ impl TraversalCache {
     pub(crate) fn interval(&self, i: usize) -> (usize, usize) {
         (self.pre_index[i] as usize, self.subtree_end[i] as usize)
     }
-}
-
-/// Per-node payload stored by [`RcTree`].
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub(crate) struct NodeData {
-    /// Human-readable name, unique within the tree.
-    pub(crate) name: String,
-    /// Parent node; `None` only for the input node.
-    pub(crate) parent: Option<NodeId>,
-    /// Branch element connecting this node to its parent; `None` only for
-    /// the input node.
-    pub(crate) branch: Option<Branch>,
-    /// Lumped grounded capacitance attached at this node.
-    pub(crate) cap: Farads,
-    /// Children in insertion order.
-    pub(crate) children: Vec<NodeId>,
-    /// Whether this node is marked as an output of interest.
-    pub(crate) output: bool,
 }
 
 /// A validated RC tree network.
@@ -200,51 +214,66 @@ pub(crate) struct NodeData {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// The tree is one `Arc`-shared table of columns (see the
+/// [module documentation](self)): a clone shares it, and equality compares
+/// the base columns and names, never the derived pre-order state.
+///
+/// NOTE for restoring the (currently placeholder) `serde` feature: serialize
+/// the base columns and names only; deserialization must re-intern the names
+/// in id order and re-run the derivation ([`RcTree::rebuild`]'s pass).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RcTree {
-    pub(crate) nodes: Vec<NodeData>,
-    /// Flattened traversal arrays derived from `nodes`; rebuilt on
-    /// construction, excluded from equality (it is a pure function of the
-    /// node table).
-    ///
-    /// NOTE for restoring the (currently placeholder) `serde` feature: a
-    /// plain derived `Deserialize` would leave this cache empty — the impl
-    /// must route through [`RcTree::from_nodes`] so the cache is rebuilt.
-    #[cfg_attr(feature = "serde", serde(skip))]
-    pub(crate) cache: TraversalCache,
+    table: Arc<NodeTable>,
 }
 
 impl PartialEq for RcTree {
     fn eq(&self, other: &Self) -> bool {
-        self.nodes == other.nodes
+        let (a, b) = (&*self.table, &*other.table);
+        a.parent == b.parent
+            && a.branch_r == b.branch_r
+            && a.branch_c == b.branch_c
+            && a.node_cap == b.node_cap
+            && a.flags == b.flags
+            && a.names.same_names(&b.names)
     }
 }
 
 impl RcTree {
-    /// Builds a tree from a validated node table, deriving the traversal
-    /// cache (the only construction path; used by
-    /// [`RcTreeBuilder`](crate::builder::RcTreeBuilder)).
-    pub(crate) fn from_nodes(nodes: Vec<NodeData>) -> Self {
-        let cache = TraversalCache::build(&nodes);
-        RcTree { nodes, cache }
+    /// Wraps a table whose base columns are complete, deriving the rest.
+    pub(crate) fn from_table(mut table: NodeTable) -> Self {
+        table.derive();
+        RcTree {
+            table: Arc::new(table),
+        }
     }
 
-    /// The flattened traversal arrays shared by the whole-tree algorithms.
-    pub(crate) fn traversal(&self) -> &TraversalCache {
-        &self.cache
+    /// The columns shared by the whole-tree algorithms.
+    pub(crate) fn traversal(&self) -> &NodeTable {
+        &self.table
     }
 
-    /// Rebuilds every piece of derived state (the traversal cache) from the
-    /// node table, from scratch.
+    /// The columns for writing, copied first if another handle shares them.
+    pub(crate) fn table_mut(&mut self) -> &mut NodeTable {
+        Arc::make_mut(&mut self.table)
+    }
+
+    /// Whether two handles share one table.
+    #[cfg(test)]
+    pub(crate) fn shares_table(&self, other: &RcTree) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
+    /// Rebuilds every piece of derived state from the base columns, from
+    /// scratch (a copy of the table, re-derived).
     ///
     /// The returned tree is structurally identical to `self`
-    /// (`rebuilt == *self` under [`PartialEq`], which compares node tables
+    /// (`rebuilt == *self` under [`PartialEq`], which compares base columns
     /// only) but carries freshly recomputed prefix sums.  This is the
     /// rebuild-and-rerun oracle against which the incremental engine
     /// ([`crate::incremental`]) is validated and benchmarked.
     pub fn rebuild(&self) -> RcTree {
-        RcTree::from_nodes(self.nodes.clone())
+        RcTree::from_table((*self.table).clone())
     }
 
     /// The input (root) node where the step excitation is applied.
@@ -254,25 +283,26 @@ impl RcTree {
 
     /// Number of nodes in the tree, including the input.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.table.len()
     }
 
     /// Number of branches (elements) in the tree.
     pub fn branch_count(&self) -> usize {
-        self.nodes.len().saturating_sub(1)
+        self.node_count().saturating_sub(1)
     }
 
     /// Iterator over all node ids, input first, in insertion order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId)
+        (0..self.node_count()).map(NodeId)
     }
 
     /// Iterator over the node ids marked as outputs.
     pub fn outputs(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.table
+            .flags
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.output)
+            .filter(|(_, &f)| f & OUTPUT != 0)
             .map(|(i, _)| NodeId(i))
     }
 
@@ -283,19 +313,20 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn name(&self, node: NodeId) -> Result<&str> {
-        Ok(&self.data(node)?.name)
+        self.check(node)?;
+        Ok(self.table.names.resolve(NameId(node.0 as u32)))
     }
 
-    /// Looks up a node by name.
+    /// Looks up a node by name (one hash probe).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.name == name)
-            .map(NodeId)
+        self.table
+            .names
+            .get(name)
+            .map(|id| NodeId(id.index()))
             .ok_or_else(|| CoreError::NameNotFound {
                 name: name.to_string(),
             })
@@ -308,7 +339,8 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn parent(&self, node: NodeId) -> Result<Option<NodeId>> {
-        Ok(self.data(node)?.parent)
+        self.check(node)?;
+        Ok((node.0 != 0).then(|| NodeId(self.table.parent[node.0] as usize)))
     }
 
     /// Returns the branch element connecting a node to its parent, or `None`
@@ -319,7 +351,8 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn branch(&self, node: NodeId) -> Result<Option<Branch>> {
-        Ok(self.data(node)?.branch)
+        self.check(node)?;
+        Ok(self.table.branch(node.0))
     }
 
     /// Returns the lumped grounded capacitance attached at a node.
@@ -329,17 +362,30 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn capacitance(&self, node: NodeId) -> Result<Farads> {
-        Ok(self.data(node)?.cap)
+        self.check(node)?;
+        Ok(Farads::new(self.table.node_cap[node.0]))
     }
 
-    /// Returns the children of a node in insertion order.
+    /// Returns the children of a node in insertion order, walking the
+    /// pre-order: the first child sits right after the node, and each
+    /// next sibling where the previous child's subtree ends.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
-    pub fn children(&self, node: NodeId) -> Result<&[NodeId]> {
-        Ok(&self.data(node)?.children)
+    pub fn children(&self, node: NodeId) -> Result<impl Iterator<Item = NodeId> + '_> {
+        self.check(node)?;
+        let t = &*self.table;
+        let (mut pos, end) = t.interval(node.0);
+        pos += 1;
+        Ok(std::iter::from_fn(move || {
+            (pos < end).then(|| {
+                let child = t.preorder[pos] as usize;
+                pos = t.subtree_end[child] as usize;
+                NodeId(child)
+            })
+        }))
     }
 
     /// Returns `true` if the node is marked as an output.
@@ -349,30 +395,22 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn is_output(&self, node: NodeId) -> Result<bool> {
-        Ok(self.data(node)?.output)
+        self.check(node)?;
+        Ok(self.table.flags[node.0] & OUTPUT != 0)
     }
 
     /// Total capacitance of the network: all lumped node capacitors plus the
     /// distributed capacitance of every line (the quantity `C_T` of
     /// Section IV).
     pub fn total_capacitance(&self) -> Farads {
-        let lumped: Farads = self.nodes.iter().map(|n| n.cap).sum();
-        let distributed: Farads = self
-            .nodes
-            .iter()
-            .filter_map(|n| n.branch.as_ref())
-            .map(|b| b.capacitance())
-            .sum();
-        lumped + distributed
+        let lumped: f64 = self.table.node_cap.iter().sum();
+        let distributed: f64 = self.table.branch_c[1..].iter().sum();
+        Farads::new(lumped) + Farads::new(distributed)
     }
 
     /// Total series resistance of all branches in the tree.
     pub fn total_resistance(&self) -> Ohms {
-        self.nodes
-            .iter()
-            .filter_map(|n| n.branch.as_ref())
-            .map(|b| b.resistance())
-            .sum()
+        Ohms::new(self.table.branch_r[1..].iter().sum())
     }
 
     /// The unique path from the input to `node`, inclusive of both ends.
@@ -383,11 +421,11 @@ impl RcTree {
     /// tree.
     pub fn path_from_input(&self, node: NodeId) -> Result<Vec<NodeId>> {
         self.check(node)?;
-        let mut path = Vec::new();
-        let mut cur = Some(node);
-        while let Some(id) = cur {
-            path.push(id);
-            cur = self.nodes[id.0].parent;
+        let mut path = vec![node];
+        let mut cur = node.0;
+        while cur != 0 {
+            cur = self.table.parent[cur] as usize;
+            path.push(NodeId(cur));
         }
         path.reverse();
         Ok(path)
@@ -402,7 +440,7 @@ impl RcTree {
     /// tree.
     pub fn resistance_from_input(&self, node: NodeId) -> Result<Ohms> {
         self.check(node)?;
-        Ok(Ohms::new(self.cache.path_r[node.0]))
+        Ok(Ohms::new(self.table.path_r[node.0]))
     }
 
     /// Depth of a node (number of branches between it and the input).
@@ -417,7 +455,7 @@ impl RcTree {
 
     /// Returns the node ids in depth-first pre-order starting at the input.
     pub fn preorder(&self) -> Vec<NodeId> {
-        self.cache
+        self.table
             .preorder
             .iter()
             .map(|&i| NodeId(i as usize))
@@ -443,15 +481,9 @@ impl RcTree {
     /// Returns [`CoreError::NodeNotFound`] if either node does not belong to
     /// this tree.
     pub fn lowest_common_ancestor(&self, a: NodeId, b: NodeId) -> Result<NodeId> {
-        let pa = self.path_from_input(a)?;
-        let pb = self.path_from_input(b)?;
-        let mut lca = NodeId::INPUT;
-        for (x, y) in pa.iter().zip(pb.iter()) {
-            if x == y {
-                lca = *x;
-            } else {
-                break;
-            }
+        let mut lca = a;
+        while !self.is_descendant(b, lca)? {
+            lca = NodeId(self.table.parent[lca.0] as usize);
         }
         Ok(lca)
     }
@@ -459,8 +491,8 @@ impl RcTree {
     /// Returns `true` if `descendant` lies in the subtree rooted at
     /// `ancestor` (a node is its own descendant).
     ///
-    /// `O(1)` via the cached pre-order subtree intervals: `descendant` is in
-    /// the subtree of `ancestor` exactly when its pre-order position falls
+    /// `O(1)` via the pre-order subtree intervals: `descendant` is in the
+    /// subtree of `ancestor` exactly when its pre-order position falls
     /// inside `ancestor`'s interval.
     ///
     /// # Errors
@@ -470,13 +502,13 @@ impl RcTree {
     pub fn is_descendant(&self, descendant: NodeId, ancestor: NodeId) -> Result<bool> {
         self.check(ancestor)?;
         self.check(descendant)?;
-        let (start, end) = self.cache.interval(ancestor.0);
-        let pos = self.cache.pre_index[descendant.0] as usize;
+        let (start, end) = self.table.interval(ancestor.0);
+        let pos = self.table.pre_index[descendant.0] as usize;
         Ok(start <= pos && pos < end)
     }
 
     /// Number of nodes in the subtree rooted at `node`, including `node`
-    /// itself (`O(1)` via the cached pre-order subtree intervals).
+    /// itself (`O(1)` via the pre-order subtree intervals).
     ///
     /// # Errors
     ///
@@ -484,7 +516,7 @@ impl RcTree {
     /// tree.
     pub fn subtree_size(&self, node: NodeId) -> Result<usize> {
         self.check(node)?;
-        let (start, end) = self.cache.interval(node.0);
+        let (start, end) = self.table.interval(node.0);
         Ok(end - start)
     }
 
@@ -499,17 +531,11 @@ impl RcTree {
     /// tree.
     pub fn subtree_capacitance(&self, node: NodeId) -> Result<Farads> {
         self.check(node)?;
-        Ok(Farads::new(self.cache.down_cap[node.0]))
-    }
-
-    pub(crate) fn data(&self, node: NodeId) -> Result<&NodeData> {
-        self.nodes
-            .get(node.0)
-            .ok_or(CoreError::NodeNotFound { node })
+        Ok(Farads::new(self.table.down_cap[node.0]))
     }
 
     pub(crate) fn check(&self, node: NodeId) -> Result<()> {
-        if node.0 < self.nodes.len() {
+        if node.0 < self.node_count() {
             Ok(())
         } else {
             Err(CoreError::NodeNotFound { node })
@@ -526,23 +552,35 @@ impl fmt::Display for RcTree {
             self.branch_count(),
             self.total_capacitance()
         )?;
-        for id in self.preorder() {
-            let n = &self.nodes[id.0];
-            let indent = self.path_from_input(id).map(|p| p.len() - 1).unwrap_or(0);
-            write!(f, "{:indent$}{} ({})", "", n.name, id, indent = indent * 2)?;
-            if let Some(branch) = &n.branch {
-                match branch {
-                    Branch::Resistor { resistance } => write!(f, " -- R {resistance}")?,
-                    Branch::Line {
-                        resistance,
-                        capacitance,
-                    } => write!(f, " -- URC {resistance}, {capacitance}")?,
-                }
+        let t = &*self.table;
+        let mut depth = vec![0usize; t.len()];
+        for i in 1..t.len() {
+            depth[i] = depth[t.parent[i] as usize] + 1;
+        }
+        for &i in &t.preorder {
+            let i = i as usize;
+            let name = t.names.resolve(NameId(i as u32));
+            write!(
+                f,
+                "{:indent$}{} ({})",
+                "",
+                name,
+                NodeId(i),
+                indent = depth[i] * 2
+            )?;
+            match t.branch(i) {
+                Some(Branch::Resistor { resistance }) => write!(f, " -- R {resistance}")?,
+                Some(Branch::Line {
+                    resistance,
+                    capacitance,
+                }) => write!(f, " -- URC {resistance}, {capacitance}")?,
+                None => {}
             }
-            if !n.cap.is_zero() {
-                write!(f, " [C {}]", n.cap)?;
+            let cap = Farads::new(t.node_cap[i]);
+            if !cap.is_zero() {
+                write!(f, " [C {cap}]")?;
             }
-            if n.output {
+            if t.flags[i] & OUTPUT != 0 {
                 write!(f, " <output>")?;
             }
             writeln!(f)?;
@@ -695,7 +733,7 @@ mod tests {
             let mut stack = vec![id];
             while let Some(cur) = stack.pop() {
                 total += tree.capacitance(cur).unwrap();
-                for &child in tree.children(cur).unwrap() {
+                for child in tree.children(cur).unwrap() {
                     if let Some(branch) = tree.branch(child).unwrap() {
                         total += branch.capacitance();
                     }

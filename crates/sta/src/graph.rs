@@ -277,17 +277,20 @@ struct SinkBinding {
 /// net's interconnect plus the cached augmentation data (driver resistance,
 /// per-sink load capacitances and per-corner scales) of its stage tree.
 ///
-/// [`EcoEdit`]s are mapped straight onto the live engine —
-/// `O(depth · log n)` for value edits — instead of seeding a throwaway
+/// The engine's tree shares its column table with the design's net and
+/// with every snapshot view built from it; cloning the engine for a
+/// transactional edit shares it too, and the first accepted edit copies
+/// that one table.  [`EcoEdit`]s are mapped straight onto the live engine
+/// — `O(depth · log n)` for value edits — instead of seeding a throwaway
 /// `EditableTree` per call; dirty-net re-timing then runs one flat
-/// pre-order sweep per corner lane over the engine's (always exact) node
-/// table via [`augmented_batch`], which is **bit-identical** to the
+/// pre-order sweep per corner lane over the engine's (always exact) base
+/// columns via [`augmented_batch`], which is **bit-identical** to the
 /// one-shot evaluation of the same net and lane.
 #[derive(Debug, Clone)]
 struct NetEngine {
-    /// Live engine over the net's interconnect; its node table and
-    /// pre-order are exact at all times (the committed design tree is a
-    /// clone of it).
+    /// Live engine over the net's interconnect; its base columns and
+    /// pre-order are exact at all times (the committed design tree shares
+    /// its table).
     tree: EditableTree,
     /// Cached driver switch resistance (the library is immutable).
     driver_r: Ohms,
@@ -2047,7 +2050,8 @@ impl Design {
     /// * plus every error of [`Design::analyze_with_jobs`].
     ///
     /// Edits are applied transactionally per call, by snapshot: they are
-    /// mapped onto **clones** of the dirty nets' persistent engines, and
+    /// mapped onto **clones** of the dirty nets' persistent engines (each
+    /// clone shares its tree, and the first edit copies that one table), and
     /// validation plus the stage re-timing run entirely against that
     /// pre-commit state.  On any error the design, the engines, *and* the
     /// cached windows of every net (dirty or not) are left exactly as they
@@ -2327,7 +2331,7 @@ impl Design {
 
         // Feeder: a primary input reaching the driver through a token
         // 10 Ω / 1 fF wire, so every stage has a real arrival window.  One
-        // tree, cloned per net.
+        // table, shared by every feeder net.
         let mut builder = rctree_core::builder::RcTreeBuilder::new();
         let pin = builder
             .add_line(
@@ -2532,14 +2536,17 @@ type SweepCache = Arc<(BatchTimes, Vec<u32>)>;
 /// resistance and sink loads), and the cached per-sink delay windows of
 /// every corner lane.
 ///
-/// Everything is behind `Arc`s, so cloning a `NetTiming` — or the snapshot
-/// holding it — is a handful of refcount bumps.  Node-level queries
-/// ([`NetTiming::node_times_at`]) are computed on demand from the shared
-/// tree in one `O(n_net)` sweep per lane.
+/// Everything is behind `Arc`s — the tree is the design's own
+/// `Arc`-shared column table, which a later edit copies rather than
+/// changes — so cloning a `NetTiming`, or the snapshot holding it, is a
+/// handful of refcount bumps.  Node-level queries
+/// ([`NetTiming::node_times_at`]) resolve the node name with one probe of
+/// the tree's name index and are computed on demand from the shared tree
+/// in one `O(n_net)` sweep per lane.
 #[derive(Debug, Clone)]
 pub struct NetTiming {
     name: String,
-    tree: Arc<RcTree>,
+    tree: RcTree,
     driver_r: Ohms,
     loads: Arc<Vec<(NodeId, Farads)>>,
     /// One entry per corner lane, nominal first.
@@ -3143,7 +3150,7 @@ impl Design {
                 .collect();
             Arc::new(NetTiming {
                 name: self.shared.nets[idx].name.clone(),
-                tree: Arc::new(engine.tree.tree().clone()),
+                tree: engine.tree.tree().clone(),
                 driver_r: engine.driver_r,
                 loads: Arc::new(engine.loads()),
                 lanes: Arc::new(lanes),

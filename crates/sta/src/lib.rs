@@ -29,6 +29,14 @@
 //! [`Design::analyze_with_jobs`] of the edited design for every worker
 //! count.
 //!
+//! A net's interconnect is one `Arc`-shared column table
+//! ([`rctree_core::tree::RcTree`]): the design, its ECO engine and every
+//! snapshot view hold the same table, and nothing in this crate copies a
+//! tree.  An edit copies the one table it lands on, on its first write, so
+//! a snapshot published before an edit keeps answering from its own trees.
+//! Sink nodes, edit targets and `QUERY <net> <node>` names resolve through
+//! the tree's interned name index, one hash probe each.
+//!
 //! ## The corner model
 //!
 //! Multi-corner (PVT) timing rides on a [`rctree_core::corner::CornerSet`]

@@ -104,7 +104,7 @@ impl RandomTreeConfig {
         // last node is the only leaf.
         let tree_preview = b.clone().build().expect("at least one capacitor exists");
         for id in tree_preview.node_ids() {
-            let is_leaf = tree_preview.children(id).expect("valid").is_empty();
+            let is_leaf = tree_preview.subtree_size(id).expect("valid") == 1;
             if is_leaf && id != tree_preview.input() {
                 b.mark_output(id).expect("valid node");
             }
