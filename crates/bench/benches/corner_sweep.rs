@@ -7,11 +7,10 @@
 //! race on an identical seeded deck and corner set:
 //!
 //! * **lanes** — one design with the corner set installed; each revision
-//!   rebuilds the SoA arena (every net spliced once per corner, each lane's
-//!   values scaled as they are spliced, over shared topology columns) and
-//!   `Design::analyze_corners` sweeps the K lanes of every net with one
-//!   kernel and scratch, then propagates each lane over one cached
-//!   topology;
+//!   `Design::analyze_corners` splices every net once per corner (each
+//!   lane's values scaled as they are spliced) into its worker's scratch
+//!   and sweeps the K lanes with one kernel, then propagates each lane
+//!   over one cached topology;
 //! * **serial** — the pre-corner workflow: each revision, every corner's
 //!   scaled design is reconstructed from the edited nominal design
 //!   ([`Design::materialize_corner`] — a scaled deck is a *derived*
@@ -82,8 +81,9 @@ fn best_of<F: FnMut() -> f64>(iters: usize, mut f: F) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One revision on the lane engine: invalidate the arena, sweep the K
-/// corner lanes.  Returns the worst slack over all lanes.
+/// One revision on the lane engine: re-install the corner set (nothing
+/// the sweep reads is cached across revisions) and sweep the K corner
+/// lanes.  Returns the worst slack over all lanes.
 fn revision_lanes(design: &mut Design, set: &CornerSet, jobs: usize) -> f64 {
     design.set_corners(set.clone());
     let analysis = design

@@ -5,12 +5,12 @@
 //! per second of parse) and the process peak RSS at every deck size.
 //!
 //! The analysis is [`Design::analyze_with_jobs`]: augmentation
-//! pre-resolved at `add_net` through the name interner, per-net arrays
-//! packed into one contiguous SoA arena, cached propagation topology.  Its
-//! report is asserted **bit-identical** to an independent path before
-//! timing means anything: the cold ECO warm-up of a clone
-//! ([`Design::apply_eco_with_jobs`] with no edits), which resolves every
-//! name per net and splices each net on its own.
+//! pre-resolved when the design is built, each net spliced and swept in
+//! its worker's scratch, cached propagation topology.  Its report is
+//! asserted **bit-identical** to the cold ECO warm-up of a clone
+//! ([`Design::apply_eco_with_jobs`] with no edits), which sweeps the same
+//! nets but propagates and files every endpoint through the ECO state,
+//! before timing means anything.
 //!
 //! Environment knobs:
 //!
@@ -91,7 +91,7 @@ struct SizeResult {
     gen_s: f64,
     parse_s: f64,
     build_s: f64,
-    arena_s: f64,
+    analyze_s: f64,
     peak_rss_mib: f64,
 }
 
@@ -139,26 +139,25 @@ fn run_size(
     .expect("generated deck builds a design");
     let build_s = start.elapsed().as_secs_f64();
 
-    // Correctness gate: the arena path must be bit-identical to the cold
-    // ECO warm-up, which resolves names and splices per net, before its
-    // timing means anything.
-    let arena_report: TimingReport = design
+    // Correctness gate: the batch analysis must be bit-identical to the
+    // cold ECO warm-up before its timing means anything.
+    let report: TimingReport = design
         .analyze_with_jobs(THRESHOLD, budget, jobs)
-        .expect("arena analysis");
+        .expect("analysis");
     let warm_up_report = design
         .clone()
         .apply_eco_with_jobs(&[], THRESHOLD, budget, jobs)
         .expect("ECO warm-up");
     assert!(
-        arena_report == warm_up_report,
-        "arena analysis differs from the ECO warm-up at {nets} nets"
+        report == warm_up_report,
+        "analysis differs from the ECO warm-up at {nets} nets"
     );
 
-    // Stage 4: steady-state analysis throughput.
-    let arena_s = best_of(iters, || {
+    // Stage 4: analysis throughput.
+    let analyze_s = best_of(iters, || {
         design
             .analyze_with_jobs(THRESHOLD, budget, jobs)
-            .expect("arena analysis")
+            .expect("analysis")
     });
 
     let _ = std::fs::remove_file(&path);
@@ -169,7 +168,7 @@ fn run_size(
         gen_s,
         parse_s,
         build_s,
-        arena_s,
+        analyze_s,
         peak_rss_mib: peak_rss_mib(),
     }
 }
@@ -202,15 +201,15 @@ fn main() {
             r.build_s
         );
         println!(
-            "    analyze/arena    {:>9.4} s  {:>12.1} nets/s",
-            r.arena_s,
-            r.nets as f64 / r.arena_s
+            "    analyze          {:>9.4} s  {:>12.1} nets/s",
+            r.analyze_s,
+            r.nets as f64 / r.analyze_s
         );
         println!("    peak RSS {:>8.1} MiB", r.peak_rss_mib);
         entries.push(format!(
             "    {{ \"nets\": {}, \"nodes\": {}, \"spef_bytes\": {}, \"gen_s\": {}, \
              \"parse_s\": {}, \"parse_nets_per_s\": {}, \"parse_mb_per_s\": {}, \"build_s\": {}, \
-             \"analyze_arena_s\": {}, \"arena_nets_per_s\": {}, \"peak_rss_mib\": {} }}",
+             \"analyze_s\": {}, \"analyze_nets_per_s\": {}, \"peak_rss_mib\": {} }}",
             r.nets,
             r.nodes,
             r.bytes,
@@ -219,8 +218,8 @@ fn main() {
             r.nets as f64 / r.parse_s,
             parse_mb_per_s,
             r.build_s,
-            r.arena_s,
-            r.nets as f64 / r.arena_s,
+            r.analyze_s,
+            r.nets as f64 / r.analyze_s,
             r.peak_rss_mib
         ));
     }

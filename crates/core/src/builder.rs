@@ -36,8 +36,9 @@ pub const INPUT_NAME: &str = "input";
 /// Builder for [`RcTree`] networks.
 ///
 /// It writes the tree's base columns directly, one row per added node;
-/// names are interned as they arrive, so the duplicate check is one hash
-/// probe.  See the [module documentation](self) for a complete example.
+/// names are borrowed and interned as they arrive, so the duplicate check
+/// is one hash probe and a node allocates no name of its own.  See the
+/// [module documentation](self) for a complete example.
 #[derive(Debug, Clone)]
 pub struct RcTreeBuilder {
     table: NodeTable,
@@ -57,9 +58,9 @@ impl RcTreeBuilder {
     }
 
     /// Creates a builder whose input node carries the given name.
-    pub fn with_input_name(name: impl Into<String>) -> Self {
+    pub fn with_input_name(name: impl AsRef<str>) -> Self {
         RcTreeBuilder {
-            table: NodeTable::with_input(&name.into()),
+            table: NodeTable::with_input(name.as_ref()),
         }
     }
 
@@ -99,11 +100,11 @@ impl RcTreeBuilder {
     pub fn add_resistor(
         &mut self,
         parent: NodeId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         resistance: Ohms,
     ) -> Result<NodeId> {
         check_value("resistance", resistance.value())?;
-        self.add_branch(parent, name.into(), Branch::resistor(resistance))
+        self.add_branch(parent, name.as_ref(), Branch::resistor(resistance))
     }
 
     /// Adds a uniform distributed RC line from `parent` to a new node called
@@ -121,13 +122,13 @@ impl RcTreeBuilder {
     pub fn add_line(
         &mut self,
         parent: NodeId,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         resistance: Ohms,
         capacitance: Farads,
     ) -> Result<NodeId> {
         check_value("line resistance", resistance.value())?;
         check_value("line capacitance", capacitance.value())?;
-        self.add_branch(parent, name.into(), Branch::line(resistance, capacitance))
+        self.add_branch(parent, name.as_ref(), Branch::line(resistance, capacitance))
     }
 
     /// Adds lumped grounded capacitance at an existing node (accumulating
@@ -186,14 +187,16 @@ impl RcTreeBuilder {
         Ok(RcTree::from_table(self.table))
     }
 
-    fn add_branch(&mut self, parent: NodeId, name: String, branch: Branch) -> Result<NodeId> {
+    fn add_branch(&mut self, parent: NodeId, name: &str, branch: Branch) -> Result<NodeId> {
         let id = self.table.len();
         if parent.0 >= id {
             return Err(CoreError::NodeNotFound { node: parent });
         }
         // Interning an existing name returns its (smaller) id unchanged.
-        if self.table.names.intern(&name) != NameId(id as u32) {
-            return Err(CoreError::DuplicateName { name });
+        if self.table.names.intern(name) != NameId(id as u32) {
+            return Err(CoreError::DuplicateName {
+                name: name.to_string(),
+            });
         }
         let (r, c) = (branch.resistance().value(), branch.capacitance().value());
         self.table.push_row(parent.0, r, c, 0.0, line_bit(&branch));

@@ -6,8 +6,9 @@
 //! resistance by `r_scale` and every capacitance by `c_scale` can reuse the
 //! *topology* of the nominal analysis unchanged — only the element values
 //! differ.  [`CornerSet`] names those corners and carries their scale
-//! factors; the `rctree-sta` arena keeps one lane of element values per
-//! corner over one shared topology and sweeps each lane with one kernel.
+//! factors; `rctree-sta` splices each net once per corner lane, scaling
+//! its element values as it splices them, and sweeps every lane with one
+//! kernel.
 //!
 //! ## Scaling semantics
 //!
@@ -24,7 +25,7 @@
 //! * every instance **intrinsic delay** is multiplied by `delay_scale`.
 //!
 //! Each scaling is a single `x * s` multiplication of the original nominal
-//! value — one IEEE-754 rounding — so scaling at arena-build time, at sweep
+//! value — one IEEE-754 rounding — so scaling at splice time, at sweep
 //! time, or by materialising a fully scaled design all produce bit-identical
 //! floats.  (Scaled *sums* would not: `(a + b) * s != a*s + b*s` in floating
 //! point.  Every consumer therefore scales elements before accumulating.)

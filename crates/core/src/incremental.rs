@@ -5,12 +5,13 @@
 //! [`crate::batch`] delivers that for a frozen tree, but an engineering
 //! change order (ECO) loop — resize a driver, tweak a load, re-query the
 //! slack, repeat — pays the full `O(n)` rebuild on every edit.  This module
-//! removes that cost: an [`EditableTree`] accepts [`TreeEdit`] deltas,
-//! revalidates them locally, writes them into the tree's column table, and
-//! keeps an [`IncrementalTimes`] engine whose characteristic-time state is
-//! repaired instead of recomputed.  The table is shared with every clone
-//! of the tree until the first accepted edit copies it
-//! (`Arc::make_mut`); a rejected edit copies and changes nothing.
+//! removes that cost.  [`RcTree::apply`] validates one [`TreeEdit`] delta
+//! locally and writes it into the tree's column table, patching the derived
+//! columns a value edit moves; an [`EditableTree`] wraps it with an
+//! [`IncrementalTimes`] engine whose characteristic-time state is repaired
+//! instead of recomputed.  The table is shared with every clone of the tree
+//! until the first accepted edit copies it (`Arc::make_mut`); a rejected
+//! edit copies and changes nothing.
 //!
 //! # How the delta propagates
 //!
@@ -36,9 +37,9 @@
 //!
 //! where `lazy` is a Fenwick tree over pre-order positions supporting
 //! `O(log n)` subtree-range add and `O(log n)` point query.  `T_P` and
-//! `C_T` are maintained as running sums.  A value edit patches the tree's
-//! `C_sub` column along the root path (and, for a resistance change, the
-//! path-resistance column over the subtree).
+//! `C_T` are maintained as running sums.  [`RcTree::apply`] patches the
+//! tree's `C_sub` column along the root path (and, for a resistance change,
+//! the path-resistance column over the subtree).
 //!
 //! # Complexity
 //!
@@ -235,7 +236,7 @@ impl Fenwick {
     }
 }
 
-/// One delta applied to an [`EditableTree`].
+/// One delta applied to a tree ([`RcTree::apply`]) or an [`EditableTree`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TreeEdit {
     /// Replace the lumped grounded capacitance at a node (any node,
@@ -316,12 +317,173 @@ impl IncrementalTimes {
     }
 }
 
+impl RcTree {
+    /// Applies one edit to the tree's columns: the base values the edit
+    /// names, then the derived columns — patched for a value edit (the
+    /// subtree capacitances up the root path, and for a branch-resistance
+    /// change the path resistances of the edited subtree), re-derived for a
+    /// graft or prune.  The table is copied first if another handle shares
+    /// it, so every other handle keeps the pre-edit tree.
+    ///
+    /// This is the one mutator of a tree: [`EditableTree::apply`] calls it
+    /// and repairs its [`IncrementalTimes`] around it.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::NodeNotFound`] for a node outside the tree;
+    /// * [`CoreError::InvalidValue`] for negative or non-finite values;
+    /// * [`CoreError::CannotEditInput`] for a [`TreeEdit::SetBranch`] or
+    ///   [`TreeEdit::PruneSubtree`] aimed at the input node;
+    /// * [`CoreError::DuplicateName`] when a grafted subtree reuses a host
+    ///   node name.
+    ///
+    /// On error the tree is unchanged and no table is copied.
+    pub fn apply(&mut self, edit: &TreeEdit) -> Result<()> {
+        self.check_edit(edit)?;
+        let t = self.table_mut();
+        match edit {
+            TreeEdit::SetCap { node, cap } => {
+                let i = node.index();
+                let delta = cap.value() - t.node_cap[i];
+                t.node_cap[i] = cap.value();
+                if delta != 0.0 {
+                    add_down_cap(t, i, delta);
+                }
+            }
+            TreeEdit::SetBranch { node, branch } => {
+                let i = node.index();
+                let (new_r, new_c) = (branch.resistance().value(), branch.capacitance().value());
+                let (dr, dc) = (new_r - t.branch_r[i], new_c - t.branch_c[i]);
+                t.branch_r[i] = new_r;
+                t.branch_c[i] = new_c;
+                t.flags[i] = (t.flags[i] & !LINE) | line_bit(branch);
+                if dr != 0.0 {
+                    // Path resistances below the edge shift by `dr`: one
+                    // contiguous pre-order slice.
+                    let (l, e) = t.interval(i);
+                    for pos in l..e {
+                        let k = t.preorder[pos] as usize;
+                        t.path_r[k] += dr;
+                    }
+                }
+                if dc != 0.0 {
+                    // The line's own distributed capacitance sits in every
+                    // ancestor's subtree capacitance.
+                    add_down_cap(t, t.parent[i] as usize, dc);
+                }
+            }
+            TreeEdit::GraftSubtree {
+                parent,
+                via,
+                subtree,
+            } => {
+                // Subtree node `j` becomes host node `n_old + j`; its input
+                // hangs on `parent` through `via`, so it is the parent's
+                // last child.
+                let sub = subtree.traversal();
+                let n_old = t.len();
+                for (j, name) in sub.names.iter() {
+                    let j = j.index();
+                    t.names.intern(name);
+                    if j == 0 {
+                        let flags = (sub.flags[0] & OUTPUT) | line_bit(via);
+                        let (r, c) = (via.resistance().value(), via.capacitance().value());
+                        t.push_row(parent.index(), r, c, sub.node_cap[0], flags);
+                    } else {
+                        let p = n_old + sub.parent[j] as usize;
+                        t.push_row(
+                            p,
+                            sub.branch_r[j],
+                            sub.branch_c[j],
+                            sub.node_cap[j],
+                            sub.flags[j],
+                        );
+                    }
+                }
+                t.derive();
+            }
+            TreeEdit::PruneSubtree { node } => {
+                // Surviving ids shift down past the holes, in order, so
+                // every parent stays below its child.
+                let doomed = subtree_mask(t, node.index());
+                let new_id: Vec<u32> = doomed
+                    .iter()
+                    .scan(0, |next, &d| {
+                        let id = *next;
+                        *next += u32::from(!d);
+                        Some(id)
+                    })
+                    .collect();
+                // Compact the base columns in order, re-interning the
+                // surviving names, and re-derive.
+                let names = std::mem::take(&mut t.names);
+                for (k, name) in names.iter() {
+                    let k = k.index();
+                    if !doomed[k] {
+                        t.parent[k] = new_id[t.parent[k] as usize];
+                        t.names.intern(name);
+                    }
+                }
+                retain(&mut t.parent, &doomed);
+                retain(&mut t.branch_r, &doomed);
+                retain(&mut t.branch_c, &doomed);
+                retain(&mut t.node_cap, &doomed);
+                retain(&mut t.flags, &doomed);
+                t.derive();
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks of [`RcTree::apply`], in its order, without writing.
+    pub(crate) fn check_edit(&self, edit: &TreeEdit) -> Result<()> {
+        match edit {
+            TreeEdit::SetCap { node, cap } => {
+                self.check(*node)?;
+                check_value("capacitance", cap.value())
+            }
+            TreeEdit::SetBranch { node, branch } => {
+                self.check(*node)?;
+                if *node == NodeId::INPUT {
+                    return Err(CoreError::CannotEditInput);
+                }
+                check_value("resistance", branch.resistance().value())?;
+                check_value("line capacitance", branch.capacitance().value())
+            }
+            TreeEdit::GraftSubtree {
+                parent,
+                via,
+                subtree,
+            } => {
+                self.check(*parent)?;
+                check_value("resistance", via.resistance().value())?;
+                check_value("line capacitance", via.capacitance().value())?;
+                let host = &self.traversal().names;
+                let sub = &subtree.traversal().names;
+                match sub.iter().find(|(_, name)| host.get(name).is_some()) {
+                    Some((_, name)) => Err(CoreError::DuplicateName {
+                        name: name.to_string(),
+                    }),
+                    None => Ok(()),
+                }
+            }
+            TreeEdit::PruneSubtree { node } => {
+                self.check(*node)?;
+                if *node == NodeId::INPUT {
+                    return Err(CoreError::CannotEditInput);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
 /// A mutable RC tree with live incremental analysis.
 ///
-/// Wraps a validated [`RcTree`]; [`EditableTree::apply`] validates each
-/// [`TreeEdit`] locally, then writes it into the tree's columns (copying a
-/// shared table first) and repairs the attached [`IncrementalTimes`] in
-/// `O(depth + |affected subtree|)` numeric work instead of `O(n)`.
+/// Wraps a validated [`RcTree`]; [`EditableTree::apply`] writes each
+/// [`TreeEdit`] through [`RcTree::apply`] and repairs the attached
+/// [`IncrementalTimes`] in `O(depth + |affected subtree|)` numeric work
+/// instead of `O(n)`.
 ///
 /// Unlike [`BatchTimes::of`](crate::batch::BatchTimes::of), construction
 /// accepts capacitance-free trees (an ECO may be about to *add* the first
@@ -368,29 +530,81 @@ impl EditableTree {
         self.tree
     }
 
-    /// Applies one edit, repairing the analysis state.
+    /// Applies one edit through [`RcTree::apply`], repairing the analysis
+    /// state around it: the repair reads the pre-edit values it needs
+    /// first, and folds the lazy offsets into the base arrays before a
+    /// graft or prune re-shapes the pre-order.
     ///
     /// # Errors
     ///
-    /// * [`CoreError::NodeNotFound`] for a node outside the tree;
-    /// * [`CoreError::InvalidValue`] for negative or non-finite values;
-    /// * [`CoreError::CannotEditInput`] for a [`TreeEdit::SetBranch`] or
-    ///   [`TreeEdit::PruneSubtree`] aimed at the input node;
-    /// * [`CoreError::DuplicateName`] when a grafted subtree reuses a host
-    ///   node name.
-    ///
-    /// On error the tree and engine state are unchanged.
+    /// As for [`RcTree::apply`].  On error the tree and engine state are
+    /// unchanged.
     pub fn apply(&mut self, edit: &TreeEdit) -> Result<()> {
+        // Validate before touching the engine: a rejected edit changes
+        // nothing.
+        self.tree.check_edit(edit)?;
         match edit {
-            TreeEdit::SetCap { node, cap } => self.set_cap(*node, *cap),
-            TreeEdit::SetBranch { node, branch } => self.set_branch(*node, *branch),
+            TreeEdit::SetCap { node, cap } => {
+                let i = node.index();
+                let delta = cap.value() - self.tree.traversal().node_cap[i];
+                self.tree.apply(edit)?;
+                if delta != 0.0 {
+                    self.times.total_cap += delta;
+                    self.times.t_p += self.tree.traversal().path_r[i] * delta;
+                    // Every edge on the root path carries the extra
+                    // capacitance: its weight change reaches exactly the
+                    // nodes below it (one pre-order interval each).
+                    self.root_path_add(i, delta);
+                }
+            }
+            TreeEdit::SetBranch { node, .. } => {
+                let i = node.index();
+                let t = self.tree.traversal();
+                let old = (t.branch_r[i], t.branch_c[i]);
+                self.tree.apply(edit)?;
+                self.repair_branch(i, old);
+            }
             TreeEdit::GraftSubtree {
                 parent,
                 via,
                 subtree,
-            } => self.graft(*parent, *via, subtree),
-            TreeEdit::PruneSubtree { node } => self.prune(*node),
+            } => {
+                // Pre-order positions are about to shift: fold the lazy
+                // offsets into the base arrays first.
+                self.flatten();
+                let n_old = self.tree.node_count();
+                self.tree.apply(edit)?;
+                let c_add = subtree.traversal().down_cap[0] + via.capacitance().value();
+                self.repair_graft(parent.index(), n_old, c_add);
+            }
+            TreeEdit::PruneSubtree { node } => {
+                self.flatten();
+                let i = node.index();
+                let t = self.tree.traversal();
+                let (l, e) = t.interval(i);
+                let c_rem = t.down_cap[i] + t.branch_c[i];
+                // Numeric removals, against the pre-edit columns.
+                for &k in &t.preorder[l..e] {
+                    let k = k as usize;
+                    let pk = t.parent[k] as usize;
+                    self.times.t_p -= t.node_cap[k] * t.path_r[k]
+                        + t.branch_c[k] * (t.path_r[pk] + t.branch_r[k] / 2.0);
+                }
+                self.times.total_cap -= c_rem;
+                let doomed = subtree_mask(t, i);
+                // Ids below `i` survive unchanged, the parent's included.
+                let parent = t.parent[i] as usize;
+                self.tree.apply(edit)?;
+                retain(&mut self.times.td_base, &doomed);
+                retain(&mut self.times.trn_base, &doomed);
+                let n_new = self.tree.node_count();
+                self.times.td_lazy = Fenwick::new(n_new);
+                self.times.trn_lazy = Fenwick::new(n_new);
+                // Root-path correction with the surviving ids.
+                self.root_path_add(parent, -c_rem);
+            }
         }
+        Ok(())
     }
 
     /// The characteristic times of one node under the current edits
@@ -508,45 +722,16 @@ impl EditableTree {
         }
     }
 
-    fn set_cap(&mut self, node: NodeId, cap: Farads) -> Result<()> {
-        self.tree.check(node)?;
-        let value = cap.value();
-        check_value("capacitance", value)?;
-        let i = node.index();
-        let t = self.tree.table_mut();
-        let delta = value - t.node_cap[i];
-        t.node_cap[i] = value;
-        if delta == 0.0 {
-            return Ok(());
-        }
-        add_down_cap(t, i, delta);
-        self.times.total_cap += delta;
-        self.times.t_p += t.path_r[i] * delta;
-        // Every edge on the root path carries the extra capacitance: its
-        // weight change reaches exactly the nodes below it (one pre-order
-        // interval each).
-        self.root_path_add(i, delta);
-        Ok(())
-    }
-
-    fn set_branch(&mut self, node: NodeId, branch: Branch) -> Result<()> {
-        self.tree.check(node)?;
-        if node == NodeId::INPUT {
-            return Err(CoreError::CannotEditInput);
-        }
-        let new_r = branch.resistance().value();
-        let new_c = branch.capacitance().value();
-        check_value("resistance", new_r)?;
-        check_value("line capacitance", new_c)?;
-        let i = node.index();
-        let t = self.tree.table_mut();
-        let (old_r, old_c) = (t.branch_r[i], t.branch_c[i]);
+    /// Repairs the engine after [`RcTree::apply`] replaced the branch
+    /// feeding node `i`, whose pre-edit resistance and line capacitance
+    /// were `old`.  Every column the repair reads other than the edited
+    /// branch is one the edit left unchanged.
+    fn repair_branch(&mut self, i: usize, (old_r, old_c): (f64, f64)) {
+        let t = self.tree.traversal();
+        let (new_r, new_c) = (t.branch_r[i], t.branch_c[i]);
         let (dr, dc) = (new_r - old_r, new_c - old_c);
-        t.branch_r[i] = new_r;
-        t.branch_c[i] = new_c;
-        t.flags[i] = (t.flags[i] & !LINE) | line_bit(&branch);
         if dr == 0.0 && dc == 0.0 {
-            return Ok(());
+            return;
         }
         let times = &mut self.times;
         let p = t.parent[i] as usize;
@@ -565,14 +750,10 @@ impl EditableTree {
             .trn_lazy
             .range_add(l, e, w2(new_r, new_c) - w2(old_r, old_c));
         if dr != 0.0 {
-            // Path resistances below the edge shift by `dr` — a contiguous
-            // pre-order slice — which perturbs the T_Re weight of every
-            // inner edge.  (T_De weights are unaffected: they depend only
-            // on the edge's own r and its downstream capacitance.)
-            for pos in l..e {
-                let k = t.preorder[pos] as usize;
-                t.path_r[k] += dr;
-            }
+            // Path resistances below the edge shifted by `dr`, which
+            // perturbs the T_Re weight of every inner edge.  (T_De weights
+            // are unaffected: they depend only on the edge's own r and its
+            // downstream capacitance.)
             for pos in l + 1..e {
                 let k = t.preorder[pos] as usize;
                 let rk = t.branch_r[k];
@@ -587,68 +768,24 @@ impl EditableTree {
             }
         }
         if dc != 0.0 {
-            // The line's own distributed capacitance sits in every
-            // ancestor's subtree capacitance.
-            add_down_cap(t, p, dc);
             self.root_path_add(p, dc);
         }
-        Ok(())
     }
 
-    fn graft(&mut self, parent: NodeId, via: Branch, subtree: &RcTree) -> Result<()> {
-        self.tree.check(parent)?;
-        let via_r = via.resistance().value();
-        let via_c = via.capacitance().value();
-        check_value("resistance", via_r)?;
-        check_value("line capacitance", via_c)?;
-        let sub = subtree.traversal();
-        let host = &self.tree.traversal().names;
-        if let Some((_, name)) = sub.names.iter().find(|(_, name)| host.get(name).is_some()) {
-            return Err(CoreError::DuplicateName {
-                name: name.to_string(),
-            });
-        }
-
-        let gp = parent.index();
-        let n_old = self.tree.node_count();
-        let m = subtree.node_count();
-
-        // Pre-order positions are about to shift: fold the lazy offsets
-        // into the base arrays first.
-        self.flatten();
-
-        // Subtree node `j` becomes host node `n_old + j`; its input hangs
-        // on `parent` through `via`, so it is the parent's last child.
-        let t = self.tree.table_mut();
-        for (j, name) in sub.names.iter() {
-            let j = j.index();
-            t.names.intern(name);
-            if j == 0 {
-                let flags = (sub.flags[0] & OUTPUT) | line_bit(&via);
-                t.push_row(gp, via_r, via_c, sub.node_cap[0], flags);
-            } else {
-                let p = n_old + sub.parent[j] as usize;
-                t.push_row(
-                    p,
-                    sub.branch_r[j],
-                    sub.branch_c[j],
-                    sub.node_cap[j],
-                    sub.flags[j],
-                );
-            }
-        }
-        t.derive();
-
-        // Numeric state: new contributions to C_T and T_P, base times for
-        // the new nodes seeded from the graft parent's pre-edit value (ids
-        // put parents first), then one root-path correction shared by old
-        // and new nodes alike.
-        let c_add = sub.down_cap[0] + via_c;
+    /// Repairs the engine after [`RcTree::apply`] grafted nodes
+    /// `n_old..` (carrying `c_add` of new capacitance) under node `gp`:
+    /// new contributions to `C_T` and `T_P`, base times for the new nodes
+    /// seeded from the graft parent's flattened value (ids put parents
+    /// first), then one root-path correction shared by old and new nodes
+    /// alike.
+    fn repair_graft(&mut self, gp: usize, n_old: usize, c_add: f64) {
+        let t = self.tree.traversal();
+        let n = t.len();
         let times = &mut self.times;
         times.total_cap += c_add;
-        times.td_base.resize(n_old + m, 0.0);
-        times.trn_base.resize(n_old + m, 0.0);
-        for k in n_old..n_old + m {
+        times.td_base.resize(n, 0.0);
+        times.trn_base.resize(n, 0.0);
+        for k in n_old..n {
             let pk = t.parent[k] as usize;
             let r = t.branch_r[k];
             let cl = t.branch_c[k];
@@ -659,79 +796,11 @@ impl EditableTree {
                 + (r_cc + r_pp) * r * t.down_cap[k]
                 + cl * (r_pp * r + r * r / 3.0);
         }
-        times.td_lazy = Fenwick::new(n_old + m);
-        times.trn_lazy = Fenwick::new(n_old + m);
+        times.td_lazy = Fenwick::new(n);
+        times.trn_lazy = Fenwick::new(n);
         // Every subtree capacitance from the graft parent up grew by
         // `c_add`.
         self.root_path_add(gp, c_add);
-        Ok(())
-    }
-
-    fn prune(&mut self, node: NodeId) -> Result<()> {
-        self.tree.check(node)?;
-        if node == NodeId::INPUT {
-            return Err(CoreError::CannotEditInput);
-        }
-        let i = node.index();
-
-        self.flatten();
-
-        let t = self.tree.table_mut();
-        let (l, e) = t.interval(i);
-        let c_rem = t.down_cap[i] + t.branch_c[i];
-
-        // Numeric removals, against the pre-edit columns.
-        for &k in &t.preorder[l..e] {
-            let k = k as usize;
-            let pk = t.parent[k] as usize;
-            self.times.t_p -=
-                t.node_cap[k] * t.path_r[k] + t.branch_c[k] * (t.path_r[pk] + t.branch_r[k] / 2.0);
-        }
-        self.times.total_cap -= c_rem;
-
-        // Old→new id map (surviving ids shift down past the holes).
-        let doomed: Vec<bool> = (t.pre_index.iter())
-            .map(|&p| (l..e).contains(&(p as usize)))
-            .collect();
-        let new_id: Vec<u32> = doomed
-            .iter()
-            .scan(0, |next, &d| {
-                let id = *next;
-                *next += u32::from(!d);
-                Some(id)
-            })
-            .collect();
-        let parent_new = new_id[t.parent[i] as usize] as usize;
-
-        // Compact the base columns in order, re-interning the surviving
-        // names, and re-derive.
-        fn retain<T>(v: &mut Vec<T>, doomed: &[bool]) {
-            let mut doomed = doomed.iter();
-            v.retain(|_| !doomed.next().expect("one flag per element"));
-        }
-        let names = std::mem::take(&mut t.names);
-        for (k, name) in names.iter() {
-            let k = k.index();
-            if !doomed[k] {
-                t.parent[k] = new_id[t.parent[k] as usize];
-                t.names.intern(name);
-            }
-        }
-        retain(&mut t.parent, &doomed);
-        retain(&mut t.branch_r, &doomed);
-        retain(&mut t.branch_c, &doomed);
-        retain(&mut t.node_cap, &doomed);
-        retain(&mut t.flags, &doomed);
-        t.derive();
-        retain(&mut self.times.td_base, &doomed);
-        retain(&mut self.times.trn_base, &doomed);
-        let n_new = t.len();
-        self.times.td_lazy = Fenwick::new(n_new);
-        self.times.trn_lazy = Fenwick::new(n_new);
-
-        // Root-path correction with the surviving ids.
-        self.root_path_add(parent_new, -c_rem);
-        Ok(())
     }
 }
 
@@ -744,6 +813,21 @@ fn add_down_cap(t: &mut NodeTable, mut a: usize, delta: f64) {
         }
         a = t.parent[a] as usize;
     }
+}
+
+/// Per node id: whether the node lies in the subtree rooted at node `i`.
+fn subtree_mask(t: &NodeTable, i: usize) -> Vec<bool> {
+    let (l, e) = t.interval(i);
+    t.pre_index
+        .iter()
+        .map(|&p| (l..e).contains(&(p as usize)))
+        .collect()
+}
+
+/// Drops the elements of `v` whose flag in `doomed` is set, keeping order.
+fn retain<T>(v: &mut Vec<T>, doomed: &[bool]) {
+    let mut doomed = doomed.iter();
+    v.retain(|_| !doomed.next().expect("one flag per element"));
 }
 
 #[cfg(test)]

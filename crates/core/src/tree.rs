@@ -26,8 +26,7 @@
 //!   traversal stack exist.
 //!
 //! Cloning a tree bumps a refcount; the only mutator,
-//! [`EditableTree`](crate::incremental::EditableTree), copies the table on
-//! its first write.
+//! [`RcTree::apply`], copies the table on its first write.
 
 use std::fmt;
 use std::sync::Arc;

@@ -215,8 +215,6 @@ struct GaugeSet {
     instances: Arc<Gauge>,
     endpoints: Arc<Gauge>,
     corners: Arc<Gauge>,
-    arena_base_bytes: Arc<Gauge>,
-    arena_corner_bytes: Arc<Gauge>,
     shard_revision: Vec<Arc<Gauge>>,
 }
 
@@ -341,8 +339,6 @@ impl Server {
             instances: registry.gauge("rctree_instances", Stability::Stable, &[]),
             endpoints: registry.gauge("rctree_endpoints", Stability::Stable, &[]),
             corners: registry.gauge("rctree_corners", Stability::Stable, &[]),
-            arena_base_bytes: registry.gauge("rctree_arena_base_bytes", Stability::Stable, &[]),
-            arena_corner_bytes: registry.gauge("rctree_arena_corner_bytes", Stability::Stable, &[]),
             shard_revision: (0..shards.len())
                 .map(|s| {
                     registry.gauge(
@@ -853,13 +849,12 @@ fn final_ok(shared: &Shared, sharded: bool) -> String {
 
 /// The `STATS` response block.
 ///
-/// The arena byte sizes come from the live designs behind the writer
-/// locks (a size probe, not an analysis); like every other counter here
-/// they are *not* part of the deterministic response surface.  The
-/// sharded fields (`shards`, `routing_table`, `shard_revs`,
-/// `shard_applied`, `shard_skipped`, `shard_report_cache_hits`) are
-/// appended after the pre-sharding fields, so unsharded output stays a
-/// superset-compatible extension of the old line.
+/// Every value is read from the published snapshots and the registry, so
+/// rendering takes no writer lock; like every counter here the values are
+/// *not* part of the deterministic response surface.  The sharded fields
+/// (`shards`, `routing_table`, `shard_revs`, `shard_applied`,
+/// `shard_skipped`, `shard_report_cache_hits`) follow the unsharded
+/// ones.
 fn render_stats(shared: &Shared) -> Vec<String> {
     let (snapshots, revs) = load_all(shared);
     let mut nets = 0;
@@ -869,12 +864,6 @@ fn render_stats(shared: &Shared) -> Vec<String> {
         nets += snapshot.net_count();
         instances += snapshot.instance_count();
         endpoints += snapshot.report().endpoints.len();
-    }
-    let (mut arena_base, mut arena_corner) = (0, 0);
-    for shard in &shared.shards {
-        let (base, corner) = lock(&shard.writer).arena_bytes();
-        arena_base += base;
-        arena_corner += corner;
     }
     let csv = |get: &dyn Fn(&Shard) -> u64| {
         shared
@@ -904,17 +893,15 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     };
     vec![
         format!(
-            "stats nets {} instances {} endpoints {} revision {} corners {} arena_base_bytes {} \
-             arena_corner_bytes {} connections {} requests {} queries {} eco_applied {} \
-             eco_skipped {} report_cache_hits {} shards {} routing_table {} shard_revs {} \
-             shard_applied {} shard_skipped {} shard_report_cache_hits {}",
+            "stats nets {} instances {} endpoints {} revision {} corners {} connections {} \
+             requests {} queries {} eco_applied {} eco_skipped {} report_cache_hits {} shards {} \
+             routing_table {} shard_revs {} shard_applied {} shard_skipped {} \
+             shard_report_cache_hits {}",
             nets,
             instances,
             endpoints,
             protocol::rev_csv(&revs),
             snapshots[0].corner_count(),
-            arena_base,
-            arena_corner,
             shared.stats.connections.get(),
             shared.stats.requests.get(),
             shared.stats.queries.get(),
@@ -949,12 +936,6 @@ fn render_metrics(shared: &Shared, stable_only: bool, sharded: bool) -> Vec<Stri
         instances += snapshot.instance_count() as i64;
         endpoints += snapshot.report().endpoints.len() as i64;
     }
-    let (mut arena_base, mut arena_corner) = (0i64, 0i64);
-    for shard in &shared.shards {
-        let (base, corner) = lock(&shard.writer).arena_bytes();
-        arena_base += base as i64;
-        arena_corner += corner as i64;
-    }
     shared.gauges.nets.set(nets);
     shared.gauges.instances.set(instances);
     shared.gauges.endpoints.set(endpoints);
@@ -962,8 +943,6 @@ fn render_metrics(shared: &Shared, stable_only: bool, sharded: bool) -> Vec<Stri
         .gauges
         .corners
         .set(snapshots[0].corner_count() as i64);
-    shared.gauges.arena_base_bytes.set(arena_base);
-    shared.gauges.arena_corner_bytes.set(arena_corner);
     for (gauge, rev) in shared.gauges.shard_revision.iter().zip(&revs) {
         gauge.set(*rev as i64);
     }

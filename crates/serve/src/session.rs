@@ -85,13 +85,6 @@ impl EcoExecutor {
         self.snapshot.corner_count()
     }
 
-    /// `(base, corner-lane)` byte sizes of the design's cached SoA net
-    /// arena: zeros when none is cached (every committed ECO drops it).
-    /// A size probe — it never builds the arena under the writer lock.
-    pub fn arena_bytes(&self) -> (usize, usize) {
-        self.design.arena_bytes()
-    }
-
     /// The final `OK` line of an `ECO` response: revision plus the corner
     /// vector on multi-corner decks (the edits re-timed every lane).
     fn ok(&self) -> String {

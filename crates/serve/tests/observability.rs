@@ -82,8 +82,9 @@ fn run_client(addr: SocketAddr, script: &[String]) -> Vec<Vec<String>> {
 }
 
 /// `STATS` must render byte-identical to the pre-observability format —
-/// same fields, same order, same spelling — with its counters now living
-/// in the metrics registry.  The expected line is reconstructed from a
+/// same fields (less the two arena sizes, removed with the arena), same
+/// order, same spelling — with its counters now living in the metrics
+/// registry.  The expected line is reconstructed from a
 /// serial oracle over the same design plus the known request history.
 #[test]
 fn stats_payload_is_byte_identical_to_the_pre_obs_format() {
@@ -107,14 +108,12 @@ fn stats_payload_is_byte_identical_to_the_pre_obs_format() {
     let oracle =
         EcoExecutor::new(design_of(&trees), THRESHOLD, Seconds::new(BUDGET_S), 1).expect("oracle");
     let snapshot = oracle.snapshot();
-    let (arena_base, arena_corner) = oracle.arena_bytes();
     // Requests: QUERY + REPORT + REPORT + STATS (the parse error is not
     // a request; STATS counts itself before rendering, as before).
     let expected = format!(
-        "stats nets {} instances {} endpoints {} revision 0 corners 1 arena_base_bytes \
-         {arena_base} arena_corner_bytes {arena_corner} connections 1 requests 4 queries 1 \
-         eco_applied 0 eco_skipped 0 report_cache_hits 1 shards 1 routing_table 0 shard_revs 0 \
-         shard_applied 0 shard_skipped 0 shard_report_cache_hits 1",
+        "stats nets {} instances {} endpoints {} revision 0 corners 1 connections 1 requests 4 \
+         queries 1 eco_applied 0 eco_skipped 0 report_cache_hits 1 shards 1 routing_table 0 \
+         shard_revs 0 shard_applied 0 shard_skipped 0 shard_report_cache_hits 1",
         snapshot.net_count(),
         snapshot.instance_count(),
         snapshot.report().endpoints.len(),
@@ -442,34 +441,4 @@ fn certify_over_after_an_eco_sweeps_only_the_edited_net() {
             "stable exposition diverged between jobs=1 and jobs={jobs}"
         );
     }
-}
-
-/// The `STATS`/`METRICS` arena-size probe reports the cached arena and
-/// never builds one: an `ECO` drops the cache, and scrapes after it keep
-/// reading zero bytes instead of rebuilding the arena under the writer
-/// lock.
-#[test]
-fn metrics_after_an_eco_leaves_the_arena_unbuilt() {
-    let trees = deck_trees();
-    let design = design_of(&trees);
-    // Build the arena up front, so the served design starts with one.
-    design
-        .analyze_with_jobs(THRESHOLD, Seconds::new(BUDGET_S), 1)
-        .expect("analyze");
-    assert_ne!(design.arena_bytes(), (0, 0));
-    let server = Server::start(design, &config(1), ("127.0.0.1", 0)).expect("server starts");
-    let addr = server.local_addr();
-    let (eco, _) = one_edit_eco(&trees);
-    let arena = |addr| {
-        let text = fetch_metrics(addr, true).expect("scrape");
-        let exposition = rctree_obs::parse_exposition(&text).expect("well-formed");
-        exposition.series["rctree_arena_base_bytes"].1
-    };
-    assert!(arena(addr) > 0.0, "the cached arena is reported");
-    let responses = run_client(addr, &[eco]);
-    assert_eq!(responses[0].last().unwrap(), "OK rev 1");
-    assert_eq!(arena(addr), 0.0, "the ECO dropped the arena");
-    assert_eq!(arena(addr), 0.0, "a scrape rebuilt the arena");
-    server.shutdown();
-    server.join();
 }

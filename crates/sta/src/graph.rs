@@ -17,29 +17,32 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use rctree_core::algebra::{DelayValue, Poly2, SymbolicTimes};
-use rctree_core::batch::{BatchScratch, BatchTimes};
+use rctree_core::batch::BatchTimes;
 use rctree_core::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds};
 use rctree_core::cert::Certification;
 use rctree_core::corner::CornerSet;
 use rctree_core::element::Branch;
-use rctree_core::incremental::{EditableTree, TreeEdit};
+use rctree_core::incremental::TreeEdit;
 use rctree_core::intern::{Interner, NameId};
 use rctree_core::moments::CharacteristicTimes;
 use rctree_core::tree::{NodeId, RcTree};
 use rctree_core::units::{Farads, Ohms, Seconds};
 
-use crate::arena::NetArena;
 use crate::cell::{Cell, CellLibrary};
 use crate::error::{Result, StaError};
 use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
-use crate::stage::{augmented_batch, stage_symbolic_bounds, stage_symbolic_sweep, StageScales};
+use crate::stage::{
+    augmented_batch, lane_bounds, stage_symbolic_bounds, stage_symbolic_sweep, StageScales,
+    StageScratch,
+};
 
 thread_local! {
-    /// Per-thread reusable sweep buffers for the arena-backed stage
-    /// evaluation.  The global pool's workers are persistent, so each
-    /// worker's scratch survives across nets *and* across analysis calls —
-    /// the steady state allocates nothing per net.
-    static SWEEP_SCRATCH: RefCell<BatchScratch> = RefCell::new(BatchScratch::new());
+    /// Per-thread splice columns and sweep buffers of the stage sweep
+    /// ([`lane_bounds`]).  The global pool's workers are persistent, so
+    /// each worker's scratch survives across nets *and* across calls — the
+    /// steady state allocates only each net's pre-order list and output
+    /// windows.
+    static STAGE_SCRATCH: RefCell<StageScratch> = RefCell::new(StageScratch::default());
 }
 
 /// What drives a net.
@@ -158,11 +161,17 @@ impl CornerAnalysis {
 /// The library, instance table and nets live behind an [`Arc`] so that the
 /// persistent global worker pool ([`rctree_par::global_pool`]) can hold
 /// owned (`'static`) references to them while a sharded analysis is in
-/// flight; mutation goes through [`Arc::make_mut`].  Pool jobs reference
-/// the core only through a [`Weak`] (upgraded per net while the analysing
-/// borrow keeps it alive), so even a straggler runner still queued on the
-/// pool after an analysis returns cannot pin the strong count — make_mut
-/// copies only when the *caller* holds other clones of the design.
+/// flight; mutation goes through [`Arc::make_mut`], and only a call that
+/// changes something mutates.  Pool jobs reference the core only through
+/// a [`Weak`] (upgraded per net while the analysing borrow keeps it
+/// alive), so even a straggler runner still queued on the pool after an
+/// analysis returns cannot pin the strong count — make_mut copies only
+/// when the *caller* holds other clones of the design.
+///
+/// Each net is one entry of the core: its interconnect table and its
+/// resolved augmentation.  Every stage sweep — batch analysis, the ECO
+/// warm-up and the dirty-net re-time — splices the net from those two
+/// into per-worker scratch; no other copy of a net exists.
 #[derive(Debug, Clone)]
 pub struct Design {
     shared: Arc<DesignCore>,
@@ -182,7 +191,10 @@ pub struct Design {
 /// reserved for "none".
 static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The shareable heart of a [`Design`].
+/// The shareable heart of a [`Design`]: the library, the instance table,
+/// and per net its [`Net`] (whose interconnect table snapshot views and
+/// ECO edits share) plus its resolved [`NetAug`], with the name index and
+/// the lazily built propagation topology.
 #[derive(Debug)]
 struct DesignCore {
     library: CellLibrary,
@@ -200,17 +212,13 @@ struct DesignCore {
     /// [`Design::add_net`] and refreshed at every ECO commit, so the hot
     /// analysis path never re-resolves instance or node names.
     aug: Vec<NetAug>,
-    /// Lazily built SoA arena over every net's augmented stage arrays
-    /// (see [`NetArena`]); invalidated whenever a net's interconnect or
-    /// the net list changes.
-    arena: Mutex<Option<Arc<NetArena>>>,
     /// Lazily built arrival-propagation topology; invalidated whenever the
     /// instance table or the net list changes (ECO edits keep it — they
     /// touch interconnect values, never connectivity).
     topo: Mutex<Option<Arc<PropagationCache>>>,
     /// Active PVT corner set, `None` for a nominal-only design.  Corner 0
     /// of any installed set is the implicit unscaled nominal corner, so
-    /// lane 0 of the arena — and every single-corner code path — is
+    /// lane 0 of every stage sweep — and every single-corner code path — is
     /// unaffected by this field.
     corners: Option<Arc<CornerSet>>,
 }
@@ -225,8 +233,7 @@ impl Clone for DesignCore {
             net_index: self.net_index.clone(),
             aug: self.aug.clone(),
             // A core is only cloned on the mutation path (`Arc::make_mut`),
-            // which would invalidate the caches anyway; rebuild on demand.
-            arena: Mutex::new(None),
+            // which would invalidate the cache anyway; rebuild on demand.
             topo: Mutex::new(None),
             corners: self.corners.clone(),
         }
@@ -236,69 +243,30 @@ impl Clone for DesignCore {
 /// A net's stage augmentation with every name resolved: the driver's switch
 /// resistance and the `(node, load)` pairs of its sinks.  Parallel to
 /// `DesignCore::nets`; kept exact across ECO commits (structural edits
-/// renumber [`NodeId`]s, so commits rewrite `loads` from the engine's
-/// bindings).
+/// renumber [`NodeId`]s, so a commit writes back the loads re-resolved by
+/// sink name).
 #[derive(Debug, Clone)]
 pub(crate) struct NetAug {
     /// Driver switch resistance (zero for primary inputs).
     pub(crate) driver_r: Ohms,
     /// Per sink, in net sink order: interconnect node and added load
-    /// capacitance.
-    pub(crate) loads: Vec<(NodeId, Farads)>,
+    /// capacitance.  Shared with every snapshot view of the net.
+    pub(crate) loads: Arc<[(NodeId, Farads)]>,
 }
 
 /// Delay window of one sink of a net, produced by the per-net stage sweep:
-/// `(lower, upper)` stage-delay bounds.  What the sink *drives* lives in
-/// the net itself and in [`PropagationCache::sink_po`] — the windows stay
-/// plain numbers, so re-timing a net allocates no strings.
-type Window = (Seconds, Seconds);
+/// its `[lower, upper]` stage-delay bounds.  What the sink *drives* lives
+/// in the net itself and in [`PropagationCache::sink_po`] — the windows
+/// stay plain numbers, so re-timing a net allocates no strings.
+type Window = DelayBounds;
 
-/// A dirty net re-timed before commit: its index, its edited engine, and
-/// every lane's sink windows.
-type Retimed = (usize, NetEngine, Vec<Vec<Window>>);
+/// A dirty net edited before commit: its index, edited interconnect and
+/// re-bound loads.
+type Edited = (usize, RcTree, Arc<[(NodeId, Farads)]>);
 
-/// One sink of a net as the persistent ECO engine sees it: the interconnect
-/// node it hangs on (re-resolved by name after structural edits) plus the
-/// load it adds to the augmented stage tree.
-#[derive(Debug, Clone)]
-struct SinkBinding {
-    /// Node name within the net's interconnect (the stable handle).
-    name: String,
-    /// Current id of that node in the engine's tree.
-    node: NodeId,
-    /// Added load capacitance (gate input capacitance, zero for primary
-    /// outputs).
-    load_cap: Farads,
-    /// What the sink drives (materialised into snapshot views).
-    load: Load,
-}
-
-/// The persistent per-net ECO engine: a live [`EditableTree`] over the
-/// net's interconnect plus the cached augmentation data (driver resistance,
-/// per-sink load capacitances and per-corner scales) of its stage tree.
-///
-/// The engine's tree shares its column table with the design's net and
-/// with every snapshot view built from it; cloning the engine for a
-/// transactional edit shares it too, and the first accepted edit copies
-/// that one table.  [`EcoEdit`]s are mapped straight onto the live engine
-/// — `O(depth · log n)` for value edits — instead of seeding a throwaway
-/// `EditableTree` per call; dirty-net re-timing then runs one flat
-/// pre-order sweep per corner lane over the engine's (always exact) base
-/// columns via [`augmented_batch`], which is **bit-identical** to the
-/// one-shot evaluation of the same net and lane.
-#[derive(Debug, Clone)]
-struct NetEngine {
-    /// Live engine over the net's interconnect; its base columns and
-    /// pre-order are exact at all times (the committed design tree shares
-    /// its table).
-    tree: EditableTree,
-    /// Cached driver switch resistance (the library is immutable).
-    driver_r: Ohms,
-    /// Sink bindings in `net.sinks` order.
-    sinks: Vec<SinkBinding>,
-    /// The net's scales at every corner lane, nominal first.
-    scales: Vec<StageScales>,
-}
+/// A net re-timed ahead of a sweep: its index and every lane's sink
+/// windows.
+type Retimed = (usize, Vec<Vec<Window>>);
 
 /// The instance chain of a path, shared by `Arc`: one link (instance index
 /// plus predecessor) per driver extension, newest instance first.  Every
@@ -441,8 +409,8 @@ impl PropagationCache {
 }
 
 /// Cached analysis state backing the incremental [`Design::apply_eco`]
-/// path: per-net persistent engines, the propagation topology, and one
-/// timing lane per corner of the design's corner set.
+/// path: the propagation topology and one timing lane per corner of the
+/// design's corner set.  The nets themselves are the core's.
 ///
 /// All of it is kept bit-consistent with what a full
 /// [`Design::analyze_with_jobs`] of the current design would produce; the
@@ -452,7 +420,6 @@ impl PropagationCache {
 #[derive(Debug, Clone)]
 struct EcoState {
     threshold: f64,
-    engines: Vec<NetEngine>,
     prop: Arc<PropagationCache>,
     /// One lane per corner of the core's corner set, nominal first (the
     /// set cannot change under the state: [`Design::set_corners`] drops
@@ -563,9 +530,9 @@ impl LaneTiming {
 /// A copy of `tree` with every branch resistance scaled by `r_scale` and
 /// every branch/node capacitance scaled by `c_scale` — one multiplication
 /// per element, nodes inserted in pre-order with their original names, so
-/// a sweep over the copy sees exactly the values the arena's corner lane
-/// stores, in the same order ([`Design::materialize_corner`]'s oracle
-/// contract).
+/// a sweep over the copy sees exactly the values the stage splice of that
+/// corner lane holds, in the same order ([`Design::materialize_corner`]'s
+/// oracle contract).
 pub(crate) fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<RcTree> {
     let input = tree.input();
     let mut b = rctree_core::builder::RcTreeBuilder::with_input_name(tree.name(input)?);
@@ -606,111 +573,6 @@ pub(crate) fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<Rc
         map[id.index()] = new_id;
     }
     Ok(b.build()?)
-}
-
-impl NetEngine {
-    /// Seeds an engine from a net's committed interconnect (one `O(n)`
-    /// sweep — paid once per net per cache warm-up, not per edit).
-    fn build(core: &DesignCore, net: &Net) -> Result<NetEngine> {
-        let driver_r = match &net.driver {
-            Driver::PrimaryInput => Ohms::ZERO,
-            Driver::Instance(inst) => {
-                core.library
-                    .cell(core.cell_of(&net.name, inst)?)?
-                    .drive_resistance
-            }
-        };
-        let mut sinks = Vec::with_capacity(net.sinks.len());
-        for sink in &net.sinks {
-            let node = net.interconnect.node_by_name(&sink.node)?;
-            let load_cap = match &sink.load {
-                Load::Instance(inst) => {
-                    core.library
-                        .cell(core.cell_of(&net.name, inst)?)?
-                        .input_capacitance
-                }
-                Load::PrimaryOutput(_) => Farads::ZERO,
-            };
-            sinks.push(SinkBinding {
-                name: sink.node.clone(),
-                node,
-                load_cap,
-                load: sink.load.clone(),
-            });
-        }
-        let set = core.corner_set();
-        Ok(NetEngine {
-            tree: EditableTree::new(net.interconnect.clone()),
-            driver_r,
-            sinks,
-            scales: (0..set.len())
-                .map(|k| StageScales::at(set, &net.name, k))
-                .collect(),
-        })
-    }
-
-    /// Maps one design-level edit onto the live engine.  Returns whether
-    /// the edit was structural (graft/prune), i.e. whether node ids may
-    /// have been renumbered.
-    fn apply(&mut self, net_name: &str, kind: &EcoEditKind) -> Result<bool> {
-        let tree_edit = resolve_edit(net_name, kind, self.tree.tree())?;
-        let structural = matches!(
-            tree_edit,
-            TreeEdit::GraftSubtree { .. } | TreeEdit::PruneSubtree { .. }
-        );
-        self.tree.apply(&tree_edit).map_err(StaError::Core)?;
-        Ok(structural)
-    }
-
-    /// Re-resolves the sink bindings by name after structural edits,
-    /// enforcing the sink-survival rule (a prune may not remove a node a
-    /// sink hangs on).
-    fn rebind_sinks(&mut self, net_name: &str) -> Result<()> {
-        for s in &mut self.sinks {
-            s.node =
-                self.tree
-                    .tree()
-                    .node_by_name(&s.name)
-                    .map_err(|_| StaError::UnknownSinkNode {
-                        net: net_name.to_string(),
-                        node: s.name.clone(),
-                    })?;
-        }
-        Ok(())
-    }
-
-    /// The `(node, load)` pairs of the net's sinks, in sink order.
-    fn loads(&self) -> Vec<(NodeId, Farads)> {
-        self.sinks.iter().map(|s| (s.node, s.load_cap)).collect()
-    }
-
-    /// Stage windows of every sink at every corner lane, lane by lane, via
-    /// one flat pre-order sweep per lane ([`augmented_batch`]) —
-    /// bit-identical to sweeping the arena built from the committed net,
-    /// lane for lane.  The first failing lane's error wins.
-    fn windows(&self, threshold: f64) -> Result<Vec<Vec<Window>>> {
-        let loads = self.loads();
-        self.scales
-            .iter()
-            .map(|&scales| {
-                // A sink-less net has nothing to time (see
-                // `stage_delay_bounds`).
-                if loads.is_empty() {
-                    return Ok(Vec::new());
-                }
-                let (batch, pos) =
-                    augmented_batch(self.driver_r, self.tree.tree(), &loads, scales)?;
-                loads
-                    .iter()
-                    .map(|&(node, _)| {
-                        let times = batch.times_at(pos[node.index()] as usize)?;
-                        let bounds = times.delay_bounds(threshold)?;
-                        Ok((bounds.lower, bounds.upper))
-                    })
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 /// What arrival propagation carries, written once for every lane: per
@@ -928,8 +790,8 @@ impl<'a> ScalarLane<'a> {
     fn through(&self, out: &ScalarOut, net: usize, sink: usize) -> ArrivalWindow {
         let delay = self.delays[net][sink];
         ArrivalWindow {
-            min: out.window.min + delay.0,
-            max: out.window.max + delay.1,
+            min: out.window.min + delay.lower,
+            max: out.window.max + delay.upper,
         }
     }
 }
@@ -1603,7 +1465,6 @@ impl Design {
                 names: Interner::new(),
                 net_index: HashMap::new(),
                 aug: Vec::new(),
-                arena: Mutex::new(None),
                 topo: Mutex::new(None),
                 corners: None,
             }),
@@ -1671,7 +1532,6 @@ impl Design {
         let aug = self.shared.resolve_aug(&net)?;
         let core = Arc::make_mut(&mut self.shared);
         core.push_net(net, aug);
-        core.arena = Mutex::new(None);
         core.topo = Mutex::new(None);
         self.eco = None;
         self.published = 0;
@@ -1693,10 +1553,10 @@ impl Design {
     /// Corner 0 of any set is the implicit nominal corner, so a
     /// nominal-only set is stored as "no corners" and the design behaves
     /// exactly as an uncornered one (no extra lanes, no corner tails).
-    /// Installing corners invalidates the cached arena (it holds one lane of
-    /// value columns per corner) and the incremental ECO state; the
-    /// nominal analysis results themselves are unchanged — lane 0 runs the
-    /// exact float sequence of the single-corner path.
+    /// Installing corners invalidates the incremental ECO state (it holds
+    /// one lane per corner); the nominal analysis results themselves are
+    /// unchanged — lane 0 runs the exact float sequence of the
+    /// single-corner path.
     pub fn set_corners(&mut self, corners: CornerSet) {
         let core = Arc::make_mut(&mut self.shared);
         core.corners = if corners.is_nominal_only() {
@@ -1704,7 +1564,6 @@ impl Design {
         } else {
             Some(Arc::new(corners))
         };
-        core.arena = Mutex::new(None);
         self.eco = None;
         self.published = 0;
     }
@@ -1717,17 +1576,6 @@ impl Design {
     /// Number of timing corners (1 when no corner set is installed).
     pub fn corner_count(&self) -> usize {
         self.shared.corner_set().len()
-    }
-
-    /// Size in bytes of the cached SoA arena as `(base, corner_lanes)`:
-    /// the nominal lane's columns plus shared metadata, and the value lanes
-    /// of corners 1.. (zero without a multi-corner set).
-    /// Zeros when no arena is cached: none was built since the last net
-    /// edit.  A size probe behind the serve `STATS` and `METRICS` verbs,
-    /// so it never builds the arena itself.
-    pub fn arena_bytes(&self) -> (usize, usize) {
-        let slot = self.shared.arena.lock().expect("arena cache poisoned");
-        slot.as_ref().map_or((0, 0), |arena| arena.bytes())
     }
 
     /// Runs the full arrival-time propagation and produces a report,
@@ -1775,8 +1623,8 @@ impl Design {
     }
 
     /// Analyses **every corner** of the installed [`CornerSet`]: each net's
-    /// arena lanes are swept one after the other through the same `f64`
-    /// kernel and per-worker scratch (`NetArena::sweep_net`), then
+    /// lanes are spliced and swept one after the other through the same
+    /// `f64` kernel and per-worker scratch (`stage::lane_bounds`), then
     /// arrival windows are propagated once per corner over the cached
     /// topology, each corner using its `delay_scale`d intrinsic delays.
     ///
@@ -1809,7 +1657,8 @@ impl Design {
     }
 
     /// The reports of corner lanes `0..lanes`: every lane's stage windows
-    /// from the arena, each propagated with its corner's intrinsic delays.
+    /// from the stage sweep, each propagated with its corner's intrinsic
+    /// delays.
     fn analyze_lanes(
         &self,
         threshold: f64,
@@ -1820,7 +1669,11 @@ impl Design {
         if self.shared.nets.is_empty() {
             return Err(StaError::EmptyDesign);
         }
-        let delays = self.stage_delays(threshold, jobs, lanes)?;
+        let delays = {
+            let mut obs_span = rctree_obs::span("sta.stage_sweep");
+            obs_span.attr_u64("nets", self.shared.nets.len() as u64);
+            self.stage_delays(threshold, jobs, lanes, Vec::new())?
+        };
         let cache = self.shared.topology()?;
         Ok(delays
             .iter()
@@ -1838,44 +1691,59 @@ impl Design {
     }
 
     /// Stage timing of corner lanes `0..lanes` of every net, indexed
-    /// `[lane][net][sink]`: the delay window of every sink, computed by
-    /// sweeping each lane of each net's range of the cached SoA
-    /// [`NetArena`] (built once per design revision) through a per-worker
-    /// reusable scratch.  One `O(n)` sweep covers all of a net's fan-outs
-    /// at one corner, so the full design evaluation is linear in total
-    /// augmented-node count plus total sink count, per lane, divided across
-    /// the global pool's workers — and in the steady state it allocates
-    /// only the output windows.  Errors surface in `(net, lane)` order.
+    /// `[lane][net][sink]`: the delay window of every sink, from the one
+    /// stage sweep of each net ([`DesignCore::net_windows`]), the nets
+    /// mapped over the global pool.  One `O(n)` sweep covers all of a net's
+    /// fan-outs at one corner, so the full design evaluation is linear in
+    /// total augmented-node count plus total sink count, per lane, divided
+    /// across the pool's workers — and in the steady state it allocates
+    /// only each net's pre-order list and output windows.  The nets listed
+    /// in `given` take the windows supplied with them instead of a sweep
+    /// (the ECO warm-up's already re-timed dirty nets).  Errors surface as
+    /// the first failing net in net order, and within it the lowest
+    /// failing lane.
     fn stage_delays(
         &self,
         threshold: f64,
         jobs: usize,
         lanes: usize,
+        given: Vec<Retimed>,
     ) -> Result<Vec<Vec<Vec<Window>>>> {
-        let mut obs_span = rctree_obs::span("sta.stage_sweep");
-        obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-        // The pool jobs share only the arena (not the design core), so a
-        // queued straggler runner can never pin the core's strong count
-        // past this call and turn a later `Arc::make_mut` commit into a
-        // deep clone of the whole design.
-        let state = Arc::new((self.shared.arena(), threshold, lanes));
         let n = self.shared.nets.len();
-        let windows = rctree_par::par_map_global(
+        let mut skip = vec![false; n];
+        for (idx, _) in &given {
+            skip[*idx] = true;
+        }
+        // Pool jobs hold the core through a Weak, so a queued straggler
+        // runner can never pin the strong count past this call and turn a
+        // later `Arc::make_mut` commit into a deep clone of the design.
+        let state = Arc::new((Arc::downgrade(&self.shared), skip));
+        let mut per_net: Vec<Option<Vec<Vec<Window>>>> = rctree_par::par_map_global(
             jobs,
             state,
-            n * lanes,
-            move |j, st: &(Arc<NetArena>, f64, usize)| {
-                SWEEP_SCRATCH.with(|s| {
-                    st.0.sweep_net(j / st.2, j % st.2, st.1, &mut s.borrow_mut())
-                })
+            n,
+            move |i, (weak, skip): &(Weak<DesignCore>, Vec<bool>)| {
+                if skip[i] {
+                    return Ok(None);
+                }
+                let core = weak.upgrade().expect("design outlives its analysis");
+                let net = &core.nets[i].interconnect;
+                core.net_windows(i, net, &core.aug[i].loads, lanes, threshold)
+                    .map(Some)
             },
         )
         .into_iter()
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<Result<_>>()?;
+        for (idx, windows) in given {
+            per_net[idx] = Some(windows);
+        }
         let mut by_lane: Vec<Vec<Vec<Window>>> =
             (0..lanes).map(|_| Vec::with_capacity(n)).collect();
-        for (j, net_windows) in windows.into_iter().enumerate() {
-            by_lane[j % lanes].push(net_windows);
+        for windows in per_net {
+            let windows = windows.expect("every net is timed");
+            for (lane, w) in by_lane.iter_mut().zip(windows) {
+                lane.push(w);
+            }
         }
         Ok(by_lane)
     }
@@ -2006,15 +1874,14 @@ impl Design {
     ///
     /// The first call (or a call after the threshold changes or the design
     /// is structurally modified) evaluates every net once and caches the
-    /// complete incremental state: a **persistent per-net
-    /// [`EditableTree`] engine** with the augmented-stage data (driver
-    /// resistance + sink load capacitances), the per-net sink windows, the
-    /// Kahn propagation topology, and the per-instance arrival windows of
-    /// the last report.  Subsequent calls then cost only the dirty work:
+    /// complete incremental state: the per-net sink windows of every
+    /// corner lane, the Kahn propagation topology, and the per-instance
+    /// arrival windows of the last report.  Subsequent calls then cost only
+    /// the dirty work:
     ///
     /// | step | cost |
     /// |------|------|
-    /// | edit application (value) | `O(depth · log n_net)` on the live engine |
+    /// | edit application (value) | `O(depth)` column patch on the net's table ([`RcTree::apply`]) |
     /// | edit application (structural) | `O(n_net)` integer re-index |
     /// | dirty-net re-timing | one flat `O(n_net)` stage sweep per corner ([`crate::stage::stage_delay_bounds`]'s kernel) |
     /// | arrival re-propagation | `O(affected fan-out cone)` |
@@ -2024,7 +1891,8 @@ impl Design {
     /// for `E` endpoints held in chunks of at most `B` = 128 (see
     /// [`Endpoints`]): the persistent endpoint order is updated in place
     /// for the endpoints the cone walk rewrote, and the returned report
-    /// shares every chunk with it.
+    /// shares every chunk with it.  An edit copies the net's table first
+    /// (`O(n_net)`) when a published snapshot still shares it.
     ///
     /// The cone walk re-derives an instance's arrival by folding its
     /// in-edges in the exact order the full pass uses and prunes fan-out
@@ -2036,7 +1904,8 @@ impl Design {
     /// ([`Design::add_instance`] / [`Design::add_net`]) invalidates the
     /// cache, falling back to a full propagation on the next call.
     ///
-    /// An empty `edits` slice is a cache-warming full analysis.
+    /// An empty `edits` slice is a cache-warming full analysis; it leaves
+    /// the nets, and a core shared with clones of the design, untouched.
     ///
     /// # Errors
     ///
@@ -2050,13 +1919,13 @@ impl Design {
     /// * plus every error of [`Design::analyze_with_jobs`].
     ///
     /// Edits are applied transactionally per call, by snapshot: they are
-    /// mapped onto **clones** of the dirty nets' persistent engines (each
-    /// clone shares its tree, and the first edit copies that one table), and
+    /// applied to **clones** of the dirty nets' trees (each clone shares
+    /// its table, and the first edit copies that one table), and
     /// validation plus the stage re-timing run entirely against that
-    /// pre-commit state.  On any error the design, the engines, *and* the
-    /// cached windows of every net (dirty or not) are left exactly as they
-    /// were before the call — a failing call never forces the next one to
-    /// pay a full re-warm.
+    /// pre-commit state.  On any error the design *and* the cached windows
+    /// of every net (dirty or not) are left exactly as they were before the
+    /// call — a failing call never forces the next one to pay a full
+    /// re-warm.
     pub fn apply_eco_with_jobs(
         &mut self,
         edits: &[EcoEdit],
@@ -2096,18 +1965,12 @@ impl Design {
         // interned name→index map is maintained by `add_net` on the core.
         let by_net = group_edits_interned(&self.shared, edits)?;
 
-        // Apply the edits to *clones* of the persistent per-net engines and
-        // re-time every corner lane of them (the transactional snapshot: on
-        // any error below, neither the design nor the cached state has
-        // been touched).
-        let work = self.process_dirty(
-            if warm { self.eco.as_ref() } else { None },
-            &by_net,
-            threshold,
-            jobs,
-        )?;
+        // Apply the edits to *clones* of the dirty nets' trees and re-time
+        // every corner lane of them (the transactional snapshot: on any
+        // error below, neither the design nor the cached state has been
+        // touched).
+        let (edited, retimed) = self.process_dirty(&by_net, threshold, jobs)?;
 
-        let dirty: Vec<usize> = work.iter().map(|(idx, _, _)| *idx).collect();
         let (state, touched) = if warm {
             let mut state = self.eco.take().expect("warm state present");
             // Everything fallible has succeeded — commit, then re-propagate
@@ -2115,13 +1978,14 @@ impl Design {
             // cone ranks: the dirty-net set and the topology are
             // corner-independent, only the windows and intrinsics differ
             // per lane.
-            let dirty_ranks: Vec<usize> =
-                dirty.iter().map(|&idx| state.prop.net_rank[idx]).collect();
-            for (idx, engine, delays) in work {
-                for (lane, windows) in state.lanes.iter_mut().zip(delays) {
-                    lane.delays[idx] = windows;
+            let dirty_ranks: Vec<usize> = retimed
+                .iter()
+                .map(|(idx, _)| state.prop.net_rank[*idx])
+                .collect();
+            for (idx, windows) in retimed {
+                for (lane, w) in state.lanes.iter_mut().zip(windows) {
+                    lane.delays[idx] = w;
                 }
-                state.engines[idx] = engine;
             }
             let mut touched = Touched::default();
             for lane in &mut state.lanes {
@@ -2131,21 +1995,21 @@ impl Design {
         } else {
             // Cold cache (first call, threshold change, or structural
             // design mutation): one full warm-up that evaluates every net
-            // once, honouring the already-edited engines for the dirty
-            // nets, then a full propagation.  On error the previous state
+            // once, taking the dirty nets' windows from their edited
+            // trees, then a full propagation.  On error the previous state
             // (still valid for *its* threshold) is left in place.
-            self.warm_state(threshold, jobs, work)?
+            self.warm_state(threshold, jobs, retimed)?
         };
-        let core = Arc::make_mut(&mut self.shared);
-        for &idx in &dirty {
-            let engine = &state.engines[idx];
-            core.nets[idx].interconnect = engine.tree.tree().clone();
-            // Structural edits renumber node ids; keep the resolved
-            // augmentation exact.
-            core.aug[idx].loads = engine.loads();
-        }
-        if !dirty.is_empty() {
-            core.arena = Mutex::new(None);
+        // Only a call that changed a net touches the core, so an empty
+        // batch never copies a core shared with clones of the design.
+        if !edited.is_empty() {
+            let core = Arc::make_mut(&mut self.shared);
+            for (idx, tree, loads) in edited {
+                core.nets[idx].interconnect = tree;
+                // Structural edits renumber node ids; keep the resolved
+                // augmentation exact.
+                core.aug[idx].loads = loads;
+            }
         }
         self.eco = Some(state);
         // The design state moved past whatever snapshot was last
@@ -2155,124 +2019,100 @@ impl Design {
         Ok(touched)
     }
 
-    /// Applies grouped edits onto clones of the per-net engines (or onto
-    /// freshly seeded ones when no warm state exists) and re-times every
-    /// corner lane of each dirty net.  Pure with respect to `self`: the
-    /// caller commits.
+    /// Applies grouped edits to clones of the dirty nets' trees and
+    /// re-times every corner lane of each, returning the edited nets and
+    /// their windows in net order.  Pure with respect to `self`: the caller
+    /// commits.
     ///
-    /// The re-time is sharded over the persistent pool only when the dirty
-    /// set is large enough to amortise the handoff; either way the windows
-    /// are computed per net independently, so results are identical for
-    /// every `jobs` value.
+    /// After a graft or prune the sinks are re-bound by their node names
+    /// (the sink-survival rule: a prune may not remove a node a sink hangs
+    /// on).  The re-time is sharded over the persistent pool only when the
+    /// dirty set is large enough to amortise the handoff; either way the
+    /// windows are computed per net independently, so results are
+    /// identical for every `jobs` value.
     fn process_dirty(
         &self,
-        existing: Option<&EcoState>,
         by_net: &BTreeMap<usize, Vec<&EcoEdit>>,
         threshold: f64,
         jobs: usize,
-    ) -> Result<Vec<Retimed>> {
+    ) -> Result<(Vec<Edited>, Vec<Retimed>)> {
         const PAR_DIRTY_MIN: usize = 8;
-        let mut prep: Vec<(usize, NetEngine)> = Vec::with_capacity(by_net.len());
+        let core = &self.shared;
+        let mut edited = Vec::with_capacity(by_net.len());
         for (&idx, net_edits) in by_net {
-            let net = &self.shared.nets[idx];
-            let mut engine = match existing {
-                Some(state) => state.engines[idx].clone(),
-                None => NetEngine::build(&self.shared, net)?,
-            };
+            let net = &core.nets[idx];
+            let mut tree = net.interconnect.clone();
             let mut structural = false;
             for edit in net_edits {
-                structural |= engine.apply(&edit.net, &edit.kind)?;
+                let tree_edit = resolve_edit(&edit.net, &edit.kind, &tree)?;
+                structural |= matches!(
+                    tree_edit,
+                    TreeEdit::GraftSubtree { .. } | TreeEdit::PruneSubtree { .. }
+                );
+                tree.apply(&tree_edit)?;
             }
-            if structural {
-                engine.rebind_sinks(&net.name)?;
-            }
-            prep.push((idx, engine));
+            let loads = if structural {
+                // Node ids were renumbered: re-bind every sink by its name.
+                net.sinks
+                    .iter()
+                    .zip(core.aug[idx].loads.iter())
+                    .map(|(sink, &(_, load))| {
+                        let node = tree.node_by_name(&sink.node).map_err(|_| {
+                            StaError::UnknownSinkNode {
+                                net: net.name.clone(),
+                                node: sink.node.clone(),
+                            }
+                        })?;
+                        Ok((node, load))
+                    })
+                    .collect::<Result<_>>()?
+            } else {
+                Arc::clone(&core.aug[idx].loads)
+            };
+            edited.push((idx, tree, loads));
         }
 
-        if prep.len() < PAR_DIRTY_MIN || jobs <= 1 {
-            prep.into_iter()
-                .map(|(idx, engine)| {
-                    let delays = engine.windows(threshold)?;
-                    Ok((idx, engine, delays))
-                })
-                .collect()
+        let lanes = core.corner_set().len();
+        let windows: Vec<Vec<Vec<Window>>> = if edited.len() < PAR_DIRTY_MIN || jobs <= 1 {
+            edited
+                .iter()
+                .map(|(idx, tree, loads)| core.net_windows(*idx, tree, loads, lanes, threshold))
+                .collect::<Result<_>>()?
         } else {
-            let shared = Arc::new((prep, threshold));
-            let n = shared.0.len();
-            let windows = rctree_par::par_map_global(
+            // The Weak keeps a straggler runner from pinning the core (see
+            // `stage_delays`); the trees and loads are refcount clones.
+            let state = Arc::new((Arc::downgrade(core), edited.clone()));
+            rctree_par::par_map_global(
                 jobs,
-                Arc::clone(&shared),
-                n,
-                move |k, st: &(Vec<(usize, NetEngine)>, f64)| st.0[k].1.windows(st.1),
+                state,
+                edited.len(),
+                move |k, (weak, edited): &(Weak<DesignCore>, Vec<Edited>)| {
+                    let core = weak.upgrade().expect("design outlives its analysis");
+                    let (idx, tree, loads) = &edited[k];
+                    core.net_windows(*idx, tree, loads, lanes, threshold)
+                },
             )
             .into_iter()
-            .collect::<Result<Vec<_>>>()?;
-            // Recover the engines; a straggler pool runner may briefly pin
-            // the Arc, in which case they are cloned out.
-            let (prep, _) = match Arc::try_unwrap(shared) {
-                Ok(tuple) => tuple,
-                Err(arc) => (*arc).clone(),
-            };
-            Ok(prep
-                .into_iter()
-                .zip(windows)
-                .map(|((idx, engine), delays)| (idx, engine, delays))
-                .collect())
-        }
+            .collect::<Result<_>>()?
+        };
+        let retimed = edited.iter().map(|(idx, ..)| *idx).zip(windows).collect();
+        Ok((edited, retimed))
     }
 
     /// Builds a complete [`EcoState`] for the current design at
-    /// `threshold`: engines and every lane's stage windows for every net
-    /// (`overrides` supplies the pre-edited engines of dirty nets, so no
-    /// net is evaluated twice), the propagation topology, and one full
-    /// arrival propagation per lane.  Returns the state with the endpoints
-    /// filed into its lanes' orders.  Pure with respect to `self`.
+    /// `threshold`: every lane's stage windows for every net (`given`
+    /// supplies the windows of the edited dirty nets, so no net is
+    /// evaluated twice), the propagation topology, and one full arrival
+    /// propagation per lane.  Returns the state with the endpoints filed
+    /// into its lanes' orders.  Pure with respect to `self`.
     fn warm_state(
         &self,
         threshold: f64,
         jobs: usize,
-        overrides: Vec<Retimed>,
+        given: Vec<Retimed>,
     ) -> Result<(EcoState, Touched)> {
-        let n = self.shared.nets.len();
-        let mut skip = vec![false; n];
-        for (idx, _, _) in &overrides {
-            skip[*idx] = true;
-        }
-        // Per-net engine + windows, sharded over the persistent pool; the
-        // Weak keeps a straggler runner from pinning the design core (see
-        // `stage_delays`).
-        let shared = Arc::new((Arc::downgrade(&self.shared), skip, threshold));
-        let mut built: Vec<Option<(NetEngine, Vec<Vec<Window>>)>> = rctree_par::par_map_global(
-            jobs,
-            shared,
-            n,
-            move |i, st: &(Weak<DesignCore>, Vec<bool>, f64)| {
-                if st.1[i] {
-                    return Ok(None);
-                }
-                let core = st.0.upgrade().expect("design outlives its analysis");
-                let engine = NetEngine::build(&core, &core.nets[i])?;
-                let delays = engine.windows(st.2)?;
-                Ok(Some((engine, delays)))
-            },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
-        for (idx, engine, delays) in overrides {
-            built[idx] = Some((engine, delays));
-        }
-
-        let mut engines = Vec::with_capacity(n);
-        let mut delays: Vec<Vec<Vec<Window>>> = (0..self.shared.corner_set().len())
-            .map(|_| Vec::with_capacity(n))
-            .collect();
-        for slot in built {
-            let (engine, windows) = slot.expect("every net has an engine");
-            engines.push(engine);
-            for (lane, w) in delays.iter_mut().zip(windows) {
-                lane.push(w);
-            }
-        }
+        let lanes = self.shared.corner_set().len();
+        let delays = self.stage_delays(threshold, jobs, lanes, given)?;
 
         // One full propagation per lane, with the lane's scaled
         // intrinsics.
@@ -2290,7 +2130,6 @@ impl Design {
             .collect();
         let state = EcoState {
             threshold,
-            engines,
             prop,
             lanes,
         };
@@ -2331,7 +2170,7 @@ impl Design {
 
         // Feeder: a primary input reaching the driver through a token
         // 10 Ω / 1 fF wire, so every stage has a real arrival window.  One
-        // table, shared by every feeder net.
+        // table and one load list, shared by every feeder net.
         let mut builder = rctree_core::builder::RcTreeBuilder::new();
         let pin = builder
             .add_line(
@@ -2342,6 +2181,7 @@ impl Design {
             )
             .expect("static feeder wire is valid");
         let feeder = builder.build().expect("static feeder wire is valid");
+        let feeder_loads: Arc<[(NodeId, Farads)]> = Arc::new([(pin, pin_cap)]);
 
         let nets = nets.into_iter();
         core.nets.reserve(2 * nets.size_hint().0);
@@ -2369,7 +2209,7 @@ impl Design {
                 },
                 NetAug {
                     driver_r: Ohms::ZERO,
-                    loads: vec![(pin, pin_cap)],
+                    loads: Arc::clone(&feeder_loads),
                 },
             );
 
@@ -2391,7 +2231,10 @@ impl Design {
                     interconnect: tree,
                     sinks,
                 },
-                NetAug { driver_r, loads },
+                NetAug {
+                    driver_r,
+                    loads: loads.into(),
+                },
             );
         }
         obs_span.attr_u64("nets", core.nets.len() as u64);
@@ -2538,8 +2381,10 @@ type SweepCache = Arc<(BatchTimes, Vec<u32>)>;
 ///
 /// Everything is behind `Arc`s — the tree is the design's own
 /// `Arc`-shared column table, which a later edit copies rather than
-/// changes — so cloning a `NetTiming`, or the snapshot holding it, is a
-/// handful of refcount bumps.  Node-level queries
+/// changes, and the loads are the design's own list, which a later
+/// structural edit replaces — so building a view copies neither, and
+/// cloning a `NetTiming`, or the snapshot holding it, is a handful of
+/// refcount bumps.  Node-level queries
 /// ([`NetTiming::node_times_at`]) resolve the node name with one probe of
 /// the tree's name index and are computed on demand from the shared tree
 /// in one `O(n_net)` sweep per lane.
@@ -2548,7 +2393,7 @@ pub struct NetTiming {
     name: String,
     tree: RcTree,
     driver_r: Ohms,
-    loads: Arc<Vec<(NodeId, Farads)>>,
+    loads: Arc<[(NodeId, Farads)]>,
     /// One entry per corner lane, nominal first.
     lanes: Arc<Vec<NetLane>>,
     /// Lazily built **symbolic** sweep of the whole net: the per-node
@@ -3126,33 +2971,34 @@ impl Design {
         dirty: &[usize],
     ) -> (DesignSnapshot, u64) {
         let state = self.eco.as_ref().expect("publish warms the eco cache");
+        let set = self.shared.corner_set();
         let net_timing = |idx: usize| -> Arc<NetTiming> {
-            let engine = &state.engines[idx];
-            let lanes = engine
-                .scales
+            let (net, aug) = (&self.shared.nets[idx], &self.shared.aug[idx]);
+            let lanes = state
+                .lanes
                 .iter()
-                .zip(&state.lanes)
-                .map(|(&scales, lane)| NetLane {
-                    scales,
-                    sinks: engine
+                .enumerate()
+                .map(|(k, lane)| NetLane {
+                    scales: StageScales::at(set, &net.name, k),
+                    sinks: net
                         .sinks
                         .iter()
                         .zip(&lane.delays[idx])
-                        .map(|(binding, delay)| SinkWindow {
-                            node: binding.name.clone(),
-                            load: binding.load.clone(),
-                            lower: delay.0,
-                            upper: delay.1,
+                        .map(|(sink, delay)| SinkWindow {
+                            node: sink.node.clone(),
+                            load: sink.load.clone(),
+                            lower: delay.lower,
+                            upper: delay.upper,
                         })
                         .collect(),
                     sweep: OnceLock::new(),
                 })
                 .collect();
             Arc::new(NetTiming {
-                name: self.shared.nets[idx].name.clone(),
-                tree: engine.tree.tree().clone(),
-                driver_r: engine.driver_r,
-                loads: Arc::new(engine.loads()),
+                name: net.name.clone(),
+                tree: net.interconnect.clone(),
+                driver_r: aug.driver_r,
+                loads: Arc::clone(&aug.loads),
                 lanes: Arc::new(lanes),
                 symbolic: OnceLock::new(),
             })
@@ -3221,7 +3067,7 @@ impl DesignCore {
     }
 
     /// The installed corner set, or the nominal-only set when none is:
-    /// lane `k` of the arena, the ECO state and the snapshot views is
+    /// lane `k` of the stage sweep, the ECO state and the snapshot views is
     /// corner `k` of it.
     fn corner_set(&self) -> &CornerSet {
         static NOMINAL: OnceLock<CornerSet> = OnceLock::new();
@@ -3298,21 +3144,36 @@ impl DesignCore {
             };
             loads.push((node, load_cap));
         }
-        Ok(NetAug { driver_r, loads })
+        Ok(NetAug {
+            driver_r,
+            loads: loads.into(),
+        })
     }
 
-    /// The packed SoA arena of every net's augmented stage arrays, built on
-    /// first use after any mutation and shared by `Arc` with the sweep
-    /// workers.  Infallible: per-net validation failures are deferred into
-    /// the arena and surface when the failing net is swept.
-    fn arena(&self) -> Arc<NetArena> {
-        let mut slot = self.arena.lock().expect("arena cache poisoned");
-        if let Some(arena) = slot.as_ref() {
-            return Arc::clone(arena);
-        }
-        let arena = Arc::new(NetArena::build(&self.nets, &self.aug, self.corner_set()));
-        *slot = Some(Arc::clone(&arena));
-        arena
+    /// The one stage sweep of net `i` over `tree` and `loads` (the net's
+    /// committed ones, or an ECO's edited ones): every sink's delay window
+    /// at corner lanes `0..lanes`, through this thread's scratch.
+    fn net_windows(
+        &self,
+        i: usize,
+        tree: &RcTree,
+        loads: &[(NodeId, Farads)],
+        lanes: usize,
+        threshold: f64,
+    ) -> Result<Vec<Vec<Window>>> {
+        let (set, name) = (self.corner_set(), &self.nets[i].name);
+        let scales = (0..lanes).map(|k| StageScales::at(set, name, k));
+        STAGE_SCRATCH.with(|scratch| {
+            let driver_r = self.aug[i].driver_r;
+            lane_bounds(
+                driver_r,
+                tree,
+                loads,
+                scales,
+                threshold,
+                &mut scratch.borrow_mut(),
+            )
+        })
     }
 
     /// The cached propagation topology, rebuilt on first use after a
@@ -4266,8 +4127,8 @@ mod tests {
         let mut d = buffer_chain();
         Arc::make_mut(&mut d.shared).instances.remove("u1");
 
-        // The stage sweep itself no longer resolves names (the arena works
-        // from augmentation data pre-resolved at `add_net`), so the
+        // The stage sweep itself no longer resolves names (every path
+        // splices from augmentation data pre-resolved at `add_net`), so the
         // topology build surfaces the error: the sink-side lookup of
         // `n_in` precedes the dangling driver of `n_mid` in net order.
         let err = d.analyze(0.5, Seconds::from_nano(50.0)).unwrap_err();
@@ -4297,9 +4158,8 @@ mod tests {
 
     #[test]
     fn arena_analysis_matches_the_string_keyed_baseline() {
-        // The packed-arena sweep and the cold ECO warm-up of a clone (names
-        // resolved per net by `NetEngine::build`, each net spliced on its
-        // own) must agree bit-for-bit.
+        // Batch analysis and the cold ECO warm-up of a clone must agree
+        // bit-for-bit.
         let d = buffer_chain();
         let budget = Seconds::from_nano(50.0);
         for jobs in [1, 2, 7] {
@@ -4310,24 +4170,12 @@ mod tests {
                 .unwrap();
             assert_eq!(fast, slow, "jobs {jobs}");
         }
-        // The cached arena covers every net and is rebuilt only after a
-        // mutation (the two calls above shared one build).
-        let arena = d.shared.arena();
-        assert!(Arc::ptr_eq(&arena, &d.shared.arena()));
-        assert_eq!(arena.net_count(), 3);
-        // Two sink-bearing interconnects of 2 nodes each plus the feeder-
-        // style `n_in` (2 nodes), each augmented with a stage-input and a
-        // driver-output node... counted straight off the packed columns.
-        assert!(arena.node_count() >= 3 * 3);
 
         // A deferred per-net validation failure surfaces at sweep time
         // with the historical error, without poisoning other nets.
         let mut bad = buffer_chain();
-        {
-            let core = Arc::make_mut(&mut bad.shared);
-            core.aug[2].loads[0].1 = Farads::new(f64::NAN);
-            core.arena = Mutex::new(None);
-        }
+        let core = Arc::make_mut(&mut bad.shared);
+        Arc::make_mut(&mut core.aug[2].loads)[0].1 = Farads::new(f64::NAN);
         let err = bad.analyze(0.5, budget).unwrap_err();
         assert!(
             matches!(
@@ -4339,6 +4187,196 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn publishing_a_clone_leaves_the_shared_core_uncopied() {
+        // An empty-edit commit changes no net, so it must not copy a core
+        // that a clone shares with its original.
+        let d = buffer_chain();
+        let budget = Seconds::from_nano(50.0);
+        let mut c = d.clone();
+        let snapshot = c.publish(0.5, budget, 2).unwrap();
+        assert!(Arc::ptr_eq(&c.shared, &d.shared));
+        c.apply_eco(&[], 0.5, budget).unwrap();
+        assert!(Arc::ptr_eq(&c.shared, &d.shared));
+        // A real edit copies the core and leaves the original untouched.
+        let edit = EcoEdit {
+            net: "n_out".into(),
+            kind: EcoEditKind::SetCap {
+                node: "load".into(),
+                cap: Farads::from_femto(90.0),
+            },
+        };
+        c.publish_after_eco(&[edit], 0.5, budget, 2, &snapshot)
+            .unwrap();
+        assert!(!Arc::ptr_eq(&c.shared, &d.shared));
+        assert_eq!(
+            d.analyze(0.5, budget).unwrap(),
+            buffer_chain().analyze(0.5, budget).unwrap()
+        );
+    }
+
+    /// A comb of `teeth` trunk nodes `t{j}`, each with a side node `b{j}`:
+    /// `2 * teeth + 1` nodes, with outputs at the trunk's end and at every
+    /// tenth side node.
+    fn comb(teeth: usize, skew: f64) -> RcTree {
+        let mut b = RcTreeBuilder::new();
+        let mut trunk = b.input();
+        for j in 0..teeth {
+            let r = Ohms::new(20.0 + skew * (j % 7) as f64);
+            trunk = b
+                .add_line(trunk, format!("t{j}"), r, Farads::from_femto(2.0))
+                .unwrap();
+            let side = b
+                .add_resistor(trunk, format!("b{j}"), Ohms::new(35.0 * skew))
+                .unwrap();
+            b.add_capacitance(side, Farads::from_femto(1.0 + (j % 3) as f64))
+                .unwrap();
+            if j % 10 == 0 {
+                b.mark_output(side).unwrap();
+            }
+        }
+        b.mark_output(trunk).unwrap();
+        b.build().unwrap()
+    }
+
+    /// Every view of `snapshot`, at every lane, against `analyze_stage` on
+    /// the design's net rebuilt with that lane's scaled values.
+    fn assert_views_match_the_scaled_builder_stages(d: &Design, snapshot: &DesignSnapshot) {
+        let core = &d.shared;
+        let set = core.corner_set();
+        let cell = |inst: &str| core.library.cell(&core.instances[inst]).unwrap();
+        for net in &core.nets {
+            let view = snapshot.net(&net.name).unwrap();
+            let driver_r = match &net.driver {
+                Driver::Instance(inst) => cell(inst).drive_resistance,
+                Driver::PrimaryInput => Ohms::ZERO,
+            };
+            for k in 0..set.len() {
+                let corner = set.corner(k);
+                let (wire_r, wire_c) = set.wire_scales(&net.name, k);
+                let tree = scale_tree(&net.interconnect, wire_r, wire_c).unwrap();
+                let loads: Vec<(NodeId, Farads)> = net
+                    .sinks
+                    .iter()
+                    .map(|sink| {
+                        let cap = match &sink.load {
+                            Load::Instance(inst) => cell(inst).input_capacitance,
+                            Load::PrimaryOutput(_) => Farads::ZERO,
+                        };
+                        let node = tree.node_by_name(&sink.node).unwrap();
+                        (node, Farads::new(cap.value() * corner.c_scale))
+                    })
+                    .collect();
+                let driver = Ohms::new(driver_r.value() * corner.r_scale);
+                let oracle = crate::stage::analyze_stage(driver, &tree, &loads, 0.5).unwrap();
+                let lane = view.sinks_at(k).unwrap();
+                assert_eq!(lane.len(), oracle.sinks.len(), "{} lane {k}", net.name);
+                for (got, want) in lane.iter().zip(&oracle.sinks) {
+                    let bits = |x: Seconds| x.value().to_bits();
+                    assert_eq!(
+                        bits(got.lower),
+                        bits(want.bounds.lower),
+                        "{} lane {k}",
+                        net.name
+                    );
+                    assert_eq!(
+                        bits(got.upper),
+                        bits(want.bounds.upper),
+                        "{} lane {k}",
+                        net.name
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn worker_scratch_reused_across_net_sizes_matches_the_builder_stages() {
+        // Nets alternate a 201-node comb and a 2-node wire, so every worker
+        // scratch splices a small net over a large one's leftovers.  Each
+        // net is driven by its own instance and loads the next one.
+        let budget = Seconds::from_nano(500.0);
+        let build = || {
+            let mut d = Design::new(CellLibrary::nmos_1981());
+            let nets = 16;
+            for i in 0..nets {
+                d.add_instance(format!("u{i}"), "inv_4x").unwrap();
+            }
+            for i in 0..nets {
+                let tree = if i % 2 == 0 {
+                    comb(100, 1.0 + i as f64 / 8.0)
+                } else {
+                    wire(60.0 + i as f64, 4.0)
+                };
+                let nodes: Vec<String> = match i % 2 {
+                    0 => tree
+                        .outputs()
+                        .map(|id| tree.name(id).unwrap().into())
+                        .collect(),
+                    _ => vec!["load".into()],
+                };
+                let mut sinks: Vec<Sink> = nodes
+                    .into_iter()
+                    .map(|node| Sink {
+                        load: Load::PrimaryOutput(format!("net{i}/{node}")),
+                        node,
+                    })
+                    .collect();
+                if i + 1 < nets {
+                    sinks[0].load = Load::Instance(format!("u{}", i + 1));
+                }
+                d.add_net(Net {
+                    name: format!("net{i}"),
+                    driver: Driver::Instance(format!("u{i}")),
+                    interconnect: tree,
+                    sinks,
+                })
+                .unwrap();
+            }
+            let mut set = CornerSet::nominal();
+            let slow = set.push("slow", 1.3, 1.2, 1.1).unwrap();
+            set.push("fast", 0.8, 0.9, 0.95).unwrap();
+            set.push("hot", 1.1, 1.25, 1.05).unwrap();
+            set.override_net("net4", slow, 1.6, 1.45).unwrap();
+            d.set_corners(set);
+            d
+        };
+        let mut stub = RcTreeBuilder::with_input_name("g0");
+        let g1 = stub
+            .add_resistor(stub.input(), "g1", Ohms::new(12.0))
+            .unwrap();
+        stub.add_capacitance(g1, Farads::from_femto(6.0)).unwrap();
+        let stub = stub.build().unwrap();
+        let edits = [
+            EcoEditKind::SetCap {
+                node: "t50".into(),
+                cap: Farads::from_femto(40.0),
+            },
+            EcoEditKind::Graft {
+                parent: "t20".into(),
+                via: Branch::line(Ohms::new(30.0), Farads::from_femto(3.0)),
+                subtree: Box::new(stub),
+            },
+            EcoEditKind::Prune { node: "b31".into() },
+        ];
+        for jobs in [1, 2, 7] {
+            let mut d = build();
+            let mut snapshot = d.publish(0.5, budget, jobs).unwrap();
+            assert_views_match_the_scaled_builder_stages(&d, &snapshot);
+            for kind in &edits {
+                let edit = EcoEdit {
+                    net: "net4".into(),
+                    kind: kind.clone(),
+                };
+                snapshot = d
+                    .publish_after_eco(&[edit], 0.5, budget, jobs, &snapshot)
+                    .unwrap();
+                assert_views_match_the_scaled_builder_stages(&d, &snapshot);
+            }
+            assert_eq!(d.shared.nets[4].interconnect.node_count(), 201 + 2 - 1);
+        }
     }
 
     #[test]

@@ -17,25 +17,29 @@
 //! persistent global worker pool (`rctree-par`); results are merged in net
 //! order and are bit-identical to the serial evaluation for any worker
 //! count ([`Design::analyze_with_jobs`]).  [`Design::apply_eco`] is the
-//! incremental path, end to end: net-level [`EcoEdit`]s are mapped onto
-//! **persistent per-net `EditableTree` engines** (value edits cost
-//! `O(depth · log n_net)` to apply), dirty nets are re-timed with one flat
-//! pre-order stage sweep ([`stage_delay_bounds`]) that is bit-identical to
-//! the one-shot path, and arrival times are re-propagated only through the
-//! **affected fan-out cone** over the cached Kahn topology — untouched
+//! incremental path, end to end: net-level [`EcoEdit`]s are written into
+//! the dirty nets' own column tables
+//! ([`rctree_core::tree::RcTree::apply`]; a value edit patches `O(depth)`
+//! entries), dirty nets are re-timed with the same per-net stage sweep the
+//! batch analysis runs, and arrival times are re-propagated only through
+//! the **affected fan-out cone** over the cached Kahn topology — untouched
 //! cones keep their cached arrival windows and endpoint contributions
 //! verbatim.  See [`Design::apply_eco_with_jobs`] for the per-step
 //! complexity table; the report stays bit-identical to a full
 //! [`Design::analyze_with_jobs`] of the edited design for every worker
 //! count.
 //!
-//! A net's interconnect is one `Arc`-shared column table
-//! ([`rctree_core::tree::RcTree`]): the design, its ECO engine and every
-//! snapshot view hold the same table, and nothing in this crate copies a
-//! tree.  An edit copies the one table it lands on, on its first write, so
-//! a snapshot published before an edit keeps answering from its own trees.
-//! Sink nodes, edit targets and `QUERY <net> <node>` names resolve through
-//! the tree's interned name index, one hash probe each.
+//! A net is one entry of the design: its interconnect, one `Arc`-shared
+//! column table ([`rctree_core::tree::RcTree`]), and its resolved driver
+//! resistance and sink loads.  Every stage sweep — batch analysis, the ECO
+//! warm-up and the dirty-net re-time — splices a net from that entry into
+//! per-worker scratch and sweeps it there ([`stage_delay_bounds`] is its
+//! nominal lane), and every snapshot view shares the same table and loads,
+//! so nothing in this crate copies a tree.  An edit copies the one table
+//! it lands on, on its first write, so a snapshot published before an edit
+//! keeps answering from its own trees.  Sink nodes, edit targets and
+//! `QUERY <net> <node>` names resolve through the tree's interned name
+//! index, one hash probe each.
 //!
 //! ## The corner model
 //!
@@ -48,24 +52,22 @@
 //! element values, so it is one more lane of values, and every lane —
 //! nominal included — runs through the same code: one splice (which scales
 //! each element as it splices it), one `f64` sweep, and one lane list from
-//! the arena to the snapshot.  The SoA net arena holds one lane of
-//! `branch_r`/`branch_c`/`node_cap` columns per corner over shared
-//! topology columns (parents, ranges, sink positions); per-net ranges are
-//! padded to 64-byte boundaries so adjacent shards never false-share a
-//! cache line.  [`Design::analyze_corners`] sweeps each lane of each net
-//! with the same kernel and per-worker scratch, then propagates arrivals
-//! once per corner with `delay_scale`d intrinsic delays.  The incremental
-//! ECO state and every snapshot view keep one entry per lane too, so an
-//! ECO re-times each dirty net once per corner and walks the same cone in
-//! every lane.
+//! the stage sweep to the snapshot.  The stage sweep of a net splices and
+//! sweeps its lanes one after the other through the same per-worker
+//! scratch, so a corner costs one more `O(n)` pass and no stored copy.
+//! [`Design::analyze_corners`] sweeps each lane of each net that way, then
+//! propagates arrivals once per corner with `delay_scale`d intrinsic
+//! delays.  The incremental ECO state and every snapshot view keep one
+//! entry per lane too, so an ECO re-times each dirty net once per corner
+//! and walks the same cone in every lane.
 //!
 //! *Scaling semantics.*  Every element is scaled **individually, before
 //! any accumulation**: a corner value is always the single rounding
 //! `x * s`.  Wire elements (branch R/C, node caps) use the corner's wire
 //! scales (per-net override when present); the driving cell's resistance,
 //! sink input capacitances and intrinsic delays always use the corner's
-//! global factors.  The arena and the ECO re-timing share the splice, so
-//! they agree by construction, errors included; a fully materialized
+//! global factors.  Batch analysis and the ECO re-timing share the splice,
+//! so they agree by construction, errors included; a fully materialized
 //! scaled design ([`Design::materialize_corner`]) makes the same single
 //! multiplications, so it agrees bit-for-bit too.
 //!
@@ -97,8 +99,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
-
-mod arena;
 
 pub mod cell;
 pub mod error;

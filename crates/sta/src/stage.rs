@@ -7,8 +7,8 @@
 //! of the gate it drives, and the Penfield–Rubinstein machinery then yields
 //! the Elmore delay plus guaranteed lower/upper delay bounds per sink.
 
-use rctree_core::algebra::SymbolicTimes;
-use rctree_core::batch::{BatchTimes, SymbolicScratch};
+use rctree_core::algebra::{DelayValue, SymbolicTimes};
+use rctree_core::batch::{BatchScratch, BatchTimes, Scratch, SymbolicScratch, View};
 use rctree_core::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBounds};
 use rctree_core::builder::RcTreeBuilder;
 use rctree_core::corner::CornerSet;
@@ -117,11 +117,12 @@ pub const STAGE_INPUT_NODE: &str = "__stage_input";
 /// **flat pre-order sweep** over the augmented tree's arrays instead of
 /// constructing the augmented tree through the builder.
 ///
-/// This is the nominal reading of `augmented_batch`, the kernel behind
-/// [`crate::Design`]'s per-net evaluation and the incremental ECO path: the
-/// driver resistor and the sink load capacitances are spliced around the
-/// interconnect as plain array entries (`O(n)` with no hashing and no
-/// per-node allocation), and the sweep runs through
+/// This is the nominal lane of `lane_bounds`, the one stage sweep behind
+/// [`crate::Design`]'s batch analysis, ECO warm-up and dirty-net re-time,
+/// run through a fresh scratch: the driver resistor and the sink load
+/// capacitances are spliced around the interconnect as plain array entries
+/// (`O(n)` with no hashing and no per-node allocation), and the sweep runs
+/// through [`BatchScratch::sweep`], the kernel of
 /// [`BatchTimes::of_preorder`].  The result is **bit-identical** to
 /// [`analyze_stage`] — `prepend_driver` inserts the augmented nodes in
 /// pre-order, so both paths accumulate the same floats in the same order —
@@ -141,21 +142,15 @@ pub fn stage_delay_bounds(
     sink_loads: &[(NodeId, Farads)],
     threshold: f64,
 ) -> Result<Vec<DelayBounds>> {
-    if sink_loads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let (batch, pos) = augmented_batch(
+    let mut lanes = lane_bounds(
         driver_resistance,
         interconnect,
         sink_loads,
-        StageScales::NOMINAL,
+        [StageScales::NOMINAL],
+        threshold,
+        &mut StageScratch::default(),
     )?;
-    let mut bounds = Vec::with_capacity(sink_loads.len());
-    for &(node, _) in sink_loads {
-        let times = batch.times_at(pos[node.index()] as usize)?;
-        bounds.push(times.delay_bounds(threshold)?);
-    }
-    Ok(bounds)
+    Ok(lanes.swap_remove(0))
 }
 
 /// The **symbolic sibling** of [`stage_delay_bounds`]: per-sink delay
@@ -194,12 +189,7 @@ pub fn stage_symbolic_bounds(
         StageScales::NOMINAL,
     )?;
     let mut scratch = SymbolicScratch::new();
-    let view = scratch.sweep(
-        &stage.parent,
-        &stage.values.branch_r,
-        &stage.values.branch_c,
-        &stage.values.node_cap,
-    )?;
+    let view = stage.sweep(&mut scratch)?;
     let mut bounds = Vec::with_capacity(sink_loads.len());
     for &(node, _) in sink_loads {
         let times = view.times_at(stage.pos[node.index()] as usize)?;
@@ -234,12 +224,7 @@ pub fn stage_node_symbolic_times(
         StageScales::NOMINAL,
     )?;
     let mut scratch = SymbolicScratch::new();
-    let view = scratch.sweep(
-        &stage.parent,
-        &stage.values.branch_r,
-        &stage.values.branch_c,
-        &stage.values.node_cap,
-    )?;
+    let view = stage.sweep(&mut scratch)?;
     Ok(view.times_at(stage.pos[node.index()] as usize)?)
 }
 
@@ -264,12 +249,7 @@ pub(crate) fn stage_symbolic_sweep(
         StageScales::NOMINAL,
     )?;
     let mut scratch = SymbolicScratch::new();
-    let view = scratch.sweep(
-        &stage.parent,
-        &stage.values.branch_r,
-        &stage.values.branch_c,
-        &stage.values.node_cap,
-    )?;
+    let view = stage.sweep(&mut scratch)?;
     let mut times = Vec::with_capacity(view.node_count());
     for i in 0..view.node_count() {
         times.push(view.times_at(i)?);
@@ -312,7 +292,7 @@ pub fn stage_node_times(
 ///
 /// Every element is scaled **individually before** any accumulation — the
 /// corner value of each array entry is a single rounding `x * s`, taken at
-/// splice time by [`augmented_arrays`].  Scaling after summation
+/// splice time by `augmented_arrays`.  Scaling after summation
 /// (`(a + b) * s`) would round differently from a materialized scaled
 /// design and break the lane-equivalence bit-identity gates.
 ///
@@ -361,14 +341,14 @@ impl StageScales {
     }
 }
 
-/// The one scaled stage sweep: splices the stage at `scales` (driver
-/// resistor above the interconnect, sink loads added) and runs the batched
-/// pre-order sweep, returning the [`BatchTimes`] plus the raw-node →
-/// augmented-pre-order-position map.  [`stage_delay_bounds`] and
-/// [`stage_node_times`] read it at [`StageScales::NOMINAL`]; ECO re-timing
-/// and snapshot node queries read it once per corner lane.  Because the
-/// splice is the arena's, the result is bit-identical to the arena's sweep
-/// of the same lane.
+/// One scaled stage sweep into owned results: splices the stage at
+/// `scales` (driver resistor above the interconnect, sink loads added) and
+/// runs [`BatchTimes::of_preorder`], returning the [`BatchTimes`] plus the
+/// raw-node → augmented-pre-order-position map.  [`stage_node_times`] reads
+/// it at [`StageScales::NOMINAL`]; snapshot node queries read it once per
+/// corner lane and cache it.  The splice is [`lane_bounds`]'s and
+/// [`BatchTimes::of_preorder`] runs its sweep kernel, so every lane is
+/// bit-identical to that lane of the net's stage sweep.
 pub(crate) fn augmented_batch(
     driver_resistance: Ohms,
     interconnect: &RcTree,
@@ -378,101 +358,120 @@ pub(crate) fn augmented_batch(
     let stage = Spliced::new(driver_resistance, interconnect, sink_loads, scales)?;
     let batch = BatchTimes::of_preorder(
         &stage.parent,
-        &stage.values.branch_r,
-        &stage.values.branch_c,
-        &stage.values.node_cap,
+        &stage.branch_r,
+        &stage.branch_c,
+        &stage.node_cap,
     )?;
     Ok((batch, stage.pos))
 }
 
-/// One lane of spliced element values, in augmented pre-order: the branch
-/// resistance and distributed capacitance feeding each node and its
-/// lumped capacitance (interconnect plus spliced sink loads).
-#[derive(Debug)]
-pub(crate) struct LaneValues {
-    pub branch_r: Vec<f64>,
-    pub branch_c: Vec<f64>,
-    pub node_cap: Vec<f64>,
+/// Reusable splice columns and sweep buffers for [`lane_bounds`].  Kept
+/// once per worker thread, it leaves a net's stage sweep allocating only
+/// the tree's pre-order list and the output.
+#[derive(Debug, Default)]
+pub(crate) struct StageScratch {
+    stage: Spliced,
+    sweep: BatchScratch,
 }
 
-impl LaneValues {
-    /// Empty columns with room for `n` entries each.
-    pub fn with_capacity(n: usize) -> LaneValues {
-        LaneValues {
-            branch_r: Vec::with_capacity(n),
-            branch_c: Vec::with_capacity(n),
-            node_cap: Vec::with_capacity(n),
-        }
+/// The one stage sweep of a net: every sink's delay bounds, in
+/// `sink_loads` order, at each lane of `lanes`.  Each lane is spliced into
+/// `scratch` by `augmented_arrays` at its [`StageScales`] and swept by
+/// [`BatchScratch::sweep`], so lane `k` is bit-identical to
+/// [`analyze_stage`] on the net rebuilt with corner `k`'s scaled values.
+/// Batch analysis, the ECO warm-up and the dirty-net re-time all run it.
+///
+/// A sink-less net has nothing to time: every lane is empty and nothing
+/// is validated.
+///
+/// # Errors
+///
+/// As for [`stage_delay_bounds`]; the error returned is the lowest failing
+/// lane's.
+pub(crate) fn lane_bounds(
+    driver_resistance: Ohms,
+    interconnect: &RcTree,
+    sink_loads: &[(NodeId, Farads)],
+    lanes: impl IntoIterator<Item = StageScales>,
+    threshold: f64,
+    scratch: &mut StageScratch,
+) -> Result<Vec<Vec<DelayBounds>>> {
+    let lanes = lanes.into_iter();
+    if sink_loads.is_empty() {
+        return Ok(lanes.map(|_| Vec::new()).collect());
     }
-
-    /// Number of entries per column.
-    pub fn len(&self) -> usize {
-        self.node_cap.len()
-    }
-
-    /// Truncates (or zero-pads) every column to `len` entries.
-    pub fn resize(&mut self, len: usize) {
-        self.branch_r.resize(len, 0.0);
-        self.branch_c.resize(len, 0.0);
-        self.node_cap.resize(len, 0.0);
-    }
+    let StageScratch { stage, sweep } = scratch;
+    lanes
+        .map(|scales| {
+            augmented_arrays(driver_resistance, interconnect, sink_loads, scales, stage)?;
+            let view = stage.sweep(sweep)?;
+            sink_loads
+                .iter()
+                .map(|&(node, _)| {
+                    let times = view.times_at(stage.pos[node.index()] as usize)?;
+                    Ok(times.delay_bounds(threshold)?)
+                })
+                .collect()
+        })
+        .collect()
 }
 
-/// One whole stage spliced into fresh arrays, for one-shot sweeps.
+/// One stage spliced at one lane, in augmented pre-order: each node's
+/// parent, the branch resistance and distributed capacitance feeding it
+/// and its lumped capacitance (interconnect plus spliced sink loads), and
+/// each raw node's augmented position.
+#[derive(Debug, Default)]
 struct Spliced {
     parent: Vec<u32>,
-    values: LaneValues,
+    branch_r: Vec<f64>,
+    branch_c: Vec<f64>,
+    node_cap: Vec<f64>,
     pos: Vec<u32>,
 }
 
 impl Spliced {
+    /// One stage spliced into fresh columns, for one-shot sweeps.
     fn new(
         driver_resistance: Ohms,
         interconnect: &RcTree,
         sink_loads: &[(NodeId, Farads)],
         scales: StageScales,
     ) -> Result<Spliced> {
-        let n_aug = interconnect.node_count() + 1;
-        let mut stage = Spliced {
-            parent: Vec::with_capacity(n_aug),
-            values: LaneValues::with_capacity(n_aug),
-            pos: Vec::new(),
-        };
+        let mut stage = Spliced::default();
         augmented_arrays(
             driver_resistance,
             interconnect,
             sink_loads,
             scales,
-            &mut stage.parent,
-            &mut stage.values,
-            &mut stage.pos,
+            &mut stage,
         )?;
         Ok(stage)
     }
+
+    /// Sweeps the spliced columns through `scratch`.
+    fn sweep<'a, V: DelayValue>(&self, scratch: &'a mut Scratch<V>) -> Result<View<'a, V>> {
+        Ok(scratch.sweep(&self.parent, &self.branch_r, &self.branch_c, &self.node_cap)?)
+    }
 }
 
-/// The one splice: appends one corner lane of one stage to caller-owned
-/// columns.  Pushes the augmented pre-order parent of every node to
-/// `parent` and its element values to `values`, each multiplied by its
-/// [`StageScales`] factor as it is spliced (one rounding per element), and
-/// leaves each raw node's augmented position — local to the appended
-/// range, as are the parents — in `pos`.  Reusing the caller's buffers lets
-/// the arena build splice every lane of every net without allocating per
-/// net.
+/// The one splice: fills `out` with one corner lane of one stage.  Writes
+/// the augmented pre-order parent of every node and its element values,
+/// each multiplied by its [`StageScales`] factor as it is spliced (one
+/// rounding per element), and each raw node's augmented position.  Reusing
+/// the caller's columns lets a worker splice every lane of every net it
+/// sweeps without allocating per net.
 ///
 /// The splice and validation order is the builder path's
 /// ([`prepend_driver`]): driver check, pre-order walk with reserved-name
 /// checks, then per-sink node and load checks, each on the **scaled**
-/// value.  On error the columns hold a partial append, which the caller
-/// discards.
-pub(crate) fn augmented_arrays(
+/// value.  On error `out` holds a partial splice, which the next splice
+/// overwrites.
+fn augmented_arrays(
     driver_resistance: Ohms,
     interconnect: &RcTree,
     sink_loads: &[(NodeId, Farads)],
     scales: StageScales,
-    parent: &mut Vec<u32>,
-    values: &mut LaneValues,
-    pos: &mut Vec<u32>,
+    out: &mut Spliced,
 ) -> Result<()> {
     // The builder path validates the spliced-in values through
     // `RcTreeBuilder`'s finite/non-negative checks; reject the same inputs
@@ -487,8 +486,21 @@ pub(crate) fn augmented_arrays(
     };
     let driver_r = driver_resistance.value() * scales.driver_r;
     check("resistance", driver_r)?;
-    let base = values.len();
-    // Raw node id -> augmented pre-order position, local to this stage.
+    let Spliced {
+        parent,
+        branch_r,
+        branch_c,
+        node_cap,
+        pos,
+    } = out;
+    let n_aug = interconnect.node_count() + 1;
+    parent.clear();
+    parent.reserve(n_aug);
+    for column in [&mut *branch_r, &mut *branch_c, &mut *node_cap] {
+        column.clear();
+        column.reserve(n_aug);
+    }
+    // Raw node id -> augmented pre-order position.
     pos.clear();
     pos.resize(interconnect.node_count(), 0);
 
@@ -496,15 +508,13 @@ pub(crate) fn augmented_arrays(
     // node 1: the driver's output, carrying the driver resistance and the
     // interconnect input's lumped capacitance.
     parent.push(0);
-    values.branch_r.push(0.0);
-    values.branch_c.push(0.0);
-    values.node_cap.push(0.0);
+    branch_r.push(0.0);
+    branch_c.push(0.0);
+    node_cap.push(0.0);
     parent.push(0);
-    values.branch_r.push(driver_r);
-    values.branch_c.push(0.0);
-    values
-        .node_cap
-        .push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
+    branch_r.push(driver_r);
+    branch_c.push(0.0);
+    node_cap.push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
     pos[interconnect.input().index()] = 1;
 
     for id in interconnect.preorder() {
@@ -524,17 +534,11 @@ pub(crate) fn augmented_arrays(
         }
         let p = interconnect.parent(id)?.expect("non-input node");
         let branch = interconnect.branch(id)?.expect("non-input node");
-        pos[id.index()] = (values.len() - base) as u32;
+        pos[id.index()] = parent.len() as u32;
         parent.push(pos[p.index()]);
-        values
-            .branch_r
-            .push(branch.resistance().value() * scales.wire_r);
-        values
-            .branch_c
-            .push(branch.capacitance().value() * scales.wire_c);
-        values
-            .node_cap
-            .push(interconnect.capacitance(id)?.value() * scales.wire_c);
+        branch_r.push(branch.resistance().value() * scales.wire_r);
+        branch_c.push(branch.capacitance().value() * scales.wire_c);
+        node_cap.push(interconnect.capacitance(id)?.value() * scales.wire_c);
     }
 
     for &(node, load) in sink_loads {
@@ -543,7 +547,7 @@ pub(crate) fn augmented_arrays(
         let _ = interconnect.name(node)?;
         let load_c = load.value() * scales.load_c;
         check("capacitance", load_c)?;
-        values.node_cap[base + pos[node.index()] as usize] += load_c;
+        node_cap[pos[node.index()] as usize] += load_c;
     }
     Ok(())
 }
@@ -826,6 +830,154 @@ mod tests {
         .unwrap();
         assert_eq!(timing.sinks.len(), 1);
         assert!(timing.sinks[0].bounds.upper.value() > 0.0);
+    }
+
+    /// A net's tree, driver resistance and sink loads.
+    type Fixture = (RcTree, Ohms, Vec<(NodeId, Farads)>);
+
+    /// A two-sink branching net with slightly irregular element values so
+    /// that scaled lanes cannot accidentally coincide with lane 0.
+    fn fixture(skew: f64) -> Fixture {
+        let mut b = RcTreeBuilder::new();
+        let trunk = b
+            .add_line(
+                b.input(),
+                "trunk",
+                Ohms::new(120.0 * skew),
+                Farads::from_femto(30.0),
+            )
+            .unwrap();
+        let s1 = b
+            .add_line(
+                trunk,
+                "s1",
+                Ohms::new(80.0),
+                Farads::from_femto(18.0 * skew),
+            )
+            .unwrap();
+        let s2 = b
+            .add_line(
+                trunk,
+                "s2",
+                Ohms::new(210.0 * skew),
+                Farads::from_femto(9.0),
+            )
+            .unwrap();
+        b.add_capacitance(s2, Farads::from_femto(4.0)).unwrap();
+        let loads = vec![
+            (s1, Farads::from_femto(13.0)),
+            (s2, Farads::from_femto(52.0 * skew)),
+        ];
+        (b.build().unwrap(), Ohms::new(1000.0 * skew), loads)
+    }
+
+    /// The fixture nets `n0` and `n1`.
+    fn fixtures() -> [(&'static str, Fixture); 2] {
+        [("n0", fixture(1.0)), ("n1", fixture(1.7))]
+    }
+
+    /// A three-corner set with a wire override on `n1` at corner 2.
+    fn corners() -> CornerSet {
+        let mut set = CornerSet::nominal();
+        set.push("fast", 0.8, 0.85, 0.9).unwrap();
+        set.push("slow", 1.3, 1.2, 1.15).unwrap();
+        set.override_net("n1", 2, 1.45, 1.05).unwrap();
+        set
+    }
+
+    /// Every lane of `set` of the named net, swept through `scratch`.
+    fn sweep_lanes(
+        set: &CornerSet,
+        name: &str,
+        (tree, driver, loads): &Fixture,
+        scratch: &mut StageScratch,
+    ) -> Vec<Vec<DelayBounds>> {
+        let lanes = (0..set.len()).map(|k| StageScales::at(set, name, k));
+        lane_bounds(*driver, tree, loads, lanes, 0.5, scratch).unwrap()
+    }
+
+    fn assert_bits_eq(a: &DelayBounds, b: &DelayBounds) {
+        assert_eq!(a.lower.value().to_bits(), b.lower.value().to_bits());
+        assert_eq!(a.upper.value().to_bits(), b.upper.value().to_bits());
+    }
+
+    #[test]
+    fn lane_zero_is_bit_identical_to_the_single_lane_sweep() {
+        let (multi, single) = (corners(), CornerSet::nominal());
+        let mut scratch = StageScratch::default();
+        for (name, net) in &fixtures() {
+            let lanes = sweep_lanes(&multi, name, net, &mut scratch);
+            let solo = sweep_lanes(&single, name, net, &mut scratch);
+            assert_eq!((lanes.len(), solo.len()), (3, 1));
+            let stage = stage_delay_bounds(net.1, &net.0, &net.2, 0.5).unwrap();
+            for ((a, b), c) in lanes[0].iter().zip(&solo[0]).zip(&stage) {
+                assert_bits_eq(a, b);
+                assert_bits_eq(a, c);
+            }
+        }
+    }
+
+    #[test]
+    fn corner_lanes_match_the_scaled_stage_evaluation_bit_for_bit() {
+        // The oracle shares nothing with the splice: each corner's net is
+        // rebuilt through the builder with every element scaled, and
+        // `analyze_stage` prepends the scaled driver through the builder
+        // too.
+        let set = corners();
+        let mut scratch = StageScratch::default();
+        for (name, net) in &fixtures() {
+            let (tree, driver, loads) = net;
+            let lanes = sweep_lanes(&set, name, net, &mut scratch);
+            for (k, lane) in lanes.iter().enumerate().skip(1) {
+                let corner = set.corner(k);
+                let (wire_r, wire_c) = set.wire_scales(name, k);
+                let scaled = crate::graph::scale_tree(tree, wire_r, wire_c).unwrap();
+                let scaled_loads: Vec<(NodeId, Farads)> = loads
+                    .iter()
+                    .map(|&(node, load)| {
+                        let id = scaled.node_by_name(tree.name(node).unwrap()).unwrap();
+                        (id, Farads::new(load.value() * corner.c_scale))
+                    })
+                    .collect();
+                let driver_r = Ohms::new(driver.value() * corner.r_scale);
+                let oracle = analyze_stage(driver_r, &scaled, &scaled_loads, 0.5).unwrap();
+                assert_eq!(lane.len(), oracle.sinks.len());
+                for (a, b) in lane.iter().zip(&oracle.sinks) {
+                    assert_bits_eq(a, &b.bounds);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_override_lane_differs_from_the_global_scale_lane() {
+        // `n1` carries a wire override at corner 2; `n0` does not.  The
+        // override must change n1's slow-corner windows but leave n0's
+        // matching the global slow scales.
+        let set = corners();
+        let mut no_override = CornerSet::nominal();
+        no_override.push("fast", 0.8, 0.85, 0.9).unwrap();
+        no_override.push("slow", 1.3, 1.2, 1.15).unwrap();
+        let mut scratch = StageScratch::default();
+        let [(n0, net0), (n1, net1)] = fixtures();
+        let a = sweep_lanes(&set, n1, &net1, &mut scratch);
+        let b = sweep_lanes(&no_override, n1, &net1, &mut scratch);
+        assert_ne!(a[2], b[2], "override should change corner-2 windows");
+        let a0 = sweep_lanes(&set, n0, &net0, &mut scratch);
+        let b0 = sweep_lanes(&no_override, n0, &net0, &mut scratch);
+        assert_eq!(a0[2], b0[2], "un-overridden net must match global scales");
+    }
+
+    #[test]
+    fn sink_less_nets_sweep_to_empty_windows_in_every_lane() {
+        let (tree, driver, _) = fixture(1.0);
+        let lanes = sweep_lanes(
+            &corners(),
+            "n0",
+            &(tree, driver, Vec::new()),
+            &mut StageScratch::default(),
+        );
+        assert_eq!(lanes, vec![Vec::new(); 3]);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! Three contracts are pinned here:
 //!
 //! 1. **`f64` bit-identity** — the generic-kernel scalar path produces the
-//!    exact bits of the independent per-net resolution path (the cold ECO
-//!    warm-up of a clone, `apply_eco_with_jobs(&[], ..)`), for every worker
-//!    count and under seeded ECO streams.  `assert_eq!`, not tolerances.
+//!    exact bits of the ECO path (the cold ECO warm-up of a clone,
+//!    `apply_eco_with_jobs(&[], ..)`, which propagates and files every
+//!    endpoint through its own state), for every worker count and under
+//!    seeded ECO streams.  `assert_eq!`, not tolerances.
 //! 2. **Symbolic exactness** — evaluating the `Poly2` lane at any uniform
 //!    `(r_scale, c_scale)` agrees with the materialized-corner analysis at
 //!    that scale (delay scale 1, no per-net overrides) to 1e-9 relative,

@@ -1,6 +1,6 @@
-//! Trees are shared from design to engine to snapshot and copied on
-//! write: a snapshot published before a stream of value and structural
-//! edits to one net keeps answering from the trees it was published with.
+//! Trees are shared from design to snapshot and copied on write: a
+//! snapshot published before a stream of value and structural edits to
+//! one net keeps answering from the trees it was published with.
 //! Its node sweeps are built lazily, so the test queries it for the first
 //! time only after every edit has landed, at every corner lane, and
 //! compares against a snapshot of a design clone taken before the edits.

@@ -1,7 +1,7 @@
 //! Multi-corner lanes versus serial single-corner runs, **bit for bit**.
 //!
-//! `Design::analyze_corners` sweeps every corner in one post-order +
-//! pre-order traversal per net over the lane-vectorized arena.  These
+//! `Design::analyze_corners` splices and sweeps every corner lane of a net
+//! through one per-worker scratch, each lane one pre-order pass.  These
 //! sweeps pin its two hard contracts, with `assert_eq!` on full
 //! [`TimingReport`]s — no tolerance:
 //!

@@ -1,7 +1,7 @@
 //! Cone-limited ECO re-propagation versus the full analysis, **bit for
 //! bit**.
 //!
-//! `Design::apply_eco_with_jobs` now keeps persistent per-net engines,
+//! `Design::apply_eco_with_jobs` now keeps per-net sink windows, the
 //! cached Kahn topology and per-instance arrival windows, and after an
 //! edit re-propagates only the affected fan-out cone.  These sweeps pin
 //! its one hard contract: after *every* edit, for every worker count, the

@@ -26,8 +26,9 @@ fn deck_design(nets: usize) -> Design {
 fn report_text_is_byte_identical_to_the_string_keyed_baseline() {
     let d = deck_design(40);
     let interned = d.analyze_with_jobs(THRESHOLD, BUDGET, 2).unwrap();
-    // The cold ECO warm-up of a clone resolves every name per net through
-    // the string-keyed tables — the pre-interning surface.
+    // The cold ECO warm-up of a clone files and renders every endpoint
+    // through the ECO state instead; `deck_build` pins the id-based
+    // augmentation of `from_extracted` against `add_net`'s name lookups.
     let baseline = d
         .clone()
         .apply_eco_with_jobs(&[], THRESHOLD, BUDGET, 2)
