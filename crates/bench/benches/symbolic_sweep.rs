@@ -105,17 +105,12 @@ fn assert_reports_close(sym: &TimingReport, oracle: &TimingReport, label: &str) 
     let by_name: HashMap<&str, (f64, f64)> = oracle
         .endpoints
         .iter()
-        .map(|e| {
-            (
-                e.name.as_str(),
-                (e.arrival.min.value(), e.arrival.max.value()),
-            )
-        })
+        .map(|e| (&*e.name, (e.arrival.min.value(), e.arrival.max.value())))
         .collect();
     let close = |a: f64, b: f64| (a - b).abs() <= REL_TOL * a.abs().max(b.abs()).max(1e-30);
     for e in &sym.endpoints {
         let &(min, max) = by_name
-            .get(e.name.as_str())
+            .get(&*e.name)
             .unwrap_or_else(|| panic!("{label}: endpoint {} missing from oracle", e.name));
         assert!(
             close(e.arrival.min.value(), min) && close(e.arrival.max.value(), max),

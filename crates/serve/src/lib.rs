@@ -83,7 +83,9 @@ pub mod store;
 
 pub use crate::loadgen::{fetch_metrics, run_load, LoadReport, VerbLatency};
 pub use crate::protocol::{Request, ScaleBox};
-pub use crate::server::{Backoff, ServeConfig, ServeError, Server, DEFAULT_POLL_FLOOR};
+pub use crate::server::{
+    Backoff, ServeConfig, ServeError, Server, DEFAULT_POLL_FLOOR, MAX_REQUEST_LINE,
+};
 pub use crate::session::{EcoCounts, EcoExecutor};
 pub use crate::store::{RenderedReportCache, ServerStats, SnapshotStore};
 

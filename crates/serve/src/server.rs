@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,6 +51,11 @@ const POLL_CAP: Duration = Duration::from_millis(25);
 
 /// Default floor of the idle backoff ramp (`--poll-us` overrides).
 pub const DEFAULT_POLL_FLOOR: Duration = Duration::from_millis(1);
+
+/// Longest request line a connection reads, newline included: 1 MiB.  A
+/// line that reaches it without a newline, over however many reads, is
+/// answered with one `ERR` line and its connection is closed.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// An exponential idle-backoff ramp between a floor and a cap.
 ///
@@ -523,7 +528,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut buf) {
+        // Read at most what is left under the cap, so a client streaming
+        // without a newline cannot grow `buf` past it; a partial line kept
+        // across read timeouts counts towards the same cap.
+        let room = MAX_REQUEST_LINE.saturating_sub(buf.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut buf) {
             // EOF.  A read timeout may have parked a partial request in
             // `buf` (appended without its newline before the client
             // closed); serve it before closing, exactly as the
@@ -540,6 +549,14 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
             Ok(_) => {
                 if idle.reset() {
                     let _ = reader.get_ref().set_read_timeout(Some(idle.current()));
+                }
+                if buf.len() >= MAX_REQUEST_LINE && !buf.ends_with('\n') {
+                    shared.stats.protocol_errors.bump();
+                    let message =
+                        format!("bad request: request line exceeds {MAX_REQUEST_LINE} bytes");
+                    let _ = writeln!(writer, "{}", error_line(&shared, &message))
+                        .and_then(|()| writer.flush());
+                    break;
                 }
                 // `read_line` without a trailing newline means EOF cut the
                 // final line; serve it, then close.
@@ -709,13 +726,7 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
         Ok(None) => return Ok(After::Continue),
         Err(message) => {
             shared.stats.protocol_errors.bump();
-            let message = format!("bad request: {message}");
-            Block::Owned(vec![if sharded {
-                let (_, revs) = load_all(shared);
-                protocol::err_revs(&revs, &message)
-            } else {
-                protocol::err_line(shared.shards[0].store.load().1, &message)
-            }])
+            Block::Owned(vec![error_line(shared, &format!("bad request: {message}"))])
         }
         Ok(Some(request)) => {
             shared.stats.requests.bump();
@@ -834,6 +845,17 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
         }
     }
     Ok(after)
+}
+
+/// A request-level `ERR rev …` line: the scalar revision when unsharded,
+/// the revision vector otherwise.
+fn error_line(shared: &Shared, message: &str) -> String {
+    if shared.shards.len() > 1 {
+        let (_, revs) = load_all(shared);
+        protocol::err_revs(&revs, message)
+    } else {
+        protocol::err_line(shared.shards[0].store.load().1, message)
+    }
 }
 
 /// The bare `OK rev …` line of `QUIT`/`SHUTDOWN`: scalar when unsharded,

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use rctree_core::tree::RcTree;
 use rctree_core::units::Seconds;
 use rctree_serve::protocol::{self, Request};
-use rctree_serve::{EcoExecutor, ServeConfig, Server};
+use rctree_serve::{fetch_metrics, EcoExecutor, ServeConfig, Server, MAX_REQUEST_LINE};
 use rctree_sta::{CellLibrary, Design, DesignSnapshot};
 use rctree_workloads::{
     request_mix, shard_crossing_mix, shard_of, RequestMixParams, SpefDeckParams,
@@ -806,6 +806,70 @@ fn protocol_errors_quit_and_shutdown_behave() {
         TcpStream::connect(addr).is_err(),
         "listener closed after SHUTDOWN"
     );
+}
+
+/// A request line may be `MAX_REQUEST_LINE` bytes, newline included.  A
+/// line at the cap is served and its connection stays open; a line one
+/// byte longer, streamed across read timeouts, gets one `ERR` line, counts
+/// as a protocol error and closes its connection; the server goes on
+/// serving fresh connections.
+#[test]
+fn request_lines_are_capped_on_both_sides_of_the_bound() {
+    let trees = deck_trees();
+    let server =
+        Server::start(design_of(&trees), &config(), ("127.0.0.1", 0)).expect("server starts");
+    let addr = server.local_addr();
+    // `CERTIFY 2e-7` padded with spaces to `len` bytes, newline excluded.
+    let padded = |len: usize| {
+        let request = "CERTIFY 2e-7";
+        request.to_string() + &" ".repeat(len - request.len())
+    };
+
+    let at_cap = run_client(addr, &[padded(MAX_REQUEST_LINE - 1), "STATS".to_string()]);
+    assert!(
+        at_cap[0][0].starts_with("certify required 2e-7"),
+        "{at_cap:?}"
+    );
+    assert_eq!(at_cap[0][1], "OK rev 0");
+    assert!(
+        at_cap[1][0].starts_with("stats "),
+        "the connection stays open"
+    );
+
+    {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        // A server without the cap would wait for more of the line.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        // The cap's worth of bytes with no newline among them, in two
+        // writes the server's read timeouts fall between; the newline that
+        // would make the line one byte too long never needs to arrive.
+        let line = padded(MAX_REQUEST_LINE);
+        let (head, tail) = line.split_at(MAX_REQUEST_LINE / 3);
+        stream.write_all(head.as_bytes()).expect("send head");
+        std::thread::sleep(std::time::Duration::from_millis(60));
+        stream.write_all(tail.as_bytes()).expect("send tail");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("error line");
+        assert_eq!(
+            reply,
+            format!("ERR rev 0 bad request: request line exceeds {MAX_REQUEST_LINE} bytes\n")
+        );
+        reply.clear();
+        assert_eq!(reader.read_line(&mut reply).expect("eof"), 0, "{reply:?}");
+    }
+
+    let fresh = run_client(addr, &["CERTIFY 2e-7".to_string()]);
+    assert_eq!(fresh[0], at_cap[0], "a fresh connection is served");
+    let metrics = fetch_metrics(addr, false).expect("scrape");
+    assert!(
+        metrics.contains("\nrctree_protocol_errors_total 1\n"),
+        "{metrics}"
+    );
+    server.shutdown();
+    server.join();
 }
 
 /// The continuum surface on the wire: `CERTIFY --over` answers with the

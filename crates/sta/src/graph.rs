@@ -59,8 +59,11 @@ pub enum Driver {
 pub enum Load {
     /// The input of the named instance.
     Instance(String),
-    /// A primary output (endpoint) of the design.
-    PrimaryOutput(String),
+    /// A primary output (endpoint) of the design.  The name is one shared
+    /// allocation: the propagation topology, every endpoint of every
+    /// corner lane and revision, and every snapshot view hold refcount
+    /// clones of it.
+    PrimaryOutput(Arc<str>),
 }
 
 /// One sink of a net: a node of the interconnect tree plus what hangs there.
@@ -256,7 +259,7 @@ pub(crate) struct NetAug {
 
 /// Delay window of one sink of a net, produced by the per-net stage sweep:
 /// its `[lower, upper]` stage-delay bounds.  What the sink *drives* lives
-/// in the net itself and in [`PropagationCache::sink_po`] — the windows
+/// in the net itself and in [`PropagationCache::sinks`] — the windows
 /// stay plain numbers, so re-timing a net allocates no strings.
 type Window = DelayBounds;
 
@@ -363,6 +366,12 @@ struct InstArrival {
 /// the rest of [`EcoState`]) by any structural design mutation —
 /// [`Design::add_instance`] / [`Design::add_net`] clear the cache, so the
 /// next call falls back to a full propagation.
+///
+/// The layout is flat: the per-net sink tables are one array each with
+/// per-net offsets (`sink_start`), and the per-instance adjacency is
+/// offset-indexed [`Rows`], so a build allocates a fixed number of arrays
+/// however many nets and instances the design has.  A primary-output entry
+/// is a refcount clone of the net's [`Load::PrimaryOutput`] name.
 #[derive(Debug, Clone)]
 struct PropagationCache {
     /// Instance names in table (sorted) order.
@@ -379,16 +388,18 @@ struct PropagationCache {
     /// Per instance: the `(net, sink)` pairs feeding it, sorted by
     /// `(net_rank, sink index)` — exactly the order in which the full pass
     /// folds candidates into the instance's arrival window.
-    in_edges: Vec<Vec<(usize, usize)>>,
+    in_edges: Rows<(usize, usize)>,
     /// Per instance: `net_order` ranks of the nets it drives.
-    out_ranks: Vec<Vec<usize>>,
-    /// Per net, per sink: the target instance index (`None` for primary
-    /// outputs).
-    sink_inst: Vec<Vec<Option<usize>>>,
-    /// Per net, per sink: the primary-output name for endpoint sinks
-    /// (`None` for instance loads).  Lets the propagation passes run on
-    /// plain [`Window`]s without carrying a cloned [`Load`] per window.
-    sink_po: Vec<Vec<Option<String>>>,
+    out_ranks: Rows<usize>,
+    /// Net `i`'s sinks sit at `sink_start[i]..sink_start[i + 1]` of
+    /// `sink_inst` and `sink_po`.
+    sink_start: Vec<usize>,
+    /// Per sink: the target instance index (`None` for primary outputs).
+    sink_inst: Vec<Option<usize>>,
+    /// Per sink: the primary-output name for endpoint sinks (`None` for
+    /// instance loads).  Lets the propagation passes run on plain
+    /// [`Window`]s without carrying a cloned [`Load`] per window.
+    sink_po: Vec<Option<Arc<str>>>,
 }
 
 impl PropagationCache {
@@ -398,13 +409,47 @@ impl PropagationCache {
         &self,
         net: usize,
         count: usize,
-    ) -> impl Iterator<Item = (usize, Option<usize>, Option<&str>)> {
-        self.sink_inst[net]
+    ) -> impl Iterator<Item = (usize, Option<usize>, Option<&Arc<str>>)> {
+        let range = self.sink_start[net]..self.sink_start[net + 1];
+        self.sink_inst[range.clone()]
             .iter()
-            .zip(&self.sink_po[net])
+            .zip(&self.sink_po[range])
             .take(count)
             .enumerate()
-            .map(|(k, (&target, po))| (k, target, po.as_deref()))
+            .map(|(k, (&target, po))| (k, target, po.as_ref()))
+    }
+}
+
+/// A flat row-indexed adjacency: row `r` is `items[start[r]..start[r + 1]]`.
+#[derive(Debug, Clone)]
+struct Rows<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> Rows<T> {
+    /// `rows` rows filled from the `(row, item)` pairs `pairs()` yields,
+    /// each row in yield order.  `pairs` is called twice: once to count,
+    /// once to fill.
+    fn build<I: Iterator<Item = (usize, T)>>(rows: usize, pairs: impl Fn() -> I) -> Rows<T> {
+        let mut start = vec![0usize; rows + 1];
+        for (r, _) in pairs() {
+            start[r + 1] += 1;
+        }
+        for r in 0..rows {
+            start[r + 1] += start[r];
+        }
+        let mut next = start[..rows].to_vec();
+        let mut items = vec![T::default(); start[rows]];
+        for (r, item) in pairs() {
+            items[next[r]] = item;
+            next[r] += 1;
+        }
+        Rows { start, items }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.start[r]..self.start[r + 1]]
     }
 }
 
@@ -601,8 +646,10 @@ trait Lattice {
     fn drive(&self, arrivals: &[Self::Arrival], driver: Option<usize>) -> Self::Out;
     /// Folds `out`, through sink `sink` of `net`, into an instance arrival.
     fn fold(&self, acc: &mut Self::Arrival, out: &Self::Out, net: usize, sink: usize);
-    /// The endpoint `name` that `out` reaches through sink `sink` of `net`.
-    fn endpoint(&self, out: &Self::Out, net: usize, sink: usize, name: &str) -> Self::Endpoint;
+    /// The endpoint `name` that `out` reaches through sink `sink` of `net`;
+    /// it holds a refcount clone of `name`.
+    fn endpoint(&self, out: &Self::Out, net: usize, sink: usize, name: &Arc<str>)
+        -> Self::Endpoint;
 }
 
 /// Full arrival propagation over every net, in driver-topological order:
@@ -615,7 +662,7 @@ fn run_full<L: Lattice>(
 ) -> (Vec<L::Arrival>, Vec<Vec<L::Endpoint>>) {
     let mut arrivals: Vec<L::Arrival> = (0..cache.inst_names.len()).map(|_| lane.zero()).collect();
     let mut endpoints: Vec<Vec<L::Endpoint>> =
-        (0..cache.sink_inst.len()).map(|_| Vec::new()).collect();
+        (0..cache.net_order.len()).map(|_| Vec::new()).collect();
     for &net in &cache.net_order {
         let out = lane.drive(&arrivals, cache.net_driver[net]);
         for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
@@ -643,7 +690,7 @@ fn refold_instance<L: Lattice>(
     inst: usize,
 ) -> L::Arrival {
     let mut acc = lane.zero();
-    for &(net, k) in &cache.in_edges[inst] {
+    for &(net, k) in cache.in_edges.row(inst) {
         if k < lane.sinks(net) {
             let out = lane.drive(arrivals, cache.net_driver[net]);
             lane.fold(&mut acc, &out, net, k);
@@ -682,7 +729,7 @@ fn run_cone<L: Lattice>(
             let refolded = refold_instance(lane, cache, arrivals, u);
             if refolded != arrivals[u] {
                 arrivals[u] = refolded;
-                pending.extend(cache.out_ranks[u].iter().map(|&out| (out, 0)));
+                pending.extend(cache.out_ranks.row(u).iter().map(|&out| (out, 0)));
             }
             continue;
         }
@@ -693,7 +740,9 @@ fn run_cone<L: Lattice>(
         for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
             match (target, po) {
                 (Some(u), _) => {
-                    let last = cache.in_edges[u]
+                    let last = cache
+                        .in_edges
+                        .row(u)
                         .last()
                         .map_or(rank, |&(edge, _)| cache.net_rank[edge]);
                     pending.insert((last, 1 + u));
@@ -845,9 +894,15 @@ impl Lattice for ScalarLane<'_> {
         }
     }
 
-    fn endpoint(&self, out: &ScalarOut, net: usize, sink: usize, name: &str) -> EndpointTiming {
+    fn endpoint(
+        &self,
+        out: &ScalarOut,
+        net: usize,
+        sink: usize,
+        name: &Arc<str>,
+    ) -> EndpointTiming {
         EndpointTiming {
-            name: name.to_string(),
+            name: Arc::clone(name),
             arrival: self.through(out, net, sink),
             critical_path: out.path(&self.cache.inst_names),
         }
@@ -857,8 +912,9 @@ impl Lattice for ScalarLane<'_> {
 /// Files per-net endpoint contributions (as [`run_full`] produces them)
 /// into report order: descending worst arrival, ties by
 /// `(net_rank, sink)` — the stable sort of their `net_order`
-/// concatenation.
+/// concatenation.  Runs in a `sta.report_order` span.
 fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -> Endpoints {
+    let mut obs_span = rctree_obs::span("sta.report_order");
     let mut keyed = Vec::with_capacity(per_net.iter().map(Vec::len).sum());
     for (net, eps) in per_net.into_iter().enumerate() {
         let rank = cache.net_rank[net];
@@ -868,6 +924,7 @@ fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -
                 .map(|(sink, e)| (endpoint_tie(rank, sink), e)),
         );
     }
+    obs_span.attr_u64("endpoints", keyed.len() as u64);
     Endpoints::from_keyed(keyed)
 }
 
@@ -1011,7 +1068,7 @@ impl Lattice for SymbolicLane<'_> {
         out: &Vec<SymbolicCandidate>,
         net: usize,
         sink: usize,
-        name: &str,
+        name: &Arc<str>,
     ) -> SymbolicEndpointTiming {
         let bound = &self.bounds[net][sink];
         let mut candidates = Vec::with_capacity(out.len());
@@ -1019,17 +1076,18 @@ impl Lattice for SymbolicLane<'_> {
             push_candidate(&mut candidates, cand.through(bound));
         }
         SymbolicEndpointTiming {
-            name: name.to_string(),
+            name: Arc::clone(name),
             candidates,
         }
     }
 }
 
-/// One endpoint of the symbolic analysis: its primary-output name and the
-/// full candidate set of arrival-window polynomials reaching it.
+/// One endpoint of the symbolic analysis: its primary-output name (the
+/// net's shared [`Load::PrimaryOutput`] allocation) and the full candidate
+/// set of arrival-window polynomials reaching it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SymbolicEndpointTiming {
-    name: String,
+    name: Arc<str>,
     candidates: Vec<SymbolicCandidate>,
 }
 
@@ -1081,7 +1139,7 @@ impl SymbolicEndpointTiming {
     fn timing_at(&self, r: f64, c: f64, inst_names: &[String]) -> EndpointTiming {
         let best = self.winner_at(r, c);
         EndpointTiming {
-            name: self.name.clone(),
+            name: Arc::clone(&self.name),
             arrival: best.window_at(r, c),
             critical_path: Arc::new(best.spine.names(inst_names)),
         }
@@ -1331,7 +1389,7 @@ impl SymbolicAnalysis {
 
     /// Looks up one endpoint's symbolic timing by primary-output name.
     pub fn endpoint(&self, name: &str) -> Option<&SymbolicEndpointTiming> {
-        self.endpoints().iter().find(|e| e.name == name)
+        self.endpoints().iter().find(|e| &*e.name == name)
     }
 
     /// Evaluates the analysis at one `(r_scale, c_scale)` point into an
@@ -2188,7 +2246,9 @@ impl Design {
         core.aug.reserve(2 * nets.size_hint().0);
         // The same nets, checks and error order as one `add_instance` and
         // two `add_net` calls per deck net, with the augmentation taken
-        // from the ids in hand instead of resolved by name.
+        // from the ids in hand instead of resolved by name.  Each
+        // `{net}/{node}` name is formatted into `po` and allocated once.
+        let mut po = String::new();
         for (name, tree) in nets {
             let inst = format!("{name}_drv");
             if core.instances.contains_key(&inst) {
@@ -2216,10 +2276,14 @@ impl Design {
             let mut sinks = Vec::new();
             let mut loads = Vec::new();
             for id in tree.outputs() {
-                let node = tree.name(id).expect("output node exists").to_string();
+                let node = tree.name(id).expect("output node exists");
+                po.clear();
+                po.push_str(&name);
+                po.push('/');
+                po.push_str(node);
                 sinks.push(Sink {
-                    load: Load::PrimaryOutput(format!("{name}/{node}")),
-                    node,
+                    node: node.to_string(),
+                    load: Load::PrimaryOutput(Arc::from(po.as_str())),
                 });
                 loads.push((id, Farads::ZERO));
             }
@@ -3178,7 +3242,8 @@ impl DesignCore {
 
     /// The cached propagation topology, rebuilt on first use after a
     /// connectivity change (`add_instance` / `add_net`; ECO edits only
-    /// touch interconnect values, never instance-level connectivity).
+    /// touch interconnect values, never instance-level connectivity).  A
+    /// rebuild runs in a `sta.topology` span.
     ///
     /// # Errors
     ///
@@ -3188,6 +3253,9 @@ impl DesignCore {
         if let Some(cache) = slot.as_ref() {
             return Ok(Arc::clone(cache));
         }
+        let mut obs_span = rctree_obs::span("sta.topology");
+        obs_span.attr_u64("nets", self.nets.len() as u64);
+        obs_span.attr_u64("instances", self.instances.len() as u64);
         let cache = Arc::new(self.propagation_cache()?);
         *slot = Some(Arc::clone(&cache));
         Ok(cache)
@@ -3215,59 +3283,70 @@ impl DesignCore {
             .collect();
         let n_inst = inst_names.len();
         let mut intrinsic = Vec::with_capacity(n_inst);
-        for name in &inst_names {
-            intrinsic.push(self.library.cell(&self.instances[name])?.intrinsic_delay);
+        for cell in self.instances.values() {
+            intrinsic.push(self.library.cell(cell)?.intrinsic_delay);
         }
 
-        // Resolve every net's driver and sink targets once.
-        let mut net_driver = Vec::with_capacity(self.nets.len());
-        let mut sink_inst: Vec<Vec<Option<usize>>> = Vec::with_capacity(self.nets.len());
-        let mut sink_po: Vec<Vec<Option<String>>> = Vec::with_capacity(self.nets.len());
-        let mut in_degree = vec![0usize; n_inst];
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
+        // Resolve every net's driver and sink targets once, into one flat
+        // array per column.
+        let n_nets = self.nets.len();
+        let sink_count = self.nets.iter().map(|net| net.sinks.len()).sum();
+        let mut net_driver = Vec::with_capacity(n_nets);
+        let mut sink_start = Vec::with_capacity(n_nets + 1);
+        let mut sink_inst: Vec<Option<usize>> = Vec::with_capacity(sink_count);
+        let mut sink_po: Vec<Option<Arc<str>>> = Vec::with_capacity(sink_count);
+        let dangling = |net: &Net, inst: &String| StaError::DanglingInstance {
+            net: net.name.clone(),
+            instance: inst.clone(),
+        };
         for net in &self.nets {
             let driver = match &net.driver {
                 Driver::PrimaryInput => None,
-                Driver::Instance(inst) => {
-                    Some(inst_index.get(inst.as_str()).copied().ok_or_else(|| {
-                        StaError::DanglingInstance {
-                            net: net.name.clone(),
-                            instance: inst.clone(),
-                        }
-                    })?)
-                }
+                Driver::Instance(inst) => Some(
+                    inst_index
+                        .get(inst.as_str())
+                        .copied()
+                        .ok_or_else(|| dangling(net, inst))?,
+                ),
             };
-            let mut row = Vec::with_capacity(net.sinks.len());
-            let mut po_row = Vec::with_capacity(net.sinks.len());
+            sink_start.push(sink_inst.len());
             for sink in &net.sinks {
                 match &sink.load {
                     Load::Instance(inst) => {
-                        let target = inst_index.get(inst.as_str()).copied().ok_or_else(|| {
-                            StaError::DanglingInstance {
-                                net: net.name.clone(),
-                                instance: inst.clone(),
-                            }
-                        })?;
-                        row.push(Some(target));
-                        po_row.push(None);
-                        if let Some(d) = driver {
-                            successors[d].push(target);
-                            in_degree[target] += 1;
-                        }
+                        let target = inst_index
+                            .get(inst.as_str())
+                            .copied()
+                            .ok_or_else(|| dangling(net, inst))?;
+                        sink_inst.push(Some(target));
+                        sink_po.push(None);
                     }
                     Load::PrimaryOutput(name) => {
-                        row.push(None);
-                        po_row.push(Some(name.clone()));
+                        sink_inst.push(None);
+                        sink_po.push(Some(Arc::clone(name)));
                     }
                 }
             }
             net_driver.push(driver);
-            sink_inst.push(row);
-            sink_po.push(po_row);
         }
+        sink_start.push(sink_inst.len());
+        let net_sinks = |net: usize| &sink_inst[sink_start[net]..sink_start[net + 1]];
 
-        // Kahn topological order; the initial queue is name-sorted, which
+        // Kahn topological order over the instance edges, successors in
+        // net and sink order; the initial queue is name-sorted, which
         // index order already is (the instance table is a BTreeMap).
+        let successors = Rows::build(n_inst, || {
+            (0..n_nets).flat_map(|net| {
+                let driver = net_driver[net];
+                net_sinks(net)
+                    .iter()
+                    .flatten()
+                    .filter_map(move |&t| driver.map(|d| (d, t)))
+            })
+        });
+        let mut in_degree = vec![0usize; n_inst];
+        for &target in &successors.items {
+            in_degree[target] += 1;
+        }
         let mut queue: Vec<usize> = (0..n_inst).filter(|&i| in_degree[i] == 0).collect();
         let mut queue_idx = 0;
         let mut topo_rank = vec![usize::MAX; n_inst];
@@ -3277,7 +3356,7 @@ impl DesignCore {
             queue_idx += 1;
             topo_rank[inst] = seen;
             seen += 1;
-            for &succ in &successors[inst] {
+            for &succ in successors.row(inst) {
                 in_degree[succ] -= 1;
                 if in_degree[succ] == 0 {
                     queue.push(succ);
@@ -3302,18 +3381,20 @@ impl DesignCore {
 
         // Adjacency for the cone walk, in the exact fold order of the full
         // pass.
-        let mut in_edges: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_inst];
-        let mut out_ranks: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
-        for (rank, &net) in net_order.iter().enumerate() {
-            if let Some(d) = net_driver[net] {
-                out_ranks[d].push(rank);
-            }
-            for (k, target) in sink_inst[net].iter().enumerate() {
-                if let Some(u) = *target {
-                    in_edges[u].push((net, k));
-                }
-            }
-        }
+        let in_edges = Rows::build(n_inst, || {
+            net_order.iter().flat_map(|&net| {
+                net_sinks(net)
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(k, target)| target.map(|u| (u, (net, k))))
+            })
+        });
+        let out_ranks = Rows::build(n_inst, || {
+            net_order
+                .iter()
+                .enumerate()
+                .filter_map(|(rank, &net)| net_driver[net].map(|d| (d, rank)))
+        });
 
         Ok(PropagationCache {
             inst_names,
@@ -3323,6 +3404,7 @@ impl DesignCore {
             net_driver,
             in_edges,
             out_ranks,
+            sink_start,
             sink_inst,
             sink_po,
         })
@@ -3492,7 +3574,7 @@ mod tests {
         let report = d.analyze(0.5, Seconds::from_nano(50.0)).unwrap();
         assert_eq!(report.endpoints.len(), 1);
         let e = &report.endpoints[0];
-        assert_eq!(e.name, "out");
+        assert_eq!(&*e.name, "out");
         assert!(e.arrival.min <= e.arrival.max);
         // Both gate intrinsic delays must be included.
         assert!(e.arrival.min >= Seconds::from_nano(1.8));
@@ -3569,7 +3651,7 @@ mod tests {
         .unwrap();
         let report = d.analyze(0.5, Seconds::from_nano(100.0)).unwrap();
         assert_eq!(report.endpoints.len(), 2);
-        assert_eq!(report.critical_endpoint().unwrap().name, "po_far");
+        assert_eq!(&*report.critical_endpoint().unwrap().name, "po_far");
     }
 
     #[test]
@@ -3674,7 +3756,7 @@ mod tests {
         assert_eq!(out.sinks().len(), 1);
         let sink = &out.sinks()[0];
         assert_eq!(sink.node, "load");
-        assert!(matches!(&sink.load, Load::PrimaryOutput(po) if po == "out"));
+        assert!(matches!(&sink.load, Load::PrimaryOutput(po) if &**po == "out"));
         assert!(sink.lower <= sink.upper);
 
         // Node-level queries resolve against the same augmented stage tree
@@ -3854,9 +3936,9 @@ mod tests {
         assert_eq!(d.net_count(), 10); // feeder + payload per extracted net
         let report = d.analyze(0.5, Seconds::from_nano(100.0)).unwrap();
         assert_eq!(report.endpoints.len(), 5);
-        assert!(report.endpoints.iter().any(|e| e.name == "net4/load"));
+        assert!(report.endpoints.iter().any(|e| &*e.name == "net4/load"));
         // The longest wire is the critical endpoint.
-        assert_eq!(report.critical_endpoint().unwrap().name, "net4/load");
+        assert_eq!(&*report.critical_endpoint().unwrap().name, "net4/load");
 
         // Duplicate net names collide on the instance name.
         let dup = vec![
@@ -4320,7 +4402,7 @@ mod tests {
                 let mut sinks: Vec<Sink> = nodes
                     .into_iter()
                     .map(|node| Sink {
-                        load: Load::PrimaryOutput(format!("net{i}/{node}")),
+                        load: Load::PrimaryOutput(format!("net{i}/{node}").into()),
                         node,
                     })
                     .collect();
@@ -4464,7 +4546,7 @@ mod tests {
     fn compose_handles_empty_shards_single_endpoints_and_ties() {
         let required = Seconds::from_nano(100.0);
         let endpoint = |name: &str, min_ns: f64, max_ns: f64| EndpointTiming {
-            name: name.to_string(),
+            name: name.into(),
             arrival: ArrivalWindow {
                 min: Seconds::from_nano(min_ns),
                 max: Seconds::from_nano(max_ns),
@@ -4496,7 +4578,7 @@ mod tests {
 
         // A single-endpoint shard composes to itself.
         assert_eq!(TimingReport::compose([&single]), single);
-        assert_eq!(single.critical_endpoint().unwrap().name, "po1");
+        assert_eq!(&*single.critical_endpoint().unwrap().name, "po1");
 
         // Equal worst arrivals keep part order (stable sort), exactly as a
         // monolithic analysis keeps net order on ties — so the tie order is
@@ -4510,11 +4592,11 @@ mod tests {
             endpoint("b_slow", 1.0, 30.0),
         ]);
         let composed = TimingReport::compose([&a, &b]);
-        let names: Vec<&str> = composed.endpoints.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = composed.endpoints.iter().map(|e| &*e.name).collect();
         assert_eq!(names, ["b_slow", "a_tie", "b_tie", "a_fast"]);
         // Reversing the parts reverses only the tied pair.
         let swapped = TimingReport::compose([&b, &a]);
-        let names: Vec<&str> = swapped.endpoints.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = swapped.endpoints.iter().map(|e| &*e.name).collect();
         assert_eq!(names, ["b_slow", "b_tie", "a_tie", "a_fast"]);
         assert_eq!(composed.worst_slack(), swapped.worst_slack());
     }
@@ -4546,6 +4628,76 @@ mod tests {
                 mono.report(lane).unwrap().to_string(),
                 "lane {lane} diverged"
             );
+        }
+    }
+
+    /// Asserts that `names` are exactly the primary outputs of `d`, each
+    /// the net's own `Load::PrimaryOutput` allocation rather than a copy.
+    fn assert_shared_names<'a>(d: &Design, names: impl Iterator<Item = &'a Arc<str>>, what: &str) {
+        let owned: HashMap<&str, &Arc<str>> = d
+            .shared
+            .nets
+            .iter()
+            .flat_map(|net| &net.sinks)
+            .filter_map(|sink| match &sink.load {
+                Load::PrimaryOutput(po) => Some((&**po, po)),
+                Load::Instance(_) => None,
+            })
+            .collect();
+        let mut seen = 0;
+        for name in names {
+            assert!(Arc::ptr_eq(name, owned[&**name]), "{what}: `{name}` copied");
+            seen += 1;
+        }
+        assert_eq!(seen, owned.len(), "{what}");
+    }
+
+    #[test]
+    fn endpoints_share_their_primary_output_name_in_every_lane_and_revision() {
+        let budget = Seconds::from_nano(150.0);
+        fn names(r: &TimingReport) -> impl Iterator<Item = &Arc<str>> {
+            r.endpoints.iter().map(|e| &e.name)
+        }
+        let nets = (0..6).map(|i| (format!("net{i}"), comb(12, 1.0 + i as f64)));
+        let mut d = Design::from_extracted(CellLibrary::nmos_1981(), "inv_4x", nets).unwrap();
+        let report = d.analyze_with_jobs(0.5, budget, 2).unwrap();
+        assert_eq!(report.endpoints.len(), 18);
+        assert_shared_names(&d, names(&report), "analyze_with_jobs");
+
+        let mut set = CornerSet::nominal();
+        set.push("slow", 1.3, 1.2, 1.1).unwrap();
+        d.set_corners(set);
+        let corners = d.analyze_corners(0.5, budget, 2).unwrap();
+        assert_eq!(corners.len(), 2);
+        for (k, report) in corners.reports().iter().enumerate() {
+            let what = format!("analyze_corners lane {k}");
+            assert_shared_names(&d, names(report), &what);
+        }
+
+        let s0 = d.publish(0.5, budget, 2).unwrap();
+        let edit = EcoEdit {
+            net: "net2".into(),
+            kind: EcoEditKind::SetCap {
+                node: "t5".into(),
+                cap: Farads::from_femto(40.0),
+            },
+        };
+        let s1 = d
+            .publish_after_eco(std::slice::from_ref(&edit), 0.5, budget, 2, &s0)
+            .unwrap();
+        assert_ne!(s0.report(), s1.report(), "the setcap moved an endpoint");
+        for (rev, snapshot) in [&s0, &s1].into_iter().enumerate() {
+            let lanes = snapshot.corners().expect("two corners");
+            for k in 0..lanes.len() {
+                let what = format!("revision {rev} lane {k}");
+                assert_shared_names(&d, names(lanes.report(k).unwrap()), &what);
+            }
+            let symbolic = snapshot.symbolic().unwrap();
+            let what = format!("revision {rev} symbolic lane");
+            assert_shared_names(&d, symbolic.endpoints().iter().map(|e| &e.name), &what);
+            let what = format!("revision {rev} symbolic report");
+            let at = symbolic.report_at(1.1, 0.9);
+            assert_shared_names(&d, names(&at), &what);
         }
     }
 }

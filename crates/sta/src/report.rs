@@ -11,6 +11,13 @@
 //! entries, so [`TimingReport::slack_interval`] and
 //! [`TimingReport::certification_against`] visit chunks instead of
 //! endpoints.
+//!
+//! Rendering ([`TimingReport`]'s `Display`) writes each endpoint line piece
+//! by piece, with no per-line string.  A large report renders in *runs* of
+//! 32 whole chunks on the global pool with [`rctree_par::default_jobs`]
+//! workers, in rounds of at most two runs per worker written out in report
+//! order, so the buffered text stays a few MB however large the report.
+//! The bytes are those of the serial rendering for every worker count.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -51,8 +58,10 @@ impl ArrivalWindow {
 /// One endpoint (primary output) in the timing report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointTiming {
-    /// Primary-output name.
-    pub name: String,
+    /// Primary-output name: one allocation per primary output, shared with
+    /// the net's [`crate::Load::PrimaryOutput`], so every lane, revision
+    /// and re-filed copy of the endpoint holds a refcount clone of it.
+    pub name: Arc<str>,
     /// Arrival window at the endpoint.
     pub arrival: ArrivalWindow,
     /// The chain of instance names on the latest path to this endpoint,
@@ -577,27 +586,113 @@ impl TimingReport {
             endpoints: Endpoints::from_sorted(entries.into_iter()),
         }
     }
-}
 
-impl fmt::Display for TimingReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Renders the report with `jobs` workers: the header, one line per
+    /// endpoint in report order, then the slack and certification lines.
+    ///
+    /// A report of at least two runs per worker renders its runs on the
+    /// global pool, in rounds of at most two runs per worker; each round
+    /// is written to `out` in report order before the next is rendered,
+    /// so the extra memory is `2 · jobs` runs of text, not a second copy
+    /// of the report.  A smaller report, or `jobs <= 1`, renders serially
+    /// straight into `out`.  The bytes are the same for every `jobs`.  The
+    /// endpoint lines run in one `sta.render` span on the calling thread,
+    /// with the endpoint and run counts as attributes.
+    pub(crate) fn render<W: fmt::Write>(&self, out: &mut W, jobs: usize) -> fmt::Result {
         writeln!(
-            f,
+            out,
             "timing report (threshold {:.2}, required {})",
             self.threshold, self.required_time
         )?;
-        for e in &self.endpoints {
-            writeln!(
-                f,
-                "  {}: arrival [{}, {}] via {}",
-                e.name,
-                e.arrival.min,
-                e.arrival.max,
-                e.critical_path.join(" -> ")
-            )?;
+        {
+            let mut obs_span = rctree_obs::span("sta.render");
+            obs_span.attr_u64("endpoints", self.endpoints.len() as u64);
+            obs_span.attr_u64("runs", self.endpoints.runs() as u64);
+            self.endpoints.render(out, jobs)?;
         }
-        writeln!(f, "  worst slack: {}", self.worst_slack())?;
-        writeln!(f, "  certification: {}", self.certification())
+        writeln!(out, "  worst slack: {}", self.worst_slack())?;
+        writeln!(out, "  certification: {}", self.certification())
+    }
+}
+
+/// Chunks per rendering run: 32 chunks of at most [`CHUNK`] endpoints,
+/// 4,096 endpoint lines or ≈420 KB of text on a generated deck.
+const RUN_CHUNKS: usize = 32;
+
+impl Endpoints {
+    /// Number of rendering runs: whole runs of [`RUN_CHUNKS`] chunks, the
+    /// last one possibly shorter.
+    fn runs(&self) -> usize {
+        self.chunks.len().div_ceil(RUN_CHUNKS)
+    }
+
+    /// Writes every endpoint line in report order (see
+    /// [`TimingReport::render`]).
+    fn render<W: fmt::Write>(&self, out: &mut W, jobs: usize) -> fmt::Result {
+        let runs = self.runs();
+        if jobs < 2 || runs < 2 * jobs {
+            return self.iter().try_for_each(|e| write_line(out, e));
+        }
+        let chunks = Arc::new(self.chunks.clone());
+        for first in (0..runs).step_by(2 * jobs) {
+            let count = (2 * jobs).min(runs - first);
+            let texts = rctree_par::par_map_global(
+                jobs.min(count / 2).max(1),
+                Arc::clone(&chunks),
+                count,
+                move |i, chunks: &Vec<Arc<Chunk>>| render_run(chunks, first + i),
+            );
+            for text in texts {
+                out.write_str(&text?)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The endpoint lines of run `run` of `chunks`.
+fn render_run(chunks: &[Arc<Chunk>], run: usize) -> Result<String, fmt::Error> {
+    let start = run * RUN_CHUNKS;
+    let mut text = String::new();
+    for chunk in &chunks[start..(start + RUN_CHUNKS).min(chunks.len())] {
+        for entry in &chunk.entries {
+            write_line(&mut text, &entry.timing)?;
+        }
+    }
+    Ok(text)
+}
+
+/// Writes one endpoint line piece by piece:
+/// `  <name>: arrival [<min>, <max>] via <inst> -> <inst>…` and a newline.
+fn write_line<W: fmt::Write>(out: &mut W, e: &EndpointTiming) -> fmt::Result {
+    out.write_str("  ")?;
+    out.write_str(&e.name)?;
+    out.write_str(": arrival [")?;
+    write!(out, "{}", e.arrival.min)?;
+    out.write_str(", ")?;
+    write!(out, "{}", e.arrival.max)?;
+    out.write_str("] via ")?;
+    for (i, inst) in e.critical_path.iter().enumerate() {
+        if i > 0 {
+            out.write_str(" -> ")?;
+        }
+        out.write_str(inst)?;
+    }
+    out.write_char('\n')
+}
+
+impl fmt::Display for TimingReport {
+    /// [`TimingReport::render`] with [`rctree_par::default_jobs`] workers,
+    /// the policy [`crate::Design::analyze`] uses.  A report of fewer than
+    /// four runs (two per worker at the smallest parallel width) renders
+    /// serially without reading it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let jobs = if self.endpoints.runs() < 2 * 2 {
+            1
+        } else {
+            rctree_par::default_jobs()
+        };
+        self.render(f, jobs)
     }
 }
 
@@ -606,9 +701,9 @@ mod tests {
     use super::*;
     use rctree_workloads::rng::Rng;
 
-    fn timing(name: String, min: f64, max: f64) -> EndpointTiming {
+    fn timing(name: impl Into<Arc<str>>, min: f64, max: f64) -> EndpointTiming {
         EndpointTiming {
-            name,
+            name: name.into(),
             arrival: ArrivalWindow {
                 min: Seconds::new(min),
                 max: Seconds::new(max),
@@ -768,5 +863,115 @@ mod tests {
         assert_ne!(bulk.chunk_count(), one_by_one.chunk_count());
         assert_eq!(bulk, one_by_one);
         assert_eq!(format!("{bulk:?}"), format!("{one_by_one:?}"));
+    }
+
+    /// The reference rendering: one `writeln!` per line with the critical
+    /// path joined into a string, the format the direct writer replaces.
+    fn reference(report: &TimingReport) -> String {
+        use std::fmt::Write as _;
+        let mut text = String::new();
+        writeln!(
+            text,
+            "timing report (threshold {:.2}, required {})",
+            report.threshold, report.required_time
+        )
+        .unwrap();
+        for e in &report.endpoints {
+            writeln!(
+                text,
+                "  {}: arrival [{}, {}] via {}",
+                e.name,
+                e.arrival.min,
+                e.arrival.max,
+                e.critical_path.join(" -> ")
+            )
+            .unwrap();
+        }
+        writeln!(text, "  worst slack: {}", report.worst_slack()).unwrap();
+        writeln!(text, "  certification: {}", report.certification()).unwrap();
+        text
+    }
+
+    /// `n` endpoints with distinct non-ASCII names, already in report
+    /// order, whose critical paths cycle through lengths 0, 1 and 3.
+    fn endpoints(n: usize) -> Vec<EndpointTiming> {
+        let paths = [
+            Arc::new(Vec::new()),
+            Arc::new(vec!["drv_ä".to_string()]),
+            Arc::new(vec!["u0".to_string(), "µ1".to_string(), "ü2".to_string()]),
+        ];
+        (0..n)
+            .map(|i| EndpointTiming {
+                name: format!("pö{i}/nœud·{}", i % 7).into(),
+                arrival: ArrivalWindow {
+                    min: Seconds::new((i % 13) as f64 * 1e-12),
+                    max: Seconds::new(1e-6 - i as f64 * 1e-12),
+                },
+                critical_path: Arc::clone(&paths[i % 3]),
+            })
+            .collect()
+    }
+
+    fn report_of(endpoints: &[EndpointTiming]) -> TimingReport {
+        TimingReport {
+            threshold: 0.5,
+            required_time: Seconds::new(5e-7),
+            endpoints: endpoints.iter().cloned().collect(),
+        }
+    }
+
+    #[test]
+    fn rendering_matches_the_reference_at_every_size_and_worker_count() {
+        let run = RUN_CHUNKS * CHUNK;
+        let sizes = [
+            0,
+            1,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            // Three runs render serially at any width; four are two runs per
+            // worker at 2 workers, the smallest parallel report.
+            3 * run,
+            3 * run + 1,
+            3 * run + 2,
+            // The switch at 7 workers: 14 runs.
+            13 * run,
+            13 * run + 1,
+            13 * run + 2,
+            // Three full rounds at 7 workers and a short fourth one.
+            46 * run + 77,
+        ];
+        let all = endpoints(*sizes.iter().max().unwrap());
+        for n in sizes {
+            let report = report_of(&all[..n]);
+            assert_eq!(report.endpoints.len(), n);
+            let want = reference(&report);
+            assert_eq!(report.to_string(), want, "Display, {n} endpoints");
+            for jobs in [1, 2, 7] {
+                let mut text = String::new();
+                report.render(&mut text, jobs).unwrap();
+                assert!(text == want, "{jobs} workers, {n} endpoints");
+            }
+        }
+    }
+
+    #[test]
+    fn one_render_span_per_call_whatever_the_worker_count() {
+        let report = report_of(&endpoints(5 * RUN_CHUNKS * CHUNK));
+        let obs = rctree_obs::Obs::new(rctree_obs::ObsConfig::default());
+        {
+            let _scope = obs.enter();
+            for jobs in [1, 2, 7] {
+                report.render(&mut String::new(), jobs).unwrap();
+            }
+        }
+        let stable = obs.registry().expose(true);
+        for series in [
+            "rctree_phase_total{phase=\"sta.render\"} 3\n",
+            "rctree_phase_attr_sum{attr=\"runs\",phase=\"sta.render\"} 15\n",
+            "rctree_phase_attr_sum{attr=\"endpoints\",phase=\"sta.render\"} 61440\n",
+        ] {
+            assert!(stable.contains(series), "missing {series:?} in\n{stable}");
+        }
     }
 }

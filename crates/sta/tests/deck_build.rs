@@ -51,7 +51,7 @@ fn one_call_per_net(
             .map(|id| {
                 let node = tree.name(id).expect("output node exists").to_string();
                 Sink {
-                    load: Load::PrimaryOutput(format!("{name}/{node}")),
+                    load: Load::PrimaryOutput(format!("{name}/{node}").into()),
                     node,
                 }
             })

@@ -225,7 +225,7 @@ pub fn eco_dag(params: &EcoDagParams, seed: u64) -> EcoDag {
                 names,
                 vec![Sink {
                     node: last,
-                    load: Load::PrimaryOutput(format!("po{c}")),
+                    load: Load::PrimaryOutput(format!("po{c}").into()),
                 }],
                 Driver::Instance(format!("u{c}_{}", depth - 1)),
             );

@@ -323,7 +323,7 @@ fn critical_endpoint_crosses_cones_and_stays_bit_identical() {
                 .critical_endpoint()
                 .expect("has endpoints")
                 .name
-                .clone(),
+                .to_string(),
         );
     }
     assert_eq!(

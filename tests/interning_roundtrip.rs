@@ -37,9 +37,10 @@ fn report_text_is_byte_identical_to_the_string_keyed_baseline() {
     assert_eq!(interned.to_string(), baseline.to_string());
     // Endpoint names round-trip: every rendered name is an original
     // primary-output string, untouched by interning.
+    let rendered = interned.to_string();
     for ep in &interned.endpoints {
         assert!(ep.name.contains('/'), "deck PO names are net/node");
-        assert!(interned.to_string().contains(&ep.name));
+        assert!(rendered.contains(&*ep.name));
     }
 }
 

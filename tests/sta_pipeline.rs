@@ -85,7 +85,7 @@ fn clock_tree_design_certifies_against_budget() {
         .iter()
         .map(|&leaf| Sink {
             node: htree.name(leaf).unwrap().to_string(),
-            load: Load::PrimaryOutput(format!("ff_{}", htree.name(leaf).unwrap())),
+            load: Load::PrimaryOutput(format!("ff_{}", htree.name(leaf).unwrap()).into()),
         })
         .collect();
     design
