@@ -195,9 +195,10 @@ impl From<io::Error> for ServeError {
 struct Shard {
     store: SnapshotStore,
     writer: Mutex<EcoExecutor>,
-    /// Accepted directives in this shard's commit order — the audit log
-    /// the per-shard serial-oracle equivalence tests replay.
-    eco_log: Mutex<Vec<String>>,
+    /// Accepted directives in this shard's commit order, one
+    /// newline-terminated summary each — the audit log the per-shard
+    /// serial-oracle equivalence tests replay.
+    eco_log: Mutex<String>,
     applied: Arc<Counter>,
     skipped: Arc<Counter>,
     report_cache_hits: Arc<Counter>,
@@ -286,7 +287,7 @@ impl Server {
                 shards.push(Shard {
                     store,
                     writer: Mutex::new(executor),
-                    eco_log: Mutex::new(Vec::new()),
+                    eco_log: Mutex::new(String::new()),
                     applied: registry.counter(
                         "rctree_shard_eco_applied_total",
                         Stability::Stable,
@@ -434,7 +435,12 @@ impl Server {
         self.shared
             .shards
             .iter()
-            .map(|s| lock(&s.eco_log).clone())
+            .map(|s| {
+                // Undoes exactly the '\n' each summary is written with;
+                // `lines` would also drop a '\r' before it.
+                let log = lock(&s.eco_log);
+                log.split_terminator('\n').map(str::to_string).collect()
+            })
             .collect()
     }
 
@@ -664,7 +670,11 @@ fn exec_eco_on(shared: &Shared, s: usize, script: &str) -> Vec<String> {
     let (lines, counts) = executor.exec_eco(
         script,
         &mut |snapshot, rev| shard.store.publish(Arc::clone(snapshot), rev),
-        &mut |summary| lock(&shard.eco_log).push(summary.to_string()),
+        &mut |summary| {
+            let mut log = lock(&shard.eco_log);
+            log.push_str(summary);
+            log.push('\n');
+        },
     );
     // Only the per-shard counters are written; the `STATS` globals are
     // derived by summing them at render time, so they cannot drift.

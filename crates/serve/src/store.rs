@@ -41,8 +41,10 @@ impl SnapshotStore {
 
     /// Atomically publishes a successor snapshot.  The superseded pair is
     /// dropped after the write lock is released, so readers never wait
-    /// while its chunks are freed.
+    /// while its chunks are freed.  One `serve.snapshot_swap` span covers
+    /// the lock, the swap and that drop.
     pub fn publish(&self, snapshot: Arc<DesignSnapshot>, revision: u64) {
+        let _span = rctree_obs::span("serve.snapshot_swap");
         let superseded = {
             let mut guard = match self.inner.write() {
                 Ok(guard) => guard,
@@ -165,6 +167,36 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rctree_core::units::Seconds;
+    use rctree_obs::{Obs, ObsConfig};
+    use rctree_sta::{CellLibrary, Design};
+    use rctree_workloads::SpefDeckParams;
+
+    #[test]
+    fn every_publish_is_one_snapshot_swap_span() {
+        let trees = SpefDeckParams {
+            nets: 2,
+            ..SpefDeckParams::default()
+        }
+        .trees(7);
+        let mut design =
+            Design::from_extracted(CellLibrary::nmos_1981(), "inv_4x", trees).expect("deck builds");
+        let snapshot = Arc::new(design.publish(0.5, Seconds::new(1e-6), 1).expect("publish"));
+        let store = SnapshotStore::new(Arc::clone(&snapshot));
+        let obs = Obs::new(ObsConfig::default());
+        {
+            let _scope = obs.enter();
+            for revision in 1..=3 {
+                store.publish(Arc::clone(&snapshot), revision);
+            }
+        }
+        assert_eq!(store.load().1, 3);
+        let stable = obs.registry().expose(true);
+        assert!(
+            stable.contains("rctree_phase_total{phase=\"serve.snapshot_swap\"} 3\n"),
+            "{stable}"
+        );
+    }
 
     #[test]
     fn stats_share_series_with_the_registry() {

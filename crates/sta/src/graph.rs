@@ -29,6 +29,7 @@ use rctree_core::tree::{NodeId, RcTree};
 use rctree_core::units::{Farads, Ohms, Seconds};
 
 use crate::cell::{Cell, CellLibrary};
+use crate::chunk_tree::ChunkTree;
 use crate::error::{Result, StaError};
 use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
 use crate::stage::{
@@ -475,7 +476,7 @@ struct EcoState {
 
 impl EcoState {
     /// Lane `k`'s report against `required_time`, sharing every endpoint
-    /// chunk with the lane's persistent order.
+    /// node with the lane's persistent order.
     fn report(&self, k: usize, required_time: Seconds) -> TimingReport {
         TimingReport {
             threshold: self.threshold,
@@ -506,7 +507,8 @@ struct LaneTiming {
 struct Touched {
     /// Endpoint entries removed plus entries inserted, over all lanes.
     endpoints_moved: u64,
-    /// `Arc`-shared chunks copied before a write.
+    /// `Arc`-shared leaf chunks (endpoint and view leaves) copied before
+    /// a write; node copies are not counted.
     chunks_copied: u64,
 }
 
@@ -1943,14 +1945,15 @@ impl Design {
     /// | edit application (structural) | `O(n_net)` integer re-index |
     /// | dirty-net re-timing | one flat `O(n_net)` stage sweep per corner ([`crate::stage::stage_delay_bounds`]'s kernel) |
     /// | arrival re-propagation | `O(affected fan-out cone)` |
-    /// | endpoint re-filing | `O(log E + B)` per cone endpoint, per lane |
-    /// | report assembly | `O(E/B)` chunk refcount bumps |
+    /// | endpoint re-filing | `O(log E + L + F)` per cone endpoint, per lane |
+    /// | report assembly | `O(E/(L·F))` node refcount bumps |
     ///
-    /// for `E` endpoints held in chunks of at most `B` = 128 (see
-    /// [`Endpoints`]): the persistent endpoint order is updated in place
-    /// for the endpoints the cone walk rewrote, and the returned report
-    /// shares every chunk with it.  An edit copies the net's table first
-    /// (`O(n_net)`) when a published snapshot still shares it.
+    /// for `E` endpoints held in leaves of at most `L` = 32 under nodes of
+    /// at most `F` = 32 leaves (see [`Endpoints`]): the persistent endpoint
+    /// order is updated in place for the endpoints the cone walk rewrote,
+    /// and the returned report shares every node with it.  An edit copies
+    /// the net's table first (`O(n_net)`) when a published snapshot still
+    /// shares it.
     ///
     /// The cone walk re-derives an instance's arrival by folding its
     /// in-edges in the exact order the full pass uses and prunes fan-out
@@ -2641,13 +2644,15 @@ impl NetTiming {
 /// (`rctree-serve`): readers answer every query against one consistent
 /// snapshot while the single writer applies ECO edits and publishes
 /// successors.  [`Design::publish_after_eco`] rebuilds only the dirty
-/// nets' views; the net views (64 per chunk) and every report's endpoints
-/// (at most 128 per chunk) live in `Arc`-shared chunks, and a publish
-/// copies only the chunks its edits touch.  Publishing after a `k`-net
-/// edit therefore costs `O(Σ n_dirty + N/64 + E/128)` for `N` nets and
-/// `E` endpoints per corner — the last two terms are one refcount bump
-/// per chunk — and dropping a superseded snapshot frees only what its
-/// successor replaced.
+/// nets' views.  The net views and every report's endpoints live in
+/// two-level persistent chunk trees — leaves of at most `L` = 32 under
+/// nodes of at most `F` = 32 leaves, both `Arc`-shared — and a publish
+/// copies only the node and the leaf each write touches.  Publishing after
+/// a `k`-net edit therefore costs `O(Σ n_dirty + N/(L·F) + E/(L·F))` for
+/// `N` nets and `E` endpoints per corner, plus `L + F` refcount bumps per
+/// copied path — the middle terms are one refcount bump per node — and
+/// dropping a superseded snapshot frees only the paths its successor
+/// replaced.
 #[derive(Debug, Clone)]
 pub struct DesignSnapshot {
     /// Process-unique id; `publish_after_eco` reuses `prev`'s views only
@@ -2677,74 +2682,13 @@ pub struct DesignSnapshot {
     seed: Option<Arc<SymbolicAnalysis>>,
 }
 
-/// Net views per chunk of a [`DesignSnapshot`]'s view vector.
-const VIEW_CHUNK: usize = 64;
-
-/// A snapshot's per-net views in net order, in `Arc`-shared chunks of
-/// [`VIEW_CHUNK`]: cloning bumps one refcount per chunk, and replacing a
-/// view copies only its chunk.
-#[derive(Debug, Clone, Default)]
-struct NetViews {
-    chunks: Vec<Arc<Vec<Arc<NetTiming>>>>,
-    len: usize,
-}
-
-impl NetViews {
-    fn new(views: impl IntoIterator<Item = Arc<NetTiming>>) -> NetViews {
-        let mut out = NetViews::default();
-        let mut run = Vec::with_capacity(VIEW_CHUNK);
-        for view in views {
-            run.push(view);
-            out.len += 1;
-            if run.len() == VIEW_CHUNK {
-                let full = std::mem::replace(&mut run, Vec::with_capacity(VIEW_CHUNK));
-                out.chunks.push(Arc::new(full));
-            }
-        }
-        if !run.is_empty() {
-            out.chunks.push(Arc::new(run));
-        }
-        out
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn get(&self, index: usize) -> &Arc<NetTiming> {
-        &self.chunks[index / VIEW_CHUNK][index % VIEW_CHUNK]
-    }
-
-    /// Indices whose view is not the same allocation as in `old` (a vector
-    /// of the same length); a chunk the two share is skipped whole.
-    fn changed_since(&self, old: &NetViews) -> Vec<usize> {
-        let mut changed = Vec::new();
-        for (c, (new, old)) in self.chunks.iter().zip(&old.chunks).enumerate() {
-            if Arc::ptr_eq(new, old) {
-                continue;
-            }
-            for (k, (a, b)) in new.iter().zip(old.iter()).enumerate() {
-                if !Arc::ptr_eq(a, b) {
-                    changed.push(c * VIEW_CHUNK + k);
-                }
-            }
-        }
-        changed
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Arc<NetTiming>> {
-        self.chunks.iter().flat_map(|chunk| chunk.iter())
-    }
-
-    /// Replaces view `index`; returns whether its chunk had to be copied
-    /// (it was shared with another snapshot).
-    fn set(&mut self, index: usize, view: Arc<NetTiming>) -> bool {
-        let chunk = &mut self.chunks[index / VIEW_CHUNK];
-        let copied = Arc::get_mut(chunk).is_none();
-        Arc::make_mut(chunk)[index % VIEW_CHUNK] = view;
-        copied
-    }
-}
+/// A snapshot's per-net views in net order, as a two-level persistent
+/// chunk tree addressed by position: views in `Arc`-shared leaves of 32
+/// under `Arc`-shared nodes of 32 leaves.  Cloning bumps one refcount per
+/// node, replacing a view copies only its node and leaf, and
+/// [`ChunkTree::changed_since`] skips the nodes, then the leaves, two
+/// versions share.
+type NetViews = ChunkTree<Arc<NetTiming>>;
 
 /// Per-corner views of a [`DesignSnapshot`] over a multi-corner design:
 /// the corner names and one full report per corner, in lane order.  Index
@@ -2752,7 +2696,8 @@ impl NetViews {
 /// [`DesignSnapshot::report`] (the same `Arc`).
 #[derive(Debug, Clone)]
 pub struct SnapshotCorners {
-    names: Vec<String>,
+    /// Shared by every snapshot a publish derives from this one.
+    names: Arc<[String]>,
     reports: Vec<Arc<TimingReport>>,
 }
 
@@ -2832,7 +2777,8 @@ impl DesignSnapshot {
     /// Looks up one net's timing view by name.
     pub fn net(&self, name: &str) -> Option<&NetTiming> {
         let id = self.names.get(name)?;
-        self.net_index.get(&id).map(|&i| &**self.nets.get(i))
+        let view = self.nets.get(*self.net_index.get(&id)?)?;
+        Some(&**view)
     }
 
     /// Number of nets in the snapshot.
@@ -2917,7 +2863,8 @@ impl DesignSnapshot {
             Some((seed, views)) => {
                 let mut swept = Vec::new();
                 for net in self.nets.changed_since(views) {
-                    swept.push((net, sweep(self.nets.get(net))?));
+                    let view = self.nets.get(net).expect("a changed view is in range");
+                    swept.push((net, sweep(view)?));
                 }
                 let nets_swept = swept.len();
                 let (lane, cone_ranks) = seed.rebuilt(swept, self.required_time, self.nets.clone());
@@ -2972,7 +2919,7 @@ impl Design {
     /// publishes the successor snapshot, rebuilding only the **dirty**
     /// nets' [`NetTiming`] views; every untouched net's view (and the
     /// name index) is reused from `prev` by `Arc`, and only the view and
-    /// endpoint chunks the edits touch are copied.
+    /// endpoint nodes and leaves the edits touch are copied.
     ///
     /// Reuse happens only when `prev` is this design's **latest published
     /// snapshot** at the same threshold (checked via a process-unique
@@ -3027,7 +2974,7 @@ impl Design {
     /// Builds a snapshot from the warm ECO state, reusing `prev`'s views
     /// for every net not listed in `dirty` when `prev` is given, and
     /// seeding its symbolic lane from `prev`'s.  Returns it with the number
-    /// of view chunks copied.
+    /// of view leaves copied.
     fn snapshot_from_state(
         &self,
         required_time: Seconds,
@@ -3072,12 +3019,12 @@ impl Design {
             Some(prev) => {
                 let mut nets = prev.nets.clone();
                 for &idx in dirty {
-                    copied += u64::from(nets.set(idx, net_timing(idx)));
+                    copied += nets.set(idx, net_timing(idx)) as u64;
                 }
                 (nets, Arc::clone(&prev.names), Arc::clone(&prev.net_index))
             }
             None => (
-                NetViews::new((0..self.shared.nets.len()).map(net_timing)),
+                (0..self.shared.nets.len()).map(net_timing).collect(),
                 Arc::new(self.shared.names.clone()),
                 Arc::new(self.shared.net_index.clone()),
             ),
@@ -3087,11 +3034,13 @@ impl Design {
             .collect();
         let report = Arc::clone(&reports[0]);
         let corners = (reports.len() > 1).then(|| {
-            let set = self.shared.corner_set();
-            Arc::new(SnapshotCorners {
-                names: set.corners().iter().map(|c| c.name.clone()).collect(),
-                reports,
-            })
+            // A reused `prev` has the same corner set: installing corners
+            // resets the published id.
+            let names = match prev.and_then(|p| p.corners.as_deref()) {
+                Some(prev) => Arc::clone(&prev.names),
+                None => set.corners().iter().map(|c| c.name.clone()).collect(),
+            };
+            Arc::new(SnapshotCorners { names, reports })
         });
         let snapshot = DesignSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
@@ -3788,12 +3737,13 @@ mod tests {
         assert_eq!(snap1.report(), &d.analyze(0.5, budget).unwrap());
         // Untouched nets' views are the same allocations; the dirty net's
         // is fresh and reflects the edit.
+        let view = |snap: &DesignSnapshot, i: usize| Arc::clone(snap.nets.get(i).unwrap());
         assert!(Arc::ptr_eq(
-            snap0.nets.get(0), // n_in
-            snap1.nets.get(0)
+            &view(&snap0, 0), // n_in
+            &view(&snap1, 0)
         ));
-        assert!(Arc::ptr_eq(snap0.nets.get(1), snap1.nets.get(1)));
-        assert!(!Arc::ptr_eq(snap0.nets.get(2), snap1.nets.get(2)));
+        assert!(Arc::ptr_eq(&view(&snap0, 1), &view(&snap1, 1)));
+        assert!(!Arc::ptr_eq(&view(&snap0, 2), &view(&snap1, 2)));
         let before = snap0.net("n_out").unwrap().sinks()[0].upper;
         let after = snap1.net("n_out").unwrap().sinks()[0].upper;
         assert!(after > before);
@@ -3817,6 +3767,62 @@ mod tests {
         let warm = d.publish_after_eco(&[], 0.7, budget, 1, &snap1).unwrap();
         assert_eq!(warm.threshold(), 0.7);
         assert_eq!(warm.report(), &d.analyze(0.7, budget).unwrap());
+
+        // Views over more than one node: 600 identical deck nets and their
+        // feeders, 1200 views.  Re-capping a deck net in the second node
+        // copies one view node and one view leaf, and every other view
+        // stays the predecessor's.
+        use crate::chunk_tree::{LEAF, NODE};
+        let mut b = RcTreeBuilder::new();
+        let n = b
+            .add_line(
+                b.input(),
+                "load",
+                Ohms::new(100.0),
+                Farads::from_femto(10.0),
+            )
+            .unwrap();
+        b.add_capacitance(n, Farads::from_femto(20.0)).unwrap();
+        b.mark_output(n).unwrap();
+        let tree = b.build().unwrap();
+        let deck = (0..600).map(|i| (format!("w{i}"), tree.clone()));
+        let mut d = Design::from_extracted(CellLibrary::nmos_1981(), "inv_4x", deck).unwrap();
+        let snap0 = d.publish(0.5, budget, 1).unwrap();
+        assert!(snap0.net_count() > LEAF * NODE);
+        let idx = snap0.net_names().position(|n| n == "w550").unwrap();
+        assert!(idx >= LEAF * NODE, "w550 is view {idx}");
+        let edit = EcoEdit {
+            net: "w550".into(),
+            kind: EcoEditKind::SetCap {
+                node: "load".into(),
+                cap: Farads::from_femto(1.0),
+            },
+        };
+        let obs = rctree_obs::Obs::new(rctree_obs::ObsConfig::default());
+        let snap1 = {
+            let _scope = obs.enter();
+            d.publish_after_eco(std::slice::from_ref(&edit), 0.5, budget, 1, &snap0)
+                .unwrap()
+        };
+        assert_eq!(snap1.report(), &d.analyze(0.5, budget).unwrap());
+        for i in (0..snap0.net_count()).filter(|&i| i != idx) {
+            assert!(Arc::ptr_eq(&view(&snap0, i), &view(&snap1, i)), "view {i}");
+        }
+        assert!(!Arc::ptr_eq(&view(&snap0, idx), &view(&snap1, idx)));
+        assert_eq!(snap1.nets.changed_since(&snap0.nets), vec![idx]);
+        assert_eq!(snap1.nets.unshared_with(&snap0.nets), (1, 1));
+        // The lighter endpoint leaves its full leaf for the end of the
+        // order, the partly filled last leaf: two endpoint leaves and the
+        // view leaf are copied.
+        let endpoints = &snap1.report().endpoints;
+        assert_eq!(endpoints[endpoints.len() - 1].name.as_ref(), "w550/load");
+        let stable = obs.registry().expose(true);
+        assert!(
+            stable.contains(
+                "rctree_phase_attr_sum{attr=\"chunks_copied\",phase=\"sta.publish\"} 3\n"
+            ),
+            "{stable}"
+        );
     }
 
     #[test]

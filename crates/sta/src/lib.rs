@@ -101,6 +101,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cell;
+mod chunk_tree;
 pub mod error;
 pub mod graph;
 pub mod report;

@@ -2,19 +2,23 @@
 //!
 //! A [`TimingReport`] lists every endpoint sorted by descending worst
 //! arrival (`arrival.max`, compared with `f64::total_cmp`), ties in net
-//! order.  The list is an [`Endpoints`] sequence: entries live in
-//! `Arc`-shared chunks of at most 128, so cloning a report costs one
-//! refcount bump per chunk, and an incremental update re-files single
-//! entries by key, copying only the chunks it touches (copy-on-write through
-//! `Arc::make_mut`; a copy bumps the refcounts of the chunk's `Arc`-shared
-//! endpoints).  Every chunk caches the largest `arrival.min` of its
-//! entries, so [`TimingReport::slack_interval`] and
-//! [`TimingReport::certification_against`] visit chunks instead of
-//! endpoints.
+//! order.  The list is an [`Endpoints`] sequence, a two-level persistent
+//! chunk tree: entries live in `Arc`-shared leaves of at most 32 under
+//! `Arc`-shared nodes of at most 32 leaves.  Cloning a report costs one
+//! refcount bump per node, `O(E/(L·F))` for `E` endpoints in leaves of `L`
+//! under nodes of `F`, and an incremental update re-files single entries
+//! by key, copying (`Arc::make_mut`) only the node and the leaf it writes
+//! when another report shares them: `F` refcount bumps for the node, `L`
+//! for the leaf's `Arc`-shared endpoints.  Each node and leaf is cached in
+//! its parent with its entry count, its last key and the largest
+//! `arrival.min` of its entries, so finding an entry binary-searches the
+//! nodes, then one node's leaves, and [`TimingReport::slack_interval`] and
+//! [`TimingReport::certification_against`] read node caches before leaf
+//! caches before endpoints.
 //!
 //! Rendering ([`TimingReport`]'s `Display`) writes each endpoint line piece
 //! by piece, with no per-line string.  A large report renders in *runs* of
-//! 32 whole chunks on the global pool with [`rctree_par::default_jobs`]
+//! four whole nodes on the global pool with [`rctree_par::default_jobs`]
 //! workers, in rounds of at most two runs per worker written out in report
 //! order, so the buffered text stays a few MB however large the report.
 //! The bytes are those of the serial rendering for every worker count.
@@ -27,16 +31,7 @@ use std::sync::Arc;
 use rctree_core::cert::Certification;
 use rctree_core::units::Seconds;
 
-/// Most entries one [`Endpoints`] chunk holds; an insert into a full chunk
-/// splits it in half.  Larger chunks make report clones and drops cheaper
-/// and each copy-on-write dearer; of 64, 128 and 256, 128 gave the
-/// cheapest one-edit publish on a 2e4-net, ~89k-endpoint design.
-const CHUNK: usize = 128;
-
-/// A chunk that a removal leaves smaller than this merges into a neighbour
-/// when the pair fits in one chunk, which keeps the chunk count `O(E/B)`
-/// under any update stream.
-const CHUNK_MIN: usize = CHUNK / 4;
+use crate::chunk_tree::{self, ChunkTree, Summary};
 
 /// An arrival-time interval propagated through the graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,12 +68,13 @@ pub struct EndpointTiming {
     pub critical_path: Arc<Vec<String>>,
 }
 
-/// One filed endpoint: its key — worst arrival plus the tie key that
-/// orders equal worst arrivals — and the shared timing, so copying a chunk
-/// bumps refcounts instead of cloning names.
+/// One filed endpoint: its arrival window and tie key inline — the key is
+/// worst arrival plus the tie key that orders equal worst arrivals, and a
+/// leaf's caches are recomputed from the inline windows — and the shared
+/// timing, so copying a leaf bumps refcounts instead of cloning names.
 #[derive(Debug, Clone)]
 struct Entry {
-    max: Seconds,
+    arrival: ArrivalWindow,
     tie: u64,
     timing: Arc<EndpointTiming>,
 }
@@ -86,15 +82,14 @@ struct Entry {
 impl Entry {
     fn new(tie: u64, timing: Arc<EndpointTiming>) -> Entry {
         Entry {
-            max: timing.arrival.max,
+            arrival: timing.arrival,
             tie,
             timing,
         }
     }
 
-    /// Report order of this entry against the key `(max, tie)`.
-    fn cmp_key(&self, max: Seconds, tie: u64) -> Ordering {
-        key_order((self.max, self.tie), (max, tie))
+    fn key(&self) -> (Seconds, u64) {
+        (self.arrival.max, self.tie)
     }
 }
 
@@ -104,31 +99,33 @@ fn key_order(a: (Seconds, u64), b: (Seconds, u64)) -> Ordering {
     b.0.value().total_cmp(&a.0.value()).then(a.1.cmp(&b.1))
 }
 
-/// A non-empty run of consecutive entries.
-#[derive(Debug, Clone)]
-struct Chunk {
-    entries: Vec<Entry>,
-    /// Largest `arrival.min` over `entries`.
+/// What a node or leaf caches about its entries.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Reach {
+    /// Largest `arrival.min` of the entries.
     max_min: Seconds,
+    /// Key of the last entry in report order: the run's smallest worst
+    /// arrival.
+    last: (Seconds, u64),
 }
 
-impl Chunk {
-    fn new(entries: Vec<Entry>) -> Chunk {
-        let max_min = max_min(&entries);
-        Chunk { entries, max_min }
+impl Summary<Entry> for Reach {
+    fn of(entries: &[Entry]) -> Reach {
+        let (first, rest) = entries.split_first().expect("leaves are never empty");
+        Reach {
+            max_min: rest
+                .iter()
+                .fold(first.arrival.min, |m, e| later(m, e.arrival.min)),
+            last: entries[entries.len() - 1].key(),
+        }
     }
 
-    fn last(&self) -> &Entry {
-        self.entries.last().expect("chunks are never empty")
+    fn join(self, next: Reach) -> Reach {
+        Reach {
+            max_min: later(self.max_min, next.max_min),
+            last: next.last,
+        }
     }
-}
-
-/// The largest `arrival.min` of a non-empty entry run.
-fn max_min(entries: &[Entry]) -> Seconds {
-    let first = entries[0].timing.arrival.min;
-    entries[1..]
-        .iter()
-        .fold(first, |m, e| later(m, e.timing.arrival.min))
 }
 
 /// The later of two arrivals, keeping `a` on a tie.
@@ -149,13 +146,15 @@ fn later(a: Seconds, b: Seconds) -> Seconds {
 /// iterator sorts it stably into report order, so equal worst arrivals keep
 /// their input order.
 ///
-/// Cloning is `O(E/B)` refcount bumps for `E` endpoints in chunks of at
-/// most `B` = 128; positional [`Endpoints::get`] walks the chunk list, so it
-/// is `O(E/B)` as well.  [`Endpoints::first`] is `O(1)`.
+/// The entries sit in two levels of `Arc`-shared chunks: leaves of at most
+/// `L` = 32 entries under nodes of at most `F` = 32 leaves.  Cloning is
+/// `O(E/(L·F))` refcount bumps for `E` endpoints, one per node; re-filing
+/// an endpoint after a clone copies one node and one leaf.  Positional
+/// [`Endpoints::get`] walks the cached node counts, then one node's leaf
+/// counts, so it is `O(E/(L·F) + F)`.  [`Endpoints::first`] is `O(1)`.
 #[derive(Clone, Default)]
 pub struct Endpoints {
-    chunks: Vec<Arc<Chunk>>,
-    len: usize,
+    tree: ChunkTree<Entry, Reach>,
 }
 
 impl Endpoints {
@@ -169,121 +168,110 @@ impl Endpoints {
         entries.sort_unstable_by(|(ta, a), (tb, b)| {
             key_order((a.arrival.max, *ta), (b.arrival.max, *tb))
         });
-        Endpoints::from_sorted(
-            entries
-                .into_iter()
-                .map(|(tie, timing)| Entry::new(tie, Arc::new(timing))),
-        )
-    }
-
-    /// Cuts entries already in report order into chunks.
-    fn from_sorted(entries: impl ExactSizeIterator<Item = Entry>) -> Endpoints {
-        let len = entries.len();
-        let mut chunks = Vec::with_capacity(len.div_ceil(CHUNK));
-        let mut run = Vec::with_capacity(CHUNK.min(len));
-        for entry in entries {
-            run.push(entry);
-            if run.len() == CHUNK {
-                let full = std::mem::replace(&mut run, Vec::with_capacity(CHUNK));
-                chunks.push(Arc::new(Chunk::new(full)));
-            }
-        }
-        if !run.is_empty() {
-            chunks.push(Arc::new(Chunk::new(run)));
-        }
-        Endpoints { chunks, len }
+        let tree = entries
+            .into_iter()
+            .map(|(tie, timing)| Entry::new(tie, Arc::new(timing)))
+            .collect();
+        Endpoints { tree }
     }
 
     /// Number of endpoints.
     pub fn len(&self) -> usize {
-        self.len
+        self.tree.len()
     }
 
     /// Whether there are no endpoints.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.tree.len() == 0
     }
 
     /// The endpoint with the latest worst arrival, `None` when empty.
     pub fn first(&self) -> Option<&EndpointTiming> {
-        self.chunks.first().map(|c| &*c.entries[0].timing)
+        self.get(0)
     }
 
     /// The endpoint at report position `index`, `None` when out of range.
-    pub fn get(&self, mut index: usize) -> Option<&EndpointTiming> {
-        for chunk in &self.chunks {
-            match chunk.entries.get(index) {
-                Some(entry) => return Some(&*entry.timing),
-                None => index -= chunk.entries.len(),
-            }
-        }
-        None
+    pub fn get(&self, index: usize) -> Option<&EndpointTiming> {
+        self.tree.get(index).map(|e| &*e.timing)
     }
 
     /// The endpoints in report order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
-            chunks: self.chunks.iter(),
-            entries: Default::default(),
-            remaining: self.len,
+            entries: self.tree.iter(),
         }
     }
 
-    /// The largest `arrival.min` over all endpoints, from the chunk caches.
+    /// The largest `arrival.min` over all endpoints, from the node caches.
     fn max_min(&self) -> Option<Seconds> {
-        self.chunks.iter().map(|c| c.max_min).reduce(later)
+        self.tree.summary().map(|reach| reach.max_min)
     }
 
     /// The conjunction over every endpoint of its verdict against
     /// `required`.  In report order the endpoints that meet the budget form
-    /// a suffix, so only the chunks before it are visited, and a chunk
-    /// wholly past the budget is decided by its cached `arrival.min`.
+    /// a suffix, so only the nodes and leaves before it are visited, and a
+    /// node or leaf wholly past the budget is decided by its cached
+    /// `arrival.min` maximum.
     fn certification_against(&self, required: Seconds) -> Certification {
-        let mut verdict = Certification::Pass;
-        for chunk in &self.chunks {
-            if chunk.entries[0].max <= required {
-                break;
-            }
-            if chunk.last().max > required {
-                // Every entry misses the budget; one fails outright exactly
-                // when the chunk's latest earliest-arrival does.
-                if chunk.max_min > required {
-                    return Certification::Fail;
+        // Every entry of a run whose last entry misses the budget misses
+        // it too; one fails outright exactly when the run's latest
+        // earliest-arrival does.
+        let whole = |reach: Reach| {
+            (reach.last.0 > required).then(|| {
+                if reach.max_min > required {
+                    Certification::Fail
+                } else {
+                    Certification::Indeterminate
                 }
-                verdict = Certification::Indeterminate;
+            })
+        };
+        let mut verdict = Certification::Pass;
+        for (node, leaves) in self.tree.nodes() {
+            if let Some(v) = whole(node) {
+                verdict = verdict.and(v);
+                if verdict == Certification::Fail {
+                    return verdict;
+                }
                 continue;
             }
-            for entry in &chunk.entries {
-                let arrival = entry.timing.arrival;
-                if arrival.max <= required {
-                    break;
+            for (leaf, entries) in leaves {
+                if let Some(v) = whole(leaf) {
+                    verdict = verdict.and(v);
+                    if verdict == Certification::Fail {
+                        return verdict;
+                    }
+                    continue;
                 }
-                if arrival.min > required {
-                    return Certification::Fail;
+                // This leaf's last entry meets the budget, so the scan
+                // reaches the suffix here.
+                for entry in entries {
+                    if entry.arrival.max <= required {
+                        return verdict;
+                    }
+                    if entry.arrival.min > required {
+                        return Certification::Fail;
+                    }
+                    verdict = Certification::Indeterminate;
                 }
-                verdict = Certification::Indeterminate;
             }
-            break;
         }
         verdict
     }
 
-    /// Chunk `index` for writing, and whether it had to be copied first
-    /// (it was shared with another report).
-    fn chunk_mut(&mut self, index: usize) -> (&mut Chunk, usize) {
-        let copied = usize::from(Arc::get_mut(&mut self.chunks[index]).is_none());
-        (Arc::make_mut(&mut self.chunks[index]), copied)
+    /// The leaf that holds, or would hold, `key`, and the entry's offset
+    /// in it (`Err` when not filed).
+    fn find(&self, key: (Seconds, u64)) -> ((usize, usize), Result<usize, usize>) {
+        let at = self
+            .tree
+            .locate(|reach| key_order(reach.last, key) == Ordering::Less);
+        let pos = self
+            .tree
+            .leaf(at)
+            .binary_search_by(|e| key_order(e.key(), key));
+        (at, pos)
     }
 
-    /// Index of the chunk that holds, or would hold, the key `(max, tie)`:
-    /// the first whose last entry does not sort before it (`chunks.len()`
-    /// when every entry does).
-    fn chunk_of(&self, max: Seconds, tie: u64) -> usize {
-        self.chunks
-            .partition_point(|c| c.last().cmp_key(max, tie) == Ordering::Less)
-    }
-
-    /// Files `timing` under tie key `tie`.  Returns the number of chunks
+    /// Files `timing` under tie key `tie`.  Returns the number of leaves
     /// copied.
     ///
     /// # Panics
@@ -292,122 +280,59 @@ impl Endpoints {
     /// invariant: tie keys are unique).
     pub(crate) fn insert(&mut self, tie: u64, timing: EndpointTiming) -> usize {
         let entry = Entry::new(tie, Arc::new(timing));
-        if self.chunks.is_empty() {
-            self.chunks.push(Arc::new(Chunk::new(vec![entry])));
-            self.len = 1;
-            return 0;
+        match self.find(entry.key()) {
+            (_, Ok(_)) => panic!("endpoint tie key {tie} filed twice"),
+            (at, Err(pos)) => self.tree.insert(at, pos, entry),
         }
-        let max = entry.max;
-        let index = self.chunk_of(max, tie).min(self.chunks.len() - 1);
-        let (chunk, copied) = self.chunk_mut(index);
-        let at = match chunk.entries.binary_search_by(|e| e.cmp_key(max, tie)) {
-            Ok(_) => panic!("endpoint tie key {tie} filed twice"),
-            Err(at) => at,
-        };
-        chunk.max_min = later(chunk.max_min, entry.timing.arrival.min);
-        chunk.entries.insert(at, entry);
-        if chunk.entries.len() > CHUNK {
-            let tail = chunk.entries.split_off(chunk.entries.len() / 2);
-            chunk.max_min = max_min(&chunk.entries);
-            self.chunks.insert(index + 1, Arc::new(Chunk::new(tail)));
-        }
-        self.len += 1;
-        copied
     }
 
     /// Removes the entry filed under `(max, tie)`.  Returns the number of
-    /// chunks copied.
+    /// leaves copied.
     ///
     /// # Panics
     ///
     /// When no entry is filed under that key (a broken caller invariant:
     /// callers remove exactly the keys they inserted).
     pub(crate) fn remove(&mut self, tie: u64, max: Seconds) -> usize {
-        let index = self.chunk_of(max, tie);
-        assert!(
-            index < self.chunks.len(),
-            "endpoint tie key {tie} not filed"
-        );
-        let (chunk, mut copied) = self.chunk_mut(index);
-        let at = chunk
-            .entries
-            .binary_search_by(|e| e.cmp_key(max, tie))
-            .unwrap_or_else(|_| panic!("endpoint tie key {tie} not filed"));
-        let gone = chunk.entries.remove(at);
-        let left = chunk.entries.len();
-        if left > 0 && gone.timing.arrival.min >= chunk.max_min {
-            chunk.max_min = max_min(&chunk.entries);
+        match self.find((max, tie)) {
+            (at, Ok(pos)) => self.tree.remove(at, pos).1,
+            (_, Err(_)) => panic!("endpoint tie key {tie} not filed"),
         }
-        self.len -= 1;
-        if left == 0 {
-            self.chunks.remove(index);
-        } else if left < CHUNK_MIN {
-            copied += self.merge_small(index);
-        }
-        copied
     }
 
-    /// Merges the undersized chunk `index` with its smaller neighbour when
-    /// the pair fits in one chunk.  Returns the number of chunks copied.
-    fn merge_small(&mut self, index: usize) -> usize {
-        let size = |i: usize| self.chunks.get(i).map_or(usize::MAX, |c| c.entries.len());
-        let neighbour = match index.checked_sub(1) {
-            Some(left) if size(left) <= size(index + 1) => left,
-            _ => index + 1,
-        };
-        if size(neighbour).saturating_add(size(index)) > CHUNK {
-            return 0;
-        }
-        let (left, right) = (index.min(neighbour), index.max(neighbour));
-        let right = self.chunks.remove(right);
-        let (tail, mut copied) = match Arc::try_unwrap(right) {
-            Ok(chunk) => (chunk, 0),
-            Err(shared) => ((*shared).clone(), 1),
-        };
-        let (chunk, c) = self.chunk_mut(left);
-        copied += c;
-        chunk.max_min = later(chunk.max_min, tail.max_min);
-        chunk.entries.extend(tail.entries);
-        copied
-    }
-
-    /// Asserts the structural invariants: no empty or oversize chunk, keys
-    /// strictly increasing in report order, every cached `arrival.min`
-    /// maximum equal to a recomputation, and `len` equal to the entry count.
+    /// Asserts the structural invariants: the tree's (no empty or oversize
+    /// leaf or node, every cached count and summary equal to one rebuilt
+    /// from its children), every node's cached last key and `arrival.min`
+    /// maximum equal to one rebuilt from its entries, every entry's inline
+    /// window equal to its timing's, and keys strictly increasing in
+    /// report order.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
-        let mut count = 0;
-        let mut prev: Option<&Entry> = None;
-        for chunk in &self.chunks {
-            assert!(!chunk.entries.is_empty(), "empty chunk");
-            assert!(chunk.entries.len() <= CHUNK, "oversize chunk");
-            assert_eq!(chunk.max_min, max_min(&chunk.entries), "stale max_min");
-            for entry in &chunk.entries {
-                assert_eq!(entry.max, entry.timing.arrival.max, "stale key");
-                if let Some(p) = prev {
-                    assert_eq!(
-                        p.cmp_key(entry.max, entry.tie),
-                        Ordering::Less,
-                        "keys out of order"
-                    );
-                }
-                prev = Some(entry);
-                count += 1;
-            }
+        self.tree.check_invariants();
+        // A node's cache rebuilt from its entries, not from its leaves'
+        // caches.
+        for (node, leaves) in self.tree.nodes() {
+            let entries: Vec<Entry> = leaves.flat_map(|(_, e)| e.iter().cloned()).collect();
+            assert_eq!(node, Reach::of(&entries), "stale node cache");
         }
-        assert_eq!(count, self.len, "len out of sync");
-    }
-
-    /// Number of chunks.
-    #[cfg(test)]
-    pub(crate) fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        let mut prev: Option<&Entry> = None;
+        for entry in self.tree.iter() {
+            assert_eq!(entry.arrival, entry.timing.arrival, "stale window");
+            if let Some(p) = prev {
+                assert_eq!(
+                    key_order(p.key(), entry.key()),
+                    Ordering::Less,
+                    "keys out of order"
+                );
+            }
+            prev = Some(entry);
+        }
     }
 }
 
 impl PartialEq for Endpoints {
     fn eq(&self, other: &Endpoints) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
@@ -433,7 +358,7 @@ impl Index<usize> for Endpoints {
             Some(timing) => timing,
             None => panic!(
                 "endpoint index {index} out of range for {} endpoints",
-                self.len
+                self.len()
             ),
         }
     }
@@ -451,26 +376,18 @@ impl<'a> IntoIterator for &'a Endpoints {
 /// Iterator over [`Endpoints`] in report order.
 #[derive(Debug, Clone)]
 pub struct Iter<'a> {
-    chunks: std::slice::Iter<'a, Arc<Chunk>>,
-    entries: std::slice::Iter<'a, Entry>,
-    remaining: usize,
+    entries: chunk_tree::Iter<'a, Entry, Reach>,
 }
 
 impl<'a> Iterator for Iter<'a> {
     type Item = &'a EndpointTiming;
 
     fn next(&mut self) -> Option<&'a EndpointTiming> {
-        loop {
-            if let Some(entry) = self.entries.next() {
-                self.remaining -= 1;
-                return Some(&*entry.timing);
-            }
-            self.entries = self.chunks.next()?.entries.iter();
-        }
+        self.entries.next().map(|e| &*e.timing)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        self.entries.size_hint()
     }
 }
 
@@ -571,19 +488,19 @@ impl TimingReport {
         let mut all = Vec::new();
         for part in iter {
             debug_assert_eq!(part.threshold, first.threshold, "mixed-threshold compose");
-            for chunk in &part.endpoints.chunks {
-                all.extend(chunk.entries.iter().map(|e| Arc::clone(&e.timing)));
-            }
+            all.extend(part.endpoints.tree.iter().map(|e| Arc::clone(&e.timing)));
         }
         let mut entries: Vec<Entry> = (0u64..)
             .zip(all)
             .map(|(tie, t)| Entry::new(tie, t))
             .collect();
-        entries.sort_unstable_by(|a, b| a.cmp_key(b.max, b.tie));
+        entries.sort_unstable_by(|a, b| key_order(a.key(), b.key()));
         TimingReport {
             threshold: first.threshold,
             required_time: first.required_time,
-            endpoints: Endpoints::from_sorted(entries.into_iter()),
+            endpoints: Endpoints {
+                tree: entries.into_iter().collect(),
+            },
         }
     }
 
@@ -615,15 +532,15 @@ impl TimingReport {
     }
 }
 
-/// Chunks per rendering run: 32 chunks of at most [`CHUNK`] endpoints,
-/// 4,096 endpoint lines or ≈420 KB of text on a generated deck.
-const RUN_CHUNKS: usize = 32;
+/// Nodes per rendering run: four nodes of at most 32 leaves of at most 32
+/// endpoints, 4,096 endpoint lines or ≈420 KB of text on a generated deck.
+const RUN_NODES: usize = 4;
 
 impl Endpoints {
-    /// Number of rendering runs: whole runs of [`RUN_CHUNKS`] chunks, the
+    /// Number of rendering runs: whole runs of [`RUN_NODES`] nodes, the
     /// last one possibly shorter.
     fn runs(&self) -> usize {
-        self.chunks.len().div_ceil(RUN_CHUNKS)
+        self.tree.node_count().div_ceil(RUN_NODES)
     }
 
     /// Writes every endpoint line in report order (see
@@ -633,14 +550,15 @@ impl Endpoints {
         if jobs < 2 || runs < 2 * jobs {
             return self.iter().try_for_each(|e| write_line(out, e));
         }
-        let chunks = Arc::new(self.chunks.clone());
+        // The pool shares a clone of the node list: one refcount per node.
+        let tree = Arc::new(self.tree.clone());
         for first in (0..runs).step_by(2 * jobs) {
             let count = (2 * jobs).min(runs - first);
             let texts = rctree_par::par_map_global(
                 jobs.min(count / 2).max(1),
-                Arc::clone(&chunks),
+                Arc::clone(&tree),
                 count,
-                move |i, chunks: &Vec<Arc<Chunk>>| render_run(chunks, first + i),
+                move |i, tree: &ChunkTree<Entry, Reach>| render_run(tree, first + i),
             );
             for text in texts {
                 out.write_str(&text?)?;
@@ -650,14 +568,12 @@ impl Endpoints {
     }
 }
 
-/// The endpoint lines of run `run` of `chunks`.
-fn render_run(chunks: &[Arc<Chunk>], run: usize) -> Result<String, fmt::Error> {
-    let start = run * RUN_CHUNKS;
+/// The endpoint lines of run `run` of `tree`.
+fn render_run(tree: &ChunkTree<Entry, Reach>, run: usize) -> Result<String, fmt::Error> {
+    let start = run * RUN_NODES;
     let mut text = String::new();
-    for chunk in &chunks[start..(start + RUN_CHUNKS).min(chunks.len())] {
-        for entry in &chunk.entries {
-            write_line(&mut text, &entry.timing)?;
-        }
+    for entry in tree.iter_nodes(start..(start + RUN_NODES).min(tree.node_count())) {
+        write_line(&mut text, &entry.timing)?;
     }
     Ok(text)
 }
@@ -712,77 +628,118 @@ mod tests {
         }
     }
 
-    /// The reference model: `(tie, timing)` pairs kept sorted by a full
-    /// stable sort after every change.
-    fn sorted(model: &[(u64, EndpointTiming)]) -> Vec<EndpointTiming> {
-        let mut v = model.to_vec();
-        v.sort_by_key(|(tie, _)| *tie);
-        v.sort_by(|(_, a), (_, b)| b.arrival.max.value().total_cmp(&a.arrival.max.value()));
-        v.into_iter().map(|(_, t)| t).collect()
-    }
-
     /// Worst arrivals drawn from a handful of values, so most keys tie.
     fn arrival(rng: &mut Rng) -> (f64, f64) {
         let max = 1.0 + rng.index(6) as f64;
         (max - rng.range_f64(0.0, 1.5), max)
     }
 
+    /// An order's entries as `(worst arrival, tie key, earliest arrival)`.
+    fn keys(order: &Endpoints) -> Vec<(Seconds, u64, Seconds)> {
+        order
+            .tree
+            .iter()
+            .map(|e| (e.arrival.max, e.tie, e.timing.arrival.min))
+            .collect()
+    }
+
+    /// An order under random inserts and removes, beside the reference
+    /// model: its `(max, tie, min)` keys kept sorted in report order.
+    struct Churn {
+        rng: Rng,
+        order: Endpoints,
+        model: Vec<(Seconds, u64, Seconds)>,
+        next_tie: u64,
+    }
+
+    impl Churn {
+        /// Files a fresh endpoint when `grow`, else removes a random one,
+        /// while holding the last version; then checks both levels'
+        /// invariants, the order against the model, and that the held
+        /// version still reads as it did.
+        fn step(&mut self, grow: bool) {
+            let prev = self.order.clone();
+            let prev_model = self.model.clone();
+            if grow {
+                let (min, max) = arrival(&mut self.rng);
+                let tie = self.next_tie;
+                self.next_tie += 1;
+                let e = timing(format!("e{tie}"), min, max);
+                let at = self
+                    .model
+                    .binary_search_by(|&(m, t, _)| key_order((m, t), (e.arrival.max, tie)))
+                    .expect_err("tie keys are unique");
+                self.model.insert(at, (e.arrival.max, tie, e.arrival.min));
+                self.order.insert(tie, e);
+            } else {
+                let at = self.rng.index(self.model.len());
+                let (max, tie, _) = self.model.remove(at);
+                self.order.remove(tie, max);
+            }
+            self.order.check_invariants();
+            assert_eq!(keys(&self.order), self.model, "order diverged");
+            assert_eq!(keys(&prev), prev_model, "the held version changed");
+        }
+    }
+
     #[test]
     fn every_insert_and_remove_keeps_the_chunk_invariants() {
-        let mut rng = Rng::from_seed(0x0DE5);
-        let mut order = Endpoints::default();
-        let mut model: Vec<(u64, EndpointTiming)> = Vec::new();
-        let mut next_tie = 0u64;
-        for step in 0..3000 {
-            // Grow towards ~400 entries, then churn around that size.
-            let grow =
-                model.is_empty() || (model.len() < 400 && rng.chance(0.7)) || rng.chance(0.5);
-            if grow {
-                let (min, max) = arrival(&mut rng);
-                let e = timing(format!("e{next_tie}"), min, max);
-                order.insert(next_tie, e.clone());
-                model.push((next_tie, e));
-                next_tie += 1;
-            } else {
-                let (tie, e) = model.swap_remove(rng.index(model.len()));
-                order.remove(tie, e.arrival.max);
-            }
-            order.check_invariants();
-            assert_eq!(order.len(), model.len(), "step {step}");
-            assert!(
-                order.iter().eq(sorted(&model).iter()),
-                "step {step}: order diverged from the stable sort"
-            );
+        use crate::chunk_tree::{LEAF, NODE};
+        let mut churn = Churn {
+            rng: Rng::from_seed(0x0DE5),
+            order: Endpoints::default(),
+            model: Vec::new(),
+            next_tie: 0,
+        };
+        // Grow past three full nodes, so leaves and nodes split, ...
+        while churn.model.len() <= 3 * LEAF * NODE {
+            let grow = churn.model.is_empty() || churn.rng.chance(0.8);
+            churn.step(grow);
         }
-        assert!(order.chunk_count() <= model.len().div_ceil(CHUNK_MIN) + 1);
-        // Draining leaves no chunks behind.
-        for (tie, e) in model.drain(..) {
-            order.remove(tie, e.arrival.max);
-            order.check_invariants();
+        assert!(churn.order.tree.node_count() > 3);
+        // ... churn around that size, ...
+        for _ in 0..1000 {
+            let grow = churn.rng.chance(0.5);
+            churn.step(grow);
         }
-        assert!(order.is_empty());
-        assert_eq!(order.chunk_count(), 0);
+        let (len, tree) = (churn.model.len(), &churn.order.tree);
+        assert!(tree.leaf_count() <= len.div_ceil(LEAF / 4) + tree.node_count());
+        // ... then drain: leaves and nodes merge, and none is left behind.
+        while !churn.model.is_empty() {
+            churn.step(false);
+        }
+        assert!(churn.order.is_empty());
+        assert_eq!(churn.order.tree.node_count(), 0);
+        assert_eq!(churn.order.tree.leaf_count(), 0);
     }
 
     #[test]
     fn writes_copy_only_shared_chunks_and_leave_clones_untouched() {
-        let entries: Vec<EndpointTiming> = (0..10 * CHUNK)
+        use crate::chunk_tree::{LEAF, NODE};
+        let entries: Vec<EndpointTiming> = (0..3 * NODE * LEAF)
             .map(|i| timing(format!("e{i}"), 0.5, 1.0 + (i % 97) as f64))
             .collect();
         let mut order: Endpoints = entries.iter().cloned().collect();
         order.check_invariants();
-        assert_eq!(order.chunk_count(), 10);
+        assert_eq!(order.tree.node_count(), 3);
+        assert_eq!(order.tree.leaf_count(), 3 * NODE);
         let published = order.clone();
         let before = published.iter().cloned().collect::<Vec<_>>();
 
-        // Re-file one endpoint: the first write to a shared chunk copies
-        // it, a second write to the same chunk does not.
-        let e = order.iter().nth(3).expect("entry").clone();
+        // Re-file one endpoint of the second node under its key: the first
+        // write to the shared path copies its node and its leaf, a second
+        // write to the same leaf copies nothing, and every node off the
+        // path stays the clone's.
+        let e = order[NODE * LEAF + 3].clone();
         let tie = entries.iter().position(|x| x.name == e.name).unwrap() as u64;
         assert_eq!(order.remove(tie, e.arrival.max), 1);
-        let moved = timing(e.name.clone(), 0.5, e.arrival.max.value() + 0.25);
+        assert_eq!(order.tree.unshared_with(&published.tree), (1, 1));
+        let moved = timing(e.name.clone(), 0.25, e.arrival.max.value());
         assert_eq!(order.insert(tie, moved), 0);
+        assert_eq!(order.tree.unshared_with(&published.tree), (1, 1));
+        assert_eq!(published.tree.unshared_with(&order.tree), (1, 1));
         order.check_invariants();
+        published.check_invariants();
         assert!(published.iter().eq(before.iter()), "the clone changed");
         assert_ne!(order, published);
         // Once the clone is gone, its former chunks are written in place.
@@ -795,9 +752,10 @@ mod tests {
 
     #[test]
     fn queries_agree_with_a_scan_of_every_endpoint() {
+        use crate::chunk_tree::{LEAF, NODE};
         let mut rng = Rng::from_seed(0xC3A7);
         for round in 0..40 {
-            let n = rng.index(3 * CHUNK);
+            let n = rng.index(3 * LEAF * NODE);
             let order: Endpoints = (0..n)
                 .map(|i| {
                     let (min, max) = arrival(&mut rng);
@@ -831,27 +789,40 @@ mod tests {
             assert_eq!(order.max_min(), scan_min, "round {round}");
         }
 
-        // Chunks wholly past the budget fail on any entry's earliest
-        // arrival, not only their first entry's.
-        let mut entries: Vec<EndpointTiming> = (0..2 * CHUNK)
-            .map(|i| timing(format!("e{i}"), 0.5, 10.0 - i as f64 * 1e-3))
-            .collect();
-        entries[CHUNK + 7].arrival.min = Seconds::new(9.0);
-        let order: Endpoints = entries.into_iter().collect();
-        assert_eq!(order.chunk_count(), 2);
-        assert_eq!(
-            order.certification_against(Seconds::new(1.0)),
-            Certification::Fail
-        );
-        assert_eq!(
-            order.certification_against(Seconds::new(9.5)),
-            Certification::Indeterminate
-        );
+        // Leaves, and nodes, wholly past the budget fail on any entry's
+        // earliest arrival, not only their first entry's: two runs past
+        // the budget, the second holding one failing entry, then a run
+        // that meets it.
+        for run in [LEAF, LEAF * NODE] {
+            let mut entries: Vec<EndpointTiming> = (0..3 * run)
+                .map(|i| {
+                    if i < 2 * run {
+                        timing(format!("e{i}"), 0.5, 10.0 - i as f64 * 1e-4)
+                    } else {
+                        timing(format!("e{i}"), 0.25, 0.5)
+                    }
+                })
+                .collect();
+            entries[run + 7].arrival.min = Seconds::new(9.0);
+            let order: Endpoints = entries.into_iter().collect();
+            let leaves = if run == LEAF { (1, 3) } else { (3, 3 * NODE) };
+            assert_eq!((order.tree.node_count(), order.tree.leaf_count()), leaves);
+            assert_eq!(
+                order.certification_against(Seconds::new(1.0)),
+                Certification::Fail
+            );
+            assert_eq!(
+                order.certification_against(Seconds::new(9.5)),
+                Certification::Indeterminate
+            );
+            assert_eq!(order.max_min(), Some(Seconds::new(9.0)));
+        }
     }
 
     #[test]
     fn equality_ignores_the_chunk_layout() {
-        let entries: Vec<EndpointTiming> = (0..3 * CHUNK)
+        use crate::chunk_tree::LEAF;
+        let entries: Vec<EndpointTiming> = (0..3 * LEAF)
             .map(|i| timing(format!("e{i}"), 0.0, (i % 7) as f64))
             .collect();
         let bulk: Endpoints = entries.iter().cloned().collect();
@@ -860,7 +831,7 @@ mod tests {
             one_by_one.insert(i as u64, e);
         }
         one_by_one.check_invariants();
-        assert_ne!(bulk.chunk_count(), one_by_one.chunk_count());
+        assert_ne!(bulk.tree.leaf_count(), one_by_one.tree.leaf_count());
         assert_eq!(bulk, one_by_one);
         assert_eq!(format!("{bulk:?}"), format!("{one_by_one:?}"));
     }
@@ -922,13 +893,14 @@ mod tests {
 
     #[test]
     fn rendering_matches_the_reference_at_every_size_and_worker_count() {
-        let run = RUN_CHUNKS * CHUNK;
+        use crate::chunk_tree::{LEAF, NODE};
+        let run = RUN_NODES * NODE * LEAF;
         let sizes = [
             0,
             1,
-            CHUNK - 1,
-            CHUNK,
-            CHUNK + 1,
+            LEAF - 1,
+            LEAF,
+            LEAF + 1,
             // Three runs render serially at any width; four are two runs per
             // worker at 2 workers, the smallest parallel report.
             3 * run,
@@ -957,7 +929,8 @@ mod tests {
 
     #[test]
     fn one_render_span_per_call_whatever_the_worker_count() {
-        let report = report_of(&endpoints(5 * RUN_CHUNKS * CHUNK));
+        use crate::chunk_tree::{LEAF, NODE};
+        let report = report_of(&endpoints(5 * RUN_NODES * NODE * LEAF));
         let obs = rctree_obs::Obs::new(rctree_obs::ObsConfig::default());
         {
             let _scope = obs.enter();
