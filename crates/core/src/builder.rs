@@ -64,6 +64,31 @@ impl RcTreeBuilder {
         }
     }
 
+    /// Creates a builder whose input node carries the given name, with its
+    /// columns and name table allocated once for a tree of `nodes` nodes
+    /// (the input included) whose names total `name_bytes` bytes.
+    ///
+    /// A parser that knows the final size up front gets a tree whose
+    /// columns never grow; the numbers are a hint, and a tree that
+    /// outgrows them still builds.
+    ///
+    /// ```
+    /// use rctree_core::builder::RcTreeBuilder;
+    /// use rctree_core::units::Ohms;
+    ///
+    /// # fn main() -> rctree_core::error::Result<()> {
+    /// let mut b = RcTreeBuilder::with_capacity("drv", 2, "drvload".len());
+    /// b.add_resistor(b.input(), "load", Ohms::new(1.0))?;
+    /// assert_eq!(b.build()?.node_count(), 2);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn with_capacity(input: impl AsRef<str>, nodes: usize, name_bytes: usize) -> Self {
+        RcTreeBuilder {
+            table: NodeTable::with_capacity(input.as_ref(), nodes, name_bytes),
+        }
+    }
+
     /// The input node id (always valid).
     pub fn input(&self) -> NodeId {
         NodeId::INPUT
@@ -292,6 +317,26 @@ mod tests {
         assert_eq!(b.node_by_name("w1").unwrap(), a);
         assert!(b.node_by_name("nope").is_err());
         assert_eq!(b.node_count(), 2);
+    }
+
+    #[test]
+    fn a_sized_builder_builds_the_same_tree() {
+        let grow = |mut b: RcTreeBuilder| {
+            let a = b.add_resistor(b.input(), "a", Ohms::new(1.0)).unwrap();
+            let c = b
+                .add_line(a, "c", Ohms::new(2.0), Farads::new(4.0))
+                .unwrap();
+            b.add_capacitance(c, Farads::new(3.0)).unwrap();
+            b.mark_output(c).unwrap();
+            b.build().unwrap()
+        };
+        let plain = grow(RcTreeBuilder::with_input_name("drv"));
+        for (nodes, bytes) in [(3, 5), (0, 0), (1, 1), (64, 512)] {
+            assert_eq!(
+                grow(RcTreeBuilder::with_capacity("drv", nodes, bytes)),
+                plain
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! that compare the actual bytes, so two distinct names that land in one
 //! bucket always receive distinct ids (pinned by a forced-collision
 //! regression test).  Ids are assigned in first-intern order and are never
-//! invalidated; the structure is append-only.
+//! invalidated while the table lives; [`Interner::clear`] empties it for
+//! reuse as scratch, keeping its allocations.
 
 /// A dense identifier for an interned name.
 ///
@@ -95,20 +96,45 @@ impl Interner {
         self.buf.len()
     }
 
-    fn bucket_of(&self, name: &str) -> usize {
-        debug_assert!(self.heads.len().is_power_of_two());
-        (fnv1a(name) as usize) & (self.heads.len() - 1)
+    /// A table sized for `names` names of `bytes` bytes in all: interning
+    /// that many allocates nothing further.
+    pub(crate) fn with_capacity(names: usize, bytes: usize) -> Self {
+        Interner {
+            buf: String::with_capacity(bytes),
+            spans: Vec::with_capacity(names),
+            heads: vec![NIL; Self::buckets_for(names)],
+            next: Vec::with_capacity(names),
+        }
     }
 
-    /// The ids chained in `name`'s bucket, newest first.
-    fn chain(&self, name: &str) -> impl Iterator<Item = u32> + '_ {
+    /// The bucket count that holds `names` names at load factor 1.
+    fn buckets_for(names: usize) -> usize {
+        names.next_power_of_two().max(16)
+    }
+
+    /// The bucket of a name hashing to `hash`.
+    fn bucket_of(&self, hash: u64) -> usize {
+        debug_assert!(self.heads.len().is_power_of_two());
+        (hash as usize) & (self.heads.len() - 1)
+    }
+
+    /// The ids chained in the bucket of a name hashing to `hash`, newest
+    /// first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
         let head = if self.heads.is_empty() {
             NIL
         } else {
-            self.heads[self.bucket_of(name)]
+            self.heads[self.bucket_of(hash)]
         };
         let link = |id: u32| (id != NIL).then_some(id);
         std::iter::successors(link(head), move |&id| link(self.next[id as usize]))
+    }
+
+    /// The id of `name`, which hashes to `hash`, if it has been interned.
+    fn find(&self, name: &str, hash: u64) -> Option<NameId> {
+        self.chain(hash)
+            .find(|&id| self.span_str(id) == name)
+            .map(NameId)
     }
 
     fn span_str(&self, id: u32) -> &str {
@@ -118,15 +144,14 @@ impl Interner {
 
     /// The id of `name`, if it has been interned.
     pub fn get(&self, name: &str) -> Option<NameId> {
-        self.chain(name)
-            .find(|&id| self.span_str(id) == name)
-            .map(NameId)
+        self.find(name, fnv1a(name))
     }
 
     /// Interns `name`, returning its id.  Idempotent: re-interning an
     /// existing name returns the original id without storing anything.
     pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(id) = self.get(name) {
+        let hash = fnv1a(name);
+        if let Some(id) = self.find(name, hash) {
             return id;
         }
         // Grow at load factor 1 so chains stay short.
@@ -138,10 +163,30 @@ impl Interner {
         let end = self.buf.len() as u32;
         let id = u32::try_from(self.spans.len()).expect("more than u32::MAX interned names");
         self.spans.push((start, end));
-        let bucket = self.bucket_of(name);
+        let bucket = self.bucket_of(hash);
         self.next.push(self.heads[bucket]);
         self.heads[bucket] = id;
         NameId(id)
+    }
+
+    /// Forgets every name, keeping the allocations for reuse.  Ids handed
+    /// out before are invalid afterwards.
+    ///
+    /// ```
+    /// use rctree_core::intern::Interner;
+    ///
+    /// let mut names = Interner::new();
+    /// names.intern("a");
+    /// names.clear();
+    /// assert!(names.is_empty());
+    /// assert_eq!(names.get("a"), None);
+    /// assert_eq!(names.intern("b").index(), 0);
+    /// ```
+    pub fn clear(&mut self) {
+        self.heads.fill(NIL);
+        self.buf.clear();
+        self.spans.clear();
+        self.next.clear();
     }
 
     /// The name of an interned id (`O(1)`).
@@ -164,10 +209,10 @@ impl Interner {
     }
 
     fn grow(&mut self) {
-        let new_len = (self.heads.len() * 2).max(16);
+        let new_len = Self::buckets_for(self.heads.len() * 2);
         self.heads = vec![NIL; new_len];
         for id in 0..self.spans.len() as u32 {
-            let bucket = self.bucket_of(self.span_str(id));
+            let bucket = self.bucket_of(fnv1a(self.span_str(id)));
             self.next[id as usize] = self.heads[bucket];
             self.heads[bucket] = id;
         }
@@ -177,7 +222,7 @@ impl Interner {
     /// collision regression.
     #[cfg(test)]
     fn chain_len(&self, name: &str) -> usize {
-        self.chain(name).count()
+        self.chain(fnv1a(name)).count()
     }
 }
 
@@ -244,6 +289,54 @@ mod tests {
         assert_eq!(names.len(), before + 1);
         assert_ne!(fresh, id);
         assert_eq!(names.resolve(fresh), format!("{collided}_x"));
+    }
+
+    #[test]
+    fn clear_forgets_every_name_and_reuses_the_table() {
+        let mut names = Interner::new();
+        for i in 0..5_000 {
+            names.intern(&format!("big{i}"));
+        }
+        let buckets = names.heads.len();
+        // A small set after a large one finds none of the old names.
+        for round in 0..3 {
+            names.clear();
+            assert!(names.is_empty());
+            assert_eq!(names.text_bytes(), 0);
+            assert_eq!(names.get("big0"), None);
+            assert_eq!(names.get("big4999"), None);
+            for i in 0..7 {
+                assert_eq!(names.intern(&format!("r{round}n{i}")).index(), i);
+            }
+            assert_eq!(names.intern("r0n0").index(), if round == 0 { 0 } else { 7 });
+            assert!(names.heads.iter().filter(|&&h| h != NIL).count() <= names.len());
+            assert_eq!(names.heads.len(), buckets, "clear keeps the table");
+        }
+        // A full table is reset wholesale and still answers correctly.
+        names.clear();
+        for i in 0..buckets {
+            names.intern(&format!("full{i}"));
+        }
+        names.clear();
+        assert!(names.heads.iter().all(|&h| h == NIL));
+        assert_eq!(names.get("full1"), None);
+    }
+
+    #[test]
+    fn a_sized_table_interns_its_names_without_growing() {
+        let names: Vec<String> = (0..1_000).map(|i| format!("node{i}")).collect();
+        let bytes = names.iter().map(String::len).sum();
+        let mut table = Interner::with_capacity(names.len(), bytes);
+        let heads = table.heads.len();
+        for n in &names {
+            table.intern(n);
+        }
+        assert_eq!(table.heads.len(), heads);
+        assert_eq!(table.buf.capacity(), bytes);
+        assert_eq!(table.spans.capacity(), names.len());
+        for (i, n) in names.iter().enumerate() {
+            assert_eq!(table.get(n).map(NameId::index), Some(i));
+        }
     }
 
     #[test]

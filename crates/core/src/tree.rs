@@ -117,7 +117,22 @@ pub(crate) struct NodeTable {
 impl NodeTable {
     /// A table holding only the input node (derived columns not yet built).
     pub(crate) fn with_input(name: &str) -> Self {
-        let mut table = NodeTable::default();
+        Self::with_capacity(name, 0, 0)
+    }
+
+    /// [`NodeTable::with_input`] with the base columns and the name table
+    /// sized for `nodes` nodes whose names total `name_bytes` bytes, the
+    /// input's included: filling that many rows allocates nothing more.
+    pub(crate) fn with_capacity(name: &str, nodes: usize, name_bytes: usize) -> Self {
+        let mut table = NodeTable {
+            parent: Vec::with_capacity(nodes),
+            branch_r: Vec::with_capacity(nodes),
+            branch_c: Vec::with_capacity(nodes),
+            node_cap: Vec::with_capacity(nodes),
+            flags: Vec::with_capacity(nodes),
+            names: Interner::with_capacity(nodes, name_bytes),
+            ..NodeTable::default()
+        };
         table.names.intern(name);
         table.push_row(0, 0.0, 0.0, 0.0, 0);
         table

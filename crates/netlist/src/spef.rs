@@ -35,13 +35,14 @@
 //! Decks are read by one scanner, [`crate::stream::SpefReader`];
 //! [`parse_spef_deck`] is that reader over the text's bytes, and the
 //! serial [`parse_spef`] walks `str::lines`.  Both hand each `*D_NET` body
-//! to [`parse_d_net`], which keeps `&str` slices of the body for pin and
-//! node names, tokenizes each line into a fixed array, and matches
-//! directives with case-insensitive byte compares: a line costs one float
-//! parse and no allocation of its own.
+//! to [`parse_d_net`], which tokenizes each line into a fixed array,
+//! matches directives with case-insensitive byte compares, and files the
+//! cards into this thread's tree assembler by name id: a line costs one
+//! float parse and no allocation of its own, and a section allocates only
+//! its tree.
 
 use crate::error::{NetlistError, Result};
-use crate::spice::{build_tree, BranchCard};
+use crate::spice::Assembler;
 use crate::stream::SpefReader;
 use crate::value::parse_value;
 use rctree_core::tree::RcTree;
@@ -84,7 +85,7 @@ pub fn parse_spef(text: &str) -> Result<Vec<SpefNet>> {
             continue;
         }
         if let Some((name, declared_total_cap)) = units.scan_top_level(line, line_no)? {
-            let tree = parse_d_net(&mut lines, &name, line_no, units)?;
+            let tree = Assembler::with(|asm| parse_d_net(asm, &mut lines, &name, line_no, units))?;
             nets.push(SpefNet {
                 name,
                 declared_total_cap,
@@ -256,9 +257,12 @@ fn unit_scale(line: &str, line_no: usize, accepted: &[&str]) -> Result<f64> {
 
 /// Parses the body of the `*D_NET` named `name` from `lines` (0-based
 /// document line index and text) through its `*END` line into the net's
-/// tree, under the unit scales in effect at its header; pin and node names
-/// borrow the lines until the tree is built.
+/// tree, under the unit scales in effect at its header.  The cards go into
+/// the assembler `asm` (this thread's, from [`Assembler::with`]) by name
+/// id; only the driver pin's name borrows the lines until the tree is
+/// built.
 pub(crate) fn parse_d_net<'a, I>(
+    asm: &mut Assembler,
     lines: &mut I,
     name: &str,
     header_line: usize,
@@ -269,9 +273,6 @@ where
 {
     let mut section = Section::Preamble;
     let mut driver: Option<&'a str> = None;
-    let mut outputs: Vec<(usize, &'a str)> = Vec::new();
-    let mut caps: Vec<(usize, &'a str, f64)> = Vec::new();
-    let mut branches: Vec<BranchCard<'a>> = Vec::new();
 
     for (idx, raw) in lines.by_ref() {
         let line_no = idx + 1;
@@ -289,7 +290,7 @@ where
                         format!("net `{name}` has no *I driver pin"),
                     )
                 })?;
-                return build_tree(input, &branches, &caps, &outputs);
+                return asm.build(input);
             }
             let directive = if has_prefix(bytes, b"*CONN") {
                 Some(Section::Conn)
@@ -329,7 +330,7 @@ where
                     });
                 }
             } else if b.eq_ignore_ascii_case("O") {
-                outputs.push((line_no, a));
+                asm.output(line_no, a);
             } else {
                 let other = b.to_ascii_uppercase();
                 return Err(NetlistError::parse_at(
@@ -343,7 +344,7 @@ where
 
         match section {
             Section::Cap => match tokens.len {
-                3 => caps.push((line_no, a, parse_value(b, line_no)? * units.c)),
+                3 => asm.cap(line_no, a, parse_value(b, line_no)? * units.c),
                 4 => return Err(NetlistError::FloatingCapacitor { line: line_no }),
                 _ => {
                     return Err(NetlistError::parse_at(
@@ -361,14 +362,8 @@ where
                         "*RES entry requires: index node node value",
                     ));
                 }
-                branches.push(BranchCard {
-                    line: line_no,
-                    node_a: a,
-                    node_b: b,
-                    resistance: parse_value(c, line_no)? * units.r,
-                    capacitance: 0.0,
-                    distributed: false,
-                });
+                let r = parse_value(c, line_no)? * units.r;
+                asm.branch(line_no, a, b, r, 0.0, false);
             }
             Section::Conn | Section::Preamble => {
                 return Err(NetlistError::parse_at(

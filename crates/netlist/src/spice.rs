@@ -29,10 +29,11 @@
 //! input (single drive point, no loops, everything connected), mirroring the
 //! paper's definition of an RC tree.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 
 use rctree_core::builder::RcTreeBuilder;
 use rctree_core::element::Branch;
+use rctree_core::intern::{Interner, NameId};
 use rctree_core::tree::{NodeId, RcTree};
 use rctree_core::units::{Farads, Ohms};
 
@@ -43,15 +44,282 @@ use crate::value::{format_value, parse_value};
 pub const DEFAULT_INPUT: &str = "in";
 
 /// A parsed resistive branch card (resistor or uniform line) shared between
-/// the SPICE and SPEF parsers.  Node names borrow the parsed text.
-#[derive(Debug, Clone)]
-pub(crate) struct BranchCard<'a> {
-    pub(crate) line: usize,
-    pub(crate) node_a: &'a str,
-    pub(crate) node_b: &'a str,
-    pub(crate) resistance: f64,
-    pub(crate) capacitance: f64,
-    pub(crate) distributed: bool,
+/// the SPICE and SPEF parsers.  Node names are ids in the [`Assembler`]'s
+/// name table, so the card lists outlive the text of one section.
+#[derive(Debug, Clone, Copy)]
+struct BranchCard {
+    line: usize,
+    node_a: NameId,
+    node_b: NameId,
+    resistance: f64,
+    capacitance: f64,
+    distributed: bool,
+}
+
+/// A section with more names or cards than this gives its assembler's
+/// buffers back once it is built, so one very large net does not pin its
+/// scratch on every worker for the rest of the process.
+const SCRATCH_RELEASE: usize = 4096;
+
+thread_local! {
+    /// This thread's assembler; the SPICE parser and every SPEF section
+    /// parsed on the thread reuse its buffers.
+    static ASSEMBLER: RefCell<Assembler> = RefCell::new(Assembler::default());
+}
+
+/// The one tree assembler, shared between the SPICE and SPEF parsers: it
+/// collects a net's branch, capacitor and output cards and turns them into
+/// a validated [`RcTree`].
+///
+/// Node names are numbered in a local [`Interner`] as the cards arrive;
+/// resistive branches become a CSR adjacency (every node's branch indices,
+/// in card order, in one flat array), and the depth-first elaboration from
+/// the input tracks visited nodes by name id.  Every buffer is per-thread
+/// scratch ([`Assembler::with`]), so a section allocates only its tree,
+/// whose columns are sized once from the name table.
+#[derive(Debug, Default)]
+pub(crate) struct Assembler {
+    names: Interner,
+    branches: Vec<BranchCard>,
+    caps: Vec<(usize, NameId, f64)>,
+    outputs: Vec<(usize, NameId)>,
+    /// Line of the first branch card with a grounded end, if any.
+    grounded: Option<usize>,
+    /// CSR adjacency: node `v`'s branches are `edges[start[v]..start[v + 1]]`.
+    start: Vec<u32>,
+    fill: Vec<u32>,
+    edges: Vec<u32>,
+    /// The built node of each name, once the elaboration reaches it.
+    node: Vec<Option<NodeId>>,
+    used: Vec<bool>,
+    frontier: Vec<NameId>,
+}
+
+impl Assembler {
+    /// Runs `f` with this thread's assembler, emptied first.
+    pub(crate) fn with<T>(f: impl FnOnce(&mut Assembler) -> T) -> T {
+        ASSEMBLER.with(|cell| {
+            let mut asm = cell.borrow_mut();
+            asm.clear();
+            let out = f(&mut asm);
+            let cards = asm
+                .branches
+                .len()
+                .max(asm.caps.len())
+                .max(asm.outputs.len());
+            if asm.names.len().max(cards) > SCRATCH_RELEASE {
+                *asm = Assembler::default();
+            }
+            out
+        })
+    }
+
+    fn clear(&mut self) {
+        self.names.clear();
+        self.branches.clear();
+        self.caps.clear();
+        self.outputs.clear();
+        self.grounded = None;
+    }
+
+    /// Whether no branch or capacitor card has been added.
+    fn is_empty(&self) -> bool {
+        self.branches.is_empty() && self.caps.is_empty()
+    }
+
+    /// A resistive branch card between nodes `a` and `b`.
+    pub(crate) fn branch(
+        &mut self,
+        line: usize,
+        a: &str,
+        b: &str,
+        r: f64,
+        c: f64,
+        distributed: bool,
+    ) {
+        if self.grounded.is_none() && (is_ground(a) || is_ground(b)) {
+            self.grounded = Some(line);
+        }
+        let card = BranchCard {
+            line,
+            node_a: self.names.intern(a),
+            node_b: self.names.intern(b),
+            resistance: r,
+            capacitance: c,
+            distributed,
+        };
+        self.branches.push(card);
+    }
+
+    /// A grounded capacitor card on `node`.
+    pub(crate) fn cap(&mut self, line: usize, node: &str, value: f64) {
+        let id = self.names.intern(node);
+        self.caps.push((line, id, value));
+    }
+
+    /// An output card naming `node`.
+    pub(crate) fn output(&mut self, line: usize, node: &str) {
+        let id = self.names.intern(node);
+        self.outputs.push((line, id));
+    }
+
+    /// Assembles the cards into a validated [`RcTree`] driven at
+    /// `input_name`.
+    ///
+    /// Every name of a valid tree is one of its nodes, so the name table's
+    /// size is the tree's: the builder's columns are allocated once, at
+    /// their final size.
+    pub(crate) fn build(&mut self, input_name: &str) -> Result<RcTree> {
+        if let Some(line) = self.grounded {
+            return Err(NetlistError::NotATree {
+                message: format!(
+                    "line {line}: resistive element connects to ground, which an RC tree forbids"
+                ),
+            });
+        }
+        let root = self.names.intern(input_name);
+        let Assembler {
+            names,
+            branches,
+            caps,
+            outputs,
+            start,
+            fill,
+            edges,
+            node,
+            used,
+            frontier,
+            ..
+        } = self;
+        let n = names.len();
+
+        start.clear();
+        start.resize(n + 1, 0);
+        for b in branches.iter() {
+            start[b.node_a.index() + 1] += 1;
+            start[b.node_b.index() + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        fill.clear();
+        fill.extend_from_slice(&start[..n]);
+        edges.clear();
+        edges.resize(2 * branches.len(), 0);
+        for (i, b) in branches.iter().enumerate() {
+            for v in [b.node_a.index(), b.node_b.index()] {
+                edges[fill[v] as usize] = i as u32;
+                fill[v] += 1;
+            }
+        }
+        let degree = |v: usize| start[v + 1] - start[v];
+
+        if !branches.is_empty() && degree(root.index()) == 0 {
+            return Err(NetlistError::UnknownInput {
+                name: input_name.to_string(),
+            });
+        }
+
+        let mut builder = RcTreeBuilder::with_capacity(input_name, n, names.text_bytes());
+        node.clear();
+        node.resize(n, None);
+        node[root.index()] = Some(builder.input());
+        used.clear();
+        used.resize(branches.len(), false);
+
+        // Depth-first elaboration from the input.
+        frontier.clear();
+        frontier.push(root);
+        while let Some(v) = frontier.pop() {
+            let parent_id = node[v.index()].expect("frontier nodes are built");
+            let range = start[v.index()] as usize..start[v.index() + 1] as usize;
+            for &edge in &edges[range] {
+                let edge = edge as usize;
+                if used[edge] {
+                    continue;
+                }
+                let b = &branches[edge];
+                let other = if b.node_a == v { b.node_b } else { b.node_a };
+                used[edge] = true;
+                if node[other.index()].is_some() {
+                    return Err(NetlistError::NotATree {
+                        message: format!(
+                            "line {}: element between `{}` and `{}` closes a loop",
+                            b.line,
+                            names.resolve(b.node_a),
+                            names.resolve(b.node_b)
+                        ),
+                    });
+                }
+                let child = if b.distributed {
+                    builder.add_line(
+                        parent_id,
+                        names.resolve(other),
+                        Ohms::new(b.resistance),
+                        Farads::new(b.capacitance),
+                    )?
+                } else {
+                    builder.add_resistor(
+                        parent_id,
+                        names.resolve(other),
+                        Ohms::new(b.resistance),
+                    )?
+                };
+                node[other.index()] = Some(child);
+                frontier.push(other);
+            }
+        }
+
+        if let Some(unused) = used.iter().position(|u| !u) {
+            let b = &branches[unused];
+            return Err(NetlistError::NotATree {
+                message: format!(
+                    "line {}: element between `{}` and `{}` is not reachable from the input `{}`",
+                    b.line,
+                    names.resolve(b.node_a),
+                    names.resolve(b.node_b),
+                    input_name
+                ),
+            });
+        }
+
+        // Grounded capacitors.
+        for &(line, name, value) in caps.iter() {
+            let id = node[name.index()].ok_or_else(|| {
+                let name = names.resolve(name);
+                NetlistError::parse_at(
+                    line,
+                    name,
+                    format!("capacitor references unknown node `{name}`"),
+                )
+            })?;
+            builder.add_capacitance(id, Farads::new(value))?;
+        }
+
+        // Outputs (default: every leaf — a node on exactly one branch that is
+        // not the input — if none are specified).
+        if outputs.is_empty() {
+            for (v, id) in node.iter().enumerate() {
+                if v != root.index() && degree(v) == 1 {
+                    builder.mark_output(id.expect("leaves were visited"))?;
+                }
+            }
+        } else {
+            for &(line, name) in outputs.iter() {
+                let id = node[name.index()].ok_or_else(|| {
+                    let name = names.resolve(name);
+                    NetlistError::parse_at(
+                        line,
+                        name,
+                        format!("output references unknown node `{name}`"),
+                    )
+                })?;
+                builder.mark_output(id)?;
+            }
+        }
+
+        Ok(builder.build()?)
+    }
 }
 
 /// Parses a SPICE-subset deck into an [`RcTree`].
@@ -64,10 +332,13 @@ pub(crate) struct BranchCard<'a> {
 /// not connected to ground, and [`NetlistError::Empty`] for decks without
 /// elements.
 pub fn parse_spice(deck: &str) -> Result<RcTree> {
-    let mut branches: Vec<BranchCard> = Vec::new();
-    let mut caps: Vec<(usize, &str, f64)> = Vec::new();
+    Assembler::with(|asm| parse_spice_into(asm, deck))
+}
+
+/// [`parse_spice`] into this thread's assembler.
+fn parse_spice_into(asm: &mut Assembler, deck: &str) -> Result<RcTree> {
     let mut input: Option<&str> = None;
-    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    let mut tokens: Vec<&str> = Vec::new();
 
     for (idx, raw_line) in deck.lines().enumerate() {
         let line_no = idx + 1;
@@ -75,28 +346,31 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
         if line.is_empty() || line.starts_with('*') {
             continue;
         }
-        let tokens: Vec<&str> = line.split_whitespace().collect();
-        let head = tokens[0].to_ascii_lowercase();
+        tokens.clear();
+        tokens.extend(line.split_whitespace());
+        let head = tokens[0];
 
-        if head == ".end" {
+        if head.eq_ignore_ascii_case(".end") {
             break;
         }
-        if head == ".input" {
+        if head.eq_ignore_ascii_case(".input") {
             let name = tokens.get(1).ok_or_else(|| {
-                NetlistError::parse_at(line_no, tokens[0], ".input requires a node name")
+                NetlistError::parse_at(line_no, head, ".input requires a node name")
             })?;
             input = Some(*name);
             continue;
         }
-        if head == ".output" {
+        if head.eq_ignore_ascii_case(".output") {
             if tokens.len() < 2 {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
+                    head,
                     ".output requires at least one node name",
                 ));
             }
-            outputs.extend(tokens[1..].iter().map(|s| (line_no, *s)));
+            for name in &tokens[1..] {
+                asm.output(line_no, name);
+            }
             continue;
         }
         if head.starts_with('.') {
@@ -104,62 +378,48 @@ pub fn parse_spice(deck: &str) -> Result<RcTree> {
             continue;
         }
 
-        match head.chars().next() {
-            Some('r') => {
+        match head.as_bytes()[0].to_ascii_lowercase() {
+            b'r' => {
                 let (a, b, v) = three_fields(&tokens, line_no)?;
-                branches.push(BranchCard {
-                    line: line_no,
-                    node_a: a,
-                    node_b: b,
-                    resistance: v,
-                    capacitance: 0.0,
-                    distributed: false,
-                });
+                asm.branch(line_no, a, b, v, 0.0, false);
             }
-            Some('c') => {
+            b'c' => {
                 let (node, other, v) = three_fields(&tokens, line_no)?;
                 if is_ground(other) {
-                    caps.push((line_no, node, v));
+                    asm.cap(line_no, node, v);
                 } else if is_ground(node) {
-                    caps.push((line_no, other, v));
+                    asm.cap(line_no, other, v);
                 } else {
                     return Err(NetlistError::FloatingCapacitor { line: line_no });
                 }
             }
-            Some('u') => {
+            b'u' => {
                 if tokens.len() < 5 {
                     return Err(NetlistError::parse_at(
                         line_no,
-                        tokens[0],
+                        head,
                         "U card requires: name node node R C",
                     ));
                 }
                 let r = parse_value(tokens[3], line_no)?;
                 let c = parse_value(tokens[4], line_no)?;
-                branches.push(BranchCard {
-                    line: line_no,
-                    node_a: tokens[1],
-                    node_b: tokens[2],
-                    resistance: r,
-                    capacitance: c,
-                    distributed: true,
-                });
+                asm.branch(line_no, tokens[1], tokens[2], r, c, true);
             }
             _ => {
                 return Err(NetlistError::parse_at(
                     line_no,
-                    tokens[0],
-                    format!("unknown element card `{}`", tokens[0]),
+                    head,
+                    format!("unknown element card `{head}`"),
                 ));
             }
         }
     }
 
-    if branches.is_empty() && caps.is_empty() {
+    if asm.is_empty() {
         return Err(NetlistError::Empty);
     }
 
-    build_tree(input.unwrap_or(DEFAULT_INPUT), &branches, &caps, &outputs)
+    asm.build(input.unwrap_or(DEFAULT_INPUT))
 }
 
 fn three_fields<'a>(tokens: &[&'a str], line: usize) -> Result<(&'a str, &'a str, f64)> {
@@ -176,155 +436,6 @@ fn three_fields<'a>(tokens: &[&'a str], line: usize) -> Result<(&'a str, &'a str
 
 fn is_ground(name: &str) -> bool {
     name == "0" || name.eq_ignore_ascii_case("gnd") || name.eq_ignore_ascii_case("vss")
-}
-
-/// Assembles branch and capacitor cards into a validated [`RcTree`].
-///
-/// Shared between the SPICE and SPEF parsers.  Node names are numbered in
-/// a local table (the input is 0), resistive branches become a CSR
-/// adjacency (every node's branch indices, in card order, in one flat
-/// array), and the depth-first elaboration from the input tracks visited
-/// nodes by index; only the names of the built tree's nodes are
-/// allocated.
-pub(crate) fn build_tree(
-    input_name: &str,
-    branches: &[BranchCard<'_>],
-    caps: &[(usize, &str, f64)],
-    outputs: &[(usize, &str)],
-) -> Result<RcTree> {
-    let mut index: HashMap<&str, usize> = HashMap::new();
-    let mut names = vec![input_name];
-    index.insert(input_name, 0);
-    let mut intern = |name| {
-        *index.entry(name).or_insert_with(|| {
-            names.push(name);
-            names.len() - 1
-        })
-    };
-    let mut ends = Vec::with_capacity(branches.len());
-    for b in branches {
-        if is_ground(b.node_a) || is_ground(b.node_b) {
-            return Err(NetlistError::NotATree {
-                message: format!(
-                    "line {}: resistive element connects to ground, which an RC tree forbids",
-                    b.line
-                ),
-            });
-        }
-        ends.push((intern(b.node_a), intern(b.node_b)));
-    }
-
-    // CSR adjacency: node `v`'s branches are `edges[start[v]..start[v + 1]]`.
-    let mut start = vec![0usize; names.len() + 1];
-    for &(a, b) in &ends {
-        start[a + 1] += 1;
-        start[b + 1] += 1;
-    }
-    for v in 0..names.len() {
-        start[v + 1] += start[v];
-    }
-    let mut fill = start[..names.len()].to_vec();
-    let mut edges = vec![0usize; 2 * ends.len()];
-    for (i, &(a, b)) in ends.iter().enumerate() {
-        for v in [a, b] {
-            edges[fill[v]] = i;
-            fill[v] += 1;
-        }
-    }
-    let degree = |v: usize| start[v + 1] - start[v];
-
-    if !branches.is_empty() && degree(0) == 0 {
-        return Err(NetlistError::UnknownInput {
-            name: input_name.to_string(),
-        });
-    }
-
-    let mut builder = RcTreeBuilder::with_input_name(input_name);
-    // The built node of each name, once the elaboration reaches it.
-    let mut node: Vec<Option<NodeId>> = vec![None; names.len()];
-    node[0] = Some(builder.input());
-    let mut used = vec![false; branches.len()];
-
-    // Depth-first elaboration from the input.
-    let mut frontier = vec![0usize];
-    while let Some(v) = frontier.pop() {
-        let parent_id = node[v].expect("frontier nodes are built");
-        for &edge in &edges[start[v]..start[v + 1]] {
-            if used[edge] {
-                continue;
-            }
-            let b = &branches[edge];
-            let (a, z) = ends[edge];
-            let other = if a == v { z } else { a };
-            used[edge] = true;
-            if node[other].is_some() {
-                return Err(NetlistError::NotATree {
-                    message: format!(
-                        "line {}: element between `{}` and `{}` closes a loop",
-                        b.line, b.node_a, b.node_b
-                    ),
-                });
-            }
-            let child = if b.distributed {
-                builder.add_line(
-                    parent_id,
-                    names[other],
-                    Ohms::new(b.resistance),
-                    Farads::new(b.capacitance),
-                )?
-            } else {
-                builder.add_resistor(parent_id, names[other], Ohms::new(b.resistance))?
-            };
-            node[other] = Some(child);
-            frontier.push(other);
-        }
-    }
-
-    if let Some(unused) = used.iter().position(|u| !u) {
-        let b = &branches[unused];
-        return Err(NetlistError::NotATree {
-            message: format!(
-                "line {}: element between `{}` and `{}` is not reachable from the input `{}`",
-                b.line, b.node_a, b.node_b, input_name
-            ),
-        });
-    }
-    let built = |name: &str| index.get(name).and_then(|&v| node[v]);
-
-    // Grounded capacitors.
-    for &(line, name, value) in caps {
-        let id = built(name).ok_or_else(|| {
-            NetlistError::parse_at(
-                line,
-                name,
-                format!("capacitor references unknown node `{name}`"),
-            )
-        })?;
-        builder.add_capacitance(id, Farads::new(value))?;
-    }
-
-    // Outputs (default: every leaf — a node on exactly one branch that is
-    // not the input — if none are specified).
-    if outputs.is_empty() {
-        for (v, id) in node.iter().enumerate().skip(1) {
-            if degree(v) == 1 {
-                builder.mark_output(id.expect("leaves were visited"))?;
-            }
-        }
-    } else {
-        for &(line, name) in outputs {
-            let id = built(name).ok_or_else(|| {
-                NetlistError::parse_at(
-                    line,
-                    name,
-                    format!("output references unknown node `{name}`"),
-                )
-            })?;
-            builder.mark_output(id)?;
-        }
-    }
-
-    Ok(builder.build()?)
 }
 
 /// Writes an [`RcTree`] as a SPICE-subset deck accepted by [`parse_spice`].
@@ -599,6 +710,58 @@ C2 c 0 1
         // Without `.output` cards every leaf is an output.
         let outs: Vec<&str> = tree.outputs().map(|id| tree.name(id).unwrap()).collect();
         assert_eq!(outs, ["d", "c", "e"]);
+    }
+
+    /// The largest buffer this thread's assembler holds, in elements.
+    fn scratch_held() -> usize {
+        ASSEMBLER.with(|cell| {
+            let asm = cell.borrow();
+            [
+                asm.branches.capacity(),
+                asm.caps.capacity(),
+                asm.start.capacity(),
+                asm.edges.capacity(),
+                asm.node.capacity(),
+                asm.used.capacity(),
+                asm.frontier.capacity(),
+            ]
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+        })
+    }
+
+    #[test]
+    fn a_large_net_gives_its_scratch_back() {
+        let chain = |n: usize| {
+            let mut deck = String::new();
+            for k in 1..=n {
+                let from = if k == 1 {
+                    "in".to_string()
+                } else {
+                    format!("n{}", k - 1)
+                };
+                deck.push_str(&format!("R{k} {from} n{k} 1\nC{k} n{k} 0 1f\n"));
+            }
+            deck
+        };
+        // At the limit the buffers stay for the next net on this thread.
+        let kept = parse_spice(&chain(SCRATCH_RELEASE - 1)).unwrap();
+        assert_eq!(kept.node_count(), SCRATCH_RELEASE);
+        assert!(scratch_held() >= SCRATCH_RELEASE - 1);
+        // Past it they are freed, on success and on error alike.
+        let freed = parse_spice(&chain(SCRATCH_RELEASE)).unwrap();
+        assert_eq!(freed.node_count(), SCRATCH_RELEASE + 1);
+        assert_eq!(scratch_held(), 0);
+        let broken = format!("{}R0 n3 n7 1\n", chain(SCRATCH_RELEASE + 10));
+        assert!(matches!(
+            parse_spice(&broken),
+            Err(NetlistError::NotATree { .. })
+        ));
+        assert_eq!(scratch_held(), 0);
+        // A small net after a freed one parses as before.
+        assert_eq!(parse_spice(FIG7_DECK).unwrap().node_count(), 4);
+        assert!(scratch_held() < 64);
     }
 
     #[test]

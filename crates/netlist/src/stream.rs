@@ -3,9 +3,11 @@
 //! [`SpefReader`] consumes a document from any [`Read`] source in
 //! fixed-size chunks and hands completed `*D_NET` sections to the section
 //! parser in parallel batches as soon as their `*END` arrives, so peak
-//! memory is `O(chunk + largest section + one parsed batch)` whatever the
-//! deck size.  [`crate::parse_spef_deck`] is this reader over the bytes of
-//! an in-memory text.
+//! memory is `O(chunk + largest section + two batches)` whatever the deck
+//! size.  With more than one job, one batch is in flight: the calling
+//! thread scans the next batch while the pool parses the current one.
+//! [`crate::parse_spef_deck`] is this reader over the bytes of an
+//! in-memory text.
 //!
 //! # Per-line cost
 //!
@@ -17,7 +19,8 @@
 //! `str::trim` also strips Unicode whitespace such as U+00A0.  A closed
 //! body is copied out of the buffer once, as a whole.  Top-level lines
 //! (headers and unit directives) take the `str` path; there are a few per
-//! section.
+//! section.  The section parser then walks each body line once more to
+//! tokenize it (see [`crate::spef`]).
 //!
 //! # Equivalence with the serial parser
 //!
@@ -41,6 +44,7 @@ use rctree_core::tree::RcTree;
 
 use crate::error::{NetlistError, Result};
 use crate::spef::{has_prefix, parse_d_net, strip_comment, SpefNet, Units};
+use crate::spice::Assembler;
 
 /// Default chunk size: large enough to amortise syscalls, small enough
 /// that a reader never holds a meaningful fraction of a big deck.
@@ -75,7 +79,9 @@ impl RawSection {
             .lines()
             .enumerate()
             .map(|(k, raw)| (self.header_line + k, raw));
-        parse_d_net(&mut lines, &self.name, self.header_line, self.units)
+        Assembler::with(|asm| {
+            parse_d_net(asm, &mut lines, &self.name, self.header_line, self.units)
+        })
     }
 }
 
@@ -182,6 +188,9 @@ pub struct SpefReader<R> {
     scan: Scan,
     /// End of input reached and fully processed.
     done: bool,
+    /// The batch scanned while the previous one was being parsed, or the
+    /// scan error that ended it.
+    ahead: Option<Result<Vec<RawSection>>>,
 }
 
 impl<R: Read> SpefReader<R> {
@@ -200,6 +209,7 @@ impl<R: Read> SpefReader<R> {
             pos: 0,
             scan: Scan::default(),
             done: false,
+            ahead: None,
         }
     }
 
@@ -295,15 +305,8 @@ impl<R: Read> SpefReader<R> {
         }
     }
 
-    /// Parses and returns the next batch of nets, in document order;
-    /// `Ok(None)` at end of input.  Each batch is parsed in parallel by
-    /// the calling thread and `jobs - 1` threads of the persistent
-    /// [`rctree_par::global_pool`] (0 is taken as 1).
-    ///
-    /// When a section body fails to parse, the rest of the input is still
-    /// scanned and a top-level scan error found there wins over the
-    /// section error.  Any error is terminal for the reader.
-    pub fn next_nets(&mut self, jobs: usize) -> Result<Option<Vec<SpefNet>>> {
+    /// Scans up to [`PARSE_BATCH`] completed sections.
+    fn scan_batch(&mut self) -> Result<Vec<RawSection>> {
         let mut raws = Vec::new();
         while raws.len() < PARSE_BATCH {
             match self.next_raw_section()? {
@@ -311,17 +314,50 @@ impl<R: Read> SpefReader<R> {
                 None => break,
             }
         }
+        Ok(raws)
+    }
+
+    /// Parses and returns the next batch of nets, in document order;
+    /// `Ok(None)` at end of input.  Each batch is parsed in parallel by
+    /// the calling thread and `jobs - 1` threads of the persistent
+    /// [`rctree_par::global_pool`] (0 is taken as 1).  With more than one
+    /// job, one batch is in flight: the calling thread scans the next
+    /// batch while the pool parses this one, then joins the parse.
+    ///
+    /// When a section body fails to parse, the rest of the input is still
+    /// scanned and a top-level scan error found there wins over the
+    /// section error.  A scan error found while a batch is in flight is
+    /// returned after that batch's nets when the batch parses, and in
+    /// place of them when it does not.  Any error is terminal for the
+    /// reader.
+    pub fn next_nets(&mut self, jobs: usize) -> Result<Option<Vec<SpefNet>>> {
+        let raws = match self.ahead.take() {
+            Some(scanned) => scanned?,
+            None => self.scan_batch()?,
+        };
         if raws.is_empty() {
             return Ok(None);
         }
-        let mut batch_span = rctree_obs::span("spef.parse_batch");
-        batch_span.attr_u64("nets", raws.len() as u64);
         // Workers own their data on the persistent pool: the batch is
         // shared, and each net's name is copied out once its tree is in.
         let raws = Arc::new(raws);
-        let trees = rctree_par::par_map_global(jobs, Arc::clone(&raws), raws.len(), |i, raws| {
+        let parse = rctree_par::start_map_global(jobs, Arc::clone(&raws), raws.len(), |i, raws| {
             raws[i].tree()
         });
+        if jobs > 1 {
+            self.ahead = Some(self.scan_batch());
+        }
+        // The calling thread's share of the parse and its wait: disjoint
+        // from the `spef.chunk` spans of the scan above.
+        let mut batch_span = rctree_obs::span("spef.parse_batch");
+        let trees = parse.join();
+        if batch_span.is_live() {
+            let bytes = raws.iter().map(|raw| raw.body.len() as u64).sum();
+            let max_nodes = trees.iter().flatten().map(RcTree::node_count).max();
+            batch_span.attr_u64("nets", raws.len() as u64);
+            batch_span.attr_u64("bytes", bytes);
+            batch_span.attr_u64("max_nodes", max_nodes.unwrap_or(0) as u64);
+        }
         drop(batch_span);
         let mut nets = Vec::with_capacity(raws.len());
         for (raw, tree) in raws.iter().zip(trees) {
@@ -334,6 +370,9 @@ impl<R: Read> SpefReader<R> {
                 Err(section_error) => {
                     // Keep scanning (not parsing) to end of input: a
                     // top-level error anywhere outranks this one.
+                    if let Some(scanned) = self.ahead.take() {
+                        scanned?;
+                    }
                     while self.next_raw_section()?.is_some() {}
                     return Err(section_error);
                 }
@@ -397,6 +436,122 @@ mod tests {
         for chunk in [1, 2, 3, 7, 64, DEFAULT_CHUNK] {
             let mut reader = SpefReader::with_chunk_size(SAMPLE.as_bytes(), chunk);
             assert_eq!(reader.parse_all(1).unwrap(), want, "chunk {chunk}");
+        }
+    }
+
+    /// A chain net of `len` resistors: its header line, and its body
+    /// through `*END` with line endings.
+    fn chain_net(name: &str, len: usize) -> (String, String) {
+        let mut body = format!("*CONN\n*I d I\n*P n{len} O\n*CAP\n1 n{len} 1\n*RES\n");
+        for k in 1..=len {
+            let from = if k == 1 {
+                "d".to_string()
+            } else {
+                format!("n{}", k - 1)
+            };
+            body.push_str(&format!("{k} {from} n{k} 1\n"));
+        }
+        body.push_str("*END\n");
+        (format!("*D_NET {name} 1\n"), body)
+    }
+
+    #[test]
+    fn parse_batch_spans_carry_sizes_and_stay_clear_of_the_scan() {
+        // Two batches, so one is in flight while the next is scanned.
+        let nets = PARSE_BATCH + 88;
+        let mut deck = String::new();
+        let mut bytes = [0u64; 2];
+        let mut max_nodes = [0u64; 2];
+        for i in 0..nets {
+            let len = 1 + (i * 7) % 23;
+            let (header, body) = chain_net(&format!("net{i}"), len);
+            let batch = i / PARSE_BATCH;
+            bytes[batch] += body.len() as u64;
+            max_nodes[batch] = max_nodes[batch].max(len as u64 + 1);
+            deck.push_str(&header);
+            deck.push_str(&body);
+        }
+        for jobs in [1, 2, 3] {
+            let obs = rctree_obs::Obs::new(rctree_obs::ObsConfig::default());
+            {
+                let _scope = obs.enter();
+                let mut reader = SpefReader::with_chunk_size(deck.as_bytes(), 4096);
+                assert_eq!(reader.parse_all(jobs).unwrap().len(), nets);
+            }
+            let spans = obs.ring().recent(obs.ring().capacity());
+            let attr = |span: &rctree_obs::SpanRecord, key: &str| {
+                let value = span.attrs.iter().find(|(k, _)| *k == key);
+                match value.map(|(_, v)| v) {
+                    Some(rctree_obs::AttrValue::U64(v)) => *v,
+                    other => panic!("attribute {key}: {other:?}"),
+                }
+            };
+            let batches: Vec<_> = spans
+                .iter()
+                .filter(|s| s.name == "spef.parse_batch")
+                .collect();
+            assert_eq!(batches.len(), 2, "jobs = {jobs}");
+            for (k, span) in batches.iter().enumerate() {
+                let want_nets = if k == 0 { PARSE_BATCH } else { 88 };
+                assert_eq!(attr(span, "nets"), want_nets as u64, "jobs = {jobs}");
+                assert_eq!(attr(span, "bytes"), bytes[k], "jobs = {jobs}");
+                assert_eq!(attr(span, "max_nodes"), max_nodes[k], "jobs = {jobs}");
+            }
+            // The calling thread's scan and parse spans never overlap, so
+            // neither counts time the other already covers.
+            let chunks = spans.iter().filter(|s| s.name == "spef.chunk");
+            for chunk in chunks {
+                for batch in &batches {
+                    let apart = chunk.start_ns + chunk.dur_ns <= batch.start_ns
+                        || batch.start_ns + batch.dur_ns <= chunk.start_ns;
+                    assert!(apart, "jobs = {jobs}: {chunk:?} overlaps {batch:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_flight_batches_keep_the_error_order() {
+        // A deck of two batches and a bit; `bad_cap` breaks a section of
+        // the first batch, `bad_unit` puts a malformed unit directive in
+        // the second batch's stretch, scanned while the first is parsed.
+        let deck = |bad_cap: bool, bad_unit: bool| {
+            let mut deck = String::new();
+            for i in 0..PARSE_BATCH + 9 {
+                if i == PARSE_BATCH + 3 && bad_unit {
+                    deck.push_str("*R_UNIT 1 PARSEC\n");
+                }
+                let (header, body) = chain_net(&format!("net{i}"), 2);
+                deck.push_str(&header);
+                match i == 5 && bad_cap {
+                    true => deck.push_str(&body.replace("1 n2 1\n", "1 n2 bogus\n")),
+                    false => deck.push_str(&body),
+                }
+            }
+            deck
+        };
+        let token = |result: Result<Option<Vec<SpefNet>>>| match result {
+            Err(NetlistError::Parse { token, .. }) => token.unwrap(),
+            other => panic!("unexpected: {other:?}"),
+        };
+        // Small chunks, so the first batch is complete before the scan
+        // reaches the bad directive.
+        let reader =
+            |text: &str| SpefReader::with_chunk_size(std::io::Cursor::new(text.to_string()), 64);
+        for jobs in [1, 2, 3] {
+            // The first batch parses: its nets come out before the scan
+            // error found while it was in flight.
+            let mut pull = reader(&deck(false, true));
+            let first = pull.next_nets(jobs).unwrap().unwrap();
+            assert_eq!(first.len(), PARSE_BATCH, "jobs = {jobs}");
+            assert_eq!(token(pull.next_nets(jobs)), "PARSEC", "jobs = {jobs}");
+            // It does not: the scan error still outranks its section error.
+            assert_eq!(token(reader(&deck(true, true)).next_nets(jobs)), "PARSEC");
+            // With no scan error, the section error stands.
+            assert_eq!(token(reader(&deck(true, false)).next_nets(jobs)), "bogus");
+            let text = deck(false, false);
+            let all = reader(&text).parse_all(jobs).unwrap();
+            assert_eq!(all, crate::parse_spef(&text).unwrap(), "jobs = {jobs}");
         }
     }
 

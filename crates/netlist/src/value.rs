@@ -18,10 +18,14 @@ use crate::error::{NetlistError, Result};
 pub fn parse_value(token: &str, line: usize) -> Result<f64> {
     // Suffix-free decimal literals (every extracted value in a SPEF deck)
     // skip the lowercase copy: the general path would parse the same
-    // digits and multiply by 1.0, which leaves every bit unchanged.
+    // digits and multiply by 1.0, which leaves every bit unchanged.  A
+    // token `str::parse` accepts is such a literal when it ends in a digit
+    // or `.`, since the words it also accepts (`inf`, `nan`) end in
+    // letters; so one byte, not the whole token, decides the fast path.
     if token
-        .bytes()
-        .all(|b| b.is_ascii_digit() || matches!(b, b'.' | b'-' | b'+' | b'e' | b'E'))
+        .as_bytes()
+        .last()
+        .is_some_and(|&b| b.is_ascii_digit() || b == b'.')
     {
         if let Ok(value) = token.parse::<f64>() {
             return Ok(value);

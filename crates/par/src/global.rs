@@ -185,6 +185,9 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// amortise the handoff (fewer than two items per worker) run serially on
 /// the caller.
 ///
+/// This is [`start_map_global`] followed at once by [`GlobalMap::join`];
+/// a caller with other work to do between the two calls them itself.
+///
 /// # Ownership caveat
 ///
 /// The `jobs - 1` runner jobs queued on the pool each hold a clone of the
@@ -206,9 +209,50 @@ where
     U: Send + 'static,
     F: Fn(usize, &S) -> U + Send + Sync + 'static,
 {
+    start_map_global(jobs, state, len, f).join()
+}
+
+/// A [`par_map_global`] whose runners are queued and whose remaining
+/// chunks, wait and results are still to come: call [`GlobalMap::join`].
+///
+/// Dropping it without joining leaves the queued runners to finish the
+/// chunks on their own; the results are discarded.
+#[must_use = "the results arrive only through `join`"]
+pub struct GlobalMap<S, U, F> {
+    run: Run<S, U, F>,
+}
+
+impl<S, U, F> std::fmt::Debug for GlobalMap<S, U, F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pooled = matches!(self.run, Run::Pool(_));
+        f.debug_struct("GlobalMap")
+            .field("pooled", &pooled)
+            .finish()
+    }
+}
+
+/// How a started map runs: all on the caller at join, or on the pool.
+enum Run<S, U, F> {
+    Serial { state: Arc<S>, len: usize, f: F },
+    Pool(Arc<Session<S, U, F>>),
+}
+
+/// The first half of [`par_map_global`]: queues `jobs - 1` runners on the
+/// [`global_pool`], which start claiming chunks at once, and returns
+/// without running any chunk on the caller.  The caller is free to do
+/// other work before [`GlobalMap::join`]; a serial-sized input (see
+/// [`par_map_global`]) queues nothing and runs wholly inside `join`.
+pub fn start_map_global<S, U, F>(jobs: usize, state: Arc<S>, len: usize, f: F) -> GlobalMap<S, U, F>
+where
+    S: Send + Sync + 'static,
+    U: Send + 'static,
+    F: Fn(usize, &S) -> U + Send + Sync + 'static,
+{
     let jobs = jobs.max(1).min(len.max(1));
     if jobs == 1 || len < 2 * jobs {
-        return (0..len).map(|i| f(i, &state)).collect();
+        return GlobalMap {
+            run: Run::Serial { state, len, f },
+        };
     }
 
     let chunk = len.div_ceil(jobs * CHUNKS_PER_WORKER).max(1);
@@ -231,32 +275,55 @@ where
         let session = Arc::clone(&session);
         pool.spawn(move || session.run());
     }
-    // The caller is the final runner, then waits out any stragglers.
-    session.run();
-    {
-        let mut remaining = session.remaining.lock().unwrap_or_else(|e| e.into_inner());
-        while *remaining > 0 {
-            remaining = session
-                .done
-                .wait(remaining)
-                .unwrap_or_else(|e| e.into_inner());
+    GlobalMap {
+        run: Run::Pool(session),
+    }
+}
+
+impl<S, U, F> GlobalMap<S, U, F>
+where
+    F: Fn(usize, &S) -> U,
+{
+    /// The second half of [`par_map_global`]: runs the chunks no runner
+    /// has claimed yet on the calling thread, waits out the stragglers and
+    /// collects the results in index order.
+    ///
+    /// # Panics
+    ///
+    /// Re-throws the first panic raised inside `f` after every chunk has
+    /// settled.
+    pub fn join(self) -> Vec<U> {
+        let session = match self.run {
+            Run::Serial { state, len, f } => return (0..len).map(|i| f(i, &state)).collect(),
+            Run::Pool(session) => session,
+        };
+        // The caller is the final runner, then waits out any stragglers.
+        session.run();
+        {
+            let mut remaining = session.remaining.lock().unwrap_or_else(|e| e.into_inner());
+            while *remaining > 0 {
+                remaining = session
+                    .done
+                    .wait(remaining)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
         }
-    }
 
-    let payload = session
-        .panic
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take();
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
+        let payload = session
+            .panic
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
 
-    let mut result = Vec::with_capacity(len);
-    for slot in &session.slots {
-        result.append(&mut slot.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut result = Vec::with_capacity(session.len);
+        for slot in &session.slots {
+            result.append(&mut slot.lock().unwrap_or_else(|e| e.into_inner()));
+        }
+        result
     }
-    result
 }
 
 #[cfg(test)]
@@ -278,6 +345,40 @@ mod tests {
             });
             assert_eq!(par, serial, "jobs = {jobs}");
         }
+    }
+
+    #[test]
+    fn started_map_overlaps_the_caller_and_joins_to_the_serial_result() {
+        let items: Vec<u64> = (0..500).collect();
+        let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+        let shared = Arc::new(items);
+        for jobs in [1, 2, 3, 7] {
+            let started = start_map_global(jobs, Arc::clone(&shared), shared.len(), |i, v| {
+                v[i] * v[i] + 1
+            });
+            // The caller's own work between the halves, here a second map
+            // of its own, does not disturb the first one's slots.
+            let other = par_map_global(jobs, Arc::clone(&shared), 64, |i, v| v[i] + 7);
+            assert_eq!(other, (7..71).collect::<Vec<u64>>(), "jobs = {jobs}");
+            assert_eq!(started.join(), serial, "jobs = {jobs}");
+        }
+        // A map dropped unjoined is finished by its runners; the pool keeps
+        // serving.
+        drop(start_map_global(4, Arc::clone(&shared), 500, |i, v| v[i]));
+        assert_eq!(par_map_global(4, shared, 500, |i, v| v[i]).len(), 500);
+    }
+
+    #[test]
+    fn panic_in_a_started_map_surfaces_at_join() {
+        let shared = Arc::new((0..256u64).collect::<Vec<_>>());
+        let started = start_map_global(3, shared, 256, |i, v| {
+            if i == 200 {
+                panic!("boom");
+            }
+            v[i]
+        });
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| started.join()));
+        assert!(result.is_err());
     }
 
     #[test]

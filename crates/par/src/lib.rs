@@ -21,6 +21,8 @@
 //!   pool for `'static` (`Arc`-owned) jobs, reused across calls so that
 //!   repeated small parallel regions (the ECO edit→re-query loop, a CLI
 //!   session over many decks) stop paying thread startup;
+//!   [`start_map_global`] / [`GlobalMap::join`] are its two halves, for a
+//!   caller with work of its own to overlap with the map;
 //! * [`JobDeque`] — the per-worker steal-half deque underneath the scoped
 //!   pool;
 //! * [`available_parallelism`] / [`default_jobs`] — worker-count policy
@@ -40,7 +42,7 @@ pub mod global;
 pub mod pool;
 
 pub use crate::deque::JobDeque;
-pub use crate::global::{global_pool, par_map_global, GlobalPool};
+pub use crate::global::{global_pool, par_map_global, start_map_global, GlobalMap, GlobalPool};
 pub use crate::pool::{par_map_indexed, scope, Scope};
 
 /// Environment variable overriding the default worker count (used by CI to

@@ -2245,8 +2245,10 @@ impl Design {
         let feeder_loads: Arc<[(NodeId, Farads)]> = Arc::new([(pin, pin_cap)]);
 
         let nets = nets.into_iter();
-        core.nets.reserve(2 * nets.size_hint().0);
-        core.aug.reserve(2 * nets.size_hint().0);
+        let hint = 2 * nets.size_hint().0;
+        core.nets.reserve(hint);
+        core.aug.reserve(hint);
+        core.net_index.reserve(hint);
         // The same nets, checks and error order as one `add_instance` and
         // two `add_net` calls per deck net, with the augmentation taken
         // from the ids in hand instead of resolved by name.  Each
@@ -2276,8 +2278,9 @@ impl Design {
                 },
             );
 
-            let mut sinks = Vec::new();
-            let mut loads = Vec::new();
+            let outputs = tree.outputs().count();
+            let mut sinks = Vec::with_capacity(outputs);
+            let mut loads = Vec::with_capacity(outputs);
             for id in tree.outputs() {
                 let node = tree.name(id).expect("output node exists");
                 po.clear();

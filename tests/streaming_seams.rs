@@ -187,8 +187,31 @@ fn unicode_whitespace_before_directives_streams_identically() {
                 .replace("*D_NET", &format!("{space}*D_NET")),
         );
     }
-    // Unicode whitespace between tokens splits them too.
+    // Unicode whitespace between tokens splits them too, and so do the
+    // vertical tab, NEL and the line separator, which end no line.
     assert_two_nets(&TWO_NETS.replace("1 x 1", "1\u{a0}x\u{3000}1"));
+    for space in ["\x0B", "\u{85}", "\u{2028}", "\x0B\u{85}\u{2028}"] {
+        assert_two_nets(&TWO_NETS.replace("1 drv y 7", &format!("1{space}drv{space}y{space}7")));
+        assert_two_nets(&TWO_NETS.replace("*P x O", &format!("*P{space}x{space}O{space}")));
+    }
+    // Non-ASCII node names are tokens like any other.
+    let named = TWO_NETS
+        .replace(" x", " né")
+        .replace(" m", " 中間")
+        .replace(" y", " ÿ\u{1F600}");
+    assert_stream_matches(&named);
+    let nets = parse_spef_deck(&named, 1).unwrap();
+    let outputs: Vec<&str> = nets
+        .iter()
+        .flat_map(|net| net.tree.outputs().map(|id| net.tree.name(id).unwrap()))
+        .collect();
+    assert_eq!(outputs, ["né", "ÿ\u{1F600}"]);
+    assert!(nets[0].tree.node_by_name("中間").is_ok());
+    let plain = parse_spef(TWO_NETS).unwrap();
+    for (net, plain) in nets.iter().zip(&plain) {
+        assert_eq!(net.tree.node_count(), plain.tree.node_count());
+        assert_eq!(net.tree.total_capacitance(), plain.tree.total_capacitance());
+    }
 }
 
 #[test]
