@@ -5,12 +5,13 @@
 //! seeded stream of edits, and after every edit the timing of the deepest
 //! sink is re-queried.  Two engines race on identical streams:
 //!
-//! * **incremental** — one `EditableTree`; each edit patches the traversal
-//!   cache and repairs the live characteristic-time state in
-//!   `O(depth · log n)` (`O(depth + |subtree|)` for structural edits);
+//! * **incremental** — one `EditableTree`; each edit writes the tree's
+//!   row, patches the engine's own repair columns and repairs the live
+//!   characteristic-time state in `O(depth · log n)`
+//!   (`O(depth + |subtree|)` for structural edits);
 //! * **rebuild** — the pre-ECO workflow; each edit is followed by
-//!   `RcTree::rebuild()` (from-scratch derived state) plus a full
-//!   `BatchTimes::of` sweep, `O(n)` per edit.
+//!   `RcTree::rebuild()` (a table copy with its pre-order re-derived)
+//!   plus a full `BatchTimes::of` sweep, `O(n)` per edit.
 //!
 //! Before timing, both engines run the stream once and their final states
 //! are asserted equal to 1e-9 relative, so the speedup is never bought
@@ -79,8 +80,8 @@ fn run_incremental(
 }
 
 /// The same stream on the rebuild-and-rerun baseline: the edit is applied
-/// (cheap), then the derived state is rebuilt from scratch and a full
-/// batch sweep answers the query — the pre-incremental workflow.
+/// (cheap), then the tree is rebuilt from scratch and a full batch sweep
+/// answers the query — the pre-incremental workflow.
 fn run_rebuild(
     tree: &RcTree,
     sink: NodeId,

@@ -8,7 +8,7 @@
 //! `2` when the bounds cannot decide (`indeterminate`) — so a CI gate on
 //! "exit 0" only goes green for *proven* timing.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
 use std::process::ExitCode;
 
 use rctree_cli::{
@@ -41,13 +41,31 @@ fn verdict_exit(verdict: Option<Certification>) -> ExitCode {
     }
 }
 
+/// The one writer of standard output: writes `text`, flushes it (a sizing
+/// loop wants each slack line as it lands) and passes `status` on.  A
+/// closed pipe — `rcdelay report ... | head` — is the end of output, not
+/// an error: the text is dropped and the verdict's status stands.  Any
+/// other write error fails.
+fn respond(text: &str, status: ExitCode) -> ExitCode {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write output: {e}");
+            ExitCode::FAILURE
+        }
+        _ => status,
+    }
+}
+
 fn main() -> ExitCode {
     let opts = match parse_args(std::env::args().skip(1)) {
         Ok(opts) => opts,
         Err(CliError::Usage(message)) => {
             if message == USAGE {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
+                return respond(USAGE, ExitCode::SUCCESS);
             }
             eprintln!("error: {message}\n\n{USAGE}");
             return ExitCode::FAILURE;
@@ -68,12 +86,9 @@ fn main() -> ExitCode {
                 }
             };
             match load_tree(&text, &opts).and_then(|tree| report(&tree, &opts)) {
-                Ok(report) => {
-                    print!("{report}");
-                    // The verdict must be visible to scripts and CI, not
-                    // just humans reading stdout: fail → 1, unproven → 2.
-                    verdict_exit(report.certification)
-                }
+                // The verdict must be visible to scripts and CI, not just
+                // humans reading stdout: fail → 1, unproven → 2.
+                Ok(report) => respond(&report.to_string(), verdict_exit(report.certification)),
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -95,10 +110,7 @@ fn main() -> ExitCode {
                 }
             };
             match run_eco_path(&opts.path, &script_text, &opts) {
-                Ok(outcome) => {
-                    print!("{}", outcome.text);
-                    verdict_exit(Some(outcome.certification))
-                }
+                Ok(outcome) => respond(&outcome.text, verdict_exit(Some(outcome.certification))),
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -124,10 +136,7 @@ fn main() -> ExitCode {
                 corners.as_ref(),
                 opts.corner.as_deref(),
             ) {
-                Ok(report) => {
-                    print!("{}", report.text);
-                    verdict_exit(report.certification)
-                }
+                Ok(report) => respond(&report.text, verdict_exit(report.certification)),
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -151,10 +160,7 @@ fn main() -> ExitCode {
                 *over_r,
                 *over_c,
             ) {
-                Ok(report) => {
-                    print!("{}", report.text);
-                    verdict_exit(report.certification)
-                }
+                Ok(report) => respond(&report.text, verdict_exit(report.certification)),
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -178,12 +184,11 @@ fn main() -> ExitCode {
             let jobs = opts.jobs.unwrap_or_else(rctree_par::default_jobs);
             match profile_from_paths(decks, driver, opts.threshold, budget, jobs) {
                 Ok((rows, certification)) => {
-                    if *json {
-                        print!("{}", render_profile_json(&rows));
-                    } else {
-                        print!("{}", render_profile_table(&rows));
-                    }
-                    verdict_exit(Some(certification))
+                    let text = match *json {
+                        true => render_profile_json(&rows),
+                        false => render_profile_table(&rows),
+                    };
+                    respond(&text, verdict_exit(Some(certification)))
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -490,10 +495,10 @@ fn run_scrape(addr: &str, stable: bool, out: Option<&str>, prev: Option<&str>) -
                 return ExitCode::FAILURE;
             }
             emit(&format!("exposition written to {path}"));
+            ExitCode::SUCCESS
         }
-        None => print!("{text}"),
+        None => respond(&text, ExitCode::SUCCESS),
     }
-    ExitCode::SUCCESS
 }
 
 /// Sends `SHUTDOWN` on a fresh connection and waits for its `OK`.
@@ -508,12 +513,10 @@ fn send_shutdown(addr: std::net::SocketAddr) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Prints a session line immediately (stdout is block-buffered when piped,
-/// and a sizing loop wants each slack delta as it lands).
+/// Prints a session line immediately; a failed write does not stop the
+/// session.
 fn emit(line: &str) {
-    let mut stdout = std::io::stdout();
-    let _ = writeln!(stdout, "{line}");
-    let _ = stdout.flush();
+    respond(&format!("{line}\n"), ExitCode::SUCCESS);
 }
 
 /// One streamed script line: parse, apply each edit, report.  Bad lines
@@ -553,8 +556,7 @@ fn run_watch(script: &str, opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{header}");
-    let _ = std::io::stdout().flush();
+    respond(&header, ExitCode::SUCCESS);
 
     let mut line_no = 0usize;
     if script == "-" {

@@ -262,3 +262,47 @@ fn eco_without_budget_is_a_usage_error() {
     assert!(!out.status.success(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("--budget"));
 }
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    // Each child's stdout read end is closed before it can write (the
+    // input it answers arrives on stdin afterwards), so every write it
+    // makes meets a closed pipe.  The exit status is still the verdict's.
+    let deck = write_temp("closed_stdout.spef", ECO_DECK);
+    let cases: [(&[&str], &str); 3] = [
+        (&["--budget", "1000", "-"], FIG7_DECK),
+        (&["report", "--budget", "100e-9", "-"], ECO_DECK),
+        (
+            &[
+                "eco",
+                "--watch",
+                "--budget",
+                "100e-9",
+                deck.to_str().unwrap(),
+                "-",
+            ],
+            "setcap slow y 0.6e-12\nsetcap slow y 0.5e-12\n",
+        ),
+    ];
+    for (args, input) in cases {
+        let mut child = rcdelay()
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("rcdelay spawns");
+        drop(child.stdout.take());
+        child
+            .stdin
+            .take()
+            .expect("piped stdin")
+            .write_all(input.as_bytes())
+            .expect("input piped");
+        let out = child.wait_with_output().expect("rcdelay runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {out:?}");
+        assert!(out.status.success(), "{args:?}: a passing verdict: {out:?}");
+    }
+}

@@ -42,14 +42,14 @@
 //! the identity) and maps every trait operation onto the corresponding
 //! native IEEE-754 operation (`add` → `+`, `mul` → `*`, `div(k)` → `/ k`,
 //! `div_exact` → `/`).  The generic kernel in [`crate::batch`] performs its
-//! operations in **the same order with the same association** as the
-//! historical hand-written scalar loops, so the `f64` instantiation executes
-//! the *identical float sequence* — bit-for-bit, not merely numerically
-//! close.  This is pinned by tests: `batch::tests` compares the generic
-//! pre-order kernel against the independent (non-generic)
-//! [`crate::incremental::raw_times`] traversal with `assert_eq!`, and the
-//! `rctree-sta` equivalence suites extend the pin across every workload
-//! generator, worker count and seeded ECO stream.
+//! operations in **the same order with the same association** as
+//! hand-written scalar loops would (the incremental engine's repairs are
+//! written that way), so the `f64` instantiation executes the *identical
+//! float sequence* — bit-for-bit, not merely numerically close.  The
+//! scalar path has this one kernel, so its order is pinned by what it
+//! produces: the `rctree-sta` equivalence suites compare it across every
+//! workload generator, worker count and seeded ECO stream, and CI checks
+//! the report bytes of a 20,000-net deck against fixed md5 sums.
 //!
 //! [`Poly2`] values, by contrast, carry a dense 3×3 coefficient grid over
 //! the monomials `r^i·c^j` (`0 ≤ i, j ≤ 2` — degree ≤ 2 per variable, which

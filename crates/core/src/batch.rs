@@ -6,18 +6,19 @@
 //! analysing `m` outputs with them costs `O(n·m)` — quadratic on exactly the
 //! multi-sink clock-tree and PLA workloads the paper targets (Figs. 10–13).
 //!
-//! [`BatchTimes`] removes the extra factor: **two traversals** over the
-//! column table of an [`RcTree`] produce the characteristic times of all
-//! `n` nodes at once, after which any output's signature is an `O(1)`
-//! lookup.
+//! [`BatchTimes`] removes the extra factor: a few passes over the base
+//! columns of an [`RcTree`], in id order, produce the characteristic times
+//! of all `n` nodes at once, after which any output's signature is an
+//! `O(1)` lookup.
 //!
 //! # Algorithm
 //!
-//! One post-order pass (already derived on the tree) accumulates the subtree
-//! capacitance `C_sub(v)` under every node.  A pre-order pass then carries
-//! the Elmore delay and the `T_Re` numerator `N(e) = Σ_k R_ke²·C_k`
-//! incrementally across each edge `p → c` with branch resistance `r` and
-//! distributed capacitance `c_ℓ`:
+//! A tree's ids put every parent before its children, so a forward pass
+//! over ids carries the path resistance `R_kk` down every edge and a
+//! backward pass accumulates the subtree capacitance `C_sub(v)` under every
+//! node.  A second forward pass then carries the Elmore delay and the
+//! `T_Re` numerator `N(e) = Σ_k R_ke²·C_k` across each edge `p → c` with
+//! branch resistance `r` and distributed capacitance `c_ℓ`:
 //!
 //! ```text
 //! T_De(c) = T_De(p) + r·(C_sub(c) + c_ℓ/2)
@@ -33,18 +34,21 @@
 //! `c_ℓ·(R_pp² + R_pp·r + r²/3) − c_ℓ·R_pp²`.  `T_P = Σ R_kk·C_k` does not
 //! depend on the output at all and is computed once and shared.
 //!
-//! Total cost: `O(n)` time, three `Vec<f64>` allocations, no per-output
-//! work — an asymptotic win over calling
-//! [`characteristic_times`](crate::moments::characteristic_times) in a loop
-//! (kept, together with
+//! Total cost: `O(n)` time and four `Vec` allocations (`R_kk`, kept as
+//! `R_ee`, `C_sub`, `T_De` and `T_Re`), no per-output work — an
+//! asymptotic win over calling
+//! [`characteristic_times`](crate::moments::characteristic_times) in a
+//! loop (kept, together with
 //! [`characteristic_times_direct`](crate::moments::characteristic_times_direct),
 //! as independent oracles; the `batch_equivalence` suite checks agreement to
 //! 1e-9 relative on every workload generator).
 //!
-//! [`BatchTimes`] is the *one-shot facade* over this computation; when a
-//! tree is edited repeatedly (ECO loops), [`crate::incremental`] keeps the
-//! same arrays live and repairs them in `O(depth + |dirty subtree|)` per
-//! edit instead of re-running the sweep.
+//! This is the one kernel: [`BatchTimes::of`] runs it over a tree's
+//! columns, [`BatchTimes::of_preorder`] and [`Scratch::sweep`] over
+//! spliced arrays, and [`EditableTree`](crate::incremental::EditableTree)
+//! seeds its live state from its un-normalised sweep, then keeps the
+//! same arrays and repairs them in `O(depth + |dirty subtree|)` per edit
+//! instead of re-running it.
 //!
 //! ```
 //! use rctree_core::batch::BatchTimes;
@@ -77,23 +81,48 @@ use crate::moments::CharacteristicTimes;
 use crate::tree::{NodeId, RcTree};
 use crate::units::{Farads, Ohms, Seconds};
 
-/// The one-post-order + one-pre-order flat kernel, written once over the
-/// [delay algebra](crate::algebra): validation, prefix state, the `T_P` /
-/// `T_De` / `T_Re`-numerator sweep and the in-place `T_Re` normalisation,
-/// filling the caller's buffers and returning `(T_P, C_T)`.
-///
-/// Instantiated at `f64` this **is** the historical scalar kernel — every
-/// operation maps onto the identical native float operation in the identical
-/// order (see the bit-identity contract in [`crate::algebra`]), which the
-/// tests below pin with `assert_eq!` against the independent
-/// [`crate::incremental::raw_times`] traversal.  Instantiated at
-/// [`Poly2`] the same traversal yields every characteristic time as a
-/// polynomial in the uniform `(r, c)` scale factors.
-// Four parallel output buffers plus the four input arrays: the flat-array
-// calling convention is the point of this kernel, so the argument count is
+/// `R_kk` of every node in one forward pass over a parent-before-child
+/// order: `R(i) = R(parent(i)) + r_i`, with `R(0) = 0`.
+pub(crate) fn path_resistances<V: DelayValue>(
+    parent: &[u32],
+    branch_r: &[f64],
+    path_r: &mut Vec<V>,
+) {
+    path_r.clear();
+    path_r.resize(parent.len(), V::zero());
+    for i in 1..parent.len() {
+        path_r[i] = path_r[parent[i] as usize].add(&V::from_r(branch_r[i]));
+    }
+}
+
+/// `C_sub` of every node in one backward pass over a parent-before-child
+/// order: the node's lumped capacitor plus, per child in descending order,
+/// the child's `C_sub` and the line capacitance of the branch feeding it.
+pub(crate) fn subtree_caps<V: DelayValue>(
+    parent: &[u32],
+    branch_c: &[f64],
+    node_cap: &[f64],
+    down_cap: &mut Vec<V>,
+) {
+    down_cap.clear();
+    down_cap.extend(node_cap.iter().map(|&c| V::from_c(c)));
+    for i in (1..parent.len()).rev() {
+        let p = parent[i] as usize;
+        down_cap[p] = down_cap[p].add(&down_cap[i].add(&V::from_c(branch_c[i])));
+    }
+}
+
+/// The un-normalised sweep over columns already validated as a tree in a
+/// parent-before-child order: fills `path_r`, `down_cap`, the Elmore
+/// delays `t_d` and the `T_Re` numerators `Σ R_ke²·C_k` in `t_r`, and
+/// returns `(T_P, C_T)`.  It accepts a network without capacitance (every
+/// time is then zero), which is how
+/// [`EditableTree`](crate::incremental::EditableTree) seeds its live state.
+// Four output buffers plus the four input arrays: the flat-array calling
+// convention is the point of this kernel, so the argument count is
 // inherent.
 #[allow(clippy::too_many_arguments)]
-fn sweep_algebra<V: DelayValue>(
+pub(crate) fn raw_sweep<V: DelayValue>(
     parent: &[u32],
     branch_r: &[f64],
     branch_c: &[f64],
@@ -102,43 +131,8 @@ fn sweep_algebra<V: DelayValue>(
     down_cap: &mut Vec<V>,
     t_d: &mut Vec<V>,
     t_r: &mut Vec<V>,
-) -> Result<(V, V)> {
+) -> (V, V) {
     let n = parent.len();
-    if n == 0 || branch_r.len() != n || branch_c.len() != n || node_cap.len() != n {
-        return Err(CoreError::InvalidValue {
-            what: "pre-order array length",
-            value: n as f64,
-        });
-    }
-    if parent[0] != 0 {
-        return Err(CoreError::InvalidValue {
-            what: "pre-order root parent",
-            value: parent[0] as f64,
-        });
-    }
-    // The root has no feeding element; a nonzero root branch would make
-    // the total-capacitance and T_P accumulations inconsistent.
-    if branch_r[0] != 0.0 {
-        return Err(CoreError::InvalidValue {
-            what: "pre-order root branch resistance",
-            value: branch_r[0],
-        });
-    }
-    if branch_c[0] != 0.0 {
-        return Err(CoreError::InvalidValue {
-            what: "pre-order root branch capacitance",
-            value: branch_c[0],
-        });
-    }
-    for (i, &p) in parent.iter().enumerate().skip(1) {
-        if p as usize >= i {
-            return Err(CoreError::InvalidValue {
-                what: "pre-order parent index",
-                value: p as f64,
-            });
-        }
-    }
-
     // Total capacitance exactly as `RcTree::total_capacitance`: the lumped
     // sum and the distributed sum are accumulated separately (in id order)
     // and added at the end.
@@ -151,27 +145,9 @@ fn sweep_algebra<V: DelayValue>(
         distributed = distributed.add(&V::from_c(c));
     }
     let total_cap = lumped.add(&distributed);
-    if total_cap.is_zero() {
-        return Err(CoreError::NoCapacitance);
-    }
 
-    // Derived prefix state, in the same order as the tree's derivation
-    // pass (pre-order equals id order here by construction).
-    path_r.clear();
-    path_r.resize(n, V::zero());
-    for i in 1..n {
-        path_r[i] = path_r[parent[i] as usize].add(&V::from_r(branch_r[i]));
-    }
-    down_cap.clear();
-    for &c in node_cap {
-        down_cap.push(V::from_c(c));
-    }
-    for i in (1..n).rev() {
-        let p = parent[i] as usize;
-        down_cap[p] = down_cap[p].add(&down_cap[i].add(&V::from_c(branch_c[i])));
-    }
-
-    // The raw sweep, in the same order as `incremental::raw_times`.
+    path_resistances(parent, branch_r, path_r);
+    subtree_caps(parent, branch_c, node_cap, down_cap);
     let mut t_p = V::zero();
     for i in 0..n {
         let p = parent[i] as usize;
@@ -180,6 +156,8 @@ fn sweep_algebra<V: DelayValue>(
             .add(&V::from_c(branch_c[i]).mul(&path_r[p].add(&V::from_r(branch_r[i]).div(2.0))));
         t_p = t_p.add(&term);
     }
+    // Carry T_De and the T_Re numerator down every edge; a parent comes
+    // before its children, so its values are final when they are read.
     t_d.clear();
     t_d.resize(n, V::zero());
     t_r.clear();
@@ -195,15 +173,24 @@ fn sweep_algebra<V: DelayValue>(
             .add(&r_cc.add(&r_pp).mul(&r).mul(&c_sub))
             .add(&c_line.mul(&r_pp.mul(&r).add(&r.mul(&r).div(3.0))));
     }
-    // Normalise the T_Re numerator in place, as `from_raw` does.
-    for i in 0..n {
-        if t_r[i].is_zero() {
+    (t_p, total_cap)
+}
+
+/// Divides each `T_Re` numerator by its node's `R_ee`, in place.
+///
+/// # Errors
+///
+/// [`CoreError::NoPathResistance`] at the first node with a nonzero
+/// numerator and no path resistance.
+pub(crate) fn normalise<V: DelayValue>(t_r: &mut [V], path_r: &[V]) -> Result<()> {
+    for (i, num) in t_r.iter_mut().enumerate() {
+        if num.is_zero() {
             // No capacitor shares any resistance with this node.
         } else if path_r[i].is_zero() {
             return Err(CoreError::NoPathResistance { output: NodeId(i) });
         } else {
-            match t_r[i].div_exact(&path_r[i]) {
-                Some(v) => t_r[i] = v,
+            match num.div_exact(&path_r[i]) {
+                Some(v) => *num = v,
                 // Unreachable for kernel-produced values: the divisor is a
                 // path resistance, which every instance's divisor class
                 // covers (f64: nonzero scalar; Poly2: the r-monomial).
@@ -216,7 +203,59 @@ fn sweep_algebra<V: DelayValue>(
             }
         }
     }
+    Ok(())
+}
 
+/// The one kernel, written once over the [delay algebra](crate::algebra):
+/// validation, then [`raw_sweep`] — one forward pass for `R_kk`, one
+/// backward pass for `C_sub`, then the `T_P` / `T_De` /
+/// `T_Re`-numerator passes — and the in-place `T_Re` normalisation,
+/// filling the caller's buffers and returning `(T_P, C_T)`.
+///
+/// Instantiated at `f64` this **is** the scalar kernel: every operation
+/// maps onto the identical native float operation in the identical order
+/// (see the bit-identity contract in [`crate::algebra`]).  Instantiated at
+/// [`Poly2`] the same traversal yields every characteristic time as a
+/// polynomial in the uniform `(r, c)` scale factors.
+#[allow(clippy::too_many_arguments)]
+fn sweep_algebra<V: DelayValue>(
+    parent: &[u32],
+    branch_r: &[f64],
+    branch_c: &[f64],
+    node_cap: &[f64],
+    path_r: &mut Vec<V>,
+    down_cap: &mut Vec<V>,
+    t_d: &mut Vec<V>,
+    t_r: &mut Vec<V>,
+) -> Result<(V, V)> {
+    let n = parent.len();
+    let invalid = |what, value| Err(CoreError::InvalidValue { what, value });
+    if n == 0 || branch_r.len() != n || branch_c.len() != n || node_cap.len() != n {
+        return invalid("pre-order array length", n as f64);
+    }
+    if parent[0] != 0 {
+        return invalid("pre-order root parent", parent[0] as f64);
+    }
+    // The root has no feeding element; a nonzero root branch would make
+    // the total-capacitance and T_P accumulations inconsistent.
+    if branch_r[0] != 0.0 {
+        return invalid("pre-order root branch resistance", branch_r[0]);
+    }
+    if branch_c[0] != 0.0 {
+        return invalid("pre-order root branch capacitance", branch_c[0]);
+    }
+    for (i, &p) in parent.iter().enumerate().skip(1) {
+        if p as usize >= i {
+            return invalid("pre-order parent index", p as f64);
+        }
+    }
+    let (t_p, total_cap) = raw_sweep(
+        parent, branch_r, branch_c, node_cap, path_r, down_cap, t_d, t_r,
+    );
+    if total_cap.is_zero() {
+        return Err(CoreError::NoCapacitance);
+    }
+    normalise(t_r, path_r)?;
     Ok((t_p, total_cap))
 }
 
@@ -227,25 +266,22 @@ fn sweep_algebra<V: DelayValue>(
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchTimes {
     /// `T_P = Σ R_kk·C_k`, identical for every output.
-    t_p: f64,
+    pub(crate) t_p: f64,
     /// Total network capacitance `C_T`.
-    total_cap: f64,
+    pub(crate) total_cap: f64,
     /// Per-node path resistance `R_ee`.
-    r_ee: Vec<f64>,
+    pub(crate) r_ee: Vec<f64>,
     /// Per-node Elmore delay `T_De`.
-    t_d: Vec<f64>,
+    pub(crate) t_d: Vec<f64>,
     /// Per-node rise time `T_Re`.
-    t_r: Vec<f64>,
+    pub(crate) t_r: Vec<f64>,
 }
 
 impl BatchTimes {
-    /// Computes the characteristic times of all nodes of `tree` in one
-    /// post-order plus one pre-order traversal.
-    ///
-    /// This is the one-shot facade over the incremental core: the traversal
-    /// itself lives in [`crate::incremental::raw_times`], shared with the
-    /// mutable [`EditableTree`](crate::incremental::EditableTree) engine,
-    /// which seeds its live state from the identical float sequence.
+    /// Computes the characteristic times of all nodes of `tree` in a few
+    /// linear passes over its base columns in id order:
+    /// [`BatchTimes::of_preorder`] on the tree's parent and element
+    /// columns.  Node ids index the result.
     ///
     /// # Errors
     ///
@@ -256,48 +292,16 @@ impl BatchTimes {
     ///   builder accepts, since `R_ke ≤ R_ee` forces the numerator to zero
     ///   with `R_ee`; kept as a defensive check).
     pub fn of(tree: &RcTree) -> Result<Self> {
-        let raw = crate::incremental::raw_times(tree);
-        if raw.total_cap == 0.0 {
-            return Err(CoreError::NoCapacitance);
-        }
-        Self::from_raw(raw, tree.traversal().path_r.clone())
-    }
-
-    /// Normalises raw per-node sums (Elmore delays and `Σ R_ke²·C_k`
-    /// numerators) into a finished signature table.  Shared by
-    /// [`BatchTimes::of`] and the incremental engine's snapshot path.
-    pub(crate) fn from_raw(raw: crate::incremental::RawTimes, r_ee: Vec<f64>) -> Result<Self> {
-        let crate::incremental::RawTimes {
-            t_p,
-            total_cap,
-            t_d,
-            t_r_num,
-        } = raw;
-        // Normalize the numerator into T_Re.
-        let mut t_r = t_r_num;
-        for (i, num) in t_r.iter_mut().enumerate() {
-            if *num == 0.0 {
-                // No capacitor shares any resistance with this node.
-            } else if r_ee[i] == 0.0 {
-                return Err(CoreError::NoPathResistance { output: NodeId(i) });
-            } else {
-                *num /= r_ee[i];
-            }
-        }
-        Ok(BatchTimes {
-            t_p,
-            total_cap,
-            r_ee,
-            t_d,
-            t_r,
-        })
+        let t = tree.columns();
+        Self::of_preorder(&t.parent, &t.branch_r, &t.branch_c, &t.node_cap)
     }
 
     /// Computes the characteristic times of an ad-hoc tree given as flat
-    /// **pre-order** arrays, without constructing an [`RcTree`].
+    /// arrays, without constructing an [`RcTree`].
     ///
-    /// Node `i` is the `i`-th node of a depth-first pre-order walk
-    /// (`parent[i] < i` for every non-root node, `parent[0] == 0`);
+    /// The nodes may come in any order that puts every parent before its
+    /// children (`parent[i] < i` for every non-root node, `parent[0] ==
+    /// 0`) — a depth-first pre-order, or a tree's own id order;
     /// `branch_r`/`branch_c` describe the element feeding node `i` from its
     /// parent (both zero for the root), and `node_cap` is the lumped
     /// grounded capacitance at the node.
@@ -305,23 +309,20 @@ impl BatchTimes {
     /// This is the allocation-light kernel behind the static-timing layer's
     /// stage evaluation: a driver resistor and sink load capacitances can be
     /// spliced around an interconnect tree as plain array entries, skipping
-    /// the name-validating builder entirely.  Because
-    /// [`RcTreeBuilder`](crate::builder::RcTreeBuilder) assigns ids in
-    /// insertion order and the tree's derivation pass builds every prefix sum in
-    /// pre-order, the result is **bit-identical** to
-    /// [`BatchTimes::of`] on a builder-constructed tree whose insertion
-    /// order was a pre-order walk of the same shape — the shared generic
-    /// kernel (see [`crate::algebra`]) runs every accumulation in the same
-    /// order with the same operations, and its `f64` instantiation *is* the
-    /// scalar kernel.  The `rctree-sta` stage tests pin this equivalence
-    /// against `analyze_stage`.
+    /// the name-validating builder entirely.  [`BatchTimes::of`] is this
+    /// function on a tree's columns, so arrays that list a tree's nodes in
+    /// the same order give **bit-identical** results: both run the one
+    /// generic kernel (see [`crate::algebra`]), whose `f64` instantiation
+    /// *is* the scalar kernel.  Every sum over nodes runs in array order,
+    /// so a different order of the same nodes may round differently.  The
+    /// `rctree-sta` stage tests pin the splice against `analyze_stage`.
     ///
     /// # Errors
     ///
     /// * [`CoreError::InvalidValue`] if the arrays disagree in length, are
-    ///   empty, or `parent` is not a valid pre-order parent vector;
+    ///   empty, or `parent` does not put every parent first;
     /// * [`CoreError::NoCapacitance`] / [`CoreError::NoPathResistance`] as
-    ///   for [`BatchTimes::of`] (node ids in the latter refer to pre-order
+    ///   for [`BatchTimes::of`] (node ids in the latter refer to array
     ///   positions).
     pub fn of_preorder(
         parent: &[u32],
@@ -396,7 +397,7 @@ impl BatchTimes {
     /// The complete signature of the node at a raw index (`O(1)`).
     ///
     /// Equivalent to [`BatchTimes::times`]; useful with
-    /// [`BatchTimes::of_preorder`], whose nodes are addressed by pre-order
+    /// [`BatchTimes::of_preorder`], whose nodes are addressed by array
     /// position rather than by a tree's [`NodeId`]s.
     ///
     /// # Errors
@@ -495,7 +496,7 @@ impl<V: DelayValue> Scratch<V> {
         Scratch::default()
     }
 
-    /// Runs the [`BatchTimes::of_preorder`] sweep over pre-order arrays
+    /// Runs the [`BatchTimes::of_preorder`] sweep over parent-first arrays
     /// (nominal element values), reusing this scratch's buffers instead of
     /// allocating.
     ///
@@ -547,7 +548,7 @@ impl<V> View<'_, V> {
 }
 
 impl View<'_, f64> {
-    /// The complete signature of the node at a pre-order index (`O(1)`) —
+    /// The complete signature of the node at an array index (`O(1)`) —
     /// the same [`CharacteristicTimes`] that [`BatchTimes::times_at`]
     /// yields for these arrays.
     ///
@@ -567,7 +568,7 @@ impl View<'_, f64> {
 }
 
 impl View<'_, Poly2> {
-    /// The complete symbolic signature of the node at a pre-order index
+    /// The complete symbolic signature of the node at an array index
     /// (`O(1)` — copies five small coefficient grids).
     ///
     /// # Errors
@@ -612,27 +613,54 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The same network inserted breadth-first: `o` gets an id before
+    /// `s2`, so the ids are not in pre-order.
+    fn branching_tree_breadth_first() -> RcTree {
+        let mut b = RcTreeBuilder::new();
+        let a = b
+            .add_line(b.input(), "a", Ohms::new(15.0), Farads::new(1.5))
+            .unwrap();
+        b.add_capacitance(a, Farads::new(2.0)).unwrap();
+        let s1 = b.add_resistor(a, "s1", Ohms::new(8.0)).unwrap();
+        b.add_capacitance(s1, Farads::new(7.0)).unwrap();
+        let o = b
+            .add_line(a, "o", Ohms::new(3.0), Farads::new(4.0))
+            .unwrap();
+        b.add_capacitance(o, Farads::new(9.0)).unwrap();
+        let s2 = b
+            .add_line(s1, "s2", Ohms::new(2.0), Farads::new(0.5))
+            .unwrap();
+        b.add_capacitance(s2, Farads::new(0.25)).unwrap();
+        b.mark_output(o).unwrap();
+        b.mark_output(s2).unwrap();
+        b.build().unwrap()
+    }
+
     #[test]
     fn matches_per_output_oracles_on_every_node() {
-        let tree = branching_tree_with_lines();
-        let batch = BatchTimes::of(&tree).unwrap();
-        for node in tree.node_ids() {
-            let one = characteristic_times(&tree, node).unwrap();
-            let direct = characteristic_times_direct(&tree, node).unwrap();
-            let got = batch.times(node).unwrap();
-            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-30);
-            for (g, want) in [
-                (got.t_p, one.t_p),
-                (got.t_d, one.t_d),
-                (got.t_r, one.t_r),
-                (got.t_p, direct.t_p),
-                (got.t_d, direct.t_d),
-                (got.t_r, direct.t_r),
-            ] {
-                assert!(rel(g.value(), want.value()) < 1e-12, "node {node}");
+        let breadth_first = branching_tree_breadth_first();
+        let ids: Vec<usize> = breadth_first.preorder().map(NodeId::index).collect();
+        assert_eq!(ids, [0, 1, 2, 4, 3], "ids out of pre-order");
+        for tree in [branching_tree_with_lines(), breadth_first] {
+            let batch = BatchTimes::of(&tree).unwrap();
+            for node in tree.node_ids() {
+                let one = characteristic_times(&tree, node).unwrap();
+                let direct = characteristic_times_direct(&tree, node).unwrap();
+                let got = batch.times(node).unwrap();
+                let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-30);
+                for (g, want) in [
+                    (got.t_p, one.t_p),
+                    (got.t_d, one.t_d),
+                    (got.t_r, one.t_r),
+                    (got.t_p, direct.t_p),
+                    (got.t_d, direct.t_d),
+                    (got.t_r, direct.t_r),
+                ] {
+                    assert!(rel(g.value(), want.value()) < 1e-12, "node {node}");
+                }
+                assert_eq!(got.r_ee, one.r_ee);
+                assert_eq!(got.total_cap, one.total_cap);
             }
-            assert_eq!(got.r_ee, one.r_ee);
-            assert_eq!(got.total_cap, one.total_cap);
         }
     }
 
@@ -693,7 +721,7 @@ mod tests {
         // pre-order positions and the flat kernel must reproduce the exact
         // float sequence of the tree-based sweep.
         let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
+        let cache = tree.columns();
         let n = tree.node_count();
         assert_eq!(
             cache.preorder,
@@ -750,7 +778,7 @@ mod tests {
     #[test]
     fn scratch_sweep_is_bit_identical_to_of_preorder() {
         let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
+        let cache = tree.columns();
         let batch = BatchTimes::of_preorder(
             &cache.parent,
             &cache.branch_r,
@@ -808,7 +836,7 @@ mod tests {
         // scalar operations cellwise and Horner evaluation at 1.0 returns
         // the lone coefficient unchanged.
         let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
+        let cache = tree.columns();
         let mut scratch = BatchScratch::new();
         let want = scratch
             .sweep(
@@ -849,7 +877,7 @@ mod tests {
         // pre-scaled by (r, c) — the materialized-corner contract, to
         // rounding.
         let tree = branching_tree_with_lines();
-        let cache = tree.traversal();
+        let cache = tree.columns();
         let mut sym = SymbolicScratch::new();
         // Pollute the scratch first: reuse must not leak state.
         sym.sweep(&[0, 0], &[0.0, 7.0], &[0.0, 0.0], &[3.0, 4.0])

@@ -192,11 +192,11 @@ impl RcTreeBuilder {
 
     /// Finalizes the builder into an immutable [`RcTree`].
     ///
-    /// The base columns are complete at this point; this is where the
-    /// derived columns (pre-order, prefix path resistances, downstream
-    /// capacitances and subtree intervals) are built, in one backward and
-    /// one forward pass over ids, so that every subsequent whole-tree
-    /// analysis is an allocation-free array walk.
+    /// The base columns are complete at this point; the only column
+    /// derived here is the depth-first pre-order, in one backward and one
+    /// forward pass over ids.  Path resistances, subtree capacitances and
+    /// the like are derived by the analyses that read them, from the base
+    /// columns in id order.
     ///
     /// # Errors
     ///

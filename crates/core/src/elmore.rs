@@ -12,9 +12,11 @@
 //! where `C_subtree(b)` is all capacitance strictly downstream of branch `b`
 //! and `C_b` is the branch's own distributed capacitance (which, being spread
 //! uniformly along the branch, sees on average half of the branch's own
-//! resistance).  Accumulating this prefix sum over a depth-first walk yields
-//! the Elmore delay of **every** node in `O(n)` total time.
+//! resistance).  The kernel of [`crate::batch`] carries this prefix sum
+//! down the tree's ids and yields the Elmore delay of **every** node in
+//! `O(n)` total time.
 
+use crate::batch::BatchTimes;
 use crate::error::{CoreError, Result};
 use crate::tree::{NodeId, RcTree};
 use crate::units::Seconds;
@@ -29,22 +31,8 @@ use crate::units::Seconds;
 ///
 /// Returns [`CoreError::NoCapacitance`] if the tree carries no capacitance.
 pub fn elmore_delays(tree: &RcTree) -> Result<Vec<Seconds>> {
-    if tree.total_capacitance().is_zero() {
-        return Err(CoreError::NoCapacitance);
-    }
-    // One pre-order walk over the flattened traversal cache; the only
-    // allocation is the result vector.
-    let cache = tree.traversal();
-    let mut delays = vec![Seconds::ZERO; tree.node_count()];
-    for &i in &cache.preorder[1..] {
-        let i = i as usize;
-        let p = cache.parent[i] as usize;
-        // Downstream of the branch: the child subtree plus the branch's own
-        // distributed capacitance at half weight.
-        let c_effective = cache.down_cap[i] + cache.branch_c[i] * 0.5;
-        delays[i] = Seconds::new(delays[p].value() + cache.branch_r[i] * c_effective);
-    }
-    Ok(delays)
+    let batch = BatchTimes::of(tree)?;
+    Ok(batch.t_d.into_iter().map(Seconds::new).collect())
 }
 
 /// Elmore delay of a single node.

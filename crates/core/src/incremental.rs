@@ -6,17 +6,17 @@
 //! change order (ECO) loop — resize a driver, tweak a load, re-query the
 //! slack, repeat — pays the full `O(n)` rebuild on every edit.  This module
 //! removes that cost.  [`RcTree::apply`] validates one [`TreeEdit`] delta
-//! locally and writes it into the tree's column table, patching the derived
-//! columns a value edit moves; an [`EditableTree`] wraps it with an
-//! [`IncrementalTimes`] engine whose characteristic-time state is repaired
-//! instead of recomputed.  The table is shared with every clone of the tree
-//! until the first accepted edit copies it (`Arc::make_mut`); a rejected
-//! edit copies and changes nothing.
+//! locally and writes it into the tree's column table — one row for a
+//! value edit; an [`EditableTree`] wraps it with an [`IncrementalTimes`]
+//! engine whose characteristic-time state is repaired instead of
+//! recomputed.  The table is shared with every clone of the tree until the
+//! first accepted edit copies it (`Arc::make_mut`); a rejected edit copies
+//! and changes nothing.
 //!
 //! # How the delta propagates
 //!
 //! Both per-node quantities are sums of per-edge weights along the unique
-//! root→node path (the pre-order recurrence of [`crate::batch`]):
+//! root→node path (the recurrence of [`crate::batch`]):
 //!
 //! ```text
 //! T_De(k)      = Σ_{edges c on path(k)} w₁(c),  w₁(c) = r·(C_sub(c) + c_ℓ/2)
@@ -27,9 +27,8 @@
 //! A value edit at node `v` only perturbs the weights of edges on the
 //! root→`v` path (plus, for a branch-resistance change, the `w₂` weights
 //! inside `v`'s subtree).  An edge's weight change affects exactly the
-//! nodes *below* that edge — which, thanks to the tree's pre-order subtree
-//! intervals, is one contiguous slice of pre-order positions.  The engine
-//! therefore stores each node's time as
+//! nodes *below* that edge — one contiguous slice of the tree's pre-order.
+//! The engine therefore stores each node's time as
 //!
 //! ```text
 //! value(k) = base[k] + lazy(pre_index[k])
@@ -37,42 +36,48 @@
 //!
 //! where `lazy` is a Fenwick tree over pre-order positions supporting
 //! `O(log n)` subtree-range add and `O(log n)` point query.  `T_P` and
-//! `C_T` are maintained as running sums.  [`RcTree::apply`] patches the
-//! tree's `C_sub` column along the root path (and, for a resistance change,
-//! the path-resistance column over the subtree).
+//! `C_T` are maintained as running sums.  The engine also owns the
+//! derived columns its repairs read — `R_kk`, `C_sub` and each node's
+//! pre-order interval (the inverse of the tree's stored pre-order plus
+//! subtree sizes) — and patches them itself: `C_sub` along the root path,
+//! and for a resistance change `R_kk` over the subtree.
 //!
 //! # Complexity
 //!
 //! | Edit | Numeric work | Index work |
 //! |------|--------------|------------|
-//! | [`TreeEdit::SetCap`] | `O(depth · log n)` | `O(depth)` |
-//! | [`TreeEdit::SetBranch`] | `O(depth · log n + |subtree| · log n)` | `O(|subtree|)` |
+//! | [`TreeEdit::SetCap`] | `O(depth · log n)` | one row; `O(depth)` `C_sub` patch |
+//! | [`TreeEdit::SetBranch`] | `O(depth · log n + |subtree| · log n)` | one row; `O(depth + |subtree|)` column patch |
 //! | [`TreeEdit::GraftSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` append + re-derive |
 //! | [`TreeEdit::PruneSubtree`] | `O(depth · log n + |subtree|)` | `O(n)` compact + re-derive |
 //! | query ([`EditableTree::characteristic_times`]) | `O(log n)` | — |
 //!
-//! Structural edits append to or compact the base columns and re-run the
-//! tree's derivation pass ([`RcTree::rebuild`]'s two passes over ids) — a
-//! few machine ops per node — while the engine's floating-point work stays
-//! proportional to the dirty region.  The first edit on a shared tree also
-//! pays one `O(n)` copy of its table.  The one-shot
-//! [`BatchTimes`](crate::batch::BatchTimes) is a facade over [`raw_times`],
-//! the same recurrence this engine uses to seed its state.
+//! Structural edits append to or compact the base columns and re-derive
+//! the tree's pre-order; the engine then re-derives its own columns from
+//! the new tree — a few machine ops per node — while its floating-point
+//! repair stays proportional to the dirty region.  The first edit on a
+//! shared tree also pays one `O(n)` copy of its table.
+//! [`EditableTree::new`] seeds the engine from the un-normalised sweep of
+//! [`BatchTimes`]' kernel, so an unedited engine answers bit for bit as
+//! [`BatchTimes::of`].
 //!
 //! # Invariants
 //!
 //! * The base columns are always exact: edits write the new element values
-//!   directly, so a [`RcTree::rebuild`] produces a bit-exact from-scratch
-//!   oracle at any point.
-//! * Graft and prune re-derive the derived columns exactly.  After value
-//!   edits the patched columns (`path_r`, `down_cap`) and, always, the
-//!   engine state equal a from-scratch rebuild up to floating-point
-//!   accumulation order; the
-//!   `incremental_equivalence` suite pins the agreement to 1e-9 relative
-//!   after every edit of seeded streams over every workload generator
-//!   (with an absolute floor of `1e-12 × T_P`: the difference-array lazy
-//!   structure stores `±Δ` pairs in separate accumulators, so a node whose
-//!   true value is exactly zero can read back an `eps`-scale residue).
+//!   directly, so [`BatchTimes::of`](crate::batch::BatchTimes::of) on the
+//!   edited tree (or on [`RcTree::rebuild`]) is a from-scratch oracle at
+//!   any point.
+//! * The tree's pre-order is exact after every edit: a value edit leaves
+//!   it alone, and a graft or prune re-derives it.
+//! * Graft and prune re-derive the engine's columns exactly.  After value
+//!   edits the patched columns (`R_kk`, `C_sub`) and, always, the engine
+//!   state equal a from-scratch rebuild up to floating-point accumulation
+//!   order; the `incremental_equivalence` suite pins the agreement to 1e-9
+//!   relative after every edit of seeded streams over every workload
+//!   generator (with an absolute floor of `1e-12 × T_P`: the
+//!   difference-array lazy structure stores `±Δ` pairs in separate
+//!   accumulators, so a node whose true value is exactly zero can read
+//!   back an `eps`-scale residue).
 //! * [`TreeEdit::PruneSubtree`] compacts node ids: ids at or above the
 //!   pruned region are renumbered, so previously held [`NodeId`]s are
 //!   invalidated (look nodes up by name across structural edits).
@@ -100,65 +105,13 @@
 //! # }
 //! ```
 
-use crate::batch::BatchTimes;
+use crate::batch::{normalise, path_resistances, raw_sweep, subtree_caps, BatchTimes};
 use crate::builder::check_value;
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
 use crate::moments::CharacteristicTimes;
 use crate::tree::{line_bit, NodeId, NodeTable, RcTree, LINE, OUTPUT};
 use crate::units::{Farads, Seconds};
-
-/// Raw (un-normalised) characteristic-time state of every node: the shared
-/// computation underneath both the one-shot
-/// [`BatchTimes`](crate::batch::BatchTimes) facade and the incremental
-/// engine.  `t_r_num` holds the `Σ R_ke²·C_k` numerators before division by
-/// `R_ee`.
-pub(crate) struct RawTimes {
-    pub(crate) t_p: f64,
-    pub(crate) total_cap: f64,
-    pub(crate) t_d: Vec<f64>,
-    pub(crate) t_r_num: Vec<f64>,
-}
-
-/// Computes the raw characteristic times of every node in one pass over the
-/// tree's columns (the former body of `BatchTimes::of`, shared so the
-/// incremental engine seeds from the identical float sequence).
-pub(crate) fn raw_times(tree: &RcTree) -> RawTimes {
-    let cache = tree.traversal();
-    let n = cache.preorder.len();
-
-    // C_T via the tree's own summation (bit-identical to the value the
-    // per-output oracles embed), T_P in one pass over the flat arrays.
-    let total_cap = tree.total_capacitance().value();
-    let mut t_p = 0.0_f64;
-    for i in 0..n {
-        let p = cache.parent[i] as usize;
-        t_p += cache.node_cap[i] * cache.path_r[i]
-            + cache.branch_c[i] * (cache.path_r[p] + cache.branch_r[i] / 2.0);
-    }
-
-    // Pre-order pass: carry T_De and the Σ R_ke²·C_k numerator down every
-    // root→node edge.
-    let mut t_d = vec![0.0_f64; n];
-    let mut t_r_num = vec![0.0_f64; n];
-    for &c in &cache.preorder[1..] {
-        let c = c as usize;
-        let p = cache.parent[c] as usize;
-        let r = cache.branch_r[c];
-        let c_line = cache.branch_c[c];
-        let c_sub = cache.down_cap[c];
-        let (r_pp, r_cc) = (cache.path_r[p], cache.path_r[c]);
-        t_d[c] = t_d[p] + r * (c_sub + c_line / 2.0);
-        t_r_num[c] = t_r_num[p] + (r_cc + r_pp) * r * c_sub + c_line * (r_pp * r + r * r / 3.0);
-    }
-
-    RawTimes {
-        t_p,
-        total_cap,
-        t_d,
-        t_r_num,
-    }
-}
 
 /// A Fenwick (binary indexed) tree over pre-order positions, holding the
 /// lazy per-subtree offsets of the incremental engine: `O(log n)`
@@ -280,9 +233,9 @@ pub enum TreeEdit {
 }
 
 /// The live characteristic-time state of an [`EditableTree`]: the
-/// refactored heart of [`BatchTimes`](crate::batch::BatchTimes) whose
-/// subtree-capacitance and prefix-sum arrays stay resident and are
-/// *repaired* on each edit instead of recomputed.
+/// un-normalised arrays of [`BatchTimes`]' kernel and the derived columns
+/// its repairs read, kept resident and *repaired* on each edit instead of
+/// recomputed.
 #[derive(Debug, Clone)]
 pub struct IncrementalTimes {
     /// `T_P = Σ R_kk·C_k`, maintained as a running sum.
@@ -298,6 +251,18 @@ pub struct IncrementalTimes {
     td_lazy: Fenwick,
     /// Lazy subtree offsets for the `T_Re` numerator.
     trn_lazy: Fenwick,
+    /// Path resistance input → node (`R_kk`) per node id.
+    path_r: Vec<f64>,
+    /// Subtree capacitance (`C_sub`) per node id: the node's lumped
+    /// capacitor, all descendants', and every branch line below it.
+    down_cap: Vec<f64>,
+    /// Position of each node in the tree's pre-order (the inverse
+    /// permutation).
+    pre_index: Vec<u32>,
+    /// Exclusive end of each node's subtree interval in the pre-order:
+    /// the subtree rooted at node `i` occupies positions
+    /// `pre_index[i] .. subtree_end[i]`.
+    subtree_end: Vec<u32>,
 }
 
 impl IncrementalTimes {
@@ -315,15 +280,49 @@ impl IncrementalTimes {
     pub fn node_count(&self) -> usize {
         self.td_base.len()
     }
+
+    /// The half-open pre-order interval of the subtree rooted at node `i`.
+    fn interval(&self, i: usize) -> (usize, usize) {
+        (self.pre_index[i] as usize, self.subtree_end[i] as usize)
+    }
+
+    /// Re-derives the pre-order intervals from the tree's stored
+    /// pre-order: its inverse, plus subtree sizes from one backward pass
+    /// over ids.
+    fn derive_intervals(&mut self, t: &NodeTable) {
+        let n = t.len();
+        self.pre_index.clear();
+        self.pre_index.resize(n, 0);
+        for (pos, &k) in t.preorder.iter().enumerate() {
+            self.pre_index[k as usize] = pos as u32;
+        }
+        self.subtree_end.clear();
+        self.subtree_end.resize(n, 1);
+        for i in (1..n).rev() {
+            self.subtree_end[t.parent[i] as usize] += self.subtree_end[i];
+        }
+        for (end, &pos) in self.subtree_end.iter_mut().zip(&self.pre_index) {
+            *end += pos;
+        }
+    }
+
+    /// Adds `delta` to the subtree capacitance of node `a` and its
+    /// ancestors.
+    fn add_down_cap(&mut self, t: &NodeTable, mut a: usize, delta: f64) {
+        self.down_cap[a] += delta;
+        while a != 0 {
+            a = t.parent[a] as usize;
+            self.down_cap[a] += delta;
+        }
+    }
 }
 
 impl RcTree {
-    /// Applies one edit to the tree's columns: the base values the edit
-    /// names, then the derived columns — patched for a value edit (the
-    /// subtree capacitances up the root path, and for a branch-resistance
-    /// change the path resistances of the edited subtree), re-derived for a
-    /// graft or prune.  The table is copied first if another handle shares
-    /// it, so every other handle keeps the pre-edit tree.
+    /// Applies one edit to the tree's columns: a value edit writes the
+    /// edited node's row and nothing else; a graft appends rows and a
+    /// prune compacts them, and both re-derive the pre-order.  The table
+    /// is copied first if another handle shares it, so every other handle
+    /// keeps the pre-edit tree.
     ///
     /// This is the one mutator of a tree: [`EditableTree::apply`] calls it
     /// and repairs its [`IncrementalTimes`] around it.
@@ -342,35 +341,12 @@ impl RcTree {
         self.check_edit(edit)?;
         let t = self.table_mut();
         match edit {
-            TreeEdit::SetCap { node, cap } => {
-                let i = node.index();
-                let delta = cap.value() - t.node_cap[i];
-                t.node_cap[i] = cap.value();
-                if delta != 0.0 {
-                    add_down_cap(t, i, delta);
-                }
-            }
+            TreeEdit::SetCap { node, cap } => t.node_cap[node.index()] = cap.value(),
             TreeEdit::SetBranch { node, branch } => {
                 let i = node.index();
-                let (new_r, new_c) = (branch.resistance().value(), branch.capacitance().value());
-                let (dr, dc) = (new_r - t.branch_r[i], new_c - t.branch_c[i]);
-                t.branch_r[i] = new_r;
-                t.branch_c[i] = new_c;
+                t.branch_r[i] = branch.resistance().value();
+                t.branch_c[i] = branch.capacitance().value();
                 t.flags[i] = (t.flags[i] & !LINE) | line_bit(branch);
-                if dr != 0.0 {
-                    // Path resistances below the edge shift by `dr`: one
-                    // contiguous pre-order slice.
-                    let (l, e) = t.interval(i);
-                    for pos in l..e {
-                        let k = t.preorder[pos] as usize;
-                        t.path_r[k] += dr;
-                    }
-                }
-                if dc != 0.0 {
-                    // The line's own distributed capacitance sits in every
-                    // ancestor's subtree capacitance.
-                    add_down_cap(t, t.parent[i] as usize, dc);
-                }
             }
             TreeEdit::GraftSubtree {
                 parent,
@@ -380,7 +356,7 @@ impl RcTree {
                 // Subtree node `j` becomes host node `n_old + j`; its input
                 // hangs on `parent` through `via`, so it is the parent's
                 // last child.
-                let sub = subtree.traversal();
+                let sub = subtree.columns();
                 let n_old = t.len();
                 for (j, name) in sub.names.iter() {
                     let j = j.index();
@@ -400,12 +376,12 @@ impl RcTree {
                         );
                     }
                 }
-                t.derive();
+                t.derive_preorder();
             }
             TreeEdit::PruneSubtree { node } => {
                 // Surviving ids shift down past the holes, in order, so
                 // every parent stays below its child.
-                let doomed = subtree_mask(t, node.index());
+                let doomed = t.subtree_mask(node.index());
                 let new_id: Vec<u32> = doomed
                     .iter()
                     .scan(0, |next, &d| {
@@ -415,7 +391,7 @@ impl RcTree {
                     })
                     .collect();
                 // Compact the base columns in order, re-interning the
-                // surviving names, and re-derive.
+                // surviving names, and re-derive the pre-order.
                 let names = std::mem::take(&mut t.names);
                 for (k, name) in names.iter() {
                     let k = k.index();
@@ -429,7 +405,7 @@ impl RcTree {
                 retain(&mut t.branch_c, &doomed);
                 retain(&mut t.node_cap, &doomed);
                 retain(&mut t.flags, &doomed);
-                t.derive();
+                t.derive_preorder();
             }
         }
         Ok(())
@@ -458,8 +434,8 @@ impl RcTree {
                 self.check(*parent)?;
                 check_value("resistance", via.resistance().value())?;
                 check_value("line capacitance", via.capacitance().value())?;
-                let host = &self.traversal().names;
-                let sub = &subtree.traversal().names;
+                let host = &self.columns().names;
+                let sub = &subtree.columns().names;
                 match sub.iter().find(|(_, name)| host.get(name).is_some()) {
                     Some((_, name)) => Err(CoreError::DuplicateName {
                         name: name.to_string(),
@@ -496,26 +472,40 @@ pub struct EditableTree {
 }
 
 impl EditableTree {
-    /// Wraps a tree, seeding the incremental engine with one `O(n)` sweep
-    /// (the same recurrence as [`BatchTimes::of`](crate::batch::BatchTimes::of)).
+    /// Wraps a tree, seeding the incremental engine with one `O(n)` sweep:
+    /// the un-normalised sweep of [`BatchTimes::of`](crate::batch::BatchTimes::of)'s
+    /// kernel, plus the pre-order intervals.
     pub fn new(tree: RcTree) -> Self {
-        let raw = raw_times(&tree);
+        let t = tree.columns();
         let n = tree.node_count();
-        EditableTree {
-            times: IncrementalTimes {
-                t_p: raw.t_p,
-                total_cap: raw.total_cap,
-                td_base: raw.t_d,
-                trn_base: raw.t_r_num,
-                td_lazy: Fenwick::new(n),
-                trn_lazy: Fenwick::new(n),
-            },
-            tree,
-        }
+        let mut times = IncrementalTimes {
+            t_p: 0.0,
+            total_cap: 0.0,
+            td_base: Vec::new(),
+            trn_base: Vec::new(),
+            td_lazy: Fenwick::new(n),
+            trn_lazy: Fenwick::new(n),
+            path_r: Vec::new(),
+            down_cap: Vec::new(),
+            pre_index: Vec::new(),
+            subtree_end: Vec::new(),
+        };
+        (times.t_p, times.total_cap) = raw_sweep(
+            &t.parent,
+            &t.branch_r,
+            &t.branch_c,
+            &t.node_cap,
+            &mut times.path_r,
+            &mut times.down_cap,
+            &mut times.td_base,
+            &mut times.trn_base,
+        );
+        times.derive_intervals(t);
+        EditableTree { tree, times }
     }
 
-    /// The current state of the tree (base columns always exact; derived
-    /// columns patched or re-derived).
+    /// The current state of the tree (base columns and pre-order always
+    /// exact).
     pub fn tree(&self) -> &RcTree {
         &self.tree
     }
@@ -546,11 +536,12 @@ impl EditableTree {
         match edit {
             TreeEdit::SetCap { node, cap } => {
                 let i = node.index();
-                let delta = cap.value() - self.tree.traversal().node_cap[i];
+                let delta = cap.value() - self.tree.columns().node_cap[i];
                 self.tree.apply(edit)?;
                 if delta != 0.0 {
                     self.times.total_cap += delta;
-                    self.times.t_p += self.tree.traversal().path_r[i] * delta;
+                    self.times.t_p += self.times.path_r[i] * delta;
+                    self.times.add_down_cap(self.tree.columns(), i, delta);
                     // Every edge on the root path carries the extra
                     // capacitance: its weight change reaches exactly the
                     // nodes below it (one pre-order interval each).
@@ -559,44 +550,45 @@ impl EditableTree {
             }
             TreeEdit::SetBranch { node, .. } => {
                 let i = node.index();
-                let t = self.tree.traversal();
+                let t = self.tree.columns();
                 let old = (t.branch_r[i], t.branch_c[i]);
                 self.tree.apply(edit)?;
                 self.repair_branch(i, old);
             }
-            TreeEdit::GraftSubtree {
-                parent,
-                via,
-                subtree,
-            } => {
+            TreeEdit::GraftSubtree { parent, via, .. } => {
                 // Pre-order positions are about to shift: fold the lazy
                 // offsets into the base arrays first.
                 self.flatten();
                 let n_old = self.tree.node_count();
                 self.tree.apply(edit)?;
-                let c_add = subtree.traversal().down_cap[0] + via.capacitance().value();
+                self.rederive();
+                // The grafted input's subtree is the whole subtree, whose
+                // capacitance comes in with the graft's line.
+                let c_add = self.times.down_cap[n_old] + via.capacitance().value();
                 self.repair_graft(parent.index(), n_old, c_add);
             }
             TreeEdit::PruneSubtree { node } => {
                 self.flatten();
                 let i = node.index();
-                let t = self.tree.traversal();
-                let (l, e) = t.interval(i);
-                let c_rem = t.down_cap[i] + t.branch_c[i];
+                let t = self.tree.columns();
+                let times = &mut self.times;
+                let (l, e) = times.interval(i);
+                let c_rem = times.down_cap[i] + t.branch_c[i];
                 // Numeric removals, against the pre-edit columns.
                 for &k in &t.preorder[l..e] {
                     let k = k as usize;
                     let pk = t.parent[k] as usize;
-                    self.times.t_p -= t.node_cap[k] * t.path_r[k]
-                        + t.branch_c[k] * (t.path_r[pk] + t.branch_r[k] / 2.0);
+                    times.t_p -= t.node_cap[k] * times.path_r[k]
+                        + t.branch_c[k] * (times.path_r[pk] + t.branch_r[k] / 2.0);
                 }
-                self.times.total_cap -= c_rem;
-                let doomed = subtree_mask(t, i);
+                times.total_cap -= c_rem;
+                let doomed = t.subtree_mask(i);
                 // Ids below `i` survive unchanged, the parent's included.
                 let parent = t.parent[i] as usize;
                 self.tree.apply(edit)?;
                 retain(&mut self.times.td_base, &doomed);
                 retain(&mut self.times.trn_base, &doomed);
+                self.rederive();
                 let n_new = self.tree.node_count();
                 self.times.td_lazy = Fenwick::new(n_new);
                 self.times.trn_lazy = Fenwick::new(n_new);
@@ -621,13 +613,12 @@ impl EditableTree {
             return Err(CoreError::NoCapacitance);
         }
         let i = node.index();
-        let cache = self.tree.traversal();
-        let pos = cache.pre_index[i] as usize;
+        let pos = self.times.pre_index[i] as usize;
         // Clamp away the tiny negative residue that cancelling deltas can
         // leave where the true value is zero.
         let t_d = (self.times.td_base[i] + self.times.td_lazy.point(pos)).max(0.0);
         let num = (self.times.trn_base[i] + self.times.trn_lazy.point(pos)).max(0.0);
-        let r_ee = cache.path_r[i];
+        let r_ee = self.times.path_r[i];
         let t_r = if num == 0.0 {
             0.0
         } else if r_ee == 0.0 {
@@ -652,7 +643,7 @@ impl EditableTree {
     pub fn elmore_delay(&self, node: NodeId) -> Result<Seconds> {
         self.tree.check(node)?;
         let i = node.index();
-        let pos = self.tree.traversal().pre_index[i] as usize;
+        let pos = self.times.pre_index[i] as usize;
         Ok(Seconds::new(
             (self.times.td_base[i] + self.times.td_lazy.point(pos)).max(0.0),
         ))
@@ -668,55 +659,65 @@ impl EditableTree {
     /// * [`CoreError::NoPathResistance`] (defensive, as for
     ///   [`BatchTimes::of`](crate::batch::BatchTimes::of)).
     pub fn batch(&self) -> Result<BatchTimes> {
-        if self.times.total_cap <= 0.0 {
+        let times = &self.times;
+        if times.total_cap <= 0.0 {
             return Err(CoreError::NoCapacitance);
         }
-        let cache = self.tree.traversal();
-        let n = cache.preorder.len();
-        let mut t_d = vec![0.0_f64; n];
-        let mut t_r_num = vec![0.0_f64; n];
-        for i in 0..n {
-            let pos = cache.pre_index[i] as usize;
-            t_d[i] = (self.times.td_base[i] + self.times.td_lazy.point(pos)).max(0.0);
-            t_r_num[i] = (self.times.trn_base[i] + self.times.trn_lazy.point(pos)).max(0.0);
-        }
-        BatchTimes::from_raw(
-            RawTimes {
-                t_p: self.times.t_p.max(0.0),
-                total_cap: self.times.total_cap,
-                t_d,
-                t_r_num,
-            },
-            cache.path_r.clone(),
-        )
+        let at = |base: &[f64], lazy: &Fenwick| -> Vec<f64> {
+            let pos = times.pre_index.iter();
+            let values = base.iter().zip(pos);
+            values
+                .map(|(v, &p)| (v + lazy.point(p as usize)).max(0.0))
+                .collect()
+        };
+        let mut t_r = at(&times.trn_base, &times.trn_lazy);
+        normalise(&mut t_r, &times.path_r)?;
+        Ok(BatchTimes {
+            t_p: times.t_p.max(0.0),
+            total_cap: times.total_cap,
+            r_ee: times.path_r.clone(),
+            t_d: at(&times.td_base, &times.td_lazy),
+            t_r,
+        })
+    }
+
+    /// Re-derives the engine's columns from the tree after a graft or
+    /// prune: `R_kk` and `C_sub` by the kernel's passes, the intervals
+    /// from the new pre-order.
+    fn rederive(&mut self) {
+        let t = self.tree.columns();
+        let times = &mut self.times;
+        path_resistances(&t.parent, &t.branch_r, &mut times.path_r);
+        subtree_caps(&t.parent, &t.branch_c, &t.node_cap, &mut times.down_cap);
+        times.derive_intervals(t);
     }
 
     /// Folds the lazy pre-order offsets into the base arrays and resets
     /// them; required before any edit that re-shapes the pre-order
     /// position space.
     fn flatten(&mut self) {
-        let t = self.tree.traversal();
-        let td_pts = self.times.td_lazy.drain_points();
-        let trn_pts = self.times.trn_lazy.drain_points();
-        for (i, &pos) in t.pre_index.iter().enumerate() {
-            self.times.td_base[i] += td_pts[pos as usize];
-            self.times.trn_base[i] += trn_pts[pos as usize];
+        let times = &mut self.times;
+        let td_pts = times.td_lazy.drain_points();
+        let trn_pts = times.trn_lazy.drain_points();
+        for (i, &pos) in times.pre_index.iter().enumerate() {
+            times.td_base[i] += td_pts[pos as usize];
+            times.trn_base[i] += trn_pts[pos as usize];
         }
     }
 
     /// Adds the lazy `T_De` / `T_Re`-numerator offsets of `delta` more
     /// capacitance under every edge from node `a` up to the root.
     fn root_path_add(&mut self, mut a: usize, delta: f64) {
-        let t = self.tree.traversal();
+        let t = self.tree.columns();
+        let times = &mut self.times;
         while a != 0 {
             let p = t.parent[a] as usize;
             let r = t.branch_r[a];
             if r != 0.0 {
-                let (l, e) = t.interval(a);
-                self.times.td_lazy.range_add(l, e, r * delta);
-                self.times
-                    .trn_lazy
-                    .range_add(l, e, (t.path_r[a] + t.path_r[p]) * r * delta);
+                let (l, e) = times.interval(a);
+                let r_sum = times.path_r[a] + times.path_r[p];
+                times.td_lazy.range_add(l, e, r * delta);
+                times.trn_lazy.range_add(l, e, r_sum * r * delta);
             }
             a = p;
         }
@@ -724,10 +725,11 @@ impl EditableTree {
 
     /// Repairs the engine after [`RcTree::apply`] replaced the branch
     /// feeding node `i`, whose pre-edit resistance and line capacitance
-    /// were `old`.  Every column the repair reads other than the edited
-    /// branch is one the edit left unchanged.
+    /// were `old`: the lazy offsets first, from the columns as they were
+    /// (none of those it reads moves but the edited branch), then the
+    /// engine's own `R_kk` and `C_sub` columns.
     fn repair_branch(&mut self, i: usize, (old_r, old_c): (f64, f64)) {
-        let t = self.tree.traversal();
+        let t = self.tree.columns();
         let (new_r, new_c) = (t.branch_r[i], t.branch_c[i]);
         let (dr, dc) = (new_r - old_r, new_c - old_c);
         if dr == 0.0 && dc == 0.0 {
@@ -735,12 +737,12 @@ impl EditableTree {
         }
         let times = &mut self.times;
         let p = t.parent[i] as usize;
-        let r_pp = t.path_r[p];
-        let d = t.down_cap[i];
+        let r_pp = times.path_r[p];
+        let d = times.down_cap[i];
         times.t_p += dr * d + (new_c * (r_pp + new_r / 2.0) - old_c * (r_pp + old_r / 2.0));
         times.total_cap += dc;
         // The edited edge itself: both weights change for everything below.
-        let (l, e) = t.interval(i);
+        let (l, e) = times.interval(i);
         let w1 = |r: f64, cl: f64| r * (d + cl / 2.0);
         let w2 = |r: f64, cl: f64| (2.0 * r_pp + r) * r * d + cl * (r_pp * r + r * r / 3.0);
         times
@@ -754,32 +756,42 @@ impl EditableTree {
             // perturbs the T_Re weight of every inner edge.  (T_De weights
             // are unaffected: they depend only on the edge's own r and its
             // downstream capacitance.)
-            for pos in l + 1..e {
-                let k = t.preorder[pos] as usize;
+            for &k in &t.preorder[l + 1..e] {
+                let k = k as usize;
                 let rk = t.branch_r[k];
                 if rk != 0.0 {
-                    let (kl, ke) = t.interval(k);
-                    times.trn_lazy.range_add(
-                        kl,
-                        ke,
-                        dr * rk * (2.0 * t.down_cap[k] + t.branch_c[k]),
-                    );
+                    let (kl, ke) = times.interval(k);
+                    let dw = dr * rk * (2.0 * times.down_cap[k] + t.branch_c[k]);
+                    times.trn_lazy.range_add(kl, ke, dw);
                 }
             }
         }
         if dc != 0.0 {
             self.root_path_add(p, dc);
         }
+        // The columns last: `R_kk` shifts by `dr` over the subtree (one
+        // pre-order slice), and the line's own capacitance sits in every
+        // ancestor's `C_sub`.
+        let t = self.tree.columns();
+        let times = &mut self.times;
+        if dr != 0.0 {
+            for &k in &t.preorder[l..e] {
+                times.path_r[k as usize] += dr;
+            }
+        }
+        if dc != 0.0 {
+            times.add_down_cap(t, p, dc);
+        }
     }
 
     /// Repairs the engine after [`RcTree::apply`] grafted nodes
-    /// `n_old..` (carrying `c_add` of new capacitance) under node `gp`:
-    /// new contributions to `C_T` and `T_P`, base times for the new nodes
-    /// seeded from the graft parent's flattened value (ids put parents
-    /// first), then one root-path correction shared by old and new nodes
-    /// alike.
+    /// `n_old..` (carrying `c_add` of new capacitance) under node `gp`,
+    /// with the engine's columns already re-derived: new contributions to
+    /// `C_T` and `T_P`, base times for the new nodes seeded from the graft
+    /// parent's flattened value (ids put parents first), then one
+    /// root-path correction shared by old and new nodes alike.
     fn repair_graft(&mut self, gp: usize, n_old: usize, c_add: f64) {
-        let t = self.tree.traversal();
+        let t = self.tree.columns();
         let n = t.len();
         let times = &mut self.times;
         times.total_cap += c_add;
@@ -789,12 +801,12 @@ impl EditableTree {
             let pk = t.parent[k] as usize;
             let r = t.branch_r[k];
             let cl = t.branch_c[k];
-            let (r_pp, r_cc) = (t.path_r[pk], t.path_r[k]);
+            let (r_pp, r_cc) = (times.path_r[pk], times.path_r[k]);
+            let d = times.down_cap[k];
             times.t_p += t.node_cap[k] * r_cc + cl * (r_pp + r / 2.0);
-            times.td_base[k] = times.td_base[pk] + r * (t.down_cap[k] + cl / 2.0);
-            times.trn_base[k] = times.trn_base[pk]
-                + (r_cc + r_pp) * r * t.down_cap[k]
-                + cl * (r_pp * r + r * r / 3.0);
+            times.td_base[k] = times.td_base[pk] + r * (d + cl / 2.0);
+            times.trn_base[k] =
+                times.trn_base[pk] + (r_cc + r_pp) * r * d + cl * (r_pp * r + r * r / 3.0);
         }
         times.td_lazy = Fenwick::new(n);
         times.trn_lazy = Fenwick::new(n);
@@ -802,26 +814,6 @@ impl EditableTree {
         // `c_add`.
         self.root_path_add(gp, c_add);
     }
-}
-
-/// Adds `delta` to the subtree capacitance of node `a` and its ancestors.
-fn add_down_cap(t: &mut NodeTable, mut a: usize, delta: f64) {
-    loop {
-        t.down_cap[a] += delta;
-        if a == 0 {
-            return;
-        }
-        a = t.parent[a] as usize;
-    }
-}
-
-/// Per node id: whether the node lies in the subtree rooted at node `i`.
-fn subtree_mask(t: &NodeTable, i: usize) -> Vec<bool> {
-    let (l, e) = t.interval(i);
-    t.pre_index
-        .iter()
-        .map(|&p| (l..e).contains(&(p as usize)))
-        .collect()
 }
 
 /// Drops the elements of `v` whose flag in `doomed` is set, keeping order.
@@ -842,9 +834,8 @@ mod tests {
     /// residue the lazy difference arrays can leave at exactly-zero nodes.
     fn assert_matches_rebuild(eco: &EditableTree) {
         let rebuilt = eco.tree().rebuild();
-        assert_eq!(
-            rebuilt.preorder(),
-            eco.tree().preorder(),
+        assert!(
+            rebuilt.preorder().eq(eco.tree().preorder()),
             "pre-order drifted"
         );
         let oracle = BatchTimes::of(&rebuilt).expect("rebuilt tree analyses");
@@ -900,6 +891,36 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The same network inserted breadth-first (`o` before `s2`), so the
+    /// ids are not in pre-order and the intervals are not id ranges.
+    fn branching_tree_breadth_first() -> RcTree {
+        let mut b = RcTreeBuilder::new();
+        let a = b
+            .add_line(b.input(), "a", Ohms::new(15.0), Farads::new(1.5))
+            .unwrap();
+        b.add_capacitance(a, Farads::new(2.0)).unwrap();
+        let s1 = b.add_resistor(a, "s1", Ohms::new(8.0)).unwrap();
+        b.add_capacitance(s1, Farads::new(7.0)).unwrap();
+        let o = b
+            .add_line(a, "o", Ohms::new(3.0), Farads::new(4.0))
+            .unwrap();
+        b.add_capacitance(o, Farads::new(9.0)).unwrap();
+        let s2 = b
+            .add_line(s1, "s2", Ohms::new(2.0), Farads::new(0.5))
+            .unwrap();
+        b.add_capacitance(s2, Farads::new(0.25)).unwrap();
+        b.mark_output(o).unwrap();
+        b.mark_output(s2).unwrap();
+        let tree = b.build().unwrap();
+        assert!(!tree.preorder().map(NodeId::index).eq(0..tree.node_count()));
+        tree
+    }
+
+    /// Both insertion orders of the branching network.
+    fn fixtures() -> [RcTree; 2] {
+        [branching_tree(), branching_tree_breadth_first()]
+    }
+
     #[test]
     fn fenwick_range_add_point_query_and_drain() {
         let mut f = Fenwick::new(10);
@@ -930,52 +951,110 @@ mod tests {
 
     #[test]
     fn unedited_state_matches_batch_exactly() {
-        let tree = branching_tree();
-        let batch = BatchTimes::of(&tree).unwrap();
-        let eco = EditableTree::new(tree);
-        for node in eco.tree().node_ids() {
-            assert_eq!(
-                eco.characteristic_times(node).unwrap(),
-                batch.times(node).unwrap(),
-                "node {node}"
-            );
+        for tree in fixtures() {
+            let batch = BatchTimes::of(&tree).unwrap();
+            let eco = EditableTree::new(tree);
+            for node in eco.tree().node_ids() {
+                assert_eq!(
+                    eco.characteristic_times(node).unwrap(),
+                    batch.times(node).unwrap(),
+                    "node {node}"
+                );
+            }
+            assert_eq!(eco.batch().unwrap(), batch);
         }
-        assert_eq!(eco.batch().unwrap(), batch);
     }
 
     #[test]
     fn set_cap_tracks_the_rebuild_oracle() {
-        let mut eco = EditableTree::new(branching_tree());
-        for (name, cap) in [("o", 1.0), ("s1", 20.0), ("a", 0.0), ("input", 3.0)] {
-            let node = eco.tree().node_by_name(name).unwrap();
-            eco.apply(&TreeEdit::SetCap {
-                node,
-                cap: Farads::new(cap),
-            })
-            .unwrap();
-            assert_matches_rebuild(&eco);
+        for tree in fixtures() {
+            let mut eco = EditableTree::new(tree);
+            for (name, cap) in [("o", 1.0), ("s1", 20.0), ("a", 0.0), ("input", 3.0)] {
+                let node = eco.tree().node_by_name(name).unwrap();
+                eco.apply(&TreeEdit::SetCap {
+                    node,
+                    cap: Farads::new(cap),
+                })
+                .unwrap();
+                assert_matches_rebuild(&eco);
+            }
         }
     }
 
     #[test]
     fn set_branch_tracks_the_rebuild_oracle() {
-        let mut eco = EditableTree::new(branching_tree());
-        let edits = [
-            ("s1", Branch::resistor(Ohms::new(80.0))),
-            ("a", Branch::line(Ohms::new(1.0), Farads::new(6.0))),
-            ("o", Branch::resistor(Ohms::new(3.0))), // line -> resistor
-            ("s2", Branch::line(Ohms::new(7.5), Farads::new(0.1))),
-        ];
-        for (name, branch) in edits {
-            let node = eco.tree().node_by_name(name).unwrap();
-            eco.apply(&TreeEdit::SetBranch { node, branch }).unwrap();
-            assert_matches_rebuild(&eco);
+        for tree in fixtures() {
+            let mut eco = EditableTree::new(tree);
+            let edits = [
+                ("s1", Branch::resistor(Ohms::new(80.0))),
+                ("a", Branch::line(Ohms::new(1.0), Farads::new(6.0))),
+                ("o", Branch::resistor(Ohms::new(3.0))), // line -> resistor
+                ("s2", Branch::line(Ohms::new(7.5), Farads::new(0.1))),
+            ];
+            for (name, branch) in edits {
+                let node = eco.tree().node_by_name(name).unwrap();
+                eco.apply(&TreeEdit::SetBranch { node, branch }).unwrap();
+                assert_matches_rebuild(&eco);
+            }
+        }
+    }
+
+    #[test]
+    fn a_value_edit_writes_one_row_and_keeps_the_preorder() {
+        for tree in fixtures() {
+            let (s1, o) = (
+                tree.node_by_name("s1").unwrap(),
+                tree.node_by_name("o").unwrap(),
+            );
+            let edits = [
+                TreeEdit::SetCap {
+                    node: s1,
+                    cap: Farads::new(3.5),
+                },
+                TreeEdit::SetBranch {
+                    node: s1,
+                    branch: Branch::line(Ohms::new(11.0), Farads::new(0.5)),
+                },
+                TreeEdit::SetBranch {
+                    node: o,
+                    branch: Branch::resistor(Ohms::new(6.0)),
+                },
+            ];
+            for edit in &edits {
+                let mut edited = tree.clone();
+                edited.apply(edit).unwrap();
+                // The original table with the edited node's row written
+                // over, and nothing else.
+                let mut want = tree.columns().clone();
+                match edit {
+                    TreeEdit::SetCap { node, cap } => want.node_cap[node.index()] = cap.value(),
+                    TreeEdit::SetBranch { node, branch } => {
+                        let i = node.index();
+                        want.branch_r[i] = branch.resistance().value();
+                        want.branch_c[i] = branch.capacitance().value();
+                        want.flags[i] = (want.flags[i] & !LINE) | line_bit(branch);
+                    }
+                    _ => unreachable!("value edits only"),
+                }
+                let got = edited.columns();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{edit:?}");
+                assert!(
+                    edited.preorder().eq(edited.rebuild().preorder()),
+                    "{edit:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn graft_and_prune_track_the_rebuild_oracle() {
-        let mut eco = EditableTree::new(branching_tree());
+        for tree in fixtures() {
+            graft_and_prune_on(tree);
+        }
+    }
+
+    fn graft_and_prune_on(tree: RcTree) {
+        let mut eco = EditableTree::new(tree);
 
         let mut gb = RcTreeBuilder::with_input_name("g0");
         let g1 = gb.add_resistor(gb.input(), "g1", Ohms::new(4.0)).unwrap();
@@ -1083,13 +1162,13 @@ mod tests {
             .node_ids()
             .map(|id| tree.name(id).unwrap().to_string())
             .collect();
-        let before = format!("{:?}", tree.traversal());
+        let before = format!("{:?}", tree.columns());
         for edit in &edits {
             let mut eco = EditableTree::new(tree.clone());
             assert!(eco.tree().shares_table(&tree), "a clone shares its table");
             eco.apply(edit).unwrap();
             assert!(!eco.tree().shares_table(&tree), "{edit:?} copies the table");
-            assert_eq!(format!("{:?}", tree.traversal()), before, "{edit:?}");
+            assert_eq!(format!("{:?}", tree.columns()), before, "{edit:?}");
             for (i, name) in names.iter().enumerate() {
                 assert_eq!(tree.node_by_name(name).unwrap(), NodeId(i), "{edit:?}");
             }
@@ -1101,8 +1180,8 @@ mod tests {
             ) {
                 // Structural edits re-derive: every column is exact.
                 assert_eq!(
-                    format!("{:?}", eco.tree().traversal()),
-                    format!("{:?}", rebuilt.traversal()),
+                    format!("{:?}", eco.tree().columns()),
+                    format!("{:?}", rebuilt.columns()),
                     "{edit:?}"
                 );
             }
@@ -1138,8 +1217,14 @@ mod tests {
 
     #[test]
     fn long_mixed_stream_stays_within_tolerance() {
-        // A deterministic worst-of-everything sequence on one tree.
-        let mut eco = EditableTree::new(branching_tree());
+        for tree in fixtures() {
+            long_mixed_stream_on(tree);
+        }
+    }
+
+    /// A deterministic worst-of-everything sequence on one tree.
+    fn long_mixed_stream_on(tree: RcTree) {
+        let mut eco = EditableTree::new(tree);
         for round in 0..30u32 {
             let n = eco.tree().node_count();
             let node = NodeId((round as usize * 7 + 1) % n);

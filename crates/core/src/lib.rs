@@ -38,9 +38,9 @@
 //! The per-output algorithms in [`moments`] are linear in the tree size `n`,
 //! so analysing all `m` outputs of a net by looping over them costs
 //! `O(n·m)`.  The [`batch`] engine computes the characteristic times of
-//! every node — hence every output — in `O(n + m)` total via one post-order
-//! and one pre-order traversal over the tree's column table, derived at
-//! [`RcTreeBuilder::build`] time; [`analysis::TreeAnalysis`],
+//! every node — hence every output — in `O(n + m)` total via a few passes
+//! over the tree's base columns in id order (parents before children);
+//! [`analysis::TreeAnalysis`],
 //! [`moments::characteristic_times_all`] and the `rctree-sta` stage
 //! evaluation all run on it.
 //!

@@ -82,16 +82,17 @@ pub fn shared_resistances_to(tree: &RcTree, e: NodeId) -> Result<Vec<Ohms>> {
         on_path[id.index()] = true;
     }
 
-    // One pre-order pass: nodes on the path to `e` share their entire own
-    // path, every other node shares its parent's attachment resistance.
-    let t = tree.traversal();
+    // One pass over ids (parents first): nodes on the path to `e` share
+    // their entire own path, summed from the input down as `R_kk` is, and
+    // every other node shares its parent's attachment resistance.
+    let t = tree.columns();
     let mut shared = vec![Ohms::ZERO; n];
-    for &k in &t.preorder {
-        let k = k as usize;
+    for k in 1..n {
+        let p = t.parent[k] as usize;
         shared[k] = if on_path[k] {
-            Ohms::new(t.path_r[k])
+            Ohms::new(shared[p].value() + t.branch_r[k])
         } else {
-            shared[t.parent[k] as usize]
+            shared[p]
         };
     }
     Ok(shared)

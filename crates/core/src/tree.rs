@@ -10,20 +10,28 @@
 //!
 //! [`RcTree`] is an immutable, validated structure produced by
 //! [`RcTreeBuilder`](crate::builder::RcTreeBuilder).  It is one table of
-//! columns indexed by [`NodeId::index`], shared behind an `Arc`:
+//! columns indexed by [`NodeId::index`], shared behind an `Arc`, and it
+//! holds the network and nothing derived from its values:
 //!
 //! * the base columns — parent, branch resistance and capacitance with a
-//!   line bit, lumped node capacitance and an output bit — hold the
-//!   network itself.  Every construction path keeps `parent[i] < i`: the
-//!   builder only hangs a node on an existing one, a graft appends ids and
-//!   a prune compacts them in order;
-//! * the node names live in the crate's [`Interner`], whose ids are the
-//!   node ids, so a name lookup is one hash probe;
-//! * the derived columns — pre-order, path resistance (`R_kk` of
-//!   Section III), subtree capacitance and pre-order subtree intervals —
-//!   come from one backward and one forward pass over ids.  Children are
-//!   taken in id order, which is insertion order, so no child lists or
-//!   traversal stack exist.
+//!   line bit, lumped node capacitance and an output bit.  Every
+//!   construction path keeps `parent[i] < i`: the builder only hangs a
+//!   node on an existing one, a graft appends ids and a prune compacts them
+//!   in order;
+//! * the node names, in the crate's [`Interner`], whose ids are the node
+//!   ids, so a name lookup is one hash probe;
+//! * the depth-first pre-order (children in id order, which is insertion
+//!   order), derived from the parent column in one backward and one
+//!   forward pass over ids.  It is the order in which the `rctree-sta`
+//!   stage splice lays a net out, so it fixes that sweep's summation
+//!   order.
+//!
+//! Everything else — path resistances (`R_kk` of Section III), subtree
+//! capacitances, subtree intervals — is derived by the consumer that reads
+//! it, from the base columns in id order: the one kernel of
+//! [`crate::batch`], the repair columns of
+//! [`EditableTree`](crate::incremental::EditableTree), or the on-demand
+//! walks of the accessors below.
 //!
 //! Cloning a tree bumps a refcount; the only mutator,
 //! [`RcTree::apply`], copies the table on its first write.
@@ -74,10 +82,6 @@ pub(crate) fn line_bit(branch: &Branch) -> u8 {
 }
 
 /// The columns of one tree, indexed by [`NodeId::index`].
-///
-/// The derived columns are what the hot loops of [`crate::batch`],
-/// [`crate::elmore`] and [`crate::incremental`] walk: allocation-free
-/// array passes instead of `Result`-returning accessor calls.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NodeTable {
     /// Parent index per node (`parent[i] < i`); the input maps to itself.
@@ -97,25 +101,10 @@ pub(crate) struct NodeTable {
     /// 0 is always the input.  Iterating it in reverse gives a valid
     /// post-order (children before parents).
     pub(crate) preorder: Vec<u32>,
-    /// Prefix path resistance input → node (`R_kk` of Section III).
-    pub(crate) path_r: Vec<f64>,
-    /// Capacitance in the subtree rooted at the node: its lumped capacitor,
-    /// all descendant capacitors, and the full distributed capacitance of
-    /// every branch *below* the node (not the branch feeding it).
-    pub(crate) down_cap: Vec<f64>,
-    /// Position of each node in `preorder` (the inverse permutation).
-    pub(crate) pre_index: Vec<u32>,
-    /// Exclusive end of each node's subtree interval in `preorder`: the
-    /// subtree rooted at node `i` occupies
-    /// `preorder[pre_index[i] .. subtree_end[i]]`.  This is the
-    /// subtree-extent index shared by the one-shot batch engine and the
-    /// incremental delta engine ([`crate::incremental`]): "the whole subtree
-    /// under a node" is always one contiguous slice.
-    pub(crate) subtree_end: Vec<u32>,
 }
 
 impl NodeTable {
-    /// A table holding only the input node (derived columns not yet built).
+    /// A table holding only the input node (pre-order not yet derived).
     pub(crate) fn with_input(name: &str) -> Self {
         Self::with_capacity(name, 0, 0)
     }
@@ -164,49 +153,42 @@ impl NodeTable {
         })
     }
 
-    /// Re-derives the pre-order columns from the base columns.
+    /// Re-derives the pre-order from the parent column.
     ///
     /// Because `parent[i] < i`, a backward pass over ids sees every node
-    /// after all its descendants (subtree capacitance and sizes), and a
-    /// forward pass sees it after its parent (path resistance and pre-order
-    /// positions, each child taking the next free slot of its parent, in id
-    /// order).  Children are added to their parent in descending id order,
-    /// the reverse of the pre-order, so the sums match a depth-first walk
-    /// bit for bit.
-    pub(crate) fn derive(&mut self) {
+    /// after all its descendants (subtree sizes), and a forward pass sees
+    /// it after its parent: each child takes the next free slot of its
+    /// parent, in id order.
+    pub(crate) fn derive_preorder(&mut self) {
         let n = self.len();
-        self.down_cap.clone_from(&self.node_cap);
-        // `subtree_end` holds subtree sizes until a node is placed, then
-        // its next free child slot, which ends as its interval end.
-        self.subtree_end.clear();
-        self.subtree_end.resize(n, 1);
+        // Subtree sizes until a node is placed, then its next free child
+        // slot.
+        let mut next = vec![1u32; n];
         for i in (1..n).rev() {
-            let p = self.parent[i] as usize;
-            self.down_cap[p] += self.down_cap[i] + self.branch_c[i];
-            self.subtree_end[p] += self.subtree_end[i];
+            next[self.parent[i] as usize] += next[i];
         }
-        for column in [&mut self.preorder, &mut self.pre_index] {
-            column.clear();
-            column.resize(n, 0);
-        }
-        self.path_r.clear();
-        self.path_r.resize(n, 0.0);
-        self.subtree_end[0] = 1;
+        self.preorder.clear();
+        self.preorder.resize(n, 0);
+        next[0] = 1;
         for i in 1..n {
             let p = self.parent[i] as usize;
-            self.path_r[i] = self.path_r[p] + self.branch_r[i];
-            let pos = self.subtree_end[p];
-            self.subtree_end[p] += self.subtree_end[i];
-            self.pre_index[i] = pos;
+            let pos = next[p];
+            next[p] += next[i];
             self.preorder[pos as usize] = i as u32;
-            self.subtree_end[i] = pos + 1;
+            next[i] = pos + 1;
         }
     }
 
-    /// The half-open `preorder` interval occupied by the subtree rooted at
-    /// node index `i`.
-    pub(crate) fn interval(&self, i: usize) -> (usize, usize) {
-        (self.pre_index[i] as usize, self.subtree_end[i] as usize)
+    /// Per node id: whether the node lies in the subtree rooted at node
+    /// `v`.  One forward pass over `parent`: a node after `v` is inside
+    /// exactly when its parent is.
+    pub(crate) fn subtree_mask(&self, v: usize) -> Vec<bool> {
+        let mut inside = vec![false; self.len()];
+        inside[v] = true;
+        for k in v + 1..self.len() {
+            inside[k] = inside[self.parent[k] as usize];
+        }
+        inside
     }
 }
 
@@ -231,11 +213,12 @@ impl NodeTable {
 ///
 /// The tree is one `Arc`-shared table of columns (see the
 /// [module documentation](self)): a clone shares it, and equality compares
-/// the base columns and names, never the derived pre-order state.
+/// the base columns and names, never the pre-order derived from them.
 ///
 /// NOTE for restoring the (currently placeholder) `serde` feature: serialize
 /// the base columns and names only; deserialization must re-intern the names
-/// in id order and re-run the derivation ([`RcTree::rebuild`]'s pass).
+/// in id order and re-derive the pre-order (as [`RcTree::rebuild`] does) —
+/// nothing else is stored.
 #[derive(Debug, Clone)]
 pub struct RcTree {
     table: Arc<NodeTable>,
@@ -254,16 +237,17 @@ impl PartialEq for RcTree {
 }
 
 impl RcTree {
-    /// Wraps a table whose base columns are complete, deriving the rest.
+    /// Wraps a table whose base columns are complete, deriving its
+    /// pre-order.
     pub(crate) fn from_table(mut table: NodeTable) -> Self {
-        table.derive();
+        table.derive_preorder();
         RcTree {
             table: Arc::new(table),
         }
     }
 
     /// The columns shared by the whole-tree algorithms.
-    pub(crate) fn traversal(&self) -> &NodeTable {
+    pub(crate) fn columns(&self) -> &NodeTable {
         &self.table
     }
 
@@ -278,14 +262,14 @@ impl RcTree {
         Arc::ptr_eq(&self.table, &other.table)
     }
 
-    /// Rebuilds every piece of derived state from the base columns, from
-    /// scratch (a copy of the table, re-derived).
+    /// A copy of the table with its pre-order re-derived from the base
+    /// columns, from scratch.
     ///
     /// The returned tree is structurally identical to `self`
     /// (`rebuilt == *self` under [`PartialEq`], which compares base columns
-    /// only) but carries freshly recomputed prefix sums.  This is the
-    /// rebuild-and-rerun oracle against which the incremental engine
-    /// ([`crate::incremental`]) is validated and benchmarked.
+    /// only).  This is the rebuild-and-rerun oracle against which the
+    /// incremental engine ([`crate::incremental`]) is validated and
+    /// benchmarked.
     pub fn rebuild(&self) -> RcTree {
         RcTree::from_table((*self.table).clone())
     }
@@ -380,9 +364,8 @@ impl RcTree {
         Ok(Farads::new(self.table.node_cap[node.0]))
     }
 
-    /// Returns the children of a node in insertion order, walking the
-    /// pre-order: the first child sits right after the node, and each
-    /// next sibling where the previous child's subtree ends.
+    /// Returns the children of a node in insertion order: one lazy pass
+    /// over the ids after the node (`O(n)` to exhaust).
     ///
     /// # Errors
     ///
@@ -390,16 +373,10 @@ impl RcTree {
     /// tree.
     pub fn children(&self, node: NodeId) -> Result<impl Iterator<Item = NodeId> + '_> {
         self.check(node)?;
-        let t = &*self.table;
-        let (mut pos, end) = t.interval(node.0);
-        pos += 1;
-        Ok(std::iter::from_fn(move || {
-            (pos < end).then(|| {
-                let child = t.preorder[pos] as usize;
-                pos = t.subtree_end[child] as usize;
-                NodeId(child)
-            })
-        }))
+        let parent = &self.table.parent;
+        Ok((node.0 + 1..parent.len())
+            .filter(move |&i| parent[i] as usize == node.0)
+            .map(NodeId))
     }
 
     /// Returns `true` if the node is marked as an output.
@@ -448,13 +425,19 @@ impl RcTree {
     /// Resistance of the unique path between the input and `node`
     /// (the quantity `R_kk` of Section III for `k = node`).
     ///
+    /// `O(depth)`: the branch resistances are summed from the input
+    /// down, in the order of the prefix pass of [`crate::batch`], so the
+    /// result is that pass's `R_kk` bit for bit.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn resistance_from_input(&self, node: NodeId) -> Result<Ohms> {
-        self.check(node)?;
-        Ok(Ohms::new(self.table.path_r[node.0]))
+        let path = self.path_from_input(node)?;
+        let branch_r = &self.table.branch_r;
+        let r_kk = path[1..].iter().fold(0.0, |r, k| r + branch_r[k.0]);
+        Ok(Ohms::new(r_kk))
     }
 
     /// Depth of a node (number of branches between it and the input).
@@ -467,21 +450,16 @@ impl RcTree {
         Ok(self.path_from_input(node)?.len() - 1)
     }
 
-    /// Returns the node ids in depth-first pre-order starting at the input.
-    pub fn preorder(&self) -> Vec<NodeId> {
-        self.table
-            .preorder
-            .iter()
-            .map(|&i| NodeId(i as usize))
-            .collect()
+    /// The node ids in depth-first pre-order starting at the input
+    /// (children in insertion order), borrowed from the stored column.
+    pub fn preorder(&self) -> impl DoubleEndedIterator<Item = NodeId> + ExactSizeIterator + '_ {
+        self.table.preorder.iter().map(|&i| NodeId(i as usize))
     }
 
     /// Returns the node ids in depth-first post-order (children before
     /// parents), ending at the input.
     pub fn postorder(&self) -> Vec<NodeId> {
-        let mut order = self.preorder();
-        order.reverse();
-        order
+        self.preorder().rev().collect()
     }
 
     /// Lowest common ancestor of two nodes — the node at which the unique
@@ -490,24 +468,34 @@ impl RcTree {
     /// The resistance of the common path, `R_ab` in the paper's notation, is
     /// exactly `resistance_from_input(lca(a, b))`.
     ///
+    /// `O(depth)`: two parent walks in step.  A parent's id is below its
+    /// child's, so the larger of the two ids is never the other's ancestor
+    /// and always steps up.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::NodeNotFound`] if either node does not belong to
     /// this tree.
     pub fn lowest_common_ancestor(&self, a: NodeId, b: NodeId) -> Result<NodeId> {
-        let mut lca = a;
-        while !self.is_descendant(b, lca)? {
-            lca = NodeId(self.table.parent[lca.0] as usize);
+        self.check(a)?;
+        self.check(b)?;
+        let parent = &self.table.parent;
+        let (mut a, mut b) = (a.0, b.0);
+        while a != b {
+            if a > b {
+                a = parent[a] as usize;
+            } else {
+                b = parent[b] as usize;
+            }
         }
-        Ok(lca)
+        Ok(NodeId(a))
     }
 
     /// Returns `true` if `descendant` lies in the subtree rooted at
     /// `ancestor` (a node is its own descendant).
     ///
-    /// `O(1)` via the pre-order subtree intervals: `descendant` is in the
-    /// subtree of `ancestor` exactly when its pre-order position falls
-    /// inside `ancestor`'s interval.
+    /// `O(depth)`: a parent walk up from `descendant` that stops once its
+    /// id drops to `ancestor`'s or below (ids fall along every walk).
     ///
     /// # Errors
     ///
@@ -516,13 +504,15 @@ impl RcTree {
     pub fn is_descendant(&self, descendant: NodeId, ancestor: NodeId) -> Result<bool> {
         self.check(ancestor)?;
         self.check(descendant)?;
-        let (start, end) = self.table.interval(ancestor.0);
-        let pos = self.table.pre_index[descendant.0] as usize;
-        Ok(start <= pos && pos < end)
+        let mut k = descendant.0;
+        while k > ancestor.0 {
+            k = self.table.parent[k] as usize;
+        }
+        Ok(k == ancestor.0)
     }
 
     /// Number of nodes in the subtree rooted at `node`, including `node`
-    /// itself (`O(1)` via the pre-order subtree intervals).
+    /// itself (`O(n)`: one forward pass over ids).
     ///
     /// # Errors
     ///
@@ -530,8 +520,12 @@ impl RcTree {
     /// tree.
     pub fn subtree_size(&self, node: NodeId) -> Result<usize> {
         self.check(node)?;
-        let (start, end) = self.table.interval(node.0);
-        Ok(end - start)
+        Ok(self
+            .table
+            .subtree_mask(node.0)
+            .iter()
+            .filter(|&&d| d)
+            .count())
     }
 
     /// Total capacitance in the subtree rooted at `node` (its own lumped
@@ -539,13 +533,19 @@ impl RcTree {
     /// and all descendant node capacitances).  The branch connecting `node`
     /// to its parent is **not** included.
     ///
+    /// `O(n)`: the backward pass over ids of [`crate::batch`]'s kernel,
+    /// with the same bits as its `C_sub`.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::NodeNotFound`] if `node` does not belong to this
     /// tree.
     pub fn subtree_capacitance(&self, node: NodeId) -> Result<Farads> {
         self.check(node)?;
-        Ok(Farads::new(self.table.down_cap[node.0]))
+        let t = &*self.table;
+        let mut down_cap = Vec::new();
+        crate::batch::subtree_caps::<f64>(&t.parent, &t.branch_c, &t.node_cap, &mut down_cap);
+        Ok(Farads::new(down_cap[node.0]))
     }
 
     pub(crate) fn check(&self, node: NodeId) -> Result<()> {
@@ -627,33 +627,67 @@ mod tests {
         (b.build().unwrap(), k, e)
     }
 
+    /// The same network inserted breadth-first, so `e` comes before `k`'s
+    /// parent and the ids are not in pre-order.
+    fn fig3_breadth_first() -> (RcTree, NodeId, NodeId) {
+        let mut b = RcTreeBuilder::new();
+        let n1 = b
+            .add_resistor(b.input(), "after_r1", Ohms::new(1.0))
+            .unwrap();
+        let n2 = b.add_resistor(n1, "after_r2", Ohms::new(2.0)).unwrap();
+        let n3 = b.add_resistor(n2, "after_r3", Ohms::new(3.0)).unwrap();
+        let e = b.add_resistor(n2, "e", Ohms::new(5.0)).unwrap();
+        let k = b.add_resistor(n3, "k", Ohms::new(4.0)).unwrap();
+        b.add_capacitance(k, Farads::new(1.0)).unwrap();
+        b.add_capacitance(e, Farads::new(1.0)).unwrap();
+        b.mark_output(e).unwrap();
+        let tree = b.build().unwrap();
+        assert!(tree.preorder().eq([0, 1, 2, 3, 5, 4].map(NodeId)));
+        (tree, k, e)
+    }
+
+    /// Both insertion orders of Figure 3, for the walk tests.
+    fn fixtures() -> [(RcTree, NodeId, NodeId); 2] {
+        [fig3(), fig3_breadth_first()]
+    }
+
     #[test]
     fn figure3_path_resistances() {
-        let (tree, k, e) = fig3();
-        // R_kk = R1 + R2 + R3 + R4 ... careful: the paper's Figure 3 node k is
-        // after R3 only; here we check the general machinery instead.
-        assert_eq!(tree.resistance_from_input(e).unwrap(), Ohms::new(8.0));
-        assert_eq!(tree.resistance_from_input(k).unwrap(), Ohms::new(10.0));
-        let lca = tree.lowest_common_ancestor(k, e).unwrap();
-        assert_eq!(tree.resistance_from_input(lca).unwrap(), Ohms::new(3.0));
+        for (tree, k, e) in fixtures() {
+            // R_kk = R1 + R2 + R3 + R4 ... careful: the paper's Figure 3
+            // node k is after R3 only; here we check the general machinery
+            // instead.
+            assert_eq!(tree.resistance_from_input(e).unwrap(), Ohms::new(8.0));
+            assert_eq!(tree.resistance_from_input(k).unwrap(), Ohms::new(10.0));
+            let lca = tree.lowest_common_ancestor(k, e).unwrap();
+            assert_eq!(tree.resistance_from_input(lca).unwrap(), Ohms::new(3.0));
+            assert_eq!(tree.lowest_common_ancestor(e, k).unwrap(), lca);
+        }
     }
 
     #[test]
     fn lca_with_self_and_root() {
-        let (tree, k, e) = fig3();
-        assert_eq!(tree.lowest_common_ancestor(e, e).unwrap(), e);
-        assert_eq!(
-            tree.lowest_common_ancestor(tree.input(), k).unwrap(),
-            tree.input()
-        );
+        for (tree, k, e) in fixtures() {
+            assert_eq!(tree.lowest_common_ancestor(e, e).unwrap(), e);
+            assert_eq!(
+                tree.lowest_common_ancestor(tree.input(), k).unwrap(),
+                tree.input()
+            );
+            assert!(matches!(
+                tree.lowest_common_ancestor(k, NodeId(999)),
+                Err(CoreError::NodeNotFound { .. })
+            ));
+        }
     }
 
     #[test]
     fn descendant_relationships() {
-        let (tree, k, e) = fig3();
-        assert!(tree.is_descendant(k, tree.input()).unwrap());
-        assert!(tree.is_descendant(e, e).unwrap());
-        assert!(!tree.is_descendant(e, k).unwrap());
+        for (tree, k, e) in fixtures() {
+            assert!(tree.is_descendant(k, tree.input()).unwrap());
+            assert!(tree.is_descendant(e, e).unwrap());
+            assert!(!tree.is_descendant(e, k).unwrap());
+            assert!(!tree.is_descendant(k, e).unwrap());
+        }
     }
 
     #[test]
@@ -675,14 +709,21 @@ mod tests {
 
     #[test]
     fn preorder_visits_every_node_once() {
-        let (tree, _, _) = fig3();
-        let order = tree.preorder();
-        assert_eq!(order.len(), tree.node_count());
-        let mut sorted = order.clone();
-        sorted.sort();
-        sorted.dedup();
-        assert_eq!(sorted.len(), tree.node_count());
-        assert_eq!(order[0], tree.input());
+        for (tree, _, _) in fixtures() {
+            let order: Vec<NodeId> = tree.preorder().collect();
+            assert_eq!(order.len(), tree.node_count());
+            let mut sorted = order.clone();
+            sorted.sort();
+            sorted.dedup();
+            assert_eq!(sorted.len(), tree.node_count());
+            assert_eq!(order[0], tree.input());
+            // Depth-first: every node right after its parent or after a
+            // sibling's whole subtree.
+            for pair in order.windows(2) {
+                let parent = tree.parent(pair[1]).unwrap().unwrap();
+                assert!(tree.is_descendant(pair[0], parent).unwrap());
+            }
+        }
     }
 
     #[test]
@@ -694,13 +735,14 @@ mod tests {
 
     #[test]
     fn subtree_capacitance_counts_descendants() {
-        let (tree, k, e) = fig3();
-        assert_eq!(tree.subtree_capacitance(k).unwrap(), Farads::new(1.0));
-        assert_eq!(tree.subtree_capacitance(e).unwrap(), Farads::new(1.0));
-        assert_eq!(
-            tree.subtree_capacitance(tree.input()).unwrap(),
-            Farads::new(2.0)
-        );
+        for (tree, k, e) in fixtures() {
+            assert_eq!(tree.subtree_capacitance(k).unwrap(), Farads::new(1.0));
+            assert_eq!(tree.subtree_capacitance(e).unwrap(), Farads::new(1.0));
+            assert_eq!(
+                tree.subtree_capacitance(tree.input()).unwrap(),
+                Farads::new(2.0)
+            );
+        }
     }
 
     #[test]
@@ -739,38 +781,40 @@ mod tests {
 
     #[test]
     fn cached_subtree_capacitance_matches_explicit_walk() {
-        // The cached post-order accumulation must agree with a naive
-        // stack-based walk over the node table.
-        let (tree, _, _) = fig3();
-        for id in tree.node_ids() {
-            let mut total = Farads::ZERO;
-            let mut stack = vec![id];
-            while let Some(cur) = stack.pop() {
-                total += tree.capacitance(cur).unwrap();
-                for child in tree.children(cur).unwrap() {
-                    if let Some(branch) = tree.branch(child).unwrap() {
-                        total += branch.capacitance();
+        // The on-demand backward pass must agree with a naive stack-based
+        // walk over the node table.
+        for (tree, _, _) in fixtures() {
+            for id in tree.node_ids() {
+                let mut total = Farads::ZERO;
+                let mut stack = vec![id];
+                while let Some(cur) = stack.pop() {
+                    total += tree.capacitance(cur).unwrap();
+                    for child in tree.children(cur).unwrap() {
+                        if let Some(branch) = tree.branch(child).unwrap() {
+                            total += branch.capacitance();
+                        }
+                        stack.push(child);
                     }
-                    stack.push(child);
                 }
+                assert_eq!(tree.subtree_capacitance(id).unwrap(), total);
             }
-            assert_eq!(tree.subtree_capacitance(id).unwrap(), total);
         }
     }
 
     #[test]
     fn cached_path_resistance_matches_explicit_walk() {
-        let (tree, _, _) = fig3();
-        for id in tree.node_ids() {
-            let mut total = Ohms::ZERO;
-            let mut cur = id;
-            while let Some(parent) = tree.parent(cur).unwrap() {
-                if let Some(branch) = tree.branch(cur).unwrap() {
-                    total += branch.resistance();
+        for (tree, _, _) in fixtures() {
+            for id in tree.node_ids() {
+                let mut total = Ohms::ZERO;
+                let mut cur = id;
+                while let Some(parent) = tree.parent(cur).unwrap() {
+                    if let Some(branch) = tree.branch(cur).unwrap() {
+                        total += branch.resistance();
+                    }
+                    cur = parent;
                 }
-                cur = parent;
+                assert_eq!(tree.resistance_from_input(id).unwrap(), total);
             }
-            assert_eq!(tree.resistance_from_input(id).unwrap(), total);
         }
     }
 
@@ -783,49 +827,56 @@ mod tests {
 
     #[test]
     fn rebuild_reproduces_the_tree_and_its_cache() {
-        let (tree, k, e) = fig3();
-        let rebuilt = tree.rebuild();
-        assert_eq!(rebuilt, tree);
-        assert_eq!(rebuilt.preorder(), tree.preorder());
-        assert_eq!(
-            rebuilt.resistance_from_input(k).unwrap(),
-            tree.resistance_from_input(k).unwrap()
-        );
-        assert_eq!(
-            rebuilt.subtree_capacitance(e).unwrap(),
-            tree.subtree_capacitance(e).unwrap()
-        );
+        for (tree, k, e) in fixtures() {
+            let rebuilt = tree.rebuild();
+            assert_eq!(rebuilt, tree);
+            assert!(rebuilt.preorder().eq(tree.preorder()));
+            assert_eq!(
+                rebuilt.resistance_from_input(k).unwrap(),
+                tree.resistance_from_input(k).unwrap()
+            );
+            assert_eq!(
+                rebuilt.subtree_capacitance(e).unwrap(),
+                tree.subtree_capacitance(e).unwrap()
+            );
+        }
     }
 
     #[test]
     fn subtree_intervals_agree_with_parent_walks() {
-        let (tree, _, _) = fig3();
-        // Interval-based descendant test must agree with a naive parent walk
-        // for every node pair.
-        for a in tree.node_ids() {
-            for d in tree.node_ids() {
-                let mut walk = false;
-                let mut cur = Some(d);
-                while let Some(id) = cur {
-                    if id == a {
-                        walk = true;
-                        break;
+        for (tree, _, _) in fixtures() {
+            // The descendant test and the LCA must agree with a naive
+            // parent walk for every node pair.
+            for a in tree.node_ids() {
+                for d in tree.node_ids() {
+                    let mut walk = false;
+                    let mut cur = Some(d);
+                    while let Some(id) = cur {
+                        if id == a {
+                            walk = true;
+                            break;
+                        }
+                        cur = tree.parent(id).unwrap();
                     }
-                    cur = tree.parent(id).unwrap();
+                    assert_eq!(tree.is_descendant(d, a).unwrap(), walk, "{d} under {a}");
+                    let path_a = tree.path_from_input(a).unwrap();
+                    let path_d = tree.path_from_input(d).unwrap();
+                    let common = path_a.iter().zip(&path_d).take_while(|(x, y)| x == y);
+                    let lca = *common.last().unwrap().0;
+                    assert_eq!(tree.lowest_common_ancestor(a, d).unwrap(), lca);
                 }
-                assert_eq!(tree.is_descendant(d, a).unwrap(), walk, "{d} under {a}");
+                // Subtree size equals the number of descendants.
+                let count = tree
+                    .node_ids()
+                    .filter(|&d| tree.is_descendant(d, a).unwrap())
+                    .count();
+                assert_eq!(tree.subtree_size(a).unwrap(), count);
             }
-            // Subtree size equals the number of interval-descendants.
-            let count = tree
-                .node_ids()
-                .filter(|&d| tree.is_descendant(d, a).unwrap())
-                .count();
-            assert_eq!(tree.subtree_size(a).unwrap(), count);
+            assert_eq!(tree.subtree_size(tree.input()).unwrap(), tree.node_count());
+            assert!(matches!(
+                tree.subtree_size(NodeId(999)),
+                Err(CoreError::NodeNotFound { .. })
+            ));
         }
-        assert_eq!(tree.subtree_size(tree.input()).unwrap(), tree.node_count());
-        assert!(matches!(
-            tree.subtree_size(NodeId(999)),
-            Err(CoreError::NodeNotFound { .. })
-        ));
     }
 }

@@ -278,7 +278,8 @@ impl<R: Read> SpefReader<R> {
 
     /// Pulls the next completed raw section, reading more chunks as
     /// needed.  `Ok(None)` at end of input.  Top-level scan errors, UTF-8
-    /// errors and I/O errors are terminal.
+    /// errors and I/O errors are terminal: the sections the same read
+    /// queued before the error are dropped with it.
     fn next_raw_section(&mut self) -> Result<Option<RawSection>> {
         loop {
             if let Some(section) = self.scan.ready.pop_front() {
@@ -295,6 +296,8 @@ impl<R: Read> SpefReader<R> {
             });
             if let Err(e) = scanned {
                 self.done = true;
+                self.scan.ready.clear();
+                self.scan.open = None;
                 return Err(e);
             }
             if self.done {
@@ -552,6 +555,34 @@ mod tests {
             let text = deck(false, false);
             let all = reader(&text).parse_all(jobs).unwrap();
             assert_eq!(all, crate::parse_spef(&text).unwrap(), "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn a_scan_error_ends_the_pull() {
+        // Nets `a` and `b` are complete before the bad directive, so one
+        // read can queue them ahead of the error.
+        let net = |name: &str| {
+            format!("*D_NET {name} 1\n*CONN\n*I d I\n*P y O\n*CAP\n1 y 1\n*RES\n1 d y 1\n*END\n")
+        };
+        let deck = format!("{}{}*R_UNIT 1 PARSEC\n{}", net("a"), net("b"), net("c"));
+        for jobs in [1, 2] {
+            for chunk in [1, DEFAULT_CHUNK] {
+                let mut reader = SpefReader::with_chunk_size(deck.as_bytes(), chunk);
+                match reader.next_nets(jobs) {
+                    Err(NetlistError::Parse { token, .. }) => {
+                        assert_eq!(token.as_deref(), Some("PARSEC"))
+                    }
+                    other => panic!("jobs {jobs}, chunk {chunk}: {other:?}"),
+                }
+                for _ in 0..3 {
+                    let later = reader.next_nets(jobs);
+                    assert!(
+                        matches!(later, Ok(None)),
+                        "jobs {jobs}, chunk {chunk}: {later:?}"
+                    );
+                }
+            }
         }
     }
 

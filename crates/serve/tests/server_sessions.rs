@@ -628,11 +628,11 @@ fn sharded_protocol_rejects_spanning_ecos_and_extends_stats() {
     assert_eq!(shard_of_request(&trees, net_a, SHARDS), 0);
     assert_eq!(shard_of_request(&trees, net_b, SHARDS), SHARDS - 1);
     let node_a = tree_a
-        .name(tree_a.preorder()[0])
+        .name(tree_a.preorder().collect::<Vec<_>>()[0])
         .expect("named")
         .to_string();
     let node_b = tree_b
-        .name(tree_b.preorder()[0])
+        .name(tree_b.preorder().collect::<Vec<_>>()[0])
         .expect("named")
         .to_string();
 
@@ -885,7 +885,10 @@ fn certify_over_and_sens_are_served_and_match_the_shared_renderer() {
     let addr = server.local_addr();
 
     let (net, tree) = &trees[0];
-    let node = tree.name(tree.preorder()[1]).expect("named").to_string();
+    let node = tree
+        .name(tree.preorder().collect::<Vec<_>>()[1])
+        .expect("named")
+        .to_string();
     let script = vec![
         "CERTIFY 1.2e-7 --over r 0.8..1.4 c 0.9..1.2".to_string(),
         "CERTIFY 1.2e-7 --over r 0.8..1.4".to_string(),

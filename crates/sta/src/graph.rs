@@ -41,8 +41,7 @@ thread_local! {
     /// Per-thread splice columns and sweep buffers of the stage sweep
     /// ([`lane_bounds`]).  The global pool's workers are persistent, so
     /// each worker's scratch survives across nets *and* across calls — the
-    /// steady state allocates only each net's pre-order list and output
-    /// windows.
+    /// steady state allocates only each net's output windows.
     static STAGE_SCRATCH: RefCell<StageScratch> = RefCell::new(StageScratch::default());
 }
 
@@ -1757,7 +1756,7 @@ impl Design {
     /// fan-outs at one corner, so the full design evaluation is linear in
     /// total augmented-node count plus total sink count, per lane, divided
     /// across the pool's workers — and in the steady state it allocates
-    /// only each net's pre-order list and output windows.  The nets listed
+    /// only each net's output windows.  The nets listed
     /// in `given` take the windows supplied with them instead of a sweep
     /// (the ECO warm-up's already re-timed dirty nets).  Errors surface as
     /// the first failing net in net order, and within it the lowest
@@ -1941,7 +1940,7 @@ impl Design {
     ///
     /// | step | cost |
     /// |------|------|
-    /// | edit application (value) | `O(depth)` column patch on the net's table ([`RcTree::apply`]) |
+    /// | edit application (value) | one row written in the net's table ([`RcTree::apply`]) |
     /// | edit application (structural) | `O(n_net)` integer re-index |
     /// | dirty-net re-timing | one flat `O(n_net)` stage sweep per corner ([`crate::stage::stage_delay_bounds`]'s kernel) |
     /// | arrival re-propagation | `O(affected fan-out cone)` |

@@ -19,8 +19,8 @@
 //! count ([`Design::analyze_with_jobs`]).  [`Design::apply_eco`] is the
 //! incremental path, end to end: net-level [`EcoEdit`]s are written into
 //! the dirty nets' own column tables
-//! ([`rctree_core::tree::RcTree::apply`]; a value edit patches `O(depth)`
-//! entries), dirty nets are re-timed with the same per-net stage sweep the
+//! ([`rctree_core::tree::RcTree::apply`]; a value edit writes one row),
+//! dirty nets are re-timed with the same per-net stage sweep the
 //! batch analysis runs, and arrival times are re-propagated only through
 //! the **affected fan-out cone** over the cached Kahn topology — untouched
 //! cones keep their cached arrival windows and endpoint contributions

@@ -367,7 +367,7 @@ pub(crate) fn augmented_batch(
 
 /// Reusable splice columns and sweep buffers for [`lane_bounds`].  Kept
 /// once per worker thread, it leaves a net's stage sweep allocating only
-/// the tree's pre-order list and the output.
+/// the output: the splice walks the tree's stored pre-order in place.
 #[derive(Debug, Default)]
 pub(crate) struct StageScratch {
     stage: Spliced,

@@ -65,6 +65,8 @@ impl RandomTreeConfig {
         let mut rng = Rng::from_seed(seed);
         let mut b = RcTreeBuilder::new();
         let mut ids = vec![b.input()];
+        // Per node id: whether a later node hangs on it.
+        let mut has_child = vec![false];
 
         for i in 1..=self.nodes {
             let parent = if self.prefer_chains && rng.chance(0.5) {
@@ -90,6 +92,8 @@ impl RandomTreeConfig {
                     .expect("generated values are valid");
             }
             ids.push(node);
+            has_child[parent.index()] = true;
+            has_child.push(false);
         }
 
         // Guarantee at least one capacitor so the analysis never degenerates.
@@ -102,10 +106,8 @@ impl RandomTreeConfig {
 
         // Mark every leaf as an output; if the tree is a single chain the
         // last node is the only leaf.
-        let tree_preview = b.clone().build().expect("at least one capacitor exists");
-        for id in tree_preview.node_ids() {
-            let is_leaf = tree_preview.subtree_size(id).expect("valid") == 1;
-            if is_leaf && id != tree_preview.input() {
+        for (&id, &inner) in ids.iter().zip(&has_child).skip(1) {
+            if !inner {
                 b.mark_output(id).expect("valid node");
             }
         }

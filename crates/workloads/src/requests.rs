@@ -48,7 +48,6 @@ fn net_nodes(nets: &[(String, RcTree)]) -> Vec<NetNodes> {
             name: name.clone(),
             nodes: tree
                 .preorder()
-                .into_iter()
                 .map(|id| tree.name(id).expect("valid node").to_string())
                 .collect(),
         })

@@ -80,8 +80,8 @@ fn generators() -> Vec<(String, RcTree)> {
 fn assert_matches_oracle(eco: &EditableTree, context: &str) {
     let rebuilt = eco.tree().rebuild();
     assert_eq!(
-        rebuilt.preorder(),
-        eco.tree().preorder(),
+        rebuilt.preorder().collect::<Vec<_>>(),
+        eco.tree().preorder().collect::<Vec<_>>(),
         "{context}: patched pre-order drifted from a rebuild"
     );
     let oracle = BatchTimes::of(&rebuilt).expect("edited trees stay analysable");
