@@ -230,16 +230,19 @@ fn main() -> ExitCode {
                 ..rctree_workloads::SpefDeckParams::default()
             };
             // Stream net by net: a million-net fixture deck writes in
-            // constant memory instead of materialising gigabytes first.
+            // constant memory instead of materialising gigabytes first.  A
+            // closed pipe is the end of output, as for every payload.
             let stdout = std::io::stdout();
             let mut out = std::io::BufWriter::new(stdout.lock());
-            let written = rctree_workloads::render_spef_deck(&params, *seed, &mut out)
-                .and_then(|()| out.flush());
-            if let Err(e) = written {
-                eprintln!("error: cannot write deck: {e}");
-                return ExitCode::FAILURE;
+            match rctree_workloads::render_spef_deck(&params, *seed, &mut out)
+                .and_then(|()| out.flush())
+            {
+                Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+                    eprintln!("error: cannot write deck: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
             }
-            ExitCode::SUCCESS
         }
     }
 }

@@ -267,11 +267,14 @@ fn eco_without_budget_is_a_usage_error() {
 fn a_closed_stdout_ends_the_output_without_a_panic() {
     // Each child's stdout read end is closed before it can write (the
     // input it answers arrives on stdin afterwards), so every write it
-    // makes meets a closed pipe.  The exit status is still the verdict's.
+    // makes meets a closed pipe; `gen-deck` reads nothing, but its deck
+    // (≈1.4 MB) outgrows the pipe's buffer.  The exit status is still the
+    // verdict's.
     let deck = write_temp("closed_stdout.spef", ECO_DECK);
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (&["--budget", "1000", "-"], FIG7_DECK),
         (&["report", "--budget", "100e-9", "-"], ECO_DECK),
+        (&["gen-deck", "--nets", "2000", "--seed", "4"], ""),
         (
             &[
                 "eco",

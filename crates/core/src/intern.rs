@@ -1,12 +1,14 @@
 //! Deck-scoped string interning: names to dense `u32` ids.
 //!
 //! A million-net deck names every net (and, through the `rctree-sta`
-//! layer, every instance pin) with a short string.  Keying hot maps by
+//! layer, every driver instance) with a short string.  Keying hot maps by
 //! `String` costs an allocation per key, a heap indirection per probe, and
 //! scatters the names across the heap; at `10^6` nets that dominates both
 //! memory and cache traffic.  [`Interner`] stores every distinct name
-//! exactly once, contiguously, and hands out a dense [`NameId`] (`u32`) —
-//! hot maps key on the id, and the string itself materialises only at the
+//! exactly once, contiguously, and hands out a dense [`NameId`] (`u32`).
+//! An `rctree-sta` design interns every net and instance name into one
+//! table when it enters the design, and its net records and instance
+//! table hold the ids; the string itself materialises only at the
 //! protocol/report boundary via [`Interner::resolve`].
 //!
 //! The same table names the nodes of every [`RcTree`](crate::tree::RcTree):

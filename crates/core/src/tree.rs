@@ -321,13 +321,15 @@ impl RcTree {
     ///
     /// Returns [`CoreError::NameNotFound`] if no node has the given name.
     pub fn node_by_name(&self, name: &str) -> Result<NodeId> {
-        self.table
-            .names
-            .get(name)
-            .map(|id| NodeId(id.index()))
-            .ok_or_else(|| CoreError::NameNotFound {
-                name: name.to_string(),
-            })
+        self.find_node(name).ok_or_else(|| CoreError::NameNotFound {
+            name: name.to_string(),
+        })
+    }
+
+    /// The node named `name`, if any: [`RcTree::node_by_name`] without
+    /// the error, so a miss allocates nothing.
+    pub fn find_node(&self, name: &str) -> Option<NodeId> {
+        self.table.names.get(name).map(|id| NodeId(id.index()))
     }
 
     /// Returns the parent of a node, or `None` for the input node.

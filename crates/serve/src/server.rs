@@ -713,14 +713,14 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
     let mut after = After::Continue;
     let parsed = match protocol::parse_request(line) {
         Ok(Some(Request::Metrics { stable })) => {
-            for line in render_metrics(shared, stable, sharded) {
+            for line in render_metrics(shared, stable) {
                 writeln!(out, "{line}")?;
             }
             out.flush()?;
             return Ok(After::Continue);
         }
         Ok(Some(Request::Trace { n })) => {
-            for line in render_trace(shared, n, sharded) {
+            for line in render_trace(shared, n) {
                 writeln!(out, "{line}")?;
             }
             out.flush()?;
@@ -807,12 +807,12 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
                 Request::Stats => Block::Owned(render_stats(shared)),
                 Request::Quit => {
                     after = After::Close;
-                    Block::Owned(vec![final_ok(shared, sharded)])
+                    Block::Owned(vec![final_ok(shared)])
                 }
                 Request::Shutdown => {
                     after = After::Close;
                     shared.shutdown.store(true, Ordering::SeqCst);
-                    Block::Owned(vec![final_ok(shared, sharded)])
+                    Block::Owned(vec![final_ok(shared)])
                 }
                 Request::Eco { script } => match route_eco(shared, &script) {
                     EcoRoute::Shard(s) => {
@@ -857,26 +857,18 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
     Ok(after)
 }
 
-/// A request-level `ERR rev …` line: the scalar revision when unsharded,
-/// the revision vector otherwise.
+/// A request-level `ERR rev …` line over the revision vector (one
+/// revision when unsharded, so the line is the scalar one).
 fn error_line(shared: &Shared, message: &str) -> String {
-    if shared.shards.len() > 1 {
-        let (_, revs) = load_all(shared);
-        protocol::err_revs(&revs, message)
-    } else {
-        protocol::err_line(shared.shards[0].store.load().1, message)
-    }
+    let (_, revs) = load_all(shared);
+    protocol::err_revs(&revs, message)
 }
 
-/// The bare `OK rev …` line of `QUIT`/`SHUTDOWN`: scalar when unsharded,
-/// the revision vector otherwise.
-fn final_ok(shared: &Shared, sharded: bool) -> String {
-    if sharded {
-        let (_, revs) = load_all(shared);
-        protocol::ok_revs(&revs)
-    } else {
-        protocol::ok_line(shared.shards[0].store.load().1)
-    }
+/// The bare `OK rev …` line of `QUIT`/`SHUTDOWN`, `METRICS` and `TRACE`
+/// over the revision vector (one revision when unsharded).
+fn final_ok(shared: &Shared) -> String {
+    let (_, revs) = load_all(shared);
+    protocol::ok_revs(&revs)
 }
 
 /// The `STATS` response block.
@@ -910,19 +902,11 @@ fn render_stats(shared: &Shared) -> Vec<String> {
     // by construction.
     let eco_applied: u64 = shared.shards.iter().map(|s| s.applied.get()).sum();
     let eco_skipped: u64 = shared.shards.iter().map(|s| s.skipped.get()).sum();
-    let final_line = if shared.shards.len() > 1 {
-        format!(
-            "{}{}",
-            protocol::ok_revs(&revs),
-            protocol::corner_tail(&snapshots[0])
-        )
-    } else {
-        format!(
-            "{}{}",
-            protocol::ok_line(revs[0]),
-            protocol::corner_tail(&snapshots[0])
-        )
-    };
+    let final_line = format!(
+        "{}{}",
+        protocol::ok_revs(&revs),
+        protocol::corner_tail(&snapshots[0])
+    );
     vec![
         format!(
             "stats nets {} instances {} endpoints {} revision {} corners {} connections {} \
@@ -958,7 +942,7 @@ fn render_stats(shared: &Shared) -> Vec<String> {
 /// scrapes byte-identically; with `stable` the volatile (wall-clock)
 /// families are skipped and the text is additionally byte-identical
 /// across `RCTREE_JOBS` for the same request history.
-fn render_metrics(shared: &Shared, stable_only: bool, sharded: bool) -> Vec<String> {
+fn render_metrics(shared: &Shared, stable_only: bool) -> Vec<String> {
     let (snapshots, revs) = load_all(shared);
     let mut nets = 0i64;
     let mut instances = 0i64;
@@ -980,14 +964,14 @@ fn render_metrics(shared: &Shared, stable_only: bool, sharded: bool) -> Vec<Stri
     }
     let text = shared.obs.registry().expose(stable_only);
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    lines.push(final_ok(shared, sharded));
+    lines.push(final_ok(shared));
     lines
 }
 
 /// The `TRACE <n>` response block: the most recent `n` finished spans,
 /// oldest first, one `span …` line each.  Like `METRICS`, serving it
 /// moves no counters and opens no span.
-fn render_trace(shared: &Shared, n: usize, sharded: bool) -> Vec<String> {
+fn render_trace(shared: &Shared, n: usize) -> Vec<String> {
     let mut lines: Vec<String> = shared
         .obs
         .ring()
@@ -995,7 +979,7 @@ fn render_trace(shared: &Shared, n: usize, sharded: bool) -> Vec<String> {
         .iter()
         .map(|r| r.render())
         .collect();
-    lines.push(final_ok(shared, sharded));
+    lines.push(final_ok(shared));
     lines
 }
 

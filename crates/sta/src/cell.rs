@@ -6,8 +6,6 @@
 //! which is also how Elmore-based delay estimation is used inside modern
 //! static timing tools before detailed characterization is available.
 
-use std::collections::BTreeMap;
-
 use rctree_core::units::{Farads, Ohms, Seconds};
 
 use crate::error::{Result, StaError};
@@ -45,7 +43,9 @@ impl Cell {
 /// A named collection of cells.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CellLibrary {
-    cells: BTreeMap<String, Cell>,
+    /// Sorted by name: a lookup is a binary search, and a cell's position
+    /// is a stable id while the library is unchanged.
+    cells: Vec<Cell>,
 }
 
 impl CellLibrary {
@@ -88,7 +88,10 @@ impl CellLibrary {
 
     /// Adds (or replaces) a cell.
     pub fn insert(&mut self, cell: Cell) {
-        self.cells.insert(cell.name.clone(), cell);
+        match self.cells.binary_search_by(|c| c.name.cmp(&cell.name)) {
+            Ok(i) => self.cells[i] = cell,
+            Err(i) => self.cells.insert(i, cell),
+        }
     }
 
     /// Looks up a cell by name.
@@ -97,9 +100,21 @@ impl CellLibrary {
     ///
     /// Returns [`StaError::UnknownCell`] if the cell is not in the library.
     pub fn cell(&self, name: &str) -> Result<&Cell> {
-        self.cells.get(name).ok_or_else(|| StaError::UnknownCell {
-            name: name.to_string(),
-        })
+        Ok(&self.cells[self.position(name)?])
+    }
+
+    /// The position of the cell named `name`, for [`Self::at`].
+    pub(crate) fn position(&self, name: &str) -> Result<usize> {
+        self.cells
+            .binary_search_by(|c| c.name.as_str().cmp(name))
+            .map_err(|_| StaError::UnknownCell {
+                name: name.to_string(),
+            })
+    }
+
+    /// The cell at `position`.
+    pub(crate) fn at(&self, position: usize) -> &Cell {
+        &self.cells[position]
     }
 
     /// Number of cells in the library.
@@ -114,7 +129,7 @@ impl CellLibrary {
 
     /// Iterates over the cells in name order.
     pub fn iter(&self) -> impl Iterator<Item = &Cell> {
-        self.cells.values()
+        self.cells.iter()
     }
 }
 

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
-/// Errors produced while building or analysing a timing graph.
+/// Errors produced while building or analysing a timing graph.  Names
+/// are resolved when a net is added or an ECO edit applies, never during
+/// analysis.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum StaError {
@@ -11,7 +13,8 @@ pub enum StaError {
         /// Name of the missing cell.
         name: String,
     },
-    /// A referenced instance does not exist in the design.
+    /// A net's driver or load names an instance that does not exist in
+    /// the design.
     UnknownInstance {
         /// Name of the missing instance.
         name: String,
@@ -53,23 +56,6 @@ pub enum StaError {
         /// the exact token).
         node: String,
     },
-    /// A net's driver or sink refers to an instance that is missing from
-    /// the design's instance table.
-    ///
-    /// **Invariant:** this is unreachable through the public API —
-    /// [`add_net`](crate::Design::add_net) validates every instance
-    /// reference at insertion time, [`add_instance`](crate::Design::add_instance)
-    /// never removes entries, and the net/instance tables are private — so
-    /// arrival propagation used to `expect(..)` on these lookups.  The
-    /// lookups now surface this structured error instead, so a future
-    /// mutation path (or a bug in one) degrades into a reportable failure
-    /// rather than a panic.
-    DanglingInstance {
-        /// Name of the net holding the broken reference.
-        net: String,
-        /// The instance name that is not in the instance table.
-        instance: String,
-    },
     /// The design's instance/net graph contains a combinational cycle, so
     /// topological arrival-time propagation is impossible.
     CombinationalCycle,
@@ -100,13 +86,6 @@ impl fmt::Display for StaError {
                 write!(
                     f,
                     "eco edit on net `{net}` references unknown node `{node}`"
-                )
-            }
-            StaError::DanglingInstance { net, instance } => {
-                write!(
-                    f,
-                    "net `{net}` references instance `{instance}`, which is \
-                     missing from the instance table (broken design invariant)"
                 )
             }
             StaError::CombinationalCycle => {
@@ -171,12 +150,6 @@ mod tests {
         assert!(StaError::UnknownInstance { name: "u9".into() }
             .to_string()
             .contains("u9"));
-        let dangling = StaError::DanglingInstance {
-            net: "n3".into(),
-            instance: "u7".into(),
-        }
-        .to_string();
-        assert!(dangling.contains("`n3`") && dangling.contains("`u7`"));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! an estimate — exactly the certification use-case of the paper's abstract.
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -171,10 +171,12 @@ impl CornerAnalysis {
 /// analysis returns cannot pin the strong count — make_mut copies only
 /// when the *caller* holds other clones of the design.
 ///
-/// Each net is one entry of the core: its interconnect table and its
-/// resolved augmentation.  Every stage sweep — batch analysis, the ECO
-/// warm-up and the dirty-net re-time — splices the net from those two
-/// into per-worker scratch; no other copy of a net exists.
+/// Each net is one id-resolved record of the core: its interconnect
+/// table, its driver and its sinks.  Every stage sweep — batch analysis,
+/// the ECO warm-up and the dirty-net re-time — splices the net from its
+/// record into per-worker scratch; no other copy of a net exists.  Names
+/// are resolved once, when they enter the design, and turned back into
+/// text only where a snapshot view or a report prints them.
 #[derive(Debug, Clone)]
 pub struct Design {
     shared: Arc<DesignCore>,
@@ -194,27 +196,17 @@ pub struct Design {
 /// reserved for "none".
 static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The shareable heart of a [`Design`]: the library, the instance table,
-/// and per net its [`Net`] (whose interconnect table snapshot views and
-/// ECO edits share) plus its resolved [`NetAug`], with the name index and
-/// the lazily built propagation topology.
+/// The shareable heart of a [`Design`]: the library, the names, the
+/// instance table (indexed by instance id) and one id-resolved record per
+/// net, with the lazily built propagation topology.
 #[derive(Debug)]
 struct DesignCore {
     library: CellLibrary,
-    /// instance name → cell name.
-    instances: BTreeMap<String, String>,
-    nets: Vec<Net>,
-    /// Deck-scoped name arena: every net name is interned once and the hot
-    /// maps key on the dense [`NameId`] instead of a `String`.
-    names: Interner,
-    /// Net name (interned) → index.  Maintained by [`Design::add_net`],
-    /// which rejects duplicate names, so every name-addressed operation
-    /// (ECO edits, snapshot queries) has exactly one target.
-    net_index: HashMap<NameId, usize>,
-    /// Per-net resolved stage augmentation, parallel to `nets`: built at
-    /// [`Design::add_net`] and refreshed at every ECO commit, so the hot
-    /// analysis path never re-resolves instance or node names.
-    aug: Vec<NetAug>,
+    /// `Arc`-shared with the topology and every snapshot; adding a name
+    /// copies it only while it is shared.
+    names: Arc<Names>,
+    instances: Vec<Instance>,
+    nets: Vec<NetRecord>,
     /// Lazily built arrival-propagation topology; invalidated whenever the
     /// instance table or the net list changes (ECO edits keep it — they
     /// touch interconnect values, never connectivity).
@@ -230,11 +222,9 @@ impl Clone for DesignCore {
     fn clone(&self) -> Self {
         DesignCore {
             library: self.library.clone(),
+            names: Arc::clone(&self.names),
             instances: self.instances.clone(),
             nets: self.nets.clone(),
-            names: self.names.clone(),
-            net_index: self.net_index.clone(),
-            aug: self.aug.clone(),
             // A core is only cloned on the mutation path (`Arc::make_mut`),
             // which would invalidate the cache anyway; rebuild on demand.
             topo: Mutex::new(None),
@@ -243,23 +233,87 @@ impl Clone for DesignCore {
     }
 }
 
-/// A net's stage augmentation with every name resolved: the driver's switch
-/// resistance and the `(node, load)` pairs of its sinks.  Parallel to
-/// `DesignCore::nets`; kept exact across ECO commits (structural edits
-/// renumber [`NodeId`]s, so a commit writes back the loads re-resolved by
-/// sink name).
+/// Every net and instance name of a design, interned once, with the net
+/// and the instance each one names (two namespaces).  Duplicates are
+/// rejected on entry, so a name-addressed operation has one target.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    table: Interner,
+    /// Per name id: its `[NET, INSTANCE]` indices, `NONE` for none.
+    named: Vec<[u32; 2]>,
+}
+
+impl Names {
+    const NET: usize = 0;
+    const INSTANCE: usize = 1;
+    const NONE: u32 = u32::MAX;
+
+    /// The index of the `kind` entry named `name`.
+    fn find(&self, name: &str, kind: usize) -> Option<usize> {
+        let index = self.named[self.table.get(name)?.index()][kind];
+        (index != Names::NONE).then_some(index as usize)
+    }
+
+    fn net(&self, name: &str) -> Option<usize> {
+        self.find(name, Names::NET)
+    }
+
+    fn instance(&self, name: &str) -> Option<usize> {
+        self.find(name, Names::INSTANCE)
+    }
+
+    /// Interns `name` as the name of `kind` entry `index`.
+    fn add(&mut self, name: &str, kind: usize, index: usize) -> NameId {
+        let id = self.table.intern(name);
+        if id.index() == self.named.len() {
+            self.named.push([Names::NONE; 2]);
+        }
+        self.named[id.index()][kind] =
+            u32::try_from(index).expect("fewer than u32::MAX nets and instances");
+        id
+    }
+}
+
+/// One instance: its name and its cell's position in the design's library
+/// (which a [`Design`] never changes).
+#[derive(Debug, Clone, Copy)]
+struct Instance {
+    name: NameId,
+    cell: usize,
+}
+
+/// One net with every name resolved: the only stored form of a net.
 #[derive(Debug, Clone)]
-pub(crate) struct NetAug {
-    /// Driver switch resistance (zero for primary inputs).
-    pub(crate) driver_r: Ohms,
+struct NetRecord {
+    name: NameId,
+    /// The extracted interconnect, shared with every snapshot view; an ECO
+    /// edit copies it on its first write.
+    tree: RcTree,
+    /// The driving instance (`None`: a primary input) and its switch
+    /// resistance.
+    driver: Option<usize>,
+    driver_r: Ohms,
     /// Per sink, in net sink order: interconnect node and added load
-    /// capacitance.  Shared with every snapshot view of the net.
-    pub(crate) loads: Arc<[(NodeId, Farads)]>,
+    /// capacitance, shared with every snapshot view (a graft or prune
+    /// re-binds it by node name).
+    loads: Arc<[(NodeId, Farads)]>,
+    /// Per sink: what it drives, shared with the propagation topology.
+    targets: Arc<[Target]>,
+}
+
+/// What a sink drives, resolved.
+#[derive(Debug, Clone)]
+enum Target {
+    /// The input of an instance, by id.
+    Instance(usize),
+    /// A primary output: the net's [`Load::PrimaryOutput`] name, shared by
+    /// every endpoint it names.
+    Output(Arc<str>),
 }
 
 /// Delay window of one sink of a net, produced by the per-net stage sweep:
 /// its `[lower, upper]` stage-delay bounds.  What the sink *drives* lives
-/// in the net itself and in [`PropagationCache::sinks`] — the windows
+/// in the net's record and in [`PropagationCache::sinks`] — the windows
 /// stay plain numbers, so re-timing a net allocates no strings.
 type Window = DelayBounds;
 
@@ -275,7 +329,7 @@ type Retimed = (usize, Vec<Vec<Window>>);
 /// plus predecessor) per driver extension, newest instance first.  Every
 /// arrival, candidate and endpoint reached through an extension shares its
 /// link, so a chain of depth `D` costs `D` links however many paths run
-/// through it; instance names are materialized only where a report needs
+/// through it; instance names are resolved only where a report needs
 /// them ([`Spine::names`]).  Equality compares instance sequences and a
 /// dropped chain unlinks iteratively, so neither recurses with the depth.
 #[derive(Clone, Default)]
@@ -302,9 +356,12 @@ impl Spine {
     }
 
     /// The chain's instance names, oldest first.
-    fn names(&self, inst_names: &[String]) -> Vec<String> {
+    fn names(&self, cache: &PropagationCache) -> Vec<String> {
         let mut names = Vec::with_capacity(self.insts().count());
-        names.extend(self.insts().map(|i| inst_names[i].clone()));
+        names.extend(
+            self.insts()
+                .map(|i| cache.names.table.resolve(cache.inst_names[i]).to_string()),
+        );
         names.reverse();
         names
     }
@@ -361,21 +418,23 @@ struct InstArrival {
 /// serial Kahn pass recomputed per call, hoisted so the ECO path can
 /// re-propagate only the affected fan-out cone of an edit.
 ///
-/// Instances are addressed by their index in the design's (sorted) instance
-/// table; nets by their index in the net list.  Invalidated (together with
-/// the rest of [`EcoState`]) by any structural design mutation —
-/// [`Design::add_instance`] / [`Design::add_net`] clear the cache, so the
-/// next call falls back to a full propagation.
+/// Instances are addressed by their id in the design's instance table,
+/// nets by their index in the net list; names are resolved only to build
+/// a critical path.  Invalidated (together with the rest of [`EcoState`])
+/// by any structural design mutation — [`Design::add_instance`] /
+/// [`Design::add_net`] clear the cache, so the next call falls back to a
+/// full propagation.
 ///
-/// The layout is flat: the per-net sink tables are one array each with
-/// per-net offsets (`sink_start`), and the per-instance adjacency is
-/// offset-indexed [`Rows`], so a build allocates a fixed number of arrays
-/// however many nets and instances the design has.  A primary-output entry
-/// is a refcount clone of the net's [`Load::PrimaryOutput`] name.
+/// Per net the sink targets are a refcount clone of its record's list, and
+/// the per-instance adjacency is offset-indexed [`Rows`], so a build
+/// allocates a fixed number of arrays however many nets and instances the
+/// design has.
 #[derive(Debug, Clone)]
 struct PropagationCache {
-    /// Instance names in table (sorted) order.
-    inst_names: Vec<String>,
+    /// The design's names, shared with its core.
+    names: Arc<Names>,
+    /// Per instance: its name.
+    inst_names: Vec<NameId>,
     /// Cached per-instance intrinsic delay.
     intrinsic: Vec<Seconds>,
     /// Net indices ordered by driver topological rank (the processing
@@ -391,32 +450,23 @@ struct PropagationCache {
     in_edges: Rows<(usize, usize)>,
     /// Per instance: `net_order` ranks of the nets it drives.
     out_ranks: Rows<usize>,
-    /// Net `i`'s sinks sit at `sink_start[i]..sink_start[i + 1]` of
-    /// `sink_inst` and `sink_po`.
-    sink_start: Vec<usize>,
-    /// Per sink: the target instance index (`None` for primary outputs).
-    sink_inst: Vec<Option<usize>>,
-    /// Per sink: the primary-output name for endpoint sinks (`None` for
-    /// instance loads).  Lets the propagation passes run on plain
-    /// [`Window`]s without carrying a cloned [`Load`] per window.
-    sink_po: Vec<Option<Arc<str>>>,
+    /// Per net, per sink: what it drives.  Lets the propagation passes run
+    /// on plain [`Window`]s without carrying a target per window.
+    targets: Vec<Arc<[Target]>>,
 }
 
 impl PropagationCache {
     /// The first `count` sinks of `net` (all of them when the table is
-    /// shorter): sink index, target instance and primary-output name.
-    fn sinks(
-        &self,
-        net: usize,
-        count: usize,
-    ) -> impl Iterator<Item = (usize, Option<usize>, Option<&Arc<str>>)> {
-        let range = self.sink_start[net]..self.sink_start[net + 1];
-        self.sink_inst[range.clone()]
+    /// shorter): sink index and target.
+    fn sinks(&self, net: usize, count: usize) -> impl Iterator<Item = (usize, &Target)> {
+        self.targets[net].iter().take(count).enumerate()
+    }
+
+    /// The instance names, in id order.
+    fn inst_names(&self) -> impl Iterator<Item = &str> {
+        self.inst_names
             .iter()
-            .zip(&self.sink_po[range])
-            .take(count)
-            .enumerate()
-            .map(|(k, (&target, po))| (k, target, po.as_ref()))
+            .map(|&id| self.names.table.resolve(id))
     }
 }
 
@@ -666,14 +716,10 @@ fn run_full<L: Lattice>(
         (0..cache.net_order.len()).map(|_| Vec::new()).collect();
     for &net in &cache.net_order {
         let out = lane.drive(&arrivals, cache.net_driver[net]);
-        for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
-            match (target, po) {
-                (Some(u), _) => lane.fold(&mut arrivals[u], &out, net, k),
-                (None, Some(name)) => endpoints[net].push(lane.endpoint(&out, net, k, name)),
-                // Defensive: a `None` target without a primary-output name
-                // means the sink tables drifted apart, which no
-                // construction path produces; skip rather than panic.
-                (None, None) => {}
+        for (k, target) in cache.sinks(net, lane.sinks(net)) {
+            match target {
+                Target::Instance(u) => lane.fold(&mut arrivals[*u], &out, net, k),
+                Target::Output(name) => endpoints[net].push(lane.endpoint(&out, net, k, name)),
             }
         }
     }
@@ -738,22 +784,21 @@ fn run_cone<L: Lattice>(
         let net = cache.net_order[rank];
         let mut out = None;
         let mut eps = Vec::new();
-        for (k, target, po) in cache.sinks(net, lane.sinks(net)) {
-            match (target, po) {
-                (Some(u), _) => {
+        for (k, target) in cache.sinks(net, lane.sinks(net)) {
+            match target {
+                Target::Instance(u) => {
                     let last = cache
                         .in_edges
-                        .row(u)
+                        .row(*u)
                         .last()
                         .map_or(rank, |&(edge, _)| cache.net_rank[edge]);
                     pending.insert((last, 1 + u));
                 }
-                (None, Some(name)) => {
+                Target::Output(name) => {
                     let out =
                         out.get_or_insert_with(|| lane.drive(arrivals, cache.net_driver[net]));
                     eps.push(lane.endpoint(out, net, k, name));
                 }
-                (None, None) => {}
             }
         }
         if !eps.is_empty() {
@@ -796,10 +841,10 @@ impl ScalarOut {
     }
 
     /// The critical path of the net's endpoints, as names.
-    fn path(&self, inst_names: &[String]) -> Arc<Vec<String>> {
+    fn path(&self, cache: &PropagationCache) -> Arc<Vec<String>> {
         let path = self
             .path
-            .get_or_init(|| Arc::new(self.spine().names(inst_names)));
+            .get_or_init(|| Arc::new(self.spine().names(cache)));
         Arc::clone(path)
     }
 }
@@ -905,7 +950,7 @@ impl Lattice for ScalarLane<'_> {
         EndpointTiming {
             name: Arc::clone(name),
             arrival: self.through(out, net, sink),
-            critical_path: out.path(&self.cache.inst_names),
+            critical_path: out.path(self.cache),
         }
     }
 }
@@ -1136,13 +1181,13 @@ impl SymbolicEndpointTiming {
     }
 
     /// The full [`EndpointTiming`] (window + critical path) at `(r, c)`;
-    /// the winner's spine is materialized against `inst_names`.
-    fn timing_at(&self, r: f64, c: f64, inst_names: &[String]) -> EndpointTiming {
+    /// the winner's spine is named through `cache`.
+    fn timing_at(&self, r: f64, c: f64, cache: &PropagationCache) -> EndpointTiming {
         let best = self.winner_at(r, c);
         EndpointTiming {
             name: Arc::clone(&self.name),
             arrival: best.window_at(r, c),
-            critical_path: Arc::new(best.spine.names(inst_names)),
+            critical_path: Arc::new(best.spine.names(cache)),
         }
     }
 }
@@ -1186,9 +1231,9 @@ pub struct BoxCertification {
 /// swept from.  A seeded rebuild ([`DesignSnapshot::symbolic`]) re-sweeps
 /// only the nets whose views changed and re-propagates their fan-out cone:
 /// `O(Σ n_changed + cone)` plus one refcount bump per net and instance.
-/// `==` compares the threshold, the required time, the instance table and
-/// every candidate set — names, coefficients and spine instance sequences —
-/// whichever way the lane was built.
+/// `==` compares the threshold, the required time, the instance names in
+/// id order and every candidate set — names, coefficients and spine
+/// instance sequences — whichever way the lane was built.
 #[derive(Clone)]
 pub struct SymbolicAnalysis {
     threshold: f64,
@@ -1274,7 +1319,7 @@ impl PartialEq for SymbolicAnalysis {
     fn eq(&self, other: &SymbolicAnalysis) -> bool {
         self.threshold == other.threshold
             && self.required_time == other.required_time
-            && self.prop.inst_names == other.prop.inst_names
+            && self.prop.inst_names().eq(other.prop.inst_names())
             && self.arrivals == other.arrivals
             && self.endpoints().iter().eq(other.endpoints().iter())
     }
@@ -1404,7 +1449,7 @@ impl SymbolicAnalysis {
             endpoints: self
                 .endpoints()
                 .iter()
-                .map(|e| e.timing_at(r_scale, c_scale, &self.prop.inst_names))
+                .map(|e| e.timing_at(r_scale, c_scale, &self.prop))
                 .collect(),
         }
     }
@@ -1519,11 +1564,9 @@ impl Design {
         Design {
             shared: Arc::new(DesignCore {
                 library,
-                instances: BTreeMap::new(),
+                names: Arc::default(),
+                instances: Vec::new(),
                 nets: Vec::new(),
-                names: Interner::new(),
-                net_index: HashMap::new(),
-                aug: Vec::new(),
                 topo: Mutex::new(None),
                 corners: None,
             }),
@@ -1540,61 +1583,83 @@ impl Design {
     /// * [`StaError::DuplicateInstance`] if the instance name is taken.
     pub fn add_instance(&mut self, name: impl Into<String>, cell: impl Into<String>) -> Result<()> {
         let name = name.into();
-        let cell = cell.into();
-        self.shared.library.cell(&cell)?;
-        if self.shared.instances.contains_key(&name) {
+        let cell = self.shared.library.position(&cell.into())?;
+        if self.shared.names.instance(&name).is_some() {
             return Err(StaError::DuplicateInstance { name });
         }
-        let core = Arc::make_mut(&mut self.shared);
-        core.instances.insert(name, cell);
         // A new instance changes the propagation topology; the per-net
         // stage arrays are untouched.
-        core.topo = Mutex::new(None);
-        self.eco = None;
-        self.published = 0;
+        self.mutate().push_instance(&name, cell);
         Ok(())
     }
 
-    /// Adds a net.
+    /// Adds a net, resolving every name it holds: the driver and each
+    /// load to an instance id, each sink node to a node of its tree.
     ///
     /// # Errors
     ///
+    /// In this order:
     /// * [`StaError::DuplicateNet`] if a net with the same name already
     ///   exists (names address ECO edits and snapshot queries, so they
     ///   must be unique);
-    /// * [`StaError::UnknownInstance`] if the driver or a sink instance does
-    ///   not exist;
-    /// * [`StaError::UnknownSinkNode`] if a sink references a node that is
-    ///   not part of the net's interconnect tree.
+    /// * [`StaError::UnknownInstance`] if the driver instance does not
+    ///   exist;
+    /// * per sink, [`StaError::UnknownSinkNode`] if it references a node
+    ///   that is not part of the net's interconnect tree, then
+    ///   [`StaError::UnknownInstance`] if its load instance does not
+    ///   exist.
     pub fn add_net(&mut self, net: Net) -> Result<()> {
-        self.shared.check_new_net(&net.name)?;
-        if let Driver::Instance(inst) = &net.driver {
-            if !self.shared.instances.contains_key(inst) {
-                return Err(StaError::UnknownInstance { name: inst.clone() });
-            }
-        }
+        let core = &self.shared;
+        core.check_new_net(&net.name)?;
+        let instance = |name: &str| {
+            core.names
+                .instance(name)
+                .ok_or_else(|| StaError::UnknownInstance {
+                    name: name.to_string(),
+                })
+        };
+        let driver = match &net.driver {
+            Driver::PrimaryInput => None,
+            Driver::Instance(inst) => Some(instance(inst)?),
+        };
+        let mut loads = Vec::with_capacity(net.sinks.len());
+        let mut targets = Vec::with_capacity(net.sinks.len());
         for sink in &net.sinks {
-            if net.interconnect.node_by_name(&sink.node).is_err() {
-                return Err(StaError::UnknownSinkNode {
+            let node = net.interconnect.node_by_name(&sink.node).map_err(|_| {
+                StaError::UnknownSinkNode {
                     net: net.name.clone(),
                     node: sink.node.clone(),
-                });
-            }
-            if let Load::Instance(inst) = &sink.load {
-                if !self.shared.instances.contains_key(inst) {
-                    return Err(StaError::UnknownInstance { name: inst.clone() });
                 }
-            }
+            })?;
+            let (cap, target) = match &sink.load {
+                Load::Instance(inst) => {
+                    let inst = instance(inst)?;
+                    (core.cell(inst).input_capacitance, Target::Instance(inst))
+                }
+                Load::PrimaryOutput(po) => (Farads::ZERO, Target::Output(Arc::clone(po))),
+            };
+            loads.push((node, cap));
+            targets.push(target);
         }
-        // Resolve the stage augmentation once, up front (cells and nodes
-        // were just validated); the hot analysis path reads it verbatim.
-        let aug = self.shared.resolve_aug(&net)?;
-        let core = Arc::make_mut(&mut self.shared);
-        core.push_net(net, aug);
-        core.topo = Mutex::new(None);
+        self.mutate().push_net(
+            &net.name,
+            net.interconnect,
+            driver,
+            loads.into(),
+            targets.into(),
+        );
+        Ok(())
+    }
+
+    /// The core, for a change to its instances or nets, with the topology
+    /// and ECO state dropped first (so that adding a name copies the name
+    /// table only while a snapshot still shares it).
+    fn mutate(&mut self) -> &mut DesignCore {
         self.eco = None;
         self.published = 0;
-        Ok(())
+        let core = Arc::make_mut(&mut self.shared);
+        core.topo = Mutex::new(None);
+        core
     }
 
     /// Number of instances in the design.
@@ -1786,8 +1851,8 @@ impl Design {
                     return Ok(None);
                 }
                 let core = weak.upgrade().expect("design outlives its analysis");
-                let net = &core.nets[i].interconnect;
-                core.net_windows(i, net, &core.aug[i].loads, lanes, threshold)
+                let net = &core.nets[i];
+                core.net_windows(i, &net.tree, &net.loads, lanes, threshold)
                     .map(Some)
             },
         )
@@ -1844,17 +1909,15 @@ impl Design {
             ));
         }
         let mut out = Design::new(library);
-        for (inst, cell) in &self.shared.instances {
-            out.add_instance(inst.clone(), cell.clone())?;
+        let core = &self.shared;
+        for inst in 0..core.instances.len() {
+            out.add_instance(core.inst_name(inst), core.cell(inst).name.as_str())?;
         }
-        for net in &self.shared.nets {
+        for i in 0..core.nets.len() {
+            let mut net = core.net_input(i);
             let (wire_r, wire_c) = set.wire_scales(&net.name, k);
-            out.add_net(Net {
-                name: net.name.clone(),
-                driver: net.driver.clone(),
-                interconnect: scale_tree(&net.interconnect, wire_r, wire_c)?,
-                sinks: net.sinks.clone(),
-            })?;
+            net.interconnect = scale_tree(&net.interconnect, wire_r, wire_c)?;
+            out.add_net(net)?;
         }
         Ok(out)
     }
@@ -1895,13 +1958,8 @@ impl Design {
         let bounds: Vec<Arc<Vec<SymbolicDelayBounds>>> =
             rctree_par::par_map_global(jobs, core, n, move |i, weak: &Weak<DesignCore>| {
                 let core = weak.upgrade().expect("design outlives its analysis");
-                stage_symbolic_bounds(
-                    core.aug[i].driver_r,
-                    &core.nets[i].interconnect,
-                    &core.aug[i].loads,
-                    threshold,
-                )
-                .map(Arc::new)
+                let net = &core.nets[i];
+                stage_symbolic_bounds(net.driver_r, &net.tree, &net.loads, threshold).map(Arc::new)
             })
             .into_iter()
             .collect::<Result<_>>()?;
@@ -2021,9 +2079,8 @@ impl Design {
         obs_span.attr_u64("edits", edits.len() as u64);
         obs_span.attr_u64("warm", u64::from(warm));
 
-        // Group the edits by net index, preserving intra-net order; the
-        // interned name→index map is maintained by `add_net` on the core.
-        let by_net = group_edits_interned(&self.shared, edits)?;
+        // Group the edits by net index, preserving intra-net order.
+        let by_net = group_edits(&self.shared, edits)?;
 
         // Apply the edits to *clones* of the dirty nets' trees and re-time
         // every corner lane of them (the transactional snapshot: on any
@@ -2065,10 +2122,10 @@ impl Design {
         if !edited.is_empty() {
             let core = Arc::make_mut(&mut self.shared);
             for (idx, tree, loads) in edited {
-                core.nets[idx].interconnect = tree;
-                // Structural edits renumber node ids; keep the resolved
-                // augmentation exact.
-                core.aug[idx].loads = loads;
+                // Structural edits renumber node ids; the loads were
+                // re-bound to the edited tree.
+                core.nets[idx].tree = tree;
+                core.nets[idx].loads = loads;
             }
         }
         self.eco = Some(state);
@@ -2084,9 +2141,10 @@ impl Design {
     /// their windows in net order.  Pure with respect to `self`: the caller
     /// commits.
     ///
-    /// After a graft or prune the sinks are re-bound by their node names
-    /// (the sink-survival rule: a prune may not remove a node a sink hangs
-    /// on).  The re-time is sharded over the persistent pool only when the
+    /// After a graft or prune each sink is re-bound by its node's name in
+    /// the pre-edit tree (the sink-survival rule: a prune may not remove a
+    /// node a sink hangs on).  The re-time is sharded over the persistent
+    /// pool only when the
     /// dirty set is large enough to amortise the handoff; either way the
     /// windows are computed per net independently, so results are
     /// identical for every `jobs` value.
@@ -2101,7 +2159,7 @@ impl Design {
         let mut edited = Vec::with_capacity(by_net.len());
         for (&idx, net_edits) in by_net {
             let net = &core.nets[idx];
-            let mut tree = net.interconnect.clone();
+            let mut tree = net.tree.clone();
             let mut structural = false;
             for edit in net_edits {
                 let tree_edit = resolve_edit(&edit.net, &edit.kind, &tree)?;
@@ -2113,21 +2171,21 @@ impl Design {
             }
             let loads = if structural {
                 // Node ids were renumbered: re-bind every sink by its name.
-                net.sinks
+                net.loads
                     .iter()
-                    .zip(core.aug[idx].loads.iter())
-                    .map(|(sink, &(_, load))| {
-                        let node = tree.node_by_name(&sink.node).map_err(|_| {
-                            StaError::UnknownSinkNode {
-                                net: net.name.clone(),
-                                node: sink.node.clone(),
-                            }
-                        })?;
+                    .map(|&(node, load)| {
+                        let name = net.tree.name(node)?;
+                        let node =
+                            tree.node_by_name(name)
+                                .map_err(|_| StaError::UnknownSinkNode {
+                                    net: core.names.table.resolve(net.name).to_string(),
+                                    node: name.to_string(),
+                                })?;
                         Ok((node, load))
                     })
                     .collect::<Result<_>>()?
             } else {
-                Arc::clone(&core.aug[idx].loads)
+                Arc::clone(&net.loads)
             };
             edited.push((idx, tree, loads));
         }
@@ -2200,22 +2258,22 @@ impl Design {
     /// shape of a deck fresh out of a parasitic extractor, before gate-level
     /// connectivity is known.
     ///
-    /// Every `(name, tree)` pair becomes one instance of `driver_cell`
-    /// driving `tree`, fed from a primary input through a short feeder wire;
-    /// every output node of `tree` becomes a primary output named
-    /// `"{name}/{node}"`.  This is the bridge from
+    /// Every `(name, tree)` pair becomes one instance `{name}_drv` of
+    /// `driver_cell` driving `tree`, fed from a primary input through a
+    /// short feeder net `{name}_pi`; every output node of `tree` becomes a
+    /// primary output named `"{name}/{node}"`.  This is the bridge from
     /// `rctree_netlist::parse_spef_deck` to a [`Design`] that
     /// [`Design::analyze`] can shard across workers.
     ///
     /// # Errors
     ///
+    /// Those of one [`Design::add_instance`] and two [`Design::add_net`]
+    /// calls per deck net, in deck order:
+    ///
     /// * [`StaError::UnknownCell`] if `driver_cell` is not in `library`;
     /// * [`StaError::DuplicateInstance`] if two nets share a name;
     /// * [`StaError::DuplicateNet`] if a deck net name collides with a
-    ///   synthesized feeder name (a deck holding both `x` and `x_pi` —
-    ///   such decks used to build silently with two nets named `x_pi`
-    ///   and undefined ECO edit targeting; they are now rejected with a
-    ///   structured error naming the colliding net).
+    ///   synthesized feeder name (a deck holding both `x` and `x_pi`).
     pub fn from_extracted<I>(library: CellLibrary, driver_cell: &str, nets: I) -> Result<Design>
     where
         I: IntoIterator<Item = (String, RcTree)>,
@@ -2225,8 +2283,8 @@ impl Design {
         let core = Arc::get_mut(&mut design.shared).expect("a fresh design is unshared");
         // One driver-cell lookup, up front, so an empty deck still reports
         // a bad cell name.
-        let cell = core.library.cell(driver_cell)?;
-        let (driver_r, pin_cap) = (cell.drive_resistance, cell.input_capacitance);
+        let cell = core.library.position(driver_cell)?;
+        let pin_cap = core.library.at(cell).input_capacitance;
 
         // Feeder: a primary input reaching the driver through a token
         // 10 Ω / 1 fF wire, so every stage has a real arrival window.  One
@@ -2244,66 +2302,53 @@ impl Design {
         let feeder_loads: Arc<[(NodeId, Farads)]> = Arc::new([(pin, pin_cap)]);
 
         let nets = nets.into_iter();
-        let hint = 2 * nets.size_hint().0;
-        core.nets.reserve(hint);
-        core.aug.reserve(hint);
-        core.net_index.reserve(hint);
+        let hint = nets.size_hint().0;
+        core.instances.reserve(hint);
+        core.nets.reserve(2 * hint);
         // The same nets, checks and error order as one `add_instance` and
-        // two `add_net` calls per deck net, with the augmentation taken
-        // from the ids in hand instead of resolved by name.  Each
-        // `{net}/{node}` name is formatted into `po` and allocated once.
-        let mut po = String::new();
+        // two `add_net` calls per deck net, with each sink taken from the
+        // ids in hand instead of resolved by name.  Every synthesized name
+        // is formatted into `buf` and only interned; each `{net}/{node}`
+        // primary output is allocated once, as its shared name.
+        let mut buf = String::new();
+        let mut loads = Vec::new();
+        let mut targets = Vec::new();
         for (name, tree) in nets {
-            let inst = format!("{name}_drv");
-            if core.instances.contains_key(&inst) {
-                return Err(StaError::DuplicateInstance { name: inst });
+            buf.clear();
+            buf.push_str(&name);
+            buf.push_str("_drv");
+            if core.names.instance(&buf).is_some() {
+                return Err(StaError::DuplicateInstance { name: buf });
             }
-            core.instances.insert(inst.clone(), driver_cell.to_string());
-            let feeder_name = format!("{name}_pi");
-            core.check_new_net(&feeder_name)?;
+            let inst = core.push_instance(&buf, cell);
+            buf.truncate(name.len());
+            buf.push_str("_pi");
+            core.check_new_net(&buf)?;
+            let feeder_target: Arc<[Target]> = Arc::new([Target::Instance(inst)]);
             core.push_net(
-                Net {
-                    name: feeder_name,
-                    driver: Driver::PrimaryInput,
-                    interconnect: feeder.clone(),
-                    sinks: vec![Sink {
-                        node: "pin".into(),
-                        load: Load::Instance(inst.clone()),
-                    }],
-                },
-                NetAug {
-                    driver_r: Ohms::ZERO,
-                    loads: Arc::clone(&feeder_loads),
-                },
+                &buf,
+                feeder.clone(),
+                None,
+                Arc::clone(&feeder_loads),
+                feeder_target,
             );
 
-            let outputs = tree.outputs().count();
-            let mut sinks = Vec::with_capacity(outputs);
-            let mut loads = Vec::with_capacity(outputs);
             for id in tree.outputs() {
-                let node = tree.name(id).expect("output node exists");
-                po.clear();
-                po.push_str(&name);
-                po.push('/');
-                po.push_str(node);
-                sinks.push(Sink {
-                    node: node.to_string(),
-                    load: Load::PrimaryOutput(Arc::from(po.as_str())),
-                });
+                buf.truncate(name.len());
+                buf.push('/');
+                buf.push_str(tree.name(id).expect("output node exists"));
                 loads.push((id, Farads::ZERO));
+                targets.push(Target::Output(Arc::from(buf.as_str())));
             }
             core.check_new_net(&name)?;
+            let loads_of_net = Arc::from(loads.as_slice());
+            loads.clear();
             core.push_net(
-                Net {
-                    name,
-                    driver: Driver::Instance(inst),
-                    interconnect: tree,
-                    sinks,
-                },
-                NetAug {
-                    driver_r,
-                    loads: loads.into(),
-                },
+                &name,
+                tree,
+                Some(inst),
+                loads_of_net,
+                targets.drain(..).collect(),
             );
         }
         obs_span.attr_u64("nets", core.nets.len() as u64);
@@ -2349,77 +2394,59 @@ impl Design {
             }
             i
         }
-        let mut first_net_of: HashMap<&str, usize> = HashMap::new();
-        for (idx, net) in self.shared.nets.iter().enumerate() {
-            let driver = match &net.driver {
-                Driver::Instance(inst) => Some(inst.as_str()),
-                Driver::PrimaryInput => None,
-            };
-            let loads = net.sinks.iter().filter_map(|sink| match &sink.load {
-                Load::Instance(inst) => Some(inst.as_str()),
-                Load::PrimaryOutput(_) => None,
+        let core = &self.shared;
+        // Per instance, the first net naming it (`None`: an orphan).
+        let mut first_net_of: Vec<Option<usize>> = vec![None; core.instances.len()];
+        for (idx, net) in core.nets.iter().enumerate() {
+            let loads = net.targets.iter().filter_map(|target| match target {
+                Target::Instance(inst) => Some(*inst),
+                Target::Output(_) => None,
             });
-            for inst in driver.into_iter().chain(loads) {
-                match first_net_of.entry(inst) {
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        let (a, b) = (find(&mut parent, idx), find(&mut parent, *o.get()));
+            for inst in net.driver.into_iter().chain(loads) {
+                match first_net_of[inst] {
+                    Some(first) => {
+                        let (a, b) = (find(&mut parent, idx), find(&mut parent, first));
                         // Root at the lower index so component order below
                         // is stable first-net order.
                         parent[a.max(b)] = a.min(b);
                     }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(idx);
-                    }
+                    None => first_net_of[inst] = Some(idx),
                 }
             }
         }
 
-        // Components in first-net order, each holding its nets ascending.
-        let mut component_of_root: HashMap<usize, usize> = HashMap::new();
-        let mut components: Vec<Vec<usize>> = Vec::new();
+        // Components numbered in first-net order: a root is its
+        // component's lowest net.
+        let mut component = vec![0; total];
+        let mut components = 0;
         for idx in 0..total {
             let root = find(&mut parent, idx);
-            let c = *component_of_root.entry(root).or_insert_with(|| {
-                components.push(Vec::new());
-                components.len() - 1
-            });
-            components[c].push(idx);
+            component[idx] = if root == idx {
+                components
+            } else {
+                component[root]
+            };
+            components += usize::from(root == idx);
         }
-        let count = components.len().min(shards);
-        let mut shard_nets: Vec<Vec<usize>> = vec![Vec::new(); count];
-        for (j, nets) in components.iter().enumerate() {
-            shard_nets[j * count / components.len()].extend(nets);
-        }
+        let count = components.min(shards);
+        let shard_of = |idx: usize| component[idx] * count / components;
 
-        let mut out = Vec::with_capacity(count);
-        for (s, nets) in shard_nets.iter_mut().enumerate() {
-            nets.sort_unstable();
-            let mut referenced: BTreeSet<&str> = BTreeSet::new();
-            for &idx in nets.iter() {
-                let net = &self.shared.nets[idx];
-                if let Driver::Instance(inst) = &net.driver {
-                    referenced.insert(inst);
-                }
-                for sink in &net.sinks {
-                    if let Load::Instance(inst) = &sink.load {
-                        referenced.insert(inst);
-                    }
-                }
-            }
-            let mut shard = Design::new(self.shared.library.clone());
-            for (inst, cell) in &self.shared.instances {
-                let orphan = s == 0 && !first_net_of.contains_key(inst.as_str());
-                if referenced.contains(inst.as_str()) || orphan {
-                    shard.add_instance(inst.clone(), cell.clone())?;
-                }
-            }
-            for &idx in nets.iter() {
-                shard.add_net(self.shared.nets[idx].clone())?;
-            }
-            if let Some(set) = &self.shared.corners {
+        // An instance rides with the shard of the nets naming it (one
+        // component), an orphan with shard 0.
+        let mut out: Vec<Design> = (0..count)
+            .map(|_| Design::new(core.library.clone()))
+            .collect();
+        for (inst, first) in first_net_of.iter().enumerate() {
+            let shard = &mut out[first.map_or(0, shard_of)];
+            shard.add_instance(core.inst_name(inst), core.cell(inst).name.as_str())?;
+        }
+        for idx in 0..total {
+            out[shard_of(idx)].add_net(core.net_input(idx))?;
+        }
+        if let Some(set) = &core.corners {
+            for shard in &mut out {
                 shard.set_corners((**set).clone());
             }
-            out.push(shard);
         }
         Ok(out)
     }
@@ -2664,15 +2691,13 @@ pub struct DesignSnapshot {
     required_time: Seconds,
     report: Arc<TimingReport>,
     nets: NetViews,
-    names: Arc<Interner>,
-    net_index: Arc<HashMap<NameId, usize>>,
-    instances: usize,
     /// Per-corner reports when the snapshotted design has a multi-corner
     /// set installed, `None` for nominal-only designs.
     corners: Option<Arc<SnapshotCorners>>,
     /// The propagation topology the snapshot was assembled over, kept so
     /// the lazy symbolic analysis can re-run the candidate propagation
-    /// without touching the (mutable) design.
+    /// without touching the (mutable) design.  Its names answer the
+    /// snapshot's name lookups.
     prop: Arc<PropagationCache>,
     /// Lazily built whole-design [`SymbolicAnalysis`] (`CERTIFY … --over`),
     /// built at most once: concurrent first callers wait for the one build
@@ -2778,8 +2803,7 @@ impl DesignSnapshot {
 
     /// Looks up one net's timing view by name.
     pub fn net(&self, name: &str) -> Option<&NetTiming> {
-        let id = self.names.get(name)?;
-        let view = self.nets.get(*self.net_index.get(&id)?)?;
+        let view = self.nets.get(self.prop.names.net(name)?)?;
         Some(&**view)
     }
 
@@ -2790,7 +2814,7 @@ impl DesignSnapshot {
 
     /// Number of instances in the snapshotted design.
     pub fn instance_count(&self) -> usize {
-        self.instances
+        self.prop.inst_names.len()
     }
 
     /// Net names in design net order.
@@ -2955,10 +2979,7 @@ impl Design {
         let dirty: Vec<usize> = if reuse {
             let set: BTreeSet<usize> = edits
                 .iter()
-                .filter_map(|e| {
-                    let id = self.shared.names.get(e.net.as_str())?;
-                    self.shared.net_index.get(&id).copied()
-                })
+                .filter_map(|e| self.shared.names.net(&e.net))
                 .collect();
             set.into_iter().collect()
         } else {
@@ -2986,20 +3007,22 @@ impl Design {
         let state = self.eco.as_ref().expect("publish warms the eco cache");
         let set = self.shared.corner_set();
         let net_timing = |idx: usize| -> Arc<NetTiming> {
-            let (net, aug) = (&self.shared.nets[idx], &self.shared.aug[idx]);
+            let net = &self.shared.nets[idx];
+            let name = self.shared.names.table.resolve(net.name);
             let lanes = state
                 .lanes
                 .iter()
                 .enumerate()
                 .map(|(k, lane)| NetLane {
-                    scales: StageScales::at(set, &net.name, k),
+                    scales: StageScales::at(set, name, k),
                     sinks: net
-                        .sinks
+                        .loads
                         .iter()
+                        .zip(net.targets.iter())
                         .zip(&lane.delays[idx])
-                        .map(|(sink, delay)| SinkWindow {
-                            node: sink.node.clone(),
-                            load: sink.load.clone(),
+                        .map(|((&(node, _), target), delay)| SinkWindow {
+                            node: net.node_name(node).to_string(),
+                            load: self.shared.load(target),
                             lower: delay.lower,
                             upper: delay.upper,
                         })
@@ -3008,28 +3031,24 @@ impl Design {
                 })
                 .collect();
             Arc::new(NetTiming {
-                name: net.name.clone(),
-                tree: net.interconnect.clone(),
-                driver_r: aug.driver_r,
-                loads: Arc::clone(&aug.loads),
+                name: name.to_string(),
+                tree: net.tree.clone(),
+                driver_r: net.driver_r,
+                loads: Arc::clone(&net.loads),
                 lanes: Arc::new(lanes),
                 symbolic: OnceLock::new(),
             })
         };
         let mut copied = 0u64;
-        let (nets, names, net_index) = match prev {
+        let nets = match prev {
             Some(prev) => {
                 let mut nets = prev.nets.clone();
                 for &idx in dirty {
                     copied += nets.set(idx, net_timing(idx)) as u64;
                 }
-                (nets, Arc::clone(&prev.names), Arc::clone(&prev.net_index))
+                nets
             }
-            None => (
-                (0..self.shared.nets.len()).map(net_timing).collect(),
-                Arc::new(self.shared.names.clone()),
-                Arc::new(self.shared.net_index.clone()),
-            ),
+            None => (0..self.shared.nets.len()).map(net_timing).collect(),
         };
         let reports: Vec<Arc<TimingReport>> = (0..state.lanes.len())
             .map(|k| Arc::new(state.report(k, required_time)))
@@ -3050,9 +3069,6 @@ impl Design {
             required_time,
             report,
             nets,
-            names,
-            net_index,
-            instances: self.shared.instances.len(),
             corners,
             prop: Arc::clone(&state.prop),
             symbolic: Arc::new(OnceLock::new()),
@@ -3063,22 +3079,43 @@ impl Design {
 }
 
 impl DesignCore {
-    /// Resolves an instance's cell name, surfacing a broken cross-table
-    /// reference as [`StaError::DanglingInstance`] instead of panicking.
-    ///
-    /// **Invariant:** every instance named by a net's driver or sinks is in
-    /// the instance table — [`Design::add_net`] validates references at
-    /// insertion and instances are never removed — so this error is
-    /// unreachable through the public API (pinned by the white-box
-    /// `dangling_instance_references_error_instead_of_panicking` test).
-    fn cell_of(&self, net: &str, instance: &str) -> Result<&str> {
-        self.instances
-            .get(instance)
-            .map(String::as_str)
-            .ok_or_else(|| StaError::DanglingInstance {
-                net: net.to_string(),
-                instance: instance.to_string(),
-            })
+    fn inst_name(&self, inst: usize) -> &str {
+        self.names.table.resolve(self.instances[inst].name)
+    }
+
+    fn cell(&self, inst: usize) -> &Cell {
+        self.library.at(self.instances[inst].cell)
+    }
+
+    /// Net `i` as the [`Net`] that [`Design::add_net`] takes: every id
+    /// resolved back to its name.
+    fn net_input(&self, i: usize) -> Net {
+        let net = &self.nets[i];
+        Net {
+            name: self.names.table.resolve(net.name).to_string(),
+            driver: match net.driver {
+                None => Driver::PrimaryInput,
+                Some(inst) => Driver::Instance(self.inst_name(inst).to_string()),
+            },
+            interconnect: net.tree.clone(),
+            sinks: net
+                .loads
+                .iter()
+                .zip(net.targets.iter())
+                .map(|(&(node, _), target)| Sink {
+                    node: net.node_name(node).to_string(),
+                    load: self.load(target),
+                })
+                .collect(),
+        }
+    }
+
+    /// What `target` drives, by name.
+    fn load(&self, target: &Target) -> Load {
+        match target {
+            Target::Instance(inst) => Load::Instance(self.inst_name(*inst).to_string()),
+            Target::Output(po) => Load::PrimaryOutput(Arc::clone(po)),
+        }
     }
 
     /// The installed corner set, or the nominal-only set when none is:
@@ -3107,11 +3144,7 @@ impl DesignCore {
     ///
     /// [`StaError::DuplicateNet`] if a net named `name` exists.
     fn check_new_net(&self, name: &str) -> Result<()> {
-        if self
-            .names
-            .get(name)
-            .is_some_and(|id| self.net_index.contains_key(&id))
-        {
+        if self.names.net(name).is_some() {
             return Err(StaError::DuplicateNet {
                 name: name.to_string(),
             });
@@ -3119,55 +3152,42 @@ impl DesignCore {
         Ok(())
     }
 
-    /// Appends a net, whose name [`DesignCore::check_new_net`] accepted,
-    /// with its resolved augmentation.
-    fn push_net(&mut self, net: Net, aug: NetAug) {
-        let id = self.names.intern(&net.name);
-        self.net_index.insert(id, self.nets.len());
-        self.aug.push(aug);
-        self.nets.push(net);
+    /// Appends instance `name` of library cell `cell`; the caller checked
+    /// that the name is free.  Returns its id.
+    fn push_instance(&mut self, name: &str, cell: usize) -> usize {
+        let inst = self.instances.len();
+        let name = Arc::make_mut(&mut self.names).add(name, Names::INSTANCE, inst);
+        self.instances.push(Instance { name, cell });
+        inst
     }
 
-    /// Pre-resolves a net's stage augmentation — driver resistance and
-    /// `(node, load)` sink pairs — through the string-keyed tables **once**,
-    /// at [`Design::add_net`] time, so analysis never touches a name again.
-    ///
-    /// # Errors
-    ///
-    /// As for the per-call resolution it replaces: [`StaError::UnknownCell`]
-    /// / [`StaError::DanglingInstance`] for driver or sink instances, and
-    /// node-lookup core errors for sink nodes.
-    fn resolve_aug(&self, net: &Net) -> Result<NetAug> {
-        let driver_r = match &net.driver {
-            Driver::PrimaryInput => Ohms::ZERO,
-            Driver::Instance(inst) => {
-                self.library
-                    .cell(self.cell_of(&net.name, inst)?)?
-                    .drive_resistance
-            }
-        };
-        let mut loads = Vec::with_capacity(net.sinks.len());
-        for sink in &net.sinks {
-            let node = net.interconnect.node_by_name(&sink.node)?;
-            let load_cap = match &sink.load {
-                Load::Instance(inst) => {
-                    self.library
-                        .cell(self.cell_of(&net.name, inst)?)?
-                        .input_capacitance
-                }
-                Load::PrimaryOutput(_) => Farads::ZERO,
-            };
-            loads.push((node, load_cap));
-        }
-        Ok(NetAug {
+    /// Appends net `name`, which [`DesignCore::check_new_net`] accepted,
+    /// driven by instance `driver` (`None`: a primary input), with its
+    /// sinks resolved into `loads` and `targets`.
+    fn push_net(
+        &mut self,
+        name: &str,
+        tree: RcTree,
+        driver: Option<usize>,
+        loads: Arc<[(NodeId, Farads)]>,
+        targets: Arc<[Target]>,
+    ) {
+        let driver_r = driver.map_or(Ohms::ZERO, |inst| self.cell(inst).drive_resistance);
+        let name = Arc::make_mut(&mut self.names).add(name, Names::NET, self.nets.len());
+        self.nets.push(NetRecord {
+            name,
+            tree,
+            driver,
             driver_r,
-            loads: loads.into(),
-        })
+            loads,
+            targets,
+        });
     }
 
     /// The one stage sweep of net `i` over `tree` and `loads` (the net's
     /// committed ones, or an ECO's edited ones): every sink's delay window
-    /// at corner lanes `0..lanes`, through this thread's scratch.
+    /// at corner lanes `0..lanes`, through this thread's scratch.  Corner
+    /// overrides are looked up by the net's name.
     fn net_windows(
         &self,
         i: usize,
@@ -3176,12 +3196,12 @@ impl DesignCore {
         lanes: usize,
         threshold: f64,
     ) -> Result<Vec<Vec<Window>>> {
-        let (set, name) = (self.corner_set(), &self.nets[i].name);
+        let (set, net) = (self.corner_set(), &self.nets[i]);
+        let name = self.names.table.resolve(net.name);
         let scales = (0..lanes).map(|k| StageScales::at(set, name, k));
         STAGE_SCRATCH.with(|scratch| {
-            let driver_r = self.aug[i].driver_r;
             lane_bounds(
-                driver_r,
+                net.driver_r,
                 tree,
                 loads,
                 scales,
@@ -3212,86 +3232,48 @@ impl DesignCore {
         Ok(cache)
     }
 
-    /// Builds the arrival-propagation topology: Kahn's algorithm over the
-    /// instance-to-instance edges induced by nets, the driver-rank net
-    /// order, per-instance in-edge/out-net adjacency, and cached intrinsic
-    /// delays.
+    /// Builds the arrival-propagation topology from the net records:
+    /// Kahn's algorithm over the instance-to-instance edges induced by
+    /// nets, the driver-rank net order, per-instance in-edge/out-net
+    /// adjacency, and cached intrinsic delays.  Every driver and target is
+    /// an id already, so the build resolves no name; it sorts the
+    /// instances that start Kahn's queue by name, so the ranks, the
+    /// endpoint tie order and the report do not depend on the order the
+    /// instances were added in.
     ///
     /// # Errors
     ///
-    /// * [`StaError::CombinationalCycle`] if the instance graph is cyclic;
-    /// * [`StaError::DanglingInstance`] if a net references an instance
-    ///   missing from the table (unreachable through the public API — see
-    ///   [`DesignCore::cell_of`]);
-    /// * [`StaError::UnknownCell`] propagated from the intrinsic-delay
-    ///   lookups (equally unreachable: `add_instance` validates cells).
+    /// [`StaError::CombinationalCycle`] if the instance graph is cyclic.
     fn propagation_cache(&self) -> Result<PropagationCache> {
-        let inst_names: Vec<String> = self.instances.keys().cloned().collect();
-        let inst_index: HashMap<&str, usize> = inst_names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
+        let n_inst = self.instances.len();
+        let inst_names: Vec<NameId> = self.instances.iter().map(|inst| inst.name).collect();
+        let intrinsic = (0..n_inst)
+            .map(|inst| self.cell(inst).intrinsic_delay)
             .collect();
-        let n_inst = inst_names.len();
-        let mut intrinsic = Vec::with_capacity(n_inst);
-        for cell in self.instances.values() {
-            intrinsic.push(self.library.cell(cell)?.intrinsic_delay);
-        }
-
-        // Resolve every net's driver and sink targets once, into one flat
-        // array per column.
         let n_nets = self.nets.len();
-        let sink_count = self.nets.iter().map(|net| net.sinks.len()).sum();
-        let mut net_driver = Vec::with_capacity(n_nets);
-        let mut sink_start = Vec::with_capacity(n_nets + 1);
-        let mut sink_inst: Vec<Option<usize>> = Vec::with_capacity(sink_count);
-        let mut sink_po: Vec<Option<Arc<str>>> = Vec::with_capacity(sink_count);
-        let dangling = |net: &Net, inst: &String| StaError::DanglingInstance {
-            net: net.name.clone(),
-            instance: inst.clone(),
+        let net_driver: Vec<Option<usize>> = self.nets.iter().map(|net| net.driver).collect();
+        let targets: Vec<Arc<[Target]>> = self
+            .nets
+            .iter()
+            .map(|net| Arc::clone(&net.targets))
+            .collect();
+        // `(sink, instance)` for every sink of `net` that loads an instance.
+        let loaded = |net: usize| {
+            targets[net]
+                .iter()
+                .enumerate()
+                .filter_map(|(k, target)| match target {
+                    Target::Instance(inst) => Some((k, *inst)),
+                    Target::Output(_) => None,
+                })
         };
-        for net in &self.nets {
-            let driver = match &net.driver {
-                Driver::PrimaryInput => None,
-                Driver::Instance(inst) => Some(
-                    inst_index
-                        .get(inst.as_str())
-                        .copied()
-                        .ok_or_else(|| dangling(net, inst))?,
-                ),
-            };
-            sink_start.push(sink_inst.len());
-            for sink in &net.sinks {
-                match &sink.load {
-                    Load::Instance(inst) => {
-                        let target = inst_index
-                            .get(inst.as_str())
-                            .copied()
-                            .ok_or_else(|| dangling(net, inst))?;
-                        sink_inst.push(Some(target));
-                        sink_po.push(None);
-                    }
-                    Load::PrimaryOutput(name) => {
-                        sink_inst.push(None);
-                        sink_po.push(Some(Arc::clone(name)));
-                    }
-                }
-            }
-            net_driver.push(driver);
-        }
-        sink_start.push(sink_inst.len());
-        let net_sinks = |net: usize| &sink_inst[sink_start[net]..sink_start[net + 1]];
 
         // Kahn topological order over the instance edges, successors in
-        // net and sink order; the initial queue is name-sorted, which
-        // index order already is (the instance table is a BTreeMap).
+        // net and sink order, from a name-sorted initial queue.
         let successors = Rows::build(n_inst, || {
             (0..n_nets).flat_map(|net| {
                 let driver = net_driver[net];
-                net_sinks(net)
-                    .iter()
-                    .flatten()
-                    .filter_map(move |&t| driver.map(|d| (d, t)))
+                loaded(net).filter_map(move |(_, t)| driver.map(|d| (d, t)))
             })
         });
         let mut in_degree = vec![0usize; n_inst];
@@ -3299,6 +3281,7 @@ impl DesignCore {
             in_degree[target] += 1;
         }
         let mut queue: Vec<usize> = (0..n_inst).filter(|&i| in_degree[i] == 0).collect();
+        queue.sort_unstable_by_key(|&i| self.inst_name(i));
         let mut queue_idx = 0;
         let mut topo_rank = vec![usize::MAX; n_inst];
         let mut seen = 0usize;
@@ -3320,12 +3303,12 @@ impl DesignCore {
 
         // Nets in driver topological order (stable on ties, like the
         // original per-call sort).
-        let mut net_order: Vec<usize> = (0..self.nets.len()).collect();
+        let mut net_order: Vec<usize> = (0..n_nets).collect();
         net_order.sort_by_key(|&i| match net_driver[i] {
             None => 0,
             Some(d) => 1 + topo_rank[d],
         });
-        let mut net_rank = vec![0usize; self.nets.len()];
+        let mut net_rank = vec![0usize; n_nets];
         for (rank, &net) in net_order.iter().enumerate() {
             net_rank[net] = rank;
         }
@@ -3333,12 +3316,9 @@ impl DesignCore {
         // Adjacency for the cone walk, in the exact fold order of the full
         // pass.
         let in_edges = Rows::build(n_inst, || {
-            net_order.iter().flat_map(|&net| {
-                net_sinks(net)
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(k, target)| target.map(|u| (u, (net, k))))
-            })
+            net_order
+                .iter()
+                .flat_map(|&net| loaded(net).map(move |(k, u)| (u, (net, k))))
         });
         let out_ranks = Rows::build(n_inst, || {
             net_order
@@ -3348,6 +3328,7 @@ impl DesignCore {
         });
 
         Ok(PropagationCache {
+            names: Arc::clone(&self.names),
             inst_names,
             intrinsic,
             net_order,
@@ -3355,17 +3336,24 @@ impl DesignCore {
             net_driver,
             in_edges,
             out_ranks,
-            sink_start,
-            sink_inst,
-            sink_po,
+            targets,
         })
     }
 }
 
+impl NetRecord {
+    /// The name of sink node `node`, which was validated against the
+    /// committed tree.
+    fn node_name(&self, node: NodeId) -> &str {
+        self.tree
+            .name(node)
+            .expect("a sink node is in its net's tree")
+    }
+}
+
 /// Groups an edit batch by net index, preserving intra-net order.  Edit
-/// names resolve through the interner: an unknown name misses the string
-/// arena itself before ever touching the `u32`-keyed index.
-fn group_edits_interned<'a>(
+/// names resolve through the design's name table, one probe each.
+fn group_edits<'a>(
     core: &DesignCore,
     edits: &'a [EcoEdit],
 ) -> Result<BTreeMap<usize, Vec<&'a EcoEdit>>> {
@@ -3373,8 +3361,7 @@ fn group_edits_interned<'a>(
     for edit in edits {
         let idx = core
             .names
-            .get(edit.net.as_str())
-            .and_then(|id| core.net_index.get(&id).copied())
+            .net(&edit.net)
             .ok_or_else(|| StaError::UnknownNet {
                 name: edit.net.clone(),
             })?;
@@ -3422,6 +3409,7 @@ mod tests {
     use super::*;
     use rctree_core::builder::RcTreeBuilder;
     use rctree_core::units::Ohms;
+    use std::collections::HashMap;
 
     /// A point-to-point wire: input -> one line -> one sink node "load".
     fn wire(r: f64, c_ff: f64) -> RcTree {
@@ -3473,7 +3461,11 @@ mod tests {
 
     #[test]
     fn spines_compare_instance_sequences_and_unlink_without_recursion() {
-        let names: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let mut d = Design::new(CellLibrary::nmos_1981());
+        for name in ["a", "b", "c"] {
+            d.add_instance(name, "inv_1x").unwrap();
+        }
+        let names = d.shared.propagation_cache().unwrap();
         let ab = Spine::default().extend(0).extend(1);
         assert_eq!(ab, Spine::default().extend(0).extend(1));
         assert_ne!(ab, Spine::default().extend(1).extend(0));
@@ -4207,46 +4199,6 @@ mod tests {
     }
 
     #[test]
-    fn dangling_instance_references_error_instead_of_panicking() {
-        // The arrival-propagation lookups used to `expect("validated")` on
-        // the instance table.  The invariant (every net reference is
-        // validated by `add_net`, instances are never removed) makes those
-        // lookups infallible through the public API — pinned here by
-        // breaking the private table directly and asserting the structured
-        // error instead of a panic.
-        let mut d = buffer_chain();
-        Arc::make_mut(&mut d.shared).instances.remove("u1");
-
-        // The stage sweep itself no longer resolves names (every path
-        // splices from augmentation data pre-resolved at `add_net`), so the
-        // topology build surfaces the error: the sink-side lookup of
-        // `n_in` precedes the dangling driver of `n_mid` in net order.
-        let err = d.analyze(0.5, Seconds::from_nano(50.0)).unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                StaError::DanglingInstance { net, instance }
-                    if net == "n_in" && instance == "u1"
-            ),
-            "{err:?}"
-        );
-        // The topology build (Kahn in-degree / successor tables) hits the
-        // sink-side lookup of `n_in`.
-        let err = d.shared.propagation_cache().unwrap_err();
-        assert!(
-            matches!(
-                &err,
-                StaError::DanglingInstance { net, instance }
-                    if net == "n_in" && instance == "u1"
-            ),
-            "{err:?}"
-        );
-        // The ECO path surfaces the same structured error.
-        let err = d.apply_eco(&[], 0.5, Seconds::from_nano(50.0)).unwrap_err();
-        assert!(matches!(err, StaError::DanglingInstance { .. }), "{err:?}");
-    }
-
-    #[test]
     fn arena_analysis_matches_the_string_keyed_baseline() {
         // Batch analysis and the cold ECO warm-up of a clone must agree
         // bit-for-bit.
@@ -4265,7 +4217,7 @@ mod tests {
         // with the historical error, without poisoning other nets.
         let mut bad = buffer_chain();
         let core = Arc::make_mut(&mut bad.shared);
-        Arc::make_mut(&mut core.aug[2].loads)[0].1 = Farads::new(f64::NAN);
+        Arc::make_mut(&mut core.nets[2].loads)[0].1 = Farads::new(f64::NAN);
         let err = bad.analyze(0.5, budget).unwrap_err();
         assert!(
             matches!(
@@ -4332,27 +4284,34 @@ mod tests {
     }
 
     /// Every view of `snapshot`, at every lane, against `analyze_stage` on
-    /// the design's net rebuilt with that lane's scaled values.
-    fn assert_views_match_the_scaled_builder_stages(d: &Design, snapshot: &DesignSnapshot) {
-        let core = &d.shared;
-        let set = core.corner_set();
-        let cell = |inst: &str| core.library.cell(&core.instances[inst]).unwrap();
-        for net in &core.nets {
+    /// the design's net rebuilt with that lane's scaled values.  The
+    /// driver, sink nodes and loads come from `nets`, the input the design
+    /// was built from, every instance being a `cell`; only the (possibly
+    /// edited) tree comes from the design.
+    fn assert_views_match_the_scaled_builder_stages(
+        d: &Design,
+        nets: &[Net],
+        cell: &str,
+        snapshot: &DesignSnapshot,
+    ) {
+        let set = d.shared.corner_set();
+        let cell = d.shared.library.cell(cell).unwrap();
+        for (i, net) in nets.iter().enumerate() {
             let view = snapshot.net(&net.name).unwrap();
             let driver_r = match &net.driver {
-                Driver::Instance(inst) => cell(inst).drive_resistance,
+                Driver::Instance(_) => cell.drive_resistance,
                 Driver::PrimaryInput => Ohms::ZERO,
             };
             for k in 0..set.len() {
                 let corner = set.corner(k);
                 let (wire_r, wire_c) = set.wire_scales(&net.name, k);
-                let tree = scale_tree(&net.interconnect, wire_r, wire_c).unwrap();
+                let tree = scale_tree(&d.shared.nets[i].tree, wire_r, wire_c).unwrap();
                 let loads: Vec<(NodeId, Farads)> = net
                     .sinks
                     .iter()
                     .map(|sink| {
                         let cap = match &sink.load {
-                            Load::Instance(inst) => cell(inst).input_capacitance,
+                            Load::Instance(_) => cell.input_capacitance,
                             Load::PrimaryOutput(_) => Farads::ZERO,
                         };
                         let node = tree.node_by_name(&sink.node).unwrap();
@@ -4390,6 +4349,7 @@ mod tests {
         let budget = Seconds::from_nano(500.0);
         let build = || {
             let mut d = Design::new(CellLibrary::nmos_1981());
+            let mut input = Vec::new();
             let nets = 16;
             for i in 0..nets {
                 d.add_instance(format!("u{i}"), "inv_4x").unwrap();
@@ -4417,13 +4377,14 @@ mod tests {
                 if i + 1 < nets {
                     sinks[0].load = Load::Instance(format!("u{}", i + 1));
                 }
-                d.add_net(Net {
+                let net = Net {
                     name: format!("net{i}"),
                     driver: Driver::Instance(format!("u{i}")),
                     interconnect: tree,
                     sinks,
-                })
-                .unwrap();
+                };
+                input.push(net.clone());
+                d.add_net(net).unwrap();
             }
             let mut set = CornerSet::nominal();
             let slow = set.push("slow", 1.3, 1.2, 1.1).unwrap();
@@ -4431,7 +4392,7 @@ mod tests {
             set.push("hot", 1.1, 1.25, 1.05).unwrap();
             set.override_net("net4", slow, 1.6, 1.45).unwrap();
             d.set_corners(set);
-            d
+            (d, input)
         };
         let mut stub = RcTreeBuilder::with_input_name("g0");
         let g1 = stub
@@ -4452,9 +4413,9 @@ mod tests {
             EcoEditKind::Prune { node: "b31".into() },
         ];
         for jobs in [1, 2, 7] {
-            let mut d = build();
+            let (mut d, nets) = build();
             let mut snapshot = d.publish(0.5, budget, jobs).unwrap();
-            assert_views_match_the_scaled_builder_stages(&d, &snapshot);
+            assert_views_match_the_scaled_builder_stages(&d, &nets, "inv_4x", &snapshot);
             for kind in &edits {
                 let edit = EcoEdit {
                     net: "net4".into(),
@@ -4463,9 +4424,9 @@ mod tests {
                 snapshot = d
                     .publish_after_eco(&[edit], 0.5, budget, jobs, &snapshot)
                     .unwrap();
-                assert_views_match_the_scaled_builder_stages(&d, &snapshot);
+                assert_views_match_the_scaled_builder_stages(&d, &nets, "inv_4x", &snapshot);
             }
-            assert_eq!(d.shared.nets[4].interconnect.node_count(), 201 + 2 - 1);
+            assert_eq!(d.shared.nets[4].tree.node_count(), 201 + 2 - 1);
         }
     }
 
@@ -4507,7 +4468,7 @@ mod tests {
             for i in 0..2 {
                 let name = format!("net{}", 2 * s + i);
                 assert!(
-                    shard.shared.names.get(&name).is_some(),
+                    shard.shared.names.net(&name).is_some(),
                     "{name} in shard {s}"
                 );
             }
@@ -4646,10 +4607,10 @@ mod tests {
             .shared
             .nets
             .iter()
-            .flat_map(|net| &net.sinks)
-            .filter_map(|sink| match &sink.load {
-                Load::PrimaryOutput(po) => Some((&**po, po)),
-                Load::Instance(_) => None,
+            .flat_map(|net| net.targets.iter())
+            .filter_map(|target| match target {
+                Target::Output(po) => Some((&**po, po)),
+                Target::Instance(_) => None,
             })
             .collect();
         let mut seen = 0;

@@ -29,17 +29,20 @@
 //! [`Design::analyze_with_jobs`] of the edited design for every worker
 //! count.
 //!
-//! A net is one entry of the design: its interconnect, one `Arc`-shared
-//! column table ([`rctree_core::tree::RcTree`]), and its resolved driver
-//! resistance and sink loads.  Every stage sweep — batch analysis, the ECO
-//! warm-up and the dirty-net re-time — splices a net from that entry into
-//! per-worker scratch and sweeps it there ([`stage_delay_bounds`] is its
-//! nominal lane), and every snapshot view shares the same table and loads,
-//! so nothing in this crate copies a tree.  An edit copies the one table
-//! it lands on, on its first write, so a snapshot published before an edit
-//! keeps answering from its own trees.  Sink nodes, edit targets and
-//! `QUERY <net> <node>` names resolve through the tree's interned name
-//! index, one hash probe each.
+//! A net is one record of the design: its interconnect, one `Arc`-shared
+//! column table ([`rctree_core::tree::RcTree`]), its driver and its sinks,
+//! with every name resolved once, when the net is added.  The design
+//! interns its net and instance names into one
+//! [`rctree_core::intern::Interner`]; a record holds instance ids and node
+//! ids, and only snapshot views and reports turn them back into text.
+//! Every stage sweep — batch analysis, the ECO warm-up and the dirty-net
+//! re-time — splices a net from its record into per-worker scratch and
+//! sweeps it there ([`stage_delay_bounds`] is its nominal lane), and every
+//! snapshot view shares the same table and loads, so nothing in this crate
+//! copies a tree.  An edit copies the one table it lands on, on its first
+//! write, so a snapshot published before an edit keeps answering from its
+//! own trees.  Sink nodes, edit targets and `QUERY <net> <node>` names
+//! resolve through the tree's interned name index, one hash probe each.
 //!
 //! ## The corner model
 //!

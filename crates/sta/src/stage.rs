@@ -461,9 +461,9 @@ impl Spliced {
 /// the caller's columns lets a worker splice every lane of every net it
 /// sweeps without allocating per net.
 ///
-/// The splice and validation order is the builder path's
-/// ([`prepend_driver`]): driver check, pre-order walk with reserved-name
-/// checks, then per-sink node and load checks, each on the **scaled**
+/// The validation order is the builder path's ([`prepend_driver`]):
+/// driver check, reserved-name check (the first reserved name in
+/// pre-order), then per-sink node and load checks, each on the **scaled**
 /// value.  On error `out` holds a partial splice, which the next splice
 /// overwrites.
 fn augmented_arrays(
@@ -486,6 +486,25 @@ fn augmented_arrays(
     };
     let driver_r = driver_resistance.value() * scales.driver_r;
     check("resistance", driver_r)?;
+    // The builder path would collide on a reserved name; fail identically
+    // (two probes decide, a clash walks the pre-order to name the first)
+    // so both evaluations agree on such inputs.  The pre-order starts at
+    // the raw input, whose name the augmentation drops (the node is merged
+    // into the driver output), so it cannot collide.
+    let input = interconnect.input();
+    let reserved = [DRIVER_OUTPUT_NODE, STAGE_INPUT_NODE];
+    if reserved
+        .iter()
+        .any(|name| interconnect.find_node(name).is_some_and(|id| id != input))
+    {
+        for id in interconnect.preorder().skip(1) {
+            let name = interconnect.name(id)?;
+            if reserved.contains(&name) {
+                let name = name.to_string();
+                return Err(rctree_core::CoreError::DuplicateName { name }.into());
+            }
+        }
+    }
     let Spliced {
         parent,
         branch_r,
@@ -517,21 +536,7 @@ fn augmented_arrays(
     node_cap.push(interconnect.capacitance(interconnect.input())?.value() * scales.wire_c);
     pos[interconnect.input().index()] = 1;
 
-    for id in interconnect.preorder() {
-        if id == interconnect.input() {
-            // The raw input's name is dropped by the augmentation (the node
-            // is merged into the driver output), so it cannot collide.
-            continue;
-        }
-        let name = interconnect.name(id)?;
-        if name == DRIVER_OUTPUT_NODE || name == STAGE_INPUT_NODE {
-            // The builder path would collide on the reserved names; fail
-            // identically so both evaluations agree on such inputs.
-            return Err(rctree_core::CoreError::DuplicateName {
-                name: name.to_string(),
-            }
-            .into());
-        }
+    for id in interconnect.preorder().skip(1) {
         let p = interconnect.parent(id)?.expect("non-input node");
         let branch = interconnect.branch(id)?.expect("non-input node");
         pos[id.index()] = parent.len() as u32;
@@ -791,6 +796,33 @@ mod tests {
         let built = analyze_stage(Ohms::new(100.0), &tree, &loads, 0.5).unwrap_err();
         let flat = stage_delay_bounds(Ohms::new(100.0), &tree, &loads, 0.5).unwrap_err();
         assert_eq!(format!("{built}"), format!("{flat}"));
+
+        // An input node named like the driver's output is merged into it,
+        // so both paths accept it.
+        let mut b = RcTreeBuilder::with_input_name(DRIVER_OUTPUT_NODE);
+        let out = b.add_resistor(b.input(), "out", Ohms::new(5.0)).unwrap();
+        b.add_capacitance(out, Farads::from_femto(3.0)).unwrap();
+        let tree = b.build().unwrap();
+        let loads = vec![(out, Farads::from_femto(1.0))];
+        let built = analyze_stage(Ohms::new(100.0), &tree, &loads, 0.5).unwrap();
+        let flat = stage_delay_bounds(Ohms::new(100.0), &tree, &loads, 0.5).unwrap();
+        assert_eq!(flat, [built.sinks[0].bounds]);
+
+        // Both reserved names, the later id first in pre-order: both paths
+        // name the one pre-order reaches first.
+        let mut b = RcTreeBuilder::new();
+        let a = b.add_resistor(b.input(), "a", Ohms::new(5.0)).unwrap();
+        let drv = b
+            .add_resistor(b.input(), DRIVER_OUTPUT_NODE, Ohms::new(5.0))
+            .unwrap();
+        let stage = b.add_resistor(a, STAGE_INPUT_NODE, Ohms::new(5.0)).unwrap();
+        let tree = b.build().unwrap();
+        assert!(drv < stage && tree.preorder().eq([tree.input(), a, stage, drv]));
+        let loads = vec![(a, Farads::from_femto(1.0))];
+        let built = analyze_stage(Ohms::new(100.0), &tree, &loads, 0.5).unwrap_err();
+        let flat = stage_delay_bounds(Ohms::new(100.0), &tree, &loads, 0.5).unwrap_err();
+        assert_eq!(format!("{built}"), format!("{flat}"));
+        assert!(format!("{flat}").contains(STAGE_INPUT_NODE), "{flat}");
 
         // An empty sink list short-circuits to no bounds, like the builder
         // path's sink-less early return.
