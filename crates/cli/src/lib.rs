@@ -68,7 +68,7 @@ use rctree_core::corner::CornerSet;
 use rctree_core::tree::RcTree;
 use rctree_core::units::Seconds;
 use rctree_netlist::{parse_expr, parse_spef_deck, parse_spef_read, parse_spice, SpefNet};
-use rctree_sta::{CellLibrary, Design};
+use rctree_sta::{CellLibrary, CornerAnalysis, Design, TimingReport};
 pub use rctree_sta::{ScriptEdit, ScriptLine};
 
 /// Input netlist formats understood by the tool.
@@ -1131,24 +1131,30 @@ pub fn deck_report(
     corners: Option<&CornerSet>,
     corner: Option<&str>,
 ) -> Result<Report, CliError> {
-    render_deck_report(
+    let deck = analyze_deck(
         deck_design(deck_texts, driver, jobs)?,
         threshold,
         budget,
         jobs,
         corners,
         corner,
-    )
+    )?;
+    let report = deck.report();
+    Ok(Report {
+        text: report.to_string(),
+        certification: Some(report.certification()),
+    })
 }
 
-/// [`deck_report`] over deck **paths**: streams each deck through
-/// [`read_deck_nets`] instead of requiring the texts in memory.
+/// The analysis behind [`deck_report`], over deck **paths** (each deck
+/// streams through [`read_deck_nets`]), without rendering: `rcdelay
+/// report` writes the [`DeckReport`] straight to its output.
 ///
 /// # Errors
 ///
 /// As for [`deck_report`], plus open/read failures as
 /// [`CliError::Netlist`].
-pub fn deck_report_from_paths(
+pub fn analyze_deck_from_paths(
     paths: &[String],
     driver: &str,
     threshold: f64,
@@ -1156,8 +1162,8 @@ pub fn deck_report_from_paths(
     jobs: usize,
     corners: Option<&CornerSet>,
     corner: Option<&str>,
-) -> Result<Report, CliError> {
-    render_deck_report(
+) -> Result<DeckReport, CliError> {
+    analyze_deck(
         deck_design_from_paths(paths, driver, jobs)?,
         threshold,
         budget,
@@ -1347,23 +1353,53 @@ pub fn render_profile_json(rows: &[PhaseProfile]) -> String {
     out
 }
 
-fn render_deck_report(
+/// A deck's analysed design and the report of its selected lane: what
+/// `rcdelay report` prints, kept with the design it came from so the
+/// caller decides when, or whether, their memory is freed.
+#[derive(Debug)]
+pub struct DeckReport {
+    /// Held only so that its drop is the caller's to make or skip.
+    _design: Design,
+    lanes: DeckLanes,
+}
+
+#[derive(Debug)]
+enum DeckLanes {
+    /// The single-corner analysis.
+    Nominal(TimingReport),
+    /// Every corner's report, and the selected lane.
+    Corners(CornerAnalysis, usize),
+}
+
+impl DeckReport {
+    /// The selected lane's report.
+    pub fn report(&self) -> &TimingReport {
+        match &self.lanes {
+            DeckLanes::Nominal(report) => report,
+            DeckLanes::Corners(analysis, k) => analysis
+                .report(*k)
+                .expect("resolved corner index is in range"),
+        }
+    }
+}
+
+fn analyze_deck(
     mut design: Design,
     threshold: f64,
     budget: f64,
     jobs: usize,
     corners: Option<&CornerSet>,
     corner: Option<&str>,
-) -> Result<Report, CliError> {
+) -> Result<DeckReport, CliError> {
     if corners.is_none() && corner.is_none() {
         // The single-corner path: exactly the pre-corner float sequence
         // (which `analyze_corners` lane 0 is pinned bit-identical to).
         let report = design
             .analyze_with_jobs(threshold, Seconds::new(budget), jobs)
             .map_err(|e| CliError::Analysis(e.to_string()))?;
-        return Ok(Report {
-            text: report.to_string(),
-            certification: Some(report.certification()),
+        return Ok(DeckReport {
+            _design: design,
+            lanes: DeckLanes::Nominal(report),
         });
     }
     if let Some(set) = corners {
@@ -1379,12 +1415,9 @@ fn render_deck_report(
             resolve_corner_selector(analysis.names(), token, analysis.worst_against(required))?
         }
     };
-    let report = analysis
-        .report(k)
-        .expect("resolved corner index is in range");
-    Ok(Report {
-        text: report.to_string(),
-        certification: Some(report.certification()),
+    Ok(DeckReport {
+        _design: design,
+        lanes: DeckLanes::Corners(analysis, k),
     })
 }
 
@@ -1427,10 +1460,10 @@ pub struct EcoOutcome {
 }
 
 /// A live ECO session over a parsed deck: the incremental design plus the
-/// rolling slack/certification state.  Both the batch [`run_eco`] and the
-/// `--watch` streaming loop in `main` drive one of these, so the per-edit
-/// output is identical whether the script arrives up front or line by
-/// line.
+/// rolling slack/certification state.  [`run_eco`], `rcdelay eco`'s batch
+/// mode ([`EcoSession::apply_all`]) and its `--watch` streaming loop all
+/// drive one of these, so the per-edit output is identical whether the
+/// script arrives up front or line by line.
 #[derive(Debug)]
 pub struct EcoSession {
     design: Design,
@@ -1596,6 +1629,23 @@ impl EcoSession {
     pub fn footer(&self) -> String {
         format!("final certification: {}", self.certification)
     }
+
+    /// Applies `edits` in order, appending each edit's log line to `text`,
+    /// then the footer.
+    ///
+    /// # Errors
+    ///
+    /// The first failing edit's error, as from [`EcoSession::apply`]: the
+    /// session stops there, and `text` ends with the line of the last
+    /// edit applied before it.
+    pub fn apply_all(&mut self, edits: &[ScriptEdit], text: &mut String) -> Result<(), CliError> {
+        for se in edits {
+            let line = self.apply(se)?;
+            let _ = writeln!(text, "{line}");
+        }
+        let _ = writeln!(text, "{}", self.footer());
+        Ok(())
+    }
 }
 
 /// Runs a full ECO session: parse the deck, build the per-net design,
@@ -1611,33 +1661,10 @@ impl EcoSession {
 /// * [`CliError::Analysis`] if the design cannot be built or analysed.
 pub fn run_eco(deck: &str, script: &str, opts: &Options) -> Result<EcoOutcome, CliError> {
     let edits = parse_eco_script(script)?;
-    let session = EcoSession::new(deck, opts, Some(edits.len()))?;
-    drive_eco(session, &edits)
-}
-
-/// [`run_eco`] over a deck **path** (or `-` for standard input): the deck
-/// streams through [`read_deck_nets`].
-///
-/// # Errors
-///
-/// As for [`run_eco`], plus open/read failures as [`CliError::Netlist`].
-pub fn run_eco_path(path: &str, script: &str, opts: &Options) -> Result<EcoOutcome, CliError> {
-    let edits = parse_eco_script(script)?;
-    let session = EcoSession::open(path, opts, Some(edits.len()))?;
-    drive_eco(session, &edits)
-}
-
-fn drive_eco(
-    (mut session, mut out): (EcoSession, String),
-    edits: &[ScriptEdit],
-) -> Result<EcoOutcome, CliError> {
-    for se in edits {
-        let line = session.apply(se)?;
-        let _ = writeln!(out, "{line}");
-    }
-    let _ = writeln!(out, "{}", session.footer());
+    let (mut session, mut text) = EcoSession::new(deck, opts, Some(edits.len()))?;
+    session.apply_all(&edits, &mut text)?;
     Ok(EcoOutcome {
-        text: out,
+        text,
         certification: session.certification(),
     })
 }

@@ -146,6 +146,39 @@ fn eco_multi_edit_line_errors_carry_the_edit_index() {
 }
 
 #[test]
+fn a_failing_eco_line_keeps_the_edits_applied_before_it() {
+    // Batch mode stops at the failing line, but the header and the line of
+    // every edit already applied still print before the error.
+    let deck = write_temp("eco_partial.spef", ECO_DECK);
+    let script = write_temp(
+        "partial.eco",
+        "setcap slow y 0.6e-12\nsetcap slow ghost 1e-15\n",
+    );
+    let out = run(&[
+        "eco",
+        "--budget",
+        "100e-9",
+        deck.to_str().unwrap(),
+        script.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert!(
+        lines[0].starts_with("eco session: 1 nets, 2 edits"),
+        "{stdout}"
+    );
+    assert!(lines[1].starts_with("baseline: "), "{stdout}");
+    assert!(lines[2].starts_with("edit    1 (line   1)"), "{stdout}");
+    assert_eq!(lines.len(), 3, "{stdout}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2") && stderr.contains("`ghost`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn eco_watch_streams_edits_from_stdin() {
     // The sizing-loop server mode: pipe a 3-edit script over stdin and
     // collect one output line per edit plus the final verdict, with the

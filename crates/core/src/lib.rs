@@ -32,6 +32,7 @@
 //! | [`elmore`] | Elmore delay of every node in one traversal |
 //! | [`analysis`] | whole-tree, multi-output reports |
 //! | [`ramp`] | finite-slew excitation via the superposition integral |
+//! | [`shortest`] | `f64` to its shortest round-trip decimal bytes, as `Display` prints it |
 //!
 //! ## Complexity
 //!
@@ -94,6 +95,7 @@ pub mod intern;
 pub mod moments;
 pub mod ramp;
 pub mod resistance;
+pub mod shortest;
 pub mod tree;
 pub mod twoport;
 pub mod units;

@@ -17,7 +17,9 @@
 //! only a `*` followed by `END` (any case) closes the section.  When that
 //! byte is not ASCII the line falls back to the `str` path, because
 //! `str::trim` also strips Unicode whitespace such as U+00A0.  A closed
-//! body is copied out of the buffer once, as a whole.  Top-level lines
+//! body is copied out of the buffer once, as a whole, as the text its
+//! read already validated (a body split across two reads is checked once
+//! more when it closes), so the parser never re-checks it.  Top-level lines
 //! (headers and unit directives) take the `str` path; there are a few per
 //! section.  The section parser then walks each body line once more to
 //! tokenize it (see [`crate::spef`]).
@@ -65,17 +67,16 @@ struct RawSection {
     header_line: usize,
     /// Every line after the header through `*END` (or end of input), line
     /// endings included.
-    body: Vec<u8>,
+    body: String,
 }
 
 impl RawSection {
     /// Parses the body into the net's tree.
     fn tree(&self) -> Result<RcTree> {
-        // Every body line passed the scanner's UTF-8 check.
-        let body = std::str::from_utf8(&self.body).expect("the scanner validated every line");
         // The body's first line is document line `header_line + 1`;
         // `parse_d_net` reports `idx + 1`, so enumerate from the header.
-        let mut lines = body
+        let mut lines = self
+            .body
             .lines()
             .enumerate()
             .map(|(k, raw)| (self.header_line + k, raw));
@@ -133,21 +134,19 @@ struct Scan {
 }
 
 impl Scan {
-    /// Scans one line of `buf`; `next` is the offset just past it (past
-    /// its `\n`, when it has one).
-    fn line(&mut self, line: &str, next: usize, buf: &[u8]) -> Result<()> {
+    /// Scans one line; `next` is the read-buffer offset just past it
+    /// (past its `\n`, when it has one).  Returns whether the line closes
+    /// the open section, which the caller then [closes](Scan::close).
+    fn line(&mut self, line: &str, next: usize) -> Result<bool> {
         self.line_no += 1;
         if self.open.is_some() {
             // Every line of an open section — stray headers and unit
             // directives included — belongs to its body.
-            if closes_section(line) {
-                self.close(buf, next);
-            }
-            return Ok(());
+            return Ok(closes_section(line));
         }
         let line = strip_comment(line);
         if line.is_empty() {
-            return Ok(());
+            return Ok(false);
         }
         if let Some((name, declared_total_cap)) = self.units.scan_top_level(line, self.line_no)? {
             let section = RawSection {
@@ -155,20 +154,36 @@ impl Scan {
                 declared_total_cap,
                 units: self.units,
                 header_line: self.line_no,
-                body: Vec::new(),
+                body: String::new(),
             };
             self.open = Some((section, next));
         }
-        Ok(())
+        Ok(false)
     }
 
     /// Queues the open section, if any, with the body `buf[start..end]`.
-    fn close(&mut self, buf: &[u8], end: usize) {
+    /// A body inside `checked`, the text the current read validated, is
+    /// copied from it as text; one that began in an earlier read is
+    /// checked once more.
+    fn close(&mut self, buf: &[u8], end: usize, checked: Checked<'_>) {
         if let Some((mut section, start)) = self.open.take() {
-            section.body = buf[start..end].to_vec();
+            section.body = match start.checked_sub(checked.base) {
+                Some(from) => checked.text[from..end - checked.base].to_string(),
+                None => std::str::from_utf8(&buf[start..end])
+                    .expect("the scanner validated every line")
+                    .to_string(),
+            };
             self.ready.push_back(section);
         }
     }
+}
+
+/// The text one read's lines were validated as, and its offset in the
+/// read buffer.
+#[derive(Debug, Clone, Copy)]
+struct Checked<'a> {
+    text: &'a str,
+    base: usize,
 }
 
 /// A chunked, bounded-memory reader of SPEF-lite decks.
@@ -265,7 +280,10 @@ impl<R: Read> SpefReader<R> {
                 None => break,
             };
             start = next;
-            self.scan.line(line, base + next, &self.buf)?;
+            if self.scan.line(line, base + next)? {
+                self.scan
+                    .close(&self.buf, base + next, Checked { text, base });
+            }
         }
         self.pos = base + start;
         if valid {
@@ -303,7 +321,12 @@ impl<R: Read> SpefReader<R> {
             if self.done {
                 // An open section is parsed as-is, so its missing `*END`
                 // is reported at the header.
-                self.scan.close(&self.buf, self.buf.len());
+                let end = self.buf.len();
+                let checked = Checked {
+                    text: "",
+                    base: end,
+                };
+                self.scan.close(&self.buf, end, checked);
             }
         }
     }

@@ -461,13 +461,15 @@ pub fn render_query(
     }
 }
 
-/// Renders the response block of `REPORT [--corner <k|name|worst>]`: the
-/// payload is exactly the [`rctree_sta::TimingReport`] display text of the
-/// selected corner — byte-identical to what `rcdelay report` (with the
-/// same `--corners` spec and `--corner` selector) prints offline for the
-/// same design state.  `worst` picks the smallest-slack lane against the
-/// snapshot's required time.
-pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<String> {
+/// The response block of `REPORT [--corner <k|name|worst>]` as bytes,
+/// every line newline-terminated: the payload is exactly the
+/// [`rctree_sta::TimingReport`] display text of the selected corner —
+/// byte-identical to what `rcdelay report` (with the same `--corners`
+/// spec and `--corner` selector) prints offline for the same design
+/// state — then the final `OK` line.  `worst` picks the smallest-slack
+/// lane against the snapshot's required time.  The server caches this
+/// block and sends it with one write.
+pub fn report_block(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<u8> {
     let selected = match corner {
         None => None,
         Some("worst") => Some(match snapshot.corners() {
@@ -476,7 +478,7 @@ pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) 
         }),
         Some(token) => match resolve_corner(snapshot, token) {
             Ok(k) => Some(k),
-            Err(message) => return vec![err_line(rev, &message)],
+            Err(message) => return line_block(&err_line(rev, &message)),
         },
     };
     let report = match selected {
@@ -486,9 +488,35 @@ pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) 
             .and_then(|c| c.report(k))
             .expect("resolved corner is in range"),
     };
-    let mut lines: Vec<String> = report.to_string().lines().map(str::to_string).collect();
-    lines.push(ok_selected(snapshot, rev, selected));
-    lines
+    report_with_final(report, &ok_selected(snapshot, rev, selected))
+}
+
+/// [`report_block`] split into its lines, newlines dropped.
+pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<String> {
+    block_lines(&report_block(snapshot, rev, corner))
+}
+
+/// `report`'s text followed by the final line `last`.
+fn report_with_final(report: &TimingReport, last: &str) -> Vec<u8> {
+    let mut block = Vec::new();
+    report.push_to(&mut block);
+    block.extend_from_slice(last.as_bytes());
+    block.push(b'\n');
+    block
+}
+
+/// A one-line block.
+fn line_block(line: &str) -> Vec<u8> {
+    format!("{line}\n").into_bytes()
+}
+
+/// The lines of a rendered block, newlines dropped.
+fn block_lines(block: &[u8]) -> Vec<String> {
+    std::str::from_utf8(block)
+        .expect("a rendered block is UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
 }
 
 /// Renders the response block of `CERTIFY <budget>`.
@@ -622,16 +650,16 @@ fn composed_worst_lane(snapshots: &[Arc<DesignSnapshot>], required: Seconds) -> 
     worst
 }
 
-/// Renders the composed `REPORT` of a sharded deck: per-shard reports of
-/// the selected lane merged through [`TimingReport::compose`], so the
-/// payload is byte-identical to the monolithic report of the unsharded
-/// design, terminated by the revision-vector final line.  `snapshots` and
-/// `revs` are the per-shard pairs, in shard order.
-pub fn render_report_composed(
+/// The composed `REPORT` block of a sharded deck, as bytes: per-shard
+/// reports of the selected lane merged through [`TimingReport::compose`],
+/// so the payload is byte-identical to the monolithic report of the
+/// unsharded design, terminated by the revision-vector final line.
+/// `snapshots` and `revs` are the per-shard pairs, in shard order.
+pub fn report_block_composed(
     snapshots: &[Arc<DesignSnapshot>],
     revs: &[u64],
     corner: Option<&str>,
-) -> Vec<String> {
+) -> Vec<u8> {
     debug_assert_eq!(snapshots.len(), revs.len());
     let lead = &snapshots[0];
     let selected = match corner {
@@ -639,14 +667,21 @@ pub fn render_report_composed(
         Some("worst") => Some(composed_worst_lane(snapshots, lead.required_time())),
         Some(token) => match resolve_corner(lead, token) {
             Ok(k) => Some(k),
-            Err(message) => return vec![err_revs(revs, &message)],
+            Err(message) => return line_block(&err_revs(revs, &message)),
         },
     };
     let k = selected.unwrap_or(0);
     let composed = TimingReport::compose(snapshots.iter().map(|s| corner_report(s, k)));
-    let mut lines: Vec<String> = composed.to_string().lines().map(str::to_string).collect();
-    lines.push(ok_selected_composed(lead, revs, selected));
-    lines
+    report_with_final(&composed, &ok_selected_composed(lead, revs, selected))
+}
+
+/// [`report_block_composed`] split into its lines, newlines dropped.
+pub fn render_report_composed(
+    snapshots: &[Arc<DesignSnapshot>],
+    revs: &[u64],
+    corner: Option<&str>,
+) -> Vec<String> {
+    block_lines(&report_block_composed(snapshots, revs, corner))
 }
 
 /// Renders the composed `CERTIFY` of a sharded deck: the worst slack is

@@ -591,18 +591,29 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// A response block: owned lines, or a shared rendering out of the
-/// rendered-report cache.
+/// A response block: owned lines, or a shared byte payload out of the
+/// rendered-report cache, newlines included.
 enum Block {
     Owned(Vec<String>),
-    Cached(Arc<Vec<String>>),
+    Payload(Arc<Vec<u8>>),
 }
 
 impl Block {
-    fn lines(&self) -> &[String] {
+    /// Writes the block; returns the bytes written.
+    fn write(&self, out: &mut impl Write) -> io::Result<u64> {
         match self {
-            Block::Owned(lines) => lines,
-            Block::Cached(lines) => lines,
+            Block::Owned(lines) => {
+                let mut bytes = 0;
+                for line in lines {
+                    writeln!(out, "{line}")?;
+                    bytes += line.len() as u64 + 1;
+                }
+                Ok(bytes)
+            }
+            Block::Payload(payload) => {
+                out.write_all(payload)?;
+                Ok(payload.len() as u64)
+            }
         }
     }
 }
@@ -770,11 +781,11 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
                     if span.is_live() {
                         span.attr_str("rev", protocol::rev_csv(&revs));
                     }
-                    let (lines, hit) = shared.reports.rendered(&revs, corner.as_deref(), || {
+                    let (payload, hit) = shared.reports.rendered(&revs, corner.as_deref(), || {
                         if sharded {
-                            protocol::render_report_composed(&snapshots, &revs, corner.as_deref())
+                            protocol::report_block_composed(&snapshots, &revs, corner.as_deref())
                         } else {
-                            protocol::render_report(&snapshots[0], revs[0], corner.as_deref())
+                            protocol::report_block(&snapshots[0], revs[0], corner.as_deref())
                         }
                     });
                     if hit {
@@ -784,7 +795,7 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
                         }
                     }
                     span.attr_u64("cache_hit", u64::from(hit));
-                    Block::Cached(lines)
+                    Block::Payload(payload)
                 }
                 Request::Certify { budget, over } => {
                     let (snapshots, revs) = load_all(shared);
@@ -833,14 +844,18 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
             }
         }
     };
-    let mut bytes = 0u64;
-    for line in block.lines() {
-        writeln!(out, "{line}")?;
-        bytes += line.len() as u64 + 1;
-    }
+    let mut write_span = match verb {
+        Some(_) => rctree_obs::span("serve.write"),
+        None => rctree_obs::Span::disabled(),
+    };
+    let bytes = block.write(out)?;
     out.flush()?;
+    // The handling time ends with the flush; recording the spans is not
+    // part of it.
+    let dur_us = started.elapsed().as_micros() as u64;
+    write_span.attr_u64("bytes", bytes);
+    drop(write_span);
     if let Some(verb) = verb {
-        let dur_us = started.elapsed().as_micros() as u64;
         span.attr_u64("bytes", bytes);
         drop(span);
         if let Some(vs) = shared.verbs.get(verb) {

@@ -59,13 +59,13 @@ impl SnapshotStore {
 /// Per-revision(-vector) cache of rendered `REPORT` response blocks,
 /// keyed by the raw `--corner` selector (`None` for the plain verb).
 /// Rendering a [`rctree_sta::TimingReport`] walks and formats every
-/// endpoint, which dwarfs the cost of writing the already-rendered lines
+/// endpoint, which dwarfs the cost of writing the already-rendered bytes
 /// on big decks — and between edits every `REPORT` for the same selector
 /// is byte-identical by construction, so the block is rendered once per
-/// `(revision vector, selector)` and shared via `Arc` after that.  On a
-/// sharded store the key is the full per-shard revision vector: an edit
-/// on **any** shard drops the whole entry set, so the cache never serves
-/// a superseded shard snapshot's rendering.
+/// `(revision vector, selector)`, as one byte payload, and shared via
+/// `Arc` after that.  On a sharded store the key is the full per-shard
+/// revision vector: an edit on **any** shard drops the whole entry set, so
+/// the cache never serves a superseded shard snapshot's rendering.
 #[derive(Debug, Default)]
 pub struct RenderedReportCache {
     inner: Mutex<ReportCacheState>,
@@ -74,7 +74,7 @@ pub struct RenderedReportCache {
 #[derive(Debug, Default)]
 struct ReportCacheState {
     revisions: Vec<u64>,
-    rendered: HashMap<Option<String>, Arc<Vec<String>>>,
+    rendered: HashMap<Option<String>, Arc<Vec<u8>>>,
 }
 
 impl RenderedReportCache {
@@ -85,8 +85,8 @@ impl RenderedReportCache {
         &self,
         revisions: &[u64],
         corner: Option<&str>,
-        render: impl FnOnce() -> Vec<String>,
-    ) -> (Arc<Vec<String>>, bool) {
+        render: impl FnOnce() -> Vec<u8>,
+    ) -> (Arc<Vec<u8>>, bool) {
         let mut cache = match self.inner.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),

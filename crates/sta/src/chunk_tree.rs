@@ -146,6 +146,14 @@ impl<T, S> ChunkTree<T, S> {
         }
     }
 
+    /// The items of the leaves under nodes `range`, one slice per leaf, in
+    /// order.
+    pub(crate) fn leaves(&self, range: Range<usize>) -> impl Iterator<Item = &[T]> + '_ {
+        self.nodes[range]
+            .iter()
+            .flat_map(|node| node.child.iter().map(|leaf| &leaf.child[..]))
+    }
+
     /// The nodes in order, each as its summary and its leaves, and each
     /// leaf as its summary and its items.
     pub(crate) fn nodes(&self) -> impl Iterator<Item = (S, impl Iterator<Item = (S, &[T])>)> + '_
