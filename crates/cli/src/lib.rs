@@ -1182,7 +1182,9 @@ pub fn analyze_deck_from_paths(
 /// byte-identical to the server's `CERTIFY --over` response payload on
 /// the same decks.  The returned verdict (the certification at the worst
 /// point — `Pass` there proves the whole box) drives the exit status
-/// exactly like `--budget` elsewhere.
+/// exactly like `--budget` elsewhere.  The analysed design, its snapshot
+/// and the snapshot's symbolic lane come back with the report, so the
+/// caller decides when, or whether, their memory is freed.
 ///
 /// # Errors
 ///
@@ -1195,7 +1197,7 @@ pub fn certify_over_from_paths(
     jobs: usize,
     over_r: (f64, f64),
     over_c: (f64, f64),
-) -> Result<Report, CliError> {
+) -> Result<(Report, impl Sized), CliError> {
     let design = deck_design_from_paths(paths, driver, jobs)?;
     let executor = rctree_serve::EcoExecutor::new(design, threshold, Seconds::new(budget), jobs)
         .map_err(|e| CliError::Analysis(e.to_string()))?;
@@ -1211,10 +1213,11 @@ pub fn certify_over_from_paths(
         .map_err(|e| CliError::Analysis(e.to_string()))?
         .certify_over(Seconds::new(budget), over.r, over.c)
         .verdict;
-    Ok(Report {
+    let report = Report {
         text: format!("{text}\n"),
         certification: Some(verdict),
-    })
+    };
+    Ok((report, (executor, snapshot)))
 }
 
 /// One row of the `rcdelay profile` per-phase breakdown, aggregated from
@@ -1248,6 +1251,9 @@ pub struct PhaseProfile {
 ///
 /// The certification verdict of the baseline analysis rides along so the
 /// exit status behaves exactly like `rcdelay report` on the same decks.
+/// So do the design and its report, dropped by neither the observed
+/// region nor this call: the caller decides when, or whether, their
+/// memory is freed.
 ///
 /// # Errors
 ///
@@ -1258,15 +1264,15 @@ pub fn profile_from_paths(
     threshold: f64,
     budget: f64,
     jobs: usize,
-) -> Result<(Vec<PhaseProfile>, Certification), CliError> {
+) -> Result<(Vec<PhaseProfile>, Certification, impl Sized), CliError> {
     let obs = rctree_obs::Obs::new(rctree_obs::ObsConfig::default());
-    let certification = {
+    let (certification, analysed) = {
         let _scope = obs.enter();
         let design = deck_design_from_paths(paths, driver, jobs)?;
         let report = design
             .analyze_with_jobs(threshold, Seconds::new(budget), jobs)
             .map_err(|e| CliError::Analysis(e.to_string()))?;
-        report.certification()
+        (report.certification(), (design, report))
     };
 
     let mut rows: Vec<PhaseProfile> = obs
@@ -1307,7 +1313,7 @@ pub fn profile_from_paths(
         })
         .collect();
     rows.sort_by(|a, b| a.phase.cmp(&b.phase));
-    Ok((rows, certification))
+    Ok((rows, certification, analysed))
 }
 
 /// Renders a [`profile_from_paths`] breakdown as the human-readable table

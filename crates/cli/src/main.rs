@@ -168,7 +168,13 @@ fn main() -> ExitCode {
                 *over_r,
                 *over_c,
             ) {
-                Ok(report) => respond(&report.text, verdict_exit(report.certification)),
+                Ok((report, analysed)) => {
+                    let status = respond(&report.text, verdict_exit(report.certification));
+                    // As for `report`: the process exit frees the design,
+                    // its snapshot and the symbolic lane at once.
+                    std::mem::forget(analysed);
+                    status
+                }
                 Err(e) => {
                     eprintln!("error: {e}");
                     ExitCode::FAILURE
@@ -191,12 +197,14 @@ fn main() -> ExitCode {
             let budget = opts.budget.expect("profile mode requires --budget");
             let jobs = opts.jobs.unwrap_or_else(rctree_par::default_jobs);
             match profile_from_paths(decks, driver, opts.threshold, budget, jobs) {
-                Ok((rows, certification)) => {
+                Ok((rows, certification, analysed)) => {
                     let text = match *json {
                         true => render_profile_json(&rows),
                         false => render_profile_table(&rows),
                     };
-                    respond(&text, verdict_exit(Some(certification)))
+                    let status = respond(&text, verdict_exit(Some(certification)));
+                    std::mem::forget(analysed);
+                    status
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -548,14 +556,18 @@ fn run_batch(script_text: &str, opts: &Options) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match session.apply_all(&edits, &mut text) {
+    let status = match session.apply_all(&edits, &mut text) {
         Ok(()) => respond(&text, verdict_exit(Some(session.certification()))),
         Err(e) => {
             respond(&text, ExitCode::FAILURE);
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
-    }
+    };
+    // The process exit frees the session's design and its warm state at
+    // once.
+    std::mem::forget(session);
+    status
 }
 
 /// One streamed script line: parse, apply each edit, report.  Bad lines
@@ -678,5 +690,7 @@ fn run_watch(script: &str, opts: &Options) -> ExitCode {
         }
     }
     emit(&session.footer());
-    verdict_exit(Some(session.certification()))
+    let status = verdict_exit(Some(session.certification()));
+    std::mem::forget(session);
+    status
 }

@@ -13,6 +13,7 @@
 use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -41,7 +42,8 @@ thread_local! {
     /// Per-thread splice columns and sweep buffers of the stage sweep
     /// ([`lane_bounds`]).  The global pool's workers are persistent, so
     /// each worker's scratch survives across nets *and* across calls — the
-    /// steady state allocates only each net's output windows.
+    /// steady state allocates only the buffers the windows go to, one per
+    /// lane per range of nets.
     static STAGE_SCRATCH: RefCell<StageScratch> = RefCell::new(StageScratch::default());
 }
 
@@ -207,6 +209,11 @@ struct DesignCore {
     names: Arc<Names>,
     instances: Vec<Instance>,
     nets: Vec<NetRecord>,
+    /// Where each net's sinks sit in a lane's window column: net `i`'s at
+    /// `sink_start[i]..sink_start[i + 1]`, the total sink count last.  The
+    /// prefix sums of the sink counts `add_net` fixes; an ECO edit re-binds
+    /// a net's sinks but never changes their number.
+    sink_start: Vec<usize>,
     /// Lazily built arrival-propagation topology; invalidated whenever the
     /// instance table or the net list changes (ECO edits keep it — they
     /// touch interconnect values, never connectivity).
@@ -225,6 +232,7 @@ impl Clone for DesignCore {
             names: Arc::clone(&self.names),
             instances: self.instances.clone(),
             nets: self.nets.clone(),
+            sink_start: self.sink_start.clone(),
             // A core is only cloned on the mutation path (`Arc::make_mut`),
             // which would invalidate the cache anyway; rebuild on demand.
             topo: Mutex::new(None),
@@ -453,6 +461,9 @@ struct PropagationCache {
     /// Per net, per sink: what it drives.  Lets the propagation passes run
     /// on plain [`Window`]s without carrying a target per window.
     targets: Vec<Arc<[Target]>>,
+    /// Number of primary-output sinks: the size of a full pass's endpoint
+    /// column.
+    endpoint_count: usize,
 }
 
 impl PropagationCache {
@@ -536,17 +547,27 @@ impl EcoState {
 }
 
 /// One corner lane's incremental timing: the corner's intrinsic delays,
-/// per-net sink windows, per-instance arrivals, and every endpoint in
+/// the lane's window column, per-instance arrivals, and every endpoint in
 /// report order.
+///
+/// Both columns are indexed by the core's sink offsets
+/// ([`DesignCore::sink_start`]), one exact-size allocation each.  A
+/// dirty net's re-timed windows overwrite its range in place (a graft or
+/// prune keeps the sink count), and the cone walk and the snapshot views
+/// read slices of the column.
 #[derive(Debug, Clone)]
 struct LaneTiming {
     /// Per-instance intrinsic delay scaled by the corner's `delay_scale`.
     intrinsic: Vec<Seconds>,
-    delays: Vec<Vec<Window>>,
+    /// Per sink: its stage delay window, net `i`'s at
+    /// `sink_start[i]..sink_start[i + 1]`.
+    delays: Vec<Window>,
     arrivals: Vec<InstArrival>,
-    /// Per net, per endpoint in sink order: the worst arrival its entry in
-    /// `order` is filed under (with tie key [`endpoint_tie`]).
-    endpoint_keys: Vec<Vec<Seconds>>,
+    /// Per endpoint, at its net's sink offset plus its ordinal among the
+    /// net's endpoints: the worst arrival its entry in `order` is filed
+    /// under (with tie key [`endpoint_tie`]).  Entries past a net's
+    /// endpoints are unused.
+    endpoint_keys: Vec<Seconds>,
     order: Endpoints,
 }
 
@@ -568,26 +589,29 @@ impl std::ops::AddAssign for Touched {
     }
 }
 
-/// Tie key of a net's `sink`-th endpoint: orders equal worst arrivals by
-/// `(net_rank, sink)`, the order the full pass emits endpoints in.
-fn endpoint_tie(net_rank: usize, sink: usize) -> u64 {
-    ((net_rank as u64) << 32) | sink as u64
+/// Tie key of a net's `ordinal`-th endpoint: orders equal worst arrivals
+/// by `(net_rank, ordinal)`, the order the full pass emits endpoints in.
+fn endpoint_tie(net_rank: usize, ordinal: usize) -> u64 {
+    ((net_rank as u64) << 32) | ordinal as u64
 }
 
 impl LaneTiming {
-    /// A lane from one full propagation over `delays`.  Returns it with the
-    /// number of endpoints filed.
+    /// A lane from one full propagation over the window column `delays`.
+    /// Returns it with the number of endpoints filed.
     fn full(
         prop: &PropagationCache,
+        sink_start: &[usize],
         intrinsic: Vec<Seconds>,
-        delays: Vec<Vec<Window>>,
+        delays: Vec<Window>,
     ) -> (LaneTiming, u64) {
-        let (arrivals, per_net) = ScalarLane::new(prop, &intrinsic, &delays).full();
-        let endpoint_keys = per_net
-            .iter()
-            .map(|eps| eps.iter().map(|e| e.arrival.max).collect())
-            .collect();
-        let order = endpoint_order(prop, per_net);
+        let mut keyed = Vec::with_capacity(prop.endpoint_count);
+        let mut endpoint_keys = vec![Seconds::ZERO; delays.len()];
+        let arrivals =
+            ScalarLane::new(prop, sink_start, &intrinsic, &delays).full(|net, ordinal, e| {
+                endpoint_keys[sink_start[net] + ordinal] = e.arrival.max;
+                keyed.push((endpoint_tie(prop.net_rank[net], ordinal), e));
+            });
+        let order = endpoint_order(keyed);
         let filed = order.len() as u64;
         let lane = LaneTiming {
             intrinsic,
@@ -601,22 +625,28 @@ impl LaneTiming {
 
     /// Re-propagates the cone of `dirty_ranks` and re-files the endpoints
     /// of every net the walk rewrote: each old entry is removed under the
-    /// key recorded in `endpoint_keys`, each new one inserted.
-    fn cone(&mut self, prop: &PropagationCache, dirty_ranks: &[usize]) -> Touched {
-        let rewritten = ScalarLane::new(prop, &self.intrinsic, &self.delays)
+    /// key recorded in `endpoint_keys`, each new one inserted.  A net's
+    /// endpoints are fixed by the topology, so the walk rewrites exactly
+    /// as many as are filed.
+    fn cone(
+        &mut self,
+        prop: &PropagationCache,
+        sink_start: &[usize],
+        dirty_ranks: &[usize],
+    ) -> Touched {
+        let rewritten = ScalarLane::new(prop, sink_start, &self.intrinsic, &self.delays)
             .cone(&mut self.arrivals, dirty_ranks.iter().copied());
         let mut touched = Touched::default();
         for (net, eps) in rewritten {
             let rank = prop.net_rank[net];
-            let keys = &mut self.endpoint_keys[net];
-            touched.endpoints_moved += (keys.len() + eps.len()) as u64;
-            for (sink, &max) in keys.iter().enumerate() {
-                touched.chunks_copied += self.order.remove(endpoint_tie(rank, sink), max) as u64;
+            let keys = &mut self.endpoint_keys[sink_start[net]..][..eps.len()];
+            touched.endpoints_moved += 2 * eps.len() as u64;
+            for (ordinal, &max) in keys.iter().enumerate() {
+                touched.chunks_copied += self.order.remove(endpoint_tie(rank, ordinal), max) as u64;
             }
-            keys.clear();
-            for (sink, e) in eps.into_iter().enumerate() {
-                keys.push(e.arrival.max);
-                touched.chunks_copied += self.order.insert(endpoint_tie(rank, sink), e) as u64;
+            for ((ordinal, e), key) in eps.into_iter().enumerate().zip(keys) {
+                *key = e.arrival.max;
+                touched.chunks_copied += self.order.insert(endpoint_tie(rank, ordinal), e) as u64;
             }
         }
         touched
@@ -703,27 +733,32 @@ trait Lattice {
         -> Self::Endpoint;
 }
 
-/// Full arrival propagation over every net, in driver-topological order:
-/// the per-instance arrivals and, per net, its endpoints in sink order.
-/// Infallible — every lookup was resolved when the [`PropagationCache`]
-/// was built.
+/// Full arrival propagation over every net, in driver-topological order.
+/// Returns the per-instance arrivals; each endpoint goes to `emit` with
+/// its net and its ordinal among the net's endpoints, in `(net rank,
+/// ordinal)` order — the endpoint tie order — so a caller files them
+/// without regrouping.  Infallible — every lookup was resolved when the
+/// [`PropagationCache`] was built.
 fn run_full<L: Lattice>(
     lane: &L,
     cache: &PropagationCache,
-) -> (Vec<L::Arrival>, Vec<Vec<L::Endpoint>>) {
+    mut emit: impl FnMut(usize, usize, L::Endpoint),
+) -> Vec<L::Arrival> {
     let mut arrivals: Vec<L::Arrival> = (0..cache.inst_names.len()).map(|_| lane.zero()).collect();
-    let mut endpoints: Vec<Vec<L::Endpoint>> =
-        (0..cache.net_order.len()).map(|_| Vec::new()).collect();
     for &net in &cache.net_order {
         let out = lane.drive(&arrivals, cache.net_driver[net]);
+        let mut ordinal = 0;
         for (k, target) in cache.sinks(net, lane.sinks(net)) {
             match target {
                 Target::Instance(u) => lane.fold(&mut arrivals[*u], &out, net, k),
-                Target::Output(name) => endpoints[net].push(lane.endpoint(&out, net, k, name)),
+                Target::Output(name) => {
+                    emit(net, ordinal, lane.endpoint(&out, net, k, name));
+                    ordinal += 1;
+                }
             }
         }
     }
-    (arrivals, endpoints)
+    arrivals
 }
 
 /// Recomputes one instance's arrival by folding every in-edge in
@@ -815,8 +850,10 @@ struct ScalarLane<'a> {
     cache: &'a PropagationCache,
     /// Per-instance intrinsic delay (a corner lane's is `delay_scale`d).
     intrinsic: &'a [Seconds],
-    /// Per net, per sink: the stage delay window.
-    delays: &'a [Vec<Window>],
+    /// The core's sink offsets into `delays`.
+    sink_start: &'a [usize],
+    /// The lane's window column: per sink, the stage delay window.
+    delays: &'a [Window],
 }
 
 /// A net's driver-output arrival in the scalar lane.  The spine through the
@@ -852,21 +889,23 @@ impl ScalarOut {
 impl<'a> ScalarLane<'a> {
     fn new(
         cache: &'a PropagationCache,
+        sink_start: &'a [usize],
         intrinsic: &'a [Seconds],
-        delays: &'a [Vec<Window>],
+        delays: &'a [Window],
     ) -> ScalarLane<'a> {
         ScalarLane {
             cache,
             intrinsic,
+            sink_start,
             delays,
         }
     }
 
     /// [`run_full`] over this lane, in a `sta.propagate_full` span.
-    fn full(&self) -> (Vec<InstArrival>, Vec<Vec<EndpointTiming>>) {
+    fn full(&self, emit: impl FnMut(usize, usize, EndpointTiming)) -> Vec<InstArrival> {
         let mut obs_span = rctree_obs::span("sta.propagate_full");
         obs_span.attr_u64("nets", self.cache.net_order.len() as u64);
-        run_full(self, self.cache)
+        run_full(self, self.cache, emit)
     }
 
     /// [`run_cone`] over this lane, in a `sta.propagate_cone` span.
@@ -883,7 +922,7 @@ impl<'a> ScalarLane<'a> {
 
     /// The arrival `out` delivers through sink `sink` of `net`.
     fn through(&self, out: &ScalarOut, net: usize, sink: usize) -> ArrivalWindow {
-        let delay = self.delays[net][sink];
+        let delay = self.delays[self.sink_start[net] + sink];
         ArrivalWindow {
             min: out.window.min + delay.lower,
             max: out.window.max + delay.upper,
@@ -904,7 +943,7 @@ impl Lattice for ScalarLane<'_> {
     }
 
     fn sinks(&self, net: usize) -> usize {
-        self.delays[net].len()
+        self.sink_start[net + 1] - self.sink_start[net]
     }
 
     /// Zero for primary inputs, the driver's worst input window plus its
@@ -955,21 +994,11 @@ impl Lattice for ScalarLane<'_> {
     }
 }
 
-/// Files per-net endpoint contributions (as [`run_full`] produces them)
-/// into report order: descending worst arrival, ties by
-/// `(net_rank, sink)` — the stable sort of their `net_order`
-/// concatenation.  Runs in a `sta.report_order` span.
-fn endpoint_order(cache: &PropagationCache, per_net: Vec<Vec<EndpointTiming>>) -> Endpoints {
+/// Files the endpoint column of a full pass, each endpoint keyed by its
+/// [`endpoint_tie`], into report order: descending worst arrival, ties by
+/// `(net_rank, ordinal)`.  Runs in a `sta.report_order` span.
+fn endpoint_order(keyed: Vec<(u64, EndpointTiming)>) -> Endpoints {
     let mut obs_span = rctree_obs::span("sta.report_order");
-    let mut keyed = Vec::with_capacity(per_net.iter().map(Vec::len).sum());
-    for (net, eps) in per_net.into_iter().enumerate() {
-        let rank = cache.net_rank[net];
-        keyed.extend(
-            eps.into_iter()
-                .enumerate()
-                .map(|(sink, e)| (endpoint_tie(rank, sink), e)),
-        );
-    }
     obs_span.attr_u64("endpoints", keyed.len() as u64);
     Endpoints::from_keyed(keyed)
 }
@@ -1339,14 +1368,17 @@ impl SymbolicAnalysis {
             intrinsic: &prop.intrinsic,
             bounds: &bounds,
         };
-        let (arrivals, mut per_net) = run_full(&lane, &prop);
+        let mut per_rank: Vec<Vec<SymbolicEndpointTiming>> =
+            (0..prop.net_order.len()).map(|_| Vec::new()).collect();
+        let arrivals = run_full(&lane, &prop, |net, _, e| {
+            per_rank[prop.net_rank[net]].push(e)
+        });
         let none = Arc::new(Vec::new());
-        let endpoints = prop
-            .net_order
-            .iter()
-            .map(|&net| match std::mem::take(&mut per_net[net]) {
-                eps if eps.is_empty() => Arc::clone(&none),
-                eps => Arc::new(eps),
+        let endpoints = per_rank
+            .into_iter()
+            .map(|eps| match eps.is_empty() {
+                true => Arc::clone(&none),
+                false => Arc::new(eps),
             })
             .collect();
         SymbolicAnalysis {
@@ -1567,6 +1599,7 @@ impl Design {
                 names: Arc::default(),
                 instances: Vec::new(),
                 nets: Vec::new(),
+                sink_start: vec![0],
                 topo: Mutex::new(None),
                 corners: None,
             }),
@@ -1723,19 +1756,25 @@ impl Design {
     /// [`Design::analyze`] with an explicit worker count.
     ///
     /// Net/stage evaluation — all the numerical work — is embarrassingly
-    /// parallel: every net is one independent `O(n)` batched sweep, sharded
-    /// over the persistent [`rctree_par::global_pool`] (worker threads are
-    /// started once per process and reused by every subsequent call).  The
-    /// per-net results are written by net index and merged in net order, so
-    /// the report is **bit-identical** to the serial evaluation
-    /// (`jobs = 1`) for every worker count; on invalid designs the error
-    /// surfaced is the first failing net in net order, equally independent
-    /// of scheduling.  The subsequent arrival-time propagation is a cheap
-    /// serial pass over precomputed windows.
+    /// parallel: every net is one independent `O(n)` batched sweep.  The
+    /// persistent [`rctree_par::global_pool`] (worker threads are started
+    /// once per process and reused by every subsequent call) sweeps
+    /// contiguous ranges of nets, each into buffers of its own, and the
+    /// buffers are appended in net order into one exact-size window column
+    /// per lane, so the report is **bit-identical** to the serial
+    /// evaluation (`jobs = 1`) for every worker count.  While the pool
+    /// sweeps, the calling thread builds (or fetches) the propagation
+    /// topology.  The arrival-time propagation
+    /// that follows is one serial pass over the column; it hands each
+    /// endpoint over in tie order, into one exact-size column that the
+    /// report order sorts.
     ///
     /// # Errors
     ///
-    /// As for [`Design::analyze`].
+    /// As for [`Design::analyze`].  On a design with invalid nets the error
+    /// surfaced is the first failing net's in net order, independent of
+    /// scheduling, and it wins over a [`StaError::CombinationalCycle`] the
+    /// topology build found meanwhile.
     pub fn analyze_with_jobs(
         &self,
         threshold: f64,
@@ -1793,83 +1832,90 @@ impl Design {
         if self.shared.nets.is_empty() {
             return Err(StaError::EmptyDesign);
         }
-        let delays = {
-            let mut obs_span = rctree_obs::span("sta.stage_sweep");
-            obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-            self.stage_delays(threshold, jobs, lanes, Vec::new())?
-        };
-        let cache = self.shared.topology()?;
+        let (delays, cache) = self.stage_delays(threshold, jobs, lanes, Vec::new())?;
+        let sink_start = &self.shared.sink_start;
         Ok(delays
             .iter()
             .enumerate()
             .map(|(k, delays)| {
                 let intrinsic = self.shared.lane_intrinsic(&cache, k);
-                let (_arrivals, endpoints) = ScalarLane::new(&cache, &intrinsic, delays).full();
+                let mut keyed = Vec::with_capacity(cache.endpoint_count);
+                ScalarLane::new(&cache, sink_start, &intrinsic, delays).full(|net, ordinal, e| {
+                    keyed.push((endpoint_tie(cache.net_rank[net], ordinal), e));
+                });
                 TimingReport {
                     threshold,
                     required_time,
-                    endpoints: endpoint_order(&cache, endpoints),
+                    endpoints: endpoint_order(keyed),
                 }
             })
             .collect())
     }
 
-    /// Stage timing of corner lanes `0..lanes` of every net, indexed
-    /// `[lane][net][sink]`: the delay window of every sink, from the one
-    /// stage sweep of each net ([`DesignCore::net_windows`]), the nets
-    /// mapped over the global pool.  One `O(n)` sweep covers all of a net's
-    /// fan-outs at one corner, so the full design evaluation is linear in
-    /// total augmented-node count plus total sink count, per lane, divided
-    /// across the pool's workers — and in the steady state it allocates
-    /// only each net's output windows.  The nets listed
-    /// in `given` take the windows supplied with them instead of a sweep
-    /// (the ECO warm-up's already re-timed dirty nets).  Errors surface as
-    /// the first failing net in net order, and within it the lowest
-    /// failing lane.
+    /// Stage timing of corner lanes `0..lanes` of every net, with the
+    /// propagation topology: one window column per lane, net `i`'s sinks at
+    /// `sink_start[i]..sink_start[i + 1]`, from the one stage sweep of
+    /// each net ([`DesignCore::net_windows`]).  One `O(n)` sweep covers all
+    /// of a net's fan-outs at one corner, so the full design evaluation is
+    /// linear in total augmented-node count plus total sink count, per
+    /// lane, divided across the pool's workers.
+    ///
+    /// The pool sweeps contiguous ranges of nets, each into exact-size
+    /// buffers of its own ([`DesignCore::sweep_range`]) with one `Weak`
+    /// upgrade per range, and the buffers are appended in net order: a
+    /// call allocates a few buffers per range and frees none per net.
+    /// While the pool sweeps, the calling thread builds or fetches the
+    /// topology (its own `sta.topology` span), then joins: the
+    /// `sta.stage_sweep` span is the caller's share of the sweep, its wait
+    /// and the append.
+    ///
+    /// The nets listed in `given` (in net order) take the windows supplied
+    /// with them instead of a sweep (the ECO warm-up's already re-timed
+    /// dirty nets).  Errors surface as the first failing net in net order,
+    /// and within it the lowest failing lane; a failing net wins over a
+    /// topology error, at every worker count.
     fn stage_delays(
         &self,
         threshold: f64,
         jobs: usize,
         lanes: usize,
         given: Vec<Retimed>,
-    ) -> Result<Vec<Vec<Vec<Window>>>> {
-        let n = self.shared.nets.len();
-        let mut skip = vec![false; n];
-        for (idx, _) in &given {
-            skip[*idx] = true;
-        }
+    ) -> Result<(Vec<Vec<Window>>, Arc<PropagationCache>)> {
+        const RANGES_PER_WORKER: usize = 8;
+        let core = &self.shared;
+        let n = core.nets.len();
+        let ranges = jobs.max(1).saturating_mul(RANGES_PER_WORKER).min(n);
         // Pool jobs hold the core through a Weak, so a queued straggler
         // runner can never pin the strong count past this call and turn a
         // later `Arc::make_mut` commit into a deep clone of the design.
-        let state = Arc::new((Arc::downgrade(&self.shared), skip));
-        let mut per_net: Vec<Option<Vec<Vec<Window>>>> = rctree_par::par_map_global(
+        let state = Arc::new((Arc::downgrade(core), given));
+        let sweep = rctree_par::start_map_global(
             jobs,
             state,
-            n,
-            move |i, (weak, skip): &(Weak<DesignCore>, Vec<bool>)| {
-                if skip[i] {
-                    return Ok(None);
-                }
+            ranges,
+            move |r, (weak, given): &(Weak<DesignCore>, Vec<Retimed>)| {
                 let core = weak.upgrade().expect("design outlives its analysis");
-                let net = &core.nets[i];
-                core.net_windows(i, &net.tree, &net.loads, lanes, threshold)
-                    .map(Some)
+                core.sweep_range(
+                    r * n / ranges..(r + 1) * n / ranges,
+                    given,
+                    lanes,
+                    threshold,
+                )
             },
-        )
-        .into_iter()
-        .collect::<Result<_>>()?;
-        for (idx, windows) in given {
-            per_net[idx] = Some(windows);
-        }
-        let mut by_lane: Vec<Vec<Vec<Window>>> =
-            (0..lanes).map(|_| Vec::with_capacity(n)).collect();
-        for windows in per_net {
-            let windows = windows.expect("every net is timed");
-            for (lane, w) in by_lane.iter_mut().zip(windows) {
-                lane.push(w);
+        );
+        let topology = core.topology();
+        let mut obs_span = rctree_obs::span("sta.stage_sweep");
+        obs_span.attr_u64("nets", n as u64);
+        let mut columns: Vec<Vec<Window>> = (0..lanes)
+            .map(|_| Vec::with_capacity(core.sink_start[n]))
+            .collect();
+        for buffers in sweep.join() {
+            for (column, buffer) in columns.iter_mut().zip(buffers?) {
+                column.extend_from_slice(&buffer);
             }
         }
-        Ok(by_lane)
+        drop(obs_span);
+        Ok((columns, topology?))
     }
 
     /// Builds a standalone single-corner [`Design`]: every cell parameter
@@ -1991,10 +2037,11 @@ impl Design {
     ///
     /// The first call (or a call after the threshold changes or the design
     /// is structurally modified) evaluates every net once and caches the
-    /// complete incremental state: the per-net sink windows of every
-    /// corner lane, the Kahn propagation topology, and the per-instance
-    /// arrival windows of the last report.  Subsequent calls then cost only
-    /// the dirty work:
+    /// complete incremental state: every corner lane's window column (one
+    /// exact-size column of sink windows per lane, a dirty net's range
+    /// overwritten in place by a later edit), the Kahn propagation
+    /// topology, and the per-instance arrival windows of the last report.
+    /// Subsequent calls then cost only the dirty work:
     ///
     /// | step | cost |
     /// |------|------|
@@ -2099,14 +2146,17 @@ impl Design {
                 .iter()
                 .map(|(idx, _)| state.prop.net_rank[*idx])
                 .collect();
+            let sink_start = &self.shared.sink_start;
             for (idx, windows) in retimed {
+                // An edit keeps the net's sink count: overwrite its range.
+                let at = sink_start[idx];
                 for (lane, w) in state.lanes.iter_mut().zip(windows) {
-                    lane.delays[idx] = w;
+                    lane.delays[at..at + w.len()].copy_from_slice(&w);
                 }
             }
             let mut touched = Touched::default();
             for lane in &mut state.lanes {
-                touched += lane.cone(&state.prop, &dirty_ranks);
+                touched += lane.cone(&state.prop, sink_start, &dirty_ranks);
             }
             (state, touched)
         } else {
@@ -2194,7 +2244,7 @@ impl Design {
         let windows: Vec<Vec<Vec<Window>>> = if edited.len() < PAR_DIRTY_MIN || jobs <= 1 {
             edited
                 .iter()
-                .map(|(idx, tree, loads)| core.net_windows(*idx, tree, loads, lanes, threshold))
+                .map(|edited| core.edited_windows(edited, lanes, threshold))
                 .collect::<Result<_>>()?
         } else {
             // The Weak keeps a straggler runner from pinning the core (see
@@ -2206,8 +2256,7 @@ impl Design {
                 edited.len(),
                 move |k, (weak, edited): &(Weak<DesignCore>, Vec<Edited>)| {
                     let core = weak.upgrade().expect("design outlives its analysis");
-                    let (idx, tree, loads) = &edited[k];
-                    core.net_windows(*idx, tree, loads, lanes, threshold)
+                    core.edited_windows(&edited[k], lanes, threshold)
                 },
             )
             .into_iter()
@@ -2218,11 +2267,12 @@ impl Design {
     }
 
     /// Builds a complete [`EcoState`] for the current design at
-    /// `threshold`: every lane's stage windows for every net (`given`
-    /// supplies the windows of the edited dirty nets, so no net is
-    /// evaluated twice), the propagation topology, and one full arrival
-    /// propagation per lane.  Returns the state with the endpoints filed
-    /// into its lanes' orders.  Pure with respect to `self`.
+    /// `threshold`: every lane's window column (`given` supplies the
+    /// windows of the edited dirty nets, so no net is evaluated twice) and
+    /// the propagation topology, built while the pool sweeps
+    /// ([`Design::stage_delays`]), then one full arrival propagation per
+    /// lane.  Returns the state with the endpoints filed into its lanes'
+    /// orders.  Pure with respect to `self`.
     fn warm_state(
         &self,
         threshold: f64,
@@ -2230,18 +2280,18 @@ impl Design {
         given: Vec<Retimed>,
     ) -> Result<(EcoState, Touched)> {
         let lanes = self.shared.corner_set().len();
-        let delays = self.stage_delays(threshold, jobs, lanes, given)?;
+        let (delays, prop) = self.stage_delays(threshold, jobs, lanes, given)?;
 
         // One full propagation per lane, with the lane's scaled
         // intrinsics.
-        let prop = self.shared.topology()?;
         let mut touched = Touched::default();
         let lanes = delays
             .into_iter()
             .enumerate()
             .map(|(k, delays)| {
                 let intrinsic = self.shared.lane_intrinsic(&prop, k);
-                let (lane, filed) = LaneTiming::full(&prop, intrinsic, delays);
+                let (lane, filed) =
+                    LaneTiming::full(&prop, &self.shared.sink_start, intrinsic, delays);
                 touched.endpoints_moved += filed;
                 lane
             })
@@ -2305,6 +2355,7 @@ impl Design {
         let hint = nets.size_hint().0;
         core.instances.reserve(hint);
         core.nets.reserve(2 * hint);
+        core.sink_start.reserve(2 * hint);
         // The same nets, checks and error order as one `add_instance` and
         // two `add_net` calls per deck net, with each sink taken from the
         // ids in hand instead of resolved by name.  Every synthesized name
@@ -3006,9 +3057,11 @@ impl Design {
     ) -> (DesignSnapshot, u64) {
         let state = self.eco.as_ref().expect("publish warms the eco cache");
         let set = self.shared.corner_set();
+        let sink_start = &self.shared.sink_start;
         let net_timing = |idx: usize| -> Arc<NetTiming> {
             let net = &self.shared.nets[idx];
             let name = self.shared.names.table.resolve(net.name);
+            let windows = sink_start[idx]..sink_start[idx + 1];
             let lanes = state
                 .lanes
                 .iter()
@@ -3019,7 +3072,7 @@ impl Design {
                         .loads
                         .iter()
                         .zip(net.targets.iter())
-                        .zip(&lane.delays[idx])
+                        .zip(&lane.delays[windows.clone()])
                         .map(|((&(node, _), target), delay)| SinkWindow {
                             node: net.node_name(node).to_string(),
                             load: self.shared.load(target),
@@ -3174,6 +3227,8 @@ impl DesignCore {
     ) {
         let driver_r = driver.map_or(Ohms::ZERO, |inst| self.cell(inst).drive_resistance);
         let name = Arc::make_mut(&mut self.names).add(name, Names::NET, self.nets.len());
+        let sinks = self.sink_start[self.nets.len()] + loads.len();
+        self.sink_start.push(sinks);
         self.nets.push(NetRecord {
             name,
             tree,
@@ -3185,20 +3240,21 @@ impl DesignCore {
     }
 
     /// The one stage sweep of net `i` over `tree` and `loads` (the net's
-    /// committed ones, or an ECO's edited ones): every sink's delay window
-    /// at corner lanes `0..lanes`, through this thread's scratch.  Corner
-    /// overrides are looked up by the net's name.
+    /// committed ones, or an ECO's edited ones): appends every sink's delay
+    /// window at corner lanes `0..out.len()` to that lane's buffer, through
+    /// this thread's scratch.  Corner overrides are looked up by the net's
+    /// name.
     fn net_windows(
         &self,
         i: usize,
         tree: &RcTree,
         loads: &[(NodeId, Farads)],
-        lanes: usize,
         threshold: f64,
-    ) -> Result<Vec<Vec<Window>>> {
+        out: &mut [Vec<Window>],
+    ) -> Result<()> {
         let (set, net) = (self.corner_set(), &self.nets[i]);
         let name = self.names.table.resolve(net.name);
-        let scales = (0..lanes).map(|k| StageScales::at(set, name, k));
+        let scales = (0..out.len()).map(|k| StageScales::at(set, name, k));
         STAGE_SCRATCH.with(|scratch| {
             lane_bounds(
                 net.driver_r,
@@ -3207,8 +3263,53 @@ impl DesignCore {
                 scales,
                 threshold,
                 &mut scratch.borrow_mut(),
+                out,
             )
         })
+    }
+
+    /// The windows of nets `nets` at lanes `0..lanes`: one buffer per lane
+    /// holding exactly the range's sinks, in net order.  The nets listed in
+    /// `given` (in net order) take the windows supplied with them; every
+    /// other net is swept.  Stops at the range's first failing net.
+    fn sweep_range(
+        &self,
+        nets: Range<usize>,
+        given: &[Retimed],
+        lanes: usize,
+        threshold: f64,
+    ) -> Result<Vec<Vec<Window>>> {
+        let sinks = self.sink_start[nets.end] - self.sink_start[nets.start];
+        let mut out: Vec<Vec<Window>> = (0..lanes).map(|_| Vec::with_capacity(sinks)).collect();
+        for i in nets {
+            match given.binary_search_by_key(&i, |(idx, _)| *idx) {
+                Ok(k) => {
+                    for (out, windows) in out.iter_mut().zip(&given[k].1) {
+                        out.extend_from_slice(windows);
+                    }
+                }
+                Err(_) => {
+                    let net = &self.nets[i];
+                    self.net_windows(i, &net.tree, &net.loads, threshold, &mut out)?;
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// An edited dirty net's windows at lanes `0..lanes`, one buffer per
+    /// lane.
+    fn edited_windows(
+        &self,
+        (idx, tree, loads): &Edited,
+        lanes: usize,
+        threshold: f64,
+    ) -> Result<Vec<Vec<Window>>> {
+        let mut out: Vec<Vec<Window>> = (0..lanes)
+            .map(|_| Vec::with_capacity(loads.len()))
+            .collect();
+        self.net_windows(*idx, tree, loads, threshold, &mut out)?;
+        Ok(out)
     }
 
     /// The cached propagation topology, rebuilt on first use after a
@@ -3280,8 +3381,15 @@ impl DesignCore {
         for &target in &successors.items {
             in_degree[target] += 1;
         }
-        let mut queue: Vec<usize> = (0..n_inst).filter(|&i| in_degree[i] == 0).collect();
-        queue.sort_unstable_by_key(|&i| self.inst_name(i));
+        // The seed's names are resolved once, then sorted as slices (names
+        // are unique, so the index never decides).
+        let mut seed: Vec<(&str, usize)> = (0..n_inst)
+            .filter(|&i| in_degree[i] == 0)
+            .map(|i| (self.inst_name(i), i))
+            .collect();
+        seed.sort_unstable();
+        let mut queue: Vec<usize> = Vec::with_capacity(n_inst);
+        queue.extend(seed.into_iter().map(|(_, i)| i));
         let mut queue_idx = 0;
         let mut topo_rank = vec![usize::MAX; n_inst];
         let mut seen = 0usize;
@@ -3301,13 +3409,12 @@ impl DesignCore {
             return Err(StaError::CombinationalCycle);
         }
 
-        // Nets in driver topological order (stable on ties, like the
-        // original per-call sort).
-        let mut net_order: Vec<usize> = (0..n_nets).collect();
-        net_order.sort_by_key(|&i| match net_driver[i] {
-            None => 0,
-            Some(d) => 1 + topo_rank[d],
-        });
+        // Nets in driver topological order, stable on ties: a counting sort
+        // of the nets by driver rank (0 for a primary input).
+        let net_order = Rows::build(n_inst + 1, || {
+            (0..n_nets).map(|net| (net_driver[net].map_or(0, |d| 1 + topo_rank[d]), net))
+        })
+        .items;
         let mut net_rank = vec![0usize; n_nets];
         for (rank, &net) in net_order.iter().enumerate() {
             net_rank[net] = rank;
@@ -3327,6 +3434,11 @@ impl DesignCore {
                 .filter_map(|(rank, &net)| net_driver[net].map(|d| (d, rank)))
         });
 
+        let endpoint_count = targets
+            .iter()
+            .flat_map(|targets| targets.iter())
+            .filter(|target| matches!(target, Target::Output(_)))
+            .count();
         Ok(PropagationCache {
             names: Arc::clone(&self.names),
             inst_names,
@@ -3337,6 +3449,7 @@ impl DesignCore {
             in_edges,
             out_ranks,
             targets,
+            endpoint_count,
         })
     }
 }
@@ -3990,6 +4103,95 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_net_wins_over_a_combinational_cycle() {
+        // The topology is built while the pool sweeps the nets.  Two
+        // instances in a loop, then 40 primary-input nets, so the sweep
+        // splits into ranges at every worker count below; a net whose tree
+        // uses a reserved stage-node name fails its sweep.
+        let design = |failing: &[(usize, &str)]| {
+            let mut d = Design::new(CellLibrary::nmos_1981());
+            d.add_instance("a", "inv_1x").unwrap();
+            d.add_instance("b", "inv_1x").unwrap();
+            for (driver, load, name) in [("a", "b", "n1"), ("b", "a", "n2")] {
+                d.add_net(Net {
+                    name: name.into(),
+                    driver: Driver::Instance(driver.into()),
+                    interconnect: wire(1.0, 1.0),
+                    sinks: vec![Sink {
+                        node: "load".into(),
+                        load: Load::Instance(load.into()),
+                    }],
+                })
+                .unwrap();
+            }
+            for i in 0..40 {
+                let node = failing
+                    .iter()
+                    .find(|(at, _)| *at == i)
+                    .map_or("load", |(_, node)| node);
+                let mut b = RcTreeBuilder::new();
+                b.add_line(b.input(), node, Ohms::new(10.0), Farads::from_femto(1.0))
+                    .unwrap();
+                d.add_net(Net {
+                    name: format!("p{i}"),
+                    driver: Driver::PrimaryInput,
+                    interconnect: b.build().unwrap(),
+                    sinks: vec![Sink {
+                        node: node.into(),
+                        load: Load::PrimaryOutput(format!("p{i}/out").into()),
+                    }],
+                })
+                .unwrap();
+            }
+            d
+        };
+        let budget = Seconds::from_nano(1.0);
+        let clashing = |result: Result<()>| match result {
+            Err(StaError::Core(rctree_core::CoreError::DuplicateName { name })) => name,
+            other => panic!("expected a reserved-name clash, got {other:?}"),
+        };
+        let analyses = |d: &Design, jobs: usize| {
+            let mut cornered = d.clone();
+            let mut set = CornerSet::nominal();
+            set.push("slow", 1.3, 1.2, 1.25).unwrap();
+            cornered.set_corners(set);
+            [
+                d.analyze_with_jobs(0.5, budget, jobs).map(drop),
+                d.analyze_corners(0.5, budget, jobs).map(drop),
+                cornered.analyze_corners(0.5, budget, jobs).map(drop),
+                d.clone()
+                    .apply_eco_with_jobs(&[], 0.5, budget, jobs)
+                    .map(drop),
+            ]
+        };
+        for result in analyses(&design(&[]), 2) {
+            assert!(matches!(result, Err(StaError::CombinationalCycle)));
+        }
+        let one = design(&[(33, crate::stage::DRIVER_OUTPUT_NODE)]);
+        let two = design(&[
+            (9, crate::stage::STAGE_INPUT_NODE),
+            (33, crate::stage::DRIVER_OUTPUT_NODE),
+        ]);
+        for jobs in [1, 2, 7, rctree_par::default_jobs()] {
+            for result in analyses(&one, jobs) {
+                assert_eq!(
+                    clashing(result),
+                    crate::stage::DRIVER_OUTPUT_NODE,
+                    "jobs {jobs}"
+                );
+            }
+            // The lower-indexed failing net wins.
+            for result in analyses(&two, jobs) {
+                assert_eq!(
+                    clashing(result),
+                    crate::stage::STAGE_INPUT_NODE,
+                    "jobs {jobs}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn apply_eco_matches_full_reanalysis() {
         let mut d = buffer_chain();
         let threshold = 0.5;
@@ -4182,8 +4384,10 @@ mod tests {
         assert!(matches!(err, StaError::Core(_)), "{err:?}");
         let state = d.eco.as_ref().expect("state survives a failing call");
         assert_eq!(state.threshold, 0.5);
+        let sink_start = &d.shared.sink_start;
         assert!(
-            state.lanes[0].delays.iter().all(|w| !w.is_empty()),
+            (0..d.net_count())
+                .all(|i| !state.lanes[0].delays[sink_start[i]..sink_start[i + 1]].is_empty()),
             "every net's cached windows were retained"
         );
         assert_eq!(d.apply_eco(&[], 0.5, budget).unwrap(), before);

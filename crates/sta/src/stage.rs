@@ -142,15 +142,18 @@ pub fn stage_delay_bounds(
     sink_loads: &[(NodeId, Farads)],
     threshold: f64,
 ) -> Result<Vec<DelayBounds>> {
-    let mut lanes = lane_bounds(
+    let mut out = [Vec::with_capacity(sink_loads.len())];
+    lane_bounds(
         driver_resistance,
         interconnect,
         sink_loads,
         [StageScales::NOMINAL],
         threshold,
         &mut StageScratch::default(),
+        &mut out,
     )?;
-    Ok(lanes.swap_remove(0))
+    let [bounds] = out;
+    Ok(bounds)
 }
 
 /// The **symbolic sibling** of [`stage_delay_bounds`]: per-sink delay
@@ -366,28 +369,32 @@ pub(crate) fn augmented_batch(
 }
 
 /// Reusable splice columns and sweep buffers for [`lane_bounds`].  Kept
-/// once per worker thread, it leaves a net's stage sweep allocating only
-/// the output: the splice walks the tree's stored pre-order in place.
+/// once per worker thread, it leaves a net's stage sweep allocating
+/// nothing of its own: the splice walks the tree's stored pre-order in
+/// place, and the windows go to the caller's buffers.
 #[derive(Debug, Default)]
 pub(crate) struct StageScratch {
     stage: Spliced,
     sweep: BatchScratch,
 }
 
-/// The one stage sweep of a net: every sink's delay bounds, in
-/// `sink_loads` order, at each lane of `lanes`.  Each lane is spliced into
-/// `scratch` by `augmented_arrays` at its [`StageScales`] and swept by
-/// [`BatchScratch::sweep`], so lane `k` is bit-identical to
-/// [`analyze_stage`] on the net rebuilt with corner `k`'s scaled values.
-/// Batch analysis, the ECO warm-up and the dirty-net re-time all run it.
+/// The one stage sweep of a net: appends every sink's delay bounds, in
+/// `sink_loads` order, at each lane of `lanes` to that lane's buffer in
+/// `out` (lane `k` to `out[k]`; lanes past the end of `out` are not
+/// swept).  Each lane is spliced into `scratch` by `augmented_arrays` at
+/// its [`StageScales`] and swept by [`BatchScratch::sweep`], so lane `k`
+/// is bit-identical to [`analyze_stage`] on the net rebuilt with corner
+/// `k`'s scaled values.  Batch analysis, the ECO warm-up and the dirty-net
+/// re-time all run it, each into buffers of its own: a range of nets'
+/// share of the window columns, or one dirty net's windows.
 ///
-/// A sink-less net has nothing to time: every lane is empty and nothing
+/// A sink-less net has nothing to time: nothing is appended and nothing
 /// is validated.
 ///
 /// # Errors
 ///
 /// As for [`stage_delay_bounds`]; the error returned is the lowest failing
-/// lane's.
+/// lane's, and `out` may then hold part of the net's windows.
 pub(crate) fn lane_bounds(
     driver_resistance: Ohms,
     interconnect: &RcTree,
@@ -395,25 +402,21 @@ pub(crate) fn lane_bounds(
     lanes: impl IntoIterator<Item = StageScales>,
     threshold: f64,
     scratch: &mut StageScratch,
-) -> Result<Vec<Vec<DelayBounds>>> {
-    let lanes = lanes.into_iter();
+    out: &mut [Vec<DelayBounds>],
+) -> Result<()> {
     if sink_loads.is_empty() {
-        return Ok(lanes.map(|_| Vec::new()).collect());
+        return Ok(());
     }
     let StageScratch { stage, sweep } = scratch;
-    lanes
-        .map(|scales| {
-            augmented_arrays(driver_resistance, interconnect, sink_loads, scales, stage)?;
-            let view = stage.sweep(sweep)?;
-            sink_loads
-                .iter()
-                .map(|&(node, _)| {
-                    let times = view.times_at(stage.pos[node.index()] as usize)?;
-                    Ok(times.delay_bounds(threshold)?)
-                })
-                .collect()
-        })
-        .collect()
+    for (scales, out) in lanes.into_iter().zip(out) {
+        augmented_arrays(driver_resistance, interconnect, sink_loads, scales, stage)?;
+        let view = stage.sweep(sweep)?;
+        for &(node, _) in sink_loads {
+            let times = view.times_at(stage.pos[node.index()] as usize)?;
+            out.push(times.delay_bounds(threshold)?);
+        }
+    }
+    Ok(())
 }
 
 /// One stage spliced at one lane, in augmented pre-order: each node's
@@ -917,7 +920,8 @@ mod tests {
         set
     }
 
-    /// Every lane of `set` of the named net, swept through `scratch`.
+    /// Every lane of `set` of the named net, swept through `scratch` into
+    /// one buffer per lane.
     fn sweep_lanes(
         set: &CornerSet,
         name: &str,
@@ -925,7 +929,9 @@ mod tests {
         scratch: &mut StageScratch,
     ) -> Vec<Vec<DelayBounds>> {
         let lanes = (0..set.len()).map(|k| StageScales::at(set, name, k));
-        lane_bounds(*driver, tree, loads, lanes, 0.5, scratch).unwrap()
+        let mut out = vec![Vec::new(); set.len()];
+        lane_bounds(*driver, tree, loads, lanes, 0.5, scratch, &mut out).unwrap();
+        out
     }
 
     fn assert_bits_eq(a: &DelayBounds, b: &DelayBounds) {

@@ -1,5 +1,5 @@
 //! Heap allocations per parsed SPEF net, and per deck net of the design
-//! built from them, counted.
+//! built from them and of its analysis, counted.
 //!
 //! A section should cost its bytes, its floats and its final tree: the
 //! tree is 11 allocations (five base columns, four name-table buffers,
@@ -19,12 +19,23 @@
 //! output node (≈4.4 here), and the amortized growth of the tables: 7.50
 //! per deck net in all.
 //!
+//! `Design::analyze_with_jobs` at one job then costs what its report
+//! holds: one shared record per endpoint (4.45 here), four allocations
+//! for the critical path of each deck net's endpoints (the spine link,
+//! the name list, the driver's name and the shared list), and the report
+//! order's leaves and nodes, plus a fixed number of columns per call (one
+//! window column per lane and its range buffers, the endpoint column, the
+//! arrivals and the topology's arrays): 8.78 per deck net in all.  One
+//! more list per net — a window or endpoint list per net, as before the
+//! flat columns (14.73) — reads above the bound.
+//!
 //! This file holds one test on purpose: the counter is process-wide, and
 //! a second test running beside it would add its allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use rctree_core::units::Seconds;
 use rctree_netlist::parse_spef_deck;
 use rctree_sta::{CellLibrary, Design};
 use rctree_workloads::deck::{spef_deck, SpefDeckParams};
@@ -70,6 +81,11 @@ const MAX_PER_NET: f64 = 15.5;
 /// (7.50 measured; 21.0 while the design stored every net's and
 /// instance's names as strings).
 const MAX_PER_BUILT_NET: f64 = 8.0;
+
+/// Most allocations `Design::analyze_with_jobs` may spend per deck net at
+/// one job (8.78 measured; 14.73 while every net had its own window and
+/// endpoint lists).
+const MAX_PER_ANALYSED_NET: f64 = 9.5;
 
 const NETS: usize = 2_000;
 
@@ -122,5 +138,23 @@ fn a_warm_parse_and_the_design_build_stay_within_their_allocation_bounds() {
     assert!(
         built as usize >= outputs,
         "{built} allocations for {outputs} primary outputs is too few to be counted"
+    );
+
+    let (report, analysed) = counted(|| {
+        design
+            .analyze_with_jobs(0.5, Seconds::new(5e-7), 1)
+            .expect("the deck analyses")
+    });
+    assert_eq!(report.endpoints.len(), outputs);
+    let per_net = analysed as f64 / NETS as f64;
+    assert!(
+        per_net <= MAX_PER_ANALYSED_NET,
+        "{per_net:.2} allocations per analysed deck net ({analysed} for {NETS} nets), bound \
+         {MAX_PER_ANALYSED_NET}"
+    );
+    // Every endpoint owns its shared record.
+    assert!(
+        analysed as usize >= outputs,
+        "{analysed} allocations for {outputs} endpoints is too few to be counted"
     );
 }
