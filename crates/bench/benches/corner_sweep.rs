@@ -89,7 +89,7 @@ fn revision_lanes(design: &mut Design, set: &CornerSet, jobs: usize) -> f64 {
     let analysis = design
         .analyze_corners(THRESHOLD, BUDGET, jobs)
         .expect("corner sweep analyses");
-    let worst = analysis.worst_against(BUDGET);
+    let worst = analysis.worst_against(BUDGET).0;
     analysis.reports()[worst].slack_against(BUDGET).value()
 }
 

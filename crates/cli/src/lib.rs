@@ -1418,7 +1418,7 @@ fn analyze_deck(
     let k = match corner {
         None => 0,
         Some(token) => {
-            resolve_corner_selector(analysis.names(), token, analysis.worst_against(required))?
+            resolve_corner_selector(analysis.names(), token, analysis.worst_against(required).0)?
         }
     };
     Ok(DeckReport {

@@ -1,28 +1,25 @@
-//! A persistent, lazily-started global worker pool.
+//! The persistent, lazily-started global worker pool and the
+//! order-preserving parallel map on it.
 //!
-//! [`scope`](crate::scope) starts fresh OS threads for every call, which is
-//! fine for one deck-sized analysis but wasteful for the edit→re-query loops
-//! of the ECO flow, where `Design::apply_eco` may run thousands of times in
-//! a session and each call's parallel region is small.  [`global_pool`]
-//! amortises that: worker threads are spawned on first demand, parked on a
-//! condvar while idle, and reused by every subsequent parallel region in
-//! the process (`rctree-sta`'s design analysis, and through it the CLI
-//! across decks and edit scripts).
+//! [`global_pool`] starts worker threads on first demand, parks them on a
+//! condvar while idle, and reuses them for every later parallel region in
+//! the process: `rctree-sta`'s design analysis and report rendering, the
+//! SPEF reader of `rctree-netlist`, the simulator sweeps of `rctree-sim`,
+//! and through them the CLI across decks and edit scripts and the ECO
+//! edit→re-query loop, where each call's parallel region is small.
 //!
-//! The trade-off against the scoped pool is ownership: this workspace
-//! forbids `unsafe`, and safe Rust cannot hand a non-`'static` closure to
-//! an already-running thread (only `std::thread::scope`'s join-before-return
-//! proof makes borrowing sound).  Global-pool jobs therefore own their data
-//! — in practice an `Arc` of the shared state, which is exactly how
-//! `rctree-sta` stores its design core and how `rctree-netlist`'s SPEF
-//! reader shares each batch of scanned sections.  Borrow-based callers
-//! stay on the scoped pool.
+//! Jobs own their data: every library crate forbids `unsafe`, and safe
+//! Rust cannot hand a non-`'static` closure to an already-running thread.  A
+//! map therefore shares an `Arc` of its state with the runners, which is
+//! how `rctree-sta` stores its design core, how the SPEF reader shares
+//! each batch of scanned sections, and why the simulator sweeps clone
+//! their trees (one refcount each) into the `Arc` they map over.
 //!
-//! Determinism matches [`par_map_indexed`](crate::par_map_indexed): results
-//! are written into slots addressed by input index and concatenated in
+//! Results are written into slots addressed by chunk and concatenated in
 //! index order, so the output is bit-identical to the serial map for every
-//! width, even though chunks are claimed dynamically by whichever worker is
-//! free.
+//! width, even though chunks are claimed dynamically by whichever runner
+//! is free.  A map runs at most four threads per hardware thread, the
+//! caller included, whatever width it asks for.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -170,9 +167,17 @@ where
     }
 }
 
-/// How many chunks each worker is seeded with (matches the scoped pool's
-/// [`par_map_indexed`](crate::par_map_indexed) granularity policy).
+/// How many chunks of the input each runner of a map gets on average.
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// The widest a map runs, the calling thread included: four threads per
+/// hardware thread ([`crate::available_parallelism`], read once).  A wider
+/// `jobs` is clamped to it, so no `--jobs`/`RCTREE_JOBS` value starts more
+/// pool workers than `width_cap() - 1`; results do not depend on the width.
+fn width_cap() -> usize {
+    static CAP: OnceLock<usize> = OnceLock::new();
+    *CAP.get_or_init(|| 4 * crate::available_parallelism())
+}
 
 /// Order-preserving parallel map over indices `0..len` of a shared
 /// `Arc`-owned state, executed on the persistent [`global_pool`].
@@ -181,9 +186,9 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// order, **bit-identical** to the serial loop for any `jobs` width and any
 /// scheduling (slots are addressed by index).  `jobs` bounds the
 /// concurrency of this call: `jobs - 1` pool workers plus the calling
-/// thread, which participates instead of idling.  Inputs too small to
-/// amortise the handoff (fewer than two items per worker) run serially on
-/// the caller.
+/// thread, which participates instead of idling, with `jobs` clamped to
+/// four threads per hardware thread.  Inputs too small to amortise the
+/// handoff (fewer than two items per worker) run serially on the caller.
 ///
 /// This is [`start_map_global`] followed at once by [`GlobalMap::join`];
 /// a caller with other work to do between the two calls them itself.
@@ -202,7 +207,7 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// # Panics
 ///
 /// Re-throws the first panic raised inside `f` after every chunk has
-/// settled, mirroring [`scope`](crate::scope).
+/// settled.
 pub fn par_map_global<S, U, F>(jobs: usize, state: Arc<S>, len: usize, f: F) -> Vec<U>
 where
     S: Send + Sync + 'static,
@@ -248,7 +253,7 @@ where
     U: Send + 'static,
     F: Fn(usize, &S) -> U + Send + Sync + 'static,
 {
-    let jobs = jobs.max(1).min(len.max(1));
+    let jobs = jobs.clamp(1, width_cap()).min(len.max(1));
     if jobs == 1 || len < 2 * jobs {
         return GlobalMap {
             run: Run::Serial { state, len, f },
@@ -393,6 +398,29 @@ mod tests {
         let _ = par_map_global(4, Arc::clone(&shared), 64, |i, v| v[i] * 2);
         let _ = par_map_global(2, shared, 64, |i, v| v[i] * 3);
         assert!(global_pool().workers() >= after_first);
+    }
+
+    #[test]
+    fn a_width_above_the_cap_starts_no_more_workers_than_the_cap() {
+        let shared = Arc::new((0..128u64).collect::<Vec<_>>());
+        let serial: Vec<u64> = shared.iter().map(|x| x * 3).collect();
+        assert_eq!(par_map_global(64, shared, 128, |i, v| v[i] * 3), serial);
+        let (workers, cap) = (global_pool().workers(), width_cap());
+        assert!(workers <= cap, "{workers} workers, cap {cap}");
+    }
+
+    #[test]
+    fn par_map_results_are_in_index_order_not_completion_order() {
+        // Earlier indices sleep, so their chunks finish after later ones;
+        // the output must still be index-ordered.
+        let items: Vec<u64> = (0..64).collect();
+        let out = par_map_global(4, Arc::new(items.clone()), 64, |i, v| {
+            if i < 8 {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            v[i]
+        });
+        assert_eq!(out, items);
     }
 
     #[test]

@@ -67,6 +67,10 @@
 //!   replaying each shard's accepted-edit order to the named
 //!   revision(s) — the guarantee `tests/server_sessions.rs` pins under
 //!   concurrent clients.
+//! * **One shard is the one-entry case.**  Composed verbs go through one
+//!   set of renderers in [`protocol`] at every shard count; unsharded,
+//!   they compose one snapshot, and the one-entry revision vector is the
+//!   scalar `OK rev <r>`.
 //!
 //! See `crates/serve/README.md` for the wire grammar and the consistency
 //! model in full.

@@ -9,13 +9,18 @@
 //! accepted-edit order to revision `r` and re-derive the response
 //! byte-for-byte.
 //!
-//! Rendering lives here as pure functions over a [`DesignSnapshot`] so the
-//! connection handlers and the serial-oracle equivalence tests share one
-//! formatter — the equivalence pinned by `tests/server_sessions.rs` is
-//! then exactly the concurrency model (which snapshot a response saw), not
-//! accidental formatting drift.
+//! Rendering lives here as pure functions over the per-shard
+//! [`DesignSnapshot`]s of a response, so the connection handlers and the
+//! serial-oracle equivalence tests share one formatter — the equivalence
+//! pinned by `tests/server_sessions.rs` is then exactly the concurrency
+//! model (which snapshots a response saw), not accidental formatting
+//! drift.  An unsharded server is the one-shard case: `REPORT`, `CERTIFY`
+//! and `CERTIFY --over` go through the composed renderers over one
+//! snapshot, whose final lines carry a one-entry revision vector, the
+//! scalar `OK rev <r>`.  [`render_report`], [`render_certify`] and
+//! [`render_certify_over`] are those one-snapshot calls.
 
-use std::sync::Arc;
+use std::borrow::Borrow;
 
 use rctree_core::algebra::parse_scale_range;
 use rctree_core::cert::Certification;
@@ -353,17 +358,6 @@ fn corner_name(snapshot: &DesignSnapshot, k: usize) -> String {
     }
 }
 
-/// The final `OK` line of a data-bearing response: revision, the selected
-/// corner when one was requested explicitly, then the corner vector.
-fn ok_selected(snapshot: &DesignSnapshot, rev: u64, selected: Option<usize>) -> String {
-    let mut line = ok_line(rev);
-    if let Some(k) = selected {
-        line.push_str(&format!(" corner {k} {}", corner_name(snapshot, k)));
-    }
-    line.push_str(&corner_tail(snapshot));
-    line
-}
-
 /// Resolves a `--corner` selector (lane index or corner name) against a
 /// snapshot.  `worst` is only meaningful for `REPORT` and handled there.
 fn resolve_corner(snapshot: &DesignSnapshot, token: &str) -> Result<usize, String> {
@@ -431,7 +425,7 @@ pub fn render_query(
                     )
                 })
                 .collect();
-            lines.push(ok_selected(snapshot, rev, selected));
+            lines.push(ok_selected(snapshot, &[rev], selected));
             lines
         }
         Some(node) => match timing.node_times_at(node, snapshot.threshold(), k) {
@@ -453,47 +447,12 @@ pub fn render_query(
                         Err(e) => return vec![err_line(rev, &format!("query failed: {e}"))],
                     }
                 }
-                lines.push(ok_selected(snapshot, rev, selected));
+                lines.push(ok_selected(snapshot, &[rev], selected));
                 lines
             }
             Err(e) => vec![err_line(rev, &format!("query failed: {e}"))],
         },
     }
-}
-
-/// The response block of `REPORT [--corner <k|name|worst>]` as bytes,
-/// every line newline-terminated: the payload is exactly the
-/// [`rctree_sta::TimingReport`] display text of the selected corner —
-/// byte-identical to what `rcdelay report` (with the same `--corners`
-/// spec and `--corner` selector) prints offline for the same design
-/// state — then the final `OK` line.  `worst` picks the smallest-slack
-/// lane against the snapshot's required time.  The server caches this
-/// block and sends it with one write.
-pub fn report_block(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<u8> {
-    let selected = match corner {
-        None => None,
-        Some("worst") => Some(match snapshot.corners() {
-            Some(corners) => corners.worst_against(snapshot.required_time()).0,
-            None => 0,
-        }),
-        Some(token) => match resolve_corner(snapshot, token) {
-            Ok(k) => Some(k),
-            Err(message) => return line_block(&err_line(rev, &message)),
-        },
-    };
-    let report = match selected {
-        None | Some(0) => snapshot.report(),
-        Some(k) => snapshot
-            .corners()
-            .and_then(|c| c.report(k))
-            .expect("resolved corner is in range"),
-    };
-    report_with_final(report, &ok_selected(snapshot, rev, selected))
-}
-
-/// [`report_block`] split into its lines, newlines dropped.
-pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<String> {
-    block_lines(&report_block(snapshot, rev, corner))
 }
 
 /// `report`'s text followed by the final line `last`.
@@ -519,37 +478,6 @@ fn block_lines(block: &[u8]) -> Vec<String> {
         .collect()
 }
 
-/// Renders the response block of `CERTIFY <budget>`.
-///
-/// On a multi-corner deck the worst (smallest-slack) corner is named on
-/// the certify line and the verdict is the conjunction over **all**
-/// corners; nominal-only decks keep the single-corner line format.
-pub fn render_certify(snapshot: &DesignSnapshot, rev: u64, budget: f64) -> Vec<String> {
-    let required = Seconds::new(budget);
-    let certify = match snapshot.corners() {
-        Some(corners) => {
-            let (worst, slack, verdict) = corners.worst_against(required);
-            format!(
-                "certify required {:e} worst_slack {:e} corner {} {}",
-                budget,
-                slack.value(),
-                corners.names()[worst],
-                verdict
-            )
-        }
-        None => {
-            let report = snapshot.report();
-            format!(
-                "certify required {:e} worst_slack {:e} {}",
-                budget,
-                report.slack_against(required).value(),
-                report.certification_against(required)
-            )
-        }
-    };
-    vec![certify, ok_selected(snapshot, rev, None)]
-}
-
 /// The `certify … over …` payload line: box, exact worst point, slack and
 /// verdict.  Range ends and the worst point print in Rust's shortest
 /// round-trip form, so the reported point can be fed back verbatim (e.g.
@@ -572,9 +500,8 @@ fn over_line(budget: f64, over: &ScaleBox, cert: &BoxCertification, verdict: &st
 
 /// The payload line of `CERTIFY <budget> --over …` against one snapshot:
 /// the continuum certification of the symbolic polynomial lane over the
-/// whole scale box.  Shared by the server renderer and the offline
-/// `rcdelay certify-over` command, so the two surfaces are byte-identical
-/// by construction.
+/// whole scale box.  The offline `rcdelay certify-over` command prints it;
+/// the served line over one shard is the same bytes.
 pub fn certify_over_line(
     snapshot: &DesignSnapshot,
     budget: f64,
@@ -587,24 +514,11 @@ pub fn certify_over_line(
     Ok(over_line(budget, over, &cert, &cert.verdict.to_string()))
 }
 
-/// Renders the response block of `CERTIFY <budget> --over …`.
-pub fn render_certify_over(
-    snapshot: &DesignSnapshot,
-    rev: u64,
-    budget: f64,
-    over: &ScaleBox,
-) -> Vec<String> {
-    match certify_over_line(snapshot, budget, over) {
-        Ok(line) => vec![line, ok_selected(snapshot, rev, None)],
-        Err(message) => vec![err_line(rev, &message)],
-    }
-}
-
-/// The final `OK` line of a composed (cross-shard) data-bearing response:
-/// the revision vector, the selected corner when one was requested
-/// explicitly, then the corner vector.  With one shard this is exactly
-/// the scalar [`ok_selected`] line.
-fn ok_selected_composed(lead: &DesignSnapshot, revs: &[u64], selected: Option<usize>) -> String {
+/// The final `OK` line of a data-bearing response: the revision vector
+/// (one revision per shard; the scalar `OK rev <r>` for one), the
+/// selected corner when one was requested explicitly, then the corner
+/// vector of the lead shard `lead`.
+fn ok_selected(lead: &DesignSnapshot, revs: &[u64], selected: Option<usize>) -> String {
     let mut line = ok_revs(revs);
     if let Some(k) = selected {
         line.push_str(&format!(" corner {k} {}", corner_name(lead, k)));
@@ -624,17 +538,20 @@ fn corner_report(snapshot: &DesignSnapshot, k: usize) -> &TimingReport {
     }
 }
 
-/// The worst lane of a composed multi-shard deck against `required`: the
-/// lane whose **composed** slack (the minimum over shards) is smallest,
-/// ties to the lowest lane — the cross-shard generalisation of
-/// [`rctree_sta::SnapshotCorners::worst_against`].  Lane 0 for
+/// The worst lane of a deck against `required` and its slack: the lane
+/// whose **composed** slack (the minimum over shards) is smallest, ties to
+/// the lowest lane — over one shard, the lane and slack
+/// [`rctree_sta::CornerAnalysis::worst_against`] gives.  Lane 0 for
 /// nominal-only decks.
-fn composed_worst_lane(snapshots: &[Arc<DesignSnapshot>], required: Seconds) -> usize {
-    let lanes = snapshots[0].corner_count();
+fn composed_worst_lane(
+    snapshots: &[impl Borrow<DesignSnapshot>],
+    required: Seconds,
+) -> (usize, Seconds) {
+    let lanes = snapshots[0].borrow().corner_count();
     let composed_slack = |k: usize| -> Seconds {
         snapshots
             .iter()
-            .map(|s| corner_report(s, k).slack_against(required))
+            .map(|s| corner_report(s.borrow(), k).slack_against(required))
             .reduce(|a, b| if b < a { b } else { a })
             .expect("at least one shard")
     };
@@ -647,114 +564,108 @@ fn composed_worst_lane(snapshots: &[Arc<DesignSnapshot>], required: Seconds) -> 
             slack = s;
         }
     }
-    worst
+    (worst, slack)
 }
 
-/// The composed `REPORT` block of a sharded deck, as bytes: per-shard
-/// reports of the selected lane merged through [`TimingReport::compose`],
-/// so the payload is byte-identical to the monolithic report of the
-/// unsharded design, terminated by the revision-vector final line.
-/// `snapshots` and `revs` are the per-shard pairs, in shard order.
+/// The response block of `REPORT [--corner <k|name|worst>]` as bytes,
+/// every line newline-terminated: the per-shard reports of the selected
+/// corner merged through [`TimingReport::compose`] (one shard's report is
+/// its own composition), so the payload is byte-identical to what
+/// `rcdelay report` (with the same `--corners` spec and `--corner`
+/// selector) prints offline for the unsharded design state, then the
+/// final `OK` line over the revision vector.  `worst` picks the lane of
+/// smallest composed slack against the lead snapshot's required time.
+/// `snapshots` and `revs` are the per-shard pairs, in shard order.  The
+/// server caches this block and sends it with one write.
 pub fn report_block_composed(
-    snapshots: &[Arc<DesignSnapshot>],
+    snapshots: &[impl Borrow<DesignSnapshot>],
     revs: &[u64],
     corner: Option<&str>,
 ) -> Vec<u8> {
     debug_assert_eq!(snapshots.len(), revs.len());
-    let lead = &snapshots[0];
+    let lead = snapshots[0].borrow();
     let selected = match corner {
         None => None,
-        Some("worst") => Some(composed_worst_lane(snapshots, lead.required_time())),
+        Some("worst") => Some(composed_worst_lane(snapshots, lead.required_time()).0),
         Some(token) => match resolve_corner(lead, token) {
             Ok(k) => Some(k),
             Err(message) => return line_block(&err_revs(revs, &message)),
         },
     };
     let k = selected.unwrap_or(0);
-    let composed = TimingReport::compose(snapshots.iter().map(|s| corner_report(s, k)));
-    report_with_final(&composed, &ok_selected_composed(lead, revs, selected))
+    let composed = TimingReport::compose(snapshots.iter().map(|s| corner_report(s.borrow(), k)));
+    report_with_final(&composed, &ok_selected(lead, revs, selected))
 }
 
 /// [`report_block_composed`] split into its lines, newlines dropped.
 pub fn render_report_composed(
-    snapshots: &[Arc<DesignSnapshot>],
+    snapshots: &[impl Borrow<DesignSnapshot>],
     revs: &[u64],
     corner: Option<&str>,
 ) -> Vec<String> {
     block_lines(&report_block_composed(snapshots, revs, corner))
 }
 
-/// Renders the composed `CERTIFY` of a sharded deck: the worst slack is
-/// the minimum over shards (and, on multi-corner decks, the worst
-/// composed lane is named), the verdict the conjunction over every shard
-/// and corner.  With one shard the block is byte-identical to
-/// [`render_certify`].
+/// [`render_report_composed`] over one snapshot at revision `rev`.
+pub fn render_report(snapshot: &DesignSnapshot, rev: u64, corner: Option<&str>) -> Vec<String> {
+    render_report_composed(&[snapshot], &[rev], corner)
+}
+
+/// Renders the response block of `CERTIFY <budget>`: the worst slack is
+/// the minimum over shards and the verdict the conjunction over every
+/// shard and corner.  On a multi-corner deck the worst composed lane is
+/// named on the certify line; nominal-only decks keep the single-corner
+/// line format.
 pub fn render_certify_composed(
-    snapshots: &[Arc<DesignSnapshot>],
+    snapshots: &[impl Borrow<DesignSnapshot>],
     revs: &[u64],
     budget: f64,
 ) -> Vec<String> {
     let required = Seconds::new(budget);
-    let lead = &snapshots[0];
-    let certify = match lead.corners() {
-        Some(corners) => {
-            let worst = composed_worst_lane(snapshots, required);
-            let slack = snapshots
-                .iter()
-                .map(|s| corner_report(s, worst).slack_against(required))
-                .reduce(|a, b| if b < a { b } else { a })
-                .expect("at least one shard");
-            let mut verdict = Certification::Pass;
-            for s in snapshots {
-                for k in 0..s.corner_count() {
-                    verdict = verdict.and(corner_report(s, k).certification_against(required));
-                }
-            }
-            format!(
-                "certify required {:e} worst_slack {:e} corner {} {}",
-                budget,
-                slack.value(),
-                corners.names()[worst],
-                verdict
-            )
+    let lead = snapshots[0].borrow();
+    let (worst, slack) = composed_worst_lane(snapshots, required);
+    let mut verdict = Certification::Pass;
+    for s in snapshots {
+        let s = s.borrow();
+        for k in 0..s.corner_count() {
+            verdict = verdict.and(corner_report(s, k).certification_against(required));
         }
-        None => {
-            let slack = snapshots
-                .iter()
-                .map(|s| s.report().slack_against(required))
-                .reduce(|a, b| if b < a { b } else { a })
-                .expect("at least one shard");
-            let verdict = snapshots.iter().fold(Certification::Pass, |v, s| {
-                v.and(s.report().certification_against(required))
-            });
-            format!(
-                "certify required {:e} worst_slack {:e} {}",
-                budget,
-                slack.value(),
-                verdict
-            )
-        }
+    }
+    let corner = match lead.corners() {
+        Some(corners) => format!(" corner {}", corners.names()[worst]),
+        None => String::new(),
     };
-    vec![certify, ok_selected_composed(lead, revs, None)]
+    vec![
+        format!(
+            "certify required {:e} worst_slack {:e}{corner} {verdict}",
+            budget,
+            slack.value(),
+        ),
+        ok_selected(lead, revs, None),
+    ]
 }
 
-/// Renders the composed `CERTIFY --over` of a sharded deck: each shard
+/// [`render_certify_composed`] over one snapshot at revision `rev`.
+pub fn render_certify(snapshot: &DesignSnapshot, rev: u64, budget: f64) -> Vec<String> {
+    render_certify_composed(&[snapshot], &[rev], budget)
+}
+
+/// Renders the response block of `CERTIFY <budget> --over …`: each shard
 /// certifies its own symbolic lane over the same box, the reported worst
 /// point is the smallest-slack shard's (ties to the lowest shard), and
-/// the verdict is the conjunction over every shard.  With one shard the
-/// block is byte-identical to [`render_certify_over`].
+/// the verdict is the conjunction over every shard.  Over one shard the
+/// payload line is that shard's [`certify_over_line`].
 pub fn render_certify_over_composed(
-    snapshots: &[Arc<DesignSnapshot>],
+    snapshots: &[impl Borrow<DesignSnapshot>],
     revs: &[u64],
     budget: f64,
     over: &ScaleBox,
 ) -> Vec<String> {
     let required = Seconds::new(budget);
-    let lead = &snapshots[0];
     let mut worst: Option<BoxCertification> = None;
     let mut verdict = Certification::Pass;
     for snapshot in snapshots {
-        let sym = match snapshot.symbolic() {
+        let sym = match snapshot.borrow().symbolic() {
             Ok(sym) => sym,
             Err(e) => return vec![err_revs(revs, &format!("certify failed: {e}"))],
         };
@@ -768,8 +679,18 @@ pub fn render_certify_over_composed(
     let cert = worst.expect("at least one shard");
     vec![
         over_line(budget, over, &cert, &verdict.to_string()),
-        ok_selected_composed(lead, revs, None),
+        ok_selected(snapshots[0].borrow(), revs, None),
     ]
+}
+
+/// [`render_certify_over_composed`] over one snapshot at revision `rev`.
+pub fn render_certify_over(
+    snapshot: &DesignSnapshot,
+    rev: u64,
+    budget: f64,
+    over: &ScaleBox,
+) -> Vec<String> {
+    render_certify_over_composed(&[snapshot], &[rev], budget, over)
 }
 
 #[cfg(test)]

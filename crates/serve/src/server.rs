@@ -720,7 +720,6 @@ fn verb_of(request: &Request) -> &'static str {
 /// and its per-verb counter, runs under a `serve.request` span, and
 /// records its response bytes and handling duration after the flush.
 fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<After> {
-    let sharded = shared.shards.len() > 1;
     let mut after = After::Continue;
     let parsed = match protocol::parse_request(line) {
         Ok(Some(Request::Metrics { stable })) => {
@@ -782,11 +781,7 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
                         span.attr_str("rev", protocol::rev_csv(&revs));
                     }
                     let (payload, hit) = shared.reports.rendered(&revs, corner.as_deref(), || {
-                        if sharded {
-                            protocol::report_block_composed(&snapshots, &revs, corner.as_deref())
-                        } else {
-                            protocol::report_block(&snapshots[0], revs[0], corner.as_deref())
-                        }
+                        protocol::report_block_composed(&snapshots, &revs, corner.as_deref())
                     });
                     if hit {
                         shared.stats.report_cache_hits.bump();
@@ -803,16 +798,10 @@ fn respond(line: &str, shared: &Shared, out: &mut impl Write) -> io::Result<Afte
                         span.attr_str("rev", protocol::rev_csv(&revs));
                     }
                     Block::Owned(match over {
-                        Some(over) if sharded => {
+                        Some(over) => {
                             protocol::render_certify_over_composed(&snapshots, &revs, budget, &over)
                         }
-                        Some(over) => {
-                            protocol::render_certify_over(&snapshots[0], revs[0], budget, &over)
-                        }
-                        None if sharded => {
-                            protocol::render_certify_composed(&snapshots, &revs, budget)
-                        }
-                        None => protocol::render_certify(&snapshots[0], revs[0], budget),
+                        None => protocol::render_certify_composed(&snapshots, &revs, budget),
                     })
                 }
                 Request::Stats => Block::Owned(render_stats(shared)),

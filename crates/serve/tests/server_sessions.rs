@@ -1004,3 +1004,88 @@ fn sharded_certify_over_composes_across_shards() {
     );
     assert_eq!(*responses[0].last().expect("final"), "OK rev 0,0,0");
 }
+
+/// A one-shard `CERTIFY` block, restated from the snapshot's own report
+/// values rather than through a renderer: on a nominal-only deck the
+/// certify line carries the report's slack and verdict against the
+/// budget; on a three-corner deck it names the lane of smallest slack
+/// (ties to the lowest lane), the verdict is the conjunction over every
+/// lane, and the final line ends with the corner vector.
+#[test]
+fn one_shard_certify_lines_restate_the_report_values() {
+    use rctree_core::cert::Certification;
+    use rctree_core::corner::CornerSet;
+
+    let trees = deck_trees();
+    let mut cornered = design_of(&trees);
+    let mut set = CornerSet::nominal();
+    set.push("slow", 1.3, 1.2, 1.1).expect("corner");
+    set.push("fast", 0.8, 0.9, 0.85).expect("corner");
+    cornered.set_corners(set);
+
+    // Budgets that pass, fail, sit at the server budget, and fall inside
+    // the nominal critical endpoint's arrival window.
+    let nominal = EcoExecutor::new(design_of(&trees), THRESHOLD, Seconds::new(BUDGET_S), 1)
+        .expect("oracle")
+        .snapshot();
+    let (lo, hi) = nominal.report().slack_interval();
+    let inside = BUDGET_S - (lo.value() + hi.value()) / 2.0;
+    let budgets = [1e-6, 1e-12, BUDGET_S, inside];
+    let script: Vec<String> = budgets.iter().map(|b| format!("CERTIFY {b:e}")).collect();
+
+    let mut verdicts = Vec::new();
+    for (design, corner_tail) in [
+        (design_of(&trees), ""),
+        (cornered, " corners nominal,slow,fast"),
+    ] {
+        let snapshot = EcoExecutor::new(design.clone(), THRESHOLD, Seconds::new(BUDGET_S), 1)
+            .expect("oracle")
+            .snapshot();
+        let server = Server::start(design, &config(), ("127.0.0.1", 0)).expect("server starts");
+        let responses = run_client(server.local_addr(), &script);
+        server.shutdown();
+        server.join();
+
+        for (&budget, response) in budgets.iter().zip(&responses) {
+            let required = Seconds::new(budget);
+            let line = match snapshot.corners() {
+                None => {
+                    let report = snapshot.report();
+                    let verdict = report.certification_against(required);
+                    verdicts.push(verdict);
+                    format!(
+                        "certify required {budget:e} worst_slack {:e} {verdict}",
+                        report.slack_against(required).value()
+                    )
+                }
+                Some(corners) => {
+                    let lanes: Vec<_> = (0..corners.len())
+                        .map(|k| corners.report(k).expect("lane in range"))
+                        .collect();
+                    let mut worst = 0;
+                    for k in 1..lanes.len() {
+                        if lanes[k].slack_against(required) < lanes[worst].slack_against(required) {
+                            worst = k;
+                        }
+                    }
+                    let verdict = lanes.iter().fold(Certification::Pass, |v, r| {
+                        v.and(r.certification_against(required))
+                    });
+                    format!(
+                        "certify required {budget:e} worst_slack {:e} corner {} {verdict}",
+                        lanes[worst].slack_against(required).value(),
+                        corners.names()[worst]
+                    )
+                }
+            };
+            assert_eq!(
+                response,
+                &vec![line, format!("OK rev 0{corner_tail}")],
+                "CERTIFY {budget:e}"
+            );
+        }
+    }
+    for verdict in [Certification::Pass, Certification::Fail] {
+        assert!(verdicts.contains(&verdict), "{verdicts:?} lacks {verdict}");
+    }
+}

@@ -3,11 +3,15 @@
 //! Validation campaigns ("the exact response always lies between the
 //! bounds") and technology explorations simulate *batches* of trees — one
 //! exact solve per generated workload.  Each solve is independent, so a
-//! sweep shards across the `rctree-par` pool exactly the way
-//! `rctree-sta::Design::analyze` shards nets: every tree is solved whole
-//! inside one job and results are merged in input order, which keeps the
-//! output **bit-identical** to the serial sweep for any worker count (the
+//! sweep maps over the trees on the `rctree-par` global pool
+//! ([`rctree_par::par_map_global`]), the pool `rctree-sta`'s design
+//! analysis shards nets on: every tree is solved whole by one runner and
+//! results come back in input order, which keeps the output
+//! **bit-identical** to the serial sweep for any worker count (the
 //! eigendecomposition and integration paths never depend on scheduling).
+//! Pool jobs own their data, so a sweep clones the trees into one shared
+//! `Arc`: an [`RcTree`] is an `Arc`-shared table, and each clone is one
+//! refcount.
 //!
 //! ```
 //! use rctree_core::builder::RcTreeBuilder;
@@ -28,6 +32,8 @@
 //! # Ok(())
 //! # }
 //! ```
+
+use std::sync::Arc;
 
 use rctree_core::tree::{NodeId, RcTree};
 
@@ -58,7 +64,9 @@ pub fn modal_crossing_sweep(
     segments_per_line: usize,
     jobs: usize,
 ) -> Vec<Result<Vec<(NodeId, f64)>>> {
-    rctree_par::par_map_indexed(jobs, trees, |_, tree| {
+    let shared = Arc::new(trees.to_vec());
+    rctree_par::par_map_global(jobs, shared, trees.len(), move |i, trees| {
+        let tree = &trees[i];
         let lumped = LumpedNetwork::from_tree(tree, segments_per_line)?;
         let modal = ModalStepResponse::new(&lumped)?;
         let mut out = Vec::new();
@@ -83,7 +91,9 @@ pub fn transient_crossing_sweep(
     options: TransientOptions,
     jobs: usize,
 ) -> Vec<Result<Vec<(NodeId, f64)>>> {
-    rctree_par::par_map_indexed(jobs, trees, move |_, tree| {
+    let shared = Arc::new(trees.to_vec());
+    rctree_par::par_map_global(jobs, shared, trees.len(), move |i, trees| {
+        let tree = &trees[i];
         let lumped = LumpedNetwork::from_tree(tree, segments_per_line)?;
         let result = simulate(&lumped, InputSource::Step, options)?;
         let mut out = Vec::new();

@@ -90,16 +90,19 @@ pub struct Net {
     pub sinks: Vec<Sink>,
 }
 
-/// Per-corner timing results of one [`Design::analyze_corners`] call: one
-/// full [`TimingReport`] per corner, in corner (lane) order.  Index 0 is
-/// always the nominal corner and is bit-identical to the single-corner
-/// [`Design::analyze_with_jobs`] report.
+/// Per-corner timing results: the corner names and one full
+/// [`TimingReport`] per corner, in corner (lane) order.  Index 0 is always
+/// the nominal corner.  [`Design::analyze_corners`] returns one, its lane 0
+/// bit-identical to the single-corner [`Design::analyze_with_jobs`]
+/// report, and so does [`DesignSnapshot::corners`] on a multi-corner
+/// design, its lane 0 the same `Arc` as the snapshot's main report.
 #[derive(Debug, Clone)]
 pub struct CornerAnalysis {
-    /// Corner names in lane order.
-    names: Vec<String>,
+    /// Corner names in lane order, shared by every snapshot a publish
+    /// derives from this one.
+    names: Arc<[String]>,
     /// One report per corner, parallel to `names`.
-    reports: Vec<TimingReport>,
+    reports: Vec<Arc<TimingReport>>,
 }
 
 impl CornerAnalysis {
@@ -108,7 +111,13 @@ impl CornerAnalysis {
         &self.names
     }
 
-    /// Number of corners analysed (at least 1).
+    /// Comma-joined corner names — the corner vector of the serve
+    /// protocol's response tails.
+    pub fn names_csv(&self) -> String {
+        self.names.join(",")
+    }
+
+    /// Number of corners (at least 1).
     pub fn len(&self) -> usize {
         self.reports.len()
     }
@@ -118,46 +127,44 @@ impl CornerAnalysis {
         false
     }
 
-    /// The report of corner `k`, or `None` when `k` is out of range.
+    /// The report of corner `k` (0 is the nominal report), or `None` when
+    /// `k` is out of range.
     pub fn report(&self, k: usize) -> Option<&TimingReport> {
-        self.reports.get(k)
+        self.reports.get(k).map(|r| &**r)
     }
 
     /// Every corner's report, in lane order.
-    pub fn reports(&self) -> &[TimingReport] {
+    pub fn reports(&self) -> &[Arc<TimingReport>] {
         &self.reports
     }
 
-    /// Index of the corner with the smallest slack against
-    /// `required_time`.  Ties break to the lowest lane index, so the
-    /// nominal corner wins a tie against any scaled corner — a stable,
-    /// scheduling-independent answer.
-    pub fn worst_against(&self, required_time: Seconds) -> usize {
+    /// Resolves a corner name to its lane index.
+    pub fn index_of(&self, name: &str) -> Option<usize> {
+        self.names.iter().position(|n| n == name)
+    }
+
+    /// The worst corner against `required_time`: the lane with the
+    /// smallest slack, ties to the lowest lane index, so the nominal corner
+    /// wins a tie against any scaled corner — a stable,
+    /// scheduling-independent answer.  Returns `(lane, slack,
+    /// certification)`, where the certification is the conjunction over
+    /// **all** corners: the whole-deck verdict (the deck passes only when
+    /// every corner passes) that the `CERTIFY` verb reports.
+    pub fn worst_against(&self, required_time: Seconds) -> (usize, Seconds, Certification) {
         let mut worst = 0usize;
         let mut slack = self.reports[0].slack_against(required_time);
-        for (k, report) in self.reports.iter().enumerate().skip(1) {
-            let s = report.slack_against(required_time);
-            if s < slack {
-                worst = k;
-                slack = s;
+        let mut verdict = Certification::Pass;
+        for (k, report) in self.reports.iter().enumerate() {
+            if k > 0 {
+                let s = report.slack_against(required_time);
+                if s < slack {
+                    worst = k;
+                    slack = s;
+                }
             }
+            verdict = verdict.and(report.certification_against(required_time));
         }
-        worst
-    }
-
-    /// Index of the worst corner against the analysis' own required time.
-    pub fn worst_index(&self) -> usize {
-        self.worst_against(self.reports[0].required_time)
-    }
-
-    /// Whole-deck certification against `required_time`: the conjunction
-    /// over every corner (the deck passes only when **all** corners pass).
-    pub fn certification_against(&self, required_time: Seconds) -> Certification {
-        self.reports
-            .iter()
-            .fold(Certification::Pass, |verdict, report| {
-                verdict.and(report.certification_against(required_time))
-            })
+        (worst, slack, verdict)
     }
 }
 
@@ -1813,9 +1820,10 @@ impl Design {
         jobs: usize,
     ) -> Result<CornerAnalysis> {
         let set = self.shared.corner_set();
+        let reports = self.analyze_lanes(threshold, required_time, jobs, set.len())?;
         Ok(CornerAnalysis {
             names: set.corners().iter().map(|c| c.name.clone()).collect(),
-            reports: self.analyze_lanes(threshold, required_time, jobs, set.len())?,
+            reports: reports.into_iter().map(Arc::new).collect(),
         })
     }
 
@@ -2743,8 +2751,8 @@ pub struct DesignSnapshot {
     report: Arc<TimingReport>,
     nets: NetViews,
     /// Per-corner reports when the snapshotted design has a multi-corner
-    /// set installed, `None` for nominal-only designs.
-    corners: Option<Arc<SnapshotCorners>>,
+    /// set installed, `None` for nominal-only designs; lane 0 is `report`.
+    corners: Option<Arc<CornerAnalysis>>,
     /// The propagation topology the snapshot was assembled over, kept so
     /// the lazy symbolic analysis can re-run the candidate propagation
     /// without touching the (mutable) design.  Its names answer the
@@ -2767,74 +2775,6 @@ pub struct DesignSnapshot {
 /// [`ChunkTree::changed_since`] skips the nodes, then the leaves, two
 /// versions share.
 type NetViews = ChunkTree<Arc<NetTiming>>;
-
-/// Per-corner views of a [`DesignSnapshot`] over a multi-corner design:
-/// the corner names and one full report per corner, in lane order.  Index
-/// 0 is the nominal corner; its report is the snapshot's main
-/// [`DesignSnapshot::report`] (the same `Arc`).
-#[derive(Debug, Clone)]
-pub struct SnapshotCorners {
-    /// Shared by every snapshot a publish derives from this one.
-    names: Arc<[String]>,
-    reports: Vec<Arc<TimingReport>>,
-}
-
-impl SnapshotCorners {
-    /// Corner names in lane order (index 0 is the nominal corner).
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Comma-joined corner names — the corner vector of the serve
-    /// protocol's response tails.
-    pub fn names_csv(&self) -> String {
-        self.names.join(",")
-    }
-
-    /// Number of corners (at least 2 — nominal-only designs snapshot with
-    /// no [`SnapshotCorners`] at all).
-    pub fn len(&self) -> usize {
-        self.reports.len()
-    }
-
-    /// Always `false`: the nominal corner is always present.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The full report of corner `k` (0 is the nominal report), `None`
-    /// when out of range.
-    pub fn report(&self, k: usize) -> Option<&TimingReport> {
-        self.reports.get(k).map(|r| &**r)
-    }
-
-    /// Resolves a corner name to its lane index.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// The worst corner against `required_time`: the lane with the
-    /// smallest slack (ties break to the lowest index, so the answer is
-    /// deterministic).  Returns `(lane, slack, certification)` where the
-    /// certification is the conjunction over **all** corners — the
-    /// whole-deck verdict the `CERTIFY` verb reports.
-    pub fn worst_against(&self, required_time: Seconds) -> (usize, Seconds, Certification) {
-        let mut worst = 0usize;
-        let mut slack = self.reports[0].slack_against(required_time);
-        let mut verdict = Certification::Pass;
-        for (k, report) in self.reports.iter().enumerate() {
-            if k > 0 {
-                let s = report.slack_against(required_time);
-                if s < slack {
-                    worst = k;
-                    slack = s;
-                }
-            }
-            verdict = verdict.and(report.certification_against(required_time));
-        }
-        (worst, slack, verdict)
-    }
-}
 
 impl DesignSnapshot {
     /// The switching threshold the snapshot was analysed at.
@@ -2874,8 +2814,10 @@ impl DesignSnapshot {
     }
 
     /// Per-corner reports when the snapshotted design has a multi-corner
-    /// set installed, `None` for nominal-only designs.
-    pub fn corners(&self) -> Option<&SnapshotCorners> {
+    /// set installed, `None` for nominal-only designs: a [`CornerAnalysis`]
+    /// of at least two lanes, whose lane 0 is the same `Arc` as
+    /// [`DesignSnapshot::report`].
+    pub fn corners(&self) -> Option<&CornerAnalysis> {
         self.corners.as_deref()
     }
 
@@ -3114,7 +3056,7 @@ impl Design {
                 Some(prev) => Arc::clone(&prev.names),
                 None => set.corners().iter().map(|c| c.name.clone()).collect(),
             };
-            Arc::new(SnapshotCorners { names, reports })
+            Arc::new(CornerAnalysis { names, reports })
         });
         let snapshot = DesignSnapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),

@@ -115,15 +115,14 @@ pub use crate::cell::{Cell, CellLibrary};
 pub use crate::error::{Result, StaError};
 pub use crate::graph::{
     BoxCertification, CornerAnalysis, Design, DesignSnapshot, Driver, EcoEdit, EcoEditKind, Load,
-    Net, NetTiming, Sink, SinkWindow, SnapshotCorners, SymbolicAnalysis, SymbolicEndpointTiming,
-    SymbolicEndpoints,
+    Net, NetTiming, Sink, SinkWindow, SymbolicAnalysis, SymbolicEndpointTiming, SymbolicEndpoints,
 };
 pub use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
 pub use crate::script::{
     parse_eco_script, parse_eco_script_line, ScriptEdit, ScriptError, ScriptLine,
 };
 pub use crate::stage::{
-    analyze_stage, prepend_driver, stage_delay_bounds, stage_node_times, SinkTiming, StageTiming,
+    analyze_stage, prepend_driver, stage_delay_bounds, SinkTiming, StageTiming,
 };
 
 #[cfg(test)]

@@ -489,7 +489,8 @@ impl TimingReport {
     /// timing-independent the composed report renders byte-identically to
     /// the monolithic one (ties keep part order, exactly as the monolithic
     /// order keeps net order).  Endpoints are shared with the parts, not
-    /// copied.
+    /// copied.  One part is already in report order: its composition is a
+    /// clone of it, one refcount per node.
     ///
     /// # Panics
     ///
@@ -499,10 +500,13 @@ impl TimingReport {
     where
         I: IntoIterator<Item = &'a TimingReport>,
     {
-        let mut iter = parts.into_iter().peekable();
-        let first = *iter.peek().expect("compose needs at least one report");
+        let mut iter = parts.into_iter();
+        let first = iter.next().expect("compose needs at least one report");
+        let Some(second) = iter.next() else {
+            return first.clone();
+        };
         let mut all = Vec::new();
-        for part in iter {
+        for part in [first, second].into_iter().chain(iter) {
             debug_assert_eq!(part.threshold, first.threshold, "mixed-threshold compose");
             all.extend(part.endpoints.tree.iter().map(|e| Arc::clone(&e.timing)));
         }

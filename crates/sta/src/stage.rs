@@ -201,45 +201,18 @@ pub fn stage_symbolic_bounds(
     Ok(bounds)
 }
 
-/// Symbolic characteristic times at an arbitrary node of a stage's
-/// interconnect — the symbolic sibling of [`stage_node_times`], behind
-/// per-node sensitivity queries (`QUERY <net> <node> --sens` in
-/// `rctree-serve`).
-///
-/// Like [`stage_node_times`], an empty `sink_loads` slice still runs the
-/// sweep.
-///
-/// # Errors
-///
-/// As for [`stage_node_times`].
-pub fn stage_node_symbolic_times(
-    driver_resistance: Ohms,
-    interconnect: &RcTree,
-    sink_loads: &[(NodeId, Farads)],
-    node: NodeId,
-) -> Result<SymbolicTimes> {
-    // Validate the queried node against the tree before indexing `pos`.
-    let _ = interconnect.name(node)?;
-    let stage = Spliced::new(
-        driver_resistance,
-        interconnect,
-        sink_loads,
-        StageScales::NOMINAL,
-    )?;
-    let mut scratch = SymbolicScratch::new();
-    let view = stage.sweep(&mut scratch)?;
-    Ok(view.times_at(stage.pos[node.index()] as usize)?)
-}
-
 /// The materialized symbolic sweep of a whole stage: the per-augmented-node
 /// [`SymbolicTimes`] table plus the raw-node → augmented-position map.
 /// [`crate::graph::NetTiming`] caches this per snapshot view so repeated
 /// node-level symbolic queries (`QUERY … --sens`) are `O(1)` lookups after
 /// the first — the per-net coefficient table the snapshots carry.
 ///
+/// Unlike [`stage_delay_bounds`], an empty `sink_loads` slice still runs
+/// the sweep: a sink-less net's nodes remain queryable.
+///
 /// # Errors
 ///
-/// As for [`stage_node_symbolic_times`].
+/// As for [`stage_delay_bounds`].
 pub(crate) fn stage_symbolic_sweep(
     driver_resistance: Ohms,
     interconnect: &RcTree,
@@ -258,35 +231,6 @@ pub(crate) fn stage_symbolic_sweep(
         times.push(view.times_at(i)?);
     }
     Ok((times, stage.pos))
-}
-
-/// Characteristic times at an arbitrary node of a stage's interconnect,
-/// evaluated on the same augmented tree (driver resistance + sink loads)
-/// as [`stage_delay_bounds`] — the kernel behind per-node snapshot queries
-/// (`QUERY <net> <node>` in `rctree-serve`).
-///
-/// Unlike [`stage_delay_bounds`], an empty `sink_loads` slice still runs
-/// the sweep: a sink-less net's nodes remain queryable.
-///
-/// # Errors
-///
-/// As for [`stage_delay_bounds`], plus node-lookup errors when `node` is
-/// not part of `interconnect`.
-pub fn stage_node_times(
-    driver_resistance: Ohms,
-    interconnect: &RcTree,
-    sink_loads: &[(NodeId, Farads)],
-    node: NodeId,
-) -> Result<CharacteristicTimes> {
-    // Validate the queried node against the tree before indexing `pos`.
-    let _ = interconnect.name(node)?;
-    let (batch, pos) = augmented_batch(
-        driver_resistance,
-        interconnect,
-        sink_loads,
-        StageScales::NOMINAL,
-    )?;
-    Ok(batch.times_at(pos[node.index()] as usize)?)
 }
 
 /// Per-corner multiplicative scale factors applied when a stage is
@@ -347,9 +291,11 @@ impl StageScales {
 /// One scaled stage sweep into owned results: splices the stage at
 /// `scales` (driver resistor above the interconnect, sink loads added) and
 /// runs [`BatchTimes::of_preorder`], returning the [`BatchTimes`] plus the
-/// raw-node → augmented-pre-order-position map.  [`stage_node_times`] reads
-/// it at [`StageScales::NOMINAL`]; snapshot node queries read it once per
-/// corner lane and cache it.  The splice is [`lane_bounds`]'s and
+/// raw-node → augmented-pre-order-position map: the kernel behind per-node
+/// snapshot queries (`QUERY <net> <node>` in `rctree-serve`), which read
+/// it once per corner lane and cache it.  An empty `sink_loads` slice
+/// still runs the sweep, so a sink-less net's nodes remain queryable.
+/// The splice is [`lane_bounds`]'s and
 /// [`BatchTimes::of_preorder`] runs its sweep kernel, so every lane is
 /// bit-identical to that lane of the net's stage sweep.
 pub(crate) fn augmented_batch(
@@ -1087,9 +1033,15 @@ mod tests {
     fn symbolic_node_times_match_scalar_node_times_at_nominal() {
         let (net, near, far) = simple_interconnect();
         let loads = vec![(far, Farads::from_femto(13.0))];
+        // The two sweeps a served `QUERY <net> <node> [--sens]` reads.
+        let (batch, pos) =
+            augmented_batch(Ohms::new(700.0), &net, &loads, StageScales::NOMINAL).unwrap();
+        let (table, symbolic_pos) = stage_symbolic_sweep(Ohms::new(700.0), &net, &loads).unwrap();
+        assert_eq!(symbolic_pos, pos);
         for node in [near, far, net.input()] {
-            let scalar = stage_node_times(Ohms::new(700.0), &net, &loads, node).unwrap();
-            let symbolic = stage_node_symbolic_times(Ohms::new(700.0), &net, &loads, node).unwrap();
+            let at = pos[node.index()] as usize;
+            let scalar = batch.times_at(at).unwrap();
+            let symbolic = &table[at];
             assert_eq!(symbolic.t_p.eval(1.0, 1.0), scalar.t_p.value());
             assert_eq!(symbolic.t_d.eval(1.0, 1.0), scalar.t_d.value());
             assert_eq!(symbolic.t_r.eval(1.0, 1.0), scalar.t_r.value());

@@ -8,7 +8,7 @@
 //! | Re-export | Crate | Contents |
 //! |-----------|-------|----------|
 //! | [`core`] | `rctree-core` | RC-tree model, characteristic times, Penfield–Rubinstein bounds |
-//! | [`par`] | `rctree-par` | scoped work-stealing thread pool for deck-scale parallelism |
+//! | [`par`] | `rctree-par` | one persistent thread pool and its order-preserving parallel map, for deck-scale parallelism |
 //! | [`sim`] | `rctree-sim` | exact transient / modal simulation |
 //! | [`netlist`] | `rctree-netlist` | SPICE-subset, SPEF-lite, wiring-algebra parsers |
 //! | [`workloads`] | `rctree-workloads` | paper networks, PLA lines, H-trees, random trees, SPEF decks, request mixes |
@@ -47,7 +47,7 @@ pub use rctree_workloads as workloads;
 pub mod prelude {
     pub use rctree_core::prelude::*;
     pub use rctree_netlist::{parse_expr, parse_spef, parse_spef_deck, parse_spice, write_spice};
-    pub use rctree_par::{available_parallelism, default_jobs, par_map_indexed};
+    pub use rctree_par::{available_parallelism, default_jobs, par_map_global};
     pub use rctree_sim::{exact_step_response, InputSource, LumpedNetwork, TransientOptions};
     pub use rctree_sta::{analyze_stage, CellLibrary, Design};
     pub use rctree_workloads::{figure7_tree, h_tree, PlaLine, RandomTreeConfig, Technology};
