@@ -72,3 +72,66 @@ mod tests {
         assert!(default_jobs() >= 1);
     }
 }
+
+/// Checks of the one pool through the crate root, as the pipelines call it.
+#[cfg(test)]
+mod pool {
+    mod tests {
+        use crate::par_map_global;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        #[test]
+        fn par_map_matches_serial_for_every_worker_count() {
+            let items: Vec<u64> = (0..257).collect();
+            let serial: Vec<u64> = items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| i as u64 * x)
+                .collect();
+            let shared = Arc::new(items);
+            for jobs in 1..=16 {
+                let par = par_map_global(jobs, Arc::clone(&shared), shared.len(), |i, v| {
+                    i as u64 * v[i]
+                });
+                assert_eq!(par, serial, "jobs = {jobs}");
+            }
+        }
+
+        #[test]
+        fn par_map_handles_tiny_and_empty_inputs() {
+            let shared = Arc::new(vec![9u32, 1, 2, 3, 4, 5, 6, 7, 8]);
+            assert!(par_map_global(4, Arc::clone(&shared), 0, |i, v| v[i]).is_empty());
+            assert_eq!(
+                par_map_global(4, Arc::clone(&shared), 1, |i, v| (i, v[i])),
+                vec![(0, 9)]
+            );
+            // Lengths on both sides of two items per worker, where a map
+            // leaves the caller for the pool.
+            for len in [3, 7, 8, 9] {
+                let serial: Vec<u32> = shared[..len].iter().map(|x| x * 2).collect();
+                let par = par_map_global(4, Arc::clone(&shared), len, |i, v| v[i] * 2);
+                assert_eq!(par, serial, "len = {len}");
+            }
+        }
+
+        #[test]
+        fn job_panic_propagates_after_the_pool_drains() {
+            // The last index panics, so every other index, its own chunk's
+            // included, has run by the time the panic surfaces.
+            let ran = Arc::new(AtomicU64::new(0));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                par_map_global(4, Arc::clone(&ran), 128, |i, ran| {
+                    if i == 127 {
+                        panic!("boom");
+                    }
+                    ran.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            assert!(result.is_err());
+            // The panic did not cancel the other chunks.
+            assert_eq!(ran.load(Ordering::Relaxed), 127);
+        }
+    }
+}
