@@ -8,9 +8,15 @@
 //! [`Summary`] of the items under it, so a positional or keyed search reads
 //! only the children on its path.  Cloning a tree bumps one refcount per
 //! node, `O(n/(L·F))` for `n` items; a write copies (`Arc::make_mut`) its
-//! node (`F` refcount bumps) and its leaf (`L`) only when another version
-//! shares them, and dropping a superseded version frees only the path its
+//! node (`F` refcount bumps) and its leaf (`L` item clones: one refcount
+//! bump per view, two per endpoint entry) only when another version shares
+//! them, and dropping a superseded version frees only the path its
 //! successor replaced.
+//!
+//! A whole tree is built in one shape, full leaves under full nodes (the
+//! last of each possibly short): from items (`FromIterator`), from leaves
+//! cut that way ([`ChunkTree::from_leaves`]), or from trees of whole full
+//! nodes laid one after the other ([`ChunkTree::concat`]).
 
 use std::fmt;
 use std::ops::Range;
@@ -19,7 +25,10 @@ use std::sync::Arc;
 
 /// Most items one leaf holds.  Of the leaf × node sizes 32×32, 64×32,
 /// 32×64, 64×16 and 128×16, 32×32 and 64×16 gave the cheapest one-edit
-/// ECO on a 2e4-net, ~89k-endpoint design, and 128×16 the dearest.
+/// ECO on a 2e4-net, ~89k-endpoint design, and 128×16 the dearest.  That
+/// was measured with 32-byte endpoint entries (a window, a tie key and one
+/// shared record); an endpoint entry now holds its timing inline, 48 bytes
+/// with two shared pointers, and the sizes were not re-tuned for it.
 pub(crate) const LEAF: usize = 32;
 
 /// Most leaves one node holds.
@@ -434,34 +443,59 @@ impl<U, S> ChunkTree<Arc<U>, S> {
     }
 }
 
+impl<T: Clone, S: Summary<T>> ChunkTree<T, S> {
+    /// The tree over `leaves` as they are, under full nodes (the last
+    /// possibly short).  Every leaf but the last must be full, so the tree
+    /// is the one `FromIterator` builds from their items, without moving an
+    /// item.
+    pub(crate) fn from_leaves(leaves: impl IntoIterator<Item = Leaf<T>>) -> Self {
+        let mut tree = ChunkTree::default();
+        let mut node = Vec::with_capacity(NODE);
+        for leaf in leaves {
+            debug_assert!(
+                !leaf.is_empty() && leaf.len() <= LEAF,
+                "a leaf holds 1..=LEAF items"
+            );
+            node.push(Self::leaf_slot(leaf));
+            if node.len() == NODE {
+                let full = std::mem::replace(&mut node, Vec::with_capacity(NODE));
+                tree.nodes.push(Self::node_slot(full));
+            }
+        }
+        if !node.is_empty() {
+            tree.nodes.push(Self::node_slot(node));
+        }
+        tree.len = tree.nodes.iter().map(|n| n.len).sum();
+        tree
+    }
+}
+
+impl<T, S> ChunkTree<T, S> {
+    /// The trees `parts` one after the other.  Every part but the last
+    /// must hold whole full nodes, so the tree is the one `FromIterator`
+    /// builds from all their items.
+    pub(crate) fn concat(parts: impl IntoIterator<Item = Self>) -> Self {
+        let mut tree = ChunkTree::default();
+        for part in parts {
+            tree.len += part.len;
+            tree.nodes.extend(part.nodes);
+        }
+        tree
+    }
+}
+
 impl<T: Clone, S: Summary<T>> FromIterator<T> for ChunkTree<T, S> {
     /// Cuts the items into full leaves under full nodes (the last of each
     /// possibly short).
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut tree = ChunkTree::default();
-        let mut leaves = Vec::with_capacity(NODE);
-        let mut items = Vec::with_capacity(LEAF);
-        for item in iter {
-            items.push(item);
-            if items.len() == LEAF {
-                leaves.push(Self::leaf_slot(std::mem::replace(
-                    &mut items,
-                    Vec::with_capacity(LEAF),
-                )));
-                if leaves.len() == NODE {
-                    let full = std::mem::replace(&mut leaves, Vec::with_capacity(NODE));
-                    tree.nodes.push(Self::node_slot(full));
-                }
-            }
-        }
-        if !items.is_empty() {
-            leaves.push(Self::leaf_slot(items));
-        }
-        if !leaves.is_empty() {
-            tree.nodes.push(Self::node_slot(leaves));
-        }
-        tree.len = tree.nodes.iter().map(|n| n.len).sum();
-        tree
+        let mut iter = iter.into_iter();
+        ChunkTree::from_leaves(std::iter::from_fn(|| {
+            let first = iter.next()?;
+            let mut leaf = Vec::with_capacity(LEAF);
+            leaf.push(first);
+            leaf.extend(iter.by_ref().take(LEAF - 1));
+            Some(leaf)
+        }))
     }
 }
 

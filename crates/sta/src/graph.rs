@@ -32,7 +32,7 @@ use rctree_core::units::{Farads, Ohms, Seconds};
 use crate::cell::{Cell, CellLibrary};
 use crate::chunk_tree::ChunkTree;
 use crate::error::{Result, StaError};
-use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, TimingReport};
+use crate::report::{ArrivalWindow, EndpointTiming, Endpoints, Run, SortedRun, TimingReport};
 use crate::stage::{
     augmented_batch, lane_bounds, stage_symbolic_bounds, stage_symbolic_sweep, StageScales,
     StageScratch,
@@ -372,12 +372,17 @@ impl Spine {
 
     /// The chain's instance names, oldest first.
     fn names(&self, cache: &PropagationCache) -> Vec<String> {
-        let mut names = Vec::with_capacity(self.insts().count());
-        names.extend(
-            self.insts()
-                .map(|i| cache.names.table.resolve(cache.inst_names[i]).to_string()),
-        );
+        self.names_then(None, cache)
+    }
+
+    /// The chain's instance names, oldest first, then `last`'s when given:
+    /// the names of `self.extend(last)` without building its link, in one
+    /// list sized once.
+    fn names_then(&self, last: Option<usize>, cache: &PropagationCache) -> Vec<String> {
+        let mut names = Vec::with_capacity(self.insts().count() + usize::from(last.is_some()));
+        names.extend(self.insts().map(|i| cache.inst_name(i).to_string()));
         names.reverse();
+        names.extend(last.map(|i| cache.inst_name(i).to_string()));
         names
     }
 }
@@ -468,12 +473,40 @@ struct PropagationCache {
     /// Per net, per sink: what it drives.  Lets the propagation passes run
     /// on plain [`Window`]s without carrying a target per window.
     targets: Vec<Arc<[Target]>>,
-    /// Number of primary-output sinks: the size of a full pass's endpoint
-    /// column.
-    endpoint_count: usize,
+    /// Per net rank: the number of primary-output sinks of the nets at
+    /// lower ranks, the total last.  Cuts the endpoint pass into ranges of
+    /// about equal endpoint counts ([`PropagationCache::endpoint_ranks`]),
+    /// each with an exact-size buffer.
+    endpoint_start: Vec<usize>,
 }
 
 impl PropagationCache {
+    /// Number of primary-output sinks: the endpoints of a full pass.
+    fn endpoint_count(&self) -> usize {
+        self.endpoint_start[self.net_order.len()]
+    }
+
+    /// The net ranks of range `r` of `runs` contiguous ranges cut by
+    /// endpoint count: range `r` starts at the first rank whose endpoints
+    /// start at or past `r / runs` of all of them, so ranks without
+    /// endpoints weigh nothing.
+    fn endpoint_ranks(&self, r: usize, runs: usize) -> Range<usize> {
+        let ranks = self.net_order.len();
+        let total = self.endpoint_count();
+        let start = |r: usize| match r == runs {
+            true => ranks,
+            false => self
+                .endpoint_start
+                .partition_point(|&s| s < r * total / runs),
+        };
+        start(r)..start(r + 1)
+    }
+
+    /// The name of instance `inst`.
+    fn inst_name(&self, inst: usize) -> &str {
+        self.names.table.resolve(self.inst_names[inst])
+    }
+
     /// The first `count` sinks of `net` (all of them when the table is
     /// shorter): sink index and target.
     fn sinks(&self, net: usize, count: usize) -> impl Iterator<Item = (usize, &Target)> {
@@ -482,9 +515,7 @@ impl PropagationCache {
 
     /// The instance names, in id order.
     fn inst_names(&self) -> impl Iterator<Item = &str> {
-        self.inst_names
-            .iter()
-            .map(|&id| self.names.table.resolve(id))
+        (0..self.inst_names.len()).map(|inst| self.inst_name(inst))
     }
 }
 
@@ -557,11 +588,13 @@ impl EcoState {
 /// the lane's window column, per-instance arrivals, and every endpoint in
 /// report order.
 ///
-/// Both columns are indexed by the core's sink offsets
+/// The window and key columns are indexed by the core's sink offsets
 /// ([`DesignCore::sink_start`]), one exact-size allocation each.  A
 /// dirty net's re-timed windows overwrite its range in place (a graft or
 /// prune keeps the sink count), and the cone walk and the snapshot views
-/// read slices of the column.
+/// read slices of the column.  A cold warm-up builds the lane with the
+/// batch analysis's full pass ([`scalar_full`]), then fills the key column
+/// from the merged order.
 #[derive(Debug, Clone)]
 struct LaneTiming {
     /// Per-instance intrinsic delay scaled by the corner's `delay_scale`.
@@ -597,28 +630,39 @@ impl std::ops::AddAssign for Touched {
 }
 
 /// Tie key of a net's `ordinal`-th endpoint: orders equal worst arrivals
-/// by `(net_rank, ordinal)`, the order the full pass emits endpoints in.
+/// by `(net_rank, ordinal)`, the order the endpoint pass pushes them in.
 fn endpoint_tie(net_rank: usize, ordinal: usize) -> u64 {
     ((net_rank as u64) << 32) | ordinal as u64
 }
 
+/// The `(net_rank, ordinal)` an [`endpoint_tie`] encodes.
+fn tie_endpoint(tie: u64) -> (usize, usize) {
+    ((tie >> 32) as usize, (tie & u64::from(u32::MAX)) as usize)
+}
+
 impl LaneTiming {
-    /// A lane from one full propagation over the window column `delays`.
+    /// A lane from one full pass ([`scalar_full`]) over the window column
+    /// `delays` with `jobs` workers, its key column filled from the merged
+    /// order: tie, then `(net_rank, ordinal)`, then the net's sink offset.
     /// Returns it with the number of endpoints filed.
     fn full(
-        prop: &PropagationCache,
-        sink_start: &[usize],
+        core: &Arc<DesignCore>,
+        prop: &Arc<PropagationCache>,
         intrinsic: Vec<Seconds>,
         delays: Vec<Window>,
+        jobs: usize,
     ) -> (LaneTiming, u64) {
-        let mut keyed = Vec::with_capacity(prop.endpoint_count);
+        let (columns, order) = scalar_full(core, prop, intrinsic, delays, jobs);
+        let LaneColumns {
+            intrinsic,
+            delays,
+            arrivals,
+        } = columns;
         let mut endpoint_keys = vec![Seconds::ZERO; delays.len()];
-        let arrivals =
-            ScalarLane::new(prop, sink_start, &intrinsic, &delays).full(|net, ordinal, e| {
-                endpoint_keys[sink_start[net] + ordinal] = e.arrival.max;
-                keyed.push((endpoint_tie(prop.net_rank[net], ordinal), e));
-            });
-        let order = endpoint_order(keyed);
+        for (tie, e) in order.keyed() {
+            let (rank, ordinal) = tie_endpoint(tie);
+            endpoint_keys[core.sink_start[prop.net_order[rank]] + ordinal] = e.arrival.max;
+        }
         let filed = order.len() as u64;
         let lane = LaneTiming {
             intrinsic,
@@ -710,10 +754,10 @@ pub(crate) fn scale_tree(tree: &RcTree, r_scale: f64, c_scale: f64) -> Result<Rc
 
 /// What arrival propagation carries, written once for every lane: per
 /// instance a folded input arrival, per net a driver-output value pushed
-/// through each sink's stage delay.  [`run_full`], [`run_cone`] and
-/// [`refold_instance`] are generic over it; [`ScalarLane`] (an `[min, max]`
-/// window plus its spine) and [`SymbolicLane`] (a `Poly2` candidate set)
-/// are its instances.
+/// through each sink's stage delay.  [`run_full`], [`net_endpoints`],
+/// [`run_cone`] and [`refold_instance`] are generic over it; [`ScalarLane`]
+/// (an `[min, max]` window plus its spine) and [`SymbolicLane`] (a `Poly2`
+/// candidate set) are its instances.
 trait Lattice {
     /// An instance's folded input arrival; `==` decides cone pruning.
     type Arrival: Clone + PartialEq;
@@ -740,32 +784,49 @@ trait Lattice {
         -> Self::Endpoint;
 }
 
-/// Full arrival propagation over every net, in driver-topological order.
-/// Returns the per-instance arrivals; each endpoint goes to `emit` with
-/// its net and its ordinal among the net's endpoints, in `(net rank,
-/// ordinal)` order — the endpoint tie order — so a caller files them
-/// without regrouping.  Infallible — every lookup was resolved when the
+/// The arrival fold over every net, in driver-topological order: each net
+/// that loads an instance drives once and folds into the arrivals of the
+/// instances it loads.  Returns the final per-instance arrivals; it emits
+/// no endpoint.  The endpoints come after, from the final arrivals
+/// ([`net_endpoints`]): every in-edge of an instance sits at a lower rank
+/// than the nets the instance drives, so a driver's arrival is final
+/// before any of its nets is visited, and it is the arrival each of its
+/// nets' endpoints reads.  Infallible — every lookup was resolved when the
 /// [`PropagationCache`] was built.
-fn run_full<L: Lattice>(
-    lane: &L,
-    cache: &PropagationCache,
-    mut emit: impl FnMut(usize, usize, L::Endpoint),
-) -> Vec<L::Arrival> {
+fn run_full<L: Lattice>(lane: &L, cache: &PropagationCache) -> Vec<L::Arrival> {
     let mut arrivals: Vec<L::Arrival> = (0..cache.inst_names.len()).map(|_| lane.zero()).collect();
     for &net in &cache.net_order {
-        let out = lane.drive(&arrivals, cache.net_driver[net]);
-        let mut ordinal = 0;
+        let mut out = None;
         for (k, target) in cache.sinks(net, lane.sinks(net)) {
-            match target {
-                Target::Instance(u) => lane.fold(&mut arrivals[*u], &out, net, k),
-                Target::Output(name) => {
-                    emit(net, ordinal, lane.endpoint(&out, net, k, name));
-                    ordinal += 1;
-                }
+            if let Target::Instance(u) = target {
+                let out = out.get_or_insert_with(|| lane.drive(&arrivals, cache.net_driver[net]));
+                lane.fold(&mut arrivals[*u], out, net, k);
             }
         }
     }
     arrivals
+}
+
+/// The endpoints of `net` in sink order, from final instance `arrivals`:
+/// one [`Lattice::drive`], at the first primary-output sink, then one
+/// [`Lattice::endpoint`] per primary-output sink.  The full passes, scalar
+/// and symbolic, and the cone walk read every endpoint through it.
+fn net_endpoints<'a, L: Lattice>(
+    lane: &'a L,
+    cache: &'a PropagationCache,
+    arrivals: &'a [L::Arrival],
+    net: usize,
+) -> impl Iterator<Item = L::Endpoint> + 'a {
+    let out = OnceCell::new();
+    cache
+        .sinks(net, lane.sinks(net))
+        .filter_map(move |(k, target)| match target {
+            Target::Output(name) => {
+                let out = out.get_or_init(|| lane.drive(arrivals, cache.net_driver[net]));
+                Some(lane.endpoint(out, net, k, name))
+            }
+            Target::Instance(_) => None,
+        })
 }
 
 /// Recomputes one instance's arrival by folding every in-edge in
@@ -794,14 +855,15 @@ type Rewritten<E> = Vec<(usize, Vec<E>)>;
 
 /// Cone-limited re-propagation from the nets at `dirty_ranks`: re-derives
 /// endpoints and instance arrivals only where they can have changed.  The
-/// walk visits `(rank, slot)` events in order.  Slot 0 re-derives the
-/// endpoints of the net at `rank` and schedules its target instances; slot
+/// walk visits `(rank, slot)` events in order.  Slot 0 schedules the target
+/// instances of the net at `rank` and re-derives its endpoints
+/// ([`net_endpoints`]: the driver's arrival is final by then); slot
 /// `1 + u` refolds instance `u` once, at the rank of its last in-edge —
 /// every in-edge is final by then, because all in-edges of an instance sit
 /// at strictly smaller ranks than its out-edges.  An instance whose
 /// refolded arrival is unchanged prunes its fan-out from the cone.  Returns
-/// every rewritten net that has endpoints (in sink order, the full pass's
-/// push order) and the number of net ranks visited.  Infallible, like
+/// every rewritten net that has endpoints (in sink order, the order of
+/// their tie keys) and the number of net ranks visited.  Infallible, like
 /// [`run_full`].
 fn run_cone<L: Lattice>(
     lane: &L,
@@ -824,25 +886,17 @@ fn run_cone<L: Lattice>(
         }
         cone_ranks += 1;
         let net = cache.net_order[rank];
-        let mut out = None;
-        let mut eps = Vec::new();
-        for (k, target) in cache.sinks(net, lane.sinks(net)) {
-            match target {
-                Target::Instance(u) => {
-                    let last = cache
-                        .in_edges
-                        .row(*u)
-                        .last()
-                        .map_or(rank, |&(edge, _)| cache.net_rank[edge]);
-                    pending.insert((last, 1 + u));
-                }
-                Target::Output(name) => {
-                    let out =
-                        out.get_or_insert_with(|| lane.drive(arrivals, cache.net_driver[net]));
-                    eps.push(lane.endpoint(out, net, k, name));
-                }
+        for (_, target) in cache.sinks(net, lane.sinks(net)) {
+            if let Target::Instance(u) = target {
+                let last = cache
+                    .in_edges
+                    .row(*u)
+                    .last()
+                    .map_or(rank, |&(edge, _)| cache.net_rank[edge]);
+                pending.insert((last, 1 + u));
             }
         }
+        let eps: Vec<L::Endpoint> = net_endpoints(lane, cache, arrivals, net).collect();
         if !eps.is_empty() {
             rewritten.push((net, eps));
         }
@@ -866,7 +920,7 @@ struct ScalarLane<'a> {
 /// A net's driver-output arrival in the scalar lane.  The spine through the
 /// driver and the endpoints' critical path are built on first use, so a
 /// net allocates each at most once, and only when it wins at a fan-out
-/// instance or reaches an endpoint.
+/// instance (the fold) or reaches an endpoint (the endpoint pass).
 struct ScalarOut {
     window: ArrivalWindow,
     /// The driver and the spine of its input arrival (`None` for a primary
@@ -884,11 +938,16 @@ impl ScalarOut {
         })
     }
 
-    /// The critical path of the net's endpoints, as names.
+    /// The critical path of the net's endpoints, as names: the driver's
+    /// input spine, then the driver, named without building the spine
+    /// through the driver, which only the fold keeps.
     fn path(&self, cache: &PropagationCache) -> Arc<Vec<String>> {
-        let path = self
-            .path
-            .get_or_init(|| Arc::new(self.spine().names(cache)));
+        let path = self.path.get_or_init(|| {
+            Arc::new(match &self.driver {
+                Some((d, input)) => input.names_then(Some(*d), cache),
+                None => Vec::new(),
+            })
+        });
         Arc::clone(path)
     }
 }
@@ -908,11 +967,21 @@ impl<'a> ScalarLane<'a> {
         }
     }
 
-    /// [`run_full`] over this lane, in a `sta.propagate_full` span.
-    fn full(&self, emit: impl FnMut(usize, usize, EndpointTiming)) -> Vec<InstArrival> {
-        let mut obs_span = rctree_obs::span("sta.propagate_full");
-        obs_span.attr_u64("nets", self.cache.net_order.len() as u64);
-        run_full(self, self.cache, emit)
+    /// The endpoints of the nets at `ranks` from final `arrivals`, in
+    /// report order: one exact-size run filled in tie order, then sorted.
+    fn endpoint_run(&self, arrivals: &[InstArrival], ranks: Range<usize>) -> SortedRun {
+        let (cache, start) = (self.cache, &self.cache.endpoint_start);
+        let mut run = Run::with_capacity(start[ranks.end] - start[ranks.start]);
+        for rank in ranks {
+            if start[rank + 1] == start[rank] {
+                continue;
+            }
+            let eps = net_endpoints(self, cache, arrivals, cache.net_order[rank]);
+            for (ordinal, e) in eps.enumerate() {
+                run.push(endpoint_tie(rank, ordinal), e);
+            }
+        }
+        run.sorted()
     }
 
     /// [`run_cone`] over this lane, in a `sta.propagate_cone` span.
@@ -1001,13 +1070,78 @@ impl Lattice for ScalarLane<'_> {
     }
 }
 
-/// Files the endpoint column of a full pass, each endpoint keyed by its
-/// [`endpoint_tie`], into report order: descending worst arrival, ties by
-/// `(net_rank, ordinal)`.  Runs in a `sta.report_order` span.
-fn endpoint_order(keyed: Vec<(u64, EndpointTiming)>) -> Endpoints {
+/// One lane's columns: the corner's intrinsic delays, the window column
+/// and the final instance arrivals.  The endpoint pass's pool jobs reach
+/// them through a `Weak`, so a queued straggler never pins them, and the
+/// pass hands them back whole after its join.
+struct LaneColumns {
+    intrinsic: Vec<Seconds>,
+    delays: Vec<Window>,
+    arrivals: Vec<InstArrival>,
+}
+
+/// What the endpoint pass's pool jobs share: the core (for its sink
+/// offsets) and the lane's columns through `Weak`s, and the topology.
+type EndpointPass = (Weak<DesignCore>, Arc<PropagationCache>, Weak<LaneColumns>);
+
+/// The scalar full pass over one lane, the batch analysis's and the ECO
+/// warm-up's: the serial arrival fold ([`run_full`]) in a
+/// `sta.propagate_full` span, then the endpoint pass and the merge in a
+/// `sta.report_order` span.  The pool cuts the net ranks into two
+/// contiguous ranges of about equal endpoint counts per worker (one range
+/// at one job; at most one worker per hardware thread, since a finer cut
+/// of this CPU-bound pass only adds runs to merge); each range builds its
+/// endpoints from the final arrivals and sorts them into report order
+/// ([`ScalarLane::endpoint_run`]), and one merge lays the runs into the
+/// order's leaves.  The ranges' ties ascend range over range, so the
+/// order does not depend on `jobs`.  Returns the lane's columns with the
+/// order.
+fn scalar_full(
+    core: &Arc<DesignCore>,
+    prop: &Arc<PropagationCache>,
+    intrinsic: Vec<Seconds>,
+    delays: Vec<Window>,
+    jobs: usize,
+) -> (LaneColumns, Endpoints) {
+    let arrivals = {
+        let mut obs_span = rctree_obs::span("sta.propagate_full");
+        obs_span.attr_u64("nets", prop.net_order.len() as u64);
+        run_full(
+            &ScalarLane::new(prop, &core.sink_start, &intrinsic, &delays),
+            prop,
+        )
+    };
     let mut obs_span = rctree_obs::span("sta.report_order");
-    obs_span.attr_u64("endpoints", keyed.len() as u64);
-    Endpoints::from_keyed(keyed)
+    obs_span.attr_u64("endpoints", prop.endpoint_count() as u64);
+    let columns = Arc::new(LaneColumns {
+        intrinsic,
+        delays,
+        arrivals,
+    });
+    let jobs = jobs.min(rctree_par::available_parallelism());
+    let runs = if jobs > 1 { 2 * jobs } else { 1 };
+    let state = Arc::new((
+        Arc::downgrade(core),
+        Arc::clone(prop),
+        Arc::downgrade(&columns),
+    ));
+    let sorted = rctree_par::par_map_global(
+        jobs,
+        state,
+        runs,
+        move |r, (core, prop, columns): &EndpointPass| {
+            let core = core.upgrade().expect("design outlives its analysis");
+            let columns = columns
+                .upgrade()
+                .expect("the lane outlives its endpoint pass");
+            let lane = ScalarLane::new(prop, &core.sink_start, &columns.intrinsic, &columns.delays);
+            lane.endpoint_run(&columns.arrivals, prop.endpoint_ranks(r, runs))
+        },
+    );
+    let order = Endpoints::merged(sorted, jobs);
+    drop(obs_span);
+    let columns = Arc::into_inner(columns).expect("the endpoint jobs hold the lane only weakly");
+    (columns, order)
 }
 
 /// One symbolic arrival candidate: the `[min, max]` arrival-window
@@ -1363,7 +1497,7 @@ impl PartialEq for SymbolicAnalysis {
 
 impl SymbolicAnalysis {
     /// A full build: one [`run_full`] of the candidate-set lane over
-    /// `bounds`.
+    /// `bounds`, then every net's endpoints from the final arrivals.
     fn full(
         threshold: f64,
         required_time: Seconds,
@@ -1375,17 +1509,17 @@ impl SymbolicAnalysis {
             intrinsic: &prop.intrinsic,
             bounds: &bounds,
         };
-        let mut per_rank: Vec<Vec<SymbolicEndpointTiming>> =
-            (0..prop.net_order.len()).map(|_| Vec::new()).collect();
-        let arrivals = run_full(&lane, &prop, |net, _, e| {
-            per_rank[prop.net_rank[net]].push(e)
-        });
+        let arrivals = run_full(&lane, &prop);
         let none = Arc::new(Vec::new());
-        let endpoints = per_rank
-            .into_iter()
-            .map(|eps| match eps.is_empty() {
-                true => Arc::clone(&none),
-                false => Arc::new(eps),
+        let endpoints = prop
+            .net_order
+            .iter()
+            .map(|&net| {
+                let eps: Vec<_> = net_endpoints(&lane, &prop, &arrivals, net).collect();
+                match eps.is_empty() {
+                    true => Arc::clone(&none),
+                    false => Arc::new(eps),
+                }
             })
             .collect();
         SymbolicAnalysis {
@@ -1771,10 +1905,11 @@ impl Design {
     /// per lane, so the report is **bit-identical** to the serial
     /// evaluation (`jobs = 1`) for every worker count.  While the pool
     /// sweeps, the calling thread builds (or fetches) the propagation
-    /// topology.  The arrival-time propagation
-    /// that follows is one serial pass over the column; it hands each
-    /// endpoint over in tie order, into one exact-size column that the
-    /// report order sorts.
+    /// topology.  The arrival times then fold over the column in one
+    /// serial pass, and the endpoints are built from the final arrivals on
+    /// the pool: contiguous ranges of net ranks, each sorted into report
+    /// order in a buffer of its own, then merged once into the report's
+    /// leaves.
     ///
     /// # Errors
     ///
@@ -1828,8 +1963,8 @@ impl Design {
     }
 
     /// The reports of corner lanes `0..lanes`: every lane's stage windows
-    /// from the stage sweep, each propagated with its corner's intrinsic
-    /// delays.
+    /// from the stage sweep, each through the full pass ([`scalar_full`])
+    /// with its corner's intrinsic delays.
     fn analyze_lanes(
         &self,
         threshold: f64,
@@ -1841,20 +1976,16 @@ impl Design {
             return Err(StaError::EmptyDesign);
         }
         let (delays, cache) = self.stage_delays(threshold, jobs, lanes, Vec::new())?;
-        let sink_start = &self.shared.sink_start;
         Ok(delays
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(k, delays)| {
                 let intrinsic = self.shared.lane_intrinsic(&cache, k);
-                let mut keyed = Vec::with_capacity(cache.endpoint_count);
-                ScalarLane::new(&cache, sink_start, &intrinsic, delays).full(|net, ordinal, e| {
-                    keyed.push((endpoint_tie(cache.net_rank[net], ordinal), e));
-                });
+                let (_, endpoints) = scalar_full(&self.shared, &cache, intrinsic, delays, jobs);
                 TimingReport {
                     threshold,
                     required_time,
-                    endpoints: endpoint_order(keyed),
+                    endpoints,
                 }
             })
             .collect())
@@ -2278,9 +2409,9 @@ impl Design {
     /// `threshold`: every lane's window column (`given` supplies the
     /// windows of the edited dirty nets, so no net is evaluated twice) and
     /// the propagation topology, built while the pool sweeps
-    /// ([`Design::stage_delays`]), then one full arrival propagation per
-    /// lane.  Returns the state with the endpoints filed into its lanes'
-    /// orders.  Pure with respect to `self`.
+    /// ([`Design::stage_delays`]), then the batch analysis's full pass per
+    /// lane ([`LaneTiming::full`]).  Returns the state with the endpoints
+    /// filed into its lanes' orders.  Pure with respect to `self`.
     fn warm_state(
         &self,
         threshold: f64,
@@ -2290,16 +2421,14 @@ impl Design {
         let lanes = self.shared.corner_set().len();
         let (delays, prop) = self.stage_delays(threshold, jobs, lanes, given)?;
 
-        // One full propagation per lane, with the lane's scaled
-        // intrinsics.
+        // One full pass per lane, with the lane's scaled intrinsics.
         let mut touched = Touched::default();
         let lanes = delays
             .into_iter()
             .enumerate()
             .map(|(k, delays)| {
                 let intrinsic = self.shared.lane_intrinsic(&prop, k);
-                let (lane, filed) =
-                    LaneTiming::full(&prop, &self.shared.sink_start, intrinsic, delays);
+                let (lane, filed) = LaneTiming::full(&self.shared, &prop, intrinsic, delays, jobs);
                 touched.endpoints_moved += filed;
                 lane
             })
@@ -3376,11 +3505,15 @@ impl DesignCore {
                 .filter_map(|(rank, &net)| net_driver[net].map(|d| (d, rank)))
         });
 
-        let endpoint_count = targets
-            .iter()
-            .flat_map(|targets| targets.iter())
-            .filter(|target| matches!(target, Target::Output(_)))
-            .count();
+        let mut endpoint_start = Vec::with_capacity(n_nets + 1);
+        endpoint_start.push(0);
+        for &net in &net_order {
+            let outputs = targets[net]
+                .iter()
+                .filter(|target| matches!(target, Target::Output(_)))
+                .count();
+            endpoint_start.push(endpoint_start[endpoint_start.len() - 1] + outputs);
+        }
         Ok(PropagationCache {
             names: Arc::clone(&self.names),
             inst_names,
@@ -3391,7 +3524,7 @@ impl DesignCore {
             in_edges,
             out_ranks,
             targets,
-            endpoint_count,
+            endpoint_start,
         })
     }
 }

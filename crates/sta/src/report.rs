@@ -3,18 +3,25 @@
 //! A [`TimingReport`] lists every endpoint sorted by descending worst
 //! arrival (`arrival.max`, compared with `f64::total_cmp`), ties in net
 //! order.  The list is an [`Endpoints`] sequence, a two-level persistent
-//! chunk tree: entries live in `Arc`-shared leaves of at most 32 under
-//! `Arc`-shared nodes of at most 32 leaves.  Cloning a report costs one
-//! refcount bump per node, `O(E/(L·F))` for `E` endpoints in leaves of `L`
-//! under nodes of `F`, and an incremental update re-files single entries
-//! by key, copying (`Arc::make_mut`) only the node and the leaf it writes
-//! when another report shares them: `F` refcount bumps for the node, `L`
-//! for the leaf's `Arc`-shared endpoints.  Each node and leaf is cached in
-//! its parent with its entry count, its last key and the largest
-//! `arrival.min` of its entries, so finding an entry binary-searches the
-//! nodes, then one node's leaves, and [`TimingReport::slack_interval`] and
+//! chunk tree: entries live inline in `Arc`-shared leaves of at most 32
+//! under `Arc`-shared nodes of at most 32 leaves.  Cloning a report costs
+//! one refcount bump per node, `O(E/(L·F))` for `E` endpoints in leaves of
+//! `L` under nodes of `F`, and an incremental update re-files single
+//! entries by key, copying (`Arc::make_mut`) only the node and the leaf it
+//! writes when another report shares them: `F` refcount bumps for the
+//! node, `2L` for the leaf, whose entries each hold a shared name and a
+//! shared critical path.  Each node and leaf is cached in its parent with
+//! its entry count, its last key and the largest `arrival.min` of its
+//! entries, so finding an entry binary-searches the nodes, then one node's
+//! leaves, and [`TimingReport::slack_interval`] and
 //! [`TimingReport::certification_against`] read node caches before leaf
 //! caches before endpoints.
+//!
+//! A whole order is built from *sorted runs*, each already in report
+//! order: a range of net ranks the analysis's endpoint pass sorted on the
+//! pool, or one part of a [`TimingReport::compose`].  One k-way merge lays
+//! the sorted runs into full leaves under full nodes, so the order's shape
+//! does not depend on how its endpoints were cut into sorted runs.
 //!
 //! # Rendering
 //!
@@ -37,17 +44,18 @@
 //! carry the same bytes.  All three render with
 //! [`rctree_par::default_jobs`] workers, or serially below four runs.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 use std::io::{self, Write as _};
-use std::ops::Index;
+use std::ops::{Index, Range};
 use std::sync::{Arc, Mutex};
 
 use rctree_core::cert::Certification;
 use rctree_core::shortest::push_f64;
 use rctree_core::units::Seconds;
 
-use crate::chunk_tree::{self, ChunkTree, Summary};
+use crate::chunk_tree::{self, ChunkTree, Summary, LEAF, NODE};
 
 /// An arrival-time interval propagated through the graph.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,46 +74,38 @@ impl ArrivalWindow {
     };
 }
 
-/// One endpoint (primary output) in the timing report.
+/// One endpoint (primary output) in the timing report.  A report holds
+/// it inline in its order's leaves; copying a leaf clones the name and
+/// the critical path by refcount.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointTiming {
     /// Primary-output name: one allocation per primary output, shared with
     /// the net's [`crate::Load::PrimaryOutput`], so every lane, revision
     /// and re-filed copy of the endpoint holds a refcount clone of it.
     pub name: Arc<str>,
-    /// Arrival window at the endpoint.
+    /// Arrival window at the endpoint: the key it is filed under.
     pub arrival: ArrivalWindow,
     /// The chain of instance names on the latest path to this endpoint,
     /// starting from the primary input side.
     ///
-    /// The spine is shared (`Arc`) with the propagation state and with
-    /// every endpoint reached through the same driver, so cloning an
-    /// endpoint copies no `O(depth)` strings.
+    /// The list is shared (`Arc`) by every endpoint of the same net, and
+    /// by every lane, revision and leaf copy that holds one of them, so
+    /// cloning an endpoint copies no `O(depth)` strings.
     pub critical_path: Arc<Vec<String>>,
 }
 
-/// One filed endpoint: its arrival window and tie key inline — the key is
-/// worst arrival plus the tie key that orders equal worst arrivals, and a
-/// leaf's caches are recomputed from the inline windows — and the shared
-/// timing, so copying a leaf bumps refcounts instead of cloning names.
+/// One filed endpoint: the tie key that orders equal worst arrivals, and
+/// the timing inline.  Its key is the timing's worst arrival plus the tie
+/// key, and a leaf's caches are recomputed from the inline windows.
 #[derive(Debug, Clone)]
 struct Entry {
-    arrival: ArrivalWindow,
     tie: u64,
-    timing: Arc<EndpointTiming>,
+    timing: EndpointTiming,
 }
 
 impl Entry {
-    fn new(tie: u64, timing: Arc<EndpointTiming>) -> Entry {
-        Entry {
-            arrival: timing.arrival,
-            tie,
-            timing,
-        }
-    }
-
     fn key(&self) -> (Seconds, u64) {
-        (self.arrival.max, self.tie)
+        (self.timing.arrival.max, self.tie)
     }
 }
 
@@ -113,6 +113,189 @@ impl Entry {
 /// arrival, then ascending tie key.
 fn key_order(a: (Seconds, u64), b: (Seconds, u64)) -> Ordering {
     b.0.value().total_cmp(&a.0.value()).then(a.1.cmp(&b.1))
+}
+
+/// The worst arrival `max` as a compact key whose ascending unsigned order
+/// is report order, descending `f64::total_cmp`: the bits with every bit of
+/// a negative flipped and only the sign bit of a positive (ascending
+/// `total_cmp` order), then every bit complemented.
+fn report_key(max: Seconds) -> u64 {
+    let bits = max.value().to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits ^ (1 << 63)
+    };
+    !ascending
+}
+
+/// Endpoints being put into report order: pushed in ascending tie order,
+/// then [`Run::sorted`].  What one range of an analysis's endpoint pass
+/// fills on the pool.
+pub(crate) struct Run {
+    /// The endpoints in push order, each taken once by the gather.
+    entries: Vec<Option<Entry>>,
+    /// Per endpoint: its compact [`report_key`] and its push index.
+    keys: Vec<(u64, usize)>,
+}
+
+impl Run {
+    /// An empty run with room for `endpoints` pushes.
+    pub(crate) fn with_capacity(endpoints: usize) -> Run {
+        Run {
+            entries: Vec::with_capacity(endpoints),
+            keys: Vec::with_capacity(endpoints),
+        }
+    }
+
+    /// Appends `timing` under tie key `tie`, which must exceed every tie
+    /// pushed before it.
+    pub(crate) fn push(&mut self, tie: u64, timing: EndpointTiming) {
+        debug_assert!(
+            self.entries
+                .last()
+                .is_none_or(|e| e.as_ref().is_some_and(|e| e.tie < tie)),
+            "ties are pushed in ascending order"
+        );
+        self.keys
+            .push((report_key(timing.arrival.max), self.entries.len()));
+        self.entries.push(Some(Entry { tie, timing }));
+    }
+
+    /// The run in report order: a sort of the compact `(key, index)` pairs,
+    /// then one gather of the endpoints in that order, into leaves.  Push
+    /// indices ascend with the ties, so this is the order of the full keys.
+    pub(crate) fn sorted(self) -> SortedRun {
+        let Run {
+            mut entries,
+            mut keys,
+        } = self;
+        keys.sort_unstable();
+        let mut gather = |&(_, i): &(u64, usize)| entries[i].take().expect("gathered once");
+        SortedRun(
+            keys.chunks(LEAF)
+                .map(|leaf| leaf.iter().map(&mut gather).collect())
+                .collect(),
+        )
+    }
+}
+
+/// A [`Run`] in report order, cut into full leaves (the last possibly
+/// short): one run is the order's leaves as they are, and a merge of
+/// several frees each leaf as it empties.
+pub(crate) struct SortedRun(Vec<Vec<Entry>>);
+
+impl SortedRun {
+    fn len(&self) -> usize {
+        self.0.iter().map(Vec::len).sum()
+    }
+
+    /// The compact key of entry `i`; every leaf before it is full.
+    fn key_at(&self, i: usize) -> u64 {
+        report_key(self.0[i / LEAF][i % LEAF].timing.arrival.max)
+    }
+
+    /// How many entries have a key at most `key`, a count known to lie in
+    /// `within`: a binary search of that range.
+    fn count_upto(&self, within: Range<usize>, key: u64) -> usize {
+        let (mut lo, mut hi) = (within.start, within.end);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.key_at(mid) <= key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Keeps the entries before `at` and returns the rest.  Every leaf
+    /// before `at` is full; a split leaf leaves its head here.
+    fn split_off(&mut self, at: usize) -> SortedRun {
+        let (leaf, offset) = (at / LEAF, at % LEAF);
+        if offset == 0 {
+            return SortedRun(self.0.split_off(leaf));
+        }
+        let mut rest = Vec::with_capacity(self.0.len() - leaf);
+        rest.push(self.0[leaf].split_off(offset));
+        rest.extend(self.0.drain(leaf + 1..));
+        SortedRun(rest)
+    }
+}
+
+/// Entries under one full node: a parallel merge cuts its output at
+/// multiples of it.
+const NODE_ENTRIES: usize = LEAF * NODE;
+
+/// Per run, how many of its entries come among the first `p` of the merge
+/// of `runs` (every leaf full but the last), which orders by key and a
+/// tied key by run: every entry below the smallest key
+/// with at least `p` entries at or below it, then the entries at that key,
+/// run by run.  The key is found by bisection between the runs' extreme
+/// keys; each run's count stays bracketed by the counts at the bisection's
+/// bounds, so every step searches only the bracket.
+fn co_ranks(runs: &[SortedRun], p: usize) -> Vec<usize> {
+    let lens: Vec<usize> = runs.iter().map(SortedRun::len).collect();
+    let filled = || runs.iter().zip(&lens).filter(|(_, &len)| len > 0);
+    let (Some(mut lo), Some(mut hi)) = (
+        filled().map(|(run, _)| run.key_at(0)).min(),
+        filled().map(|(run, &len)| run.key_at(len - 1)).max(),
+    ) else {
+        return vec![0; runs.len()];
+    };
+    // Per run: its count below `lo`, and at or below `hi`.
+    let mut below = vec![0; runs.len()];
+    let mut upto = lens.to_vec();
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        let counts: Vec<usize> = runs
+            .iter()
+            .zip(below.iter().zip(&upto))
+            .map(|(run, (&a, &b))| run.count_upto(a..b, mid))
+            .collect();
+        if counts.iter().sum::<usize>() >= p {
+            (hi, upto) = (mid, counts);
+        } else {
+            (lo, below) = (mid + 1, counts);
+        }
+    }
+    let mut rest = p - below.iter().sum::<usize>();
+    below
+        .iter()
+        .zip(&upto)
+        .map(|(&below, &upto)| {
+            let take = (upto - below).min(rest);
+            rest -= take;
+            below + take
+        })
+        .collect()
+}
+
+/// Merges runs, each in report order and every tie of a run below every
+/// tie of the runs after it, into full leaves under full nodes: one k-way
+/// merge on the compact key, `O(n log k)`, in which the lower run wins a
+/// tied key because its ties are lower.
+fn merge<I: Iterator<Item = Entry>>(mut runs: Vec<I>) -> ChunkTree<Entry, Reach> {
+    let mut heads: Vec<Option<Entry>> = runs.iter_mut().map(Iterator::next).collect();
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = heads
+        .iter()
+        .enumerate()
+        .filter_map(|(r, head)| Some(Reverse((report_key(head.as_ref()?.timing.arrival.max), r))))
+        .collect();
+    std::iter::from_fn(|| {
+        let mut top = heap.peek_mut()?;
+        let Reverse((_, r)) = *top;
+        let next = runs[r].next();
+        match &next {
+            Some(e) => *top = Reverse((report_key(e.timing.arrival.max), r)),
+            None => {
+                PeekMut::pop(top);
+            }
+        }
+        std::mem::replace(&mut heads[r], next)
+    })
+    .collect()
 }
 
 /// What a node or leaf caches about its entries.
@@ -129,9 +312,9 @@ impl Summary<Entry> for Reach {
     fn of(entries: &[Entry]) -> Reach {
         let (first, rest) = entries.split_first().expect("leaves are never empty");
         Reach {
-            max_min: rest
-                .iter()
-                .fold(first.arrival.min, |m, e| later(m, e.arrival.min)),
+            max_min: rest.iter().fold(first.timing.arrival.min, |m, e| {
+                later(m, e.timing.arrival.min)
+            }),
             last: entries[entries.len() - 1].key(),
         }
     }
@@ -160,34 +343,74 @@ fn later(a: Seconds, b: Seconds) -> Seconds {
 /// [`Endpoints::first`], [`Endpoints::get`], indexing), and `==` compares
 /// the endpoint sequences, not how they are chunked.  Collecting an
 /// iterator sorts it stably into report order, so equal worst arrivals keep
-/// their input order.
+/// their input order: they are the one sorted run of the merge that builds
+/// an analysis's order from the ranges its endpoint pass sorted on the
+/// pool.
 ///
-/// The entries sit in two levels of `Arc`-shared chunks: leaves of at most
-/// `L` = 32 entries under nodes of at most `F` = 32 leaves.  Cloning is
-/// `O(E/(L·F))` refcount bumps for `E` endpoints, one per node; re-filing
-/// an endpoint after a clone copies one node and one leaf.  Positional
-/// [`Endpoints::get`] walks the cached node counts, then one node's leaf
-/// counts, so it is `O(E/(L·F) + F)`.  [`Endpoints::first`] is `O(1)`.
+/// The entries sit inline in two levels of `Arc`-shared chunks: leaves of
+/// at most `L` = 32 entries under nodes of at most `F` = 32 leaves.
+/// Cloning is `O(E/(L·F))` refcount bumps for `E` endpoints, one per node;
+/// re-filing an endpoint after a clone copies one node and one leaf, two
+/// refcount bumps per entry of the leaf (its name and its critical path).
+/// Positional [`Endpoints::get`] walks the cached node counts, then one
+/// node's leaf counts, so it is `O(E/(L·F) + F)`.  [`Endpoints::first`] is
+/// `O(1)`.
 #[derive(Clone, Default)]
 pub struct Endpoints {
     tree: ChunkTree<Entry, Reach>,
 }
 
 impl Endpoints {
-    /// Builds the order from `(tie, timing)` pairs in any order; tie keys
-    /// must be unique.
-    pub(crate) fn from_keyed(mut entries: Vec<(u64, EndpointTiming)>) -> Endpoints {
-        // Ties are unique, so the unstable sort is deterministic and equals
-        // a stable sort on worst arrival over the tie-key order.  Sorting
-        // before the endpoints move behind `Arc`s lays them out in memory
-        // in report order, the order rendering reads them in.
-        entries.sort_unstable_by(|(ta, a), (tb, b)| {
-            key_order((a.arrival.max, *ta), (b.arrival.max, *tb))
-        });
-        let tree = entries
-            .into_iter()
-            .map(|(tie, timing)| Entry::new(tie, Arc::new(timing)))
-            .collect();
+    /// The order of the endpoints in `runs`, every tie of a run below every
+    /// tie of the runs after it: one run's leaves as they are, or one merge
+    /// of the runs (see [`merge`]).  With `jobs` above one the merge runs
+    /// on the global pool in up to `2 · jobs` segments of whole nodes: each
+    /// segment's share of every run is found by bisection on the key
+    /// ([`co_ranks`]) and split off, and the segments' nodes are laid one
+    /// after the other, the tree a serial merge builds.
+    pub(crate) fn merged(runs: Vec<SortedRun>, jobs: usize) -> Endpoints {
+        let nodes = runs
+            .iter()
+            .map(SortedRun::len)
+            .sum::<usize>()
+            .div_ceil(NODE_ENTRIES);
+        let segments = (2 * jobs).min(nodes);
+        let flat = |runs: Vec<SortedRun>| -> Vec<_> {
+            runs.into_iter()
+                .map(|run| run.0.into_iter().flatten())
+                .collect()
+        };
+        let tree = match <[SortedRun; 1]>::try_from(runs) {
+            Ok([run]) => ChunkTree::from_leaves(run.0),
+            Err(runs) if jobs < 2 || segments < 2 => merge(flat(runs)),
+            Err(mut runs) => {
+                let cuts: Vec<Vec<usize>> = (1..segments)
+                    .map(|s| co_ranks(&runs, s * nodes / segments * NODE_ENTRIES))
+                    .collect();
+                // Split from the last cut back, so that every cut still
+                // indexes full leaves.
+                let mut pieces = Vec::with_capacity(segments);
+                for at in cuts.iter().rev() {
+                    let piece: Vec<SortedRun> = runs
+                        .iter_mut()
+                        .zip(at)
+                        .map(|(run, &at)| run.split_off(at))
+                        .collect();
+                    pieces.push(Mutex::new(piece));
+                }
+                pieces.push(Mutex::new(runs));
+                pieces.reverse();
+                let trees = rctree_par::par_map_global(
+                    jobs,
+                    Arc::new(pieces),
+                    segments,
+                    move |s, pieces: &Vec<Mutex<Vec<SortedRun>>>| {
+                        merge(flat(std::mem::take(&mut *lock(&pieces[s]))))
+                    },
+                );
+                ChunkTree::concat(trees)
+            }
+        };
         Endpoints { tree }
     }
 
@@ -208,7 +431,7 @@ impl Endpoints {
 
     /// The endpoint at report position `index`, `None` when out of range.
     pub fn get(&self, index: usize) -> Option<&EndpointTiming> {
-        self.tree.get(index).map(|e| &*e.timing)
+        self.tree.get(index).map(|e| &e.timing)
     }
 
     /// The endpoints in report order.
@@ -216,6 +439,11 @@ impl Endpoints {
         Iter {
             entries: self.tree.iter(),
         }
+    }
+
+    /// Each endpoint with its tie key, in report order.
+    pub(crate) fn keyed(&self) -> impl Iterator<Item = (u64, &EndpointTiming)> {
+        self.tree.iter().map(|e| (e.tie, &e.timing))
     }
 
     /// The largest `arrival.min` over all endpoints, from the node caches.
@@ -261,10 +489,11 @@ impl Endpoints {
                 // This leaf's last entry meets the budget, so the scan
                 // reaches the suffix here.
                 for entry in entries {
-                    if entry.arrival.max <= required {
+                    let arrival = entry.timing.arrival;
+                    if arrival.max <= required {
                         return verdict;
                     }
-                    if entry.arrival.min > required {
+                    if arrival.min > required {
                         return Certification::Fail;
                     }
                     verdict = Certification::Indeterminate;
@@ -295,7 +524,7 @@ impl Endpoints {
     /// When an entry with the same key is already filed (a broken caller
     /// invariant: tie keys are unique).
     pub(crate) fn insert(&mut self, tie: u64, timing: EndpointTiming) -> usize {
-        let entry = Entry::new(tie, Arc::new(timing));
+        let entry = Entry { tie, timing };
         match self.find(entry.key()) {
             (_, Ok(_)) => panic!("endpoint tie key {tie} filed twice"),
             (at, Err(pos)) => self.tree.insert(at, pos, entry),
@@ -319,9 +548,8 @@ impl Endpoints {
     /// Asserts the structural invariants: the tree's (no empty or oversize
     /// leaf or node, every cached count and summary equal to one rebuilt
     /// from its children), every node's cached last key and `arrival.min`
-    /// maximum equal to one rebuilt from its entries, every entry's inline
-    /// window equal to its timing's, and keys strictly increasing in
-    /// report order.
+    /// maximum equal to one rebuilt from its entries, and keys strictly
+    /// increasing in report order.
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         self.tree.check_invariants();
@@ -333,7 +561,6 @@ impl Endpoints {
         }
         let mut prev: Option<&Entry> = None;
         for entry in self.tree.iter() {
-            assert_eq!(entry.arrival, entry.timing.arrival, "stale window");
             if let Some(p) = prev {
                 assert_eq!(
                     key_order(p.key(), entry.key()),
@@ -360,9 +587,15 @@ impl fmt::Debug for Endpoints {
 
 impl FromIterator<EndpointTiming> for Endpoints {
     /// Sorts the endpoints stably into report order: equal worst arrivals
-    /// keep their iteration order.
+    /// keep their iteration order.  The endpoints are one run, tied by
+    /// position.
     fn from_iter<I: IntoIterator<Item = EndpointTiming>>(iter: I) -> Endpoints {
-        Endpoints::from_keyed((0u64..).zip(iter).collect())
+        let iter = iter.into_iter();
+        let mut run = Run::with_capacity(iter.size_hint().0);
+        for (tie, timing) in (0u64..).zip(iter) {
+            run.push(tie, timing);
+        }
+        Endpoints::merged(vec![run.sorted()], 1)
     }
 }
 
@@ -399,7 +632,7 @@ impl<'a> Iterator for Iter<'a> {
     type Item = &'a EndpointTiming;
 
     fn next(&mut self) -> Option<&'a EndpointTiming> {
-        self.entries.next().map(|e| &*e.timing)
+        self.entries.next().map(|e| &e.timing)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -483,12 +716,13 @@ impl TimingReport {
     }
 
     /// Composes the reports of disjoint design partitions (see
-    /// [`crate::Design::partition`]) into one whole-design report:
-    /// endpoints are concatenated in part order and sorted stably into
-    /// report order, so for a partition of a design whose parts are
-    /// timing-independent the composed report renders byte-identically to
-    /// the monolithic one (ties keep part order, exactly as the monolithic
-    /// order keeps net order).  Endpoints are shared with the parts, not
+    /// [`crate::Design::partition`]) into one whole-design report: each
+    /// part is a run in report order, and one merge of the runs puts them
+    /// in report order, equal worst arrivals in part order.  For a
+    /// partition of a design whose parts are timing-independent the
+    /// composed report renders byte-identically to the monolithic one
+    /// (ties keep part order, exactly as the monolithic order keeps net
+    /// order).  Names and critical paths are shared with the parts, not
     /// copied.  One part is already in report order: its composition is a
     /// clone of it, one refcount per node.
     ///
@@ -505,22 +739,26 @@ impl TimingReport {
         let Some(second) = iter.next() else {
             return first.clone();
         };
-        let mut all = Vec::new();
-        for part in [first, second].into_iter().chain(iter) {
-            debug_assert_eq!(part.threshold, first.threshold, "mixed-threshold compose");
-            all.extend(part.endpoints.tree.iter().map(|e| Arc::clone(&e.timing)));
-        }
-        let mut entries: Vec<Entry> = (0u64..)
-            .zip(all)
-            .map(|(tie, t)| Entry::new(tie, t))
+        // Each part's ties follow the parts before it, so the lower part
+        // wins a tied worst arrival.
+        let mut offset = 0u64;
+        let runs = [first, second]
+            .into_iter()
+            .chain(iter)
+            .map(|part| {
+                debug_assert_eq!(part.threshold, first.threshold, "mixed-threshold compose");
+                let ties = offset..;
+                offset += part.endpoints.len() as u64;
+                part.endpoints.tree.iter().zip(ties).map(|(e, tie)| Entry {
+                    tie,
+                    timing: e.timing.clone(),
+                })
+            })
             .collect();
-        entries.sort_unstable_by(|a, b| key_order(a.key(), b.key()));
         TimingReport {
             threshold: first.threshold,
             required_time: first.required_time,
-            endpoints: Endpoints {
-                tree: entries.into_iter().collect(),
-            },
+            endpoints: Endpoints { tree: merge(runs) },
         }
     }
 
@@ -678,7 +916,7 @@ fn push_run(tree: &ChunkTree<Entry, Reach>, run: usize, out: &mut Vec<u8>) {
     for leaf in tree.leaves(start..(start + RUN_NODES).min(tree.node_count())) {
         let mut touched = 0u8;
         for entry in leaf {
-            let e = &*entry.timing;
+            let e = &entry.timing;
             touched ^= e.name.bytes().next().unwrap_or(0);
             for inst in e.critical_path.iter() {
                 touched ^= inst.bytes().next().unwrap_or(0);
@@ -749,7 +987,7 @@ mod tests {
         order
             .tree
             .iter()
-            .map(|e| (e.arrival.max, e.tie, e.timing.arrival.min))
+            .map(|e| (e.timing.arrival.max, e.tie, e.timing.arrival.min))
             .collect()
     }
 
@@ -944,6 +1182,157 @@ mod tests {
         assert_ne!(bulk.tree.leaf_count(), one_by_one.tree.leaf_count());
         assert_eq!(bulk, one_by_one);
         assert_eq!(format!("{bulk:?}"), format!("{one_by_one:?}"));
+    }
+
+    /// Worst arrivals at the edges of the `f64` order: both zeros, the
+    /// smallest subnormals, `MIN_POSITIVE`, `MAX`, both infinities and NaNs
+    /// of both signs with several payloads.
+    fn edge_values() -> Vec<f64> {
+        let positive = [
+            0.0,
+            f64::from_bits(1),
+            f64::from_bits(2),
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+        ];
+        positive.iter().flat_map(|&x| [x, -x]).collect()
+    }
+
+    #[test]
+    fn the_compact_key_orders_as_reversed_total_cmp() {
+        let key = |x: f64| report_key(Seconds::new(x));
+        let check = |a: f64, b: f64| {
+            assert_eq!(
+                key(a).cmp(&key(b)),
+                b.total_cmp(&a),
+                "{a:?} ({:#x}) against {b:?} ({:#x})",
+                a.to_bits(),
+                b.to_bits()
+            );
+        };
+        let edges = edge_values();
+        for &a in &edges {
+            for &b in &edges {
+                check(a, b);
+            }
+        }
+        let mut rng = Rng::from_seed(0x0B17);
+        let seeded: Vec<f64> = (0..100_000)
+            .map(|_| f64::from_bits(rng.next_u64()))
+            .collect();
+        for &a in &seeded {
+            for &b in &edges {
+                check(a, b);
+                check(b, a);
+            }
+            check(a, seeded[rng.index(seeded.len())]);
+            check(a, a);
+        }
+    }
+
+    #[test]
+    fn merging_sorted_runs_equals_a_stable_sort_of_their_concatenation() {
+        use crate::chunk_tree::{LEAF, NODE};
+        let worst = [0.0, -0.0, 1e-9, 2.5e-9, 1.0, 7.0];
+        let mut rng = Rng::from_seed(0x3E26);
+        for k in [1, 2, 3, 7, 64] {
+            for round in 0..3 {
+                // `k` runs, some empty, each in ascending tie order and
+                // every tie above the runs' before it, with gaps.
+                let mut tie = 0u64;
+                let records: Vec<Vec<(u64, EndpointTiming)>> = (0..k)
+                    .map(|_| {
+                        let len = match rng.chance(0.25) {
+                            true => 0,
+                            false => rng.index(5 * LEAF * NODE / k + 2),
+                        };
+                        (0..len)
+                            .map(|_| {
+                                let max = worst[rng.index(worst.len())];
+                                let e = timing(format!("e{tie}"), max - 0.5, max);
+                                let filed = (tie, e);
+                                tie += 1 + rng.index(3) as u64;
+                                filed
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let mut all: Vec<&(u64, EndpointTiming)> = records.iter().flatten().collect();
+                all.sort_by(|(_, a), (_, b)| {
+                    b.arrival.max.value().total_cmp(&a.arrival.max.value())
+                });
+                let want: Vec<(u64, &str)> = all.iter().map(|(t, e)| (*t, &*e.name)).collect();
+                for jobs in [1, 2, 7] {
+                    let runs: Vec<SortedRun> = records
+                        .iter()
+                        .map(|records| {
+                            let mut run = Run::with_capacity(records.len());
+                            for (tie, e) in records {
+                                run.push(*tie, e.clone());
+                            }
+                            run.sorted()
+                        })
+                        .collect();
+                    let merged = Endpoints::merged(runs, jobs);
+                    merged.check_invariants();
+                    let got: Vec<(u64, &str)> =
+                        merged.keyed().map(|(t, e)| (t, &*e.name)).collect();
+                    assert_eq!(got, want, "{k} runs, round {round}, {jobs} jobs");
+                    // Full leaves under full nodes, however the runs and
+                    // the merge were cut.
+                    let tree = &merged.tree;
+                    assert_eq!(tree.leaf_count(), all.len().div_ceil(LEAF), "{k} runs");
+                    assert_eq!(
+                        tree.node_count(),
+                        all.len().div_ceil(LEAF * NODE),
+                        "{k} runs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn composing_random_parts_equals_collecting_and_sorting_them() {
+        use crate::chunk_tree::{LEAF, NODE};
+        let mut rng = Rng::from_seed(0xC0B5);
+        for parts in [2, 3, 7] {
+            let reports: Vec<TimingReport> = (0..parts)
+                .map(|p| {
+                    let n = match rng.chance(0.2) {
+                        true => 0,
+                        false => rng.index(2 * LEAF * NODE),
+                    };
+                    let endpoints: Vec<EndpointTiming> = (0..n)
+                        .map(|i| {
+                            let (min, max) = arrival(&mut rng);
+                            timing(format!("p{p}e{i}"), min, max)
+                        })
+                        .collect();
+                    report_of(&endpoints)
+                })
+                .collect();
+            let composed = TimingReport::compose(&reports);
+            composed.endpoints.check_invariants();
+            // The oracle: every part's endpoints collected in part order,
+            // tied by position, and sorted into report order.
+            let mut all: Vec<(u64, &EndpointTiming)> = (0u64..)
+                .zip(reports.iter().flat_map(|r| r.endpoints.iter()))
+                .collect();
+            all.sort_unstable_by(|(ta, a), (tb, b)| {
+                key_order((a.arrival.max, *ta), (b.arrival.max, *tb))
+            });
+            assert!(
+                composed.endpoints.keyed().eq(all.iter().copied()),
+                "{parts} parts"
+            );
+        }
     }
 
     /// The reference rendering: one `writeln!` per line with the critical
