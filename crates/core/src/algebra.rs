@@ -43,13 +43,12 @@
 //! native IEEE-754 operation (`add` → `+`, `mul` → `*`, `div(k)` → `/ k`,
 //! `div_exact` → `/`).  The generic kernel in [`crate::batch`] performs its
 //! operations in **the same order with the same association** as
-//! hand-written scalar loops would (the incremental engine's repairs are
-//! written that way), so the `f64` instantiation executes the *identical
-//! float sequence* — bit-for-bit, not merely numerically close.  The
-//! scalar path has this one kernel, so its order is pinned by what it
-//! produces: the `rctree-sta` equivalence suites compare it across every
-//! workload generator, worker count and seeded ECO stream, and CI checks
-//! the report bytes of a 20,000-net deck against fixed md5 sums.
+//! hand-written scalar loops would, so the `f64` instantiation executes
+//! the *identical float sequence* — bit-for-bit, not merely numerically
+//! close.  The scalar path has this one kernel, so its order is pinned by
+//! what it produces: the `rctree-sta` equivalence suites compare it across
+//! every workload generator, worker count and seeded ECO stream, and CI
+//! checks the report bytes of a 20,000-net deck against fixed md5 sums.
 //!
 //! [`Poly2`] values, by contrast, carry a dense 3×3 coefficient grid over
 //! the monomials `r^i·c^j` (`0 ≤ i, j ≤ 2` — degree ≤ 2 per variable, which

@@ -44,11 +44,9 @@
 //! 1e-9 relative on every workload generator).
 //!
 //! This is the one kernel: [`BatchTimes::of`] runs it over a tree's
-//! columns, [`BatchTimes::of_preorder`] and [`Scratch::sweep`] over
-//! spliced arrays, and [`EditableTree`](crate::incremental::EditableTree)
-//! seeds its live state from its un-normalised sweep, then keeps the
-//! same arrays and repairs them in `O(depth + |dirty subtree|)` per edit
-//! instead of re-running it.
+//! columns, and [`BatchTimes::of_preorder`] and [`Scratch::sweep`] over
+//! spliced arrays.  An edited tree ([`RcTree::apply`]) is re-timed by
+//! running it again: one `O(n)` sweep of the edited net.
 //!
 //! ```
 //! use rctree_core::batch::BatchTimes;
@@ -83,11 +81,7 @@ use crate::units::{Farads, Ohms, Seconds};
 
 /// `R_kk` of every node in one forward pass over a parent-before-child
 /// order: `R(i) = R(parent(i)) + r_i`, with `R(0) = 0`.
-pub(crate) fn path_resistances<V: DelayValue>(
-    parent: &[u32],
-    branch_r: &[f64],
-    path_r: &mut Vec<V>,
-) {
+fn path_resistances<V: DelayValue>(parent: &[u32], branch_r: &[f64], path_r: &mut Vec<V>) {
     path_r.clear();
     path_r.resize(parent.len(), V::zero());
     for i in 1..parent.len() {
@@ -112,17 +106,49 @@ pub(crate) fn subtree_caps<V: DelayValue>(
     }
 }
 
-/// The un-normalised sweep over columns already validated as a tree in a
-/// parent-before-child order: fills `path_r`, `down_cap`, the Elmore
-/// delays `t_d` and the `T_Re` numerators `Σ R_ke²·C_k` in `t_r`, and
-/// returns `(T_P, C_T)`.  It accepts a network without capacitance (every
-/// time is then zero), which is how
-/// [`EditableTree`](crate::incremental::EditableTree) seeds its live state.
-// Four output buffers plus the four input arrays: the flat-array calling
-// convention is the point of this kernel, so the argument count is
-// inherent.
+/// Divides each `T_Re` numerator by its node's `R_ee`, in place.
+///
+/// # Errors
+///
+/// [`CoreError::NoPathResistance`] at the first node with a nonzero
+/// numerator and no path resistance.
+fn normalise<V: DelayValue>(t_r: &mut [V], path_r: &[V]) -> Result<()> {
+    for (i, num) in t_r.iter_mut().enumerate() {
+        if num.is_zero() {
+            // No capacitor shares any resistance with this node.
+        } else if path_r[i].is_zero() {
+            return Err(CoreError::NoPathResistance { output: NodeId(i) });
+        } else {
+            match num.div_exact(&path_r[i]) {
+                Some(v) => *num = v,
+                // Unreachable for kernel-produced values: the divisor is a
+                // path resistance, which every instance's divisor class
+                // covers (f64: nonzero scalar; Poly2: the r-monomial).
+                None => {
+                    return Err(CoreError::InvalidValue {
+                        what: "path-resistance divisor",
+                        value: i as f64,
+                    })
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The one kernel, written once over the [delay algebra](crate::algebra):
+/// validation, `C_T`, one forward pass for `R_kk`, one backward pass for
+/// `C_sub`, then the `T_P` / `T_De` / `T_Re`-numerator passes and the
+/// in-place `T_Re` normalisation, filling the caller's buffers and
+/// returning `(T_P, C_T)`.
+///
+/// Instantiated at `f64` this **is** the scalar kernel: every operation
+/// maps onto the identical native float operation in the identical order
+/// (see the bit-identity contract in [`crate::algebra`]).  Instantiated at
+/// [`Poly2`] the same traversal yields every characteristic time as a
+/// polynomial in the uniform `(r, c)` scale factors.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn raw_sweep<V: DelayValue>(
+fn sweep_algebra<V: DelayValue>(
     parent: &[u32],
     branch_r: &[f64],
     branch_c: &[f64],
@@ -131,8 +157,28 @@ pub(crate) fn raw_sweep<V: DelayValue>(
     down_cap: &mut Vec<V>,
     t_d: &mut Vec<V>,
     t_r: &mut Vec<V>,
-) -> (V, V) {
+) -> Result<(V, V)> {
     let n = parent.len();
+    let invalid = |what, value| Err(CoreError::InvalidValue { what, value });
+    if n == 0 || branch_r.len() != n || branch_c.len() != n || node_cap.len() != n {
+        return invalid("pre-order array length", n as f64);
+    }
+    if parent[0] != 0 {
+        return invalid("pre-order root parent", parent[0] as f64);
+    }
+    // The root has no feeding element; a nonzero root branch would make
+    // the total-capacitance and T_P accumulations inconsistent.
+    if branch_r[0] != 0.0 {
+        return invalid("pre-order root branch resistance", branch_r[0]);
+    }
+    if branch_c[0] != 0.0 {
+        return invalid("pre-order root branch capacitance", branch_c[0]);
+    }
+    for (i, &p) in parent.iter().enumerate().skip(1) {
+        if p as usize >= i {
+            return invalid("pre-order parent index", p as f64);
+        }
+    }
     // Total capacitance exactly as `RcTree::total_capacitance`: the lumped
     // sum and the distributed sum are accumulated separately (in id order)
     // and added at the end.
@@ -173,85 +219,6 @@ pub(crate) fn raw_sweep<V: DelayValue>(
             .add(&r_cc.add(&r_pp).mul(&r).mul(&c_sub))
             .add(&c_line.mul(&r_pp.mul(&r).add(&r.mul(&r).div(3.0))));
     }
-    (t_p, total_cap)
-}
-
-/// Divides each `T_Re` numerator by its node's `R_ee`, in place.
-///
-/// # Errors
-///
-/// [`CoreError::NoPathResistance`] at the first node with a nonzero
-/// numerator and no path resistance.
-pub(crate) fn normalise<V: DelayValue>(t_r: &mut [V], path_r: &[V]) -> Result<()> {
-    for (i, num) in t_r.iter_mut().enumerate() {
-        if num.is_zero() {
-            // No capacitor shares any resistance with this node.
-        } else if path_r[i].is_zero() {
-            return Err(CoreError::NoPathResistance { output: NodeId(i) });
-        } else {
-            match num.div_exact(&path_r[i]) {
-                Some(v) => *num = v,
-                // Unreachable for kernel-produced values: the divisor is a
-                // path resistance, which every instance's divisor class
-                // covers (f64: nonzero scalar; Poly2: the r-monomial).
-                None => {
-                    return Err(CoreError::InvalidValue {
-                        what: "path-resistance divisor",
-                        value: i as f64,
-                    })
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The one kernel, written once over the [delay algebra](crate::algebra):
-/// validation, then [`raw_sweep`] — one forward pass for `R_kk`, one
-/// backward pass for `C_sub`, then the `T_P` / `T_De` /
-/// `T_Re`-numerator passes — and the in-place `T_Re` normalisation,
-/// filling the caller's buffers and returning `(T_P, C_T)`.
-///
-/// Instantiated at `f64` this **is** the scalar kernel: every operation
-/// maps onto the identical native float operation in the identical order
-/// (see the bit-identity contract in [`crate::algebra`]).  Instantiated at
-/// [`Poly2`] the same traversal yields every characteristic time as a
-/// polynomial in the uniform `(r, c)` scale factors.
-#[allow(clippy::too_many_arguments)]
-fn sweep_algebra<V: DelayValue>(
-    parent: &[u32],
-    branch_r: &[f64],
-    branch_c: &[f64],
-    node_cap: &[f64],
-    path_r: &mut Vec<V>,
-    down_cap: &mut Vec<V>,
-    t_d: &mut Vec<V>,
-    t_r: &mut Vec<V>,
-) -> Result<(V, V)> {
-    let n = parent.len();
-    let invalid = |what, value| Err(CoreError::InvalidValue { what, value });
-    if n == 0 || branch_r.len() != n || branch_c.len() != n || node_cap.len() != n {
-        return invalid("pre-order array length", n as f64);
-    }
-    if parent[0] != 0 {
-        return invalid("pre-order root parent", parent[0] as f64);
-    }
-    // The root has no feeding element; a nonzero root branch would make
-    // the total-capacitance and T_P accumulations inconsistent.
-    if branch_r[0] != 0.0 {
-        return invalid("pre-order root branch resistance", branch_r[0]);
-    }
-    if branch_c[0] != 0.0 {
-        return invalid("pre-order root branch capacitance", branch_c[0]);
-    }
-    for (i, &p) in parent.iter().enumerate().skip(1) {
-        if p as usize >= i {
-            return invalid("pre-order parent index", p as f64);
-        }
-    }
-    let (t_p, total_cap) = raw_sweep(
-        parent, branch_r, branch_c, node_cap, path_r, down_cap, t_d, t_r,
-    );
     if total_cap.is_zero() {
         return Err(CoreError::NoCapacitance);
     }

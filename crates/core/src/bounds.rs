@@ -1,7 +1,7 @@
 //! The Penfield–Rubinstein upper and lower bounds (Eqs. 8–17).
 //!
 //! Given the three characteristic times of an output (see
-//! [`CharacteristicTimes`](crate::moments::CharacteristicTimes)), the paper
+//! [`CharacteristicTimes`]), the paper
 //! derives closed-form bounds on the unit-step response voltage and, by
 //! inversion, on the time at which the response crosses a threshold.
 //!

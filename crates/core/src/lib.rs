@@ -19,11 +19,10 @@
 //! |--------|----------|
 //! | [`units`] | `Ohms`, `Farads`, `Seconds`, `Volts` newtypes |
 //! | [`algebra`] | the delay algebra: `DelayValue` trait, `f64` scalar and `Poly2` symbolic instances |
-//! | [`element`], [`tree`], [`builder`] | the RC-tree data model |
+//! | [`element`], [`tree`], [`builder`] | the RC-tree data model and its one edit path (`RcTree::apply`) |
 //! | [`resistance`] | path and shared resistances `R_kk`, `R_ke` |
 //! | [`moments`] | the characteristic times (direct and linear algorithms) |
 //! | [`batch`] | all-outputs batch engine: every node's times in `O(n)` total |
-//! | [`incremental`] | mutable trees with `O(depth)` ECO delta re-analysis |
 //! | [`intern`] | deck-scoped string interning: names to dense `u32` ids |
 //! | [`bounds`] | the Penfield–Rubinstein voltage/delay bounds (Eqs. 8–17) |
 //! | [`cert`] | the three-valued `OK` certification |
@@ -90,7 +89,6 @@ pub mod element;
 pub mod elmore;
 pub mod error;
 pub mod expr;
-pub mod incremental;
 pub mod intern;
 pub mod moments;
 pub mod ramp;
@@ -115,7 +113,6 @@ pub mod prelude {
     pub use crate::elmore::{critical_output, elmore_delay, elmore_delays};
     pub use crate::error::{CoreError, Result};
     pub use crate::expr::NetworkExpr;
-    pub use crate::incremental::{EditableTree, IncrementalTimes, TreeEdit};
     pub use crate::intern::{Interner, NameId};
     pub use crate::moments::{
         characteristic_times, characteristic_times_all, characteristic_times_direct,
@@ -123,7 +120,7 @@ pub mod prelude {
     };
     pub use crate::ramp::RampResponse;
     pub use crate::resistance::{path_resistance, shared_resistance, shared_resistances_to};
-    pub use crate::tree::{NodeId, RcTree};
+    pub use crate::tree::{NodeId, RcTree, TreeEdit};
     pub use crate::twoport::TwoPort;
     pub use crate::units::{Farads, OhmSeconds, Ohms, Seconds, Volts};
 }
@@ -136,10 +133,9 @@ pub use crate::builder::RcTreeBuilder;
 pub use crate::cert::Certification;
 pub use crate::corner::{Corner, CornerSet};
 pub use crate::error::{CoreError, Result};
-pub use crate::incremental::{EditableTree, IncrementalTimes, TreeEdit};
 pub use crate::intern::{Interner, NameId};
 pub use crate::moments::CharacteristicTimes;
-pub use crate::tree::{NodeId, RcTree};
+pub use crate::tree::{NodeId, RcTree, TreeEdit};
 pub use crate::twoport::TwoPort;
 
 #[cfg(test)]

@@ -26,19 +26,21 @@
 //!   stage splice lays a net out, so it fixes that sweep's summation
 //!   order.
 //!
-//! Everything else — path resistances (`R_kk` of Section III), subtree
-//! capacitances, subtree intervals — is derived by the consumer that reads
-//! it, from the base columns in id order: the one kernel of
-//! [`crate::batch`], the repair columns of
-//! [`EditableTree`](crate::incremental::EditableTree), or the on-demand
-//! walks of the accessors below.
+//! Everything else — path resistances (`R_kk` of Section III) and subtree
+//! capacitances — is derived by the consumer that reads it, from the base
+//! columns in id order: the one kernel of [`crate::batch`], or the
+//! on-demand walks of the accessors below.
 //!
-//! Cloning a tree bumps a refcount; the only mutator,
-//! [`RcTree::apply`], copies the table on its first write.
+//! Cloning a tree bumps a refcount.  The one mutator, [`RcTree::apply`],
+//! applies a [`TreeEdit`] and copies the table on its first write: a value
+//! edit writes one row, and a graft or a prune appends or compacts rows
+//! and re-derives the pre-order.  The table's write path lives in this
+//! module alone.
 
 use std::fmt;
 use std::sync::Arc;
 
+use crate::builder::check_value;
 use crate::element::Branch;
 use crate::error::{CoreError, Result};
 use crate::intern::{Interner, NameId};
@@ -69,7 +71,7 @@ impl fmt::Display for NodeId {
 }
 
 /// `flags` bit: the branch feeding the node is a uniform RC line.
-pub(crate) const LINE: u8 = 1;
+const LINE: u8 = 1;
 /// `flags` bit: the node is marked as an output.
 pub(crate) const OUTPUT: u8 = 2;
 
@@ -159,7 +161,7 @@ impl NodeTable {
     /// after all its descendants (subtree sizes), and a forward pass sees
     /// it after its parent: each child takes the next free slot of its
     /// parent, in id order.
-    pub(crate) fn derive_preorder(&mut self) {
+    fn derive_preorder(&mut self) {
         let n = self.len();
         // Subtree sizes until a node is placed, then its next free child
         // slot.
@@ -182,7 +184,7 @@ impl NodeTable {
     /// Per node id: whether the node lies in the subtree rooted at node
     /// `v`.  One forward pass over `parent`: a node after `v` is inside
     /// exactly when its parent is.
-    pub(crate) fn subtree_mask(&self, v: usize) -> Vec<bool> {
+    fn subtree_mask(&self, v: usize) -> Vec<bool> {
         let mut inside = vec![false; self.len()];
         inside[v] = true;
         for k in v + 1..self.len() {
@@ -252,7 +254,7 @@ impl RcTree {
     }
 
     /// The columns for writing, copied first if another handle shares them.
-    pub(crate) fn table_mut(&mut self) -> &mut NodeTable {
+    fn table_mut(&mut self) -> &mut NodeTable {
         Arc::make_mut(&mut self.table)
     }
 
@@ -267,9 +269,8 @@ impl RcTree {
     ///
     /// The returned tree is structurally identical to `self`
     /// (`rebuilt == *self` under [`PartialEq`], which compares base columns
-    /// only).  This is the rebuild-and-rerun oracle against which the
-    /// incremental engine ([`crate::incremental`]) is validated and
-    /// benchmarked.
+    /// only).  It is the from-scratch oracle for [`RcTree::apply`]: the
+    /// pre-order an edit leaves must equal its rebuild's.
     pub fn rebuild(&self) -> RcTree {
         RcTree::from_table((*self.table).clone())
     }
@@ -559,6 +560,190 @@ impl RcTree {
     }
 }
 
+/// One delta applied to a tree by [`RcTree::apply`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum TreeEdit {
+    /// Replace the lumped grounded capacitance at a node (any node,
+    /// including the input).
+    SetCap {
+        /// Node whose capacitance is replaced.
+        node: NodeId,
+        /// New total lumped capacitance at the node.
+        cap: Farads,
+    },
+    /// Replace the branch element feeding a node from its parent (resize a
+    /// resistor, re-extract a wire as a different line).
+    SetBranch {
+        /// Node whose feeding branch is replaced (not the input).
+        node: NodeId,
+        /// The new branch element.
+        branch: Branch,
+    },
+    /// Attach a whole validated subtree under an existing node through a
+    /// new branch.  The subtree's input node becomes a new child of
+    /// `parent`; every node name in `subtree` must be unused in the host
+    /// tree.
+    GraftSubtree {
+        /// Host node the subtree is attached under.
+        parent: NodeId,
+        /// The new branch connecting `parent` to the subtree's input node.
+        via: Branch,
+        /// The subtree to graft (its output marks and capacitances carry
+        /// over).  Boxed to keep the edit enum small (grafts are the rare
+        /// op; cap/branch tweaks dominate edit streams).
+        subtree: Box<RcTree>,
+    },
+    /// Remove a node, its feeding branch, and its entire subtree.
+    ///
+    /// Compaction renumbers the surviving node ids, so [`NodeId`]s obtained
+    /// before the prune are invalidated; re-resolve nodes by name.
+    PruneSubtree {
+        /// Root of the subtree to remove (not the input).
+        node: NodeId,
+    },
+}
+
+impl RcTree {
+    /// Applies one edit to the tree's columns: a value edit writes the
+    /// edited node's row and nothing else; a graft appends rows and a
+    /// prune compacts them, and both re-derive the pre-order.  The table
+    /// is copied first if another handle shares it, so every other handle
+    /// keeps the pre-edit tree.  A value edit costs `O(1)` and a graft or
+    /// prune `O(n)`, plus that one `O(n)` copy of a shared table.
+    ///
+    /// # Errors
+    ///
+    /// * [`CoreError::NodeNotFound`] for a node outside the tree;
+    /// * [`CoreError::InvalidValue`] for negative or non-finite values;
+    /// * [`CoreError::CannotEditInput`] for a [`TreeEdit::SetBranch`] or
+    ///   [`TreeEdit::PruneSubtree`] aimed at the input node;
+    /// * [`CoreError::DuplicateName`] when a grafted subtree reuses a host
+    ///   node name.
+    ///
+    /// On error the tree is unchanged and no table is copied.
+    pub fn apply(&mut self, edit: &TreeEdit) -> Result<()> {
+        self.check_edit(edit)?;
+        let t = self.table_mut();
+        match edit {
+            TreeEdit::SetCap { node, cap } => t.node_cap[node.index()] = cap.value(),
+            TreeEdit::SetBranch { node, branch } => {
+                let i = node.index();
+                t.branch_r[i] = branch.resistance().value();
+                t.branch_c[i] = branch.capacitance().value();
+                t.flags[i] = (t.flags[i] & !LINE) | line_bit(branch);
+            }
+            TreeEdit::GraftSubtree {
+                parent,
+                via,
+                subtree,
+            } => {
+                // Subtree node `j` becomes host node `n_old + j`; its input
+                // hangs on `parent` through `via`, so it is the parent's
+                // last child.
+                let sub = subtree.columns();
+                let n_old = t.len();
+                for (j, name) in sub.names.iter() {
+                    let j = j.index();
+                    t.names.intern(name);
+                    if j == 0 {
+                        let flags = (sub.flags[0] & OUTPUT) | line_bit(via);
+                        let (r, c) = (via.resistance().value(), via.capacitance().value());
+                        t.push_row(parent.index(), r, c, sub.node_cap[0], flags);
+                    } else {
+                        let p = n_old + sub.parent[j] as usize;
+                        t.push_row(
+                            p,
+                            sub.branch_r[j],
+                            sub.branch_c[j],
+                            sub.node_cap[j],
+                            sub.flags[j],
+                        );
+                    }
+                }
+                t.derive_preorder();
+            }
+            TreeEdit::PruneSubtree { node } => {
+                // Surviving ids shift down past the holes, in order, so
+                // every parent stays below its child.
+                let doomed = t.subtree_mask(node.index());
+                let new_id: Vec<u32> = doomed
+                    .iter()
+                    .scan(0, |next, &d| {
+                        let id = *next;
+                        *next += u32::from(!d);
+                        Some(id)
+                    })
+                    .collect();
+                // Compact the base columns in order, re-interning the
+                // surviving names, and re-derive the pre-order.
+                let names = std::mem::take(&mut t.names);
+                for (k, name) in names.iter() {
+                    let k = k.index();
+                    if !doomed[k] {
+                        t.parent[k] = new_id[t.parent[k] as usize];
+                        t.names.intern(name);
+                    }
+                }
+                retain(&mut t.parent, &doomed);
+                retain(&mut t.branch_r, &doomed);
+                retain(&mut t.branch_c, &doomed);
+                retain(&mut t.node_cap, &doomed);
+                retain(&mut t.flags, &doomed);
+                t.derive_preorder();
+            }
+        }
+        Ok(())
+    }
+
+    /// The checks of [`RcTree::apply`], in its order, without writing.
+    fn check_edit(&self, edit: &TreeEdit) -> Result<()> {
+        match edit {
+            TreeEdit::SetCap { node, cap } => {
+                self.check(*node)?;
+                check_value("capacitance", cap.value())
+            }
+            TreeEdit::SetBranch { node, branch } => {
+                self.check(*node)?;
+                if *node == NodeId::INPUT {
+                    return Err(CoreError::CannotEditInput);
+                }
+                check_value("resistance", branch.resistance().value())?;
+                check_value("line capacitance", branch.capacitance().value())
+            }
+            TreeEdit::GraftSubtree {
+                parent,
+                via,
+                subtree,
+            } => {
+                self.check(*parent)?;
+                check_value("resistance", via.resistance().value())?;
+                check_value("line capacitance", via.capacitance().value())?;
+                let host = &self.columns().names;
+                let sub = &subtree.columns().names;
+                match sub.iter().find(|(_, name)| host.get(name).is_some()) {
+                    Some((_, name)) => Err(CoreError::DuplicateName {
+                        name: name.to_string(),
+                    }),
+                    None => Ok(()),
+                }
+            }
+            TreeEdit::PruneSubtree { node } => {
+                self.check(*node)?;
+                if *node == NodeId::INPUT {
+                    return Err(CoreError::CannotEditInput);
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// Drops the elements of `v` whose flag in `doomed` is set, keeping order.
+fn retain<T>(v: &mut Vec<T>, doomed: &[bool]) {
+    let mut doomed = doomed.iter();
+    v.retain(|_| !doomed.next().expect("one flag per element"));
+}
+
 impl fmt::Display for RcTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -607,6 +792,7 @@ impl fmt::Display for RcTree {
 
 #[cfg(test)]
 mod tests {
+    use crate::batch::BatchTimes;
     use crate::builder::RcTreeBuilder;
     use crate::units::{Farads, Ohms};
 
@@ -880,5 +1066,292 @@ mod tests {
                 Err(CoreError::NodeNotFound { .. })
             ));
         }
+    }
+
+    /// The branching network of the edit tests: lines and resistors, two
+    /// outputs, capacitance at every node but the input.
+    fn branching_tree() -> RcTree {
+        let mut b = RcTreeBuilder::new();
+        let a = b
+            .add_line(b.input(), "a", Ohms::new(15.0), Farads::new(1.5))
+            .unwrap();
+        b.add_capacitance(a, Farads::new(2.0)).unwrap();
+        let s1 = b.add_resistor(a, "s1", Ohms::new(8.0)).unwrap();
+        b.add_capacitance(s1, Farads::new(7.0)).unwrap();
+        let s2 = b
+            .add_line(s1, "s2", Ohms::new(2.0), Farads::new(0.5))
+            .unwrap();
+        b.add_capacitance(s2, Farads::new(0.25)).unwrap();
+        let o = b
+            .add_line(a, "o", Ohms::new(3.0), Farads::new(4.0))
+            .unwrap();
+        b.add_capacitance(o, Farads::new(9.0)).unwrap();
+        b.mark_output(o).unwrap();
+        b.mark_output(s2).unwrap();
+        b.build().unwrap()
+    }
+
+    /// The same network inserted breadth-first (`o` before `s2`), so the
+    /// ids are not in pre-order.
+    fn branching_tree_breadth_first() -> RcTree {
+        let mut b = RcTreeBuilder::new();
+        let a = b
+            .add_line(b.input(), "a", Ohms::new(15.0), Farads::new(1.5))
+            .unwrap();
+        b.add_capacitance(a, Farads::new(2.0)).unwrap();
+        let s1 = b.add_resistor(a, "s1", Ohms::new(8.0)).unwrap();
+        b.add_capacitance(s1, Farads::new(7.0)).unwrap();
+        let o = b
+            .add_line(a, "o", Ohms::new(3.0), Farads::new(4.0))
+            .unwrap();
+        b.add_capacitance(o, Farads::new(9.0)).unwrap();
+        let s2 = b
+            .add_line(s1, "s2", Ohms::new(2.0), Farads::new(0.5))
+            .unwrap();
+        b.add_capacitance(s2, Farads::new(0.25)).unwrap();
+        b.mark_output(o).unwrap();
+        b.mark_output(s2).unwrap();
+        let tree = b.build().unwrap();
+        assert!(!tree.preorder().map(NodeId::index).eq(0..tree.node_count()));
+        tree
+    }
+
+    /// Both insertion orders of the branching network.
+    fn branching_fixtures() -> [RcTree; 2] {
+        [branching_tree(), branching_tree_breadth_first()]
+    }
+
+    /// Asserts that an edited tree equals a from-scratch rebuild of its
+    /// table: the same base columns and names, and the same pre-order.
+    fn assert_matches_rebuild(tree: &RcTree) {
+        let rebuilt = tree.rebuild();
+        assert_eq!(*tree, rebuilt);
+        assert_eq!(
+            format!("{:?}", tree.columns()),
+            format!("{:?}", rebuilt.columns())
+        );
+    }
+
+    #[test]
+    fn a_value_edit_writes_one_row_and_keeps_the_preorder() {
+        for tree in branching_fixtures() {
+            let (s1, o) = (
+                tree.node_by_name("s1").unwrap(),
+                tree.node_by_name("o").unwrap(),
+            );
+            let edits = [
+                TreeEdit::SetCap {
+                    node: s1,
+                    cap: Farads::new(3.5),
+                },
+                TreeEdit::SetBranch {
+                    node: s1,
+                    branch: Branch::line(Ohms::new(11.0), Farads::new(0.5)),
+                },
+                TreeEdit::SetBranch {
+                    node: o,
+                    branch: Branch::resistor(Ohms::new(6.0)),
+                },
+            ];
+            for edit in &edits {
+                let mut edited = tree.clone();
+                edited.apply(edit).unwrap();
+                // The original table with the edited node's row written
+                // over, and nothing else.
+                let mut want = tree.columns().clone();
+                match edit {
+                    TreeEdit::SetCap { node, cap } => want.node_cap[node.index()] = cap.value(),
+                    TreeEdit::SetBranch { node, branch } => {
+                        let i = node.index();
+                        want.branch_r[i] = branch.resistance().value();
+                        want.branch_c[i] = branch.capacitance().value();
+                        want.flags[i] = (want.flags[i] & !LINE) | line_bit(branch);
+                    }
+                    _ => unreachable!("value edits only"),
+                }
+                let got = edited.columns();
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{edit:?}");
+                assert!(
+                    edited.preorder().eq(edited.rebuild().preorder()),
+                    "{edit:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn graft_and_prune_track_the_rebuild_oracle() {
+        for tree in branching_fixtures() {
+            graft_and_prune_on(tree);
+        }
+    }
+
+    fn graft_and_prune_on(mut tree: RcTree) {
+        let mut gb = RcTreeBuilder::with_input_name("g0");
+        let g1 = gb.add_resistor(gb.input(), "g1", Ohms::new(4.0)).unwrap();
+        gb.add_capacitance(g1, Farads::new(1.25)).unwrap();
+        gb.add_capacitance(gb.input(), Farads::new(0.5)).unwrap();
+        gb.mark_output(g1).unwrap();
+        let graft = gb.build().unwrap();
+
+        let parent = tree.node_by_name("s1").unwrap();
+        let via = Branch::line(Ohms::new(2.0), Farads::new(0.75));
+        tree.apply(&TreeEdit::GraftSubtree {
+            parent,
+            via,
+            subtree: Box::new(graft),
+        })
+        .unwrap();
+        assert_eq!(tree.node_count(), 7);
+        // The grafted input hangs on `parent` through `via`; the inner
+        // node keeps its branch, capacitance and output mark.
+        let (g0, g1) = (
+            tree.node_by_name("g0").unwrap(),
+            tree.node_by_name("g1").unwrap(),
+        );
+        assert_eq!(tree.parent(g0).unwrap(), Some(parent));
+        assert_eq!(tree.branch(g0).unwrap(), Some(via));
+        assert_eq!(tree.capacitance(g0).unwrap(), Farads::new(0.5));
+        assert!(!tree.is_output(g0).unwrap());
+        assert_eq!(tree.parent(g1).unwrap(), Some(g0));
+        assert_eq!(
+            tree.branch(g1).unwrap(),
+            Some(Branch::resistor(Ohms::new(4.0)))
+        );
+        assert_eq!(tree.capacitance(g1).unwrap(), Farads::new(1.25));
+        assert!(tree.is_output(g1).unwrap());
+        assert_matches_rebuild(&tree);
+
+        // Prune the original deep branch; ids are re-resolved by name.
+        let prune = tree.node_by_name("s2").unwrap();
+        tree.apply(&TreeEdit::PruneSubtree { node: prune }).unwrap();
+        assert!(tree.node_by_name("s2").is_err());
+        assert_eq!(tree.node_count(), 6);
+        assert_matches_rebuild(&tree);
+
+        // Prune the grafted subtree again.
+        let prune = tree.node_by_name("g0").unwrap();
+        tree.apply(&TreeEdit::PruneSubtree { node: prune }).unwrap();
+        assert!(tree.node_by_name("g1").is_err());
+        assert_eq!(tree.node_count(), 4);
+        assert_matches_rebuild(&tree);
+    }
+
+    #[test]
+    fn invalid_edits_are_rejected_and_leave_state_unchanged() {
+        let before = branching_tree();
+        let mut tree = before.clone();
+        let o = tree.node_by_name("o").unwrap();
+        assert!(matches!(
+            tree.apply(&TreeEdit::SetCap {
+                node: NodeId(999),
+                cap: Farads::new(1.0)
+            }),
+            Err(CoreError::NodeNotFound { .. })
+        ));
+        assert!(matches!(
+            tree.apply(&TreeEdit::SetCap {
+                node: o,
+                cap: Farads::new(-1.0)
+            }),
+            Err(CoreError::InvalidValue { .. })
+        ));
+        assert!(matches!(
+            tree.apply(&TreeEdit::SetBranch {
+                node: NodeId::INPUT,
+                branch: Branch::resistor(Ohms::new(1.0))
+            }),
+            Err(CoreError::CannotEditInput)
+        ));
+        assert!(matches!(
+            tree.apply(&TreeEdit::PruneSubtree {
+                node: NodeId::INPUT
+            }),
+            Err(CoreError::CannotEditInput)
+        ));
+        // Grafting a subtree whose name collides with the host.
+        let mut gb = RcTreeBuilder::with_input_name("s1");
+        gb.add_capacitance(gb.input(), Farads::new(1.0)).unwrap();
+        assert!(matches!(
+            tree.apply(&TreeEdit::GraftSubtree {
+                parent: o,
+                via: Branch::resistor(Ohms::new(1.0)),
+                subtree: Box::new(gb.build().unwrap()),
+            }),
+            Err(CoreError::DuplicateName { .. })
+        ));
+        assert_eq!(tree, before);
+        assert!(tree.shares_table(&before), "a rejected edit copies nothing");
+    }
+
+    #[test]
+    fn an_edit_copies_a_shared_table_and_leaves_the_other_handle_unchanged() {
+        let tree = branching_tree();
+        let node = |name: &str| tree.node_by_name(name).unwrap();
+        let mut gb = RcTreeBuilder::with_input_name("g0");
+        let g1 = gb.add_resistor(gb.input(), "g1", Ohms::new(4.0)).unwrap();
+        gb.add_capacitance(g1, Farads::new(1.25)).unwrap();
+        gb.mark_output(g1).unwrap();
+        let edits = [
+            TreeEdit::SetCap {
+                node: node("s1"),
+                cap: Farads::new(3.0),
+            },
+            TreeEdit::SetBranch {
+                node: node("o"),
+                branch: Branch::resistor(Ohms::new(6.0)),
+            },
+            TreeEdit::GraftSubtree {
+                parent: node("s1"),
+                via: Branch::line(Ohms::new(2.0), Farads::new(0.75)),
+                subtree: Box::new(gb.build().unwrap()),
+            },
+            TreeEdit::PruneSubtree { node: node("s1") },
+        ];
+        let names: Vec<String> = tree
+            .node_ids()
+            .map(|id| tree.name(id).unwrap().to_string())
+            .collect();
+        let before = format!("{:?}", tree.columns());
+        for edit in &edits {
+            let mut edited = tree.clone();
+            assert!(edited.shares_table(&tree), "a clone shares its table");
+            edited.apply(edit).unwrap();
+            assert!(!edited.shares_table(&tree), "{edit:?} copies the table");
+            assert_eq!(format!("{:?}", tree.columns()), before, "{edit:?}");
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(tree.node_by_name(name).unwrap(), NodeId(i), "{edit:?}");
+            }
+            // Value edits keep the pre-order, structural edits re-derive
+            // it: every column equals a rebuild's either way.
+            assert_matches_rebuild(&edited);
+        }
+        // A rejected edit copies nothing.
+        let mut edited = tree.clone();
+        let bad = TreeEdit::SetCap {
+            node: node("o"),
+            cap: Farads::new(-1.0),
+        };
+        assert!(edited.apply(&bad).is_err());
+        assert!(edited.shares_table(&tree));
+    }
+
+    #[test]
+    fn capacitance_free_tree_is_editable_but_not_queryable() {
+        let mut b = RcTreeBuilder::new();
+        let n = b.add_resistor(b.input(), "n", Ohms::new(5.0)).unwrap();
+        let mut tree = b.build().unwrap();
+        assert!(matches!(
+            BatchTimes::of(&tree),
+            Err(CoreError::NoCapacitance)
+        ));
+        tree.apply(&TreeEdit::SetCap {
+            node: n,
+            cap: Farads::new(2.0),
+        })
+        .unwrap();
+        assert_matches_rebuild(&tree);
+        let times = BatchTimes::of(&tree).unwrap();
+        assert_eq!(times.total_capacitance(), Farads::new(2.0));
     }
 }

@@ -35,7 +35,7 @@
 //! Decks are read by one scanner, [`crate::stream::SpefReader`];
 //! [`parse_spef_deck`] is that reader over the text's bytes, and the
 //! serial [`parse_spef`] walks `str::lines`.  Both hand each `*D_NET` body
-//! to [`parse_d_net`], which tokenizes each line into a fixed array,
+//! to `parse_d_net`, which tokenizes each line into a fixed array,
 //! matches directives with case-insensitive byte compares, and files the
 //! cards into this thread's tree assembler by name id: a line costs one
 //! float parse and no allocation of its own, and a section allocates only

@@ -3,10 +3,14 @@
 //! A concurrent timing-query + ECO server over the incremental STA engine:
 //! the subsystem that turns the library into a long-running service.
 //!
-//! The paper's delay bounds are cheap enough to answer interactively, and
-//! the PR-3/PR-4 ECO engine re-times an edit in `O(depth)` — this crate
-//! puts both behind a hand-rolled multi-threaded TCP server (`std::net`
-//! only; the workspace is offline) speaking a line-based text protocol:
+//! The paper's delay bounds are cheap enough to answer interactively and
+//! to recompute on every edit.  A served edit on a net of `n_net` nodes
+//! writes one row of the net's table (plus one `O(n_net)` copy of the
+//! table while a snapshot still shares it), re-sweeps the dirty net once
+//! per lane (`O(n_net)` each) and re-propagates its fan-out cone.  This
+//! crate puts both behind a hand-rolled multi-threaded TCP server
+//! (`std::net` only; the workspace is offline) speaking a line-based text
+//! protocol:
 //!
 //! ```text
 //! QUERY <net> [node] [--corner <k|name>]   cached sink windows / per-node times

@@ -23,10 +23,9 @@ use rctree_core::bounds::{symbolic_delay_bounds, DelayBounds, SymbolicDelayBound
 use rctree_core::cert::Certification;
 use rctree_core::corner::CornerSet;
 use rctree_core::element::Branch;
-use rctree_core::incremental::TreeEdit;
 use rctree_core::intern::{Interner, NameId};
 use rctree_core::moments::CharacteristicTimes;
-use rctree_core::tree::{NodeId, RcTree};
+use rctree_core::tree::{NodeId, RcTree, TreeEdit};
 use rctree_core::units::{Farads, Ohms, Seconds};
 
 use crate::cell::{Cell, CellLibrary};

@@ -1,33 +1,30 @@
 //! Seeded ECO edit-stream generation.
 //!
-//! The incremental engine (`rctree_core::incremental`) needs realistic
-//! edit traffic to be validated and benchmarked against: single-capacitor
-//! tweaks (load changes), branch resizes (driver/wire sizing bursts),
-//! subtree grafts (buffer insertion, re-extraction) and prunes.  An
-//! [`EcoStream`] produces such a stream deterministically from a seed,
-//! *against the evolving tree*: each call to [`EcoStream::next_edit`]
-//! inspects the tree's current state, so the stream stays valid across
-//! structural edits that renumber node ids.
+//! The ECO paths (`RcTree::apply`, and through it `Design::apply_eco` and
+//! the server's edits) need realistic edit traffic to be validated
+//! against: single-capacitor tweaks (load changes), branch resizes
+//! (driver/wire sizing bursts), subtree grafts (buffer insertion,
+//! re-extraction) and prunes.  An [`EcoStream`] produces such a stream
+//! deterministically from a seed, *against the evolving tree*: each call
+//! to [`EcoStream::next_edit`] inspects the tree's current state, so the
+//! stream stays valid across structural edits that renumber node ids.
 //!
 //! ```
-//! use rctree_core::incremental::EditableTree;
 //! use rctree_workloads::eco::{EcoStream, EcoStreamParams};
 //! use rctree_workloads::htree::{h_tree, HTreeParams};
 //!
-//! let (tree, _) = h_tree(HTreeParams::default());
-//! let mut eco = EditableTree::new(tree);
+//! let (mut tree, _) = h_tree(HTreeParams::default());
 //! let mut stream = EcoStream::new(EcoStreamParams::default(), 7);
 //! for _ in 0..20 {
-//!     let edit = stream.next_edit(eco.tree());
-//!     eco.apply(&edit).expect("generated edits are valid");
+//!     let edit = stream.next_edit(&tree);
+//!     tree.apply(&edit).expect("generated edits are valid");
 //! }
-//! assert!(eco.times().total_capacitance().value() > 0.0);
+//! assert!(tree.total_capacitance().value() > 0.0);
 //! ```
 
 use rctree_core::builder::RcTreeBuilder;
 use rctree_core::element::Branch;
-use rctree_core::incremental::TreeEdit;
-use rctree_core::tree::{NodeId, RcTree};
+use rctree_core::tree::{NodeId, RcTree, TreeEdit};
 use rctree_core::units::{Farads, Ohms};
 
 use crate::rng::Rng;
@@ -59,20 +56,6 @@ impl Default for EcoStreamParams {
             p_prune: 0.08,
             scale_range: (0.25, 4.0),
             graft_nodes: 3,
-        }
-    }
-}
-
-impl EcoStreamParams {
-    /// A stream of single-capacitor tweaks only (the canonical hot ECO
-    /// op, used by the `eco_throughput` benchmark).
-    pub fn caps_only() -> Self {
-        EcoStreamParams {
-            p_set_cap: 1.0,
-            p_set_branch: 0.0,
-            p_graft: 0.0,
-            p_prune: 0.0,
-            ..EcoStreamParams::default()
         }
     }
 }
@@ -282,7 +265,6 @@ impl EcoStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rctree_core::incremental::EditableTree;
 
     use crate::htree::{h_tree, HTreeParams};
     use crate::random::RandomTreeConfig;
@@ -290,16 +272,15 @@ mod tests {
     #[test]
     fn streams_are_deterministic_per_seed() {
         let make = |seed| {
-            let tree = RandomTreeConfig::default().generate(3);
-            let mut eco = EditableTree::new(tree);
+            let mut tree = RandomTreeConfig::default().generate(3);
             let mut stream = EcoStream::new(EcoStreamParams::default(), seed);
             let mut log = Vec::new();
             for _ in 0..25 {
-                let edit = stream.next_edit(eco.tree());
+                let edit = stream.next_edit(&tree);
                 log.push(format!("{edit:?}"));
-                eco.apply(&edit).expect("generated edits are valid");
+                tree.apply(&edit).expect("generated edits are valid");
             }
-            (log, eco.tree().clone())
+            (log, tree)
         };
         let (log_a, tree_a) = make(11);
         let (log_b, tree_b) = make(11);
@@ -311,30 +292,19 @@ mod tests {
 
     #[test]
     fn generated_edits_keep_trees_valid_and_capacitive() {
-        let (tree, _) = h_tree(HTreeParams {
+        let (mut tree, _) = h_tree(HTreeParams {
             levels: 3,
             ..HTreeParams::default()
         });
-        let mut eco = EditableTree::new(tree);
         let mut stream = EcoStream::new(EcoStreamParams::default(), 42);
         for step in 0..120 {
-            let edit = stream.next_edit(eco.tree());
-            eco.apply(&edit)
+            let edit = stream.next_edit(&tree);
+            tree.apply(&edit)
                 .unwrap_or_else(|e| panic!("step {step}: {e} for {edit:?}"));
             assert!(
-                eco.tree().total_capacitance().value() > 0.0,
+                tree.total_capacitance().value() > 0.0,
                 "step {step} drained all capacitance"
             );
-        }
-    }
-
-    #[test]
-    fn caps_only_stream_emits_only_set_cap() {
-        let tree = RandomTreeConfig::default().generate(9);
-        let mut stream = EcoStream::new(EcoStreamParams::caps_only(), 5);
-        for _ in 0..50 {
-            let edit = stream.next_edit(&tree);
-            assert!(matches!(edit, TreeEdit::SetCap { .. }));
         }
     }
 }

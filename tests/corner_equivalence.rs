@@ -18,8 +18,7 @@
 //! and — through the incremental snapshot path — after every edit of a
 //! seeded ECO stream.
 
-use penfield_rubinstein::core::incremental::{EditableTree, TreeEdit};
-use penfield_rubinstein::core::tree::RcTree;
+use penfield_rubinstein::core::tree::{RcTree, TreeEdit};
 use penfield_rubinstein::core::units::{Farads, Ohms, Seconds};
 use penfield_rubinstein::sta::{CellLibrary, CornerAnalysis, Design, EcoEdit, EcoEditKind};
 use penfield_rubinstein::workloads::corners::{corner_set, CornerSpecParams};
@@ -157,19 +156,19 @@ fn corner_lanes_match_serial_single_corner_runs_for_every_generator() {
 fn snapshot_corners_track_the_oracle_through_seeded_eco_streams() {
     let budget = Seconds::from_nano(100.0);
     for (label, tree) in generator_trees() {
-        // Shadow engines drive the edit generation (the design does not
+        // Shadow trees drive the edit generation (the design does not
         // expose its trees).  Prunes are excluded: every leaf of an
         // extracted net is a sink, and `apply_eco` refuses to prune sinks.
         let params = EcoStreamParams {
             p_prune: 0.0,
             ..EcoStreamParams::default()
         };
-        let mut shadow = EditableTree::new(tree.clone());
+        let mut shadow = tree.clone();
         let mut stream = EcoStream::new(params, 0xFACE ^ tree.node_count() as u64);
         let mut edits = Vec::new();
         for _ in 0..6 {
-            let edit = stream.next_edit(shadow.tree());
-            edits.push(to_eco_edit("the_net", shadow.tree(), &edit));
+            let edit = stream.next_edit(&shadow);
+            edits.push(to_eco_edit("the_net", &shadow, &edit));
             shadow.apply(&edit).expect("generated edits are valid");
         }
 

@@ -16,8 +16,7 @@
 //!   that move the critical endpoint **across cones**;
 //! * `jobs ∈ {1, 2, 7}`, cross-checked against the serial sequence.
 
-use penfield_rubinstein::core::incremental::{EditableTree, TreeEdit};
-use penfield_rubinstein::core::tree::RcTree;
+use penfield_rubinstein::core::tree::{RcTree, TreeEdit};
 use penfield_rubinstein::core::units::{Farads, Ohms, Seconds};
 use penfield_rubinstein::sta::{CellLibrary, Design, EcoEdit, EcoEditKind, TimingReport};
 use penfield_rubinstein::workloads::dag::{eco_dag, EcoDagParams};
@@ -150,7 +149,7 @@ fn drive(
 fn extracted_designs_match_full_analysis_for_every_generator_and_jobs() {
     let budget = Seconds::from_nano(100.0);
     for (label, tree) in generator_trees() {
-        // Shadow engines drive the edit generation (the design does not
+        // Shadow trees drive the edit generation (the design does not
         // expose its trees).  Prunes are excluded: every leaf of an
         // extracted net is a sink, and `apply_eco` refuses to prune sink
         // nodes (covered by the sta unit tests).
@@ -158,12 +157,12 @@ fn extracted_designs_match_full_analysis_for_every_generator_and_jobs() {
             p_prune: 0.0,
             ..EcoStreamParams::default()
         };
-        let mut shadow = EditableTree::new(tree.clone());
+        let mut shadow = tree.clone();
         let mut stream = EcoStream::new(params, 0xC0DE ^ tree.node_count() as u64);
         let mut edits = Vec::new();
         for _ in 0..12 {
-            let edit = stream.next_edit(shadow.tree());
-            edits.push(to_eco_edit("the_net", shadow.tree(), &edit));
+            let edit = stream.next_edit(&shadow);
+            edits.push(to_eco_edit("the_net", &shadow, &edit));
             shadow.apply(&edit).expect("generated edits are valid");
         }
 

@@ -1,14 +1,23 @@
-//! Equivalence of the incremental (ECO) engine against the
-//! rebuild-and-rerun oracle: seeded edit streams over **every** workload
-//! generator, asserting after **every** edit that the live
-//! `EditableTree`/`IncrementalTimes` state matches a from-scratch
-//! `RcTree::rebuild()` + `BatchTimes::of` to 1e-9 relative at every node —
+//! ECO edits against independent oracles: seeded edit streams over
+//! **every** workload generator, asserting after **every**
+//! `RcTree::apply` that
+//!
+//! * the edited tree keeps the pre-order of a from-scratch
+//!   `RcTree::rebuild()`, and `BatchTimes::of` on it agrees with the
+//!   per-output `characteristic_times_direct` to 1e-9 relative at every
+//!   node;
+//! * its rows equal a name-keyed model that applies each edit by name,
+//!   bit for bit (parent, branch, capacitance and output mark);
+//!
 //! and that `Design::apply_eco` matches a full `Design::analyze` of the
 //! edited design bit for bit.
 
+use std::collections::BTreeMap;
+
 use penfield_rubinstein::core::batch::BatchTimes;
-use penfield_rubinstein::core::incremental::{EditableTree, TreeEdit};
-use penfield_rubinstein::core::tree::RcTree;
+use penfield_rubinstein::core::element::Branch;
+use penfield_rubinstein::core::moments::characteristic_times_direct;
+use penfield_rubinstein::core::tree::{RcTree, TreeEdit};
 use penfield_rubinstein::core::units::{Farads, Ohms, Seconds};
 use penfield_rubinstein::sta::{CellLibrary, Design, EcoEdit, EcoEditKind};
 use penfield_rubinstein::workloads::eco::{EcoStream, EcoStreamParams};
@@ -68,44 +77,32 @@ fn generators() -> Vec<(String, RcTree)> {
     trees
 }
 
-/// The acceptance bar: incremental state equals a from-scratch rebuild +
-/// `BatchTimes` oracle to 1e-9 relative at every node.
-///
-/// An absolute floor of `1e-12 × <whole-tree scale>` backs the relative
-/// comparison: the lazy difference-array structure stores `±Δ` pairs in
-/// separate accumulators, so a node whose true value is *exactly zero* can
-/// carry an `eps`-scale rounding residue (~1e-24 in these workloads) that
-/// no relative tolerance can absorb, while every physically meaningful
-/// value sits many orders of magnitude above the floor.
-fn assert_matches_oracle(eco: &EditableTree, context: &str) {
-    let rebuilt = eco.tree().rebuild();
+fn rel(a: f64, b: f64) -> f64 {
+    (a - b).abs() / b.abs().max(1e-30)
+}
+
+/// The acceptance bar for an edited tree: its pre-order equals a
+/// from-scratch rebuild's, and the batch kernel on it agrees with the
+/// per-output direct algorithm to 1e-9 relative at every node.
+fn assert_matches_oracle(tree: &RcTree, context: &str) {
     assert_eq!(
-        rebuilt.preorder().collect::<Vec<_>>(),
-        eco.tree().preorder().collect::<Vec<_>>(),
-        "{context}: patched pre-order drifted from a rebuild"
+        tree.rebuild().preorder().collect::<Vec<_>>(),
+        tree.preorder().collect::<Vec<_>>(),
+        "{context}: the edited pre-order drifted from a rebuild"
     );
-    let oracle = BatchTimes::of(&rebuilt).expect("edited trees stay analysable");
-    let time_scale = oracle.t_p().value();
-    let r_scale = rebuilt.total_resistance().value().max(1e-30);
-    let c_scale = rebuilt.total_capacitance().value();
-    for node in rebuilt.node_ids() {
-        let want = oracle.times(node).unwrap();
-        let got = eco.characteristic_times(node).unwrap();
-        for (label, g, w, scale) in [
-            ("T_P", got.t_p.value(), want.t_p.value(), time_scale),
-            ("T_D", got.t_d.value(), want.t_d.value(), time_scale),
-            ("T_R", got.t_r.value(), want.t_r.value(), time_scale),
-            ("R_ee", got.r_ee.value(), want.r_ee.value(), r_scale),
-            (
-                "C_T",
-                got.total_cap.value(),
-                want.total_cap.value(),
-                c_scale,
-            ),
+    let batch = BatchTimes::of(tree).expect("edited trees stay analysable");
+    for node in tree.node_ids() {
+        let got = batch.times(node).unwrap();
+        let want = characteristic_times_direct(tree, node).expect("direct oracle");
+        for (label, g, w) in [
+            ("T_P", got.t_p.value(), want.t_p.value()),
+            ("T_D", got.t_d.value(), want.t_d.value()),
+            ("T_R", got.t_r.value(), want.t_r.value()),
+            ("R_ee", got.r_ee.value(), want.r_ee.value()),
+            ("C_T", got.total_cap.value(), want.total_cap.value()),
         ] {
-            let tol = 1e-9 * w.abs().max(1e-3 * scale);
             assert!(
-                (g - w).abs() <= tol,
+                rel(g, w) < 1e-9,
                 "{context}, node {node}: {label} {g} vs oracle {w}"
             );
         }
@@ -116,33 +113,140 @@ fn assert_matches_oracle(eco: &EditableTree, context: &str) {
 fn incremental_matches_rebuild_oracle_on_every_generator() {
     for (label, tree) in generators() {
         for stream_seed in [5u64, 6] {
-            let mut eco = EditableTree::new(tree.clone());
+            let mut tree = tree.clone();
             let mut stream = EcoStream::new(EcoStreamParams::default(), stream_seed);
             for step in 0..40 {
-                let edit = stream.next_edit(eco.tree());
-                eco.apply(&edit)
+                let edit = stream.next_edit(&tree);
+                tree.apply(&edit)
                     .unwrap_or_else(|e| panic!("{label} seed {stream_seed} step {step}: {e}"));
-                assert_matches_oracle(&eco, &format!("{label}, seed {stream_seed}, step {step}"));
+                assert_matches_oracle(&tree, &format!("{label}, seed {stream_seed}, step {step}"));
+            }
+        }
+    }
+}
+
+/// One node as the model keeps it: its parent's name, its feeding branch
+/// as `(is line, R bits, C bits)`, its capacitance's bits and its output
+/// mark.  The input has neither parent nor branch.
+type Row = (Option<String>, Option<(bool, u64, u64)>, u64, bool);
+
+fn branch_bits(branch: Branch) -> (bool, u64, u64) {
+    (
+        matches!(branch, Branch::Line { .. }),
+        branch.resistance().value().to_bits(),
+        branch.capacitance().value().to_bits(),
+    )
+}
+
+/// Every row of `tree`, keyed by node name, read through the public
+/// accessors.
+fn rows(tree: &RcTree) -> BTreeMap<String, Row> {
+    let name = |node| tree.name(node).unwrap().to_string();
+    tree.node_ids()
+        .map(|node| {
+            let row = (
+                tree.parent(node).unwrap().map(name),
+                tree.branch(node).unwrap().map(branch_bits),
+                tree.capacitance(node).unwrap().value().to_bits(),
+                tree.is_output(node).unwrap(),
+            );
+            (name(node), row)
+        })
+        .collect()
+}
+
+/// Applies `edit`, whose node ids refer to `tree`, to the name-keyed
+/// model.
+fn apply_to_model(model: &mut BTreeMap<String, Row>, tree: &RcTree, edit: &TreeEdit) {
+    let name = |node| tree.name(node).unwrap().to_string();
+    match edit {
+        TreeEdit::SetCap { node, cap } => {
+            model.get_mut(&name(*node)).unwrap().2 = cap.value().to_bits();
+        }
+        TreeEdit::SetBranch { node, branch } => {
+            model.get_mut(&name(*node)).unwrap().1 = Some(branch_bits(*branch));
+        }
+        TreeEdit::GraftSubtree {
+            parent,
+            via,
+            subtree,
+        } => {
+            // The subtree's rows, with its input hung on `parent` through
+            // `via`.
+            for (sub_name, mut row) in rows(subtree) {
+                if row.0.is_none() {
+                    row.0 = Some(name(*parent));
+                    row.1 = Some(branch_bits(*via));
+                }
+                assert!(model.insert(sub_name, row).is_none(), "fresh name");
+            }
+        }
+        TreeEdit::PruneSubtree { node } => {
+            // The node and every row whose parent is already doomed, to a
+            // fixed point.
+            let mut doomed = vec![name(*node)];
+            loop {
+                let more: Vec<String> = model
+                    .iter()
+                    .filter(|(k, row)| {
+                        !doomed.contains(k) && row.0.as_ref().is_some_and(|p| doomed.contains(p))
+                    })
+                    .map(|(k, _)| k.clone())
+                    .collect();
+                if more.is_empty() {
+                    break;
+                }
+                doomed.extend(more);
+            }
+            for k in &doomed {
+                model.remove(k);
             }
         }
     }
 }
 
 #[test]
-fn caps_only_streams_match_the_oracle_too() {
-    // The benchmark's hot path (single-capacitor tweaks, the shallowest
-    // dirty region) gets its own dense sweep.
-    for (label, tree) in generators() {
-        let mut eco = EditableTree::new(tree);
-        let mut stream = EcoStream::new(EcoStreamParams::caps_only(), 99);
-        for step in 0..60 {
-            let edit = stream.next_edit(eco.tree());
-            eco.apply(&edit).expect("cap edits are always valid");
-            if step % 10 == 9 {
-                assert_matches_oracle(&eco, &format!("{label}, caps-only, step {step}"));
+fn apply_matches_a_name_keyed_model() {
+    let mut trees: Vec<(String, RcTree)> = vec![(
+        "htree".into(),
+        h_tree(HTreeParams {
+            levels: 4,
+            ..HTreeParams::default()
+        })
+        .0,
+    )];
+    for (seed, nodes, chains) in [(3u64, 30usize, true), (4, 50, false)] {
+        let config = RandomTreeConfig {
+            nodes,
+            prefer_chains: chains,
+            ..RandomTreeConfig::default()
+        };
+        trees.push((format!("random{seed}"), config.generate(seed)));
+    }
+    let deck = SpefDeckParams {
+        nets: 4,
+        ..SpefDeckParams::default()
+    };
+    for (name, tree) in deck.trees(41) {
+        trees.push((format!("deck/{name}"), tree));
+    }
+    for (label, tree) in &trees {
+        for stream_seed in [1u64, 2, 3] {
+            let mut tree = tree.clone();
+            let mut model = rows(&tree);
+            let mut stream = EcoStream::new(EcoStreamParams::default(), stream_seed);
+            for step in 0..60 {
+                let edit = stream.next_edit(&tree);
+                apply_to_model(&mut model, &tree, &edit);
+                tree.apply(&edit)
+                    .unwrap_or_else(|e| panic!("{label} seed {stream_seed} step {step}: {e}"));
+                assert_eq!(
+                    rows(&tree),
+                    model,
+                    "{label}, seed {stream_seed}, step {step}: {edit:?}"
+                );
             }
         }
-        assert_matches_oracle(&eco, &format!("{label}, caps-only, final"));
     }
 }
 
@@ -195,10 +299,7 @@ fn design_apply_eco_matches_full_analyze() {
     // every leaf of a generated deck net is a sink, and `apply_eco`
     // correctly refuses to prune a node a sink hangs on (covered by the
     // sta unit tests).
-    let mut shadows: Vec<(String, EditableTree)> = nets
-        .into_iter()
-        .map(|(name, tree)| (name, EditableTree::new(tree)))
-        .collect();
+    let mut shadows = nets;
     let params = EcoStreamParams {
         p_prune: 0.0,
         ..EcoStreamParams::default()
@@ -207,8 +308,8 @@ fn design_apply_eco_matches_full_analyze() {
 
     for round in 0..30 {
         let (net_name, shadow) = &mut shadows[round % 10];
-        let edit = stream.next_edit(shadow.tree());
-        let eco_edit = to_eco_edit(net_name, shadow.tree(), &edit);
+        let edit = stream.next_edit(shadow);
+        let eco_edit = to_eco_edit(net_name, shadow, &edit);
         shadow.apply(&edit).expect("generated edits are valid");
 
         let incremental = design
