@@ -6,10 +6,11 @@
 //! global wire-scale points `(r, c)` — a margining sweep over a process
 //! box.  Two engines race on an identical seeded deck and point set:
 //!
-//! * **symbolic** — one `Design::analyze_symbolic` pass computes every
-//!   endpoint bound as a degree-≤2 polynomial in `(r, c)`; each point is
+//! * **symbolic** — the lane of a freshly published snapshot
+//!   (`DesignSnapshot::symbolic`, a full build: one pass computes every
+//!   endpoint bound as a degree-≤2 polynomial in `(r, c)`); each point is
 //!   then a constant-time `SymbolicAnalysis::report_at` evaluation (no
-//!   tree walk at all);
+//!   tree walk at all).  The publish runs outside the timed region;
 //! * **serial** — the pre-algebra workflow: each point's scaled design is
 //!   reconstructed from the nominal one ([`Design::materialize_corner`]
 //!   with the point installed as a corner lane) and fully re-analysed
@@ -38,7 +39,7 @@ use std::time::Instant;
 
 use rctree_core::corner::CornerSet;
 use rctree_core::units::Seconds;
-use rctree_sta::{CellLibrary, Design, TimingReport};
+use rctree_sta::{CellLibrary, Design, DesignSnapshot, TimingReport};
 use rctree_workloads::SpefDeckParams;
 
 const THRESHOLD: f64 = 0.5;
@@ -123,23 +124,33 @@ fn assert_reports_close(sym: &TimingReport, oracle: &TimingReport, label: &str) 
     }
 }
 
-fn best_of<F: FnMut() -> f64>(iters: usize, mut f: F) -> f64 {
+/// The best of `iters` timed runs of `f`, each on a fresh `setup()`
+/// input, which is made and dropped outside the timed region.
+fn best_of<S>(iters: usize, mut setup: impl FnMut() -> S, mut f: impl FnMut(&S) -> f64) -> f64 {
     (0..iters)
         .map(|_| {
+            let input = setup();
             let start = Instant::now();
-            std::hint::black_box(f());
+            std::hint::black_box(f(&input));
             start.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
 }
 
-/// One sweep on the symbolic engine: a single polynomial-lane analysis,
-/// then one `report_at` evaluation per point.  Returns the worst slack
-/// over all points.
-fn sweep_symbolic(design: &Design, points: &[(f64, f64)], jobs: usize) -> f64 {
-    let sym = design
-        .analyze_symbolic(THRESHOLD, BUDGET, jobs)
-        .expect("symbolic analysis succeeds");
+/// A freshly published snapshot: its symbolic lane is not built yet, and
+/// a cold publish carries no seed, so the first `symbolic()` is a full
+/// build.
+fn fresh_snapshot(design: &mut Design, jobs: usize) -> DesignSnapshot {
+    design
+        .publish(THRESHOLD, BUDGET, jobs)
+        .expect("the deck publishes")
+}
+
+/// One sweep on the symbolic engine: the snapshot's polynomial lane, then
+/// one `report_at` evaluation per point.  Returns the worst slack over all
+/// points.
+fn sweep_symbolic(snapshot: &DesignSnapshot, points: &[(f64, f64)]) -> f64 {
+    let sym = snapshot.symbolic().expect("symbolic analysis succeeds");
     points
         .iter()
         .map(|&(r, c)| sym.report_at(r, c).slack_against(BUDGET).value())
@@ -176,8 +187,8 @@ fn main() {
     // Coefficient-identity gate: the polynomial lane evaluated at each
     // sweep point agrees with the fully materialized oracle at that point,
     // and at (1, 1) with the plain scalar analysis, to 1e-9 relative.
-    let sym = design
-        .analyze_symbolic(THRESHOLD, BUDGET, jobs)
+    let sym = fresh_snapshot(&mut design, jobs)
+        .symbolic()
         .expect("symbolic analysis succeeds");
     let scalar = design
         .analyze_with_jobs(THRESHOLD, BUDGET, jobs)
@@ -196,8 +207,12 @@ fn main() {
         );
     }
 
-    let symbolic_s = best_of(iters, || sweep_symbolic(&design, &points, jobs));
-    let serial_s = best_of(iters, || sweep_serial(&design, n, jobs));
+    let symbolic_s = best_of(
+        iters,
+        || fresh_snapshot(&mut design, jobs),
+        |snapshot| sweep_symbolic(snapshot, &points),
+    );
+    let serial_s = best_of(iters, || (), |()| sweep_serial(&design, n, jobs));
     let speedup = serial_s / symbolic_s;
 
     println!(

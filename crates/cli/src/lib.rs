@@ -7,22 +7,16 @@
 //! rcdelay [OPTIONS] <netlist-file>
 //! rcdelay eco [OPTIONS] --budget <seconds> <deck.spef> <edit-script>
 //! rcdelay report --budget <seconds> <deck.spef>...
+//! rcdelay certify-over --budget <seconds> --over-r <lo..hi> <deck.spef>...
 //! rcdelay serve --budget <seconds> [--port N] <deck.spef>...
 //! rcdelay bench-client [OPTIONS] <host:port> <deck.spef>
+//! rcdelay profile --budget <seconds> [--json] <deck.spef>...
+//! rcdelay scrape [--stable] [--prev <file>] [--out <file>] <host:port>
 //! rcdelay gen-deck [--nets N] [--seed N]
-//!
-//!   --format <spice|spef|expr>   input format          (default: spice; eco: spef)
-//!   --net <name>                 SPEF net to analyse   (default: first net)
-//!   --threshold <v>              switching threshold   (default: 0.5)
-//!   --budget <seconds>           certify against a delay budget
-//!   --voltage-at <seconds>       also report voltage bounds at this time
-//!   --jobs <n>                   worker threads        (default: available parallelism)
-//!   --driver <cell>              eco mode driver cell  (default: inv_4x)
-//!   --watch                      eco mode: stream the script line by line
-//!   --corners <spec>             report/serve/eco: multi-corner PVT set
-//!   --corner <k|name|worst>      report mode: select the printed corner
-//!   --help                       print usage
 //! ```
+//!
+//! [`USAGE`] lists every flag and the modes that take it; [`parse_args`]
+//! refuses a flag in any other mode.
 //!
 //! `rcdelay report` prints the deck-level design timing report —
 //! byte-identical to the `REPORT` payload of a server on the same decks;
@@ -54,8 +48,13 @@
 //!
 //! The library half of the crate (this module) contains the argument parser
 //! and the report generation so that both are unit-testable without spawning
-//! a process; `main.rs` is a thin wrapper that reads the file and prints the
-//! report.
+//! a process; `main.rs` is a thin wrapper that prints what they return.  One
+//! table decides which mode takes which flag.  Every deck mode streams its
+//! decks from their paths ([`read_deck_nets`]): `rcdelay report` runs
+//! [`Design::analyze_corners`] (one nominal lane without `--corners`),
+//! `rcdelay certify-over` certifies the symbolic lane of a published
+//! snapshot ([`Design::publish`]), and `rcdelay eco` drives an
+//! [`EcoSession`] opened on the deck's path.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -137,9 +136,6 @@ pub enum Command {
         /// Writer shards the design is partitioned into (1 = the
         /// unsharded single-writer protocol).
         shards: usize,
-        /// Idle-poll backoff floor in microseconds (`None` = the server
-        /// default).
-        poll_us: Option<u64>,
         /// Slow-request log threshold in microseconds (`--slow-us`;
         /// `None` disables the stderr slow log).
         slow_us: Option<u64>,
@@ -324,9 +320,6 @@ options:
                                unsharded single-writer protocol);
                                bench-client: generate the shard-crossing
                                mix for an n-shard server (default 1)
-  --poll-us <n>                serve: idle-poll backoff floor in
-                               microseconds (default 1000; ramps up to
-                               25 ms while a connection stays idle)
   --slow-us <n>                serve: log requests slower than n
                                microseconds to stderr (default: off)
   --connections <n>            bench-client: concurrent connections (4)
@@ -391,489 +384,282 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+/// The modes of `rcdelay`, selected by the first argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Tree,
+    Eco,
+    DeckReport,
+    CertifyOver,
+    Serve,
+    Profile,
+    BenchClient,
+    Scrape,
+    GenDeck,
+}
+
+/// Every mode: the first argument that selects it (empty for the
+/// single-tree report, the default), and the least and the most operands
+/// it takes.
+const MODES: [(Mode, &str, usize, usize); 9] = [
+    (Mode::Tree, "", 1, 1),
+    (Mode::Eco, "eco", 2, 2),
+    (Mode::DeckReport, "report", 1, usize::MAX),
+    (Mode::CertifyOver, "certify-over", 1, usize::MAX),
+    (Mode::Serve, "serve", 1, usize::MAX),
+    (Mode::Profile, "profile", 1, usize::MAX),
+    (Mode::BenchClient, "bench-client", 2, 2),
+    (Mode::Scrape, "scrape", 1, 1),
+    (Mode::GenDeck, "gen-deck", 0, 0),
+];
+
+/// Every mode.
+const ALL: &[Mode] = &[
+    Mode::Tree,
+    Mode::Eco,
+    Mode::DeckReport,
+    Mode::CertifyOver,
+    Mode::Serve,
+    Mode::Profile,
+    Mode::BenchClient,
+    Mode::Scrape,
+    Mode::GenDeck,
+];
+
+/// The modes that build a design from SPEF decks; each requires
+/// `--budget`.
+const DECKS: &[Mode] = &[
+    Mode::Eco,
+    Mode::DeckReport,
+    Mode::CertifyOver,
+    Mode::Serve,
+    Mode::Profile,
+];
+
+/// The modes that read a netlist: the single-tree report, the deck modes
+/// and the load generator, which reads its server's deck.
+const READERS: &[Mode] = &[
+    Mode::Tree,
+    Mode::Eco,
+    Mode::DeckReport,
+    Mode::CertifyOver,
+    Mode::Serve,
+    Mode::Profile,
+    Mode::BenchClient,
+];
+
+/// Every flag: its name, whether it takes a value, and the modes that
+/// accept it.  [`parse_args`] refuses a flag in any other mode.
+const FLAGS: [(&str, bool, &[Mode]); 25] = [
+    ("--threshold", true, ALL),
+    ("--format", true, READERS),
+    ("--budget", true, READERS),
+    ("--jobs", true, READERS),
+    ("--driver", true, DECKS),
+    ("--net", true, &[Mode::Tree]),
+    ("--voltage-at", true, &[Mode::Tree]),
+    ("--watch", false, &[Mode::Eco]),
+    (
+        "--corners",
+        true,
+        &[Mode::Eco, Mode::DeckReport, Mode::Serve],
+    ),
+    ("--corner", true, &[Mode::DeckReport]),
+    ("--over-r", true, &[Mode::CertifyOver]),
+    ("--over-c", true, &[Mode::CertifyOver]),
+    ("--port", true, &[Mode::Serve]),
+    ("--slow-us", true, &[Mode::Serve]),
+    ("--shards", true, &[Mode::Serve, Mode::BenchClient]),
+    ("--connections", true, &[Mode::BenchClient]),
+    ("--requests", true, &[Mode::BenchClient]),
+    ("--eco-fraction", true, &[Mode::BenchClient]),
+    ("--shutdown", false, &[Mode::BenchClient]),
+    ("--out", true, &[Mode::BenchClient, Mode::Scrape]),
+    ("--json", false, &[Mode::Profile]),
+    ("--stable", false, &[Mode::Scrape]),
+    ("--prev", true, &[Mode::Scrape]),
+    ("--nets", true, &[Mode::GenDeck]),
+    ("--seed", true, &[Mode::BenchClient, Mode::GenDeck]),
+];
+
+/// How a mode is named in a usage message.
+fn mode_title(word: &str) -> String {
+    match word {
+        "" => "`rcdelay <netlist-file>`".to_string(),
+        word => format!("`rcdelay {word}`"),
+    }
+}
+
 /// Parses command-line arguments (excluding the program name).
+///
+/// The first argument selects the mode; every later one is a flag, with
+/// its value when it takes one, or an operand.  One table says which modes
+/// accept each flag, and a flag the mode does not accept is refused
+/// rather than ignored.  Values are typed once the whole line is read:
+/// every occurrence of a flag must parse, and the last one wins.
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] for unknown flags, missing values, malformed
-/// numbers, or a missing input path.  `--help` is reported as a usage error
-/// carrying the usage text so the caller can print it and exit successfully.
+/// Returns [`CliError::Usage`] for unknown flags, flags of another mode,
+/// missing values, malformed numbers, or a wrong number of operands.
+/// `--help` is reported as a usage error carrying the usage text so the
+/// caller can print it and exit successfully.
 pub fn parse_args<I, S>(args: I) -> Result<Options, CliError>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
 {
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Mode {
-        Tree,
-        Eco,
-        DeckReport,
-        CertifyOver,
-        Serve,
-        BenchClient,
-        GenDeck,
-        Profile,
-        Scrape,
+    let mut args = args.into_iter().map(|a| a.as_ref().to_string()).peekable();
+    let (mode, word, least, most) = args
+        .peek()
+        .and_then(|first| {
+            MODES
+                .iter()
+                .find(|m| !m.1.is_empty() && m.1 == first.as_str())
+        })
+        .copied()
+        .unwrap_or(MODES[0]);
+    if mode != Mode::Tree {
+        args.next();
     }
+    let title = mode_title(word);
 
-    let mut opts = Options::default();
-    let mut iter = args.into_iter();
+    // Each flag occurrence, in order, with its value (empty for a switch).
+    let mut given: Vec<(&str, String)> = Vec::new();
     let mut positionals: Vec<String> = Vec::new();
-    let mut mode = Mode::Tree;
-    let mut watch = false;
-    let mut driver = "inv_4x".to_string();
-    let mut driver_given = false;
-    let mut format_given = false;
-    let mut first = true;
-    let mut port: Option<u16> = None;
-    let mut connections: Option<usize> = None;
-    let mut requests: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut eco_fraction: Option<f64> = None;
-    let mut out: Option<String> = None;
-    let mut nets: Option<usize> = None;
-    let mut shutdown = false;
-    let mut shards: Option<usize> = None;
-    let mut poll_us: Option<u64> = None;
-    let mut slow_us: Option<u64> = None;
-    let mut over_r: Option<(f64, f64)> = None;
-    let mut over_c: Option<(f64, f64)> = None;
-    let mut json = false;
-    let mut stable = false;
-    let mut prev: Option<String> = None;
-
-    while let Some(arg) = iter.next() {
-        let arg = arg.as_ref();
-        if first {
-            first = false;
-            mode = match arg {
-                "eco" => Mode::Eco,
-                "report" => Mode::DeckReport,
-                "certify-over" => Mode::CertifyOver,
-                "serve" => Mode::Serve,
-                "bench-client" => Mode::BenchClient,
-                "gen-deck" => Mode::GenDeck,
-                "profile" => Mode::Profile,
-                "scrape" => Mode::Scrape,
-                _ => Mode::Tree,
-            };
-            if mode != Mode::Tree {
-                continue;
-            }
+    while let Some(arg) = args.next() {
+        if arg == "--help" || arg == "-h" {
+            return Err(CliError::Usage(USAGE.to_string()));
         }
-        let mut value_of = |name: &str| -> Result<String, CliError> {
-            iter.next()
-                .map(|v| v.as_ref().to_string())
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
+        let Some(&(flag, takes_value, modes)) = FLAGS.iter().find(|f| f.0 == arg) else {
+            if arg.starts_with('-') && arg != "-" {
+                return Err(CliError::Usage(format!("unknown option `{arg}`")));
+            }
+            positionals.push(arg);
+            continue;
         };
-        let positive = |flag: &str, text: &str| -> Result<usize, CliError> {
-            text.parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or_else(|| {
-                    CliError::Usage(format!("{flag}: `{text}` is not a positive integer"))
-                })
+        if !modes.contains(&mode) {
+            let takers: Vec<String> = MODES
+                .iter()
+                .filter(|m| modes.contains(&m.0))
+                .map(|m| mode_title(m.1))
+                .collect();
+            return Err(CliError::Usage(format!(
+                "{flag} only applies to {}",
+                takers.join(", ")
+            )));
+        }
+        let value = match takes_value {
+            true => args
+                .next()
+                .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))?,
+            false => String::new(),
         };
-        match arg {
-            "--help" | "-h" => return Err(CliError::Usage(USAGE.to_string())),
-            "--driver" => {
-                driver_given = true;
-                driver = value_of("--driver")?;
-            }
-            "--watch" => watch = true,
-            "--shutdown" => shutdown = true,
-            "--format" => {
-                format_given = true;
-                opts.format = match value_of("--format")?.as_str() {
-                    "spice" => InputFormat::Spice,
-                    "spef" => InputFormat::Spef,
-                    "expr" => InputFormat::Expr,
-                    other => {
-                        return Err(CliError::Usage(format!("unknown format `{other}`")));
-                    }
-                };
-            }
-            "--net" => opts.net = Some(value_of("--net")?),
-            "--threshold" => {
-                opts.threshold = parse_number(&value_of("--threshold")?, "--threshold")?;
-            }
-            "--budget" => {
-                opts.budget = Some(parse_number(&value_of("--budget")?, "--budget")?);
-            }
-            "--voltage-at" => {
-                opts.voltage_at = Some(parse_number(&value_of("--voltage-at")?, "--voltage-at")?);
-            }
-            "--jobs" => {
-                let text = value_of("--jobs")?;
-                opts.jobs = Some(positive("--jobs", &text)?);
-            }
-            "--port" => {
-                let text = value_of("--port")?;
-                port = Some(text.parse::<u16>().map_err(|_| {
-                    CliError::Usage(format!("--port: `{text}` is not a port number"))
-                })?);
-            }
-            "--connections" => {
-                let text = value_of("--connections")?;
-                connections = Some(positive("--connections", &text)?);
-            }
-            "--requests" => {
-                let text = value_of("--requests")?;
-                requests = Some(positive("--requests", &text)?);
-            }
-            "--seed" => {
-                let text = value_of("--seed")?;
-                seed = Some(text.parse::<u64>().map_err(|_| {
-                    CliError::Usage(format!("--seed: `{text}` is not an unsigned integer"))
-                })?);
-            }
-            "--eco-fraction" => {
-                let value = parse_number(&value_of("--eco-fraction")?, "--eco-fraction")?;
-                if !(0.0..=1.0).contains(&value) {
-                    return Err(CliError::Usage(format!(
-                        "--eco-fraction {value} must lie in [0, 1]"
-                    )));
-                }
-                eco_fraction = Some(value);
-            }
-            "--corners" => opts.corners = Some(value_of("--corners")?),
-            "--corner" => opts.corner = Some(value_of("--corner")?),
-            "--shards" => {
-                let text = value_of("--shards")?;
-                shards = Some(positive("--shards", &text)?);
-            }
-            "--poll-us" => {
-                let text = value_of("--poll-us")?;
-                poll_us = Some(
-                    text.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "--poll-us: `{text}` is not a positive integer"
-                            ))
-                        })?,
-                );
-            }
-            "--slow-us" => {
-                let text = value_of("--slow-us")?;
-                slow_us = Some(
-                    text.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| {
-                            CliError::Usage(format!(
-                                "--slow-us: `{text}` is not a positive integer"
-                            ))
-                        })?,
-                );
-            }
-            "--json" => json = true,
-            "--stable" => stable = true,
-            "--prev" => prev = Some(value_of("--prev")?),
-            "--over-r" => {
-                let text = value_of("--over-r")?;
-                over_r = Some(
-                    rctree_core::algebra::parse_scale_range(&text)
-                        .map_err(|e| CliError::Usage(format!("--over-r: {e}")))?,
-                );
-            }
-            "--over-c" => {
-                let text = value_of("--over-c")?;
-                over_c = Some(
-                    rctree_core::algebra::parse_scale_range(&text)
-                        .map_err(|e| CliError::Usage(format!("--over-c: {e}")))?,
-                );
-            }
-            "--out" => out = Some(value_of("--out")?),
-            "--nets" => {
-                let text = value_of("--nets")?;
-                nets = Some(positive("--nets", &text)?);
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(CliError::Usage(format!("unknown option `{other}`")));
-            }
-            positional => positionals.push(positional.to_string()),
-        }
+        given.push((flag, value));
+    }
+    if !(least..=most).contains(&positionals.len()) {
+        let expected = match most {
+            usize::MAX => format!("at least {least}"),
+            _ => least.to_string(),
+        };
+        return Err(CliError::Usage(format!(
+            "{title} takes {expected} operand(s), not {}",
+            positionals.len()
+        )));
     }
 
-    // Flags that belong to one mode are refused elsewhere rather than
-    // silently ignored.
-    let refuse = |given: bool, message: &str| -> Result<(), CliError> {
-        if given {
-            Err(CliError::Usage(message.into()))
-        } else {
-            Ok(())
+    let on = |flag: &str| given.iter().any(|(name, _)| *name == flag);
+    let mut opts = Options::default();
+    let format = last(&given, "--format", input_format)?;
+    if READERS.contains(&mode) && mode != Mode::Tree {
+        if format.is_some_and(|f| f != InputFormat::Spef) {
+            return Err(CliError::Usage(format!(
+                "{title} only supports --format spef"
+            )));
         }
+        opts.format = InputFormat::Spef;
+    } else if let Some(format) = format {
+        opts.format = format;
+    }
+    if let Some(threshold) = last(&given, "--threshold", number)? {
+        opts.threshold = threshold;
+    }
+    opts.net = last(&given, "--net", string)?;
+    opts.budget = last(&given, "--budget", number)?;
+    opts.voltage_at = last(&given, "--voltage-at", number)?;
+    opts.jobs = last(&given, "--jobs", positive)?;
+    opts.corners = last(&given, "--corners", string)?;
+    opts.corner = last(&given, "--corner", string)?;
+    if DECKS.contains(&mode) && opts.budget.is_none() {
+        return Err(CliError::Usage(format!(
+            "{title} requires --budget (slack needs a required time)"
+        )));
+    }
+
+    let driver = last(&given, "--driver", string)?.unwrap_or_else(|| "inv_4x".to_string());
+    let shards = last(&given, "--shards", positive)?.unwrap_or(1);
+    let seed = last(&given, "--seed", unsigned)?.unwrap_or(1);
+    let out = last(&given, "--out", string)?;
+    opts.path = match mode {
+        Mode::Scrape | Mode::GenDeck => String::new(),
+        Mode::BenchClient => positionals[1].clone(),
+        _ => positionals[0].clone(),
     };
-    if mode != Mode::Serve {
-        refuse(port.is_some(), "--port only applies to `rcdelay serve`")?;
-        refuse(
-            poll_us.is_some(),
-            "--poll-us only applies to `rcdelay serve`",
-        )?;
-        refuse(
-            slow_us.is_some(),
-            "--slow-us only applies to `rcdelay serve`",
-        )?;
-    }
-    if mode != Mode::Profile {
-        refuse(json, "--json only applies to `rcdelay profile`")?;
-    }
-    if mode != Mode::Scrape {
-        refuse(stable, "--stable only applies to `rcdelay scrape`")?;
-        refuse(prev.is_some(), "--prev only applies to `rcdelay scrape`")?;
-    }
-    if !matches!(mode, Mode::Serve | Mode::BenchClient) {
-        refuse(
-            shards.is_some(),
-            "--shards only applies to `rcdelay serve` and `rcdelay bench-client`",
-        )?;
-    }
-    if mode != Mode::BenchClient {
-        refuse(
-            connections.is_some() || requests.is_some() || eco_fraction.is_some(),
-            "--connections/--requests/--eco-fraction only apply to `rcdelay bench-client`",
-        )?;
-        refuse(
-            shutdown,
-            "--shutdown only applies to `rcdelay bench-client`",
-        )?;
-    }
-    if !matches!(mode, Mode::BenchClient | Mode::Scrape) {
-        refuse(
-            out.is_some(),
-            "--out only applies to `rcdelay bench-client` and `rcdelay scrape`",
-        )?;
-    }
-    if mode != Mode::GenDeck {
-        refuse(nets.is_some(), "--nets only applies to `rcdelay gen-deck`")?;
-    }
-    if mode != Mode::CertifyOver {
-        refuse(
-            over_r.is_some() || over_c.is_some(),
-            "--over-r/--over-c only apply to `rcdelay certify-over`",
-        )?;
-    }
-    if !matches!(mode, Mode::BenchClient | Mode::GenDeck) {
-        refuse(
-            seed.is_some(),
-            "--seed only applies to `rcdelay bench-client` and `rcdelay gen-deck`",
-        )?;
-    }
-    if mode != Mode::Eco {
-        refuse(watch, "--watch only applies to `rcdelay eco`")?;
-    }
-    if !matches!(mode, Mode::Eco | Mode::DeckReport | Mode::Serve) {
-        refuse(
-            opts.corners.is_some(),
-            "--corners only applies to `rcdelay report`, `rcdelay serve` and `rcdelay eco`",
-        )?;
-    }
-    if mode == Mode::CertifyOver {
-        refuse(
-            over_r.is_none(),
-            "certify-over mode requires --over-r <lo..hi> (the certification box)",
-        )?;
-    }
-    if mode != Mode::DeckReport {
-        refuse(
-            opts.corner.is_some(),
-            "--corner only applies to `rcdelay report`",
-        )?;
-    }
-
-    // The deck-design modes share the eco-mode flag surface.
-    let deck_mode_checks = |opts: &Options, what: &str| -> Result<(), CliError> {
-        if format_given && opts.format != InputFormat::Spef {
-            return Err(CliError::Usage(format!(
-                "{what} mode only supports --format spef"
-            )));
-        }
-        if opts.budget.is_none() {
-            return Err(CliError::Usage(format!(
-                "{what} mode requires --budget (slack needs a required time)"
-            )));
-        }
-        if opts.net.is_some() {
-            return Err(CliError::Usage(format!(
-                "--net does not apply to {what} mode"
-            )));
-        }
-        if opts.voltage_at.is_some() {
-            return Err(CliError::Usage(format!(
-                "--voltage-at does not apply to {what} mode"
-            )));
-        }
-        Ok(())
+    opts.command = match mode {
+        Mode::Tree => Command::Report,
+        Mode::Eco => Command::Eco {
+            script: positionals[1].clone(),
+            driver,
+            watch: on("--watch"),
+        },
+        Mode::DeckReport => Command::DeckReport {
+            decks: positionals,
+            driver,
+        },
+        Mode::CertifyOver => Command::CertifyOver {
+            decks: positionals,
+            driver,
+            over_r: last(&given, "--over-r", scale_range)?.ok_or_else(|| {
+                CliError::Usage(
+                    "certify-over mode requires --over-r <lo..hi> (the certification box)".into(),
+                )
+            })?,
+            over_c: last(&given, "--over-c", scale_range)?.unwrap_or((1.0, 1.0)),
+        },
+        Mode::Serve => Command::Serve {
+            decks: positionals,
+            driver,
+            port: last(&given, "--port", port)?.unwrap_or(0),
+            shards,
+            slow_us: last(&given, "--slow-us", positive)?.map(|n| n as u64),
+        },
+        Mode::Profile => Command::Profile {
+            decks: positionals,
+            driver,
+            json: on("--json"),
+        },
+        Mode::BenchClient => Command::BenchClient {
+            addr: positionals[0].clone(),
+            deck: positionals[1].clone(),
+            connections: last(&given, "--connections", positive)?.unwrap_or(4),
+            requests: last(&given, "--requests", positive)?.unwrap_or(100),
+            seed,
+            eco_fraction: last(&given, "--eco-fraction", fraction)?.unwrap_or(0.0),
+            shards,
+            out: out.unwrap_or_else(|| "target/BENCH_serve.json".into()),
+            shutdown: on("--shutdown"),
+        },
+        Mode::Scrape => Command::Scrape {
+            addr: positionals[0].clone(),
+            stable: on("--stable"),
+            out,
+            prev: last(&given, "--prev", string)?,
+        },
+        Mode::GenDeck => Command::GenDeck {
+            nets: last(&given, "--nets", positive)?.unwrap_or(64),
+            seed,
+        },
     };
-
-    match mode {
-        Mode::Eco => {
-            if positionals.len() != 2 {
-                return Err(CliError::Usage(
-                    "eco mode requires exactly <deck.spef> and <edit-script>".into(),
-                ));
-            }
-            deck_mode_checks(&opts, "eco")?;
-            opts.format = InputFormat::Spef;
-            let script = positionals.pop().expect("two positionals");
-            opts.path = positionals.pop().expect("two positionals");
-            opts.command = Command::Eco {
-                script,
-                driver,
-                watch,
-            };
-        }
-        Mode::DeckReport | Mode::Serve => {
-            let what = if mode == Mode::Serve {
-                "serve"
-            } else {
-                "report"
-            };
-            if positionals.is_empty() {
-                return Err(CliError::Usage(format!(
-                    "{what} mode requires at least one <deck.spef>"
-                )));
-            }
-            deck_mode_checks(&opts, what)?;
-            opts.format = InputFormat::Spef;
-            opts.path = positionals[0].clone();
-            opts.command = if mode == Mode::Serve {
-                Command::Serve {
-                    decks: positionals,
-                    driver,
-                    port: port.unwrap_or(0),
-                    shards: shards.unwrap_or(1),
-                    poll_us,
-                    slow_us,
-                }
-            } else {
-                Command::DeckReport {
-                    decks: positionals,
-                    driver,
-                }
-            };
-        }
-        Mode::CertifyOver => {
-            if positionals.is_empty() {
-                return Err(CliError::Usage(
-                    "certify-over mode requires at least one <deck.spef>".into(),
-                ));
-            }
-            deck_mode_checks(&opts, "certify-over")?;
-            opts.format = InputFormat::Spef;
-            opts.path = positionals[0].clone();
-            opts.command = Command::CertifyOver {
-                decks: positionals,
-                driver,
-                over_r: over_r.expect("checked above"),
-                over_c: over_c.unwrap_or((1.0, 1.0)),
-            };
-        }
-        Mode::BenchClient => {
-            if positionals.len() != 2 {
-                return Err(CliError::Usage(
-                    "bench-client mode requires <host:port> and <deck.spef>".into(),
-                ));
-            }
-            refuse(
-                driver_given,
-                "--driver does not apply to `rcdelay bench-client`",
-            )?;
-            refuse(
-                format_given && opts.format != InputFormat::Spef,
-                "bench-client mode only supports --format spef",
-            )?;
-            refuse(
-                opts.net.is_some() || opts.voltage_at.is_some(),
-                "--net/--voltage-at do not apply to `rcdelay bench-client`",
-            )?;
-            opts.format = InputFormat::Spef;
-            let deck = positionals.pop().expect("two positionals");
-            let addr = positionals.pop().expect("two positionals");
-            opts.path = deck.clone();
-            opts.command = Command::BenchClient {
-                addr,
-                deck,
-                connections: connections.unwrap_or(4),
-                requests: requests.unwrap_or(100),
-                seed: seed.unwrap_or(1),
-                eco_fraction: eco_fraction.unwrap_or(0.0),
-                shards: shards.unwrap_or(1),
-                out: out.unwrap_or_else(|| "target/BENCH_serve.json".into()),
-                shutdown,
-            };
-        }
-        Mode::Profile => {
-            if positionals.is_empty() {
-                return Err(CliError::Usage(
-                    "profile mode requires at least one <deck.spef>".into(),
-                ));
-            }
-            deck_mode_checks(&opts, "profile")?;
-            opts.format = InputFormat::Spef;
-            opts.path = positionals[0].clone();
-            opts.command = Command::Profile {
-                decks: positionals,
-                driver,
-                json,
-            };
-        }
-        Mode::Scrape => {
-            if positionals.len() != 1 {
-                return Err(CliError::Usage(
-                    "scrape mode requires exactly one <host:port>".into(),
-                ));
-            }
-            refuse(
-                driver_given || format_given,
-                "--driver/--format do not apply to `rcdelay scrape`",
-            )?;
-            refuse(
-                opts.budget.is_some()
-                    || opts.jobs.is_some()
-                    || opts.net.is_some()
-                    || opts.voltage_at.is_some(),
-                "scrape mode only accepts --stable, --prev and --out",
-            )?;
-            let addr = positionals.pop().expect("one positional");
-            opts.command = Command::Scrape {
-                addr,
-                stable,
-                out,
-                prev,
-            };
-        }
-        Mode::GenDeck => {
-            if !positionals.is_empty() {
-                return Err(CliError::Usage(
-                    "gen-deck takes no positional arguments (the deck prints to stdout)".into(),
-                ));
-            }
-            refuse(
-                driver_given || format_given || opts.net.is_some() || opts.voltage_at.is_some(),
-                "gen-deck only accepts --nets and --seed",
-            )?;
-            refuse(
-                opts.budget.is_some() || opts.jobs.is_some(),
-                "gen-deck only accepts --nets and --seed",
-            )?;
-            opts.command = Command::GenDeck {
-                nets: nets.unwrap_or(64),
-                seed: seed.unwrap_or(1),
-            };
-        }
-        Mode::Tree => {
-            refuse(driver_given, "--driver only applies to `rcdelay eco`")?;
-            if positionals.len() > 1 {
-                return Err(CliError::Usage("more than one input file given".into()));
-            }
-            opts.path = positionals
-                .pop()
-                .ok_or_else(|| CliError::Usage("missing input netlist file".into()))?;
-        }
-    }
     if !(opts.threshold > 0.0 && opts.threshold < 1.0) {
         return Err(CliError::Usage(format!(
             "threshold {} must lie strictly between 0 and 1",
@@ -883,9 +669,72 @@ where
     Ok(opts)
 }
 
-fn parse_number(text: &str, flag: &str) -> Result<f64, CliError> {
+/// The value of `flag` read by `parse`, `None` when it was not given:
+/// every occurrence must parse, and the last one wins.
+fn last<T>(
+    given: &[(&str, String)],
+    flag: &str,
+    parse: impl Fn(&str, &str) -> Result<T, CliError>,
+) -> Result<Option<T>, CliError> {
+    let mut value = None;
+    for (name, text) in given {
+        if *name == flag {
+            value = Some(parse(flag, text)?);
+        }
+    }
+    Ok(value)
+}
+
+// The value parsers of `last`: each reads the text given to `flag`.
+
+fn string(_: &str, text: &str) -> Result<String, CliError> {
+    Ok(text.to_string())
+}
+
+fn number(flag: &str, text: &str) -> Result<f64, CliError> {
     text.parse::<f64>()
         .map_err(|_| CliError::Usage(format!("{flag}: `{text}` is not a number")))
+}
+
+fn positive(flag: &str, text: &str) -> Result<usize, CliError> {
+    text.parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| CliError::Usage(format!("{flag}: `{text}` is not a positive integer")))
+}
+
+fn unsigned(flag: &str, text: &str) -> Result<u64, CliError> {
+    text.parse::<u64>()
+        .map_err(|_| CliError::Usage(format!("{flag}: `{text}` is not an unsigned integer")))
+}
+
+fn port(flag: &str, text: &str) -> Result<u16, CliError> {
+    text.parse::<u16>()
+        .map_err(|_| CliError::Usage(format!("{flag}: `{text}` is not a port number")))
+}
+
+fn fraction(flag: &str, text: &str) -> Result<f64, CliError> {
+    let value = number(flag, text)?;
+    match (0.0..=1.0).contains(&value) {
+        true => Ok(value),
+        false => Err(CliError::Usage(format!(
+            "{flag} {value} must lie in [0, 1]"
+        ))),
+    }
+}
+
+fn scale_range(flag: &str, text: &str) -> Result<(f64, f64), CliError> {
+    rctree_core::algebra::parse_scale_range(text)
+        .map_err(|e| CliError::Usage(format!("{flag}: {e}")))
+}
+
+fn input_format(_: &str, text: &str) -> Result<InputFormat, CliError> {
+    match text {
+        "spice" => Ok(InputFormat::Spice),
+        "spef" => Ok(InputFormat::Spef),
+        "expr" => Ok(InputFormat::Expr),
+        other => Err(CliError::Usage(format!("unknown format `{other}`"))),
+    }
 }
 
 /// Parses the netlist text according to the selected format.
@@ -1049,27 +898,6 @@ pub fn report(tree: &RcTree, opts: &Options) -> Result<Report, CliError> {
     })
 }
 
-/// Builds the per-net timing design of one or more SPEF decks: every
-/// extracted net becomes one driven stage with its leaves as primary
-/// outputs, exactly as in eco mode ([`Design::from_extracted`]).  Deck
-/// boundaries are invisible to the design — net names must be unique
-/// across all decks (duplicates are rejected).
-///
-/// # Errors
-///
-/// * [`CliError::Netlist`] if a deck fails to parse;
-/// * [`CliError::Analysis`] if the design cannot be built (unknown driver
-///   cell, duplicate net names across decks).
-pub fn deck_design(deck_texts: &[String], driver: &str, jobs: usize) -> Result<Design, CliError> {
-    let mut all: Vec<(String, RcTree)> = Vec::new();
-    for text in deck_texts {
-        let nets = parse_spef_deck(text, jobs).map_err(|e| CliError::Netlist(e.to_string()))?;
-        all.extend(nets.into_iter().map(|n| (n.name, n.tree)));
-    }
-    Design::from_extracted(CellLibrary::nmos_1981(), driver, all)
-        .map_err(|e| CliError::Analysis(e.to_string()))
-}
-
 /// Streams one deck input — a file path, or standard input for `-` —
 /// through the chunked SPEF reader ([`parse_spef_read`]), so the document
 /// text never has to fit in memory.  Results (nets and errors) are
@@ -1091,14 +919,19 @@ pub fn read_deck_nets(path: &str, jobs: usize) -> Result<Vec<SpefNet>, CliError>
     parsed.map_err(|e| CliError::Netlist(e.to_string()))
 }
 
-/// [`deck_design`] over deck **paths** instead of in-memory texts: each
+/// Builds the per-net timing design of one or more SPEF decks: every
+/// extracted net becomes one driven stage with its leaves as primary
+/// outputs, exactly as in eco mode ([`Design::from_extracted`]).  Each
 /// deck streams through [`read_deck_nets`], which is what keeps
-/// million-net ingestion within a bounded text footprint.
+/// million-net ingestion within a bounded text footprint.  Deck
+/// boundaries are invisible to the design — net names must be unique
+/// across all decks (duplicates are rejected).
 ///
 /// # Errors
 ///
-/// As for [`deck_design`], plus open/read failures as
-/// [`CliError::Netlist`].
+/// * [`CliError::Netlist`] if a deck cannot be opened, read or parsed;
+/// * [`CliError::Analysis`] if the design cannot be built (unknown driver
+///   cell, duplicate net names across decks).
 pub fn deck_design_from_paths(
     paths: &[String],
     driver: &str,
@@ -1113,47 +946,22 @@ pub fn deck_design_from_paths(
         .map_err(|e| CliError::Analysis(e.to_string()))
 }
 
-/// Runs the deck-level design report (`rcdelay report`): the full
-/// arrival-propagated [`rctree_sta::TimingReport`], rendered through its
-/// `Display` — **byte-identical** to the payload of the server's `REPORT`
-/// verb on the same decks (the server's snapshot path is pinned
-/// bit-identical to `analyze`).
+/// Runs the deck-level design report (`rcdelay report`) without
+/// rendering it: the decks stream through [`read_deck_nets`], `corners`
+/// (when given) is installed, and [`Design::analyze_corners`] times every
+/// lane — one nominal lane without corners, the same analysis
+/// [`Design::analyze_with_jobs`] runs.  `corner` selects the printed lane
+/// (index, name, or `worst` against `budget`; nominal by default).  The
+/// selected lane's [`rctree_sta::TimingReport`] is **byte-identical** to
+/// the payload of the server's `REPORT` verb on the same decks (the
+/// server's snapshot path is pinned bit-identical to `analyze`), and
+/// `rcdelay report` writes it straight to its output.
 ///
 /// # Errors
 ///
-/// As for [`deck_design`], plus analysis errors.
-pub fn deck_report(
-    deck_texts: &[String],
-    driver: &str,
-    threshold: f64,
-    budget: f64,
-    jobs: usize,
-    corners: Option<&CornerSet>,
-    corner: Option<&str>,
-) -> Result<Report, CliError> {
-    let deck = analyze_deck(
-        deck_design(deck_texts, driver, jobs)?,
-        threshold,
-        budget,
-        jobs,
-        corners,
-        corner,
-    )?;
-    let report = deck.report();
-    Ok(Report {
-        text: report.to_string(),
-        certification: Some(report.certification()),
-    })
-}
-
-/// The analysis behind [`deck_report`], over deck **paths** (each deck
-/// streams through [`read_deck_nets`]), without rendering: `rcdelay
-/// report` writes the [`DeckReport`] straight to its output.
-///
-/// # Errors
-///
-/// As for [`deck_report`], plus open/read failures as
-/// [`CliError::Netlist`].
+/// As for [`deck_design_from_paths`], plus analysis errors, and
+/// [`CliError::Usage`] for a `corner` selector the analysis does not
+/// have.
 pub fn analyze_deck_from_paths(
     paths: &[String],
     driver: &str,
@@ -1163,14 +971,25 @@ pub fn analyze_deck_from_paths(
     corners: Option<&CornerSet>,
     corner: Option<&str>,
 ) -> Result<DeckReport, CliError> {
-    analyze_deck(
-        deck_design_from_paths(paths, driver, jobs)?,
-        threshold,
-        budget,
-        jobs,
-        corners,
-        corner,
-    )
+    let mut design = deck_design_from_paths(paths, driver, jobs)?;
+    if let Some(set) = corners {
+        design.set_corners(set.clone());
+    }
+    let required = Seconds::new(budget);
+    let analysis = design
+        .analyze_corners(threshold, required, jobs)
+        .map_err(|e| CliError::Analysis(e.to_string()))?;
+    let lane = match corner {
+        None => 0,
+        Some(token) => {
+            resolve_corner_selector(analysis.names(), token, analysis.worst_against(required).0)?
+        }
+    };
+    Ok(DeckReport {
+        _design: design,
+        analysis,
+        lane,
+    })
 }
 
 /// Runs the continuum certification (`rcdelay certify-over`): the decks
@@ -1198,10 +1017,10 @@ pub fn certify_over_from_paths(
     over_r: (f64, f64),
     over_c: (f64, f64),
 ) -> Result<(Report, impl Sized), CliError> {
-    let design = deck_design_from_paths(paths, driver, jobs)?;
-    let executor = rctree_serve::EcoExecutor::new(design, threshold, Seconds::new(budget), jobs)
+    let mut design = deck_design_from_paths(paths, driver, jobs)?;
+    let snapshot = design
+        .publish(threshold, Seconds::new(budget), jobs)
         .map_err(|e| CliError::Analysis(e.to_string()))?;
-    let snapshot = executor.snapshot();
     let over = rctree_serve::ScaleBox {
         r: over_r,
         c: over_c,
@@ -1217,7 +1036,7 @@ pub fn certify_over_from_paths(
         text: format!("{text}\n"),
         certification: Some(verdict),
     };
-    Ok((report, (executor, snapshot)))
+    Ok((report, (design, snapshot)))
 }
 
 /// One row of the `rcdelay profile` per-phase breakdown, aggregated from
@@ -1359,72 +1178,24 @@ pub fn render_profile_json(rows: &[PhaseProfile]) -> String {
     out
 }
 
-/// A deck's analysed design and the report of its selected lane: what
-/// `rcdelay report` prints, kept with the design it came from so the
+/// A deck's analysed design, every lane's report and the selected lane:
+/// what `rcdelay report` prints, kept with the design it came from so the
 /// caller decides when, or whether, their memory is freed.
 #[derive(Debug)]
 pub struct DeckReport {
     /// Held only so that its drop is the caller's to make or skip.
     _design: Design,
-    lanes: DeckLanes,
-}
-
-#[derive(Debug)]
-enum DeckLanes {
-    /// The single-corner analysis.
-    Nominal(TimingReport),
-    /// Every corner's report, and the selected lane.
-    Corners(CornerAnalysis, usize),
+    analysis: CornerAnalysis,
+    lane: usize,
 }
 
 impl DeckReport {
     /// The selected lane's report.
     pub fn report(&self) -> &TimingReport {
-        match &self.lanes {
-            DeckLanes::Nominal(report) => report,
-            DeckLanes::Corners(analysis, k) => analysis
-                .report(*k)
-                .expect("resolved corner index is in range"),
-        }
+        self.analysis
+            .report(self.lane)
+            .expect("resolved corner index is in range")
     }
-}
-
-fn analyze_deck(
-    mut design: Design,
-    threshold: f64,
-    budget: f64,
-    jobs: usize,
-    corners: Option<&CornerSet>,
-    corner: Option<&str>,
-) -> Result<DeckReport, CliError> {
-    if corners.is_none() && corner.is_none() {
-        // The single-corner path: exactly the pre-corner float sequence
-        // (which `analyze_corners` lane 0 is pinned bit-identical to).
-        let report = design
-            .analyze_with_jobs(threshold, Seconds::new(budget), jobs)
-            .map_err(|e| CliError::Analysis(e.to_string()))?;
-        return Ok(DeckReport {
-            _design: design,
-            lanes: DeckLanes::Nominal(report),
-        });
-    }
-    if let Some(set) = corners {
-        design.set_corners(set.clone());
-    }
-    let required = Seconds::new(budget);
-    let analysis = design
-        .analyze_corners(threshold, required, jobs)
-        .map_err(|e| CliError::Analysis(e.to_string()))?;
-    let k = match corner {
-        None => 0,
-        Some(token) => {
-            resolve_corner_selector(analysis.names(), token, analysis.worst_against(required).0)?
-        }
-    };
-    Ok(DeckReport {
-        _design: design,
-        lanes: DeckLanes::Corners(analysis, k),
-    })
 }
 
 /// Parses one script line (1-based `line` number for error reporting).
@@ -1455,19 +1226,9 @@ pub fn parse_eco_script(text: &str) -> Result<Vec<ScriptEdit>, CliError> {
         .map_err(|e| CliError::Script(e.message().to_string()))
 }
 
-/// The result of an ECO session: the rendered per-edit log and the final
-/// verdict (which decides the exit code).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EcoOutcome {
-    /// Human-readable per-edit slack log.
-    pub text: String,
-    /// Certification of the design after the last edit.
-    pub certification: Certification,
-}
-
 /// A live ECO session over a parsed deck: the incremental design plus the
-/// rolling slack/certification state.  [`run_eco`], `rcdelay eco`'s batch
-/// mode ([`EcoSession::apply_all`]) and its `--watch` streaming loop all
+/// rolling slack/certification state.  `rcdelay eco`'s batch mode
+/// ([`EcoSession::apply_all`]) and its `--watch` streaming loop both
 /// drive one of these, so the per-edit output is identical whether the
 /// script arrives up front or line by line.
 #[derive(Debug)]
@@ -1482,9 +1243,10 @@ pub struct EcoSession {
 }
 
 impl EcoSession {
-    /// Parses the deck, builds the per-net design, runs the cache-warming
-    /// baseline analysis, and returns the session plus its header text
-    /// (the `eco session:` / `baseline:` lines).
+    /// Streams the deck from its path (or standard input for `-`) through
+    /// [`read_deck_nets`], builds the per-net design, runs the
+    /// cache-warming baseline analysis, and returns the session plus its
+    /// header text (the `eco session:` / `baseline:` lines).
     ///
     /// `script_edits` is the edit count shown in the header; streaming
     /// callers that cannot know it pass `None`.
@@ -1492,48 +1254,22 @@ impl EcoSession {
     /// # Errors
     ///
     /// * [`CliError::Usage`] outside eco mode or without a budget;
-    /// * [`CliError::Netlist`] if the deck fails to parse;
+    /// * [`CliError::Netlist`] if the deck cannot be opened, read or
+    ///   parsed;
     /// * [`CliError::Analysis`] if the design cannot be built or analysed.
-    pub fn new(
-        deck: &str,
-        opts: &Options,
-        script_edits: Option<usize>,
-    ) -> Result<(EcoSession, String), CliError> {
-        let jobs = opts.jobs.unwrap_or_else(rctree_par::default_jobs);
-        let nets = parse_spef_deck(deck, jobs).map_err(|e| CliError::Netlist(e.to_string()))?;
-        Self::from_nets(nets, opts, script_edits)
-    }
-
-    /// [`EcoSession::new`] over a deck **path** (or `-` for standard
-    /// input): the deck streams through [`read_deck_nets`] instead of
-    /// being read into one string first.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EcoSession::new`], plus open/read failures as
-    /// [`CliError::Netlist`].
     pub fn open(
         path: &str,
         opts: &Options,
         script_edits: Option<usize>,
     ) -> Result<(EcoSession, String), CliError> {
-        let jobs = opts.jobs.unwrap_or_else(rctree_par::default_jobs);
-        let nets = read_deck_nets(path, jobs)?;
-        Self::from_nets(nets, opts, script_edits)
-    }
-
-    fn from_nets(
-        nets: Vec<SpefNet>,
-        opts: &Options,
-        script_edits: Option<usize>,
-    ) -> Result<(EcoSession, String), CliError> {
         let Command::Eco { driver, .. } = &opts.command else {
-            return Err(CliError::Usage("run_eco requires eco mode".into()));
+            return Err(CliError::Usage("an ECO session requires eco mode".into()));
         };
         let budget = opts
             .budget
             .ok_or_else(|| CliError::Usage("eco mode requires --budget".into()))?;
         let jobs = opts.jobs.unwrap_or_else(rctree_par::default_jobs);
+        let nets = read_deck_nets(path, jobs)?;
         let net_count = nets.len();
         let mut design = Design::from_extracted(
             CellLibrary::nmos_1981(),
@@ -1654,31 +1390,11 @@ impl EcoSession {
     }
 }
 
-/// Runs a full ECO session: parse the deck, build the per-net design,
-/// apply the script one edit at a time, and log the slack delta after
-/// each.
-///
-/// # Errors
-///
-/// * [`CliError::Netlist`] if the deck fails to parse;
-/// * [`CliError::Script`] if the script fails to parse, or an edit
-///   references an unknown net/node (reported with its script location and
-///   the offending token) or fails validation;
-/// * [`CliError::Analysis`] if the design cannot be built or analysed.
-pub fn run_eco(deck: &str, script: &str, opts: &Options) -> Result<EcoOutcome, CliError> {
-    let edits = parse_eco_script(script)?;
-    let (mut session, mut text) = EcoSession::new(deck, opts, Some(edits.len()))?;
-    session.apply_all(&edits, &mut text)?;
-    Ok(EcoOutcome {
-        text,
-        certification: session.certification(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rctree_sta::EcoEditKind;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const FIG7_DECK: &str = "\
 R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output n2\n";
@@ -1752,6 +1468,187 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
             parse_args(["--bogus", "x"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// Every flag in every mode, each case the mode's smallest valid line
+    /// plus that flag with a valid value: it parses exactly in the modes
+    /// listed, and is a usage error in every other.  Each smallest line
+    /// parses to the options written out here.
+    #[test]
+    fn every_flag_is_accepted_exactly_by_its_modes() {
+        let decks = vec!["d.spef".to_string()];
+        let driver = "inv_4x".to_string();
+        let deck_opts = |command| Options {
+            command,
+            path: "d.spef".into(),
+            format: InputFormat::Spef,
+            budget: Some(1e-7),
+            ..Options::default()
+        };
+        let modes: [(&str, Vec<&str>, Options); 9] = [
+            (
+                "tree",
+                vec!["t.sp"],
+                Options {
+                    command: Command::Report,
+                    path: "t.sp".into(),
+                    format: InputFormat::Spice,
+                    ..Options::default()
+                },
+            ),
+            (
+                "eco",
+                vec!["eco", "--budget", "1e-7", "d.spef", "e.eco"],
+                deck_opts(Command::Eco {
+                    script: "e.eco".into(),
+                    driver: driver.clone(),
+                    watch: false,
+                }),
+            ),
+            (
+                "report",
+                vec!["report", "--budget", "1e-7", "d.spef"],
+                deck_opts(Command::DeckReport {
+                    decks: decks.clone(),
+                    driver: driver.clone(),
+                }),
+            ),
+            (
+                "certify-over",
+                vec![
+                    "certify-over",
+                    "--budget",
+                    "1e-7",
+                    "--over-r",
+                    "0.8..1.4",
+                    "d.spef",
+                ],
+                deck_opts(Command::CertifyOver {
+                    decks: decks.clone(),
+                    driver: driver.clone(),
+                    over_r: (0.8, 1.4),
+                    over_c: (1.0, 1.0),
+                }),
+            ),
+            (
+                "serve",
+                vec!["serve", "--budget", "1e-7", "d.spef"],
+                deck_opts(Command::Serve {
+                    decks: decks.clone(),
+                    driver: driver.clone(),
+                    port: 0,
+                    shards: 1,
+                    slow_us: None,
+                }),
+            ),
+            (
+                "profile",
+                vec!["profile", "--budget", "1e-7", "d.spef"],
+                deck_opts(Command::Profile {
+                    decks: decks.clone(),
+                    driver: driver.clone(),
+                    json: false,
+                }),
+            ),
+            (
+                "bench-client",
+                vec!["bench-client", "127.0.0.1:1", "d.spef"],
+                Options {
+                    command: Command::BenchClient {
+                        addr: "127.0.0.1:1".into(),
+                        deck: "d.spef".into(),
+                        connections: 4,
+                        requests: 100,
+                        seed: 1,
+                        eco_fraction: 0.0,
+                        shards: 1,
+                        out: "target/BENCH_serve.json".into(),
+                        shutdown: false,
+                    },
+                    path: "d.spef".into(),
+                    format: InputFormat::Spef,
+                    ..Options::default()
+                },
+            ),
+            (
+                "scrape",
+                vec!["scrape", "127.0.0.1:1"],
+                Options {
+                    command: Command::Scrape {
+                        addr: "127.0.0.1:1".into(),
+                        stable: false,
+                        out: None,
+                        prev: None,
+                    },
+                    path: String::new(),
+                    format: InputFormat::Spice,
+                    ..Options::default()
+                },
+            ),
+            (
+                "gen-deck",
+                vec!["gen-deck"],
+                Options {
+                    command: Command::GenDeck { nets: 64, seed: 1 },
+                    path: String::new(),
+                    format: InputFormat::Spice,
+                    ..Options::default()
+                },
+            ),
+        ];
+        let readers = "tree eco report certify-over serve profile bench-client";
+        let flags: [(&str, Option<&str>, &str); 25] = [
+            (
+                "--threshold",
+                Some("0.4"),
+                "tree eco report certify-over serve profile bench-client scrape gen-deck",
+            ),
+            ("--format", Some("spef"), readers),
+            ("--budget", Some("2e-7"), readers),
+            ("--jobs", Some("2"), readers),
+            (
+                "--driver",
+                Some("buf_8x"),
+                "eco report certify-over serve profile",
+            ),
+            ("--net", Some("n1"), "tree"),
+            ("--voltage-at", Some("1e-9"), "tree"),
+            ("--watch", None, "eco"),
+            ("--corners", Some("fast=0.8,0.9"), "eco report serve"),
+            ("--corner", Some("0"), "report"),
+            ("--over-r", Some("0.9..1.1"), "certify-over"),
+            ("--over-c", Some("0.9..1.2"), "certify-over"),
+            ("--port", Some("7411"), "serve"),
+            ("--slow-us", Some("500"), "serve"),
+            ("--shards", Some("2"), "serve bench-client"),
+            ("--connections", Some("3"), "bench-client"),
+            ("--requests", Some("5"), "bench-client"),
+            ("--eco-fraction", Some("0.5"), "bench-client"),
+            ("--shutdown", None, "bench-client"),
+            ("--out", Some("o.json"), "bench-client scrape"),
+            ("--json", None, "profile"),
+            ("--stable", None, "scrape"),
+            ("--prev", Some("p.prom"), "scrape"),
+            ("--nets", Some("9"), "gen-deck"),
+            ("--seed", Some("3"), "bench-client gen-deck"),
+        ];
+        for (mode, line, expected) in &modes {
+            assert_eq!(parse_args(line).as_ref(), Ok(expected), "{mode}");
+            for (flag, value, takers) in flags {
+                let mut case = line.clone();
+                case.push(flag);
+                case.extend(value);
+                let parsed = parse_args(&case);
+                if takers.split(' ').any(|m| m == *mode) {
+                    assert!(parsed.is_ok(), "{case:?}: {parsed:?}");
+                } else {
+                    assert!(
+                        matches!(parsed, Err(CliError::Usage(_))),
+                        "{case:?}: {parsed:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1870,11 +1767,48 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
                 driver: "inv_4x".into(),
                 watch: false,
             },
-            path: "deck.spef".into(),
+            path: write_temp("eco.spef", ECO_DECK),
             format: InputFormat::Spef,
             budget: Some(budget),
             ..Options::default()
         }
+    }
+
+    /// Writes `contents` to a fresh file named after `name` in this test
+    /// process's own temporary directory and returns its path: every call
+    /// gets a file of its own, so tests running in parallel share none.
+    fn write_temp(name: &str, contents: &str) -> String {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!("rctree-cli-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join(format!("{}-{name}", NEXT.fetch_add(1, Ordering::Relaxed)));
+        std::fs::write(&path, contents).expect("temp file");
+        path.to_string_lossy().into_owned()
+    }
+
+    /// What `rcdelay report` prints for the deck files at `paths`, and its
+    /// verdict, at threshold 0.5, a 60 ns budget and one job.
+    fn deck_text(
+        paths: &[String],
+        driver: &str,
+        corners: Option<&CornerSet>,
+        corner: Option<&str>,
+    ) -> Result<Report, CliError> {
+        let deck = analyze_deck_from_paths(paths, driver, 0.5, 60e-9, 1, corners, corner)?;
+        let report = deck.report();
+        Ok(Report {
+            text: report.to_string(),
+            certification: Some(report.certification()),
+        })
+    }
+
+    /// `rcdelay eco`'s batch run of `script` over the deck at `opts.path`:
+    /// the per-edit log and the final verdict.
+    fn eco_batch(script: &str, opts: &Options) -> Result<(String, Certification), CliError> {
+        let edits = parse_eco_script(script)?;
+        let (mut session, mut text) = EcoSession::open(&opts.path, opts, Some(edits.len()))?;
+        session.apply_all(&edits, &mut text)?;
+        Ok((text, session.certification()))
     }
 
     #[test]
@@ -1974,7 +1908,6 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
                 driver: "buf_8x".into(),
                 port: 7411,
                 shards: 1,
-                poll_us: None,
                 slow_us: None,
             }
         );
@@ -1986,8 +1919,6 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
             "1e-7",
             "--shards",
             "4",
-            "--poll-us",
-            "250",
             "--slow-us",
             "5000",
             "a.spef",
@@ -2000,7 +1931,6 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
                 driver: "inv_4x".into(),
                 port: 0,
                 shards: 4,
-                poll_us: Some(250),
                 slow_us: Some(5000),
             }
         );
@@ -2032,22 +1962,13 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
             Err(CliError::Usage(_))
         ));
 
-        // --shards is serve/bench-client-only and must be positive;
-        // --poll-us is serve-only.
+        // --shards is serve/bench-client-only and must be positive.
         assert!(matches!(
             parse_args(["report", "--budget", "1e-7", "--shards", "4", "d.spef"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
             parse_args(["serve", "--budget", "1e-7", "--shards", "0", "d.spef"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(["report", "--budget", "1e-7", "--poll-us", "500", "d.spef"]),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(["serve", "--budget", "1e-7", "--poll-us", "0", "d.spef"]),
             Err(CliError::Usage(_))
         ));
 
@@ -2268,26 +2189,25 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
             Err(CliError::Usage(_))
         ));
 
-        let texts = vec![ECO_DECK.to_string()];
-        let nominal = deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, None, None).unwrap();
+        let paths = vec![write_temp("eco.spef", ECO_DECK)];
+        let nominal = deck_text(&paths, "inv_4x", None, None).unwrap();
         // Installing corners leaves the default (lane-0) report
         // byte-identical to the single-corner rendering.
-        let with = deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), None).unwrap();
+        let with = deck_text(&paths, "inv_4x", Some(&set), None).unwrap();
         assert_eq!(nominal.text, with.text);
-        let slow = deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), Some("slow")).unwrap();
+        let slow = deck_text(&paths, "inv_4x", Some(&set), Some("slow")).unwrap();
         assert_ne!(slow.text, nominal.text);
-        let by_index = deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), Some("2")).unwrap();
+        let by_index = deck_text(&paths, "inv_4x", Some(&set), Some("2")).unwrap();
         assert_eq!(by_index.text, slow.text);
         // Every scale of `slow` exceeds 1, so it is the worst corner.
-        let worst =
-            deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), Some("worst")).unwrap();
+        let worst = deck_text(&paths, "inv_4x", Some(&set), Some("worst")).unwrap();
         assert_eq!(worst.text, slow.text);
         assert!(matches!(
-            deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), Some("bogus")),
+            deck_text(&paths, "inv_4x", Some(&set), Some("bogus")),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, Some(&set), Some("9")),
+            deck_text(&paths, "inv_4x", Some(&set), Some("9")),
             Err(CliError::Usage(_))
         ));
     }
@@ -2296,7 +2216,7 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
     fn eco_sessions_install_corners_and_keep_applying_edits() {
         let mut opts = eco_opts(60e-9);
         opts.corners = Some("fast=0.8,0.85,0.9;slow=1.3,1.2,1.1".into());
-        let (mut session, header) = EcoSession::new(ECO_DECK, &opts, None).unwrap();
+        let (mut session, header) = EcoSession::open(&opts.path, &opts, None).unwrap();
         assert!(header.contains("corners: nominal,fast,slow"), "{header}");
         let ScriptLine::Edits(edits) = parse_eco_script_line(1, "setcap slow y 1.2e-12").unwrap()
         else {
@@ -2391,8 +2311,8 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
 
     #[test]
     fn deck_report_renders_the_design_report() {
-        let texts = vec![ECO_DECK.to_string()];
-        let report = deck_report(&texts, "inv_4x", 0.5, 60e-9, 1, None, None).unwrap();
+        let paths = vec![write_temp("eco.spef", ECO_DECK)];
+        let report = deck_text(&paths, "inv_4x", None, None).unwrap();
         assert_eq!(report.certification, Some(Certification::Pass));
         assert!(report.text.contains("timing report"), "{}", report.text);
         assert!(report.text.contains("worst slack"), "{}", report.text);
@@ -2400,20 +2320,12 @@ R1 in n1 15\nC1 n1 0 2\nRB n1 ns 8\nCB ns 0 7\nU1 n1 n2 3 4\nC2 n2 0 9\n.output 
         assert!(report.text.contains("fast/x") && report.text.contains("slow/y"));
 
         // Duplicate net names across decks are rejected (the nets collide).
-        let err = deck_report(
-            &[ECO_DECK.to_string(), ECO_DECK.to_string()],
-            "inv_4x",
-            0.5,
-            60e-9,
-            1,
-            None,
-            None,
-        )
-        .unwrap_err();
+        let err =
+            deck_text(&[paths[0].clone(), paths[0].clone()], "inv_4x", None, None).unwrap_err();
         assert!(matches!(err, CliError::Analysis(_)), "{err:?}");
 
         // A bad driver cell is an analysis error.
-        let err = deck_report(&texts, "nand_999x", 0.5, 60e-9, 1, None, None).unwrap_err();
+        let err = deck_text(&paths, "nand_999x", None, None).unwrap_err();
         assert!(matches!(err, CliError::Analysis(_)), "{err:?}");
     }
 
@@ -2521,7 +2433,7 @@ prune slow tap1
         // its index while the edits around it land (the engine is
         // transactional per apply).
         let opts = eco_opts(60e-9);
-        let (mut session, header) = EcoSession::new(ECO_DECK, &opts, None).unwrap();
+        let (mut session, header) = EcoSession::open(&opts.path, &opts, None).unwrap();
         assert!(header.contains("streaming edits"), "{header}");
         let ScriptLine::Edits(edits) = parse_eco_script_line(
             7,
@@ -2548,23 +2460,22 @@ prune slow tap1
     fn eco_session_reports_slack_deltas_and_verdicts() {
         let opts = eco_opts(60e-9);
         let script = "setcap slow y 1.2e-12\nsetcap slow y 0.3e-12\n";
-        let outcome = run_eco(ECO_DECK, script, &opts).unwrap();
-        assert_eq!(outcome.certification, Certification::Pass);
-        assert!(outcome.text.contains("baseline"), "{}", outcome.text);
-        assert!(outcome.text.contains("edit    1"), "{}", outcome.text);
-        assert!(outcome.text.contains("delta"), "{}", outcome.text);
-        assert!(outcome.text.contains("final certification: pass"));
+        let (text, certification) = eco_batch(script, &opts).unwrap();
+        assert_eq!(certification, Certification::Pass);
+        assert!(text.contains("baseline"), "{text}");
+        assert!(text.contains("edit    1"), "{text}");
+        assert!(text.contains("delta"), "{text}");
+        assert!(text.contains("final certification: pass"));
 
         // An impossible budget fails certification.
-        let fail = run_eco(ECO_DECK, script, &eco_opts(1e-12)).unwrap();
-        assert_eq!(fail.certification, Certification::Fail);
+        let (_, fail) = eco_batch(script, &eco_opts(1e-12)).unwrap();
+        assert_eq!(fail, Certification::Fail);
     }
 
     #[test]
     fn eco_unknown_references_carry_line_and_token() {
         let opts = eco_opts(60e-9);
-        let err = run_eco(
-            ECO_DECK,
+        let err = eco_batch(
             "setcap ghost x 1e-15
 ",
             &opts,
@@ -2578,8 +2489,7 @@ prune slow tap1
             "{message}"
         );
 
-        let err = run_eco(
-            ECO_DECK,
+        let err = eco_batch(
             "setcap fast x 1e-15
 prune fast nope
 ",

@@ -186,9 +186,8 @@ fn main() -> ExitCode {
             driver,
             port,
             shards,
-            poll_us,
             slow_us,
-        } => run_serve(&opts, decks, driver, *port, *shards, *poll_us, *slow_us),
+        } => run_serve(&opts, decks, driver, *port, *shards, *slow_us),
         Command::Profile {
             decks,
             driver,
@@ -271,7 +270,6 @@ fn run_serve(
     driver: &str,
     port: u16,
     shards: usize,
-    poll_us: Option<u64>,
     slow_us: Option<u64>,
 ) -> ExitCode {
     let budget = opts.budget.expect("serve mode requires --budget");
@@ -294,9 +292,6 @@ fn run_serve(
     }
     let mut config = rctree_serve::ServeConfig::new(opts.threshold, Seconds::new(budget), jobs);
     config.shards = shards;
-    if let Some(us) = poll_us {
-        config.poll_floor = std::time::Duration::from_micros(us);
-    }
     config.slow_us = slow_us;
     let server = match rctree_serve::Server::start(design, &config, ("127.0.0.1", port)) {
         Ok(server) => server,

@@ -228,11 +228,6 @@ impl<R: Read> SpefReader<R> {
         }
     }
 
-    /// Number of input lines consumed so far.
-    pub fn lines_read(&self) -> usize {
-        self.scan.line_no
-    }
-
     /// Reads one chunk into the buffer, first dropping what no longer
     /// needs keeping.  Returns the number of bytes read (0 at end of
     /// input).

@@ -45,11 +45,11 @@ use crate::store::{RenderedReportCache, ServerStats, SnapshotStore};
 /// at most before re-checking the shutdown flag (`std::net` has no
 /// readiness notification without `unsafe` or an external dependency, so
 /// both loops poll — but the interval ramps up from
-/// [`ServeConfig::poll_floor`] only while idle, so a busy connection
-/// polls at the floor).
+/// [`DEFAULT_POLL_FLOOR`] only while idle, so a busy connection polls at
+/// the floor).
 const POLL_CAP: Duration = Duration::from_millis(25);
 
-/// Default floor of the idle backoff ramp (`--poll-us` overrides).
+/// Floor of the server's idle backoff ramp.
 pub const DEFAULT_POLL_FLOOR: Duration = Duration::from_millis(1);
 
 /// Longest request line a connection reads, newline included: 1 MiB.  A
@@ -133,9 +133,6 @@ pub struct ServeConfig {
     /// Writer shards the design is partitioned into (clamped to the
     /// design's connected-component count; 0 and 1 both mean unsharded).
     pub shards: usize,
-    /// Floor of the idle polling backoff ramp (clamped to
-    /// `[1 µs, 25 ms]`).
-    pub poll_floor: Duration,
     /// Slow-request log threshold in microseconds (`--slow-us`): requests
     /// whose handling exceeds it are logged to stderr.  `None` disables
     /// the log.
@@ -143,14 +140,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// An unsharded config with the default polling floor and no slow log.
+    /// An unsharded config with no slow log.
     pub fn new(threshold: f64, required_time: Seconds, jobs: usize) -> ServeConfig {
         ServeConfig {
             threshold,
             required_time,
             jobs,
             shards: 1,
-            poll_floor: DEFAULT_POLL_FLOOR,
             slow_us: None,
         }
     }
@@ -237,7 +233,6 @@ struct Shared {
     gauges: GaugeSet,
     obs: Arc<Obs>,
     shutdown: AtomicBool,
-    poll_floor: Duration,
     slow_us: Option<u64>,
 }
 
@@ -367,7 +362,6 @@ impl Server {
             gauges,
             obs,
             shutdown: AtomicBool::new(false),
-            poll_floor: config.poll_floor.clamp(Duration::from_micros(1), POLL_CAP),
             slow_us: config.slow_us,
         });
         let accept = {
@@ -468,13 +462,13 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Accepts connections until shutdown, then joins every handler.
 ///
-/// The idle sleep ramps exponentially from the configured floor up to
+/// The idle sleep ramps exponentially from [`DEFAULT_POLL_FLOOR`] up to
 /// [`POLL_CAP`] and resets on every accepted connection, so a busy
 /// listener reacts at the floor and an idle one costs one wake-up per
 /// 25 ms.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut idle = Backoff::new(shared.poll_floor, POLL_CAP);
+    let mut idle = Backoff::server_default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
@@ -510,7 +504,7 @@ enum After {
 /// One connection: read request lines, write response blocks, until EOF,
 /// `QUIT`, `SHUTDOWN`, or server shutdown.
 ///
-/// The read timeout ramps exponentially from the configured floor up to
+/// The read timeout ramps exponentially from [`DEFAULT_POLL_FLOOR`] up to
 /// [`POLL_CAP`] while the connection is idle and resets to the floor on
 /// every received line, so a request that lands just after a timeout
 /// waits ≈the floor instead of a full fixed poll — this is what collapses
@@ -521,7 +515,7 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     // connection thread: request spans and the sta/netlist phase spans
     // they enclose report into the server's registry and span ring.
     let _obs = shared.obs.enter();
-    let mut idle = Backoff::new(shared.poll_floor, POLL_CAP);
+    let mut idle = Backoff::server_default();
     // Reads poll so a parked connection notices server shutdown.
     let _ = stream.set_read_timeout(Some(idle.current()));
     let Ok(read_half) = stream.try_clone() else {

@@ -1324,17 +1324,6 @@ impl SymbolicEndpointTiming {
         self.winner_at(r_scale, c_scale).window_at(r_scale, c_scale)
     }
 
-    /// Sensitivities `(dT/dr, dT/dc)` of the endpoint's **upper** arrival
-    /// bound at `(r_scale, c_scale)`: the gradient of the candidate
-    /// realized there.
-    pub fn sens_at(&self, r_scale: f64, c_scale: f64) -> (f64, f64) {
-        let best = self.winner_at(r_scale, c_scale);
-        (
-            best.max.eval_dr(r_scale, c_scale),
-            best.max.eval_dc(r_scale, c_scale),
-        )
-    }
-
     /// The candidate the strict-`>` fold selects at `(r, c)`.
     fn winner_at(&self, r: f64, c: f64) -> &SymbolicCandidate {
         let mut best = &self.candidates[0];
@@ -1393,13 +1382,14 @@ pub struct BoxCertification {
 /// ([`SymbolicAnalysis::certify_over`]) finds the **exact** continuum worst
 /// case via the quadratics' critical points — no sampling grid.
 ///
-/// An analysis is also a lane a successor can be rebuilt from: it keeps,
-/// all `Arc`-shared, the per-net symbolic sink bounds, the per-instance
+/// A snapshot builds it ([`DesignSnapshot::symbolic`]), and it is also
+/// the lane a successor snapshot is rebuilt from: it keeps, all
+/// `Arc`-shared, the per-net symbolic sink bounds, the per-instance
 /// candidate sets and the per-net endpoint candidates, plus the
-/// propagation topology and — for a snapshot's lane — the net views it was
-/// swept from.  A seeded rebuild ([`DesignSnapshot::symbolic`]) re-sweeps
-/// only the nets whose views changed and re-propagates their fan-out cone:
-/// `O(Σ n_changed + cone)` plus one refcount bump per net and instance.
+/// propagation topology and the net views it was swept from.  A seeded
+/// rebuild re-sweeps only the nets whose views changed and re-propagates
+/// their fan-out cone: `O(Σ n_changed + cone)` plus one refcount bump per
+/// net and instance.
 /// `==` compares the threshold, the required time, the instance names in
 /// id order and every candidate set — names, coefficients and spine
 /// instance sequences — whichever way the lane was built.
@@ -1416,9 +1406,8 @@ pub struct SymbolicAnalysis {
     arrivals: Vec<Arc<Vec<SymbolicCandidate>>>,
     /// Per net, by `net_order` rank: its endpoints in sink order.
     endpoints: Vec<Arc<Vec<SymbolicEndpointTiming>>>,
-    /// The snapshot net views the bounds were swept from; `None` for
-    /// [`Design::analyze_symbolic`], whose lane seeds nothing.
-    views: Option<NetViews>,
+    /// The snapshot net views the bounds were swept from.
+    views: NetViews,
 }
 
 /// The endpoints of a [`SymbolicAnalysis`] in propagation (net-order)
@@ -1443,29 +1432,6 @@ impl<'a> SymbolicEndpoints<'a> {
     pub fn is_empty(&self) -> bool {
         self.per_rank.iter().all(|eps| eps.is_empty())
     }
-}
-
-/// Records what a symbolic lane build did on its `sta.symbolic_build` span:
-/// nets re-swept, net ranks the propagation visited, and the candidates
-/// the lane holds (every instance's set plus every endpoint's).
-fn record_symbolic_build(
-    obs_span: &mut rctree_obs::Span,
-    nets_swept: usize,
-    cone_ranks: u64,
-    lane: &SymbolicAnalysis,
-) {
-    if !obs_span.is_live() {
-        return;
-    }
-    let held = lane.arrivals.iter().map(|set| set.len()).sum::<usize>()
-        + lane
-            .endpoints()
-            .iter()
-            .map(|e| e.candidates.len())
-            .sum::<usize>();
-    obs_span.attr_u64("nets_swept", nets_swept as u64);
-    obs_span.attr_u64("cone_ranks", cone_ranks);
-    obs_span.attr_u64("candidates", held as u64);
 }
 
 impl fmt::Debug for SymbolicEndpoints<'_> {
@@ -1502,7 +1468,7 @@ impl SymbolicAnalysis {
         required_time: Seconds,
         prop: Arc<PropagationCache>,
         bounds: Vec<Arc<Vec<SymbolicDelayBounds>>>,
-        views: Option<NetViews>,
+        views: NetViews,
     ) -> SymbolicAnalysis {
         let lane = SymbolicLane {
             intrinsic: &prop.intrinsic,
@@ -1542,9 +1508,8 @@ impl SymbolicAnalysis {
         threshold: f64,
         nets: usize,
     ) -> Option<&NetViews> {
-        let views = self.views.as_ref()?;
-        (Arc::ptr_eq(&self.prop, prop) && self.threshold == threshold && views.len() == nets)
-            .then_some(views)
+        (Arc::ptr_eq(&self.prop, prop) && self.threshold == threshold && self.views.len() == nets)
+            .then_some(&self.views)
     }
 
     /// The successor lane over `views`: `swept` holds the fresh bounds of
@@ -1583,7 +1548,7 @@ impl SymbolicAnalysis {
             bounds,
             arrivals,
             endpoints,
-            views: Some(views),
+            views,
         };
         (lane, cone_ranks)
     }
@@ -2104,53 +2069,6 @@ impl Design {
             out.add_net(net)?;
         }
         Ok(out)
-    }
-
-    /// Analyses the design **symbolically** over the global wire scales:
-    /// one pass produces every endpoint's arrival window as degree-≤2
-    /// polynomials in `(r_scale, c_scale)`, which then answer *any*
-    /// uniform-scale query — [`SymbolicAnalysis::report_at`] for a point,
-    /// [`SymbolicAnalysis::certify_over`] for the exact continuum worst
-    /// case over a box — without re-sweeping a single net.
-    ///
-    /// The per-net symbolic stage bounds run the same generic kernel as
-    /// the scalar sweep ([`stage_symbolic_bounds`]), sharded across the
-    /// global pool exactly like [`Design::analyze_with_jobs`]; results are
-    /// independent of `jobs`.  Evaluating the analysis at `(1, 1)` agrees
-    /// with the nominal scalar report, and at any `(r, c)` with the
-    /// analysis of a materialized corner `(r, c, delay_scale = 1)` — to
-    /// float round-off in the coefficient accumulation, not bitwise.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Design::analyze_with_jobs`].
-    pub fn analyze_symbolic(
-        &self,
-        threshold: f64,
-        required_time: Seconds,
-        jobs: usize,
-    ) -> Result<SymbolicAnalysis> {
-        if self.shared.nets.is_empty() {
-            return Err(StaError::EmptyDesign);
-        }
-        let mut obs_span = rctree_obs::span("sta.symbolic_build");
-        obs_span.attr_u64("nets", self.shared.nets.len() as u64);
-        // Pool jobs hold the core through a Weak so a queued straggler can
-        // never pin the strong count past this call.
-        let core = Arc::new(Arc::downgrade(&self.shared));
-        let n = self.shared.nets.len();
-        let bounds: Vec<Arc<Vec<SymbolicDelayBounds>>> =
-            rctree_par::par_map_global(jobs, core, n, move |i, weak: &Weak<DesignCore>| {
-                let core = weak.upgrade().expect("design outlives its analysis");
-                let net = &core.nets[i];
-                stage_symbolic_bounds(net.driver_r, &net.tree, &net.loads, threshold).map(Arc::new)
-            })
-            .into_iter()
-            .collect::<Result<_>>()?;
-        let cache = self.shared.topology()?;
-        let lane = SymbolicAnalysis::full(threshold, required_time, cache, bounds, None);
-        record_symbolic_build(&mut obs_span, n, n as u64, &lane);
-        Ok(lane)
     }
 
     /// Applies a batch of net-level ECO edits and returns the refreshed
@@ -2886,6 +2804,9 @@ pub struct DesignSnapshot {
     /// without touching the (mutable) design.  Its names answer the
     /// snapshot's name lookups.
     prop: Arc<PropagationCache>,
+    /// Worker threads of the publish that made the snapshot; its lane's
+    /// full build sweeps the nets on the pool with as many.
+    jobs: usize,
     /// Lazily built whole-design [`SymbolicAnalysis`] (`CERTIFY … --over`),
     /// built at most once: concurrent first callers wait for the one build
     /// and share its result, and clones of the snapshot share the cell.
@@ -2972,12 +2893,18 @@ impl DesignSnapshot {
     /// order — the lane is identical to a full build, at a cost of
     /// `O(Σ n_changed + cone)` plus one refcount bump per net and instance.
     /// Without a usable seed — after a cold [`Design::publish`], a
-    /// threshold change, or a topology change — the lane is a full build,
-    /// `O(Σ n)` sweeps plus one pass over every net.
+    /// threshold change, or a topology change — the lane is a full build:
+    /// `O(Σ n)` sweeps, on the global pool with the publish's worker count
+    /// and independent of it, plus one pass over every net.  Evaluating a
+    /// lane at `(1, 1)` agrees with the nominal scalar report, and at any
+    /// `(r, c)` with the analysis of a materialized corner
+    /// `(r, c, delay_scale = 1)`, to float round-off in the coefficient
+    /// accumulation, not bitwise.
     ///
     /// # Errors
     ///
-    /// As for [`Design::analyze_symbolic`]; a failed build is cached too.
+    /// As for [`Design::analyze_with_jobs`]: the first failing net in net
+    /// order.  A failed build is cached too.
     pub fn symbolic(&self) -> Result<Arc<SymbolicAnalysis>> {
         self.symbolic
             .get_or_init(|| self.build_symbolic().map(Arc::new))
@@ -2995,12 +2922,16 @@ impl DesignSnapshot {
 
     /// Builds the symbolic lane: a cone rebuild of the seed when it was
     /// swept from views over the same topology at the same threshold, a
-    /// full build otherwise.
+    /// full build otherwise.  Its `sta.symbolic_build` span records the
+    /// nets re-swept, the net ranks the propagation visited, and the
+    /// candidates the lane holds (every instance's set plus every
+    /// endpoint's).
     fn build_symbolic(&self) -> Result<SymbolicAnalysis> {
         let mut obs_span = rctree_obs::span("sta.symbolic_build");
         obs_span.attr_u64("nets", self.nets.len() as u64);
-        let sweep = |net: &NetTiming| {
-            stage_symbolic_bounds(net.driver_r, &net.tree, &net.loads, self.threshold).map(Arc::new)
+        let threshold = self.threshold;
+        let sweep = move |net: &NetTiming| {
+            stage_symbolic_bounds(net.driver_r, &net.tree, &net.loads, threshold).map(Arc::new)
         };
         let seed = self.seed.as_deref().and_then(|seed| {
             let views = seed.seed_views(&self.prop, self.threshold, self.nets.len())?;
@@ -3018,22 +2949,38 @@ impl DesignSnapshot {
                 (lane, nets_swept, cone_ranks)
             }
             None => {
-                let bounds = self
-                    .nets
-                    .iter()
-                    .map(|net| sweep(net))
-                    .collect::<Result<Vec<_>>>()?;
+                // The pool's jobs own an `Arc` of the views; results land
+                // by index, and the first failing net in net order wins.
+                let n = self.nets.len();
+                let bounds = rctree_par::par_map_global(
+                    self.jobs,
+                    Arc::new(self.nets.clone()),
+                    n,
+                    move |i, nets: &NetViews| sweep(nets.get(i).expect("a view per index")),
+                )
+                .into_iter()
+                .collect::<Result<Vec<_>>>()?;
                 let lane = SymbolicAnalysis::full(
                     self.threshold,
                     self.required_time,
                     Arc::clone(&self.prop),
                     bounds,
-                    Some(self.nets.clone()),
+                    self.nets.clone(),
                 );
-                (lane, self.nets.len(), self.prop.net_order.len() as u64)
+                (lane, n, self.prop.net_order.len() as u64)
             }
         };
-        record_symbolic_build(&mut obs_span, nets_swept, cone_ranks, &lane);
+        if obs_span.is_live() {
+            let held = lane.arrivals.iter().map(|set| set.len()).sum::<usize>()
+                + lane
+                    .endpoints()
+                    .iter()
+                    .map(|e| e.candidates.len())
+                    .sum::<usize>();
+            obs_span.attr_u64("nets_swept", nets_swept as u64);
+            obs_span.attr_u64("cone_ranks", cone_ranks);
+            obs_span.attr_u64("candidates", held as u64);
+        }
         Ok(lane)
     }
 }
@@ -3055,7 +3002,7 @@ impl Design {
     ) -> Result<DesignSnapshot> {
         let mut obs_span = rctree_obs::span("sta.publish");
         let touched = self.apply_eco_touching(&[], threshold, jobs)?;
-        let (snapshot, copied) = self.snapshot_from_state(required_time, None, &[]);
+        let (snapshot, copied) = self.snapshot_from_state(required_time, jobs, None, &[]);
         obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
         obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
@@ -3108,7 +3055,7 @@ impl Design {
         };
         let touched = self.apply_eco_touching(edits, threshold, jobs)?;
         let (snapshot, copied) =
-            self.snapshot_from_state(required_time, if reuse { Some(prev) } else { None }, &dirty);
+            self.snapshot_from_state(required_time, jobs, reuse.then_some(prev), &dirty);
         obs_span.attr_u64("endpoints_moved", touched.endpoints_moved);
         obs_span.attr_u64("chunks_copied", touched.chunks_copied + copied);
         self.published = snapshot.id;
@@ -3117,11 +3064,13 @@ impl Design {
 
     /// Builds a snapshot from the warm ECO state, reusing `prev`'s views
     /// for every net not listed in `dirty` when `prev` is given, and
-    /// seeding its symbolic lane from `prev`'s.  Returns it with the number
-    /// of view leaves copied.
+    /// seeding its symbolic lane from `prev`'s; `jobs` is the publish's
+    /// worker count, which the lane's full build reuses.  Returns it with
+    /// the number of view leaves copied.
     fn snapshot_from_state(
         &self,
         required_time: Seconds,
+        jobs: usize,
         prev: Option<&DesignSnapshot>,
         dirty: &[usize],
     ) -> (DesignSnapshot, u64) {
@@ -3194,6 +3143,7 @@ impl Design {
             nets,
             corners,
             prop: Arc::clone(&state.prop),
+            jobs,
             symbolic: Arc::new(OnceLock::new()),
             seed: prev.and_then(DesignSnapshot::lane_seed),
         };

@@ -169,6 +169,15 @@ fn uniform_corner_spec(points: &[(f64, f64)]) -> CornerSet {
     CornerSet::parse(&spec).expect("generated spec parses")
 }
 
+/// The lane of a cold `publish` of a clone of `design`: a publish without
+/// a seed, so its lane is a full build, swept on the pool with `jobs`.
+fn full_lane(design: &Design, threshold: f64, budget: Seconds, jobs: usize) -> SymbolicAnalysis {
+    let snapshot = design.clone().publish(threshold, budget, jobs).unwrap();
+    let lane = snapshot.symbolic().unwrap();
+    drop(snapshot);
+    Arc::unwrap_or_clone(lane)
+}
+
 /// Gate 1: the refactored scalar kernel is bit-identical across worker
 /// counts and to the independent rebuild path, on every generator.
 #[test]
@@ -224,10 +233,10 @@ fn scalar_bit_identity_survives_seeded_eco_streams() {
 #[test]
 fn symbolic_lane_is_jobs_independent_and_matches_nominal() {
     for (name, design, budget) in generator_designs() {
-        let reference = design.analyze_symbolic(THRESHOLD, budget, 1).unwrap();
+        let reference = full_lane(&design, THRESHOLD, budget, 1);
         let nominal = design.analyze_with_jobs(THRESHOLD, budget, 1).unwrap();
         for jobs in JOBS {
-            let sym = design.analyze_symbolic(THRESHOLD, budget, jobs).unwrap();
+            let sym = full_lane(&design, THRESHOLD, budget, jobs);
             assert_eq!(
                 sym.report_at(1.0, 1.0),
                 reference.report_at(1.0, 1.0),
@@ -260,7 +269,7 @@ fn symbolic_lane_is_jobs_independent_and_matches_nominal() {
 fn symbolic_evaluation_matches_materialized_corners() {
     let points = [(0.8, 0.9), (1.25, 1.1), (1.4, 1.2), (0.6, 1.3), (1.0, 1.0)];
     for (name, mut design, budget) in generator_designs() {
-        let sym = design.analyze_symbolic(THRESHOLD, budget, 2).unwrap();
+        let sym = full_lane(&design, THRESHOLD, budget, 2);
         design.set_corners(uniform_corner_spec(&points));
         for (k, &(r, c)) in points.iter().enumerate() {
             let oracle = design
@@ -304,7 +313,7 @@ fn symbolic_evaluation_tracks_seeded_eco_streams() {
         let warm = design
             .apply_eco_with_jobs(&edits, THRESHOLD, budget, 2)
             .unwrap();
-        let sym = design.analyze_symbolic(THRESHOLD, budget, 2).unwrap();
+        let sym = full_lane(&design, THRESHOLD, budget, 2);
         assert_reports_close(
             &format!("round {round} nominal"),
             &sym.report_at(1.0, 1.0),
@@ -336,7 +345,7 @@ fn certify_over_matches_dense_sampling_oracle() {
     const STEPS: usize = 33; // 33 × 33 = 1089 sample points
     for (seed, (name, mut design, budget)) in generator_designs().into_iter().enumerate() {
         let spec = interval_spec(seed as u64);
-        let sym = design.analyze_symbolic(THRESHOLD, budget, 2).unwrap();
+        let sym = full_lane(&design, THRESHOLD, budget, 2);
         let cert = sym.certify_over(budget, spec.r, spec.c);
 
         let axis = |(lo, hi): (f64, f64), i: usize| {
@@ -431,7 +440,7 @@ fn snapshot_symbolic_is_cached_and_tracks_eco_publishes() {
     );
     // The successor's symbolic lane is exactly the design-level analysis
     // of the edited state — same coefficient tables, bitwise.
-    let fresh: SymbolicAnalysis = design.analyze_symbolic(THRESHOLD, budget, 2).unwrap();
+    let fresh: SymbolicAnalysis = full_lane(&design, THRESHOLD, budget, 2);
     assert_eq!(sym2.report_at(1.2, 0.9), fresh.report_at(1.2, 0.9));
     // The old snapshot's cached lane is untouched by the publish.
     assert_reports_close(
@@ -598,8 +607,8 @@ fn assert_verdicts_follow_the_report(lane: &SymbolicAnalysis) {
 /// Gate 7: a seeded lane is the full build.  Seeded ECO streams (setcap,
 /// setline, graft, prune) run on a 4-corner `eco_dag`; every publish's lane
 /// — a cone rebuild of its predecessor's, or of an older lane when the
-/// predecessors were never built — must `==` a fresh
-/// `Design::analyze_symbolic` of the design as published.  Covered: every
+/// predecessors were never built — must `==` a fresh full build
+/// ([`full_lane`]) of the design as published.  Covered: every
 /// revision built; only every third built; an old snapshot built after its
 /// successor was published; and a threshold change and a cold `publish`,
 /// both without a seed, so their lanes are full builds.
@@ -631,7 +640,7 @@ fn seeded_symbolic_lanes_equal_full_builds_through_eco_streams() {
             let mut grafted = None;
 
             let mut snapshot = design.publish(THRESHOLD, budget, jobs).unwrap();
-            let mut expected = design.analyze_symbolic(THRESHOLD, budget, jobs).unwrap();
+            let mut expected = full_lane(&design, THRESHOLD, budget, jobs);
             // An unbuilt predecessor and the design-level lane it had.
             let mut unbuilt: Option<(DesignSnapshot, SymbolicAnalysis)> = None;
             for round in 0..18 {
@@ -664,7 +673,7 @@ fn seeded_symbolic_lanes_equal_full_builds_through_eco_streams() {
                 snapshot = design
                     .publish_after_eco(&[edit], THRESHOLD, budget, jobs, &snapshot)
                     .unwrap();
-                expected = design.analyze_symbolic(THRESHOLD, budget, jobs).unwrap();
+                expected = full_lane(&design, THRESHOLD, budget, jobs);
                 // A predecessor built after its successor was published
                 // still answers for its own revision.
                 if let Some((old, old_expected)) = unbuilt.take().filter(|_| round == 7) {
@@ -687,9 +696,7 @@ fn seeded_symbolic_lanes_equal_full_builds_through_eco_streams() {
                 ("cold publish", design.publish(THRESHOLD, budget, jobs)),
             ] {
                 let next = next.unwrap();
-                let fresh = design
-                    .analyze_symbolic(next.threshold(), budget, jobs)
-                    .unwrap();
+                let fresh = full_lane(&design, next.threshold(), budget, jobs);
                 let before = nets_swept(&obs);
                 assert_eq!(*next.symbolic().unwrap(), fresh, "{label}: {what}");
                 assert_eq!(nets_swept(&obs).1 - before.1, nets, "{label}: {what}");

@@ -14,7 +14,7 @@ const BUDGET: Seconds = Seconds::new(200e-9);
 
 /// A deck design with enough nets to exercise interner growth and bucket
 /// chains, not just the happy path of a handful of names.
-fn deck_design(nets: usize) -> Design {
+fn interned_deck(nets: usize) -> Design {
     let params = SpefDeckParams {
         nets,
         ..SpefDeckParams::default()
@@ -24,7 +24,7 @@ fn deck_design(nets: usize) -> Design {
 
 #[test]
 fn report_text_is_byte_identical_to_the_string_keyed_baseline() {
-    let d = deck_design(40);
+    let d = interned_deck(40);
     let interned = d.analyze_with_jobs(THRESHOLD, BUDGET, 2).unwrap();
     // The cold ECO warm-up of a clone files and renders every endpoint
     // through the ECO state instead; `deck_build` pins the id-based
@@ -46,7 +46,7 @@ fn report_text_is_byte_identical_to_the_string_keyed_baseline() {
 
 #[test]
 fn snapshot_queries_resolve_original_names_after_interning() {
-    let mut d = deck_design(12);
+    let mut d = interned_deck(12);
     let snap = d.publish(THRESHOLD, BUDGET, 1).unwrap();
 
     // Every original name resolves; close-but-wrong names do not.
@@ -78,7 +78,7 @@ fn snapshot_queries_resolve_original_names_after_interning() {
 
 #[test]
 fn eco_errors_carry_the_original_net_name() {
-    let mut d = deck_design(6);
+    let mut d = interned_deck(6);
     let err = d
         .apply_eco(
             &[EcoEdit {

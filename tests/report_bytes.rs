@@ -13,7 +13,7 @@ use penfield_rubinstein::workloads::{render_spef_deck, SpefDeckParams};
 
 /// The report `rcdelay report --budget 5e-7` prints for the deck of
 /// `rcdelay gen-deck --nets 2000 --seed 4`.
-fn deck_report() -> TimingReport {
+fn generated_report() -> TimingReport {
     let params = SpefDeckParams {
         nets: 2000,
         ..SpefDeckParams::default()
@@ -35,7 +35,7 @@ fn deck_report() -> TimingReport {
 
 #[test]
 fn every_arrival_of_a_deck_report_prints_as_std_does() {
-    let report = deck_report();
+    let report = generated_report();
     assert!(report.endpoints.len() > 8_000, "{}", report.endpoints.len());
     let (mut got, mut want) = (Vec::new(), String::new());
     for e in &report.endpoints {
@@ -51,7 +51,7 @@ fn every_arrival_of_a_deck_report_prints_as_std_does() {
 
 #[test]
 fn a_deck_report_renders_as_std_writes_it_line_by_line() {
-    let report = deck_report();
+    let report = generated_report();
     let mut want = String::new();
     writeln!(
         want,
